@@ -107,6 +107,19 @@ class RunConfig:
                 raise ConfigError("charge names must be nonempty")
         if len(self.radii) < 3 or any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ConfigError("radii must be strictly increasing with at least 3 entries")
+        if self.radii[0] <= 0:
+            raise ConfigError("radii must be positive")
+        slope, exponent = self.cone.time_slope, self.cone.time_exponent
+        if slope < 0 or not (0.0 <= exponent < 1.0):
+            raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
+        for radius in self.radii:
+            # the transport (a0, R * axis) of ConeSpec.translation must be spacelike
+            a0 = slope * radius**exponent if slope else 0.0
+            if not abs(a0) < radius:
+                raise ConfigError(
+                    f"cone transport at radius {radius:g} is not spacelike: "
+                    f"|time_slope * R^time_exponent| = {abs(a0):g} >= R"
+                )
         if not (0.0 < self.half_angle_rad() < math.pi / 2.0):
             raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
         for name, value in asdict(self.thresholds).items():

@@ -35,7 +35,7 @@ routes agree wherever the grid resolves the integrand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 import math
 
 import numpy as np
@@ -45,7 +45,6 @@ from .quadrature import (
     MomentumGrid,
     TWO_PI_32,
     composite_legendre_unit,
-    gauss_legendre_unit,
     radial_fourier,
 )
 
@@ -53,12 +52,10 @@ TEST = "test"
 CHARGE = "charge"
 
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
-# oscillation wavelength of the fastest sinc/trig factor over (0, r_max].
-# Beyond SINGLE_MAX nodes the rule switches to composite fixed-order panels,
-# whose construction cost stays linear in the node count.
+# oscillation wavelength of the fastest sinc/trig factor over (0, r_max],
+# rounded up to whole composite panels of PANEL_ORDER cached nodes each.
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
-RADIAL_RULE_SINGLE_MAX = 2048
 RADIAL_RULE_PANEL_ORDER = 64
 
 _BUMPS: dict[str, tuple[object, float, int]] = {}
@@ -76,6 +73,15 @@ def register_bump(name: str, profile_fn, support_radius: float, panels: int = 24
     if name in _BUMPS and _BUMPS[name][1:] != (float(support_radius), panels):
         raise ConfigError(f"bump {name!r} already registered with different parameters")
     _BUMPS[name] = (profile_fn, float(support_radius), panels)
+
+
+@lru_cache(maxsize=64)
+def _bump_transform(entry: tuple, momenta: bytes) -> np.ndarray:
+    """Read-only radial_fourier of a registered (callable, support, panels) entry."""
+    fn, radius, panels = entry
+    out = radial_fourier(fn, radius, np.frombuffer(momenta), panels=panels)
+    out.setflags(write=False)
+    return out
 
 
 @dataclass(frozen=True)
@@ -97,8 +103,7 @@ class Profile:
         if self.kind == "gauss2":
             return r**2 * np.exp(-0.5 * (self.width * r) ** 2)
         if self.kind == "bump":
-            fn, radius, panels = _BUMPS[self.name]
-            return radial_fourier(fn, radius, r, panels=panels)
+            return _bump_transform(_BUMPS[self.name], np.asarray(r, dtype=float).tobytes())
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
     def value_at_zero(self) -> float:
@@ -107,8 +112,7 @@ class Profile:
         if self.kind == "gauss2":
             return 0.0
         if self.kind == "bump":
-            fn, radius, panels = _BUMPS[self.name]
-            return float(radial_fourier(fn, radius, 0.0, panels=panels))
+            return float(self.momentum_values(np.zeros(1))[0])
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
 
@@ -348,12 +352,7 @@ def _radial_rule_for(pairs, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]
     for _, ax, ay, delta in pairs:
         mu = max(mu, delta + abs(ax.offset[0]) + abs(ay.offset[0]))
     n = max(RADIAL_RULE_BASE, int(np.ceil(RADIAL_RULE_OVERSAMPLE * mu * grid.r_max / (2.0 * np.pi))))
-    n = ((n + 31) // 32) * 32
-    if n <= RADIAL_RULE_SINGLE_MAX:
-        nodes, weights = gauss_legendre_unit(n)
-    else:
-        panels = -(-n // RADIAL_RULE_PANEL_ORDER)
-        nodes, weights = composite_legendre_unit(panels, RADIAL_RULE_PANEL_ORDER)
+    nodes, weights = composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
     return grid.r_max * nodes, grid.r_max * weights
 
 

@@ -22,6 +22,9 @@ from ._angular import SUPPORTED_ORDERS, angular_rule, antipode_index
 from .errors import ConfigError, UsageError
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
+# Momenta per block of the radial_fourier sinc kernel; bounds its temporaries
+# to FOURIER_BLOCK x (panel nodes) whatever the number of momenta.
+FOURIER_BLOCK = 128
 
 
 @lru_cache(maxsize=256)
@@ -41,9 +44,9 @@ def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
 def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, 1] with equal-width panels.
 
-    Single-rule construction is quadratic in the node count, so highly
-    oscillatory integrands (large spatial separations) use stacked cached
-    fixed-order panels instead; construction stays linear in panels * order.
+    A single n-node rule is a dense eigensolve costing O(n^3); stacking one
+    cached fixed-order rule keeps construction linear in panels * order.
+    This is the only rule family of the radial route.
     """
     if panels < 1 or order < 2:
         raise ConfigError("composite rule needs at least one panel of order >= 2")
@@ -198,9 +201,12 @@ def radial_fourier(
     if fr.shape != r.shape:
         raise UsageError("profile must return one value per radius")
     # sinc(p r) = sin(p r)/(p r); np.sinc works in units of pi.
-    kernel = np.sinc(np.outer(p, r) / np.pi)
     base = (w * r**2 * fr)[None, :]
-    out = 4.0 * np.pi / TWO_PI_32 * np.sum(kernel * base, axis=1)
+    sums = np.empty(p.shape)
+    for i in range(0, p.size, FOURIER_BLOCK):
+        kernel = np.sinc(np.outer(p[i : i + FOURIER_BLOCK], r) / np.pi)
+        sums[i : i + FOURIER_BLOCK] = np.sum(kernel * base, axis=1)
+    out = 4.0 * np.pi / TWO_PI_32 * sums
     if np.isscalar(momenta) or np.ndim(momenta) == 0:
         return out[0]
     return out

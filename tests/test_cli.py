@@ -51,6 +51,8 @@ def test_config_defaults_match_reference():
         lambda d: d.__setitem__("charges", d["charges"][:1]),
         lambda d: d["cone"].__setitem__("half_angle_deg", 95.0),
         lambda d: d["tail_policy"].__setitem__("bogus", 3),
+        lambda d: d.__setitem__("radii", [0.0, 10.0, 20.0]),
+        lambda d: d["cone"].__setitem__("time_exponent", 1.0),
     ],
 )
 def test_config_validation_errors(mutate):
@@ -181,6 +183,20 @@ def test_cli_exit_codes(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--config", str(CONFIG_PATH), "--suite", "bogus"])
     assert exc.value.code == 2
+
+
+def test_cli_rejects_timelike_transport(tmp_path, capsys):
+    # a0 = 2 R^0.9 is 15.9 at R = 10: the transported charges would be timelike separated
+    data = default_dict()
+    data["cone"].update(time_slope=2.0, time_exponent=0.9)
+    bad = tmp_path / "timelike.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(bad), "--suite", "braiding", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "not spacelike" in err
+    assert not (tmp_path / "braiding_report.csv").exists()
+    data["cone"].update(time_slope=1.0, time_exponent=0.5)  # a0 = sqrt(R) < R stays valid
+    assert config_from_dict(data).cone.time_slope == 1.0
 
 
 def test_cli_plan_line_and_json_output(tmp_path, capsys):

@@ -20,6 +20,7 @@ from scipy.special import erf
 
 from conebraid import field as F
 from conebraid.errors import ConfigError, DomainError, UsageError
+from conebraid.quadrature import composite_legendre_unit, radial_fourier
 
 SQRT_HALF = 0.7071067811865476
 
@@ -69,10 +70,19 @@ def test_sigma_translated_closed_form(pair, d):
 
 @pytest.mark.parametrize("d", [150.0, 1280.0])
 def test_sigma_large_separation_panel_route(pair, d):
-    # separations past the single-rule node cap switch to composite panels
+    # large separations need hundreds of composite panels
     gam, dlt = pair
     val = F.symplectic(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt)
     assert abs(val - _sigma_exact(d)) < 1e-12
+
+
+@pytest.mark.parametrize("d, panels", [(0.5, 3), (1280.0, 319)])
+def test_radial_rule_is_composite_panels(pair, d, panels):
+    # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node panels
+    gam, dlt = pair
+    r, w = F._radial_rule_for(F._pair_list(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt), gam.grid)
+    nodes, weights = composite_legendre_unit(panels, 64)
+    assert np.array_equal(r, 10.0 * nodes) and np.array_equal(w, 10.0 * weights)
 
 
 def test_sigma_against_independent_quadrature(pair):
@@ -244,8 +254,6 @@ def test_bump_vector(grid):
     dlt = F.make_test_vector(grid)
     val = F.symplectic(ball, dlt)
     # sigma(ball, delta) = 4 pi int f~(r) e^{-r^2/2} dr, f~ the profile transform
-    from conebraid.quadrature import radial_fourier
-
     ref = 4.0 * np.pi * quad(
         lambda r: radial_fourier(lambda s: np.ones_like(s), 1.0, r) * np.exp(-0.5 * r**2),
         0.0,
@@ -253,6 +261,24 @@ def test_bump_vector(grid):
         limit=200,
     )[0]
     assert abs(val - ref) < 1e-8
+
+
+def test_bump_transform_memo_follows_reregistration(grid):
+    # the memo must serve the callable registered now, not an earlier one of the same name
+    f = lambda r: (1.0 - r**2) ** 2
+    dlt = F.make_test_vector(grid)
+    first = F.make_bump_vector(grid, "memo-probe", f, 1.0)
+    before = F.symplectic(first, dlt)
+    second = F.make_bump_vector(grid, "memo-probe", lambda r: 2.0 * f(r), 1.0)
+    after = F.symplectic(second, dlt)
+    r, w = F._radial_rule_for(F._pair_list(second, dlt), grid)
+    uncached = radial_fourier(lambda s: 2.0 * f(s), 1.0, r)
+    ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
+    assert math.isclose(after, ref, rel_tol=1e-14)
+    assert math.isclose(after, 2.0 * before, rel_tol=1e-14)
+    assert math.isclose(second.charge, 2.0 * first.charge, rel_tol=1e-14)
+    cached = second.terms[0][1].profile.momentum_values(r)
+    assert np.array_equal(cached, uncached) and not cached.flags.writeable
 
 
 def test_different_grids_rejected(grid, grid146):

@@ -155,6 +155,17 @@ def test_radial_fourier_indicator():
     assert np.isscalar(radial_fourier(lambda r: np.ones_like(r), 1.0, 0.0))
 
 
+@pytest.mark.parametrize("count", [1, 128, 129, 4000])
+def test_radial_fourier_blocks_match_one_shot(count):
+    # blocked evaluation keeps every per-momentum sum, so it is bit-identical
+    fn = lambda r: (1.0 - r**2) ** 2
+    p = np.linspace(0.0, 300.0, count)
+    r, w = radial_panel_rule(1.0)
+    kernel = np.sinc(np.outer(p, r) / np.pi)
+    one_shot = 4.0 * np.pi / TWO_PI_32 * np.sum(kernel * (w * r**2 * fn(r))[None, :], axis=1)
+    assert np.array_equal(radial_fourier(fn, 1.0, p), one_shot)
+
+
 def test_radial_fourier_panel_consistency():
     fn = lambda r: (1.0 - r**2) ** 2
     p = np.linspace(0.0, 8.0, 17)
