@@ -5,7 +5,9 @@ The dialect is plain JSON with a fixed key tree; serialization is canonical
 idempotent and the config digest is reproducible.  Defaults reproduce the
 reference experiment: the unit Gaussian charge pair, a 30 degree cone along
 z, radii 10..40, the (64, 26, 10) momentum grid, and the default tail
-policy.  Unknown keys are rejected rather than ignored.
+policy.  Unknown keys are rejected rather than ignored, and every value is
+checked against its field's type: numbers must be finite and are never
+booleans, and fixed-length tuples such as the cone axis must have that length.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
@@ -150,52 +153,52 @@ class RunConfig:
         return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()[:16]
 
 
-def _build(cls, data: dict, where: str):
+def _typed(value, hint, where: str):
+    """Check a value against its field annotation and return it typed.
+
+    The annotation is a config dataclass, a tuple, float (any finite number,
+    returned as float), int or str; a boolean is not a number.
+    """
+    if is_dataclass(hint):
+        return _build(hint, value, where)
+    if typing.get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where}: expected a list, got {type(value).__name__}")
+        args = typing.get_args(hint)
+        if args[1:] == (Ellipsis,):
+            args = args[:1] * len(value)
+        elif len(value) != len(args):
+            raise ConfigError(f"{where}: expected {len(args)} entries, got {len(value)}")
+        return tuple(_typed(v, a, f"{where}[{i}]") for i, (v, a) in enumerate(zip(value, args)))
+    if hint is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: must be finite, got {number}")
+        return number
+    if hint in (int, str) and isinstance(value, hint) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where}: expected {hint.__name__}, got {type(value).__name__}")
+
+
+def _build(cls, data, where: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{where}: expected an object, got {type(data).__name__}")
-    fields = {f.name for f in cls.__dataclass_fields__.values()}
-    unknown = set(data) - fields
+    hints = typing.get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
-        return cls(**data)
+        return cls(**{key: _typed(value, hints[key], f"{where}.{key}") for key, value in data.items()})
     except TypeError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-    known = {f.name for f in RunConfig.__dataclass_fields__.values()}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"config: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    if "grid" in data:
-        kwargs["grid"] = _build(GridCfg, data["grid"], "grid")
-    if "charges" in data:
-        if not isinstance(data["charges"], list):
-            raise ConfigError("charges must be a list")
-        kwargs["charges"] = tuple(
-            _build(ChargeCfg, c, f"charges[{i}]") for i, c in enumerate(data["charges"])
-        )
-    if "cone" in data:
-        cone = dict(data["cone"])
-        if "axis" in cone:
-            cone["axis"] = tuple(float(x) for x in cone["axis"])
-        kwargs["cone"] = _build(ConeCfg, cone, "cone")
-    if "homotopy" in data:
-        kwargs["homotopy"] = _build(HomotopyCfg, data["homotopy"], "homotopy")
-    if "tail_policy" in data:
-        kwargs["tail_policy"] = _build(TailCfg, data["tail_policy"], "tail_policy")
-    if "thresholds" in data:
-        kwargs["thresholds"] = _build(ThresholdCfg, data["thresholds"], "thresholds")
-    if "radii" in data:
-        kwargs["radii"] = tuple(float(r) for r in data["radii"])
-    for key in ("transporter_offset", "law_samples", "seed", "out_dir"):
-        if key in data:
-            kwargs[key] = data[key]
-    return RunConfig(**kwargs).validate()
+    """Parse a config tree, checking every value against its field's type."""
+    return _build(RunConfig, data, "config").validate()
 
 
 def load_config(path) -> RunConfig:

@@ -30,6 +30,12 @@ radial route integrates the exact angular average (the phase pair
 e^{i p.(d_A - d_B)} averages to sinc(r |d_A - d_B|)), which stays accurate
 at arbitrary translation radius; it is the default.  Tests assert the two
 routes agree wherever the grid resolves the integrand.
+
+The radial route sums c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.  Each
+memoized pair integral k uses the rule sized for its own pair, so it does not
+depend on the other pairs of a call, and the correctly rounded sum makes both
+forms exactly bilinear over pairs.  A pair whose kernel vanishes identically
+(time offsets zero, equal channels for sigma, unequal for Re (x, y)) is 0.0.
 """
 
 from __future__ import annotations
@@ -57,22 +63,27 @@ CHARGE = "charge"
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
+# Pair integrals kept; the default run needs about 4k.
+PAIR_CACHE_SIZE = 1 << 14
+SIGMA, RE = "sigma", "re"
 
 _BUMPS: dict[str, tuple[object, float, int]] = {}
 
 
-def register_bump(name: str, profile_fn, support_radius: float, panels: int = 240) -> None:
+def register_bump(name: str, profile_fn, support_radius: float, panels: int = 240) -> tuple:
     """Register a compactly supported radial position profile under a name.
 
-    The profile enters field vectors through its radial Fourier transform;
-    registering the callable once keeps atoms hashable and reproducible.
-    Re-registering a name with a different support raises.
+    Returns the registered (callable, support, panels) entry, which a bump
+    Profile keeps, so re-registering a name with a new callable leaves
+    earlier vectors unchanged.  Re-registering with a different support
+    raises.
     """
     if support_radius <= 0:
         raise ConfigError("bump support radius must be positive")
     if name in _BUMPS and _BUMPS[name][1:] != (float(support_radius), panels):
         raise ConfigError(f"bump {name!r} already registered with different parameters")
     _BUMPS[name] = (profile_fn, float(support_radius), panels)
+    return _BUMPS[name]
 
 
 @lru_cache(maxsize=64)
@@ -90,12 +101,14 @@ class Profile:
 
     kind "gauss" is exp(-r^2 w^2 / 2); kind "gauss2" is r^2 exp(-r^2 w^2 / 2)
     (chargeless in the g channel); kind "bump" is the radial Fourier
-    transform of a registered position profile.
+    transform of the position profile in ``entry``, the (callable, support,
+    panels) registered under ``name`` when the profile was built.
     """
 
     kind: str
     width: float = 0.0
     name: str = ""
+    entry: tuple = ()
 
     def momentum_values(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "gauss":
@@ -103,7 +116,7 @@ class Profile:
         if self.kind == "gauss2":
             return r**2 * np.exp(-0.5 * (self.width * r) ** 2)
         if self.kind == "bump":
-            return _bump_transform(_BUMPS[self.name], np.asarray(r, dtype=float).tobytes())
+            return _bump_transform(self.entry, np.asarray(r, dtype=float).tobytes())
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
     def value_at_zero(self) -> float:
@@ -170,14 +183,6 @@ class FieldVector:
             h += coeff * phase * H
         return g, h
 
-    @property
-    def g_samples(self) -> np.ndarray:
-        return self.samples[0]
-
-    @property
-    def h_samples(self) -> np.ndarray:
-        return self.samples[1]
-
 
 def _make(grid, items, klass, charge) -> FieldVector:
     terms = _canonical_terms(items)
@@ -239,8 +244,8 @@ def make_bump_vector(
     """
     if channel not in ("g", "h"):
         raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
-    register_bump(name, profile_fn, support_radius, panels=panels)
-    atom = Atom(Profile("bump", name=name), channel)
+    entry = register_bump(name, profile_fn, support_radius, panels=panels)
+    atom = Atom(Profile("bump", name=name, entry=entry), channel)
     q = amplitude * atom.charge_factor()
     klass = TEST if q == 0.0 else CHARGE
     return _make(grid, [(float(amplitude), atom)], klass, q)
@@ -336,68 +341,62 @@ def _channel_factors(atom: Atom, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return r * np.sin(r * t) * phi, c * phi
 
 
-def _pair_list(x: FieldVector, y: FieldVector):
-    pairs = []
-    for cx, ax in x.terms:
-        for cy, ay in y.terms:
-            dx = ax.offset[1:]
-            dy = ay.offset[1:]
-            delta = math.dist(dx, dy)
-            pairs.append((cx * cy, ax, ay, delta))
-    return pairs
-
-
 def _radial_rule_for(pairs, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
-    mu = 0.0
-    for _, ax, ay, delta in pairs:
-        mu = max(mu, delta + abs(ax.offset[0]) + abs(ay.offset[0]))
+    # the time offsets are added first, so the rule is symmetric in each pair
+    mu = max(delta + (abs(ax.offset[0]) + abs(ay.offset[0])) for _, ax, ay, delta in pairs)
     n = max(RADIAL_RULE_BASE, int(np.ceil(RADIAL_RULE_OVERSAMPLE * mu * grid.r_max / (2.0 * np.pi))))
     nodes, weights = composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
     return grid.r_max * nodes, grid.r_max * weights
 
 
+@lru_cache(maxsize=PAIR_CACHE_SIZE)
+def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: MomentumGrid) -> float:
+    """4 pi int K(r) sinc(r delta) dr on the rule for this one atom pair.
+
+    ka, kb are the atoms' (profile, channel, time offset), delta their spatial
+    distance; the grid enters through r_max.  K is g_a h_b - g_b h_a (SIGMA)
+    or g_a g_b / r + r h_a h_b (RE).
+    """
+    if ka[2] == kb[2] == 0.0 and (ka[1] == kb[1]) == (form == SIGMA):
+        return 0.0
+    ax, ay = (Atom(profile, channel, (t, 0.0, 0.0, 0.0)) for profile, channel, t in (ka, kb))
+    r, w = _radial_rule_for(((1.0, ax, ay, delta),), grid)
+    gx, hx = _channel_factors(ax, r)
+    gy, hy = _channel_factors(ay, r)
+    kern = gx * hy - gy * hx if form == SIGMA else gx * gy / r + r * hx * hy
+    return 4.0 * np.pi * float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
+
+
+def _form(form: str, x: FieldVector, y: FieldVector) -> float:
+    """Correctly rounded sum of c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs."""
+    xs, ys = ([(c, (a.profile, a.channel, a.offset[0]), a.offset[1:]) for c, a in v.terms] for v in (x, y))
+    return math.fsum(
+        cx * cy * _pair_integral(form, kx, ky, math.dist(dx, dy), x.grid) for cx, kx, dx in xs for cy, ky, dy in ys
+    )
+
+
 def symplectic(x: FieldVector, y: FieldVector) -> float:
     """sigma(x, y) by the exact-angular radial route.
 
-    Bilinear and antisymmetric; agrees with -Im scalar_product on test
-    vectors.  Defined for every class (the omega^{-2} kernel is integrable
-    in three dimensions).
+    Bilinear over atom pairs and antisymmetric, both exactly (see the module
+    docstring); equals -Im scalar_product on test vectors.  Defined for every
+    class (the omega^{-2} kernel is integrable in three dimensions).
     """
     _require_same_grid(x, y)
-    pairs = _pair_list(x, y)
-    if not pairs:
-        return 0.0
-    r, w = _radial_rule_for(pairs, x.grid)
-    acc = np.zeros_like(r)
-    for c, ax, ay, delta in pairs:
-        gx, hx = _channel_factors(ax, r)
-        gy, hy = _channel_factors(ay, r)
-        kern = gx * hy - gy * hx
-        if not kern.any():
-            continue
-        acc += (c * kern) * np.sinc(r * (delta / np.pi))
-    return 4.0 * np.pi * float(np.dot(w, acc))
+    return _form(SIGMA, x, y)
 
 
 def scalar_product(x: FieldVector, y: FieldVector) -> complex:
-    """(x, y) by the exact-angular radial route; test class only."""
+    """(x, y) by the exact-angular radial route; test class only.
+
+    The imaginary part is -sigma(x, y) from the same pair integrals, so
+    (x, x) is exactly real.
+    """
     _require_same_grid(x, y)
     for v, side in ((x, "left"), (y, "right")):
         if v.klass != TEST:
             raise DomainError(f"scalar product undefined for charge-class {side} operand")
-    pairs = _pair_list(x, y)
-    if not pairs:
-        return 0.0 + 0.0j
-    r, w = _radial_rule_for(pairs, x.grid)
-    re = np.zeros_like(r)
-    im = np.zeros_like(r)
-    for c, ax, ay, delta in pairs:
-        gx, hx = _channel_factors(ax, r)
-        gy, hy = _channel_factors(ay, r)
-        sinc = np.sinc(r * (delta / np.pi))
-        re += (c * sinc) * (gx * gy / r + r * hx * hy)
-        im += (c * sinc) * (hx * gy - gx * hy)
-    return complex(4.0 * np.pi * np.dot(w, re), 4.0 * np.pi * np.dot(w, im))
+    return complex(_form(RE, x, y), -_form(SIGMA, x, y))
 
 
 def vacuum_exponent(x: FieldVector) -> float:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,6 +69,9 @@ _SEQALG_CHECKS = (
 _SMOOTH_BUMP_POWER = 2
 
 
+# One callable per shape: bump atoms compare by their registered callable, so
+# charges of equal shape share atoms and pair integrals only through it.
+@lru_cache(maxsize=64)
 def _bump_shape_fn(shape: str, support_radius: float):
     if shape == "indicator":
         return lambda r: np.ones_like(np.asarray(r, dtype=float))

@@ -5,6 +5,7 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conebraid.cli import main
 from conebraid.config import RunConfig, config_from_dict, load_config
@@ -53,6 +54,19 @@ def test_config_defaults_match_reference():
         lambda d: d["tail_policy"].__setitem__("bogus", 3),
         lambda d: d.__setitem__("radii", [0.0, 10.0, 20.0]),
         lambda d: d["cone"].__setitem__("time_exponent", 1.0),
+        # values of the wrong type, non-finite numbers, booleans as numbers
+        lambda d: d["grid"].__setitem__("n_radial", "64"),
+        lambda d: d.__setitem__("seed", "0"),
+        lambda d: d["charges"][0].__setitem__("q", "1"),
+        lambda d: d["cone"].__setitem__("axis", [0.0, 1.0]),
+        lambda d: d["cone"].__setitem__("axis", "z"),
+        lambda d: d.__setitem__("radii", "abc"),
+        lambda d: d.__setitem__("cone", [0.0, 0.0, 1.0]),
+        lambda d: d["thresholds"].__setitem__("braiding", float("nan")),
+        lambda d: d.__setitem__("seed", True),
+        lambda d: d["grid"].__setitem__("n_radial", 64.0),
+        lambda d: d.__setitem__("radii", [10.0, 20.0, float("inf")]),
+        lambda d: d["charges"][0].__setitem__("q", 10**400),
     ],
 )
 def test_config_validation_errors(mutate):
@@ -60,6 +74,55 @@ def test_config_validation_errors(mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+def _tree_paths(node, path=()):
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _tree_paths(child, path + (key,))
+
+
+def _json_kind(value) -> str:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return "number"
+    return type(value).__name__
+
+
+json_values = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-5, 100),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.floats(-50.0, 50.0), max_size=4),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=400)
+@given(st.sampled_from(list(_tree_paths(default_dict()))), json_values)
+def test_mutated_config_parses_or_raises_config_error(path, value):
+    # parsing only: any mutation of the default tree either gives a valid
+    # config or a one-line ConfigError, and never a config holding a value of
+    # another JSON kind or a non-finite number
+    data = default_dict()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    old, node[path[-1]] = node[path[-1]], value
+    try:
+        config_from_dict(data)
+    except ConfigError as exc:
+        assert "\n" not in str(exc)
+        return
+    assert _json_kind(value) == _json_kind(old)
+    assert not isinstance(value, float) or math.isfinite(value)
 
 
 def _report(rows) -> Report:
@@ -164,6 +227,9 @@ def test_vector_materialization_variants(grid):
     assert math.isclose(b.charge, 4.0 * math.pi / 3.0, rel_tol=1e-8)
     s = vector_from_charge_cfg(grid, ball.charges[1])
     assert math.isclose(s.charge, 2.0 * 32.0 * math.pi / 105.0, rel_tol=1e-8)
+    # charges of one bump shape share their atoms, so their difference cancels exactly
+    twin = config_from_dict({"charges": [{"name": "ball2", "profile": "bump-position"}, {"name": "x"}]})
+    assert vector_from_charge_cfg(grid, twin.charges[0]).terms == b.terms
 
     neutral = vector_from_charge_cfg(
         grid, config_from_dict({"charges": [{"name": "n", "q": 0.0}, {"name": "m"}]}).charges[0]
@@ -197,6 +263,16 @@ def test_cli_rejects_timelike_transport(tmp_path, capsys):
     assert not (tmp_path / "braiding_report.csv").exists()
     data["cone"].update(time_slope=1.0, time_exponent=0.5)  # a0 = sqrt(R) < R stays valid
     assert config_from_dict(data).cone.time_slope == 1.0
+
+
+def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys):
+    data = default_dict()
+    data["cone"] = [0.0, 0.0, 1.0]
+    bad = tmp_path / "cone_list.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "config.cone: expected an object" in err
 
 
 def test_cli_plan_line_and_json_output(tmp_path, capsys):

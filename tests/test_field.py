@@ -80,7 +80,7 @@ def test_sigma_large_separation_panel_route(pair, d):
 def test_radial_rule_is_composite_panels(pair, d, panels):
     # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node panels
     gam, dlt = pair
-    r, w = F._radial_rule_for(F._pair_list(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt), gam.grid)
+    r, w = F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], d)], gam.grid)
     nodes, weights = composite_legendre_unit(panels, 64)
     assert np.array_equal(r, 10.0 * nodes) and np.array_equal(w, 10.0 * weights)
 
@@ -271,7 +271,7 @@ def test_bump_transform_memo_follows_reregistration(grid):
     before = F.symplectic(first, dlt)
     second = F.make_bump_vector(grid, "memo-probe", lambda r: 2.0 * f(r), 1.0)
     after = F.symplectic(second, dlt)
-    r, w = F._radial_rule_for(F._pair_list(second, dlt), grid)
+    r, w = F._radial_rule_for([(1.0, second.terms[0][1], dlt.terms[0][1], 0.0)], grid)
     uncached = radial_fourier(lambda s: 2.0 * f(s), 1.0, r)
     ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
     assert math.isclose(after, ref, rel_tol=1e-14)
@@ -279,6 +279,66 @@ def test_bump_transform_memo_follows_reregistration(grid):
     assert math.isclose(second.charge, 2.0 * first.charge, rel_tol=1e-14)
     cached = second.terms[0][1].profile.momentum_values(r)
     assert np.array_equal(cached, uncached) and not cached.flags.writeable
+
+
+def test_bump_vector_keeps_its_transform_after_reregistration(grid):
+    # a bump atom keeps the callable registered when it was built
+    f = lambda r: (1.0 - r**2) ** 2
+    dlt = F.make_test_vector(grid)
+    first = F.make_bump_vector(grid, "memo-probe", f, 1.0)
+    before = F.symplectic(first, dlt)
+    second = F.make_bump_vector(grid, "memo-probe", lambda r: 2.0 * f(r), 1.0)
+    assert F.symplectic(first, dlt) == before
+    assert math.isclose(F.symplectic(second, dlt), 2.0 * before, rel_tol=1e-14)
+    assert first.terms[0][1] != second.terms[0][1]
+
+
+@pytest.fixture(scope="module")
+def mixed(pair):
+    # multi-term vectors with time offsets, both channels and spatial separations
+    gam, dlt = pair
+    g2 = F.make_test_vector(gam.grid, amplitude=0.6, width=1.3, channel="g")
+    x = F.add(F.translate(gam, (0.3, 1.0, 0.0, 2.0)), F.scale(0.7, F.translate(dlt, (-0.4, 0.0, 1.0, 0.0))))
+    x = F.add(x, F.translate(g2, (0.0, -2.0, 0.5, 0.0)))
+    y = F.add(dlt, F.translate(g2, (0.9, 0.5, 0.2, 5.0)))
+    y = F.add(y, F.scale(-1.2, F.translate(dlt, (0.0, 3.0, 0.0, -1.0))))
+    return x, y
+
+
+def test_sigma_exactly_antisymmetric(mixed):
+    x, y = mixed
+    assert F.symplectic(x, y) == -F.symplectic(y, x)
+    assert F.symplectic(x, x) == 0.0
+
+
+def test_sigma_exactly_additive_over_pairs(pair):
+    # each pair is integrated on its own rule, so a far pair does not change the near one
+    gam, dlt = pair
+    z1 = F.translate(dlt, (0.0, 0.0, 0.0, 1.5))
+    z_far = F.translate(dlt, (0.0, 0.0, 0.0, 400.0))
+    assert F.symplectic(gam, F.add(z1, z_far)) == F.symplectic(gam, z1) + F.symplectic(gam, z_far)
+
+
+def test_scalar_product_of_a_vector_with_itself_is_real(mixed):
+    x, y = mixed
+    v = F.add(F.scale(0.5, y), F.translate(F.make_test_vector(x.grid, channel="g"), (0.4, 0.0, 0.0, 1.0)))
+    assert v.klass == F.TEST and len(v.terms) == 4
+    val = F.scalar_product(v, v)
+    assert val.imag == 0.0 and val.real > 0.0
+
+
+def test_pair_integral_memo_is_bounded_and_holds_floats(grid, monkeypatch):
+    info = F._pair_integral.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    gauss = F.Profile("gauss", width=1.0)
+    g, h = (gauss, "g", 0.0), (gauss, "h", 0.5)
+    value = F._pair_integral(F.SIGMA, g, h, 3.0, grid)
+    assert type(value) is float and type(F._pair_integral(F.RE, g, h, 3.0, grid)) is float
+    # kernels that vanish identically build no rule
+    monkeypatch.setattr(F, "_radial_rule_for", None)
+    undecorated = F._pair_integral.__wrapped__
+    assert undecorated(F.SIGMA, g, g, 3.0, grid) == 0.0
+    assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0, grid) == 0.0
 
 
 def test_different_grids_rejected(grid, grid146):

@@ -1,0 +1,44 @@
+"""Smoke runs of the sweep scripts with small arguments, each in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_braiding_convergence_script():
+    proc = _run("braiding_convergence.py", "--r-max", "40", "--points", "3")
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split() for line in proc.stdout.splitlines()[2:-1]]
+    assert [float(row[0]) for row in rows] == [10.0, 20.0, 40.0]
+    for _, residual, closed_form, _ in rows:
+        # the residual column must match the erf closed form to the printed digits
+        assert residual == closed_form
+
+
+def test_decay_curves_script(tmp_path):
+    out = tmp_path / "decay.csv"
+    proc = _run("decay_curves.py", "--r-max", "40", "--points", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len(out.read_text().splitlines()) == 4
+
+
+def test_run_default_script(tmp_path):
+    # the default config fails 19 of its 62 rows by design, so the script exits 1
+    proc = _run("run_default.py", "--out", str(tmp_path))
+    assert proc.returncode == 1 and not proc.stderr, proc.stderr
+    assert "total 62 rows" in proc.stdout
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["all_report.csv", "all_report.json"]
