@@ -23,6 +23,12 @@ from .errors import ConfigError
 
 _PROFILE_KINDS = ("gaussian-momentum", "bump-position")
 _BUMP_SHAPES = ("indicator", "smooth")
+# Size caps: the n_radial Gauss-Legendre build is a dense O(n^3) eigensolve
+# (about 1.2 s at the cap), and law samples and homotopy steps scale the run
+# linearly.
+N_RADIAL_MAX = 2048
+LAW_SAMPLES_MAX = 10_000
+HOMOTOPY_STEPS_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -130,10 +136,14 @@ class RunConfig:
                 raise ConfigError(f"threshold {name!r} must be positive")
         if self.transporter_offset <= 0:
             raise ConfigError("transporter_offset must be positive")
-        if self.law_samples < 1:
-            raise ConfigError("law_samples must be positive")
+        if self.grid.n_radial > N_RADIAL_MAX:
+            raise ConfigError(f"grid n_radial must be at most {N_RADIAL_MAX}, got {self.grid.n_radial}")
+        if not 1 <= self.law_samples <= LAW_SAMPLES_MAX:
+            raise ConfigError(f"law_samples must lie in [1, {LAW_SAMPLES_MAX}], got {self.law_samples}")
         if self.homotopy.steps < 1 or self.homotopy.step_deg <= 0:
             raise ConfigError("homotopy chain needs at least one positive step")
+        if self.homotopy.steps > HOMOTOPY_STEPS_MAX:
+            raise ConfigError(f"homotopy steps must be at most {HOMOTOPY_STEPS_MAX}, got {self.homotopy.steps}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self

@@ -36,6 +36,12 @@ memoized pair integral k uses the rule sized for its own pair, so it does not
 depend on the other pairs of a call, and the correctly rounded sum makes both
 forms exactly bilinear over pairs.  A pair whose kernel vanishes identically
 (time offsets zero, equal channels for sigma, unequal for Re (x, y)) is 0.0.
+The pairs (a, b) and (b, a) share one memo entry: swapping the atoms
+negates the sigma kernel and keeps the Re kernel, both bit for bit.  At zero
+separation k is the plain rule sum of the kernel.  At separation d > 0 the
+sinc factor is split per composite panel, since node m of panel k sits at
+k h + r0_m: sin(d r) needs one sine and cosine per panel and per panel
+offset, not one per node.  This changes k by rounding only.
 """
 
 from __future__ import annotations
@@ -63,8 +69,13 @@ CHARGE = "charge"
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
+# Largest radial rule built: R = 1e6 at r_max = 10 needs 31.8M nodes.
+RADIAL_RULE_MAX_NODES = 1 << 25
 # Pair integrals kept; the default run needs about 4k.
 PAIR_CACHE_SIZE = 1 << 14
+# Panels per block of a pair integral's kernel, which bounds its temporaries
+# to PAIR_BLOCK_PANELS * RADIAL_RULE_PANEL_ORDER nodes whatever the rule size.
+PAIR_BLOCK_PANELS = 256
 SIGMA, RE = "sigma", "re"
 
 _BUMPS: dict[str, tuple[object, float, int]] = {}
@@ -86,7 +97,10 @@ def register_bump(name: str, profile_fn, support_radius: float, panels: int = 24
     return _BUMPS[name]
 
 
-@lru_cache(maxsize=64)
+# A far pair reads its rule in kernel blocks of at most 16,384 momenta
+# (128 KB), one entry each; 256 entries keep every block of a pair for both
+# forms up to separations of about 2.6e5 at r_max = 10.
+@lru_cache(maxsize=256)
 def _bump_transform(entry: tuple, momenta: bytes) -> np.ndarray:
     """Read-only radial_fourier of a registered (callable, support, panels) entry."""
     fn, radius, panels = entry
@@ -345,8 +359,17 @@ def _radial_rule_for(pairs, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]
     # the time offsets are added first, so the rule is symmetric in each pair
     mu = max(delta + (abs(ax.offset[0]) + abs(ay.offset[0])) for _, ax, ay, delta in pairs)
     n = max(RADIAL_RULE_BASE, int(np.ceil(RADIAL_RULE_OVERSAMPLE * mu * grid.r_max / (2.0 * np.pi))))
+    if n > RADIAL_RULE_MAX_NODES:
+        raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
     nodes, weights = composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
     return grid.r_max * nodes, grid.r_max * weights
+
+
+def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
+    """K(r) of the pair; swapping ax and ay negates SIGMA and keeps RE, both bit for bit."""
+    gx, hx = _channel_factors(ax, r)
+    gy, hy = _channel_factors(ay, r)
+    return gx * hy - gy * hx if form == SIGMA else gx * gy / r + hx * hy * r
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -355,24 +378,59 @@ def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: Momentum
 
     ka, kb are the atoms' (profile, channel, time offset), delta their spatial
     distance; the grid enters through r_max.  K is g_a h_b - g_b h_a (SIGMA)
-    or g_a g_b / r + r h_a h_b (RE).
+    or g_a g_b / r + r h_a h_b (RE).  At delta = 0 the value is dot(w, K).
+    Otherwise node m of panel k of the composite rule is r = k h + r0_m, so
+    sin(delta r) = sin(k delta h) cos(delta r0_m) + cos(k delta h) sin(delta r0_m)
+    takes P + 64 sines and cosines instead of one per node; the kernel runs
+    over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
     """
     if ka[2] == kb[2] == 0.0 and (ka[1] == kb[1]) == (form == SIGMA):
         return 0.0
     ax, ay = (Atom(profile, channel, (t, 0.0, 0.0, 0.0)) for profile, channel, t in (ka, kb))
     r, w = _radial_rule_for(((1.0, ax, ay, delta),), grid)
-    gx, hx = _channel_factors(ax, r)
-    gy, hy = _channel_factors(ay, r)
-    kern = gx * hy - gy * hx if form == SIGMA else gx * gy / r + r * hx * hy
-    return 4.0 * np.pi * float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
+    if delta == 0.0:
+        return 4.0 * np.pi * float(np.dot(w, _kernel(form, ax, ay, r)))
+    order = RADIAL_RULE_PANEL_ORDER
+    panels = len(r) // order
+    first = delta * r[:order]
+    cos0, sin0 = np.cos(first), np.sin(first)
+    step = delta * grid.r_max / panels
+    total = 0.0
+    for k in range(0, panels, PAIR_BLOCK_PANELS):
+        block = slice(k * order, (k + PAIR_BLOCK_PANELS) * order)
+        rb = r[block]
+        a = (w[block] * _kernel(form, ax, ay, rb) / (delta * rb)).reshape(-1, order)
+        start = step * np.arange(k, k + len(a))
+        total += float(np.sin(start) @ (a @ cos0) + np.cos(start) @ (a @ sin0))
+    return 4.0 * np.pi * total
 
 
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:
     """Correctly rounded sum of c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs."""
-    xs, ys = ([(c, (a.profile, a.channel, a.offset[0]), a.offset[1:]) for c, a in v.terms] for v in (x, y))
+    xs, ys = ([(c, _pair_key(a), a.offset[1:]) for c, a in v.terms] for v in (x, y))
     return math.fsum(
-        cx * cy * _pair_integral(form, kx, ky, math.dist(dx, dy), x.grid) for cx, kx, dx in xs for cy, ky, dy in ys
+        cx * cy * _unordered_pair_integral(form, kx, ky, math.dist(dx, dy), x.grid)
+        for cx, kx, dx in xs
+        for cy, ky, dy in ys
     )
+
+
+def _pair_key(atom: Atom) -> tuple:
+    """The atom's memo key (profile, channel, time offset) and its sort key."""
+    p, t = atom.profile, atom.offset[0]
+    return (p, atom.channel, t), (p.kind, p.width, p.name, atom.channel, t)
+
+
+def _unordered_pair_integral(form: str, kx: tuple, ky: tuple, delta: float, grid: MomentumGrid) -> float:
+    """k(x, y) from the one memo entry of the unordered pair, read in sort-key order.
+
+    A swapped SIGMA value is negated; atoms whose sort keys tie keep their order.
+    """
+    (ka, sort_x), (kb, sort_y) = kx, ky
+    if sort_y < sort_x:
+        value = _pair_integral(form, kb, ka, delta, grid)
+        return -value if form == SIGMA else value
+    return _pair_integral(form, ka, kb, delta, grid)
 
 
 def symplectic(x: FieldVector, y: FieldVector) -> float:

@@ -11,7 +11,9 @@ cocycle phase evaluated by the field-layer symplectic form.
 
 Generator labels are identified up to a 1e-9 quantization of coefficients
 and offsets, which absorbs float noise from translation arithmetic while
-keeping genuinely distinct labels apart.
+keeping genuinely distinct labels apart.  A bump atom is also keyed on a
+digest of its registered profile, so two bump vectors of one name built from
+different profiles are different labels.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on test-class labels (the exponent diverges otherwise, and
@@ -22,12 +24,14 @@ functional are positive semidefinite, which the tests assert directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+import hashlib
 
 import numpy as np
 
 from .errors import UsageError
 from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent, zero_vector
-from .quadrature import MomentumGrid
+from .quadrature import MomentumGrid, radial_panel_rule
 
 QUANT = 1e-9
 COEFF_EPS = 1e-14
@@ -38,6 +42,22 @@ def _qi(v: float) -> int:
     return int(round(v / QUANT))
 
 
+@lru_cache(maxsize=64)
+def _profile_digest(entry: tuple) -> str:
+    """Digest of a bump's (callable, support, panels) entry; "" for other profiles.
+
+    It hashes the support, the panel count and the profile's values on the
+    panel nodes its radial transform reads: a sortable stand-in for the
+    callable, which field atoms compare by.
+    """
+    if not entry:
+        return ""
+    fn, radius, panels = entry
+    r, _ = radial_panel_rule(radius, panels=panels)
+    values = np.asarray(fn(r), dtype=float)
+    return hashlib.sha256(np.array([radius, panels], dtype=float).tobytes() + values.tobytes()).hexdigest()[:16]
+
+
 def label_id(vec: FieldVector) -> tuple:
     """Hashable identity of a field vector, stable under float jitter below QUANT."""
     out = []
@@ -46,6 +66,7 @@ def label_id(vec: FieldVector) -> tuple:
             atom.profile.kind,
             _qi(atom.profile.width),
             atom.profile.name,
+            _profile_digest(atom.profile.entry),
             atom.channel,
             tuple(_qi(c) for c in atom.offset),
         )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -273,6 +274,39 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys):
     assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "config.cone: expected an object" in err
+
+
+@pytest.mark.parametrize(
+    "mutate, field, cap",
+    [
+        (lambda d: d["grid"].__setitem__("n_radial", 10**9), "n_radial", 2048),
+        (lambda d: d.__setitem__("law_samples", 10**9), "law_samples", 10000),
+        (lambda d: d["homotopy"].__setitem__("steps", 10**9), "homotopy steps", 64),
+    ],
+    ids=["n_radial", "law_samples", "homotopy_steps"],
+)
+def test_cli_oversized_config_exits_2_with_one_line(tmp_path, capsys, mutate, field, cap):
+    data = default_dict()
+    mutate(data)
+    bad = tmp_path / "oversized.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and field in err and str(cap) in err
+    assert not list(tmp_path.glob("*_report.*"))
+
+
+def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
+    # separations of 2e8 would need rules of about 1.3e10 nodes
+    data = default_dict()
+    data["radii"] = [1e8, 2e8, 4e8]
+    bad = tmp_path / "huge_radii.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(bad), "--suite", "braiding", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert re.fullmatch(r"error: radial rule of \d+ nodes exceeds the cap of 33554432 nodes\n", err)
+    assert not list(tmp_path.glob("*_report.*"))
 
 
 def test_cli_plan_line_and_json_output(tmp_path, capsys):

@@ -76,6 +76,23 @@ def test_sigma_large_separation_panel_route(pair, d):
     assert abs(val - _sigma_exact(d)) < 1e-12
 
 
+def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
+    gam, dlt = pair
+    built = []
+
+    def record(panels, order):
+        built.append(panels * order)
+        return np.ones(1), np.ones(1)
+
+    monkeypatch.setattr(F, "composite_legendre_unit", record)
+    # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
+    F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e6)], gam.grid)
+    assert built == [31831040] and built[0] <= F.RADIAL_RULE_MAX_NODES
+    with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
+        F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e8)], gam.grid)
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("d, panels", [(0.5, 3), (1280.0, 319)])
 def test_radial_rule_is_composite_panels(pair, d, panels):
     # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node panels
@@ -325,6 +342,60 @@ def test_scalar_product_of_a_vector_with_itself_is_real(mixed):
     assert v.klass == F.TEST and len(v.terms) == 4
     val = F.scalar_product(v, v)
     assert val.imag == 0.0 and val.real > 0.0
+
+
+def test_swapped_operands_share_pair_integrals(mixed):
+    # (a, b) and (b, a) read one memo entry; the swapped SIGMA value is negated exactly
+    x, y = mixed
+    F._pair_integral.cache_clear()
+    forward = F.symplectic(x, y)
+    misses = F._pair_integral.cache_info().misses
+    assert misses > 0
+    assert F.symplectic(y, x) == -forward
+    assert F._pair_integral.cache_info().misses == misses
+
+
+def _direct_pair_sum(form, ka, kb, delta, grid):
+    """4 pi dot(w, K sinc(r delta)) on the pair's own rule, one sinc per node, and 4 pi dot(w, |K|)."""
+    ax, ay = (F.Atom(p, c, (t, 0.0, 0.0, 0.0)) for p, c, t in (ka, kb))
+    r, w = F._radial_rule_for([(1.0, ax, ay, delta)], grid)
+    kern = F._kernel(form, ax, ay, r)
+    direct = float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
+    return 4.0 * np.pi * direct, 4.0 * np.pi * float(np.dot(w, np.abs(kern)))
+
+
+def _split_phase_cases():
+    gauss = F.Profile("gauss", width=1.0)
+    entry = F.register_bump("split-phase-probe", lambda r: (1.0 - r**2) ** 2, 1.0)
+    bump = F.Profile("bump", name="split-phase-probe", entry=entry)
+    pairs = [
+        ((gauss, "g", 0.0), (gauss, "h", 0.0)),
+        ((gauss, "g", 0.5), (gauss, "g", -0.5)),
+        ((gauss, "h", 3.0), (gauss, "g", 0.0)),
+        ((gauss, "h", 0.0), (gauss, "h", 3.0)),
+    ]
+    # a bump transform costs one panel-rule sinc sum per node, about 1 s per 20k nodes
+    for delta in (0.0, 0.3, 1.5, 150.0, 1280.0, 1.0e4, 8.0e4):
+        for ka, kb in pairs + ([((bump, "g", 0.0), (gauss, "h", 0.5))] if delta <= 150.0 else []):
+            for form in (F.SIGMA, F.RE):
+                name = "-".join(f"{p.kind}{c}{t:+g}" for p, c, t in (ka, kb))
+                yield pytest.param(form, ka, kb, delta, id=f"{form}-{name}-d{delta:g}")
+
+
+@pytest.mark.parametrize("form, ka, kb, delta", _split_phase_cases())
+def test_pair_integral_matches_direct_sinc_sum(grid, form, ka, kb, delta):
+    # the per-panel phase split changes only rounding: each node's phase
+    # error is eps * delta * r, so the difference is bounded by eps times
+    # the pair's zero-separation size 4 pi sum |w K|
+    value = F._pair_integral.__wrapped__(form, ka, kb, delta, grid)
+    ref, size = _direct_pair_sum(form, ka, kb, delta, grid)
+    if delta == 0.0:
+        assert value == ref
+    else:
+        assert abs(value - ref) <= 1e-13 * size
+    # the kernel is bit-exactly antisymmetric (SIGMA) or symmetric (RE) under a swap
+    swapped = F._pair_integral.__wrapped__(form, kb, ka, delta, grid)
+    assert swapped == (-value if form == F.SIGMA else value)
 
 
 def test_pair_integral_memo_is_bounded_and_holds_floats(grid, monkeypatch):

@@ -19,14 +19,25 @@ def _run(script: str, *args: str) -> subprocess.CompletedProcess:
     )
 
 
-def test_braiding_convergence_script():
-    proc = _run("braiding_convergence.py", "--r-max", "40", "--points", "3")
+def _braiding_rows(r_min: str, r_max: str) -> list[list[str]]:
+    proc = _run("braiding_convergence.py", "--r-min", r_min, "--r-max", r_max, "--points", "3")
     assert proc.returncode == 0, proc.stderr
     rows = [line.split() for line in proc.stdout.splitlines()[2:-1]]
-    assert [float(row[0]) for row in rows] == [10.0, 20.0, 40.0]
     for _, residual, closed_form, _ in rows:
         # the residual column must match the erf closed form to the printed digits
         assert residual == closed_form
+    return rows
+
+
+def test_braiding_convergence_script():
+    rows = _braiding_rows("10", "40")
+    assert [float(row[0]) for row in rows] == [10.0, 20.0, 40.0]
+
+
+def test_braiding_convergence_script_far_radii():
+    # separations up to 8e4 integrate pairs on rules of up to 1.27M nodes
+    rows = _braiding_rows("1e4", "4e4")
+    assert [float(row[0]) for row in rows] == [1.0e4, 2.0e4, 4.0e4]
 
 
 def test_decay_curves_script(tmp_path):

@@ -139,3 +139,18 @@ def test_grid_mismatch_rejected(grid, grid146):
     b = W.weyl(F.make_test_vector(grid146))
     with pytest.raises(UsageError):
         W.weyl_mul(a, b)
+
+
+def test_bump_labels_keep_their_registered_profile(grid):
+    # one name, profiles f and 2 f: unequal atoms must stay unequal labels
+    f = lambda r: (1.0 - r**2) ** 2
+    first = F.make_bump_vector(grid, "label-probe", f, 1.0)
+    second = F.make_bump_vector(grid, "label-probe", lambda r: 2.0 * f(r), 1.0)
+    assert first.terms != second.terms
+    assert W.label_id(first) != W.label_id(second)
+    assert len(W.weyl_add(W.weyl(first), W.weyl(second, -1.0)).terms) == 2
+    # vectors built from the same registered entry still share one label
+    again = F.make_bump_vector(grid, "label-probe", f, 1.0)
+    assert again.terms[0][1].profile.entry == first.terms[0][1].profile.entry
+    assert W.label_id(again) == W.label_id(first)
+    assert W.weyl_add(W.weyl(first), W.weyl(again, -1.0)).is_zero
