@@ -37,11 +37,23 @@ depend on the other pairs of a call, and the correctly rounded sum makes both
 forms exactly bilinear over pairs.  A pair whose kernel vanishes identically
 (time offsets zero, equal channels for sigma, unequal for Re (x, y)) is 0.0.
 The pairs (a, b) and (b, a) share one memo entry: swapping the atoms
-negates the sigma kernel and keeps the Re kernel, both bit for bit.  At zero
-separation k is the plain rule sum of the kernel.  At separation d > 0 the
-sinc factor is split per composite panel, since node m of panel k sits at
-k h + r0_m: sin(d r) needs one sine and cosine per panel and per panel
-offset, not one per node.  This changes k by rounding only.
+negates the sigma kernel and keeps the Re kernel, both bit for bit.
+
+Each pair integral takes one of two routes:
+
+- closed form: sigma of two "gauss" atoms, in any channels and with any
+  time offsets, at separation d >= CLOSED_FORM_MIN_DELTA, while the cutoff
+  tail e^{-a r_max^2} is at most e^{-CLOSED_FORM_MIN_TAIL}.  Its erf and exp
+  terms cost the same at every d, and swapping the atoms negates the value
+  exactly.
+- panel rule: every other pair (Re, any "gauss2" or "bump" atom, d below
+  the minimum, a short tail) integrates over (0, r_max] on composite
+  Gauss-Legendre panels.  At zero separation k is the plain rule sum of the
+  kernel.  At separation d > 0 the sinc factor is split per panel, since
+  node m of panel k sits at k h + r0_m: sin(d r) needs one sine and cosine
+  per panel and per panel offset, not one per node, which changes k by
+  rounding only.  The rule grows linearly with d and is capped at
+  RADIAL_RULE_MAX_NODES.
 """
 
 from __future__ import annotations
@@ -69,8 +81,15 @@ CHARGE = "charge"
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
-# Largest radial rule built: R = 1e6 at r_max = 10 needs 31.8M nodes.
+# Largest radial rule built, for pairs off the closed-form route: a bump pair
+# at separation 2e6 with r_max = 10 needs 31.8M nodes.
 RADIAL_RULE_MAX_NODES = 1 << 25
+# SIGMA of two "gauss" atoms takes its closed form at separations from
+# MIN_DELTA on (below it the erf forms cancel, and the panel rule has only its
+# 192 base nodes) and while a r_max^2 >= MIN_TAIL: the closed form integrates
+# over [0, inf), which differs from the rule's (0, r_max] by about e^{-a r_max^2}.
+CLOSED_FORM_MIN_DELTA = 0.5
+CLOSED_FORM_MIN_TAIL = 40.0
 # Pair integrals kept; the default run needs about 4k.
 PAIR_CACHE_SIZE = 1 << 14
 # Panels per block of a pair integral's kernel, which bounds its temporaries
@@ -374,18 +393,65 @@ def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
 def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: MomentumGrid) -> float:
-    """4 pi int K(r) sinc(r delta) dr on the rule for this one atom pair.
+    """4 pi int K(r) sinc(r delta) dr of one atom pair, by the route that fits it.
 
     ka, kb are the atoms' (profile, channel, time offset), delta their spatial
     distance; the grid enters through r_max.  K is g_a h_b - g_b h_a (SIGMA)
-    or g_a g_b / r + r h_a h_b (RE).  At delta = 0 the value is dot(w, K).
-    Otherwise node m of panel k of the composite rule is r = k h + r0_m, so
+    or g_a g_b / r + r h_a h_b (RE).  A kernel that vanishes identically gives
+    0.0.  SIGMA of two "gauss" atoms takes the closed form _gauss_sigma when
+    delta >= CLOSED_FORM_MIN_DELTA and a r_max^2 >= CLOSED_FORM_MIN_TAIL; every
+    other pair takes the panel rule, _panel_pair_integral.
+    """
+    if ka[2] == kb[2] == 0.0 and (ka[1] == kb[1]) == (form == SIGMA):
+        return 0.0
+    if form == SIGMA and delta >= CLOSED_FORM_MIN_DELTA and ka[0].kind == kb[0].kind == "gauss":
+        a = 0.5 * (ka[0].width ** 2 + kb[0].width ** 2)
+        if a * grid.r_max**2 >= CLOSED_FORM_MIN_TAIL:
+            return _gauss_sigma(ka[1], kb[1], ka[2] - kb[2], delta, a)
+    return _panel_pair_integral(form, ka, kb, delta, grid)
+
+
+def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
+    """4 pi int_0^inf K(r) sinc(r delta) dr of two "gauss" atoms, in closed form.
+
+    Their profiles multiply to e^{-a r^2}, and with dt = t_x - t_y the SIGMA
+    kernel is e^{-a r^2} times cos(r dt) for channels (g, h), -cos(r dt) for
+    (h, g), r sin(r dt) for (h, h) and sin(r dt) / r for (g, g).  Product to
+    sum turns each into erf and exp terms (DLMF 7.7).  The value is computed
+    at |dt| and then signed, so swapping the atoms negates it exactly; the
+    cancelling erf sum is an erfc difference, and the cancelling exp and
+    u erf(u) differences are rewritten without cancellation.
+    """
+    sign = math.copysign(1.0, dt) if cx == cy else (1.0 if cx == "g" else -1.0)
+    dt = abs(dt)
+    s = 2.0 * math.sqrt(a)
+    x, y = (delta + dt) / s, (delta - dt) / s
+    if cx != cy:
+        # (pi^2 / delta) [erf(x) + erf(y)]
+        bracket = math.erf(x) + math.erf(y) if y >= 0.0 else math.erfc(-y) - math.erfc(x)
+        return sign * math.pi**2 / delta * bracket
+    if cx == "h":
+        # (pi / delta) sqrt(pi / a) [e^{-y^2} - e^{-x^2}], and x^2 - y^2 = delta dt / a
+        diff = -math.exp(-y * y) * math.expm1(-delta * dt / a)
+        return sign * math.pi / delta * math.sqrt(math.pi / a) * diff
+    # (2 pi / delta) [J(x) - J(|y|)] with J(u) = (pi s / 2) [u erf(u) + e^{-u^2} / sqrt(pi)];
+    # u erf(u) = u - u erfc(u), and x - |y| = 2 min(delta, dt) / s
+    def tail(u: float) -> float:
+        return math.exp(-u * u) / math.sqrt(math.pi) - u * math.erfc(u)
+
+    jump = math.pi * min(delta, dt) + 0.5 * math.pi * s * (tail(x) - tail(abs(y)))
+    return sign * 2.0 * math.pi / delta * jump
+
+
+def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: MomentumGrid) -> float:
+    """4 pi int_0^r_max K(r) sinc(r delta) dr on the composite rule for this one atom pair.
+
+    At delta = 0 the value is dot(w, K).  Otherwise node m of panel k of the
+    rule is r = k h + r0_m, so
     sin(delta r) = sin(k delta h) cos(delta r0_m) + cos(k delta h) sin(delta r0_m)
     takes P + 64 sines and cosines instead of one per node; the kernel runs
     over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
     """
-    if ka[2] == kb[2] == 0.0 and (ka[1] == kb[1]) == (form == SIGMA):
-        return 0.0
     ax, ay = (Atom(profile, channel, (t, 0.0, 0.0, 0.0)) for profile, channel, t in (ka, kb))
     r, w = _radial_rule_for(((1.0, ax, ay, delta),), grid)
     if delta == 0.0:

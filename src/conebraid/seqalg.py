@@ -245,8 +245,12 @@ def random_increasing_map(rng: np.random.Generator, max_step: int = 4):
     prefix = [0]
 
     def index_map(n: int) -> int:
-        while len(prefix) <= n:
-            prefix.append(prefix[-1] + int(rng.integers(1, max_step + 1)))
+        missing = n + 1 - len(prefix)
+        if missing > 0:
+            # one vector draw of exactly the missing steps: the rng is shared,
+            # and it yields the same stream as that many scalar draws
+            steps = rng.integers(1, max_step + 1, size=missing)
+            prefix.extend((prefix[-1] + np.cumsum(steps)).tolist())
         return prefix[n]
 
     return index_map

@@ -1,8 +1,12 @@
 """Config parsing, report emission, suite planning, and the CLI driver."""
 
+import cmath
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -297,8 +301,10 @@ def test_cli_oversized_config_exits_2_with_one_line(tmp_path, capsys, mutate, fi
 
 
 def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
-    # separations of 2e8 would need rules of about 1.3e10 nodes
+    # a bump pair keeps the panel rule, and separations of 2e8 would need
+    # rules of about 1.3e10 nodes
     data = default_dict()
+    data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})
     data["radii"] = [1e8, 2e8, 4e8]
     bad = tmp_path / "huge_radii.json"
     bad.write_text(json.dumps(data))
@@ -307,6 +313,25 @@ def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1
     assert re.fullmatch(r"error: radial rule of \d+ nodes exceeds the cap of 33554432 nodes\n", err)
     assert not list(tmp_path.glob("*_report.*"))
+
+
+def test_cli_gaussian_pair_at_huge_radii_needs_no_rule(tmp_path):
+    # every far Gaussian pair takes the closed form, so radii far past the
+    # rule cap run, and each braiding residual is |e^{i F(2R)} - 1|
+    data = default_dict()
+    data["radii"] = [1e8, 2e8, 4e8]
+    cfg = tmp_path / "huge_radii.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["verify", "--config", str(cfg), "--suite", "braiding", "--out", str(tmp_path), "--format", "json"])
+    assert code == 0
+    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
+    assert len(rows) == 9 and all(row["pass"] for row in rows)
+    limit_rows = [row for row in rows if row["check_id"] == "braiding/limit_vs_exact"]
+    assert [row["radius"] for row in limit_rows] == data["radii"]
+    for row in limit_rows:
+        d = 2.0 * row["radius"]
+        closed = abs(cmath.exp(1j * math.sqrt(math.pi / 2.0) * math.erf(d / 2.0) / d) - 1.0)
+        assert math.isclose(row["residual"], closed, rel_tol=1e-6)
 
 
 def test_cli_plan_line_and_json_output(tmp_path, capsys):
@@ -339,3 +364,13 @@ def test_cli_byte_identical_reruns(tmp_path):
     first = (tmp_path / "run1" / "braiding_report.csv").read_bytes()
     second = (tmp_path / "run2" / "braiding_report.csv").read_bytes()
     assert first == second
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special costs 0.2-0.3 s of start-up in every verify process
+    src = str(CONFIG_PATH.parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, conebraid.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

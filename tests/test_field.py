@@ -8,11 +8,13 @@ vector (width 1), delta the unit-amplitude Gaussian h-channel vector
 
 (limit 1/sqrt(2) at a = b), which scipy.special.erf supplies independently
 of the package quadrature.  scipy.integrate.quad provides a second
-independent route for the radial integrals.
+independent route for the radial integrals, and mpmath.quad at 30 digits a
+third for the closed-form sigma of Gaussian atom pairs.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -387,14 +389,14 @@ def test_pair_integral_matches_direct_sinc_sum(grid, form, ka, kb, delta):
     # the per-panel phase split changes only rounding: each node's phase
     # error is eps * delta * r, so the difference is bounded by eps times
     # the pair's zero-separation size 4 pi sum |w K|
-    value = F._pair_integral.__wrapped__(form, ka, kb, delta, grid)
+    value = F._panel_pair_integral(form, ka, kb, delta, grid)
     ref, size = _direct_pair_sum(form, ka, kb, delta, grid)
     if delta == 0.0:
         assert value == ref
     else:
         assert abs(value - ref) <= 1e-13 * size
     # the kernel is bit-exactly antisymmetric (SIGMA) or symmetric (RE) under a swap
-    swapped = F._pair_integral.__wrapped__(form, kb, ka, delta, grid)
+    swapped = F._panel_pair_integral(form, kb, ka, delta, grid)
     assert swapped == (-value if form == F.SIGMA else value)
 
 
@@ -410,6 +412,95 @@ def test_pair_integral_memo_is_bounded_and_holds_floats(grid, monkeypatch):
     undecorated = F._pair_integral.__wrapped__
     assert undecorated(F.SIGMA, g, g, 3.0, grid) == 0.0
     assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0, grid) == 0.0
+
+
+def _mpmath_gauss_sigma(cx, cy, widths, offsets, delta):
+    """4 pi int_0^16 K(r) sinc(r delta) dr of two "gauss" atoms by mpmath.quad at 30 digits.
+
+    K is the SIGMA kernel written out from the channel factors; past r = 16
+    the integrand is below e^{-256}.
+    """
+    with mpmath.workdps(30):
+        a = (mpmath.mpf(widths[0]) ** 2 + mpmath.mpf(widths[1]) ** 2) / 2
+        dt = mpmath.mpf(offsets[0]) - mpmath.mpf(offsets[1])
+        factor = {
+            ("g", "h"): lambda r: mpmath.cos(r * dt),
+            ("h", "g"): lambda r: -mpmath.cos(r * dt),
+            ("h", "h"): lambda r: r * mpmath.sin(r * dt),
+            ("g", "g"): lambda r: mpmath.sin(r * dt) / r,
+        }[(cx, cy)]
+        points = mpmath.linspace(0, 16, 17 + int(16 * (delta + abs(dt)) / 3))
+        value = mpmath.quad(lambda r: factor(r) * mpmath.exp(-a * r * r) * mpmath.sin(r * delta) / (r * delta), points)
+        return float(4 * mpmath.pi * value)
+
+
+CLOSED_FORM_DELTAS = (0.5, 1.5, 20.0, 150.0, 1280.0, 1.0e4, 8.0e4)
+
+
+@pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.5, -1.2), (3.0, 0.0), (0.0, 7.5)])
+@pytest.mark.parametrize("widths", [(1.0, 1.0), (1.0, 1.3)])
+@pytest.mark.parametrize("cx, cy", [("g", "g"), ("g", "h"), ("h", "g"), ("h", "h")])
+def test_gauss_sigma_closed_form_matches_panel_route(grid, cx, cy, widths, offsets):
+    # the closed form integrates over [0, inf); the rule stops at r_max = 10,
+    # where e^{-a r_max^2} <= e^{-100}, so the two agree to the rule's bound
+    ka = (F.Profile("gauss", width=widths[0]), cx, offsets[0])
+    kb = (F.Profile("gauss", width=widths[1]), cy, offsets[1])
+    size = _direct_pair_sum(F.SIGMA, ka, kb, 0.0, grid)[1]
+    for delta in CLOSED_FORM_DELTAS:
+        value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta, grid)
+        assert type(value) is float
+        assert abs(value - F._panel_pair_integral(F.SIGMA, ka, kb, delta, grid)) <= 1e-13 * size
+        assert F._pair_integral.__wrapped__(F.SIGMA, kb, ka, delta, grid) == -value
+
+
+@pytest.mark.parametrize(
+    "cx, cy, widths, offsets, delta",
+    [
+        ("g", "g", (1.0, 1.0), (0.0, 7.5), 0.5),
+        ("g", "g", (1.0, 1.3), (3.0, 0.0), 20.0),
+        ("g", "h", (1.0, 1.0), (0.0, 7.5), 0.5),
+        ("g", "h", (1.0, 1.3), (3.0, 0.0), 1.5),
+        ("h", "g", (1.0, 1.3), (0.5, -1.2), 0.5),
+        ("h", "h", (1.0, 1.3), (0.5, -1.2), 1.5),
+        ("h", "h", (1.0, 1.0), (3.0, 0.0), 20.0),
+    ],
+)
+def test_gauss_sigma_closed_form_matches_mpmath(grid, cx, cy, widths, offsets, delta):
+    ka = (F.Profile("gauss", width=widths[0]), cx, offsets[0])
+    kb = (F.Profile("gauss", width=widths[1]), cy, offsets[1])
+    value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta, grid)
+    ref = _mpmath_gauss_sigma(cx, cy, widths, offsets, delta)
+    assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
+
+
+def test_pair_integral_fallbacks_reach_the_panel_rule(grid, monkeypatch):
+    # below the minimum separation, with a short cutoff tail, for gauss2 and
+    # for RE the pair integral builds its rule; the closed form builds none
+    calls = []
+
+    def sentinel(pairs, grid):
+        calls.append(pairs)
+        return rule_for(pairs, grid)
+
+    rule_for = F._radial_rule_for
+    monkeypatch.setattr(F, "_radial_rule_for", sentinel)
+    gauss, broad = F.Profile("gauss", width=1.0), F.Profile("gauss", width=0.5)
+    g, h = (gauss, "g", 0.0), (gauss, "h", 0.5)
+    undecorated = F._pair_integral.__wrapped__
+    undecorated(F.SIGMA, g, h, 3.0, grid)
+    assert calls == []
+    assert 0.5 * (0.5**2 + 0.5**2) * grid.r_max**2 < F.CLOSED_FORM_MIN_TAIL
+    fallbacks = [
+        (F.SIGMA, g, h, 0.5 * F.CLOSED_FORM_MIN_DELTA),
+        (F.SIGMA, (broad, "g", 0.0), (broad, "h", 0.5), 3.0),
+        (F.SIGMA, (F.Profile("gauss2", width=1.0), "g", 0.0), h, 3.0),
+        (F.RE, g, (gauss, "g", 0.5), 3.0),
+    ]
+    for form, ka, kb, delta in fallbacks:
+        calls.clear()
+        value = undecorated(form, ka, kb, delta, grid)
+        assert len(calls) == 1
+        assert value == F._panel_pair_integral(form, ka, kb, delta, grid)
 
 
 def test_different_grids_rejected(grid, grid146):

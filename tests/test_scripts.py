@@ -35,9 +35,15 @@ def test_braiding_convergence_script():
 
 
 def test_braiding_convergence_script_far_radii():
-    # separations up to 8e4 integrate pairs on rules of up to 1.27M nodes
+    # far Gaussian pairs take the closed form, so no rule grows with the separation
     rows = _braiding_rows("1e4", "4e4")
     assert [float(row[0]) for row in rows] == [1.0e4, 2.0e4, 4.0e4]
+
+
+def test_braiding_convergence_script_very_far_radii():
+    # separations up to 2e6 would need panel rules of about 32M nodes
+    rows = _braiding_rows("2.5e5", "1e6")
+    assert [float(row[0]) for row in rows] == [2.5e5, 5.0e5, 1.0e6]
 
 
 def test_decay_curves_script(tmp_path):

@@ -217,3 +217,18 @@ def test_weyl_phase_algebra(policy):
     assert abs(adj.at(64)[0] - 1.0) < 1e-12
     with pytest.raises(UsageError):
         SA.seq_add(SA.constant(wa, wa.unit()), SA.constant(SA.MatrixAlgebra(2), np.eye(2)))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11, 123])
+def test_random_increasing_map_draws_like_scalar_steps(seed):
+    # the shared rng must end where one scalar draw per step would leave it
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    index_map = SA.random_increasing_map(rng)
+    prefix = [0]
+    for n in (3, 0, 3, 10, 7, 40, 41, 41, 300):
+        while len(prefix) <= n:
+            prefix.append(prefix[-1] + int(ref_rng.integers(1, 5)))
+        value = index_map(n)
+        assert type(value) is int and value == prefix[n]
+    assert rng.integers(0, 1 << 62, size=3).tolist() == ref_rng.integers(0, 1 << 62, size=3).tolist()
+    assert rng.random() == ref_rng.random()
