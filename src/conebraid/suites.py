@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +20,7 @@ from . import field as fld
 from . import seqalg as sa
 from .config import ChargeCfg, RunConfig
 from .errors import ConfigError, InternalError
-from .quadrature import MomentumGrid, build_grid
+from .quadrature import MomentumGrid, RadialPolynomial, build_grid
 from .report import CheckRow, Report
 from .weyl import gram_matrix, weyl, weyl_mul
 
@@ -66,17 +65,9 @@ _SEQALG_CHECKS = (
     "seqalg/adjoint_alternating",
 )
 
-_SMOOTH_BUMP_POWER = 2
-
-
-# One callable per shape: bump atoms compare by their registered callable, so
-# charges of equal shape share atoms and pair integrals only through it.
-@lru_cache(maxsize=64)
-def _bump_shape_fn(shape: str, support_radius: float):
-    if shape == "indicator":
-        return lambda r: np.ones_like(np.asarray(r, dtype=float))
-    # smooth: (1 - (r/R)^2)^2 inside the support, C^1 at the boundary
-    return lambda r: (1.0 - (np.asarray(r, dtype=float) / support_radius) ** 2) ** _SMOOTH_BUMP_POWER
+# Coefficients of each bump shape in powers of (r/R)^2: the indicator is 1,
+# smooth is (1 - (r/R)^2)^2 inside the support, C^1 at the boundary.
+_BUMP_SHAPE_COEFFS = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
 
 
 def vector_from_charge_cfg(grid: MomentumGrid, cfg: ChargeCfg) -> fld.FieldVector:
@@ -86,11 +77,13 @@ def vector_from_charge_cfg(grid: MomentumGrid, cfg: ChargeCfg) -> fld.FieldVecto
                 return fld.make_test_vector(grid, amplitude=1.0, width=cfg.s, channel="g")
             return fld.make_charge_vector(grid, q=cfg.q, width=cfg.s)
         return fld.make_test_vector(grid, amplitude=cfg.q, width=cfg.s, channel="h")
+    # bump atoms compare by their registered callable, and RadialPolynomial
+    # compares by value, so charges of equal shape share atoms and pair integrals
     name = f"{cfg.shape}-{cfg.support_radius!r}"
     return fld.make_bump_vector(
         grid,
         name,
-        _bump_shape_fn(cfg.shape, cfg.support_radius),
+        RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius),
         cfg.support_radius,
         channel=cfg.channel,
         amplitude=cfg.q,

@@ -47,8 +47,8 @@ def _profile_digest(entry: tuple) -> str:
     """Digest of a bump's (callable, support, panels) entry; "" for other profiles.
 
     It hashes the support, the panel count and the profile's values on the
-    panel nodes its radial transform reads: a sortable stand-in for the
-    callable, which field atoms compare by.
+    entry's panel nodes (the nodes a panel-rule transform reads): a sortable
+    stand-in for the callable, which field atoms compare by.
     """
     if not entry:
         return ""

@@ -334,6 +334,27 @@ def test_cli_gaussian_pair_at_huge_radii_needs_no_rule(tmp_path):
         assert math.isclose(row["residual"], closed, rel_tol=1e-6)
 
 
+def test_cli_bump_charge_at_far_radii(tmp_path):
+    # the smooth bump's transform is closed form, so far bump pairs cost
+    # O(1) per rule node; the sloped transport (a0 = sqrt(R) << R) stays
+    # spacelike, and each braiding residual falls off like 1/R
+    data = default_dict()
+    data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})
+    data["cone"].update({"time_slope": 1.0, "time_exponent": 0.5})
+    data["radii"] = [1.0e4, 2.0e4, 4.0e4]
+    cfg = tmp_path / "far_bump.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["verify", "--config", str(cfg), "--suite", "braiding", "--out", str(tmp_path), "--format", "json"])
+    assert code == 0
+    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
+    assert len(rows) == 9 and all(row["pass"] for row in rows)
+    limit_rows = [row for row in rows if row["check_id"] == "braiding/limit_vs_exact"]
+    assert [row["radius"] for row in limit_rows] == data["radii"]
+    residuals = [row["residual"] for row in limit_rows]
+    for near, far in zip(residuals, residuals[1:]):
+        assert math.isclose(near, 2.0 * far, rel_tol=1e-6)
+
+
 def test_cli_plan_line_and_json_output(tmp_path, capsys):
     code = main(
         [

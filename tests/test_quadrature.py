@@ -1,12 +1,17 @@
 """Momentum grid and quadrature checks against closed-form integrals."""
 
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 import pytest
 
+from conebraid import quadrature as Q
 from conebraid._angular import SUPPORTED_ORDERS, angular_rule, antipode_index
 from conebraid.errors import ConfigError, UsageError
 from conebraid.quadrature import (
     TWO_PI_32,
+    RadialPolynomial,
     build_grid,
     composite_legendre_unit,
     gauss_legendre_unit,
@@ -194,3 +199,60 @@ def test_composite_rule_matches_single_rule():
         composite_legendre_unit(0)
     with pytest.raises(ConfigError):
         composite_legendre_unit(4, 1)
+
+
+BUMP_SHAPES = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
+
+
+def _mpmath_transform(coeffs, support, p):
+    """4 pi (2 pi)^{-3/2} int_0^R r^2 sinc(pr) f(r) dr by mpmath.quad at 30 digits."""
+    with mpmath.workdps(30):
+        R, p = mpmath.mpf(support), mpmath.mpf(p)
+
+        def integrand(r):
+            f = sum(c * (r / R) ** (2 * k) for k, c in enumerate(coeffs))
+            return r * r * f * (mpmath.sin(p * r) / (p * r) if r else 1)
+
+        value = mpmath.quad(integrand, mpmath.linspace(0, R, 2 + int(p * R)))
+        return float(4 * mpmath.pi / (2 * mpmath.pi) ** 1.5 * value)
+
+
+@pytest.mark.parametrize("support", [1.0, 2.5])
+@pytest.mark.parametrize("shape", sorted(BUMP_SHAPES))
+def test_polynomial_transform_matches_mpmath_and_panel_sum(shape, support):
+    # x = pR from 1e-6 to 10R, with points on both sides of the series/recursion branch
+    coeffs = BUMP_SHAPES[shape]
+    profile = RadialPolynomial(coeffs, support)
+    branch = Q._SERIES_MAX_X
+    near_branch = branch * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
+    x = np.concatenate([np.logspace(-6, np.log10(10.0 * support), 36), near_branch])
+    p = x / support
+    got = radial_fourier(profile, support, p)
+    phi0 = radial_fourier(profile, support, 0.0)
+    # p = 0 is the j = 0 series coefficient, exactly
+    exact0 = 4.0 * np.pi / TWO_PI_32 * support**3 * float(sum(Fraction(c) / (2 * k + 3) for k, c in enumerate(coeffs)))
+    assert phi0 == exact0
+    oracle = np.array([_mpmath_transform(coeffs, support, pk) for pk in p])
+    assert np.max(np.abs(got - oracle)) <= 1e-15 * phi0
+    # the panel sum of the equivalent callable is the reference route
+    panel = radial_fourier(lambda r: sum(c * (r / support) ** (2 * k) for k, c in enumerate(coeffs)), support, p)
+    assert np.max(np.abs(got - panel)) <= 1e-15 * phi0
+
+
+def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
+    profile = RadialPolynomial((1.0, -2.0, 1.0), 1.5)
+    r = np.linspace(0.0, 1.5, 7)
+    # Horner in (r/R)^2, so equal to the factored form up to rounding
+    assert np.max(np.abs(profile(r) - (1.0 - (r / 1.5) ** 2) ** 2)) <= 1e-15
+    expected = radial_fourier(profile, 1.5, np.array([0.0, 1.0, 5.0]))
+    monkeypatch.setattr(Q, "radial_panel_rule", None)
+    assert np.array_equal(radial_fourier(profile, 1.5, np.array([0.0, 1.0, 5.0])), expected)
+    assert np.isscalar(radial_fourier(profile, 1.5, 2.0))
+    # equal by value, so equal shapes share atoms
+    assert RadialPolynomial([1, -2, 1], 1.5) == profile
+    assert hash(RadialPolynomial((1.0, -2.0, 1.0), 1.5)) == hash(profile)
+    with pytest.raises(UsageError):
+        radial_fourier(profile, 1.0, 2.0)
+    for coeffs, support in (((), 1.0), ((1.0,) * 5, 1.0), ((float("nan"),), 1.0), ((1.0,), 0.0)):
+        with pytest.raises(ConfigError):
+            RadialPolynomial(coeffs, support)
