@@ -29,6 +29,13 @@ _BUMP_SHAPES = ("indicator", "smooth")
 N_RADIAL_MAX = 2048
 LAW_SAMPLES_MAX = 10_000
 HOMOTOPY_STEPS_MAX = 64
+# Length-scale bounds for s, support_radius and r_max: past them float powers
+# overflow (s ** 2, support_radius ** 3), or every sigma and charge underflows
+# to zero and the braiding rows pass trivially.  A Gaussian charge also needs
+# s * r_max >= sqrt(40): at equal widths that is the closed-form sigma
+# route's own tail condition a * r_max^2 >= 40 (field.CLOSED_FORM_MIN_TAIL).
+SCALE_MIN, SCALE_MAX = 1e-3, 1e3
+GAUSS_CUTOFF_MIN = math.sqrt(40.0)
 
 
 @dataclass(frozen=True)
@@ -98,6 +105,7 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
+        _check_scale("grid r_max", self.grid.r_max)
         names = [c.name for c in self.charges]
         if len(names) != len(set(names)):
             raise ConfigError(f"charge names must be unique, got {names}")
@@ -108,8 +116,13 @@ class RunConfig:
                 raise ConfigError(f"charge {c.name!r}: unknown profile {c.profile!r}")
             if c.channel not in ("g", "h"):
                 raise ConfigError(f"charge {c.name!r}: channel must be 'g' or 'h'")
-            if c.s <= 0 or c.support_radius <= 0:
-                raise ConfigError(f"charge {c.name!r}: widths must be positive")
+            for name, value in (("s", c.s), ("support_radius", c.support_radius)):
+                _check_scale(f"charge {c.name!r}: {name}", value)
+            if c.profile == "gaussian-momentum" and c.s * self.grid.r_max < GAUSS_CUTOFF_MIN:
+                raise ConfigError(
+                    f"charge {c.name!r}: s * grid r_max must be at least sqrt(40) = {GAUSS_CUTOFF_MIN:.4g}, "
+                    f"got {c.s * self.grid.r_max:g}"
+                )
             if c.shape not in _BUMP_SHAPES:
                 raise ConfigError(f"charge {c.name!r}: unknown bump shape {c.shape!r}")
             if not c.name:
@@ -161,6 +174,11 @@ class RunConfig:
 
     def digest(self) -> str:
         return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()[:16]
+
+
+def _check_scale(what: str, value: float) -> None:
+    if not SCALE_MIN <= value <= SCALE_MAX:
+        raise ConfigError(f"{what} must lie in [{SCALE_MIN:g}, {SCALE_MAX:g}], got {value:g}")
 
 
 def _typed(value, hint, where: str):

@@ -14,6 +14,11 @@ translation mixes them like the free evolution, g~ -> cos(omega a0) g~ +
 omega sin(omega a0) h~ and h~ -> cos(omega a0) h~ - omega^{-1} sin(omega a0) g~,
 which is exactly f~ -> e^{i omega a0} f~.
 
+A profile is its value: a Gaussian kind with its width, or a bump with its
+RadialPolynomial position shape, whose transform is closed form.  Atoms are
+equal exactly when profile, channel and offset are, and Profile.key orders
+them by the same data, so one identity serves terms, pair memo and labels.
+
 The two bilinear forms are
 
     (x, y)      = integral conj(f~_x) f~_y d^3p            (scalar product)
@@ -67,6 +72,7 @@ import numpy as np
 from .errors import ConfigError, DomainError, UsageError
 from .quadrature import (
     MomentumGrid,
+    RadialPolynomial,
     TWO_PI_32,
     composite_legendre_unit,
     radial_fourier,
@@ -97,33 +103,14 @@ PAIR_CACHE_SIZE = 1 << 14
 PAIR_BLOCK_PANELS = 256
 SIGMA, RE = "sigma", "re"
 
-_BUMPS: dict[str, tuple[object, float, int]] = {}
-
-
-def register_bump(name: str, profile_fn, support_radius: float, panels: int = 240) -> tuple:
-    """Register a compactly supported radial position profile under a name.
-
-    Returns the registered (callable, support, panels) entry, which a bump
-    Profile keeps, so re-registering a name with a new callable leaves
-    earlier vectors unchanged.  Re-registering with a different support
-    raises.
-    """
-    if support_radius <= 0:
-        raise ConfigError("bump support radius must be positive")
-    if name in _BUMPS and _BUMPS[name][1:] != (float(support_radius), panels):
-        raise ConfigError(f"bump {name!r} already registered with different parameters")
-    _BUMPS[name] = (profile_fn, float(support_radius), panels)
-    return _BUMPS[name]
-
 
 # A far pair reads its rule in kernel blocks of at most 16,384 momenta
 # (128 KB), one entry each; 256 entries keep every block of a pair for both
 # forms up to separations of about 2.6e5 at r_max = 10.
 @lru_cache(maxsize=256)
-def _bump_transform(entry: tuple, momenta: bytes) -> np.ndarray:
-    """Read-only radial_fourier of a registered (callable, support, panels) entry."""
-    fn, radius, panels = entry
-    out = radial_fourier(fn, radius, np.frombuffer(momenta), panels=panels)
+def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> np.ndarray:
+    """Read-only radial_fourier of a bump shape at the given momenta."""
+    out = radial_fourier(shape, shape.support, np.frombuffer(momenta))
     out.setflags(write=False)
     return out
 
@@ -134,14 +121,23 @@ class Profile:
 
     kind "gauss" is exp(-r^2 w^2 / 2); kind "gauss2" is r^2 exp(-r^2 w^2 / 2)
     (chargeless in the g channel); kind "bump" is the radial Fourier
-    transform of the position profile in ``entry``, the (callable, support,
-    panels) registered under ``name`` when the profile was built.
+    transform of the position profile ``shape``.  Profiles are equal exactly
+    when their fields are, and ``key`` orders them by the same data.
     """
 
     kind: str
     width: float = 0.0
-    name: str = ""
-    entry: tuple = ()
+    shape: RadialPolynomial | None = None
+
+    def __post_init__(self) -> None:
+        if (self.kind == "bump") != isinstance(self.shape, RadialPolynomial):
+            raise UsageError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
+
+    @cached_property
+    def key(self) -> tuple:
+        """(kind, width, shape data): the data is () for a Gaussian, (support, *coeffs) for a bump."""
+        shape = () if self.shape is None else (self.shape.support, *self.shape.coeffs)
+        return (self.kind, self.width, shape)
 
     def momentum_values(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "gauss":
@@ -149,7 +145,7 @@ class Profile:
         if self.kind == "gauss2":
             return r**2 * np.exp(-0.5 * (self.width * r) ** 2)
         if self.kind == "bump":
-            return _bump_transform(self.entry, np.asarray(r, dtype=float).tobytes())
+            return _bump_transform(self.shape, np.asarray(r, dtype=float).tobytes())
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
     def value_at_zero(self) -> float:
@@ -176,7 +172,7 @@ class Atom:
         return 0.0 if abs(q) < 1e-12 else q
 
     def sort_key(self):
-        return (self.profile.kind, self.profile.width, self.profile.name, self.channel, self.offset)
+        return (self.profile.key, self.channel, self.offset)
 
 
 def _canonical_terms(items) -> tuple[tuple[float, Atom], ...]:
@@ -262,23 +258,20 @@ def make_test_vector(
 
 def make_bump_vector(
     grid: MomentumGrid,
-    name: str,
-    profile_fn,
-    support_radius: float,
+    shape: RadialPolynomial,
     channel: str = "g",
     amplitude: float = 1.0,
-    panels: int = 240,
 ) -> FieldVector:
     """Vector from a compactly supported radial position profile.
 
     The charge is the profile's own integral (4 pi int r^2 f dr times the
-    amplitude), computed by the panel rule at construction; the vector is
-    test class exactly when that charge vanishes.
+    amplitude), the closed-form transform of ``shape`` at zero momentum; the
+    vector is test class exactly when that charge vanishes.  Vectors built
+    from equal shapes have equal atoms.
     """
     if channel not in ("g", "h"):
         raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
-    entry = register_bump(name, profile_fn, support_radius, panels=panels)
-    atom = Atom(Profile("bump", name=name, entry=entry), channel)
+    atom = Atom(Profile("bump", shape=shape), channel)
     q = amplitude * atom.charge_factor()
     klass = TEST if q == 0.0 else CHARGE
     return _make(grid, [(float(amplitude), atom)], klass, q)
@@ -484,7 +477,7 @@ def _form(form: str, x: FieldVector, y: FieldVector) -> float:
 def _pair_key(atom: Atom) -> tuple:
     """The atom's memo key (profile, channel, time offset) and its sort key."""
     p, t = atom.profile, atom.offset[0]
-    return (p, atom.channel, t), (p.kind, p.width, p.name, atom.channel, t)
+    return (p, atom.channel, t), (p.key, atom.channel, t)
 
 
 def _unordered_pair_integral(form: str, kx: tuple, ky: tuple, delta: float, grid: MomentumGrid) -> float:

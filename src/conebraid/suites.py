@@ -77,17 +77,9 @@ def vector_from_charge_cfg(grid: MomentumGrid, cfg: ChargeCfg) -> fld.FieldVecto
                 return fld.make_test_vector(grid, amplitude=1.0, width=cfg.s, channel="g")
             return fld.make_charge_vector(grid, q=cfg.q, width=cfg.s)
         return fld.make_test_vector(grid, amplitude=cfg.q, width=cfg.s, channel="h")
-    # bump atoms compare by their registered callable, and RadialPolynomial
-    # compares by value, so charges of equal shape share atoms and pair integrals
-    name = f"{cfg.shape}-{cfg.support_radius!r}"
-    return fld.make_bump_vector(
-        grid,
-        name,
-        RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius),
-        cfg.support_radius,
-        channel=cfg.channel,
-        amplitude=cfg.q,
-    )
+    # a bump atom is its shape's value, so charges of equal shape share atoms and pair integrals
+    shape = RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius)
+    return fld.make_bump_vector(grid, shape, channel=cfg.channel, amplitude=cfg.q)
 
 
 class RunContext:

@@ -11,9 +11,10 @@ cocycle phase evaluated by the field-layer symplectic form.
 
 Generator labels are identified up to a 1e-9 quantization of coefficients
 and offsets, which absorbs float noise from translation arithmetic while
-keeping genuinely distinct labels apart.  A bump atom is also keyed on a
-digest of its registered profile, so two bump vectors of one name built from
-different profiles are different labels.
+keeping genuinely distinct labels apart.  Each atom's profile enters through
+its exact ``Profile.key`` (nothing jitters a width or a bump shape), so two
+vectors have equal labels exactly when their atoms are equal and their
+coefficients and offsets agree to the quantum.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on test-class labels (the exponent diverges otherwise, and
@@ -24,14 +25,12 @@ functional are positive semidefinite, which the tests assert directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-import hashlib
 
 import numpy as np
 
 from .errors import UsageError
 from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent, zero_vector
-from .quadrature import MomentumGrid, radial_panel_rule
+from .quadrature import MomentumGrid
 
 QUANT = 1e-9
 COEFF_EPS = 1e-14
@@ -42,34 +41,11 @@ def _qi(v: float) -> int:
     return int(round(v / QUANT))
 
 
-@lru_cache(maxsize=64)
-def _profile_digest(entry: tuple) -> str:
-    """Digest of a bump's (callable, support, panels) entry; "" for other profiles.
-
-    It hashes the support, the panel count and the profile's values on the
-    entry's panel nodes (the nodes a panel-rule transform reads): a sortable
-    stand-in for the callable, which field atoms compare by.
-    """
-    if not entry:
-        return ""
-    fn, radius, panels = entry
-    r, _ = radial_panel_rule(radius, panels=panels)
-    values = np.asarray(fn(r), dtype=float)
-    return hashlib.sha256(np.array([radius, panels], dtype=float).tobytes() + values.tobytes()).hexdigest()[:16]
-
-
 def label_id(vec: FieldVector) -> tuple:
     """Hashable identity of a field vector, stable under float jitter below QUANT."""
     out = []
     for coeff, atom in vec.terms:
-        key = (
-            atom.profile.kind,
-            _qi(atom.profile.width),
-            atom.profile.name,
-            _profile_digest(atom.profile.entry),
-            atom.channel,
-            tuple(_qi(c) for c in atom.offset),
-        )
+        key = (atom.profile.key, atom.channel, tuple(_qi(c) for c in atom.offset))
         out.append((key, _qi(coeff)))
     return tuple(sorted(out))
 

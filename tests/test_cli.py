@@ -300,6 +300,48 @@ def test_cli_oversized_config_exits_2_with_one_line(tmp_path, capsys, mutate, fi
     assert not list(tmp_path.glob("*_report.*"))
 
 
+def _bump_charge(**fields):
+    return lambda d: d["charges"][0].update({"profile": "bump-position", **fields})
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        # past the bounds a float power overflows, or at the small end every
+        # sigma or the charge underflows to zero and the rows pass trivially
+        (lambda d: d["charges"][0].__setitem__("s", 1e200), "s must lie in [0.001, 1000]"),
+        (_bump_charge(support_radius=1e120), "support_radius must lie in [0.001, 1000]"),
+        (lambda d: d["grid"].__setitem__("r_max", 1e200), "r_max must lie in [0.001, 1000]"),
+        (lambda d: d["grid"].__setitem__("r_max", 1e-200), "r_max must lie in [0.001, 1000]"),
+        (_bump_charge(support_radius=1e-200), "support_radius must lie in [0.001, 1000]"),
+        # in range, but the Gaussian's cutoff tail e^{-s^2 r_max^2} is above e^{-40}
+        (lambda d: d["charges"][1].__setitem__("s", 0.5), "s * grid r_max must be at least sqrt(40)"),
+    ],
+    ids=["s_huge", "support_huge", "r_max_huge", "r_max_tiny", "support_tiny", "gauss_tail"],
+)
+def test_cli_out_of_scale_config_exits_2_with_one_line(tmp_path, capsys, mutate, message):
+    data = default_dict()
+    mutate(data)
+    bad = tmp_path / "out_of_scale.json"
+    bad.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(bad), "--suite", "braiding", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+    assert not list(tmp_path.glob("*_report.*"))
+
+
+def test_config_scale_bounds_are_inclusive():
+    data = default_dict()
+    data["grid"]["r_max"] = 1e3
+    data["charges"][0].update({"profile": "bump-position", "s": 1e-3, "support_radius": 1e-3})
+    data["charges"][1].update({"s": 1e3, "support_radius": 1e3})
+    assert config_from_dict(data).grid.r_max == 1e3
+    # s * r_max = sqrt(40) exactly is the tail condition's edge
+    data = default_dict()
+    data["charges"][0]["s"] = math.sqrt(40.0) / 10.0
+    assert config_from_dict(data).charges[0].s * 10.0 >= math.sqrt(40.0)
+
+
 def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
     # a bump pair keeps the panel rule, and separations of 2e8 would need
     # rules of about 1.3e10 nodes

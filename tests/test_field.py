@@ -21,6 +21,7 @@ from scipy.integrate import quad
 from scipy.special import erf
 
 from conebraid import field as F
+from conebraid import weyl as W
 from conebraid.errors import ConfigError, DomainError, UsageError
 from conebraid.quadrature import RadialPolynomial, build_grid, composite_legendre_unit, radial_fourier
 
@@ -262,14 +263,20 @@ def test_hermitian_symmetry_of_samples(pair):
 
 
 def test_bump_vector(grid):
-    ball = F.make_bump_vector(grid, "unit-ball", lambda r: np.ones_like(r), 1.0)
+    ball = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
     # charge equals the position-space integral of the profile
     assert abs(ball.charge - 4.0 * np.pi / 3.0) < 1e-12
     assert ball.klass == F.CHARGE
-    again = F.make_bump_vector(grid, "unit-ball", lambda r: np.ones_like(r), 1.0)
-    assert again.charge == ball.charge
-    with pytest.raises(ConfigError):
-        F.make_bump_vector(grid, "unit-ball", lambda r: np.ones_like(r), 2.0)
+    # an equal shape built separately is the same atom
+    again = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    assert again.terms == ball.terms and again.charge == ball.charge
+    # another support is another atom, of 8 times the charge
+    wide = F.make_bump_vector(grid, RadialPolynomial((1.0,), 2.0))
+    assert wide.terms[0][1] != ball.terms[0][1]
+    assert math.isclose(wide.charge, 8.0 * ball.charge, rel_tol=1e-14)
+    # a bare callable is not a shape
+    with pytest.raises(UsageError):
+        F.make_bump_vector(grid, lambda r: np.ones_like(r))
     dlt = F.make_test_vector(grid)
     val = F.symplectic(ball, dlt)
     # sigma(ball, delta) = 4 pi int f~(r) e^{-r^2/2} dr, f~ the profile transform
@@ -282,34 +289,33 @@ def test_bump_vector(grid):
     assert abs(val - ref) < 1e-8
 
 
-def test_bump_transform_memo_follows_reregistration(grid):
-    # the memo must serve the callable registered now, not an earlier one of the same name
-    f = lambda r: (1.0 - r**2) ** 2
+def test_bump_shape_scales_sigma_charge_and_label(grid):
+    # shape (2,) is twice shape (1,): its transform, sigma and charge double
+    # exactly, and it is a distinct atom and a distinct Weyl label
+    one = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    two = F.make_bump_vector(grid, RadialPolynomial((2.0,), 1.0))
     dlt = F.make_test_vector(grid)
-    first = F.make_bump_vector(grid, "memo-probe", f, 1.0)
-    before = F.symplectic(first, dlt)
-    second = F.make_bump_vector(grid, "memo-probe", lambda r: 2.0 * f(r), 1.0)
-    after = F.symplectic(second, dlt)
-    r, w = F._radial_rule_for([(1.0, second.terms[0][1], dlt.terms[0][1], 0.0)], grid)
-    uncached = radial_fourier(lambda s: 2.0 * f(s), 1.0, r)
-    ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
-    assert math.isclose(after, ref, rel_tol=1e-14)
-    assert math.isclose(after, 2.0 * before, rel_tol=1e-14)
-    assert math.isclose(second.charge, 2.0 * first.charge, rel_tol=1e-14)
-    cached = second.terms[0][1].profile.momentum_values(r)
+    assert F.symplectic(two, dlt) == 2.0 * F.symplectic(one, dlt)
+    assert two.charge == 2.0 * one.charge
+    assert one.terms[0][1] != two.terms[0][1]
+    assert W.label_id(one) != W.label_id(two)
+    # the memoized transform is the uncached closed form, read-only
+    r, w = F._radial_rule_for([(1.0, two.terms[0][1], dlt.terms[0][1], 0.0)], grid)
+    uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), 1.0, r)
+    cached = two.terms[0][1].profile.momentum_values(r)
     assert np.array_equal(cached, uncached) and not cached.flags.writeable
+    ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
+    assert math.isclose(F.symplectic(two, dlt), ref, rel_tol=1e-14)
 
 
-def test_bump_vector_keeps_its_transform_after_reregistration(grid):
-    # a bump atom keeps the callable registered when it was built
-    f = lambda r: (1.0 - r**2) ** 2
-    dlt = F.make_test_vector(grid)
-    first = F.make_bump_vector(grid, "memo-probe", f, 1.0)
-    before = F.symplectic(first, dlt)
-    second = F.make_bump_vector(grid, "memo-probe", lambda r: 2.0 * f(r), 1.0)
-    assert F.symplectic(first, dlt) == before
-    assert math.isclose(F.symplectic(second, dlt), 2.0 * before, rel_tol=1e-14)
-    assert first.terms[0][1] != second.terms[0][1]
+def test_bump_profile_needs_a_shape():
+    with pytest.raises(UsageError):
+        F.Profile("bump")
+    with pytest.raises(UsageError):
+        F.Profile("gauss", width=1.0, shape=RadialPolynomial((1.0,), 1.0))
+    shape = RadialPolynomial((1.0, -2.0, 1.0), 2.5)
+    assert F.Profile("bump", shape=shape).key == ("bump", 0.0, (2.5, 1.0, -2.0, 1.0))
+    assert F.Profile("gauss", width=1.5).key == ("gauss", 1.5, ())
 
 
 @pytest.fixture(scope="module")
@@ -368,8 +374,7 @@ def _direct_pair_sum(form, ka, kb, delta, grid):
 
 def _split_phase_cases():
     gauss = F.Profile("gauss", width=1.0)
-    entry = F.register_bump("split-phase-probe", RadialPolynomial((1.0, -2.0, 1.0), 1.0), 1.0)
-    bump = F.Profile("bump", name="split-phase-probe", entry=entry)
+    bump = F.Profile("bump", shape=RadialPolynomial((1.0, -2.0, 1.0), 1.0))
     pairs = [
         ((gauss, "g", 0.0), (gauss, "h", 0.0)),
         ((gauss, "g", 0.5), (gauss, "g", -0.5)),
@@ -522,8 +527,7 @@ def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y):
     # in the model without a momentum cutoff.  The rule stops at r_max, so the
     # gap is the cutoff error, and it must shrink as r_max grows.
     coeffs = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
-    entries = {shape: F.register_bump(f"shell-{shape}", RadialPolynomial(coeffs[shape], 1.0), 1.0) for shape in coeffs}
-    px, py = (F.Profile("bump", name=f"shell-{shape}", entry=entries[shape]) for shape in (shape_x, shape_y))
+    px, py = (F.Profile("bump", shape=RadialPolynomial(coeffs[shape], 1.0)) for shape in (shape_x, shape_y))
     grids = {r_max: build_grid(64, 26, r_max) for r_max in (10.0, 40.0)}
     for d in (2.5, 20.0):
         exact = 2.0 * math.pi**2 * px.value_at_zero() * py.value_at_zero() / d

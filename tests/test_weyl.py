@@ -1,13 +1,16 @@
 """Weyl product, star, vacuum functional, and gram positivity checks."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conebraid import field as F
 from conebraid import weyl as W
 from conebraid.errors import DomainError, UsageError
+from conebraid.quadrature import RadialPolynomial
 
 
 @pytest.fixture(scope="module")
@@ -141,16 +144,70 @@ def test_grid_mismatch_rejected(grid, grid146):
         W.weyl_mul(a, b)
 
 
-def test_bump_labels_keep_their_registered_profile(grid):
-    # one name, profiles f and 2 f: unequal atoms must stay unequal labels
-    f = lambda r: (1.0 - r**2) ** 2
-    first = F.make_bump_vector(grid, "label-probe", f, 1.0)
-    second = F.make_bump_vector(grid, "label-probe", lambda r: 2.0 * f(r), 1.0)
+def test_bump_labels_follow_their_shape(grid):
+    # shapes f and 2 f: unequal atoms must stay unequal labels
+    first = F.make_bump_vector(grid, RadialPolynomial((1.0, -2.0, 1.0), 1.0))
+    second = F.make_bump_vector(grid, RadialPolynomial((2.0, -4.0, 2.0), 1.0))
     assert first.terms != second.terms
     assert W.label_id(first) != W.label_id(second)
     assert len(W.weyl_add(W.weyl(first), W.weyl(second, -1.0)).terms) == 2
-    # vectors built from the same registered entry still share one label
-    again = F.make_bump_vector(grid, "label-probe", f, 1.0)
-    assert again.terms[0][1].profile.entry == first.terms[0][1].profile.entry
+    # vectors built separately from equal shapes share one atom and one label
+    again = F.make_bump_vector(grid, RadialPolynomial((1.0, -2.0, 1.0), 1.0))
+    assert again.terms == first.terms
     assert W.label_id(again) == W.label_id(first)
     assert W.weyl_add(W.weyl(first), W.weyl(again, -1.0)).is_zero
+
+
+@lru_cache(maxsize=1)
+def _label_pool(grid):
+    """Gaussian, gauss2 and bump vectors (both shapes, two supports), their scales and translations.
+
+    The pool is built twice over, so equal vectors also occur as separately built objects.
+    """
+    pool = []
+    for _ in range(2):
+        base = [
+            F.make_charge_vector(grid, q=1.0, width=1.0),
+            F.make_charge_vector(grid, q=1.0, width=1.3),
+            F.make_test_vector(grid, 1.0, 1.0, channel="h"),
+            F.make_test_vector(grid, 1.0, 1.0, channel="g"),
+        ]
+        base += [
+            F.make_bump_vector(grid, RadialPolynomial(coeffs, support), channel=channel)
+            for coeffs in ((1.0,), (1.0, -2.0, 1.0))
+            for support in (1.0, 2.5)
+            for channel in ("g", "h")
+        ]
+        for v in base:
+            pool += [
+                v,
+                F.scale(-0.5, v),
+                F.translate(v, (0.0, 1.0, 0.0, 0.0)),
+                F.translate(v, (0.5, 0.0, 0.0, 2.0)),
+                F.add(v, F.translate(base[0], (0.0, 0.0, 3.0, 0.0))),
+            ]
+    return tuple(pool)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(st.data())
+def test_one_label_identity(grid, data):
+    # equal terms and equal Weyl labels are the same relation on every pair of the pool
+    pool = _label_pool(grid)
+    n = len(pool)
+    i = data.draw(st.integers(0, n - 1))
+    # half the draws take the separately built twin of x
+    j = data.draw(st.one_of(st.just((i + n // 2) % n), st.integers(0, n - 1)))
+    x, y = pool[i], pool[j]
+    assert (x.terms == y.terms) == (W.label_id(x) == W.label_id(y))
+
+
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -2.0, 1.0)], ids=["indicator", "smooth"])
+@pytest.mark.parametrize("support", [1.0, 2.5])
+def test_bumps_of_equal_shape_cancel(grid, coeffs, support):
+    # two bump vectors built separately from equal shapes subtract to the zero vector
+    x = F.make_bump_vector(grid, RadialPolynomial(coeffs, support))
+    y = F.make_bump_vector(grid, RadialPolynomial(coeffs, support))
+    diff = F.subtract(x, y)
+    assert diff.is_zero and diff.klass == F.TEST and diff.charge == 0.0
+    assert W.weyl_mul(W.weyl(x), W.star(W.weyl(y))).terms[0][1].is_zero
