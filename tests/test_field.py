@@ -289,23 +289,37 @@ def test_bump_vector(grid):
     assert abs(val - ref) < 1e-8
 
 
-def test_bump_shape_scales_sigma_charge_and_label(grid):
-    # shape (2,) is twice shape (1,): its transform, sigma and charge double
-    # exactly, and it is a distinct atom and a distinct Weyl label
-    one = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
-    two = F.make_bump_vector(grid, RadialPolynomial((2.0,), 1.0))
+def test_bump_transform_memo_follows_the_shape(grid):
+    # the memo must serve the transform of the atom's own shape: shape (2,) is
+    # twice shape (1,), so after (1,) is memoized, (2,) doubles sigma and charge
     dlt = F.make_test_vector(grid)
-    assert F.symplectic(two, dlt) == 2.0 * F.symplectic(one, dlt)
+    one = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    before = F.symplectic(one, dlt)
+    two = F.make_bump_vector(grid, RadialPolynomial((2.0,), 1.0))
+    after = F.symplectic(two, dlt)
+    assert after == 2.0 * before
     assert two.charge == 2.0 * one.charge
-    assert one.terms[0][1] != two.terms[0][1]
-    assert W.label_id(one) != W.label_id(two)
     # the memoized transform is the uncached closed form, read-only
     r, w = F._radial_rule_for([(1.0, two.terms[0][1], dlt.terms[0][1], 0.0)], grid)
     uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), 1.0, r)
     cached = two.terms[0][1].profile.momentum_values(r)
     assert np.array_equal(cached, uncached) and not cached.flags.writeable
     ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
-    assert math.isclose(F.symplectic(two, dlt), ref, rel_tol=1e-14)
+    assert math.isclose(after, ref, rel_tol=1e-14)
+
+
+def test_bump_vector_keeps_its_transform_after_another_shape(grid):
+    # a bump atom holds its shape by value: building and evaluating a bump of
+    # another shape leaves its sigma unchanged, and the two are distinct atoms
+    # and distinct Weyl labels
+    dlt = F.make_test_vector(grid)
+    one = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    before = F.symplectic(one, dlt)
+    two = F.make_bump_vector(grid, RadialPolynomial((2.0,), 1.0))
+    assert F.symplectic(two, dlt) == 2.0 * before
+    assert F.symplectic(one, dlt) == before
+    assert one.terms[0][1] != two.terms[0][1]
+    assert W.label_id(one) != W.label_id(two)
 
 
 def test_bump_profile_needs_a_shape():
