@@ -1,6 +1,6 @@
 """Cone-localized charge braiding and tail-window sequence algebras.
 
-The package has three layers: momentum-grid quadrature and field vectors
+The package has three layers: radial quadrature and field vectors
 (quadrature, field), the phase algebra they generate and its charge
 category (weyl, category), and asymptotic machinery for sequence algebras
 (seqalg).  config/suites/report/cli wrap everything into reproducible

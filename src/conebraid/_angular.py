@@ -2,10 +2,9 @@
 
 The rules are the classical octahedrally symmetric Lebedev-Laikov designs.
 Each rule is assembled from orbits of the octahedral group with inversion,
-so for every node u the node -u is present with the same weight; this exact
-pairing is what downstream code relies on when it reflects sampled data
-through the origin.  Weights returned here are normalised so that they sum
-to 4*pi (surface measure of the unit sphere).
+so for every node u the node -u is present with the same weight.  Weights
+returned here are normalised so that they sum to 4*pi (surface measure of
+the unit sphere).
 
 The 74-point design of the classical family carries a negative weight and is
 deliberately not offered: all supported rules have strictly positive weights.
@@ -180,19 +179,3 @@ def angular_rule(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     nodes = table[:, :3].copy()
     weights = 4.0 * np.pi * table[:, 3].copy()
     return nodes, weights
-
-
-def antipode_index(nodes: np.ndarray) -> np.ndarray:
-    """Index array j with nodes[j[k]] == -nodes[k] exactly.
-
-    Exact float negation is well defined, so the pairing is found by exact
-    key lookup; a rule that is not closed under inversion raises.
-    """
-    lookup = {tuple(u): k for k, u in enumerate(nodes)}
-    pair = np.empty(len(nodes), dtype=np.intp)
-    for k, u in enumerate(nodes):
-        j = lookup.get((-u[0], -u[1], -u[2]))
-        if j is None:
-            raise ConfigError("angular rule is not inversion symmetric")
-        pair[k] = j
-    return pair

@@ -56,6 +56,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         suite = _suite_for(args)
         plan = plan_counts(config, suite)
         total = sum(n for _, n in plan)

@@ -26,15 +26,11 @@ The two bilinear forms are
 
 and sigma = -Im (x, y) whenever both sides are defined.  Charge is carried
 analytically: q = (2 pi)^{3/2} g~(0), evaluated from the profile's closed
-form at construction and never extrapolated from grid samples.
+form at construction.
 
-Every bilinear form has two evaluation routes.  The grid route samples both
-vectors on the momentum grid and applies the grid quadrature literally; it
-is exact only while the angular rule resolves the translation phases.  The
-radial route integrates the exact angular average (the phase pair
-e^{i p.(d_A - d_B)} averages to sinc(r |d_A - d_B|)), which stays accurate
-at arbitrary translation radius; it is the default.  Tests assert the two
-routes agree wherever the grid resolves the integrand.
+Both bilinear forms take one route, the radial route, which integrates the
+exact angular average (the phase pair e^{i p.(d_A - d_B)} averages to
+sinc(r |d_A - d_B|)) and so stays accurate at arbitrary translation radius.
 
 The radial route sums c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.  Each
 memoized pair integral k uses the rule sized for its own pair, so it does not
@@ -197,21 +193,6 @@ class FieldVector:
     def is_zero(self) -> bool:
         return not self.terms
 
-    @cached_property
-    def samples(self) -> tuple[np.ndarray, np.ndarray]:
-        """(g~, h~) sampled on the grid nodes, flat complex arrays."""
-        g = np.zeros(self.grid.n_nodes, dtype=complex)
-        h = np.zeros(self.grid.n_nodes, dtype=complex)
-        pts = self.grid.points()
-        r = np.repeat(self.grid.radial_nodes, self.grid.n_angular)
-        for coeff, atom in self.terms:
-            G, H = _channel_factors(atom, r)
-            d = np.asarray(atom.offset[1:])
-            phase = np.exp(-1j * (pts @ d)) if d.any() else 1.0
-            g += coeff * phase * G
-            h += coeff * phase * H
-        return g, h
-
 
 def _make(grid, items, klass, charge) -> FieldVector:
     terms = _canonical_terms(items)
@@ -329,9 +310,9 @@ def intertwiner_label(source: FieldVector, target: FieldVector) -> FieldVector:
 def translate(x: FieldVector, a) -> FieldVector:
     """Translate by the spacetime vector a = (a0, a1, a2, a3).
 
-    Hermitian symmetry of the samples and the charge are preserved; for
-    a0 != 0 the zero-momentum limit of the mixed g channel is again g~(0),
-    so the analytic charge carries over.
+    Only the atoms' offsets move, so the charge is preserved; for a0 != 0
+    the zero-momentum limit of the mixed g channel is again g~(0), so the
+    analytic charge carries over.
     """
     a = tuple(float(c) for c in a)
     if len(a) != 4:
@@ -524,51 +505,3 @@ def vacuum_exponent(x: FieldVector) -> float:
     if val.real < 0:
         raise DomainError(f"(x, x) should be nonnegative, got {val.real}")
     return 0.25 * val.real
-
-
-def symplectic_on_grid(x: FieldVector, y: FieldVector) -> float:
-    """sigma(x, y) by literal grid quadrature of the sampled integrand.
-
-    Valid only while the angular rule resolves the translation phases; kept
-    as the cross-check route and for raw-sample work.
-    """
-    from .quadrature import integrate, reflect_samples
-
-    _require_same_grid(x, y)
-    gx, hx = x.samples
-    gy, hy = y.samples
-    r2 = np.repeat(x.grid.radial_nodes, x.grid.n_angular) ** 2
-    integrand = (reflect_samples(x.grid, gx) * hy - reflect_samples(x.grid, gy) * hx) / r2
-    val = integrate(x.grid, integrand)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise DomainError(f"grid sigma has imaginary residue {val.imag}")
-    return val.real
-
-
-def scalar_product_on_grid(x: FieldVector, y: FieldVector) -> complex:
-    """(x, y) by literal grid quadrature; test class only."""
-    from .quadrature import integrate
-
-    _require_same_grid(x, y)
-    for v, side in ((x, "left"), (y, "right")):
-        if v.klass != TEST:
-            raise DomainError(f"scalar product undefined for charge-class {side} operand")
-    gx, hx = x.samples
-    gy, hy = y.samples
-    r = np.repeat(x.grid.radial_nodes, x.grid.n_angular)
-    integrand = (
-        np.conj(gx) * gy / r**3
-        + np.conj(hx) * hy / r
-        + 1j * (np.conj(hx) * gy - np.conj(gx) * hy) / r**2
-    )
-    return integrate(x.grid, integrand)
-
-
-def hermitian_defect(x: FieldVector) -> float:
-    """max |c~(-p) - conj c~(p)| over both channels; zero for real field data."""
-    from .quadrature import reflect_samples
-
-    g, h = x.samples
-    dg = np.abs(reflect_samples(x.grid, g) - np.conj(g))
-    dh = np.abs(reflect_samples(x.grid, h) - np.conj(h))
-    return float(max(dg.max(initial=0.0), dh.max(initial=0.0)))

@@ -1,11 +1,12 @@
 """Deterministic quadrature over momentum space.
 
-Momentum integrals are evaluated on a product grid: Gauss-Legendre nodes in
-the radial coordinate on (0, r_max] crossed with an inversion-symmetric
-angular rule.  The origin is never a node, so integrands with integrable
-|p|^-k singularities can be sampled directly.  A one dimensional panel rule
-provides radial Fourier transforms of compactly supported position profiles;
-an even polynomial profile (``RadialPolynomial``) takes a closed form instead.
+Momentum integrals of radial kernels run over (0, r_max] on composite
+Gauss-Legendre panel rules; the origin is never a node, so integrands with
+integrable |p|^-k singularities can be evaluated directly.  A MomentumGrid
+carries r_max and a checksum of the radial and angular rules its parameters
+name.  A panel rule provides radial Fourier transforms of compactly supported
+position profiles; an even polynomial profile (``RadialPolynomial``) takes a
+closed form instead.
 
 All constructions are pure functions of their arguments; grids built from
 equal parameters are bit-identical.
@@ -15,12 +16,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._angular import SUPPORTED_ORDERS, angular_rule, antipode_index
+from ._angular import SUPPORTED_ORDERS, angular_rule
 from .errors import ConfigError, UsageError
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
@@ -57,7 +58,8 @@ def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, n
 
     A single n-node rule is a dense eigensolve costing O(n^3); stacking one
     cached fixed-order rule keeps construction linear in panels * order.
-    This is the only rule family of the radial route.
+    This is the only rule family: the radial route and radial_panel_rule
+    both scale it.
     """
     if panels < 1 or order < 2:
         raise ConfigError("composite rule needs at least one panel of order >= 2")
@@ -73,43 +75,24 @@ def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, n
 
 @dataclass(frozen=True, eq=False)
 class MomentumGrid:
-    """Product quadrature grid over momentum space.
+    """Momentum-space grid parameters.
 
     Attributes
     ----------
-    n_radial, n_angular, r_max : grid parameters as requested.
-    radial_nodes, radial_weights : (n_radial,) arrays, nodes in (0, r_max).
-    angular_nodes : (n_angular, 3) unit vectors, closed under inversion.
-    angular_weights : (n_angular,) positive weights summing to 4*pi.
-    antipode : (n_angular,) index array, angular_nodes[antipode[j]] = -nodes[j].
-    checksum : short hex digest of all nodes and weights.
+    n_radial, n_angular, r_max : grid parameters as requested; only r_max
+        enters a bilinear form, as the radial cutoff.
+    checksum : short hex digest of the radial Gauss-Legendre rule on
+        (0, r_max] and the angular rule that the parameters name.
     """
 
     n_radial: int
     n_angular: int
     r_max: float
-    radial_nodes: np.ndarray = field(repr=False)
-    radial_weights: np.ndarray = field(repr=False)
-    angular_nodes: np.ndarray = field(repr=False)
-    angular_weights: np.ndarray = field(repr=False)
-    antipode: np.ndarray = field(repr=False)
-    checksum: str = field(repr=True)
-
-    @property
-    def n_nodes(self) -> int:
-        return self.n_radial * self.n_angular
-
-    def points(self) -> np.ndarray:
-        """All grid points as a (n_radial * n_angular, 3) array, radial major."""
-        return (self.radial_nodes[:, None, None] * self.angular_nodes[None, :, :]).reshape(-1, 3)
-
-    def node_measure(self) -> np.ndarray:
-        """Flat weights w_i * r_i^2 * v_j matching ``points`` ordering."""
-        return (self.radial_weights * self.radial_nodes**2)[:, None] @ self.angular_weights[None, :]
+    checksum: str
 
 
 def build_grid(n_radial: int, n_angular: int, r_max: float) -> MomentumGrid:
-    """Build the momentum-space quadrature grid.
+    """Build the momentum-space grid.
 
     Parameters
     ----------
@@ -131,52 +114,17 @@ def build_grid(n_radial: int, n_angular: int, r_max: float) -> MomentumGrid:
             f"{SUPPORTED_ORDERS}"
         )
     unit_nodes, unit_weights = gauss_legendre_unit(n_radial)
-    radial_nodes = r_max * unit_nodes
-    radial_weights = r_max * unit_weights
     ang_nodes, ang_weights = angular_rule(n_angular)
-    pair = antipode_index(ang_nodes)
 
     digest = hashlib.sha256()
-    for arr in (radial_nodes, radial_weights, ang_nodes, ang_weights):
+    for arr in (r_max * unit_nodes, r_max * unit_weights, ang_nodes, ang_weights):
         digest.update(np.ascontiguousarray(arr).tobytes())
-    for arr in (radial_nodes, radial_weights, ang_nodes, ang_weights):
-        arr.setflags(write=False)
     return MomentumGrid(
         n_radial=n_radial,
         n_angular=n_angular,
         r_max=float(r_max),
-        radial_nodes=radial_nodes,
-        radial_weights=radial_weights,
-        angular_nodes=ang_nodes,
-        angular_weights=ang_weights,
-        antipode=pair,
         checksum=digest.hexdigest()[:16],
     )
-
-
-def integrate(grid: MomentumGrid, samples: np.ndarray) -> complex:
-    """Integrate node samples over momentum space.
-
-    ``samples`` must be indexed exactly by the grid nodes, either flat of
-    length ``grid.n_nodes`` (radial major) or shaped
-    ``(n_radial, n_angular)``.  Returns sum_ij w_i r_i^2 v_j samples_ij.
-    """
-    s = np.asarray(samples)
-    if s.shape == (grid.n_radial, grid.n_angular):
-        s = s.reshape(-1)
-    elif s.shape != (grid.n_nodes,):
-        raise UsageError(
-            f"samples shape {s.shape} does not match grid "
-            f"({grid.n_radial} x {grid.n_angular})"
-        )
-    return complex(np.dot(grid.node_measure().reshape(-1), s))
-
-
-def reflect_samples(grid: MomentumGrid, samples: np.ndarray) -> np.ndarray:
-    """Samples of p -> s(-p) given samples of s, using the exact node pairing."""
-    s = np.asarray(samples)
-    flat = s.reshape(grid.n_radial, grid.n_angular)
-    return flat[:, grid.antipode].reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -267,12 +215,8 @@ def radial_panel_rule(support_radius: float, panels: int = 240, order: int = 8) 
         raise ConfigError(f"support radius must be positive, got {support_radius}")
     if panels < 200:
         raise ConfigError(f"at least 200 panels required, got {panels}")
-    base_nodes, base_weights = gauss_legendre_unit(order)
-    width = support_radius / panels
-    starts = width * np.arange(panels)
-    nodes = (starts[:, None] + width * base_nodes[None, :]).reshape(-1)
-    weights = np.broadcast_to(width * base_weights, (panels, order)).reshape(-1)
-    return nodes, weights.copy()
+    nodes, weights = composite_legendre_unit(panels, order)
+    return support_radius * nodes, support_radius * weights
 
 
 def radial_fourier(

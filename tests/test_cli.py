@@ -256,6 +256,16 @@ def test_cli_exit_codes(tmp_path):
     assert exc.value.code == 2
 
 
+def test_cli_negative_seed_override_exits_2_with_one_line(tmp_path, capsys):
+    # the config path rejects a negative seed; the --seed override must too
+    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "laws", "--out", str(tmp_path), "--seed"]
+    assert main([*argv, "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --seed must be nonnegative, got -1\n"
+    assert "plan:" not in captured.out and not list(tmp_path.iterdir())
+    assert main([*argv, "0"]) == 0
+
+
 def test_cli_rejects_timelike_transport(tmp_path, capsys):
     # a0 = 2 R^0.9 is 15.9 at R = 10: the transported charges would be timelike separated
     data = default_dict()

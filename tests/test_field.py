@@ -9,7 +9,7 @@ vector (width 1), delta the unit-amplitude Gaussian h-channel vector
 (limit 1/sqrt(2) at a = b), which scipy.special.erf supplies independently
 of the package quadrature.  scipy.integrate.quad provides a second
 independent route for the radial integrals, and mpmath.quad at 30 digits a
-third for the closed-form sigma of Gaussian atom pairs.
+third for atom-pair integrals on both the closed-form and the panel route.
 """
 
 import math
@@ -154,31 +154,130 @@ def test_charge_class_scalar_product_rejected(pair):
     assert abs(F.symplectic(gam, dlt) - SQRT_HALF) < 1e-12
 
 
-def test_grid_route_agreement_small_offsets(grid146):
+def _mpmath_erf_sigma(d):
+    """F(d) = sqrt(pi/2) erf(d/2) / d at 30 digits."""
+    with mpmath.workdps(30):
+        d = mpmath.mpf(d)
+        return float(mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(d / 2) / d)
+
+
+def _mpmath_profile(profile):
+    """The profile's momentum values as an mpmath function, independent of the package transform.
+
+    A bump of support R and coefficients c_k has the transform
+    4 pi (2 pi)^{-3/2} R^3 sum_k c_k M_{2k+2}(r R), where
+    M_m(x) = int_0^1 u^m sinc(x u) du = 1F2((m+1)/2; 3/2, (m+3)/2; -x^2/4) / (m+1).
+    """
+    w = mpmath.mpf(profile.width)
+    if profile.kind == "gauss":
+        return lambda r: mpmath.exp(-((w * r) ** 2) / 2)
+    if profile.kind == "gauss2":
+        return lambda r: r * r * mpmath.exp(-((w * r) ** 2) / 2)
+    R, coeffs = mpmath.mpf(profile.shape.support), profile.shape.coeffs
+
+    def bump(r):
+        z = -((r * R) ** 2) / 4
+        moments = sum(c * mpmath.hyp1f2(k + 1.5, 1.5, k + 2.5, z) / (2 * k + 3) for k, c in enumerate(coeffs))
+        return 4 * mpmath.pi / (2 * mpmath.pi) ** 1.5 * R**3 * moments
+
+    return bump
+
+
+def _mpmath_channels(profile, channel, t):
+    """r -> (G, H) of an atom, g~ = e^{-i p.d} G and h~ = e^{-i p.d} H, under free evolution by t."""
+    phi, t = _mpmath_profile(profile), mpmath.mpf(t)
+    if channel == "g":
+        return lambda r: (mpmath.cos(r * t) * phi(r), -mpmath.sin(r * t) / r * phi(r))
+    return lambda r: (r * mpmath.sin(r * t) * phi(r), mpmath.cos(r * t) * phi(r))
+
+
+def _mpmath_pair(form, ka, kb, delta, r_max):
+    """The pair integral 4 pi int_0^r_max K(r) sinc(r delta) dr by mpmath.quad at 30 digits.
+
+    ka, kb are (profile, channel, time offset) as in F._pair_integral, and
+    K = G_a H_b - G_b H_a (sigma) or G_a G_b / r + r H_a H_b (Re).
+    """
+    with mpmath.workdps(30):
+        fa, fb = _mpmath_channels(*ka), _mpmath_channels(*kb)
+        d = mpmath.mpf(delta)
+
+        def integrand(r):
+            (ga, ha), (gb, hb) = fa(r), fb(r)
+            kernel = ga * hb - gb * ha if form == F.SIGMA else ga * gb / r + ha * hb * r
+            return kernel * (mpmath.sin(r * d) / (r * d) if d else 1)
+
+        span = r_max * (1.0 + delta + abs(ka[2]) + abs(kb[2]))
+        value = mpmath.quad(integrand, mpmath.linspace(0, r_max, 2 + int(span / 3)))
+        return float(4 * mpmath.pi * value)
+
+
+def _mpmath_form(form, x, y, r_max):
+    """sigma(x, y) or Re (x, y) of two one-term vectors from _mpmath_pair."""
+    ((cx, ax),), ((cy, ay),) = x.terms, y.terms
+    ka, kb = ((a.profile, a.channel, a.offset[0]) for a in (ax, ay))
+    return cx * cy * _mpmath_pair(form, ka, kb, math.dist(ax.offset[1:], ay.offset[1:]), r_max)
+
+
+def _close(value, ref):
+    return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_small_offsets_against_oracles(grid146):
     gam = F.make_charge_vector(grid146)
     dlt = F.make_test_vector(grid146)
-    ga = F.translate(gam, (0.0, 0.4, -0.3, 0.8))
-    assert abs(F.symplectic_on_grid(ga, dlt) - F.symplectic(ga, dlt)) < 1e-10
+    a = (0.0, 0.4, -0.3, 0.8)
+    assert _close(F.symplectic(F.translate(gam, a), dlt), _mpmath_erf_sigma(math.hypot(*a)))
+    # Re (x, y) of two h-channel Gaussians takes the panel rule
     y = F.translate(dlt, (0.0, 0.5, 0.5, -0.7))
-    assert abs(F.scalar_product_on_grid(dlt, y) - F.scalar_product(dlt, y)) < 1e-10
+    val = F.scalar_product(dlt, y)
+    assert _close(val.real, _mpmath_form(F.RE, dlt, y, grid146.r_max)) and val.imag == 0.0
     v = F.make_test_vector(grid146, channel="g")
     assert abs(F.symplectic(v, dlt) - np.pi**1.5) < 1e-12
-    assert abs(F.symplectic_on_grid(v, dlt) - np.pi**1.5) < 1e-10
 
 
-def test_grid_route_agreement_default_grid(pair):
+@pytest.mark.parametrize("d", [0.5 * F.CLOSED_FORM_MIN_DELTA, F.CLOSED_FORM_MIN_DELTA])
+def test_sigma_at_the_closed_form_threshold_against_erf(pair, d):
+    # just below the minimum separation sigma takes the panel rule, from it on the closed form
     gam, dlt = pair
-    ga = F.translate(gam, (0.0, 0.0, 0.0, 0.5))
-    assert abs(F.symplectic_on_grid(ga, dlt) - F.symplectic(ga, dlt)) < 1e-6
+    assert _close(F.symplectic(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt), _mpmath_erf_sigma(d))
+
+
+SMOOTH = RadialPolynomial((1.0, -2.0, 1.0), 1.0)
+
+
+@pytest.mark.parametrize(
+    "form, x, y",
+    [
+        (F.SIGMA, ("gauss2", "g", (0.7, 0.0, 0.0, 0.0)), ("gauss", "h", (0.0, 0.0, 0.0, 0.0))),
+        (F.SIGMA, ("gauss2", "g", (0.7, 1.3, 0.0, 0.0)), ("gauss", "h", (0.0, 0.0, 0.0, 0.0))),
+        (F.SIGMA, ("gauss2", "g", (-1.1, 0.0, 0.9, 0.0)), ("gauss", "g", (0.4, 0.0, 0.0, 0.0))),
+        (F.RE, ("gauss2", "g", (0.7, 1.3, 0.0, 0.0)), ("gauss", "h", (0.0, 0.0, 0.0, 0.0))),
+        (F.SIGMA, ("bump", "g", (0.7, 0.0, 0.0, 0.0)), ("gauss", "h", (0.0, 0.0, 0.0, 0.0))),
+        (F.SIGMA, ("bump", "g", (0.7, 0.0, 0.0, 2.5)), ("gauss", "h", (0.0, 0.0, 0.0, 0.0))),
+        (F.SIGMA, ("bump", "h", (0.7, 0.0, 1.0, 0.0)), ("gauss", "h", (0.0, 0.0, 0.0, 0.0))),
+    ],
+    ids=lambda v: v if isinstance(v, str) else f"{v[0]}{v[1]}@" + ",".join(f"{c:g}" for c in v[2]),
+)
+def test_panel_route_pairs_match_mpmath(grid, form, x, y):
+    # pairs with a time offset off the closed form, in the truncated model on (0, r_max]
+    def vector(kind, channel, offset):
+        if kind == "bump":
+            v = F.make_bump_vector(grid, SMOOTH, channel)
+        elif kind == "gauss2":
+            v = F.make_test_vector(grid, channel="g")
+        else:
+            v = F.make_charge_vector(grid) if channel == "g" else F.make_test_vector(grid)
+        return F.translate(v, offset)
+
+    vx, vy = vector(*x), vector(*y)
+    value = F.symplectic(vx, vy) if form == F.SIGMA else F.scalar_product(vx, vy).real
+    assert _close(value, _mpmath_form(form, vx, vy, grid.r_max))
 
 
 def test_time_translation(pair):
     gam, dlt = pair
     gt = F.translate(gam, (0.7, 0.0, 0.0, 0.0))
     assert gt.charge == 1.0 and gt.klass == F.CHARGE
-    # pure time translation leaves the angular dependence trivial, so the
-    # grid route matches the radial route at full precision
-    assert abs(F.symplectic_on_grid(gt, dlt) - F.symplectic(gt, dlt)) < 1e-12
     dt = F.translate(dlt, (1.3, 0.0, 0.0, 0.0))
     assert abs(F.vacuum_exponent(dt) - F.vacuum_exponent(dlt)) < 1e-12
     # evolution is symplectic: joint translation leaves sigma fixed
@@ -254,12 +353,6 @@ def test_intertwiner_label_norm_against_independent_quadrature(pair):
         )[0]
     )
     assert abs(4.0 * F.vacuum_exponent(lab) - ref) < 1e-9
-
-
-def test_hermitian_symmetry_of_samples(pair):
-    gam, dlt = pair
-    assert F.hermitian_defect(F.translate(gam, (0.0, 0.0, 0.0, 0.5))) < 1e-14
-    assert F.hermitian_defect(F.translate(dlt, (1.3, 0.2, 0.0, -0.4))) < 1e-14
 
 
 def test_bump_vector(grid):
@@ -434,26 +527,6 @@ def test_pair_integral_memo_is_bounded_and_holds_floats(grid, monkeypatch):
     assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0, grid) == 0.0
 
 
-def _mpmath_gauss_sigma(cx, cy, widths, offsets, delta):
-    """4 pi int_0^16 K(r) sinc(r delta) dr of two "gauss" atoms by mpmath.quad at 30 digits.
-
-    K is the SIGMA kernel written out from the channel factors; past r = 16
-    the integrand is below e^{-256}.
-    """
-    with mpmath.workdps(30):
-        a = (mpmath.mpf(widths[0]) ** 2 + mpmath.mpf(widths[1]) ** 2) / 2
-        dt = mpmath.mpf(offsets[0]) - mpmath.mpf(offsets[1])
-        factor = {
-            ("g", "h"): lambda r: mpmath.cos(r * dt),
-            ("h", "g"): lambda r: -mpmath.cos(r * dt),
-            ("h", "h"): lambda r: r * mpmath.sin(r * dt),
-            ("g", "g"): lambda r: mpmath.sin(r * dt) / r,
-        }[(cx, cy)]
-        points = mpmath.linspace(0, 16, 17 + int(16 * (delta + abs(dt)) / 3))
-        value = mpmath.quad(lambda r: factor(r) * mpmath.exp(-a * r * r) * mpmath.sin(r * delta) / (r * delta), points)
-        return float(4 * mpmath.pi * value)
-
-
 CLOSED_FORM_DELTAS = (0.5, 1.5, 20.0, 150.0, 1280.0, 1.0e4, 8.0e4)
 
 
@@ -489,7 +562,8 @@ def test_gauss_sigma_closed_form_matches_mpmath(grid, cx, cy, widths, offsets, d
     ka = (F.Profile("gauss", width=widths[0]), cx, offsets[0])
     kb = (F.Profile("gauss", width=widths[1]), cy, offsets[1])
     value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta, grid)
-    ref = _mpmath_gauss_sigma(cx, cy, widths, offsets, delta)
+    # the closed form integrates over [0, inf); past r = 16 the integrand is below e^{-256}
+    ref = _mpmath_pair(F.SIGMA, ka, kb, delta, 16.0)
     assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 

@@ -1,4 +1,4 @@
-"""Momentum grid and quadrature checks against closed-form integrals."""
+"""Quadrature rules and grid checks against closed-form integrals and mpmath."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conebraid import quadrature as Q
-from conebraid._angular import SUPPORTED_ORDERS, angular_rule, antipode_index
+from conebraid._angular import SUPPORTED_ORDERS, angular_rule
 from conebraid.errors import ConfigError, UsageError
 from conebraid.quadrature import (
     TWO_PI_32,
@@ -15,10 +15,8 @@ from conebraid.quadrature import (
     build_grid,
     composite_legendre_unit,
     gauss_legendre_unit,
-    integrate,
     radial_fourier,
     radial_panel_rule,
-    reflect_samples,
 )
 
 
@@ -47,11 +45,12 @@ def test_angular_rule_basic(order):
 
 @pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
 def test_angular_antipode_is_exact(order):
+    # exact float negation is well defined, so -u is found by exact key lookup
     nodes, weights = angular_rule(order)
-    idx = antipode_index(nodes)
-    assert np.array_equal(nodes[idx], -nodes)
-    assert np.array_equal(weights[idx], weights)
-    assert np.array_equal(idx[idx], np.arange(order))
+    weight_of = {tuple(u): w for u, w in zip(nodes, weights)}
+    assert len(weight_of) == order
+    for u, w in zip(nodes, weights):
+        assert weight_of[tuple(-u)] == w
 
 
 @pytest.mark.parametrize("order,degree", [(26, 7), (50, 11), (194, 23)])
@@ -73,59 +72,6 @@ def test_gauss_legendre_unit():
     assert abs(np.dot(weights, nodes**3) - 0.25) < 1e-14
 
 
-def test_ball_volume():
-    grid = build_grid(64, 26, 10.0)
-    ones = np.ones(grid.n_nodes)
-    exact = 4.0 * np.pi * 10.0**3 / 3.0
-    assert abs(integrate(grid, ones).real - exact) < 1e-10 * exact
-
-
-def test_gaussian_integral():
-    # integral e^{-p^2/2} d^3p = (2 pi)^{3/2}
-    grid = build_grid(64, 26, 10.0)
-    r = np.repeat(grid.radial_nodes, grid.n_angular)
-    val = integrate(grid, np.exp(-0.5 * r**2))
-    assert abs(val.real - TWO_PI_32) < 1e-8 * TWO_PI_32
-    assert val.imag == 0.0
-
-
-def test_plane_wave_convergence_ladder():
-    # integral e^{-p^2} e^{i p.d} d^3p = pi^{3/2} e^{-|d|^2/4}; the angular
-    # error must drop steeply with the rule order.
-    d = np.array([0.9, -0.6, 1.0])
-    exact = np.pi**1.5 * np.exp(-np.dot(d, d) / 4.0)
-    errs = {}
-    for order in (26, 50, 194):
-        grid = build_grid(96, order, 12.0)
-        r = np.repeat(grid.radial_nodes, grid.n_angular)
-        val = integrate(grid, np.exp(-(r**2)) * np.exp(1j * (grid.points() @ d)))
-        errs[order] = abs(val - exact) / abs(exact)
-    assert errs[26] < 1e-4
-    assert errs[50] < 1e-6
-    assert errs[50] < errs[26] / 100.0
-    assert errs[194] < 1e-12
-
-
-def test_inversion_and_conjugation_identities():
-    grid = build_grid(32, 38, 6.0)
-    rng = np.random.default_rng(7)
-    samples = rng.normal(size=grid.n_nodes) + 1j * rng.normal(size=grid.n_nodes)
-    # node set is inversion symmetric with equal weights; the permutation
-    # only reorders the dot product, so agreement is to rounding
-    ref = integrate(grid, samples)
-    assert abs(integrate(grid, reflect_samples(grid, samples)) - ref) < 1e-12 * abs(ref)
-    assert integrate(grid, np.conj(samples)) == np.conj(ref)
-
-
-def test_integrate_accepts_radial_major_matrix():
-    grid = build_grid(16, 14, 4.0)
-    flat = np.arange(grid.n_nodes, dtype=float)
-    mat = flat.reshape(grid.n_radial, grid.n_angular)
-    assert integrate(grid, mat) == integrate(grid, flat)
-    with pytest.raises(UsageError):
-        integrate(grid, flat[:-1])
-
-
 def test_build_grid_validation():
     with pytest.raises(ConfigError):
         build_grid(3, 26, 10.0)
@@ -145,7 +91,9 @@ def test_grid_checksum_deterministic():
     c = build_grid(64, 50, 10.0)
     assert a.checksum == b.checksum
     assert a.checksum != c.checksum
-    assert not a.radial_nodes.flags.writeable
+    # reports carry the checksum, so its value is pinned
+    assert a.checksum == "253bff392c9c730e"
+    assert c.checksum == "584a3e87c59b9dec"
 
 
 def test_radial_fourier_indicator():

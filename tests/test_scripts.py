@@ -1,9 +1,12 @@
 """Smoke runs of the sweep scripts with small arguments, each in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from conebraid.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -59,3 +62,28 @@ def test_run_default_script(tmp_path):
     assert proc.returncode == 1 and not proc.stderr, proc.stderr
     assert "total 62 rows" in proc.stdout
     assert sorted(p.name for p in tmp_path.iterdir()) == ["all_report.csv", "all_report.json"]
+
+
+def test_report_drift_script(tmp_path):
+    config = str(ROOT / "configs" / "default.json")
+    assert main(["verify", "--config", config, "--suite", "laws", "--format", "json", "--out", str(tmp_path)]) == 0
+    report = tmp_path / "laws_report.json"
+
+    def drift(name, mutate):
+        data = json.loads(report.read_text())
+        mutate(data["rows"])
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return _run("report_drift.py", str(report), str(path))
+
+    same = _run("report_drift.py", str(report), str(report))
+    assert same.returncode == 0 and "0 unmatched, 0 flipped, drift within 1e-12" in same.stdout, same.stdout
+    flipped = drift("flipped.json", lambda rows: rows[0].update({"pass": not rows[0]["pass"]}))
+    assert flipped.returncode == 1 and "verdict flip" in flipped.stdout
+    # the budget is 1e-12 on any value or residual
+    small = drift("small.json", lambda rows: rows[1].update({"residual": rows[1]["residual"] + 1e-13}))
+    assert small.returncode == 0, small.stdout
+    large = drift("large.json", lambda rows: rows[1].update({"value_re": rows[1]["value_re"] + 1e-11}))
+    assert large.returncode == 1 and "max |delta value_re| = 1.000e-11" in large.stdout
+    missing = drift("missing.json", lambda rows: rows.pop())
+    assert missing.returncode == 1 and "row only in old" in missing.stdout
