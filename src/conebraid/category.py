@@ -118,17 +118,38 @@ class ChargeAutomorphism:
     def grid(self):
         return self.data.grid
 
-    @property
-    def key(self):
-        return label_id(self.data)
+
+class _TensorObject(ChargeAutomorphism):
+    """a (x) b, whose data a.data + b.data is summed on first use.
+
+    Most tensor products that a law check builds are only an arrow's source
+    or target, and their data is never read.
+    """
+
+    def __init__(self, a: ChargeAutomorphism, b: ChargeAutomorphism):
+        self.__dict__["name"] = f"{a.name}*{b.name}" if a.name or b.name else ""
+        self.__dict__["_factors"] = (a, b)
+
+    def __getattr__(self, attr: str):
+        if attr != "data":
+            raise AttributeError(attr)
+        a, b = self._factors
+        data = add(a.data, b.data)
+        self.__dict__["data"] = data
+        return data
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Intertwiner:
     source: ChargeAutomorphism
     target: ChargeAutomorphism
     coeff: complex
     label: FieldVector
+
+    def __init__(self, source: ChargeAutomorphism, target: ChargeAutomorphism, coeff, label: FieldVector):
+        # fields go straight into the instance dict, as in field.FieldVector
+        d = self.__dict__
+        d["source"], d["target"], d["coeff"], d["label"] = source, target, coeff, label
 
     def as_weyl(self) -> WeylElement:
         return weyl(self.label, self.coeff)
@@ -147,7 +168,8 @@ def translate_object(obj: ChargeAutomorphism, a) -> ChargeAutomorphism:
 
 
 def same_object(a: ChargeAutomorphism, b: ChargeAutomorphism) -> bool:
-    return a.key == b.key
+    """Equal field data: the exact label identity, read off the canonical terms."""
+    return a.data.terms == b.data.terms
 
 
 def hom_basis(source: ChargeAutomorphism, target: ChargeAutomorphism):
@@ -187,8 +209,7 @@ def star_mor(r: Intertwiner) -> Intertwiner:
 
 
 def tensor_obj(a: ChargeAutomorphism, b: ChargeAutomorphism) -> ChargeAutomorphism:
-    name = f"{a.name}*{b.name}" if a.name or b.name else ""
-    return ChargeAutomorphism(data=add(a.data, b.data), name=name)
+    return _TensorObject(a, b)
 
 
 def tensor_mor(r: Intertwiner, s: Intertwiner) -> Intertwiner:

@@ -16,8 +16,13 @@ which is exactly f~ -> e^{i omega a0} f~.
 
 A profile is its value: a Gaussian kind with its width, or a bump with its
 RadialPolynomial position shape, whose transform is closed form.  Atoms are
-equal exactly when profile, channel and offset are, and Profile.key orders
-them by the same data, so one identity serves terms, pair memo and labels.
+equal exactly when profile, channel and offset are, and Atom.sort_key orders
+them by the same data, so one exact identity serves terms, pair memo and Weyl
+labels.  A profile's key and hash, and an atom's sort key, hash and pair-memo
+key, are computed once at construction, since every dict and memo lookup
+hashes them.  A vector's terms stay canonical (sorted by sort key, each atom
+once, coefficients nonzero), so a sum merges two sorted term tuples in one
+pass.
 
 The two bilinear forms are
 
@@ -35,8 +40,10 @@ sinc(r |d_A - d_B|)) and so stays accurate at arbitrary translation radius.
 The radial route sums c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.  Each
 memoized pair integral k uses the rule sized for its own pair, so it does not
 depend on the other pairs of a call, and the correctly rounded sum makes both
-forms exactly bilinear over pairs.  A pair whose kernel vanishes identically
-(time offsets zero, equal channels for sigma, unequal for Re (x, y)) is 0.0.
+forms exactly bilinear over pairs.  A pair at equal time offsets in equal
+channels for sigma, or in unequal channels for Re (x, y), is 0.0 with no rule
+built: both forms are invariant under a joint time translation, and at t = 0
+those channels do not couple, so the kernel vanishes identically.
 The pairs (a, b) and (b, a) share one memo entry: swapping the atoms
 negates the sigma kernel and keeps the Re kernel, both bit for bit.
 
@@ -60,8 +67,9 @@ Each pair integral takes one of two routes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 import math
+import operator
 
 import numpy as np
 
@@ -118,7 +126,9 @@ class Profile:
     kind "gauss" is exp(-r^2 w^2 / 2); kind "gauss2" is r^2 exp(-r^2 w^2 / 2)
     (chargeless in the g channel); kind "bump" is the radial Fourier
     transform of the position profile ``shape``.  Profiles are equal exactly
-    when their fields are, and ``key`` orders them by the same data.
+    when their fields are, and ``key`` = (kind, width, shape data) orders
+    them by the same data: the shape data is () for a Gaussian and
+    (support, *coeffs) for a bump.  The key and the hash are computed once.
     """
 
     kind: str
@@ -128,12 +138,12 @@ class Profile:
     def __post_init__(self) -> None:
         if (self.kind == "bump") != isinstance(self.shape, RadialPolynomial):
             raise UsageError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
-
-    @cached_property
-    def key(self) -> tuple:
-        """(kind, width, shape data): the data is () for a Gaussian, (support, *coeffs) for a bump."""
         shape = () if self.shape is None else (self.shape.support, *self.shape.coeffs)
-        return (self.kind, self.width, shape)
+        key = (self.kind, self.width, shape)
+        self.__dict__["key"], self.__dict__["_hash"] = key, hash(key)
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def momentum_values(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "gauss":
@@ -154,11 +164,33 @@ class Profile:
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
+# FieldVector and Atom are the objects the algebra builds most, so they
+# write their fields straight into the instance dict: the frozen dataclass
+# __init__ sets each one through object.__setattr__, at twice the cost.
+@dataclass(frozen=True, init=False)
 class Atom:
+    """A profile in one channel at a spacetime offset (t, x, y, z).
+
+    Computed once at construction: ``sort_key`` = (profile key, channel,
+    offset), which orders atoms and is equal exactly when the atoms are;
+    the hash; the pair-memo key (profile, channel, t) and its sort key
+    (profile key, channel, t).
+    """
+
     profile: Profile
     channel: str  # "g" or "h"
-    offset: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
+    offset: tuple[float, float, float, float]
+
+    def __init__(self, profile: Profile, channel: str, offset=(0.0, 0.0, 0.0, 0.0)):
+        sort_key = (profile.key, channel, offset)
+        d = self.__dict__
+        d["profile"], d["channel"], d["offset"] = profile, channel, offset
+        d["sort_key"], d["_hash"] = sort_key, hash(sort_key)
+        d["pair_key"] = (profile, channel, offset[0])
+        d["pair_sort_key"] = (profile.key, channel, offset[0])
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def charge_factor(self) -> float:
         """(2 pi)^{3/2} g~(0) of the unit-coefficient atom; time offsets keep it."""
@@ -167,42 +199,86 @@ class Atom:
         q = TWO_PI_32 * self.profile.value_at_zero()
         return 0.0 if abs(q) < 1e-12 else q
 
-    def sort_key(self):
-        return (self.profile.key, self.channel, self.offset)
-
 
 def _canonical_terms(items) -> tuple[tuple[float, Atom], ...]:
     merged: dict[Atom, float] = {}
     for coeff, atom in items:
         merged[atom] = merged.get(atom, 0.0) + coeff
     kept = [(c, a) for a, c in merged.items() if c != 0.0]
-    kept.sort(key=lambda t: t[1].sort_key())
+    kept.sort(key=lambda t: t[1].sort_key)
     return tuple(kept)
 
 
-@dataclass(frozen=True, eq=False)
+def _merge_terms(xs: tuple, ys: tuple) -> tuple:
+    """_canonical_terms of xs + ys for two canonical term tuples, in one pass.
+
+    Both are sorted by sort key with unique atoms and nonzero coefficients,
+    so equal atoms meet side by side; their coefficient is cx + cy, the
+    same float the dict merge gives.
+    """
+    if not xs or not ys:
+        return xs or ys
+    out = []
+    i = j = 0
+    nx, ny = len(xs), len(ys)
+    while i < nx and j < ny:
+        (cx, ax), (cy, ay) = xs[i], ys[j]
+        if ax.sort_key < ay.sort_key:
+            out.append(xs[i])
+            i += 1
+        elif ay.sort_key < ax.sort_key:
+            out.append(ys[j])
+            j += 1
+        else:
+            c = cx + cy
+            if c != 0.0:
+                out.append((c, ax))
+            i += 1
+            j += 1
+    return (*out, *xs[i:], *ys[j:])
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FieldVector:
-    """Immutable finite combination of translated radial atoms on a grid."""
+    """Immutable finite combination of translated radial atoms on a grid.
+
+    ``terms`` is canonical: (coefficient, atom) pairs sorted by the atoms'
+    sort keys, each atom once, every coefficient nonzero.
+    """
 
     grid: MomentumGrid
     terms: tuple[tuple[float, Atom], ...]
     klass: str
     charge: float
 
+    def __init__(self, grid: MomentumGrid, terms: tuple, klass: str, charge: float):
+        d = self.__dict__
+        d["grid"], d["terms"], d["klass"], d["charge"] = grid, terms, klass, charge
+
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __getattr__(self, name: str):
+        # ``pair_terms``, built on first use: (coefficient, pair key, pair sort
+        # key, spatial offset) per term, as _form reads them.  (A lock-free
+        # cached_property: most vectors never meet a bilinear form.)
+        if name != "pair_terms":
+            raise AttributeError(name)
+        value = [(c, a.pair_key, a.pair_sort_key, a.offset[1:]) for c, a in self.terms]
+        self.__dict__["pair_terms"] = value
+        return value
 
 
 def _make(grid, items, klass, charge) -> FieldVector:
     terms = _canonical_terms(items)
     if not terms:
-        return FieldVector(grid=grid, terms=(), klass=TEST, charge=0.0)
-    return FieldVector(grid=grid, terms=terms, klass=klass, charge=charge)
+        return FieldVector(grid, (), TEST, 0.0)
+    return FieldVector(grid, terms, klass, charge)
 
 
 def zero_vector(grid: MomentumGrid) -> FieldVector:
-    return FieldVector(grid=grid, terms=(), klass=TEST, charge=0.0)
+    return FieldVector(grid, (), TEST, 0.0)
 
 
 def make_charge_vector(grid: MomentumGrid, q: float = 1.0, width: float = 1.0) -> FieldVector:
@@ -267,11 +343,11 @@ def add(x: FieldVector, y: FieldVector) -> FieldVector:
     dedicated intertwiner_label path instead.
     """
     _require_same_grid(x, y)
-    terms = _canonical_terms(list(x.terms) + list(y.terms))
+    terms = _merge_terms(x.terms, y.terms)
     if not terms:
         return zero_vector(x.grid)
     klass = TEST if (x.klass == TEST and y.klass == TEST) else CHARGE
-    return FieldVector(grid=x.grid, terms=terms, klass=klass, charge=x.charge + y.charge)
+    return FieldVector(x.grid, terms, klass, x.charge + y.charge)
 
 
 def scale(c: float, x: FieldVector) -> FieldVector:
@@ -282,8 +358,11 @@ def scale(c: float, x: FieldVector) -> FieldVector:
         raise UsageError("scale factor must be finite")
     if c == 0.0 or x.is_zero:
         return zero_vector(x.grid)
-    terms = tuple((c * coeff, atom) for coeff, atom in x.terms)
-    return FieldVector(grid=x.grid, terms=terms, klass=x.klass, charge=c * x.charge)
+    terms = tuple([(c * coeff, atom) for coeff, atom in x.terms])
+    if any(coeff == 0.0 for coeff, _ in terms):
+        # a product underflowed; drop it, so every coefficient stays nonzero
+        return _make(x.grid, terms, x.klass, c * x.charge)
+    return FieldVector(x.grid, terms, x.klass, c * x.charge)
 
 
 def negate(x: FieldVector) -> FieldVector:
@@ -304,7 +383,7 @@ def intertwiner_label(source: FieldVector, target: FieldVector) -> FieldVector:
     diff = subtract(target, source)
     if diff.is_zero:
         return diff
-    return FieldVector(grid=diff.grid, terms=diff.terms, klass=TEST, charge=0.0)
+    return FieldVector(diff.grid, diff.terms, TEST, 0.0)
 
 
 def translate(x: FieldVector, a) -> FieldVector:
@@ -312,20 +391,27 @@ def translate(x: FieldVector, a) -> FieldVector:
 
     Only the atoms' offsets move, so the charge is preserved; for a0 != 0
     the zero-momentum limit of the mixed g channel is again g~(0), so the
-    analytic charge carries over.
+    analytic charge carries over.  Rounding can make two distinct offsets
+    equal, or reorder two atoms whose offsets then tie in an earlier
+    component; the terms are then merged and sorted again, so they stay
+    canonical.
     """
-    a = tuple(float(c) for c in a)
+    a = tuple(map(float, a))
     if len(a) != 4:
         raise UsageError("translation must be a 4-vector (a0, a1, a2, a3)")
-    if not all(math.isfinite(c) for c in a):
+    if not all(map(math.isfinite, a)):
         raise UsageError("translation components must be finite")
-    if all(c == 0.0 for c in a):
+    if not any(a):
         return x
-    terms = tuple(
-        (coeff, Atom(atom.profile, atom.channel, tuple(o + s for o, s in zip(atom.offset, a))))
-        for coeff, atom in x.terms
-    )
-    return FieldVector(grid=x.grid, terms=terms, klass=x.klass, charge=x.charge)
+    a0, a1, a2, a3 = a
+    terms = []
+    for coeff, atom in x.terms:
+        t, u, v, w = atom.offset
+        terms.append((coeff, Atom(atom.profile, atom.channel, (t + a0, u + a1, v + a2, w + a3))))
+    keys = [atom.sort_key for _, atom in terms]
+    if any(map(operator.ge, keys, keys[1:])):
+        return _make(x.grid, terms, x.klass, x.charge)
+    return FieldVector(x.grid, tuple(terms), x.klass, x.charge)
 
 
 def _require_same_grid(x: FieldVector, y: FieldVector) -> None:
@@ -371,12 +457,15 @@ def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: Momentum
 
     ka, kb are the atoms' (profile, channel, time offset), delta their spatial
     distance; the grid enters through r_max.  K is g_a h_b - g_b h_a (SIGMA)
-    or g_a g_b / r + r h_a h_b (RE).  A kernel that vanishes identically gives
-    0.0.  SIGMA of two "gauss" atoms takes the closed form _gauss_sigma when
-    delta >= CLOSED_FORM_MIN_DELTA and a r_max^2 >= CLOSED_FORM_MIN_TAIL; every
-    other pair takes the panel rule, _panel_pair_integral.
+    or g_a g_b / r + r h_a h_b (RE).  At equal time offsets the kernel
+    vanishes identically for SIGMA in equal channels and for RE in unequal
+    ones (both forms are invariant under a joint time translation, and at
+    t = 0 those channel pairs do not couple), so the value is 0.0.  SIGMA of
+    two "gauss" atoms takes the closed form _gauss_sigma when delta >=
+    CLOSED_FORM_MIN_DELTA and a r_max^2 >= CLOSED_FORM_MIN_TAIL; every other
+    pair takes the panel rule, _panel_pair_integral.
     """
-    if ka[2] == kb[2] == 0.0 and (ka[1] == kb[1]) == (form == SIGMA):
+    if ka[2] == kb[2] and (ka[1] == kb[1]) == (form == SIGMA):
         return 0.0
     if form == SIGMA and delta >= CLOSED_FORM_MIN_DELTA and ka[0].kind == kb[0].kind == "gauss":
         a = 0.5 * (ka[0].width ** 2 + kb[0].width ** 2)
@@ -446,31 +535,23 @@ def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: Mo
 
 
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:
-    """Correctly rounded sum of c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs."""
-    xs, ys = ([(c, _pair_key(a), a.offset[1:]) for c, a in v.terms] for v in (x, y))
-    return math.fsum(
-        cx * cy * _unordered_pair_integral(form, kx, ky, math.dist(dx, dy), x.grid)
-        for cx, kx, dx in xs
-        for cy, ky, dy in ys
-    )
+    """Correctly rounded sum of c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.
 
-
-def _pair_key(atom: Atom) -> tuple:
-    """The atom's memo key (profile, channel, time offset) and its sort key."""
-    p, t = atom.profile, atom.offset[0]
-    return (p, atom.channel, t), (p.key, atom.channel, t)
-
-
-def _unordered_pair_integral(form: str, kx: tuple, ky: tuple, delta: float, grid: MomentumGrid) -> float:
-    """k(x, y) from the one memo entry of the unordered pair, read in sort-key order.
-
-    A swapped SIGMA value is negated; atoms whose sort keys tie keep their order.
+    Each k comes from the one memo entry of the unordered atom pair, read in
+    pair-sort-key order: a swapped SIGMA value is negated, and atoms whose
+    sort keys tie keep their order.
     """
-    (ka, sort_x), (kb, sort_y) = kx, ky
-    if sort_y < sort_x:
-        value = _pair_integral(form, kb, ka, delta, grid)
-        return -value if form == SIGMA else value
-    return _pair_integral(form, ka, kb, delta, grid)
+    grid, antisymmetric, dist, values = x.grid, form == SIGMA, math.dist, []
+    for cx, kx, sx, dx in x.pair_terms:
+        for cy, ky, sy, dy in y.pair_terms:
+            if sy < sx:
+                value = _pair_integral(form, ky, kx, dist(dx, dy), grid)
+                if antisymmetric:
+                    value = -value
+            else:
+                value = _pair_integral(form, kx, ky, dist(dx, dy), grid)
+            values.append(cx * cy * value)
+    return math.fsum(values)
 
 
 def symplectic(x: FieldVector, y: FieldVector) -> float:

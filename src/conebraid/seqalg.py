@@ -22,6 +22,7 @@ the input whenever the precondition holds.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +71,9 @@ class MatrixAlgebra:
         return c * a
 
     def norm(self, a) -> float:
-        return float(np.linalg.norm(a, 2))
+        # the largest singular value, as np.linalg.norm(a, 2) computes it
+        # without that function's axis handling
+        return float(np.linalg.svd(a, compute_uv=False)[0])
 
     def polar(self, a):
         """Polar factor by SVD and the smallest singular value of the input."""
@@ -161,7 +164,8 @@ class TailPolicy:
 
 
 class SequenceElement:
-    """Pure generator with a certified norm bound; evaluations are memoized."""
+    """Pure generator with a certified norm bound; evaluations and their
+    norms (computed for the bound check) are memoized."""
 
     def __init__(self, algebra, generator, bound: float):
         if not (bound >= 0.0 and np.isfinite(bound)):
@@ -169,7 +173,7 @@ class SequenceElement:
         self.algebra = algebra
         self.generator = generator
         self.bound = float(bound)
-        self._memo: dict[int, object] = {}
+        self._memo: dict[int, tuple[object, float]] = {}
 
     def at(self, n: int):
         if n < 1:
@@ -181,8 +185,13 @@ class SequenceElement:
                 raise UsageError(
                     f"generator breaks its certified bound at n={n}: {norm} > {self.bound}"
                 )
-            self._memo[n] = value
-        return self._memo[n]
+            self._memo[n] = (value, norm)
+        return self._memo[n][0]
+
+    def norm_at(self, n: int) -> float:
+        """algebra.norm(at(n)), from the bound check's memo."""
+        self.at(n)
+        return self._memo[n][1]
 
 
 def constant(algebra, value, bound: float | None = None) -> SequenceElement:
@@ -211,7 +220,7 @@ def seq_star(s: SequenceElement) -> SequenceElement:
 
 
 def limsup_norm(s: SequenceElement, policy: TailPolicy) -> float:
-    return max(s.algebra.norm(s.at(n)) for n in policy.samples())
+    return max(s.norm_at(n) for n in policy.samples())
 
 
 def is_null(s: SequenceElement, policy: TailPolicy) -> bool:
@@ -224,17 +233,29 @@ def equivalent(s: SequenceElement, t: SequenceElement, policy: TailPolicy) -> bo
 
 def subsequence(s: SequenceElement, index_map) -> SequenceElement:
     """Reindex by a strictly increasing map; monotonicity is checked lazily
-    across every pair of indices the new element actually evaluates."""
-    seen: dict[int, int] = {}
+    across every pair of indices the new element actually evaluates.
+
+    The evaluated indices are kept sorted with their images increasing, so
+    a new index only needs checking against its two neighbours.
+    """
+    evaluated: list[int] = []
+    image: dict[int, int] = {}
 
     def gen(n: int):
         m = int(index_map(n))
         if m < 1:
             raise UsageError("index map must produce indices >= 1")
-        for k, mk in seen.items():
-            if (k < n and mk >= m) or (k > n and mk <= m) or (k == n and mk != m):
+        k = bisect.bisect_left(evaluated, n)
+        if k < len(evaluated) and evaluated[k] == n:
+            if image[n] != m:
                 raise UsageError("index map is not strictly increasing")
-        seen[n] = m
+        else:
+            if (k > 0 and image[evaluated[k - 1]] >= m) or (
+                k < len(evaluated) and image[evaluated[k]] <= m
+            ):
+                raise UsageError("index map is not strictly increasing")
+            evaluated.insert(k, n)
+            image[n] = m
         return s.at(m)
 
     return SequenceElement(s.algebra, gen, s.bound)

@@ -168,29 +168,38 @@ def _row(check_id, charge_pair, cone_id, radius, value, residual, threshold) -> 
     )
 
 
+# Spacetime shift bounds of random objects and arrows.
+_OBJECT_SHIFT = ((-1.0, -3.0, -3.0, -3.0), (1.0, 3.0, 3.0, 3.0))
+_ARROW_SHIFT = ((-1.0, -2.0, -2.0, -2.0), (1.0, 2.0, 2.0, 2.0))
+
+
+def _uniform(rng: np.random.Generator, low, high) -> tuple[float, ...]:
+    """The draws rng.uniform(l, h) makes for each pair in turn, bit for bit.
+
+    Generator.uniform computes l + (h - l) u from one rng.random() double
+    u, so one vector rng.random() gives the same numbers without the
+    per-call argument checks, which cost several times the draw.  Likewise
+    rng.integers(n) makes the draw that rng.choice of n items makes.
+    """
+    return tuple(l + (h - l) * u for l, h, u in zip(low, high, rng.random(len(low)).tolist()))
+
+
 def _random_object(ctx: RunContext, rng: np.random.Generator) -> cat.ChargeAutomorphism:
-    base = ctx.vectors[rng.choice(list(ctx.vectors))]
-    factor = float(rng.uniform(0.5, 2.0) * rng.choice([-1.0, 1.0]))
-    shift = (
-        float(rng.uniform(-1.0, 1.0)),
-        float(rng.uniform(-3.0, 3.0)),
-        float(rng.uniform(-3.0, 3.0)),
-        float(rng.uniform(-3.0, 3.0)),
-    )
+    names = list(ctx.vectors)
+    base = ctx.vectors[names[rng.integers(len(names))]]
+    (magnitude,) = _uniform(rng, (0.5,), (2.0,))
+    factor = magnitude * (-1.0, 1.0)[rng.integers(2)]
+    shift = _uniform(rng, *_OBJECT_SHIFT)
     return cat.make_object(fld.translate(fld.scale(factor, base), shift))
 
 
 def _random_arrow(ctx: RunContext, rng: np.random.Generator, obj=None) -> cat.Intertwiner:
     if obj is None:
         obj = _random_object(ctx, rng)
-    shift = (
-        float(rng.uniform(-1.0, 1.0)),
-        float(rng.uniform(-2.0, 2.0)),
-        float(rng.uniform(-2.0, 2.0)),
-        float(rng.uniform(-2.0, 2.0)),
-    )
+    shift = _uniform(rng, *_ARROW_SHIFT)
     arrow = cat.hom_basis(obj, cat.translate_object(obj, shift))
-    return cat.rephase(arrow, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+    (angle,) = _uniform(rng, (0.0,), (2.0 * np.pi,))
+    return cat.rephase(arrow, np.exp(1j * angle))
 
 
 def _coeff_distance(u, v, label: fld.FieldVector) -> float:

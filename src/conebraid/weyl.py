@@ -9,12 +9,11 @@ W(x) W(y) = e^{+i sigma(x, y)} W(y) W(x) holds.  Elements are finite
 complex combinations of generators; products expand term by term with the
 cocycle phase evaluated by the field-layer symplectic form.
 
-Generator labels are identified up to a 1e-9 quantization of coefficients
-and offsets, which absorbs float noise from translation arithmetic while
-keeping genuinely distinct labels apart.  Each atom's profile enters through
-its exact ``Profile.key`` (nothing jitters a width or a bump shape), so two
-vectors have equal labels exactly when their atoms are equal and their
-coefficients and offsets agree to the quantum.
+Generator labels are identified exactly: ``label_id`` is the vector's
+terms as (atom sort key, coefficient) pairs, so two vectors have equal
+labels exactly when their terms are equal, the identity the field layer
+merges terms on.  Elements merge generators on that key, and ``coeff_of``
+is one dict lookup.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on test-class labels (the exponent diverges otherwise, and
@@ -25,6 +24,7 @@ functional are positive semidefinite, which the tests assert directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,39 +32,34 @@ from .errors import UsageError
 from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent, zero_vector
 from .quadrature import MomentumGrid
 
-QUANT = 1e-9
 COEFF_EPS = 1e-14
 GRAM_MAX_LABELS = 16
 
 
-def _qi(v: float) -> int:
-    return int(round(v / QUANT))
-
-
 def label_id(vec: FieldVector) -> tuple:
-    """Hashable identity of a field vector, stable under float jitter below QUANT."""
-    out = []
-    for coeff, atom in vec.terms:
-        key = (atom.profile.key, atom.channel, tuple(_qi(c) for c in atom.offset))
-        out.append((key, _qi(coeff)))
-    return tuple(sorted(out))
+    """Exact hashable identity of a field vector: (atom sort key, coefficient) per term."""
+    return tuple([(atom.sort_key, coeff) for coeff, atom in vec.terms])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class WeylElement:
     grid: MomentumGrid
     terms: tuple[tuple[complex, FieldVector], ...]
+
+    def __init__(self, grid: MomentumGrid, terms: tuple):
+        # fields go straight into the instance dict, as in field.FieldVector
+        self.__dict__["grid"], self.__dict__["terms"] = grid, terms
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
+    @cached_property
+    def _coeffs(self) -> dict:
+        return {label_id(x): c for c, x in self.terms}
+
     def coeff_of(self, label: FieldVector) -> complex:
-        key = label_id(label)
-        for c, x in self.terms:
-            if label_id(x) == key:
-                return c
-        return 0.0 + 0.0j
+        return self._coeffs.get(label_id(label), 0.0 + 0.0j)
 
 
 def _canonical(grid, items) -> WeylElement:
@@ -81,7 +76,9 @@ def _canonical(grid, items) -> WeylElement:
 
 
 def weyl(label: FieldVector, coeff: complex = 1.0) -> WeylElement:
-    return _canonical(label.grid, [(coeff, label)])
+    # _canonical of the one item, with nothing to merge or sort
+    c = complex(coeff)
+    return WeylElement(grid=label.grid, terms=((c, label),) if abs(c) > COEFF_EPS else ())
 
 
 def weyl_unit(grid: MomentumGrid) -> WeylElement:

@@ -172,6 +172,19 @@ def test_tensor_with_unit_object(grid, objs):
     assert label_id(right.label) == label_id(r.label)
 
 
+def test_tensor_object_sums_its_data_on_first_use(objs):
+    gam, dlt = objs
+    far = C.translate_object(dlt, (0.5, 0.0, 1.0, 0.0))
+    prod = C.tensor_obj(gam, far)
+    assert prod.name == "gamma*delta" and "data" not in vars(prod)
+    want = F.add(gam.data, far.data)
+    assert prod.charge == want.charge == 1.0
+    assert prod.data.terms == want.terms and prod.data is prod.data
+    assert C.same_object(prod, C.make_object(want))
+    assert not C.same_object(prod, C.tensor_obj(far, dlt))
+    assert C.tensor_obj(C.make_object(gam.data), far).name == "*delta"
+
+
 def test_auto_action_is_homomorphism(grid, objs):
     gam, dlt = objs
     from conebraid import weyl as W

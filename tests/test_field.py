@@ -309,6 +309,42 @@ def test_translate_composition(pair):
         F.translate(gam, (float("nan"), 0.0, 0.0, 0.0))
 
 
+def test_translate_merges_offsets_that_round_together(pair):
+    # 0.1 and its successor both land on 1.1 after a shift by 1
+    _, dlt = pair
+    x = F.add(
+        F.translate(dlt, (0.0, 0.1, 0.0, 0.0)),
+        F.scale(2.0, F.translate(dlt, (0.0, math.nextafter(0.1, 1.0), 0.0, 0.0))),
+    )
+    assert len(x.terms) == 2
+    moved = F.translate(x, (0.0, 1.0, 0.0, 0.0))
+    want = F.scale(3.0, F.translate(dlt, (0.0, 1.1, 0.0, 0.0)))
+    assert moved.terms == want.terms
+    assert W.label_id(moved) == W.label_id(want)
+    assert F.subtract(moved, want).is_zero
+    # opposite coefficients cancel to the zero vector
+    after = math.nextafter(0.1, 1.0)
+    diff = F.subtract(F.translate(dlt, (0.0, 0.1, 0.0, 0.0)), F.translate(dlt, (0.0, after, 0.0, 0.0)))
+    assert len(diff.terms) == 2
+    assert F.translate(diff, (0.0, 1.0, 0.0, 0.0)).is_zero
+
+
+def test_translate_restores_the_term_order(pair):
+    # (0.1, 0, 5) sorts before (0.1 + ulp, 0, 3); after a shift by 1 the first
+    # spatial components tie, and the order of the two atoms flips
+    _, dlt = pair
+    x = F.add(
+        F.translate(dlt, (0.0, 0.1, 0.0, 5.0)),
+        F.scale(2.0, F.translate(dlt, (0.0, math.nextafter(0.1, 1.0), 0.0, 3.0))),
+    )
+    moved = F.translate(x, (0.0, 1.0, 0.0, 0.0))
+    assert [a.offset for _, a in moved.terms] == [(0.0, 1.1, 0.0, 3.0), (0.0, 1.1, 0.0, 5.0)]
+    assert [c for c, _ in moved.terms] == [2.0, 1.0]
+    # sums of the moved vector merge its atoms pairwise
+    assert F.subtract(moved, moved).is_zero
+    assert [c for c, _ in F.add(moved, moved).terms] == [4.0, 2.0]
+
+
 def test_linear_structure(grid, pair):
     gam, dlt = pair
     assert F.add(gam, F.negate(gam)).is_zero
@@ -525,6 +561,29 @@ def test_pair_integral_memo_is_bounded_and_holds_floats(grid, monkeypatch):
     undecorated = F._pair_integral.__wrapped__
     assert undecorated(F.SIGMA, g, g, 3.0, grid) == 0.0
     assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0, grid) == 0.0
+
+
+@pytest.mark.parametrize("t", [0.7, -1.1, 3.0])
+def test_equal_time_kernels_vanish_without_a_rule(grid, monkeypatch, t):
+    # at equal time offsets sigma in equal channels and Re in unequal ones
+    # vanish identically; with unequal profiles the panel sum is rounding only
+    gauss, broad = F.Profile("gauss", width=1.0), F.Profile("gauss", width=1.3)
+    bump = F.Profile("bump", shape=RadialPolynomial((1.0, -2.0, 1.0), 1.0))
+    cases = [
+        (form, (pa, ca, t), (pb, cb, t), delta)
+        for pa, pb in ((gauss, broad), (gauss, bump), (bump, broad))
+        for form, channels in ((F.SIGMA, ("gg", "hh")), (F.RE, ("gh", "hg")))
+        for ca, cb in channels
+        for delta in (0.0, 0.3, 2.5)
+    ]
+    for form, ka, kb, delta in cases:
+        assert abs(F._panel_pair_integral(form, ka, kb, delta, grid)) <= 1e-15
+    x = F.translate(F.make_test_vector(grid, width=1.0, channel="g"), (t, 0.0, 0.0, 0.0))
+    y = F.translate(F.make_charge_vector(grid, width=1.3), (t, 0.3, 0.0, 0.0))
+    monkeypatch.setattr(F, "_radial_rule_for", None)
+    for form, ka, kb, delta in cases:
+        assert F._pair_integral.__wrapped__(form, ka, kb, delta, grid) == 0.0
+    assert F.symplectic(x, y) == 0.0
 
 
 CLOSED_FORM_DELTAS = (0.5, 1.5, 20.0, 150.0, 1280.0, 1.0e4, 8.0e4)

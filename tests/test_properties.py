@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import conebraid.category as C
 import conebraid.field as F
 import conebraid.seqalg as SA
+from conebraid.errors import UsageError
 from conebraid.weyl import star, weyl, weyl_mul
 
 COMMON = dict(derandomize=True, deadline=None)
@@ -130,6 +131,28 @@ def test_seqalg_quotient_laws(matrices_a, matrices_b):
     assert SA.equivalent(SA.seq_add(t, null), t, policy)
 
 
+@settings(max_examples=200, **COMMON)
+@given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=12))
+def test_subsequence_check_matches_all_pairs_scan(draws):
+    # the neighbour check raises exactly where a scan of every evaluated pair does
+    alg = SA.MatrixAlgebra(1)
+    base = SA.constant(alg, np.eye(1, dtype=complex))
+    images = {}
+    for n, m in draws:
+        images.setdefault(n, m)
+    sub = SA.subsequence(base, images.__getitem__)
+    accepted = {}
+    for n, _ in draws:
+        m = images[n]
+        broken = any((k < n and mk >= m) or (k > n and mk <= m) for k, mk in accepted.items())
+        if broken:
+            with pytest.raises(UsageError, match="not strictly increasing"):
+                sub.at(n)
+        else:
+            sub.at(n)
+            accepted[n] = m
+
+
 @settings(max_examples=40, **COMMON)
 @given(st.integers(1, 2000), st.integers(8, 40))
 def test_tail_policy_samples(window_start, sample_count):
@@ -150,3 +173,48 @@ def test_translation_composes(grid, px, t1, x1, y1, z1, t2, x2, y2, z2):
     once = F.translate(x, tuple(p + q for p, q in zip(a, b)))
     ref = F.symplectic(once, probe)
     assert abs(F.symplectic(twice, probe) - ref) <= 1e-10 * (1.0 + abs(ref))
+
+
+def _dict_and_sort(terms):
+    """Canonical terms by a dict merge and a sort: the reference for add's one-pass merge."""
+    merged = {}
+    for c, a in terms:
+        merged[a] = merged.get(a, 0.0) + c
+    kept = [(c, a) for a, c in merged.items() if c != 0.0]
+    return tuple(sorted(kept, key=lambda t: t[1].sort_key))
+
+
+def _bits(terms):
+    return [(c.hex(), math.copysign(1.0, c), a) for c, a in terms]
+
+
+# A few atoms and exactly opposite coefficients, so sums meet equal atoms and
+# cancel exactly; factors of 1e-30 underflow products of 1e-300 to +-0.0.
+merge_atoms = st.tuples(
+    st.sampled_from(["g", "h"]), st.sampled_from([1.0, 1.3]), st.sampled_from([0.0, 0.5]), st.sampled_from([0.0, -1.0])
+)
+merge_coeffs = st.sampled_from([1.0, -1.0, 0.5, -0.5, 3.0, 1e-300, -1e-300])
+merge_terms = st.lists(st.tuples(merge_coeffs, merge_atoms), max_size=5)
+merge_factors = st.sampled_from([1.0, -1.0, 2.0, 1e-30, -1e-30])
+
+
+def build_merge_vec(grid, terms):
+    out = F.zero_vector(grid)
+    for c, (chan, w, t, x) in terms:
+        v = F.make_test_vector(grid, amplitude=c, width=w, channel=chan)
+        out = F.add(out, F.translate(v, (t, x, 0.0, 0.0)))
+    return out
+
+
+@settings(max_examples=300, **COMMON)
+@given(merge_terms, merge_terms, merge_factors, merge_factors)
+def test_merged_sum_equals_dict_and_sort(grid, tx, ty, fx, fy):
+    x, y = build_merge_vec(grid, tx), build_merge_vec(grid, ty)
+    # scale drops the products that underflow, which the dict merge drops too
+    sx, sy = F.scale(fx, x), F.scale(fy, y)
+    assert _bits(sx.terms) == _bits(_dict_and_sort([(fx * c, a) for c, a in x.terms]))
+    assert _bits(sy.terms) == _bits(_dict_and_sort([(fy * c, a) for c, a in y.terms]))
+    for u, v in ((sx, sy), (sx, F.negate(sx)), (sx, F.negate(F.add(sx, sy)))):
+        total = F.add(u, v)
+        assert _bits(total.terms) == _bits(_dict_and_sort(u.terms + v.terms))
+        assert total.is_zero == (not total.terms)

@@ -90,6 +90,26 @@ def test_subsequence_monotonicity(alg, policy, mats):
         SA.subsequence(c, lambda n: 0).at(1)
 
 
+def test_subsequence_violation_between_distant_evaluations(alg, mats):
+    # 9 maps below the images of 2 and 5, and neither was evaluated just
+    # before 9; the check sees it through 9's sorted neighbour 5
+    a, _, _ = mats
+    c = SA.constant(alg, a)
+    images = {2: 50, 20: 200, 5: 60, 12: 120, 9: 40}
+    sub = SA.subsequence(c, images.__getitem__)
+    for n in (2, 20, 5, 12):
+        sub.at(n)
+    with pytest.raises(UsageError, match="not strictly increasing"):
+        sub.at(9)
+    # 3 maps above the image of its right neighbour 5, evaluated earlier
+    images[3] = 70
+    with pytest.raises(UsageError, match="not strictly increasing"):
+        sub.at(3)
+    # evaluated indices keep their images, and a consistent index still evaluates
+    images[9] = 100
+    assert np.allclose(sub.at(9), a) and np.allclose(sub.at(5), a)
+
+
 def test_subsequence_stability_of_equivalence(alg, policy, mats):
     a, _, p = mats
     drift = SA.SequenceElement(alg, lambda n: a + 0.5**n * p, alg.norm(a) + 1.0)

@@ -69,16 +69,25 @@ def test_product_associative_and_star_antimultiplicative(grid, pair):
         assert abs(s1.coeff_of(x) - s2.coeff_of(x)) < 1e-12
 
 
-def test_label_merging_and_quantization(grid, pair):
+def test_label_identity_is_exact(grid, pair):
     _, dlt = pair
+    # 0.1 + 0.2 rounds to 0.30000000000000004, so the two routes give one offset
     jitter = F.translate(F.translate(dlt, (0.0, 0.1, 0.0, 0.0)), (0.0, 0.2, 0.0, 0.0))
     direct = F.translate(dlt, (0.0, 0.30000000000000004, 0.0, 0.0))
     assert W.label_id(jitter) == W.label_id(direct)
     summed = W.weyl_add(W.weyl(jitter, 1.0), W.weyl(direct, -1.0))
     assert summed.is_zero
-    # distinct offsets above the quantization scale stay separate
+    # offsets and coefficients one ulp apart are distinct labels
+    ulp = F.translate(dlt, (0.0, math.nextafter(0.30000000000000004, 1.0), 0.0, 0.0))
+    assert W.label_id(ulp) != W.label_id(direct)
+    assert len(W.weyl_add(W.weyl(ulp, 1.0), W.weyl(direct, -1.0)).terms) == 2
+    assert W.label_id(F.scale(math.nextafter(1.0, 2.0), direct)) != W.label_id(direct)
     other = F.translate(dlt, (0.0, 0.3001, 0.0, 0.0))
     assert W.label_id(other) != W.label_id(direct)
+    # coeff_of reads the coefficient of an equal label, built separately
+    element = W.weyl_add(W.weyl(direct, 2.0j), W.weyl(ulp, -1.0))
+    assert element.coeff_of(jitter) == 2.0j and element.coeff_of(ulp) == -1.0
+    assert element.coeff_of(other) == 0.0
 
 
 def test_conjugation_by_generator_rephases(grid, pair):
