@@ -17,7 +17,7 @@ import numpy as np
 
 import conebraid.category as C
 from conebraid.config import load_config
-from conebraid.suites import RunContext
+from conebraid.suites import TRANSPORTER_OFFSET, RunContext
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -28,7 +28,7 @@ def sweep(ctx: RunContext, radii) -> list[tuple]:
     gamma, delta = (ctx.objects[n] for n in list(ctx.objects)[:2])
     cone_u = ctx.cone
     cone_v = ctx.cone.opposite()
-    off = ctx.config.transporter_offset
+    off = TRANSPORTER_OFFSET
     shift_u = (0.0,) + tuple(off * a for a in cone_u.axis)
     shift_v = (0.0,) + tuple(off * a for a in cone_v.axis)
     r = C.hom_basis(gamma, C.translate_object(gamma, shift_u))

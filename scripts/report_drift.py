@@ -4,9 +4,13 @@
 
 Rows are matched on (check_id, charge_pair, cone_id, radius).  The script
 prints the largest |difference| of value_re, value_im and residual over the
-matched rows, and every row whose pass/fail verdict flipped.  It exits 1 on
-a flip, on rows present in only one report, or on a drift above BUDGET (the
-1e-12 a change may move any reported number by), and 0 otherwise.
+matched rows, every row whose threshold moved, and every row whose pass/fail
+verdict flipped.  It exits 1 on a flip, on a moved threshold (thresholds are
+compared exactly), on rows present in only one report, or on a drift above
+BUDGET (the 1e-12 a change may move any reported number by), and 0
+otherwise.  It also prints which metadata keys differ (a config digest
+moves whenever the config file changes); that line does not change the exit
+code.
 """
 
 import argparse
@@ -17,10 +21,11 @@ BUDGET = 1e-12
 FIELDS = ("value_re", "value_im", "residual")
 
 
-def _rows(path: str) -> dict:
+def _load(path: str) -> tuple[dict, dict]:
     with open(path) as fh:
-        rows = json.load(fh)["rows"]
-    return {(r["check_id"], r["charge_pair"], r["cone_id"], r["radius"]): r for r in rows}
+        report = json.load(fh)
+    rows = {(r["check_id"], r["charge_pair"], r["cone_id"], r["radius"]): r for r in report["rows"]}
+    return report["metadata"], rows
 
 
 def _delta(a: float, b: float) -> float:
@@ -36,7 +41,9 @@ def main(argv=None) -> int:
     parser.add_argument("new", help="report JSON after the change")
     args = parser.parse_args(argv)
 
-    old, new = _rows(args.old), _rows(args.new)
+    (old_meta, old), (new_meta, new) = _load(args.old), _load(args.new)
+    changed = sorted(k for k in old_meta.keys() | new_meta.keys() if old_meta.get(k) != new_meta.get(k))
+    print(f"metadata keys changed: {', '.join(changed) or 'none'}")
     unmatched = sorted(set(old) ^ set(new), key=repr)
     for key in unmatched:
         print(f"row only in {'old' if key in old else 'new'}: {key}")
@@ -44,15 +51,18 @@ def main(argv=None) -> int:
     worst = {f: max((_delta(old[k][f], new[k][f]) for k in shared), default=0.0) for f in FIELDS}
     for f in FIELDS:
         print(f"max |delta {f}| = {worst[f]:.3e}")
+    moved = [key for key in shared if old[key]["threshold"] != new[key]["threshold"]]
+    for key in moved:
+        print(f"threshold moved: {key} {old[key]['threshold']!r} -> {new[key]['threshold']!r}")
     flips = [key for key in shared if old[key]["pass"] != new[key]["pass"]]
     for key in flips:
         print(f"verdict flip: {key} {old[key]['pass']} -> {new[key]['pass']}")
     drifted = max(worst.values()) > BUDGET
     print(
-        f"{len(shared)} rows compared, {len(unmatched)} unmatched, {len(flips)} flipped, "
-        f"drift {'above' if drifted else 'within'} {BUDGET:g}"
+        f"{len(shared)} rows compared, {len(unmatched)} unmatched, {len(moved)} thresholds moved, "
+        f"{len(flips)} flipped, drift {'above' if drifted else 'within'} {BUDGET:g}"
     )
-    return 1 if unmatched or flips or drifted else 0
+    return 1 if unmatched or moved or flips or drifted else 0
 
 
 if __name__ == "__main__":

@@ -261,15 +261,13 @@ def braiding_exact(a: ChargeAutomorphism, b: ChargeAutomorphism) -> Intertwiner:
 
 @dataclass(frozen=True)
 class BraidingRun:
-    """Transported exchange phases at each radius.
-
-    ``limit_estimate`` is the phase at the largest radius, not an
-    extrapolated limit; the true limit is approached like c/R.
+    """Transported exchange phases at each radius, and the closed-form
+    phases exp(i(sigma(a, v) - sigma(b_far, u))) each was checked against.
     """
 
     radii: tuple[float, ...]
     phases: tuple[complex, ...]
-    limit_estimate: complex
+    closed: tuple[complex, ...]
 
 
 def braiding_asymptotic(
@@ -285,13 +283,13 @@ def braiding_asymptotic(
     to the exact antipode; the exchange is evaluated through star, tensor,
     and composition of the transport arrows.  Passing an rng re-draws the
     free phase of every transporter; the result is invariant because each
-    transporter meets its own star.  The run's ``limit_estimate`` is the
-    phase at the largest radius; the limit phase is approached like c/R.
+    transporter meets its own star.  Each phase must match its closed form
+    to 1e-12.  The limit phase is approached like c/R.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise UsageError("radii must be strictly increasing with at least 3 entries")
-    phases = []
+    phases, closed_phases = [], []
     for radius in radii:
         ta = cone.translation(radius)
         tb = tuple(-c for c in ta)
@@ -317,7 +315,8 @@ def braiding_asymptotic(
                 f"categorical braiding phase deviates from closed form by {abs(eps.coeff - closed)}"
             )
         phases.append(complex(eps.coeff))
-    return BraidingRun(radii=tuple(radii), phases=tuple(phases), limit_estimate=phases[-1])
+        closed_phases.append(complex(closed))
+    return BraidingRun(radii=tuple(radii), phases=tuple(phases), closed=tuple(closed_phases))
 
 
 def cone_homotopy(
@@ -328,8 +327,8 @@ def cone_homotopy(
 ) -> list[complex]:
     """Braiding phase at the largest radius for each cone along a chain of overlapping cones.
 
-    Each value is the run's ``limit_estimate``, not the limit itself; the
-    limit phase is approached like c/R.
+    Each value is the phase at the largest radius, not the limit itself;
+    the limit phase is approached like c/R.
 
     Consecutive cones must overlap (axis angle below the sum of the half
     angles) so the chain is a genuine path of admissible directions.
@@ -343,7 +342,7 @@ def cone_homotopy(
                 "consecutive cones do not overlap: axis angle "
                 f"{first.axis_angle_to(second):.4f} exceeds {first.half_angle + second.half_angle:.4f}"
             )
-    return [braiding_asymptotic(a, b, cone, radii).limit_estimate for cone in chain]
+    return [braiding_asymptotic(a, b, cone, radii).phases[-1] for cone in chain]
 
 
 def implementation_residual(obj: ChargeAutomorphism, a, f: FieldVector) -> float:

@@ -1,13 +1,17 @@
 """Run configuration: a single JSON file with every physical parameter explicit.
 
+A config carries only what a workload varies: the charges, the cone, the
+radii, the momentum cutoff r_max, the seed and the output directory.  The
+check policy is fixed in ``suites``, so no config can move a threshold.
+
 The dialect is plain JSON with a fixed key tree; serialization is canonical
 (sorted keys, two-space indent, trailing newline), so parse -> dump is
 idempotent and the config digest is reproducible.  Defaults reproduce the
 reference experiment: the unit Gaussian charge pair, a 30 degree cone along
-z, radii 10..40, the (64, 26, 10) momentum grid, and the default tail
-policy.  Unknown keys are rejected rather than ignored, and every value is
-checked against its field's type: numbers must be finite and are never
-booleans, and fixed-length tuples such as the cone axis must have that length.
+z, radii 10..40 and r_max = 10.  Unknown keys, check-policy keys among
+them, are rejected rather than ignored, and every value is checked against
+its field's type: numbers must be finite and are never booleans, and
+fixed-length tuples such as the cone axis must have that length.
 """
 
 from __future__ import annotations
@@ -23,12 +27,6 @@ from .errors import ConfigError
 
 _PROFILE_KINDS = ("gaussian-momentum", "bump-position")
 _BUMP_SHAPES = ("indicator", "smooth")
-# Size caps: the n_radial Gauss-Legendre build is a dense O(n^3) eigensolve
-# (about 1.2 s at the cap), and law samples and homotopy steps scale the run
-# linearly.
-N_RADIAL_MAX = 2048
-LAW_SAMPLES_MAX = 10_000
-HOMOTOPY_STEPS_MAX = 64
 # Length-scale bounds for s, support_radius and r_max: past them float powers
 # overflow (s ** 2, support_radius ** 3), or every sigma and charge underflows
 # to zero and the braiding rows pass trivially.  A Gaussian charge also needs
@@ -40,8 +38,6 @@ GAUSS_CUTOFF_MIN = math.sqrt(40.0)
 
 @dataclass(frozen=True)
 class GridCfg:
-    n_radial: int = 64
-    n_angular: int = 26
     r_max: float = 10.0
 
 
@@ -65,29 +61,6 @@ class ConeCfg:
 
 
 @dataclass(frozen=True)
-class HomotopyCfg:
-    steps: int = 6
-    step_deg: float = 30.0
-
-
-@dataclass(frozen=True)
-class TailCfg:
-    window_start: int = 32
-    sample_count: int = 16
-    tolerance: float = 1e-6
-
-
-@dataclass(frozen=True)
-class ThresholdCfg:
-    laws: float = 1e-12
-    gram: float = 1e-10
-    braiding: float = 1e-3
-    homotopy: float = 1e-3
-    decay: float = 1e-2
-    extension: float = 1e-2
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: GridCfg = field(default_factory=GridCfg)
     charges: tuple[ChargeCfg, ...] = (
@@ -95,12 +68,7 @@ class RunConfig:
         ChargeCfg(name="delta", profile="gaussian-momentum", channel="h", q=1.0, s=1.0),
     )
     cone: ConeCfg = field(default_factory=ConeCfg)
-    homotopy: HomotopyCfg = field(default_factory=HomotopyCfg)
     radii: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0)
-    transporter_offset: float = 2.0
-    tail_policy: TailCfg = field(default_factory=TailCfg)
-    thresholds: ThresholdCfg = field(default_factory=ThresholdCfg)
-    law_samples: int = 100
     seed: int = 0
     out_dir: str = "out"
 
@@ -144,19 +112,6 @@ class RunConfig:
                 )
         if not (0.0 < self.half_angle_rad() < math.pi / 2.0):
             raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
-        for name, value in asdict(self.thresholds).items():
-            if value <= 0:
-                raise ConfigError(f"threshold {name!r} must be positive")
-        if self.transporter_offset <= 0:
-            raise ConfigError("transporter_offset must be positive")
-        if self.grid.n_radial > N_RADIAL_MAX:
-            raise ConfigError(f"grid n_radial must be at most {N_RADIAL_MAX}, got {self.grid.n_radial}")
-        if not 1 <= self.law_samples <= LAW_SAMPLES_MAX:
-            raise ConfigError(f"law_samples must lie in [1, {LAW_SAMPLES_MAX}], got {self.law_samples}")
-        if self.homotopy.steps < 1 or self.homotopy.step_deg <= 0:
-            raise ConfigError("homotopy chain needs at least one positive step")
-        if self.homotopy.steps > HOMOTOPY_STEPS_MAX:
-            raise ConfigError(f"homotopy steps must be at most {HOMOTOPY_STEPS_MAX}, got {self.homotopy.steps}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self

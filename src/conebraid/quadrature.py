@@ -3,8 +3,8 @@
 Momentum integrals of radial kernels run over (0, r_max] on composite
 Gauss-Legendre panel rules; the origin is never a node, so integrands with
 integrable |p|^-k singularities can be evaluated directly.  A MomentumGrid
-carries r_max and a checksum of the radial and angular rules its parameters
-name.  A panel rule provides radial Fourier transforms of compactly supported
+carries r_max and a checksum of a fixed radial and angular rule scaled to
+it.  A panel rule provides radial Fourier transforms of compactly supported
 position profiles; an even polynomial profile (``RadialPolynomial``) takes a
 closed form instead.
 
@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._angular import SUPPORTED_ORDERS, angular_rule
+from ._angular import angular_rule
 from .errors import ConfigError, UsageError
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
@@ -37,6 +37,10 @@ FOURIER_BLOCK = 128
 _SERIES_MAX_X = 4.0
 _SERIES_TERMS = 30
 _MAX_POLY_TERMS = 4
+# The rules a grid checksum hashes: no reported number uses them, and the
+# checksum of every report depends on these two sizes.
+CHECKSUM_RADIAL_NODES = 64
+CHECKSUM_ANGULAR_POINTS = 26
 
 
 @lru_cache(maxsize=256)
@@ -79,52 +83,28 @@ class MomentumGrid:
 
     Attributes
     ----------
-    n_radial, n_angular, r_max : grid parameters as requested; only r_max
-        enters a bilinear form, as the radial cutoff.
-    checksum : short hex digest of the radial Gauss-Legendre rule on
-        (0, r_max] and the angular rule that the parameters name.
+    r_max : the radial cutoff, the one grid parameter that enters a
+        bilinear form.
+    checksum : short hex digest of the CHECKSUM_RADIAL_NODES-node
+        Gauss-Legendre rule on (0, r_max] and the CHECKSUM_ANGULAR_POINTS
+        angular design.
     """
 
-    n_radial: int
-    n_angular: int
     r_max: float
     checksum: str
 
 
-def build_grid(n_radial: int, n_angular: int, r_max: float) -> MomentumGrid:
-    """Build the momentum-space grid.
-
-    Parameters
-    ----------
-    n_radial : int
-        Number of radial Gauss-Legendre nodes, at least 4.
-    n_angular : int
-        Size of the angular rule; must name a supported inversion-symmetric
-        design (see ``conebraid._angular.SUPPORTED_ORDERS``).
-    r_max : float
-        Radial cutoff; nodes lie strictly inside (0, r_max).
-    """
-    if n_radial < 4:
-        raise ConfigError(f"n_radial must be >= 4, got {n_radial}")
+def build_grid(r_max: float) -> MomentumGrid:
+    """Build the momentum-space grid with radial cutoff r_max > 0."""
     if not np.isfinite(r_max) or r_max <= 0.0:
         raise ConfigError(f"r_max must be positive and finite, got {r_max}")
-    if n_angular not in SUPPORTED_ORDERS:
-        raise ConfigError(
-            f"n_angular={n_angular} is not a supported angular rule size "
-            f"{SUPPORTED_ORDERS}"
-        )
-    unit_nodes, unit_weights = gauss_legendre_unit(n_radial)
-    ang_nodes, ang_weights = angular_rule(n_angular)
+    unit_nodes, unit_weights = gauss_legendre_unit(CHECKSUM_RADIAL_NODES)
+    ang_nodes, ang_weights = angular_rule(CHECKSUM_ANGULAR_POINTS)
 
     digest = hashlib.sha256()
     for arr in (r_max * unit_nodes, r_max * unit_weights, ang_nodes, ang_weights):
         digest.update(np.ascontiguousarray(arr).tobytes())
-    return MomentumGrid(
-        n_radial=n_radial,
-        n_angular=n_angular,
-        r_max=float(r_max),
-        checksum=digest.hexdigest()[:16],
-    )
+    return MomentumGrid(r_max=float(r_max), checksum=digest.hexdigest()[:16])
 
 
 @dataclass(frozen=True)

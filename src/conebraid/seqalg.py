@@ -49,12 +49,6 @@ class MatrixAlgebra:
     def zero(self):
         return np.zeros((self.dim, self.dim), dtype=complex)
 
-    def coerce(self, a):
-        a = np.asarray(a, dtype=complex)
-        if a.shape != (self.dim, self.dim):
-            raise UsageError(f"expected a {self.dim}x{self.dim} matrix, got shape {a.shape}")
-        return a
-
     def add(self, a, b):
         return a + b
 

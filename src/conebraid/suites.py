@@ -6,6 +6,9 @@ empty.  Row counts are computed up front from config shape alone, so the
 plan can be printed before any numerics run and asserted afterwards.  All
 randomness flows from the configured seed, which keeps emitted reports
 byte stable.
+
+The check policy (thresholds, sample counts, the homotopy chain) is fixed
+here, so a config can change what is checked but never how strictly.
 """
 
 from __future__ import annotations
@@ -25,6 +28,19 @@ from .report import CheckRow, Report
 from .weyl import gram_matrix, weyl, weyl_mul
 
 SUITE_NAMES = ("laws", "braiding", "homotopy", "decay", "seqalg", "all")
+
+# Row thresholds: identities and Gram positivity hold to rounding, and the
+# limit claims are judged against the exact braiding phase or zero.
+LAWS_THRESHOLD = 1e-12
+GRAM_THRESHOLD = 1e-10
+BRAIDING_THRESHOLD = 1e-3
+HOMOTOPY_THRESHOLD = 1e-3
+DECAY_THRESHOLD = 1e-2
+EXTENSION_THRESHOLD = 1e-2
+LAW_SAMPLES = 100  # random object triples; each law row is the worst over them
+HOMOTOPY_STEPS = 6  # cones rotated from the configured one, in a fixed plane
+HOMOTOPY_STEP_DEG = 30.0
+TRANSPORTER_OFFSET = 2.0  # decay transporters' shift along each cone axis
 
 _LAW_CHECKS = (
     "laws/hexagon_left",
@@ -87,7 +103,7 @@ class RunContext:
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.grid = build_grid(config.grid.n_radial, config.grid.n_angular, config.grid.r_max)
+        self.grid = build_grid(config.grid.r_max)
         self.vectors = {c.name: vector_from_charge_cfg(self.grid, c) for c in config.charges}
         self.objects = {
             name: cat.make_object(vec, name=name) for name, vec in self.vectors.items()
@@ -111,9 +127,9 @@ class RunContext:
             probe = np.array([0.0, 1.0, 0.0])
         ortho = probe - float(np.dot(probe, axis0)) * axis0
         ortho /= np.linalg.norm(ortho)
-        step = math.radians(self.config.homotopy.step_deg)
+        step = math.radians(HOMOTOPY_STEP_DEG)
         chain = []
-        for k in range(self.config.homotopy.steps + 1):
+        for k in range(HOMOTOPY_STEPS + 1):
             ax = math.cos(k * step) * axis0 + math.sin(k * step) * ortho
             chain.append(
                 cat.ConeSpec(
@@ -125,10 +141,6 @@ class RunContext:
             )
         return chain
 
-    def tail_policy(self) -> sa.TailPolicy:
-        tp = self.config.tail_policy
-        return sa.TailPolicy(tp.window_start, tp.sample_count, tp.tolerance)
-
 
 def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     """(label, row count) per sub-suite, computable without running numerics."""
@@ -137,7 +149,7 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     n_charges = len(config.charges)
     n_pairs = n_charges * (n_charges - 1) // 2
     n_radii = len(config.radii)
-    n_cones = config.homotopy.steps + 1
+    n_cones = HOMOTOPY_STEPS + 1
     counts = {
         "laws": len(_LAW_CHECKS),
         "braiding": len(_BRAIDING_CHECKS) * n_radii * n_pairs,
@@ -207,13 +219,12 @@ def _coeff_distance(u, v, label: fld.FieldVector) -> float:
 
 
 def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
-    thr = ctx.config.thresholds
     worst = {check: 0.0 for check in _LAW_CHECKS}
 
     def bump(check: str, value: float) -> None:
         worst[check] = max(worst[check], float(value))
 
-    for _ in range(ctx.config.law_samples):
+    for _ in range(LAW_SAMPLES):
         a_obj = _random_object(ctx, rng)
         b_obj = _random_object(ctx, rng)
         c_obj = _random_object(ctx, rng)
@@ -289,14 +300,13 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     rows = []
     for check in _LAW_CHECKS:
         if check == "laws/gram_psd":
-            rows.append(_row(check, "", "", None, min_eig, max(0.0, -min_eig), thr.gram))
+            rows.append(_row(check, "", "", None, min_eig, max(0.0, -min_eig), GRAM_THRESHOLD))
         else:
-            rows.append(_row(check, "", "", None, worst[check], worst[check], thr.laws))
+            rows.append(_row(check, "", "", None, worst[check], worst[check], LAWS_THRESHOLD))
     return rows
 
 
 def run_braiding(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
-    thr = ctx.config.thresholds
     radii = ctx.config.radii
     rows = []
     for name_a, name_b in ctx.charge_pairs():
@@ -305,20 +315,9 @@ def run_braiding(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
         exact = cat.braiding_exact(a_obj, b_obj).coeff
         plain = cat.braiding_asymptotic(a_obj, b_obj, ctx.cone, radii)
         redrawn = cat.braiding_asymptotic(a_obj, b_obj, ctx.cone, radii, rng=rng)
-        for radius, phase, phase_r in zip(radii, plain.phases, redrawn.phases):
-            ta = ctx.cone.translation(radius)
-            tb = tuple(-c for c in ta)
-            u_lab = fld.intertwiner_label(a_obj.data, fld.translate(a_obj.data, ta))
-            v_lab = fld.intertwiner_label(b_obj.data, fld.translate(b_obj.data, tb))
-            closed = np.exp(
-                1j
-                * (
-                    fld.symplectic(a_obj.data, v_lab)
-                    - fld.symplectic(fld.translate(b_obj.data, tb), u_lab)
-                )
-            )
+        for radius, phase, closed, phase_r in zip(radii, plain.phases, plain.closed, redrawn.phases):
             rows.append(
-                _row("braiding/limit_vs_exact", pair, "", radius, phase, abs(phase - exact), thr.braiding)
+                _row("braiding/limit_vs_exact", pair, "", radius, phase, abs(phase - exact), BRAIDING_THRESHOLD)
             )
             rows.append(
                 _row(
@@ -328,7 +327,7 @@ def run_braiding(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
                     radius,
                     phase - closed,
                     abs(phase - closed),
-                    thr.laws,
+                    LAWS_THRESHOLD,
                 )
             )
             rows.append(
@@ -339,14 +338,13 @@ def run_braiding(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
                     radius,
                     phase - phase_r,
                     abs(phase - phase_r),
-                    thr.laws,
+                    LAWS_THRESHOLD,
                 )
             )
     return rows
 
 
 def run_homotopy(ctx: RunContext) -> list[CheckRow]:
-    thr = ctx.config.thresholds
     radii = ctx.config.radii
     chain = ctx.homotopy_chain()
     rows = []
@@ -364,7 +362,7 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
                     radii[-1],
                     limit,
                     abs(limit - exact),
-                    thr.homotopy,
+                    HOMOTOPY_THRESHOLD,
                 )
             )
         spread = max(
@@ -372,18 +370,16 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
             default=0.0,
         )
         rows.append(
-            _row("homotopy/mutual_spread", pair, "", radii[-1], spread, spread, thr.homotopy)
+            _row("homotopy/mutual_spread", pair, "", radii[-1], spread, spread, HOMOTOPY_THRESHOLD)
         )
     return rows
 
 
 def run_decay(ctx: RunContext) -> list[CheckRow]:
-    thr = ctx.config.thresholds
-    off = ctx.config.transporter_offset
     cone_u = ctx.cone
     cone_v = ctx.cone.opposite()
-    shift_u = (0.0,) + tuple(off * c for c in cone_u.axis)
-    shift_v = (0.0,) + tuple(off * c for c in cone_v.axis)
+    shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_u.axis)
+    shift_v = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_v.axis)
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
@@ -394,25 +390,24 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
         for radius in ctx.config.radii:
             ta = cone_u.translation(radius)
             impl = cat.implementation_residual(a_obj, ta, b_obj.data)
-            rows.append(_row("decay/implementation", pair, "", radius, impl, impl, thr.decay))
+            rows.append(_row("decay/implementation", pair, "", radius, impl, impl, DECAY_THRESHOLD))
             impl_t = cat.implementation_residual(a_obj, ta, s.label)
             rows.append(
-                _row("decay/implementation_transported", pair, "", radius, impl_t, impl_t, thr.decay)
+                _row("decay/implementation_transported", pair, "", radius, impl_t, impl_t, DECAY_THRESHOLD)
             )
             x_far = cat.transported_arrow(r, cone_u, radius).label
             y_far = cat.transported_arrow(s, cone_v, radius).label
             abel = cat.abelianness_residual(x_far, y_far)
-            rows.append(_row("decay/abelianness", pair, "", radius, abel, abel, thr.decay))
+            rows.append(_row("decay/abelianness", pair, "", radius, abel, abel, DECAY_THRESHOLD))
             tens = cat.tensor_abelianness_residual(r, s, cone_u, cone_v, radius)
-            rows.append(_row("decay/tensor_ordering", pair, "", radius, tens, tens, thr.decay))
+            rows.append(_row("decay/tensor_ordering", pair, "", radius, tens, tens, DECAY_THRESHOLD))
             ext = cat.extension_residual(a_obj, s_plus, cone_u, cone_v, radius)
-            rows.append(_row("decay/extension", pair, "", radius, ext, ext, thr.extension))
+            rows.append(_row("decay/extension", pair, "", radius, ext, ext, EXTENSION_THRESHOLD))
     return rows
 
 
 def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
-    thr = ctx.config.thresholds
-    policy = ctx.tail_policy()
+    policy = sa.TailPolicy()
     alg = sa.MatrixAlgebra(2)
     eye = np.eye(2, dtype=complex)
 
@@ -425,7 +420,7 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     drift = sa.SequenceElement(alg, lambda n: q + 0.5**n * p, 2.0)
     unit = sa.polar_unitarize(drift, policy)
     defect = max(alg.unitarity_defect(unit.at(n)) for n in policy.samples())
-    rows.append(_row("seqalg/polar_unitarity", "", "", None, defect, defect, thr.laws))
+    rows.append(_row("seqalg/polar_unitarity", "", "", None, defect, defect, LAWS_THRESHOLD))
 
     dist = sa.limsup_norm(sa.seq_sub(unit, drift), policy)
     rows.append(_row("seqalg/polar_null_distance", "", "", None, dist, dist, policy.tolerance))
@@ -433,7 +428,7 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     gappy = sa.SequenceElement(alg, lambda n: np.zeros((2, 2), dtype=complex) if n < 8 else q, 1.0)
     fallback = sa.polar_unitarize(gappy, policy)
     fb_res = alg.norm(fallback.at(5) - eye)
-    rows.append(_row("seqalg/polar_singular_fallback", "", "", None, fb_res, fb_res, thr.laws))
+    rows.append(_row("seqalg/polar_singular_fallback", "", "", None, fb_res, fb_res, LAWS_THRESHOLD))
 
     member = lambda t, pol: sa.equivalent(t, sa.constant(alg, q), pol)
     ok, n_maps = sa.stability_probe(drift, member, policy, rng)
@@ -467,7 +462,7 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     cen_res = max(
         alg.norm(sa.adjoint_morphism(center, a_val).at(n) - a_val) for n in policy.samples()
     )
-    rows.append(_row("seqalg/adjoint_center", "", "", None, cen_res, cen_res, thr.laws))
+    rows.append(_row("seqalg/adjoint_center", "", "", None, cen_res, cen_res, LAWS_THRESHOLD))
 
     rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     u_alt = sa.SequenceElement(alg, lambda n: q if n % 2 == 0 else rot @ q, 1.0)

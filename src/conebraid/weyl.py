@@ -90,10 +90,6 @@ def weyl_add(a: WeylElement, b: WeylElement) -> WeylElement:
     return _canonical(a.grid, list(a.terms) + list(b.terms))
 
 
-def weyl_scale(c: complex, a: WeylElement) -> WeylElement:
-    return _canonical(a.grid, [(c * ca, x) for ca, x in a.terms])
-
-
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     _same_grid(a, b)
     items = []

@@ -5,9 +5,9 @@ from conebraid.quadrature import build_grid
 
 @pytest.fixture(scope="session")
 def grid():
-    return build_grid(64, 26, 10.0)
+    return build_grid(10.0)
 
 
 @pytest.fixture(scope="session")
-def grid146():
-    return build_grid(96, 146, 12.0)
+def grid12():
+    return build_grid(12.0)

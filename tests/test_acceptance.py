@@ -29,7 +29,7 @@ import conebraid.category as C
 import conebraid.field as F
 import conebraid.seqalg as SA
 from conebraid.config import load_config
-from conebraid.suites import RunContext, run_suite
+from conebraid.suites import LAW_SAMPLES, TRANSPORTER_OFFSET, RunContext, run_suite
 from conebraid.weyl import commutator_norm, gram_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -178,11 +178,11 @@ def test_criterion_05_coherence_suite(ctx):
     report = run_suite(ctx.config, "laws", seed=0)
     identity_rows = [r for r in report.rows if r.check_id != "laws/gram_psd"]
     worst = max(r.residual for r in identity_rows)
-    ok = ctx.config.law_samples >= 100 and worst <= 1e-12
+    ok = LAW_SAMPLES >= 100 and worst <= 1e-12
     verdict(
         5,
         ok,
-        f"max identity residual {worst:.3e} over {ctx.config.law_samples} seeded samples",
+        f"max identity residual {worst:.3e} over {LAW_SAMPLES} seeded samples",
     )
 
 
@@ -190,7 +190,7 @@ def _decay_triple(ctx, pair, radius):
     gamma, delta = pair
     cone_u = ctx.cone
     cone_v = ctx.cone.opposite()
-    off = ctx.config.transporter_offset
+    off = TRANSPORTER_OFFSET
     shift_u = (0.0,) + tuple(off * a for a in cone_u.axis)
     shift_v = (0.0,) + tuple(off * a for a in cone_v.axis)
     r = C.hom_basis(gamma, C.translate_object(gamma, shift_u))
@@ -230,7 +230,7 @@ def test_criterion_06_localization_decay(ctx, pair):
 
 def test_criterion_07_extension_independence(ctx, pair):
     gamma, delta = pair
-    off = ctx.config.transporter_offset
+    off = TRANSPORTER_OFFSET
     shift = (0.0,) + tuple(off * a for a in ctx.cone.axis)
     s_plus = C.hom_basis(delta, C.translate_object(delta, shift))
     res = C.extension_residual(gamma, s_plus, ctx.cone, ctx.cone.opposite(), 40.0)

@@ -111,10 +111,10 @@ def test_braiding_asymptotic_matches_closed_form(objs):
     radii = [10.0, 20.0, 30.0, 40.0]
     run = C.braiding_asymptotic(gam, dlt, cone, radii)
     sig = 1.0 / math.sqrt(2.0)
-    for radius, phase in zip(run.radii, run.phases):
+    for radius, phase, closed in zip(run.radii, run.phases, run.closed):
         pred = np.exp(1j * (-sig + closed_form(2.0 * radius)))
         assert abs(phase - pred) < 1e-12
-    assert run.limit_estimate == run.phases[-1]
+        assert abs(closed - pred) < 1e-12
     resid = [abs(p - np.exp(-1j * sig)) for p in run.phases]
     assert all(b < a for a, b in zip(resid, resid[1:]))
     # finite-radius deviation is the Coulomb tail F(2R); frozen at R = 40

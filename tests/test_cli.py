@@ -13,11 +13,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conebraid.cli import main
-from conebraid.config import RunConfig, config_from_dict, load_config
+from conebraid import suites
+from conebraid.config import GridCfg, RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
+from conebraid.seqalg import TailPolicy
 from conebraid.suites import planned_rows, run_suite, vector_from_charge_cfg
-from conebraid.quadrature import build_grid
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -36,12 +37,29 @@ def test_config_roundtrip_idempotent():
 
 def test_config_defaults_match_reference():
     cfg = RunConfig().validate()
-    assert (cfg.grid.n_radial, cfg.grid.n_angular, cfg.grid.r_max) == (64, 26, 10.0)
+    assert cfg.grid == GridCfg(r_max=10.0)
     assert cfg.radii == (10.0, 20.0, 30.0, 40.0)
     assert math.isclose(cfg.half_angle_rad(), math.radians(30.0))
-    tp = cfg.tail_policy
+    assert cfg.seed == 0
+    # a config carries only what a workload varies; the check policy is not config
+    assert set(cfg.to_dict()) == {"grid", "charges", "cone", "radii", "seed", "out_dir"}
+
+
+def test_check_policy_is_fixed_in_suites():
+    # the values the removed config keys shipped with; moving one changes
+    # the meaning of every report row that uses it
+    assert (
+        suites.LAWS_THRESHOLD,
+        suites.GRAM_THRESHOLD,
+        suites.BRAIDING_THRESHOLD,
+        suites.HOMOTOPY_THRESHOLD,
+        suites.DECAY_THRESHOLD,
+        suites.EXTENSION_THRESHOLD,
+    ) == (1e-12, 1e-10, 1e-3, 1e-3, 1e-2, 1e-2)
+    assert (suites.LAW_SAMPLES, suites.HOMOTOPY_STEPS, suites.HOMOTOPY_STEP_DEG) == (100, 6, 30.0)
+    assert suites.TRANSPORTER_OFFSET == 2.0
+    tp = TailPolicy()
     assert (tp.window_start, tp.sample_count, tp.tolerance) == (32, 16, 1e-6)
-    assert cfg.seed == 0 and cfg.law_samples == 100
 
 
 @pytest.mark.parametrize(
@@ -50,26 +68,26 @@ def test_config_defaults_match_reference():
         lambda d: d["charges"].append(dict(d["charges"][0])),  # duplicate name
         lambda d: d.__setitem__("radii", [10.0, 10.0, 20.0]),
         lambda d: d.__setitem__("radii", [10.0, 20.0]),
-        lambda d: d["thresholds"].__setitem__("laws", -1.0),
+        lambda d: d["cone"].__setitem__("time_slope", -1.0),
         lambda d: d.__setitem__("unknown_key", 1),
         lambda d: d["charges"][0].__setitem__("channel", "x"),
-        lambda d: d.__setitem__("law_samples", 0),
+        lambda d: d["grid"].__setitem__("r_max", 0.0),
         lambda d: d.__setitem__("charges", d["charges"][:1]),
         lambda d: d["cone"].__setitem__("half_angle_deg", 95.0),
-        lambda d: d["tail_policy"].__setitem__("bogus", 3),
+        lambda d: d["cone"].__setitem__("bogus", 3),
         lambda d: d.__setitem__("radii", [0.0, 10.0, 20.0]),
         lambda d: d["cone"].__setitem__("time_exponent", 1.0),
         # values of the wrong type, non-finite numbers, booleans as numbers
-        lambda d: d["grid"].__setitem__("n_radial", "64"),
+        lambda d: d["grid"].__setitem__("r_max", "10"),
         lambda d: d.__setitem__("seed", "0"),
         lambda d: d["charges"][0].__setitem__("q", "1"),
         lambda d: d["cone"].__setitem__("axis", [0.0, 1.0]),
         lambda d: d["cone"].__setitem__("axis", "z"),
         lambda d: d.__setitem__("radii", "abc"),
         lambda d: d.__setitem__("cone", [0.0, 0.0, 1.0]),
-        lambda d: d["thresholds"].__setitem__("braiding", float("nan")),
+        lambda d: d["cone"].__setitem__("half_angle_deg", float("nan")),
         lambda d: d.__setitem__("seed", True),
-        lambda d: d["grid"].__setitem__("n_radial", 64.0),
+        lambda d: d.__setitem__("seed", 0.0),
         lambda d: d.__setitem__("radii", [10.0, 20.0, float("inf")]),
         lambda d: d["charges"][0].__setitem__("q", 10**400),
     ],
@@ -290,24 +308,46 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "config.cone: expected an object" in err
 
 
-@pytest.mark.parametrize(
-    "mutate, field, cap",
-    [
-        (lambda d: d["grid"].__setitem__("n_radial", 10**9), "n_radial", 2048),
-        (lambda d: d.__setitem__("law_samples", 10**9), "law_samples", 10000),
-        (lambda d: d["homotopy"].__setitem__("steps", 10**9), "homotopy steps", 64),
-    ],
-    ids=["n_radial", "law_samples", "homotopy_steps"],
-)
-def test_cli_oversized_config_exits_2_with_one_line(tmp_path, capsys, mutate, field, cap):
-    data = default_dict()
-    mutate(data)
-    bad = tmp_path / "oversized.json"
+# The keys a config carried before the check policy moved into suites, each
+# at the value it shipped with.
+_REMOVED_KEYS = {
+    "n_radial": lambda d: d["grid"].__setitem__("n_radial", 64),
+    "n_angular": lambda d: d["grid"].__setitem__("n_angular", 26),
+    "thresholds": lambda d: d.__setitem__(
+        "thresholds",
+        {"laws": 1e-12, "gram": 1e-10, "braiding": 1e-3, "homotopy": 1e-3, "decay": 1e-2, "extension": 1e-2},
+    ),
+    "tail_policy": lambda d: d.__setitem__(
+        "tail_policy", {"window_start": 32, "sample_count": 16, "tolerance": 1e-6}
+    ),
+    "law_samples": lambda d: d.__setitem__("law_samples", 100),
+    "homotopy": lambda d: d.__setitem__("homotopy", {"steps": 6, "step_deg": 30.0}),
+    "transporter_offset": lambda d: d.__setitem__("transporter_offset", 2.0),
+}
+
+
+def _assert_exit_2_with_one_line(tmp_path, capsys, data, *fragments):
+    bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     assert main(["verify", "--config", str(bad), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and field in err and str(cap) in err
+    assert len(err.splitlines()) == 1 and all(f in err for f in fragments), err
     assert not list(tmp_path.glob("*_report.*"))
+
+
+@pytest.mark.parametrize("key", list(_REMOVED_KEYS))
+def test_cli_removed_key_exits_2_with_one_line(tmp_path, capsys, key):
+    data = default_dict()
+    _REMOVED_KEYS[key](data)
+    _assert_exit_2_with_one_line(tmp_path, capsys, data, "unknown keys", repr(key))
+
+
+def test_cli_config_cannot_raise_thresholds(tmp_path, capsys):
+    # with every limit threshold at 1.0 the default run would pass all rows;
+    # a config can no longer ask for that
+    data = default_dict()
+    data["thresholds"] = {"braiding": 1.0, "homotopy": 1.0, "decay": 1.0, "extension": 1.0}
+    _assert_exit_2_with_one_line(tmp_path, capsys, data, "thresholds")
 
 
 def _bump_charge(**fields):

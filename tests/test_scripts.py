@@ -77,7 +77,9 @@ def test_report_drift_script(tmp_path):
         return _run("report_drift.py", str(report), str(path))
 
     same = _run("report_drift.py", str(report), str(report))
-    assert same.returncode == 0 and "0 unmatched, 0 flipped, drift within 1e-12" in same.stdout, same.stdout
+    assert same.returncode == 0, same.stdout
+    assert "0 unmatched, 0 thresholds moved, 0 flipped, drift within 1e-12" in same.stdout
+    assert "metadata keys changed: none" in same.stdout
     flipped = drift("flipped.json", lambda rows: rows[0].update({"pass": not rows[0]["pass"]}))
     assert flipped.returncode == 1 and "verdict flip" in flipped.stdout
     # the budget is 1e-12 on any value or residual
@@ -87,3 +89,15 @@ def test_report_drift_script(tmp_path):
     assert large.returncode == 1 and "max |delta value_re| = 1.000e-11" in large.stdout
     missing = drift("missing.json", lambda rows: rows.pop())
     assert missing.returncode == 1 and "row only in old" in missing.stdout
+    # a moved threshold fails even when no verdict flips and no value moves
+    moved = drift("moved.json", lambda rows: rows[2].update({"threshold": rows[2]["threshold"] * 10.0}))
+    assert moved.returncode == 1 and "threshold moved" in moved.stdout and "1 thresholds moved" in moved.stdout
+    assert "0 flipped" in moved.stdout
+
+    # changed metadata is reported but does not fail the comparison
+    data = json.loads(report.read_text())
+    data["metadata"]["config_digest"] = "0" * 16
+    renamed = tmp_path / "digest.json"
+    renamed.write_text(json.dumps(data))
+    digest = _run("report_drift.py", str(report), str(renamed))
+    assert digest.returncode == 0 and "metadata keys changed: config_digest" in digest.stdout, digest.stdout

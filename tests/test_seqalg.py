@@ -213,12 +213,10 @@ def test_adjoint_alternating_is_unstable(alg, policy, mats):
 def test_matrix_algebra_guards():
     with pytest.raises(UsageError):
         SA.MatrixAlgebra(9)
-    with pytest.raises(UsageError):
-        SA.MatrixAlgebra(2).coerce(np.eye(3))
 
 
 def test_weyl_phase_algebra(policy):
-    grid = build_grid(16, 14, 4.0)
+    grid = build_grid(4.0)
     wa = SA.WeylPhaseAlgebra(grid)
     dlt = F.make_test_vector(grid)
     x = wa.element(0.5j, dlt)

@@ -146,9 +146,9 @@ def test_gram_matrix_guard(grid, pair):
     assert W.gram_matrix([]).shape == (0, 0)
 
 
-def test_grid_mismatch_rejected(grid, grid146):
+def test_grid_mismatch_rejected(grid, grid12):
     a = W.weyl(F.make_test_vector(grid))
-    b = W.weyl(F.make_test_vector(grid146))
+    b = W.weyl(F.make_test_vector(grid12))
     with pytest.raises(UsageError):
         W.weyl_mul(a, b)
 
