@@ -10,15 +10,20 @@ compared exactly), on rows present in only one report, or on a drift above
 BUDGET (the 1e-12 a change may move any reported number by), and 0
 otherwise.  It also prints which metadata keys differ (a config digest
 moves whenever the config file changes); that line does not change the exit
-code.
+code.  Two reports of different suites or seeds are not two runs of one
+check, so the script prints one line on stderr and exits 2 without
+comparing rows.
 """
 
 import argparse
 import json
 import math
+import sys
 
 BUDGET = 1e-12
 FIELDS = ("value_re", "value_im", "residual")
+# metadata that must agree for the rows to be comparable
+SAME_RUN_KEYS = ("suite", "seed")
 
 
 def _load(path: str) -> tuple[dict, dict]:
@@ -42,6 +47,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     (old_meta, old), (new_meta, new) = _load(args.old), _load(args.new)
+    differ = [f"{k} {old_meta.get(k)!r} vs {new_meta.get(k)!r}" for k in SAME_RUN_KEYS if old_meta.get(k) != new_meta.get(k)]
+    if differ:
+        print(f"error: the reports are of different runs ({', '.join(differ)})", file=sys.stderr)
+        return 2
     changed = sorted(k for k in old_meta.keys() | new_meta.keys() if old_meta.get(k) != new_meta.get(k))
     print(f"metadata keys changed: {', '.join(changed) or 'none'}")
     unmatched = sorted(set(old) ^ set(new), key=repr)

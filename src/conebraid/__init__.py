@@ -4,7 +4,8 @@ The package has three layers: radial quadrature and field vectors
 (quadrature, field), the phase algebra they generate and its charge
 category (weyl, category), and asymptotic machinery for sequence algebras
 (seqalg).  config/suites/report/cli wrap everything into reproducible
-check runs.
+check runs.  The momentum cutoff is the one constant field.R_MAX, so every
+field vector lives in one model and no operand carries a grid.
 """
 
 from .config import RunConfig, load_config, save_config
@@ -15,7 +16,6 @@ from .errors import (
     InternalError,
     UsageError,
 )
-from .quadrature import MomentumGrid, build_grid
 from .report import Report, emit_report
 from .suites import SUITE_NAMES, plan_counts, run_suite
 
@@ -25,8 +25,6 @@ __all__ = [
     "DomainError",
     "InternalError",
     "UsageError",
-    "MomentumGrid",
-    "build_grid",
     "RunConfig",
     "load_config",
     "save_config",

@@ -114,10 +114,6 @@ class ChargeAutomorphism:
     def charge(self) -> float:
         return self.data.charge
 
-    @property
-    def grid(self):
-        return self.data.grid
-
 
 class _TensorObject(ChargeAutomorphism):
     """a (x) b, whose data a.data + b.data is summed on first use.
@@ -159,8 +155,8 @@ def make_object(data: FieldVector, name: str = "") -> ChargeAutomorphism:
     return ChargeAutomorphism(data=data, name=name)
 
 
-def zero_object(grid) -> ChargeAutomorphism:
-    return ChargeAutomorphism(data=zero_vector(grid), name="iota")
+def zero_object() -> ChargeAutomorphism:
+    return ChargeAutomorphism(data=zero_vector(), name="iota")
 
 
 def translate_object(obj: ChargeAutomorphism, a) -> ChargeAutomorphism:
@@ -232,7 +228,7 @@ def auto_action(obj: ChargeAutomorphism, a: WeylElement) -> WeylElement:
     terms = tuple(
         (c * np.exp(1j * symplectic(obj.data, x)), x) for c, x in a.terms
     )
-    return WeylElement(grid=a.grid, terms=terms)
+    return WeylElement(terms)
 
 
 def intertwiner_relation_residual(r: Intertwiner, f: FieldVector) -> float:
@@ -255,7 +251,7 @@ def braiding_exact(a: ChargeAutomorphism, b: ChargeAutomorphism) -> Intertwiner:
         source=tensor_obj(a, b),
         target=tensor_obj(b, a),
         coeff=coeff,
-        label=zero_vector(a.grid),
+        label=zero_vector(),
     )
 
 

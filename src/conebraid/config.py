@@ -1,15 +1,16 @@
 """Run configuration: a single JSON file with every physical parameter explicit.
 
 A config carries only what a workload varies: the charges, the cone, the
-radii, the momentum cutoff r_max, the seed and the output directory.  The
-check policy is fixed in ``suites``, so no config can move a threshold.
+radii, the seed and the output directory.  The check policy is fixed in
+``suites`` and the momentum cutoff in ``field`` (R_MAX), so no config can
+move a threshold or the model.
 
 The dialect is plain JSON with a fixed key tree; serialization is canonical
 (sorted keys, two-space indent, trailing newline), so parse -> dump is
 idempotent and the config digest is reproducible.  Defaults reproduce the
 reference experiment: the unit Gaussian charge pair, a 30 degree cone along
-z, radii 10..40 and r_max = 10.  Unknown keys, check-policy keys among
-them, are rejected rather than ignored, and every value is checked against
+z and radii 10..40.  Unknown keys, check-policy and grid keys among them,
+are rejected rather than ignored, and every value is checked against
 its field's type: numbers must be finite and are never booleans, and
 fixed-length tuples such as the cone axis must have that length.
 """
@@ -24,21 +25,17 @@ from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .errors import ConfigError
+from .field import R_MAX
 
 _PROFILE_KINDS = ("gaussian-momentum", "bump-position")
 _BUMP_SHAPES = ("indicator", "smooth")
-# Length-scale bounds for s, support_radius and r_max: past them float powers
+# Length-scale bounds for s and support_radius: past them float powers
 # overflow (s ** 2, support_radius ** 3), or every sigma and charge underflows
 # to zero and the braiding rows pass trivially.  A Gaussian charge also needs
-# s * r_max >= sqrt(40): at equal widths that is the closed-form sigma
-# route's own tail condition a * r_max^2 >= 40 (field.CLOSED_FORM_MIN_TAIL).
+# s >= sqrt(40) / R_MAX: at equal widths that is the closed-form sigma
+# route's own tail condition a * R_MAX^2 >= 40 (field.CLOSED_FORM_MIN_TAIL).
 SCALE_MIN, SCALE_MAX = 1e-3, 1e3
-GAUSS_CUTOFF_MIN = math.sqrt(40.0)
-
-
-@dataclass(frozen=True)
-class GridCfg:
-    r_max: float = 10.0
+GAUSS_S_MIN = math.sqrt(40.0) / R_MAX
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,6 @@ class ConeCfg:
 
 @dataclass(frozen=True)
 class RunConfig:
-    grid: GridCfg = field(default_factory=GridCfg)
     charges: tuple[ChargeCfg, ...] = (
         ChargeCfg(name="gamma", profile="gaussian-momentum", channel="g", q=1.0, s=1.0),
         ChargeCfg(name="delta", profile="gaussian-momentum", channel="h", q=1.0, s=1.0),
@@ -73,7 +69,6 @@ class RunConfig:
     out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
-        _check_scale("grid r_max", self.grid.r_max)
         names = [c.name for c in self.charges]
         if len(names) != len(set(names)):
             raise ConfigError(f"charge names must be unique, got {names}")
@@ -86,10 +81,9 @@ class RunConfig:
                 raise ConfigError(f"charge {c.name!r}: channel must be 'g' or 'h'")
             for name, value in (("s", c.s), ("support_radius", c.support_radius)):
                 _check_scale(f"charge {c.name!r}: {name}", value)
-            if c.profile == "gaussian-momentum" and c.s * self.grid.r_max < GAUSS_CUTOFF_MIN:
+            if c.profile == "gaussian-momentum" and c.s < GAUSS_S_MIN:
                 raise ConfigError(
-                    f"charge {c.name!r}: s * grid r_max must be at least sqrt(40) = {GAUSS_CUTOFF_MIN:.4g}, "
-                    f"got {c.s * self.grid.r_max:g}"
+                    f"charge {c.name!r}: s must be at least sqrt(40) / R_MAX = {GAUSS_S_MIN:.4g}, got {c.s:g}"
                 )
             if c.shape not in _BUMP_SHAPES:
                 raise ConfigError(f"charge {c.name!r}: unknown bump shape {c.shape!r}")

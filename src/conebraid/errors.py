@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all modules.
 
 Three failure families map onto the three CLI exit codes: configuration
-problems (bad grids, bad cones, malformed config files) exit with 2, check
+problems (bad cones, bad charges, malformed config files) exit with 2, check
 failures exit with 1, and internal consistency violations are always raised
 as hard errors because they indicate a broken build rather than a failed
 physics check.

@@ -29,7 +29,8 @@ The two bilinear forms are
     (x, y)      = integral conj(f~_x) f~_y d^3p            (scalar product)
     sigma(x, y) = integral omega^{-2} (g~_x(-p) h~_y(p) - g~_y(-p) h~_x(p)) d^3p
 
-and sigma = -Im (x, y) whenever both sides are defined.  Charge is carried
+over momenta |p| <= R_MAX, one fixed cutoff for every vector, and sigma =
+-Im (x, y) whenever both sides are defined.  Charge is carried
 analytically: q = (2 pi)^{3/2} g~(0), evaluated from the profile's closed
 form at construction.
 
@@ -51,11 +52,11 @@ Each pair integral takes one of two routes:
 
 - closed form: sigma of two "gauss" atoms, in any channels and with any
   time offsets, at separation d >= CLOSED_FORM_MIN_DELTA, while the cutoff
-  tail e^{-a r_max^2} is at most e^{-CLOSED_FORM_MIN_TAIL}.  Its erf and exp
+  tail e^{-a R_MAX^2} is at most e^{-CLOSED_FORM_MIN_TAIL}.  Its erf and exp
   terms cost the same at every d, and swapping the atoms negates the value
   exactly.
 - panel rule: every other pair (Re, any "gauss2" or "bump" atom, d below
-  the minimum, a short tail) integrates over (0, r_max] on composite
+  the minimum, a short tail) integrates over (0, R_MAX] on composite
   Gauss-Legendre panels.  At zero separation k is the plain rule sum of the
   kernel.  At separation d > 0 the sinc factor is split per panel, since
   node m of panel k sits at k h + r0_m: sin(d r) needs one sine and cosine
@@ -75,7 +76,6 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, UsageError
 from .quadrature import (
-    MomentumGrid,
     RadialPolynomial,
     TWO_PI_32,
     composite_legendre_unit,
@@ -85,6 +85,9 @@ from .quadrature import (
 TEST = "test"
 CHARGE = "charge"
 
+# The momentum cutoff: every bilinear form integrates over (0, R_MAX].
+R_MAX = 10.0
+
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
 # oscillation wavelength of the fastest sinc/trig factor over (0, r_max],
 # rounded up to whole composite panels of PANEL_ORDER cached nodes each.
@@ -92,12 +95,12 @@ RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
 # Largest radial rule built, for pairs off the closed-form route: a bump pair
-# at separation 2e6 with r_max = 10 needs 31.8M nodes.
+# at separation 2e6 needs 31.8M nodes on (0, R_MAX].
 RADIAL_RULE_MAX_NODES = 1 << 25
 # SIGMA of two "gauss" atoms takes its closed form at separations from
 # MIN_DELTA on (below it the erf forms cancel, and the panel rule has only its
-# 192 base nodes) and while a r_max^2 >= MIN_TAIL: the closed form integrates
-# over [0, inf), which differs from the rule's (0, r_max] by about e^{-a r_max^2}.
+# 192 base nodes) and while a R_MAX^2 >= MIN_TAIL: the closed form integrates
+# over [0, inf), which differs from the rule's (0, R_MAX] by about e^{-a R_MAX^2}.
 CLOSED_FORM_MIN_DELTA = 0.5
 CLOSED_FORM_MIN_TAIL = 40.0
 # Pair integrals kept; the default run needs about 4k.
@@ -110,11 +113,11 @@ SIGMA, RE = "sigma", "re"
 
 # A far pair reads its rule in kernel blocks of at most 16,384 momenta
 # (128 KB), one entry each; 256 entries keep every block of a pair for both
-# forms up to separations of about 2.6e5 at r_max = 10.
+# forms up to separations of about 2.6e5.
 @lru_cache(maxsize=256)
 def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> np.ndarray:
     """Read-only radial_fourier of a bump shape at the given momenta."""
-    out = radial_fourier(shape, shape.support, np.frombuffer(momenta))
+    out = radial_fourier(shape, np.frombuffer(momenta))
     out.setflags(write=False)
     return out
 
@@ -240,20 +243,19 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
 
 @dataclass(frozen=True, eq=False, init=False)
 class FieldVector:
-    """Immutable finite combination of translated radial atoms on a grid.
+    """Immutable finite combination of translated radial atoms.
 
     ``terms`` is canonical: (coefficient, atom) pairs sorted by the atoms'
     sort keys, each atom once, every coefficient nonzero.
     """
 
-    grid: MomentumGrid
     terms: tuple[tuple[float, Atom], ...]
     klass: str
     charge: float
 
-    def __init__(self, grid: MomentumGrid, terms: tuple, klass: str, charge: float):
+    def __init__(self, terms: tuple, klass: str, charge: float):
         d = self.__dict__
-        d["grid"], d["terms"], d["klass"], d["charge"] = grid, terms, klass, charge
+        d["terms"], d["klass"], d["charge"] = terms, klass, charge
 
     @property
     def is_zero(self) -> bool:
@@ -270,29 +272,28 @@ class FieldVector:
         return value
 
 
-def _make(grid, items, klass, charge) -> FieldVector:
+def _make(items, klass, charge) -> FieldVector:
     terms = _canonical_terms(items)
     if not terms:
-        return FieldVector(grid, (), TEST, 0.0)
-    return FieldVector(grid, terms, klass, charge)
+        return zero_vector()
+    return FieldVector(terms, klass, charge)
 
 
-def zero_vector(grid: MomentumGrid) -> FieldVector:
-    return FieldVector(grid, (), TEST, 0.0)
+def zero_vector() -> FieldVector:
+    return FieldVector((), TEST, 0.0)
 
 
-def make_charge_vector(grid: MomentumGrid, q: float = 1.0, width: float = 1.0) -> FieldVector:
+def make_charge_vector(q: float = 1.0, width: float = 1.0) -> FieldVector:
     """Gaussian g-channel vector of total charge q and momentum width 1/width."""
     if width <= 0:
         raise ConfigError("width must be positive")
     if q == 0.0:
-        return zero_vector(grid)
+        return zero_vector()
     atom = Atom(Profile("gauss", width=float(width)), "g")
-    return _make(grid, [(q / TWO_PI_32, atom)], CHARGE, float(q))
+    return _make([(q / TWO_PI_32, atom)], CHARGE, float(q))
 
 
 def make_test_vector(
-    grid: MomentumGrid,
     amplitude: float = 1.0,
     width: float = 1.0,
     channel: str = "h",
@@ -307,14 +308,13 @@ def make_test_vector(
     if channel not in ("g", "h"):
         raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
     if amplitude == 0.0:
-        return zero_vector(grid)
+        return zero_vector()
     kind = "gauss" if channel == "h" else "gauss2"
     atom = Atom(Profile(kind, width=float(width)), channel)
-    return _make(grid, [(float(amplitude), atom)], TEST, 0.0)
+    return _make([(float(amplitude), atom)], TEST, 0.0)
 
 
 def make_bump_vector(
-    grid: MomentumGrid,
     shape: RadialPolynomial,
     channel: str = "g",
     amplitude: float = 1.0,
@@ -331,23 +331,22 @@ def make_bump_vector(
     atom = Atom(Profile("bump", shape=shape), channel)
     q = amplitude * atom.charge_factor()
     klass = TEST if q == 0.0 else CHARGE
-    return _make(grid, [(float(amplitude), atom)], klass, q)
+    return _make([(float(amplitude), atom)], klass, q)
 
 
 def add(x: FieldVector, y: FieldVector) -> FieldVector:
-    """Sum of two vectors on the same grid.
+    """Sum of two vectors.
 
     The class bookkeeping is conservative: the sum is test class only when
     both operands are, or when the terms cancel exactly to the zero vector.
     Chargeless differences of equivalent charge vectors are produced by the
     dedicated intertwiner_label path instead.
     """
-    _require_same_grid(x, y)
     terms = _merge_terms(x.terms, y.terms)
     if not terms:
-        return zero_vector(x.grid)
+        return zero_vector()
     klass = TEST if (x.klass == TEST and y.klass == TEST) else CHARGE
-    return FieldVector(x.grid, terms, klass, x.charge + y.charge)
+    return FieldVector(terms, klass, x.charge + y.charge)
 
 
 def scale(c: float, x: FieldVector) -> FieldVector:
@@ -357,12 +356,12 @@ def scale(c: float, x: FieldVector) -> FieldVector:
     if not math.isfinite(c):
         raise UsageError("scale factor must be finite")
     if c == 0.0 or x.is_zero:
-        return zero_vector(x.grid)
+        return zero_vector()
     terms = tuple([(c * coeff, atom) for coeff, atom in x.terms])
     if any(coeff == 0.0 for coeff, _ in terms):
         # a product underflowed; drop it, so every coefficient stays nonzero
-        return _make(x.grid, terms, x.klass, c * x.charge)
-    return FieldVector(x.grid, terms, x.klass, c * x.charge)
+        return _make(terms, x.klass, c * x.charge)
+    return FieldVector(terms, x.klass, c * x.charge)
 
 
 def negate(x: FieldVector) -> FieldVector:
@@ -375,7 +374,6 @@ def subtract(x: FieldVector, y: FieldVector) -> FieldVector:
 
 def intertwiner_label(source: FieldVector, target: FieldVector) -> FieldVector:
     """target - source, marked test class; requires exactly equal charges."""
-    _require_same_grid(source, target)
     if target.charge != source.charge:
         raise DomainError(
             f"intertwiner label needs equal charges, got {source.charge} and {target.charge}"
@@ -383,7 +381,7 @@ def intertwiner_label(source: FieldVector, target: FieldVector) -> FieldVector:
     diff = subtract(target, source)
     if diff.is_zero:
         return diff
-    return FieldVector(diff.grid, diff.terms, TEST, 0.0)
+    return FieldVector(diff.terms, TEST, 0.0)
 
 
 def translate(x: FieldVector, a) -> FieldVector:
@@ -410,13 +408,8 @@ def translate(x: FieldVector, a) -> FieldVector:
         terms.append((coeff, Atom(atom.profile, atom.channel, (t + a0, u + a1, v + a2, w + a3))))
     keys = [atom.sort_key for _, atom in terms]
     if any(map(operator.ge, keys, keys[1:])):
-        return _make(x.grid, terms, x.klass, x.charge)
-    return FieldVector(x.grid, tuple(terms), x.klass, x.charge)
-
-
-def _require_same_grid(x: FieldVector, y: FieldVector) -> None:
-    if x.grid is not y.grid:
-        raise UsageError("operands live on different grids")
+        return _make(terms, x.klass, x.charge)
+    return FieldVector(tuple(terms), x.klass, x.charge)
 
 
 def _channel_factors(atom: Atom, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -434,14 +427,14 @@ def _channel_factors(atom: Atom, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return r * np.sin(r * t) * phi, c * phi
 
 
-def _radial_rule_for(pairs, grid: MomentumGrid) -> tuple[np.ndarray, np.ndarray]:
+def _radial_rule_for(pairs, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     # the time offsets are added first, so the rule is symmetric in each pair
     mu = max(delta + (abs(ax.offset[0]) + abs(ay.offset[0])) for _, ax, ay, delta in pairs)
-    n = max(RADIAL_RULE_BASE, int(np.ceil(RADIAL_RULE_OVERSAMPLE * mu * grid.r_max / (2.0 * np.pi))))
+    n = max(RADIAL_RULE_BASE, int(np.ceil(RADIAL_RULE_OVERSAMPLE * mu * r_max / (2.0 * np.pi))))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
     nodes, weights = composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
-    return grid.r_max * nodes, grid.r_max * weights
+    return r_max * nodes, r_max * weights
 
 
 def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
@@ -452,26 +445,26 @@ def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
-def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: MomentumGrid) -> float:
+def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float:
     """4 pi int K(r) sinc(r delta) dr of one atom pair, by the route that fits it.
 
     ka, kb are the atoms' (profile, channel, time offset), delta their spatial
-    distance; the grid enters through r_max.  K is g_a h_b - g_b h_a (SIGMA)
+    distance.  K is g_a h_b - g_b h_a (SIGMA)
     or g_a g_b / r + r h_a h_b (RE).  At equal time offsets the kernel
     vanishes identically for SIGMA in equal channels and for RE in unequal
     ones (both forms are invariant under a joint time translation, and at
     t = 0 those channel pairs do not couple), so the value is 0.0.  SIGMA of
     two "gauss" atoms takes the closed form _gauss_sigma when delta >=
-    CLOSED_FORM_MIN_DELTA and a r_max^2 >= CLOSED_FORM_MIN_TAIL; every other
-    pair takes the panel rule, _panel_pair_integral.
+    CLOSED_FORM_MIN_DELTA and a R_MAX^2 >= CLOSED_FORM_MIN_TAIL; every other
+    pair takes the panel rule on (0, R_MAX], _panel_pair_integral.
     """
     if ka[2] == kb[2] and (ka[1] == kb[1]) == (form == SIGMA):
         return 0.0
     if form == SIGMA and delta >= CLOSED_FORM_MIN_DELTA and ka[0].kind == kb[0].kind == "gauss":
         a = 0.5 * (ka[0].width ** 2 + kb[0].width ** 2)
-        if a * grid.r_max**2 >= CLOSED_FORM_MIN_TAIL:
+        if a * R_MAX**2 >= CLOSED_FORM_MIN_TAIL:
             return _gauss_sigma(ka[1], kb[1], ka[2] - kb[2], delta, a)
-    return _panel_pair_integral(form, ka, kb, delta, grid)
+    return _panel_pair_integral(form, ka, kb, delta, R_MAX)
 
 
 def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
@@ -506,7 +499,7 @@ def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
     return sign * 2.0 * math.pi / delta * jump
 
 
-def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: MomentumGrid) -> float:
+def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, r_max: float) -> float:
     """4 pi int_0^r_max K(r) sinc(r delta) dr on the composite rule for this one atom pair.
 
     At delta = 0 the value is dot(w, K).  Otherwise node m of panel k of the
@@ -516,14 +509,14 @@ def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, grid: Mo
     over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
     """
     ax, ay = (Atom(profile, channel, (t, 0.0, 0.0, 0.0)) for profile, channel, t in (ka, kb))
-    r, w = _radial_rule_for(((1.0, ax, ay, delta),), grid)
+    r, w = _radial_rule_for(((1.0, ax, ay, delta),), r_max)
     if delta == 0.0:
         return 4.0 * np.pi * float(np.dot(w, _kernel(form, ax, ay, r)))
     order = RADIAL_RULE_PANEL_ORDER
     panels = len(r) // order
     first = delta * r[:order]
     cos0, sin0 = np.cos(first), np.sin(first)
-    step = delta * grid.r_max / panels
+    step = delta * r_max / panels
     total = 0.0
     for k in range(0, panels, PAIR_BLOCK_PANELS):
         block = slice(k * order, (k + PAIR_BLOCK_PANELS) * order)
@@ -541,15 +534,15 @@ def _form(form: str, x: FieldVector, y: FieldVector) -> float:
     pair-sort-key order: a swapped SIGMA value is negated, and atoms whose
     sort keys tie keep their order.
     """
-    grid, antisymmetric, dist, values = x.grid, form == SIGMA, math.dist, []
+    antisymmetric, dist, values = form == SIGMA, math.dist, []
     for cx, kx, sx, dx in x.pair_terms:
         for cy, ky, sy, dy in y.pair_terms:
             if sy < sx:
-                value = _pair_integral(form, ky, kx, dist(dx, dy), grid)
+                value = _pair_integral(form, ky, kx, dist(dx, dy))
                 if antisymmetric:
                     value = -value
             else:
-                value = _pair_integral(form, kx, ky, dist(dx, dy), grid)
+                value = _pair_integral(form, kx, ky, dist(dx, dy))
             values.append(cx * cy * value)
     return math.fsum(values)
 
@@ -561,7 +554,6 @@ def symplectic(x: FieldVector, y: FieldVector) -> float:
     docstring); equals -Im scalar_product on test vectors.  Defined for every
     class (the omega^{-2} kernel is integrable in three dimensions).
     """
-    _require_same_grid(x, y)
     return _form(SIGMA, x, y)
 
 
@@ -571,7 +563,6 @@ def scalar_product(x: FieldVector, y: FieldVector) -> complex:
     The imaginary part is -sigma(x, y) from the same pair integrals, so
     (x, x) is exactly real.
     """
-    _require_same_grid(x, y)
     for v, side in ((x, "left"), (y, "right")):
         if v.klass != TEST:
             raise DomainError(f"scalar product undefined for charge-class {side} operand")

@@ -2,32 +2,25 @@
 
 Momentum integrals of radial kernels run over (0, r_max] on composite
 Gauss-Legendre panel rules; the origin is never a node, so integrands with
-integrable |p|^-k singularities can be evaluated directly.  A MomentumGrid
-carries r_max and a checksum of a fixed radial and angular rule scaled to
-it.  A panel rule provides radial Fourier transforms of compactly supported
-position profiles; an even polynomial profile (``RadialPolynomial``) takes a
-closed form instead.
+integrable |p|^-k singularities can be evaluated directly.  A compactly
+supported position profile is an even polynomial (``RadialPolynomial``),
+whose radial Fourier transform is closed form.
 
-All constructions are pure functions of their arguments; grids built from
+All constructions are pure functions of their arguments; rules built from
 equal parameters are bit-identical.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from ._angular import angular_rule
-from .errors import ConfigError, UsageError
+from .errors import ConfigError
 
 TWO_PI_32 = (2.0 * np.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
-# Momenta per block of the radial_fourier sinc kernel; bounds its temporaries
-# to FOURIER_BLOCK x (panel nodes) whatever the number of momenta.
-FOURIER_BLOCK = 128
 # The closed-form transform of a RadialPolynomial sums its power series in
 # x = pR below _SERIES_MAX_X, where the factors x^{2j}/(2j+1)! stay below 3
 # and fall under 1e-40 within _SERIES_TERMS terms, and runs the upward
@@ -37,10 +30,6 @@ FOURIER_BLOCK = 128
 _SERIES_MAX_X = 4.0
 _SERIES_TERMS = 30
 _MAX_POLY_TERMS = 4
-# The rules a grid checksum hashes: no reported number uses them, and the
-# checksum of every report depends on these two sizes.
-CHECKSUM_RADIAL_NODES = 64
-CHECKSUM_ANGULAR_POINTS = 26
 
 
 @lru_cache(maxsize=256)
@@ -62,8 +51,7 @@ def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, n
 
     A single n-node rule is a dense eigensolve costing O(n^3); stacking one
     cached fixed-order rule keeps construction linear in panels * order.
-    This is the only rule family: the radial route and radial_panel_rule
-    both scale it.
+    This is the only rule family: the radial route scales it.
     """
     if panels < 1 or order < 2:
         raise ConfigError("composite rule needs at least one panel of order >= 2")
@@ -77,41 +65,11 @@ def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, n
     return nodes, weights
 
 
-@dataclass(frozen=True, eq=False)
-class MomentumGrid:
-    """Momentum-space grid parameters.
-
-    Attributes
-    ----------
-    r_max : the radial cutoff, the one grid parameter that enters a
-        bilinear form.
-    checksum : short hex digest of the CHECKSUM_RADIAL_NODES-node
-        Gauss-Legendre rule on (0, r_max] and the CHECKSUM_ANGULAR_POINTS
-        angular design.
-    """
-
-    r_max: float
-    checksum: str
-
-
-def build_grid(r_max: float) -> MomentumGrid:
-    """Build the momentum-space grid with radial cutoff r_max > 0."""
-    if not np.isfinite(r_max) or r_max <= 0.0:
-        raise ConfigError(f"r_max must be positive and finite, got {r_max}")
-    unit_nodes, unit_weights = gauss_legendre_unit(CHECKSUM_RADIAL_NODES)
-    ang_nodes, ang_weights = angular_rule(CHECKSUM_ANGULAR_POINTS)
-
-    digest = hashlib.sha256()
-    for arr in (r_max * unit_nodes, r_max * unit_weights, ang_nodes, ang_weights):
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return MomentumGrid(r_max=float(r_max), checksum=digest.hexdigest()[:16])
-
-
 @dataclass(frozen=True)
 class RadialPolynomial:
     """Radial position profile f(r) = sum_k coeffs[k] (r / support)^{2k} on [0, support].
 
-    Callable like any profile, and radial_fourier transforms it in closed
+    Callable on radii, and radial_fourier transforms it in closed
     form.  Instances with equal coefficients and support compare equal.
     """
 
@@ -189,55 +147,15 @@ def _polynomial_fourier(profile: RadialPolynomial, p: np.ndarray) -> np.ndarray:
     return 4.0 * np.pi / TWO_PI_32 * profile.support**3 * moments
 
 
-def radial_panel_rule(support_radius: float, panels: int = 240, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
-    """Composite Gauss-Legendre rule on [0, support_radius]."""
-    if support_radius <= 0.0:
-        raise ConfigError(f"support radius must be positive, got {support_radius}")
-    if panels < 200:
-        raise ConfigError(f"at least 200 panels required, got {panels}")
-    nodes, weights = composite_legendre_unit(panels, order)
-    return support_radius * nodes, support_radius * weights
-
-
-def radial_fourier(
-    profile,
-    support_radius: float,
-    momenta: np.ndarray,
-    panels: int = 240,
-) -> np.ndarray:
-    """Momentum-space transform of a radial position profile.
+def radial_fourier(profile: RadialPolynomial, momenta) -> np.ndarray:
+    """Momentum-space transform of a radial position profile, in closed form.
 
     Computes f~(p) = (2 pi)^{-3/2} * 4 pi * integral_0^R r^2 sinc(p r) f(r) dr
     for the convention f~(p) = (2 pi)^{-3/2} integral e^{-i p.x} f(|x|) d^3x,
-    evaluated at the requested momentum magnitudes.  The p -> 0 limit is the
-    sinc limit and is handled exactly.
-
-    A RadialPolynomial profile, whose support must equal support_radius,
-    takes the closed form and no panel rule; any other callable is summed on
-    the panel rule.
+    evaluated at the requested momentum magnitudes, with R the profile's
+    support.  The p -> 0 limit is the sinc limit and is handled exactly.
     """
-    p = np.atleast_1d(np.asarray(momenta, dtype=float))
-    if isinstance(profile, RadialPolynomial):
-        if profile.support != support_radius:
-            raise UsageError(f"polynomial support {profile.support} differs from support radius {support_radius}")
-        out = _polynomial_fourier(profile, p)
-    else:
-        out = _panel_fourier(profile, support_radius, p, panels)
-    if np.isscalar(momenta) or np.ndim(momenta) == 0:
+    out = _polynomial_fourier(profile, np.atleast_1d(np.asarray(momenta, dtype=float)))
+    if np.ndim(momenta) == 0:
         return out[0]
     return out
-
-
-def _panel_fourier(profile, support_radius: float, p: np.ndarray, panels: int) -> np.ndarray:
-    """radial_fourier of any callable profile, summed on the panel rule in momentum blocks."""
-    r, w = radial_panel_rule(support_radius, panels=panels)
-    fr = np.asarray(profile(r), dtype=float)
-    if fr.shape != r.shape:
-        raise UsageError("profile must return one value per radius")
-    # sinc(p r) = sin(p r)/(p r); np.sinc works in units of pi.
-    base = (w * r**2 * fr)[None, :]
-    sums = np.empty(p.shape)
-    for i in range(0, p.size, FOURIER_BLOCK):
-        kernel = np.sinc(np.outer(p[i : i + FOURIER_BLOCK], r) / np.pi)
-        sums[i : i + FOURIER_BLOCK] = np.sum(kernel * base, axis=1)
-    return 4.0 * np.pi / TWO_PI_32 * sums

@@ -50,7 +50,6 @@ class CheckRow:
 class Report:
     suite: str
     config_digest: str
-    grid_checksum: str
     seed: int
     rows: list[CheckRow] = field(default_factory=list)
     wall_time_s: float = 0.0
@@ -87,7 +86,6 @@ class Report:
             "metadata": {
                 "suite": self.suite,
                 "config_digest": self.config_digest,
-                "grid_checksum": self.grid_checksum,
                 "seed": self.seed,
             },
             "rows": [

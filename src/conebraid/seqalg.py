@@ -86,19 +86,14 @@ class WeylPhaseAlgebra:
     here).  The norm of a single generator is the coefficient modulus.
     """
 
-    def __init__(self, grid):
-        self.grid = grid
-
     def element(self, coeff: complex, label: FieldVector):
-        if label.grid is not self.grid:
-            raise UsageError("label lives on a different grid")
         return (complex(coeff), label)
 
     def unit(self):
-        return (1.0 + 0.0j, zero_vector(self.grid))
+        return (1.0 + 0.0j, zero_vector())
 
     def zero(self):
-        return (0.0 + 0.0j, zero_vector(self.grid))
+        return (0.0 + 0.0j, zero_vector())
 
     def add(self, a, b):
         if label_id(a[1]) != label_id(b[1]):

@@ -23,7 +23,7 @@ from . import field as fld
 from . import seqalg as sa
 from .config import ChargeCfg, RunConfig
 from .errors import ConfigError, InternalError
-from .quadrature import MomentumGrid, RadialPolynomial, build_grid
+from .quadrature import RadialPolynomial
 from .report import CheckRow, Report
 from .weyl import gram_matrix, weyl, weyl_mul
 
@@ -86,25 +86,24 @@ _SEQALG_CHECKS = (
 _BUMP_SHAPE_COEFFS = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
 
 
-def vector_from_charge_cfg(grid: MomentumGrid, cfg: ChargeCfg) -> fld.FieldVector:
+def vector_from_charge_cfg(cfg: ChargeCfg) -> fld.FieldVector:
     if cfg.profile == "gaussian-momentum":
         if cfg.channel == "g":
             if cfg.q == 0.0:
-                return fld.make_test_vector(grid, amplitude=1.0, width=cfg.s, channel="g")
-            return fld.make_charge_vector(grid, q=cfg.q, width=cfg.s)
-        return fld.make_test_vector(grid, amplitude=cfg.q, width=cfg.s, channel="h")
+                return fld.make_test_vector(amplitude=1.0, width=cfg.s, channel="g")
+            return fld.make_charge_vector(q=cfg.q, width=cfg.s)
+        return fld.make_test_vector(amplitude=cfg.q, width=cfg.s, channel="h")
     # a bump atom is its shape's value, so charges of equal shape share atoms and pair integrals
     shape = RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius)
-    return fld.make_bump_vector(grid, shape, channel=cfg.channel, amplitude=cfg.q)
+    return fld.make_bump_vector(shape, channel=cfg.channel, amplitude=cfg.q)
 
 
 class RunContext:
-    """Materialized configuration: grid, field vectors, objects, cone."""
+    """Materialized configuration: field vectors, objects, cone."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self.grid = build_grid(config.grid.r_max)
-        self.vectors = {c.name: vector_from_charge_cfg(self.grid, c) for c in config.charges}
+        self.vectors = {c.name: vector_from_charge_cfg(c) for c in config.charges}
         self.objects = {
             name: cat.make_object(vec, name=name) for name, vec in self.vectors.items()
         }
@@ -143,9 +142,19 @@ class RunContext:
 
 
 def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
-    """(label, row count) per sub-suite, computable without running numerics."""
+    """(label, row count) per sub-suite, computable without running numerics.
+
+    A plan with the homotopy suite needs cones wider than half a chain step,
+    so that consecutive cones of the chain overlap; it is rejected here,
+    before any suite runs.
+    """
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")
+    if suite in ("homotopy", "all") and 2.0 * config.cone.half_angle_deg <= HOMOTOPY_STEP_DEG:
+        raise ConfigError(
+            f"the homotopy chain steps by {HOMOTOPY_STEP_DEG:g} degrees, so its cones need "
+            f"half_angle_deg above {HOMOTOPY_STEP_DEG / 2:g}, got {config.cone.half_angle_deg:g}"
+        )
     n_charges = len(config.charges)
     n_pairs = n_charges * (n_charges - 1) // 2
     n_radii = len(config.radii)
@@ -291,7 +300,7 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
         width = float(rng.uniform(0.6, 1.6))
         amp = float(rng.uniform(0.2, 1.5))
         chan = str(rng.choice(["g", "h"]))
-        vec = fld.make_test_vector(ctx.grid, amplitude=amp, width=width, channel=chan)
+        vec = fld.make_test_vector(amplitude=amp, width=width, channel=chan)
         shift = (0.0, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         labels.append(fld.translate(vec, shift))
     eigs = np.linalg.eigvalsh(gram_matrix(labels))
@@ -501,7 +510,6 @@ def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     return Report(
         suite=suite,
         config_digest=config.digest(),
-        grid_checksum=ctx.grid.checksum,
         seed=effective_seed,
         rows=rows,
         wall_time_s=time.perf_counter() - started,

@@ -30,7 +30,6 @@ import numpy as np
 
 from .errors import UsageError
 from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent, zero_vector
-from .quadrature import MomentumGrid
 
 COEFF_EPS = 1e-14
 GRAM_MAX_LABELS = 16
@@ -43,12 +42,11 @@ def label_id(vec: FieldVector) -> tuple:
 
 @dataclass(frozen=True, eq=False, init=False)
 class WeylElement:
-    grid: MomentumGrid
     terms: tuple[tuple[complex, FieldVector], ...]
 
-    def __init__(self, grid: MomentumGrid, terms: tuple):
-        # fields go straight into the instance dict, as in field.FieldVector
-        self.__dict__["grid"], self.__dict__["terms"] = grid, terms
+    def __init__(self, terms: tuple):
+        # the field goes straight into the instance dict, as in field.FieldVector
+        self.__dict__["terms"] = terms
 
     @property
     def is_zero(self) -> bool:
@@ -62,7 +60,7 @@ class WeylElement:
         return self._coeffs.get(label_id(label), 0.0 + 0.0j)
 
 
-def _canonical(grid, items) -> WeylElement:
+def _canonical(items) -> WeylElement:
     merged: dict[tuple, tuple[complex, FieldVector]] = {}
     for c, x in items:
         key = label_id(x)
@@ -72,36 +70,34 @@ def _canonical(grid, items) -> WeylElement:
         else:
             merged[key] = (complex(c), x)
     kept = [(c, x) for key, (c, x) in sorted(merged.items()) if abs(c) > COEFF_EPS]
-    return WeylElement(grid=grid, terms=tuple(kept))
+    return WeylElement(tuple(kept))
 
 
 def weyl(label: FieldVector, coeff: complex = 1.0) -> WeylElement:
     # _canonical of the one item, with nothing to merge or sort
     c = complex(coeff)
-    return WeylElement(grid=label.grid, terms=((c, label),) if abs(c) > COEFF_EPS else ())
+    return WeylElement(((c, label),) if abs(c) > COEFF_EPS else ())
 
 
-def weyl_unit(grid: MomentumGrid) -> WeylElement:
-    return weyl(zero_vector(grid))
+def weyl_unit() -> WeylElement:
+    return weyl(zero_vector())
 
 
 def weyl_add(a: WeylElement, b: WeylElement) -> WeylElement:
-    _same_grid(a, b)
-    return _canonical(a.grid, list(a.terms) + list(b.terms))
+    return _canonical(list(a.terms) + list(b.terms))
 
 
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    _same_grid(a, b)
     items = []
     for ca, x in a.terms:
         for cb, y in b.terms:
             phase = np.exp(0.5j * symplectic(x, y))
             items.append((ca * cb * phase, add(x, y)))
-    return _canonical(a.grid, items)
+    return _canonical(items)
 
 
 def star(a: WeylElement) -> WeylElement:
-    return _canonical(a.grid, [(np.conj(c), negate(x)) for c, x in a.terms])
+    return _canonical([(np.conj(c), negate(x)) for c, x in a.terms])
 
 
 def conjugate(u: WeylElement, a: WeylElement) -> WeylElement:
@@ -140,8 +136,3 @@ def gram_matrix(labels) -> np.ndarray:
             out[k, l] = val
             out[l, k] = np.conj(val)
     return out
-
-
-def _same_grid(a: WeylElement, b: WeylElement) -> None:
-    if a.grid is not b.grid:
-        raise UsageError("operands live on different grids")

@@ -1,0 +1,45 @@
+"""Panel-sum radial Fourier transform of any callable profile, for tests.
+
+The package transforms only RadialPolynomial profiles, in closed form.  This
+helper sums the defining integral on a composite Gauss-Legendre rule instead,
+so the tests can hold the closed form against it, and against any profile
+that has no closed form here (the unit-ball indicator as a bare callable).
+"""
+
+import numpy as np
+
+from conebraid.quadrature import TWO_PI_32, composite_legendre_unit
+
+# Momenta per block of the sinc kernel; bounds its temporaries to
+# FOURIER_BLOCK x (panel nodes) whatever the number of momenta.
+FOURIER_BLOCK = 128
+
+
+def radial_panel_rule(support_radius: float, panels: int = 240, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, support_radius]."""
+    if support_radius <= 0.0:
+        raise ValueError(f"support radius must be positive, got {support_radius}")
+    if panels < 200:
+        raise ValueError(f"at least 200 panels required, got {panels}")
+    nodes, weights = composite_legendre_unit(panels, order)
+    return support_radius * nodes, support_radius * weights
+
+
+def panel_fourier(profile, support_radius: float, momenta, panels: int = 240):
+    """f~(p) = (2 pi)^{-3/2} 4 pi int_0^R r^2 sinc(p r) f(r) dr on the panel rule.
+
+    A scalar momentum gives a scalar, and p = 0 is the exact sinc limit.
+    """
+    p = np.atleast_1d(np.asarray(momenta, dtype=float))
+    r, w = radial_panel_rule(support_radius, panels=panels)
+    fr = np.asarray(profile(r), dtype=float)
+    if fr.shape != r.shape:
+        raise ValueError("profile must return one value per radius")
+    # sinc(p r) = sin(p r)/(p r); np.sinc works in units of pi.
+    base = (w * r**2 * fr)[None, :]
+    sums = np.empty(p.shape)
+    for i in range(0, p.size, FOURIER_BLOCK):
+        kernel = np.sinc(np.outer(p[i : i + FOURIER_BLOCK], r) / np.pi)
+        sums[i : i + FOURIER_BLOCK] = np.sum(kernel * base, axis=1)
+    out = 4.0 * np.pi / TWO_PI_32 * sums
+    return out[0] if np.ndim(momenta) == 0 else out

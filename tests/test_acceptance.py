@@ -251,7 +251,6 @@ def test_criterion_08_weyl_model_validity(ctx, pair):
     labels = []
     for _ in range(8):
         vec = F.make_test_vector(
-            ctx.grid,
             amplitude=float(rng.uniform(0.2, 1.5)),
             width=float(rng.uniform(0.6, 1.6)),
             channel=str(rng.choice(["g", "h"])),

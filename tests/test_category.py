@@ -30,9 +30,9 @@ def closed_form(d):
 
 
 @pytest.fixture(scope="module")
-def objs(grid):
-    gam = C.make_object(F.make_charge_vector(grid), "gamma")
-    dlt = C.make_object(F.make_test_vector(grid), "delta")
+def objs():
+    gam = C.make_object(F.make_charge_vector(), "gamma")
+    dlt = C.make_object(F.make_test_vector(), "delta")
     return gam, dlt
 
 
@@ -58,9 +58,9 @@ def test_cone_spec_validation():
             bad()
 
 
-def test_hom_sets_separated_by_charge(grid, objs):
+def test_hom_sets_separated_by_charge(objs):
     gam, dlt = objs
-    assert C.hom_basis(gam, C.make_object(F.make_charge_vector(grid, q=2.0))) is None
+    assert C.hom_basis(gam, C.make_object(F.make_charge_vector(q=2.0))) is None
     assert C.hom_basis(gam, dlt) is None
     u = C.hom_basis(gam, C.translate_object(gam, (0.0, 0.0, 0.0, 5.0)))
     assert u.coeff == 1.0 and u.label.klass == F.TEST and u.label.charge == 0.0
@@ -101,7 +101,7 @@ def test_braiding_exact_value_and_symmetry(objs):
     assert abs(eps.coeff - np.exp(-1j / math.sqrt(2.0))) < 1e-12
     rev = C.compose(C.braiding_exact(dlt, gam), eps)
     assert abs(rev.coeff - 1.0) < 1e-13
-    iota = C.zero_object(gam.grid)
+    iota = C.zero_object()
     assert abs(C.braiding_exact(gam, iota).coeff - 1.0) < 1e-14
 
 
@@ -121,10 +121,10 @@ def test_braiding_asymptotic_matches_closed_form(objs):
     assert abs(resid[-1] - 0.015666266503532578) < 1e-9
 
 
-def test_braiding_asymptotic_trivial_and_validation(grid, objs):
+def test_braiding_asymptotic_trivial_and_validation(objs):
     gam, dlt = objs
     cone = C.ConeSpec((0.0, 0.0, 1.0), HALF)
-    run = C.braiding_asymptotic(C.zero_object(grid), dlt, cone, [1.0, 2.0, 3.0])
+    run = C.braiding_asymptotic(C.zero_object(), dlt, cone, [1.0, 2.0, 3.0])
     assert all(abs(p - 1.0) < 1e-14 for p in run.phases)
     with pytest.raises(UsageError):
         C.braiding_asymptotic(gam, dlt, cone, [1.0, 2.0])
@@ -144,12 +144,12 @@ def test_braiding_asymptotic_rephase_invariant(objs):
         C.rephase(C.identity(gam), 2.0)
 
 
-def test_hexagons_naturality_interchange(grid, objs):
+def test_hexagons_naturality_interchange(objs):
     gam, dlt = objs
-    tau = C.make_object(F.scale(0.5, F.translate(F.make_charge_vector(grid), (0, 1.0, 0, 0))))
+    tau = C.make_object(F.scale(0.5, F.translate(F.make_charge_vector(), (0, 1.0, 0, 0))))
     h1, h2 = C.hexagon_residuals(gam, dlt, tau)
     assert h1 < 1e-12 and h2 < 1e-12
-    assert C.hexagon_residuals(gam, dlt, C.zero_object(grid)) == (0.0, 0.0)
+    assert C.hexagon_residuals(gam, dlt, C.zero_object()) == (0.0, 0.0)
     r = C.hom_basis(gam, C.translate_object(gam, (0.0, 0.0, 0.0, 2.0)))
     s = C.hom_basis(dlt, C.translate_object(dlt, (0.0, 1.0, 0.0, 0.0)))
     assert C.naturality_residual(r, s) < 1e-12
@@ -161,9 +161,9 @@ def test_hexagons_naturality_interchange(grid, objs):
     assert label_id(lhs.label) == label_id(rhs.label)
 
 
-def test_tensor_with_unit_object(grid, objs):
+def test_tensor_with_unit_object(objs):
     gam, _ = objs
-    iota = C.zero_object(grid)
+    iota = C.zero_object()
     r = C.hom_basis(gam, C.translate_object(gam, (0.0, 0.0, 0.0, 2.0)))
     right = C.tensor_mor(r, C.identity(iota))
     left = C.tensor_mor(C.identity(iota), r)
@@ -185,7 +185,7 @@ def test_tensor_object_sums_its_data_on_first_use(objs):
     assert C.tensor_obj(C.make_object(gam.data), far).name == "*delta"
 
 
-def test_auto_action_is_homomorphism(grid, objs):
+def test_auto_action_is_homomorphism(objs):
     gam, dlt = objs
     from conebraid import weyl as W
 
@@ -195,7 +195,7 @@ def test_auto_action_is_homomorphism(grid, objs):
     rhs = C.auto_action(gam, W.weyl_mul(W.weyl(f), W.weyl(g)))
     assert abs(lhs.terms[0][0] - rhs.terms[0][0]) < 1e-13
     # zero object acts trivially
-    same = C.auto_action(C.zero_object(grid), W.weyl(f))
+    same = C.auto_action(C.zero_object(), W.weyl(f))
     assert same.terms[0][0] == 1.0
 
 
@@ -212,7 +212,7 @@ def test_implementation_residual(objs):
     # at a = 0 the formula reduces to the plain commutator value
     at_zero = C.implementation_residual(gam, (0.0, 0.0, 0.0, 0.0), dlt.data)
     assert abs(at_zero - 2.0 * math.sin(0.5 / math.sqrt(2.0))) < 1e-12
-    assert C.implementation_residual(gam, (0.0, 0.0, 0.0, 40.0), F.zero_vector(gam.grid)) == 0.0
+    assert C.implementation_residual(gam, (0.0, 0.0, 0.0, 40.0), F.zero_vector()) == 0.0
     for radius in (10.0, 40.0):
         got = C.implementation_residual(gam, (0.0, 0.0, 0.0, radius), dlt.data)
         want = abs(np.exp(1j * closed_form(radius)) - 1.0)
@@ -226,7 +226,7 @@ def test_abelianness_residual_closed_form(objs):
     off = 2.0
     r = C.hom_basis(gam, C.translate_object(gam, (0.0, 0.0, 0.0, off)))
     s = C.hom_basis(dlt, C.translate_object(dlt, (0.0, 0.0, 0.0, -off)))
-    assert C.abelianness_residual(r.label, F.zero_vector(gam.grid)) == 0.0
+    assert C.abelianness_residual(r.label, F.zero_vector()) == 0.0
     with pytest.raises(UsageError):
         C.abelianness_residual(gam.data, s.label)
     vals = {}

@@ -13,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conebraid.cli import main
+from conebraid import field as F
 from conebraid import suites
-from conebraid.config import GridCfg, RunConfig, config_from_dict, load_config
+from conebraid.config import RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
 from conebraid.seqalg import TailPolicy
@@ -37,12 +38,12 @@ def test_config_roundtrip_idempotent():
 
 def test_config_defaults_match_reference():
     cfg = RunConfig().validate()
-    assert cfg.grid == GridCfg(r_max=10.0)
     assert cfg.radii == (10.0, 20.0, 30.0, 40.0)
     assert math.isclose(cfg.half_angle_rad(), math.radians(30.0))
     assert cfg.seed == 0
     # a config carries only what a workload varies; the check policy is not config
-    assert set(cfg.to_dict()) == {"grid", "charges", "cone", "radii", "seed", "out_dir"}
+    # and the momentum cutoff is the model's constant, not config
+    assert set(cfg.to_dict()) == {"charges", "cone", "radii", "seed", "out_dir"}
 
 
 def test_check_policy_is_fixed_in_suites():
@@ -71,14 +72,14 @@ def test_check_policy_is_fixed_in_suites():
         lambda d: d["cone"].__setitem__("time_slope", -1.0),
         lambda d: d.__setitem__("unknown_key", 1),
         lambda d: d["charges"][0].__setitem__("channel", "x"),
-        lambda d: d["grid"].__setitem__("r_max", 0.0),
+        lambda d: d["charges"][1].__setitem__("s", 0.0),
         lambda d: d.__setitem__("charges", d["charges"][:1]),
         lambda d: d["cone"].__setitem__("half_angle_deg", 95.0),
         lambda d: d["cone"].__setitem__("bogus", 3),
         lambda d: d.__setitem__("radii", [0.0, 10.0, 20.0]),
         lambda d: d["cone"].__setitem__("time_exponent", 1.0),
         # values of the wrong type, non-finite numbers, booleans as numbers
-        lambda d: d["grid"].__setitem__("r_max", "10"),
+        lambda d: d["charges"][1].__setitem__("s", "1"),
         lambda d: d.__setitem__("seed", "0"),
         lambda d: d["charges"][0].__setitem__("q", "1"),
         lambda d: d["cone"].__setitem__("axis", [0.0, 1.0]),
@@ -149,7 +150,7 @@ def test_mutated_config_parses_or_raises_config_error(path, value):
 
 
 def _report(rows) -> Report:
-    return Report(suite="demo", config_digest="00", grid_checksum="11", seed=0, rows=rows)
+    return Report(suite="demo", config_digest="00", seed=0, rows=rows)
 
 
 def test_report_csv_shape():
@@ -170,12 +171,8 @@ def test_report_json_omits_wall_time():
     rep.wall_time_s = 1.234
     payload = json.loads(rep.to_json())
     assert "wall" not in rep.to_json()
-    assert payload["metadata"] == {
-        "suite": "demo",
-        "config_digest": "00",
-        "grid_checksum": "11",
-        "seed": 0,
-    }
+    # the metadata names the run and nothing else
+    assert payload["metadata"] == {"suite": "demo", "config_digest": "00", "seed": 0}
     assert payload["rows"][0]["value_im"] == 1.0 and payload["rows"][0]["pass"] is True
 
 
@@ -231,10 +228,10 @@ def test_seqalg_suite_deterministic_and_seed_sensitive():
     assert reseeded.all_passed()
 
 
-def test_vector_materialization_variants(grid):
+def test_vector_materialization_variants():
     cfg = load_config(CONFIG_PATH)
-    gamma = vector_from_charge_cfg(grid, cfg.charges[0])
-    delta = vector_from_charge_cfg(grid, cfg.charges[1])
+    gamma = vector_from_charge_cfg(cfg.charges[0])
+    delta = vector_from_charge_cfg(cfg.charges[1])
     assert gamma.klass == "charge" and math.isclose(gamma.charge, 1.0)
     assert delta.klass == "test" and delta.charge == 0.0
 
@@ -246,16 +243,16 @@ def test_vector_materialization_variants(grid):
             ]
         }
     )
-    b = vector_from_charge_cfg(grid, ball.charges[0])
+    b = vector_from_charge_cfg(ball.charges[0])
     assert math.isclose(b.charge, 4.0 * math.pi / 3.0, rel_tol=1e-8)
-    s = vector_from_charge_cfg(grid, ball.charges[1])
+    s = vector_from_charge_cfg(ball.charges[1])
     assert math.isclose(s.charge, 2.0 * 32.0 * math.pi / 105.0, rel_tol=1e-8)
     # charges of one bump shape share their atoms, so their difference cancels exactly
     twin = config_from_dict({"charges": [{"name": "ball2", "profile": "bump-position"}, {"name": "x"}]})
-    assert vector_from_charge_cfg(grid, twin.charges[0]).terms == b.terms
+    assert vector_from_charge_cfg(twin.charges[0]).terms == b.terms
 
     neutral = vector_from_charge_cfg(
-        grid, config_from_dict({"charges": [{"name": "n", "q": 0.0}, {"name": "m"}]}).charges[0]
+        config_from_dict({"charges": [{"name": "n", "q": 0.0}, {"name": "m"}]}).charges[0]
     )
     assert neutral.klass == "test" and not neutral.is_zero
 
@@ -284,6 +281,29 @@ def test_cli_negative_seed_override_exits_2_with_one_line(tmp_path, capsys):
     assert main([*argv, "0"]) == 0
 
 
+def test_cli_rejects_broken_homotopy_chain_before_any_suite(tmp_path, capsys, monkeypatch):
+    # 10 degree cones 30 degrees apart do not overlap, so the homotopy chain
+    # is no path; the run must stop before any suite spends time on it
+    data = default_dict()
+    data["cone"]["half_angle_deg"] = 10.0
+    narrow = tmp_path / "narrow.json"
+    narrow.write_text(json.dumps(data))
+
+    def no_laws(*args):
+        raise AssertionError("run_laws ran for a plan that cannot finish")
+
+    monkeypatch.setattr(suites, "run_laws", no_laws)
+    for argv in (["verify", "--suite", "all"], ["homotopy"]):
+        assert main([*argv, "--config", str(narrow), "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "plan:" not in captured.out
+        assert len(captured.err.splitlines()) == 1 and "half_angle_deg above 15" in captured.err
+    assert not list(tmp_path.glob("*_report.*"))
+    # the braiding suite has no chain, so the same config still runs it
+    assert main(["verify", "--suite", "braiding", "--config", str(narrow), "--out", str(tmp_path)]) == 1
+    assert (tmp_path / "braiding_report.csv").exists()
+
+
 def test_cli_rejects_timelike_transport(tmp_path, capsys):
     # a0 = 2 R^0.9 is 15.9 at R = 10: the transported charges would be timelike separated
     data = default_dict()
@@ -308,21 +328,27 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "config.cone: expected an object" in err
 
 
-# The keys a config carried before the check policy moved into suites, each
-# at the value it shipped with.
+# The keys a config carried before the check policy moved into suites and the
+# momentum cutoff into field, each at the value it shipped with, and the
+# top-level key the rejection names.
 _REMOVED_KEYS = {
-    "n_radial": lambda d: d["grid"].__setitem__("n_radial", 64),
-    "n_angular": lambda d: d["grid"].__setitem__("n_angular", 26),
-    "thresholds": lambda d: d.__setitem__(
+    "n_radial": (lambda d: d.__setitem__("grid", {"r_max": 10.0, "n_radial": 64}), "grid"),
+    "n_angular": (lambda d: d.__setitem__("grid", {"r_max": 10.0, "n_angular": 26}), "grid"),
+    "grid": (lambda d: d.__setitem__("grid", {"r_max": 10.0}), "grid"),
+    "thresholds": (
+        lambda d: d.__setitem__(
+            "thresholds",
+            {"laws": 1e-12, "gram": 1e-10, "braiding": 1e-3, "homotopy": 1e-3, "decay": 1e-2, "extension": 1e-2},
+        ),
         "thresholds",
-        {"laws": 1e-12, "gram": 1e-10, "braiding": 1e-3, "homotopy": 1e-3, "decay": 1e-2, "extension": 1e-2},
     ),
-    "tail_policy": lambda d: d.__setitem__(
-        "tail_policy", {"window_start": 32, "sample_count": 16, "tolerance": 1e-6}
+    "tail_policy": (
+        lambda d: d.__setitem__("tail_policy", {"window_start": 32, "sample_count": 16, "tolerance": 1e-6}),
+        "tail_policy",
     ),
-    "law_samples": lambda d: d.__setitem__("law_samples", 100),
-    "homotopy": lambda d: d.__setitem__("homotopy", {"steps": 6, "step_deg": 30.0}),
-    "transporter_offset": lambda d: d.__setitem__("transporter_offset", 2.0),
+    "law_samples": (lambda d: d.__setitem__("law_samples", 100), "law_samples"),
+    "homotopy": (lambda d: d.__setitem__("homotopy", {"steps": 6, "step_deg": 30.0}), "homotopy"),
+    "transporter_offset": (lambda d: d.__setitem__("transporter_offset", 2.0), "transporter_offset"),
 }
 
 
@@ -338,8 +364,9 @@ def _assert_exit_2_with_one_line(tmp_path, capsys, data, *fragments):
 @pytest.mark.parametrize("key", list(_REMOVED_KEYS))
 def test_cli_removed_key_exits_2_with_one_line(tmp_path, capsys, key):
     data = default_dict()
-    _REMOVED_KEYS[key](data)
-    _assert_exit_2_with_one_line(tmp_path, capsys, data, "unknown keys", repr(key))
+    mutate, named = _REMOVED_KEYS[key]
+    mutate(data)
+    _assert_exit_2_with_one_line(tmp_path, capsys, data, "unknown keys", repr(named))
 
 
 def test_cli_config_cannot_raise_thresholds(tmp_path, capsys):
@@ -361,13 +388,12 @@ def _bump_charge(**fields):
         # sigma or the charge underflows to zero and the rows pass trivially
         (lambda d: d["charges"][0].__setitem__("s", 1e200), "s must lie in [0.001, 1000]"),
         (_bump_charge(support_radius=1e120), "support_radius must lie in [0.001, 1000]"),
-        (lambda d: d["grid"].__setitem__("r_max", 1e200), "r_max must lie in [0.001, 1000]"),
-        (lambda d: d["grid"].__setitem__("r_max", 1e-200), "r_max must lie in [0.001, 1000]"),
+        (lambda d: d["charges"][1].__setitem__("s", 1e-200), "s must lie in [0.001, 1000]"),
         (_bump_charge(support_radius=1e-200), "support_radius must lie in [0.001, 1000]"),
-        # in range, but the Gaussian's cutoff tail e^{-s^2 r_max^2} is above e^{-40}
-        (lambda d: d["charges"][1].__setitem__("s", 0.5), "s * grid r_max must be at least sqrt(40)"),
+        # in range, but the Gaussian's cutoff tail e^{-s^2 R_MAX^2} is above e^{-40}
+        (lambda d: d["charges"][1].__setitem__("s", 0.5), "s must be at least sqrt(40) / R_MAX = 0.6325"),
     ],
-    ids=["s_huge", "support_huge", "r_max_huge", "r_max_tiny", "support_tiny", "gauss_tail"],
+    ids=["s_huge", "support_huge", "s_tiny", "support_tiny", "gauss_tail"],
 )
 def test_cli_out_of_scale_config_exits_2_with_one_line(tmp_path, capsys, mutate, message):
     data = default_dict()
@@ -382,14 +408,16 @@ def test_cli_out_of_scale_config_exits_2_with_one_line(tmp_path, capsys, mutate,
 
 def test_config_scale_bounds_are_inclusive():
     data = default_dict()
-    data["grid"]["r_max"] = 1e3
     data["charges"][0].update({"profile": "bump-position", "s": 1e-3, "support_radius": 1e-3})
     data["charges"][1].update({"s": 1e3, "support_radius": 1e3})
-    assert config_from_dict(data).grid.r_max == 1e3
-    # s * r_max = sqrt(40) exactly is the tail condition's edge
+    assert config_from_dict(data).charges[1].s == 1e3
+    # s = sqrt(40) / R_MAX exactly is the tail condition's edge, read from field
     data = default_dict()
-    data["charges"][0]["s"] = math.sqrt(40.0) / 10.0
-    assert config_from_dict(data).charges[0].s * 10.0 >= math.sqrt(40.0)
+    data["charges"][0]["s"] = math.sqrt(40.0) / F.R_MAX
+    assert config_from_dict(data).charges[0].s == math.sqrt(40.0) / 10.0
+    data["charges"][0]["s"] = math.nextafter(math.sqrt(40.0) / F.R_MAX, 0.0)
+    with pytest.raises(ConfigError, match="s must be at least"):
+        config_from_dict(data)
 
 
 def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
@@ -467,6 +495,7 @@ def test_cli_plan_line_and_json_output(tmp_path, capsys):
     payload = json.loads((tmp_path / "seqalg_report.json").read_text())
     assert len(payload["rows"]) == 9
     assert "wall" not in json.dumps(payload)
+    assert set(payload["metadata"]) == {"suite", "config_digest", "seed"}
 
 
 def test_cli_byte_identical_reruns(tmp_path):

@@ -22,8 +22,12 @@ from scipy.special import erf
 
 from conebraid import field as F
 from conebraid import weyl as W
+from conebraid.config import RunConfig
 from conebraid.errors import ConfigError, DomainError, UsageError
-from conebraid.quadrature import RadialPolynomial, build_grid, composite_legendre_unit, radial_fourier
+from conebraid.quadrature import RadialPolynomial, composite_legendre_unit, radial_fourier
+from conebraid.suites import RunContext
+
+from panel_transform import panel_fourier
 
 SQRT_HALF = 0.7071067811865476
 
@@ -35,23 +39,23 @@ def _sigma_exact(d):
 
 
 @pytest.fixture(scope="module")
-def pair(grid):
-    return F.make_charge_vector(grid, q=1.0, width=1.0), F.make_test_vector(grid, 1.0, 1.0)
+def pair():
+    return F.make_charge_vector(q=1.0, width=1.0), F.make_test_vector(1.0, 1.0)
 
 
-def test_constructor_bookkeeping(grid):
-    gam = F.make_charge_vector(grid, q=1.0)
-    dlt = F.make_test_vector(grid)
+def test_constructor_bookkeeping():
+    gam = F.make_charge_vector(q=1.0)
+    dlt = F.make_test_vector()
     assert (gam.klass, gam.charge) == (F.CHARGE, 1.0)
     assert (dlt.klass, dlt.charge) == (F.TEST, 0.0)
-    assert F.make_charge_vector(grid, q=-2.5).charge == -2.5
-    assert F.make_charge_vector(grid, q=0.0).is_zero
-    v = F.make_test_vector(grid, channel="g")
+    assert F.make_charge_vector(q=-2.5).charge == -2.5
+    assert F.make_charge_vector(q=0.0).is_zero
+    v = F.make_test_vector(channel="g")
     assert (v.klass, v.charge) == (F.TEST, 0.0)
     with pytest.raises(ConfigError):
-        F.make_charge_vector(grid, width=0.0)
+        F.make_charge_vector(width=0.0)
     with pytest.raises(ConfigError):
-        F.make_test_vector(grid, channel="x")
+        F.make_test_vector(channel="x")
 
 
 def test_sigma_reference_value(pair):
@@ -89,10 +93,10 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
 
     monkeypatch.setattr(F, "composite_legendre_unit", record)
     # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
-    F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e6)], gam.grid)
+    F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e6)], F.R_MAX)
     assert built == [31831040] and built[0] <= F.RADIAL_RULE_MAX_NODES
     with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
-        F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e8)], gam.grid)
+        F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e8)], F.R_MAX)
     assert len(built) == 1
 
 
@@ -100,7 +104,7 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
 def test_radial_rule_is_composite_panels(pair, d, panels):
     # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node panels
     gam, dlt = pair
-    r, w = F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], d)], gam.grid)
+    r, w = F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], d)], F.R_MAX)
     nodes, weights = composite_legendre_unit(panels, 64)
     assert np.array_equal(r, 10.0 * nodes) and np.array_equal(w, 10.0 * weights)
 
@@ -222,16 +226,16 @@ def _close(value, ref):
     return abs(value - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
-def test_small_offsets_against_oracles(grid12):
-    gam = F.make_charge_vector(grid12)
-    dlt = F.make_test_vector(grid12)
+def test_small_offsets_against_oracles():
+    gam = F.make_charge_vector()
+    dlt = F.make_test_vector()
     a = (0.0, 0.4, -0.3, 0.8)
     assert _close(F.symplectic(F.translate(gam, a), dlt), _mpmath_erf_sigma(math.hypot(*a)))
     # Re (x, y) of two h-channel Gaussians takes the panel rule
     y = F.translate(dlt, (0.0, 0.5, 0.5, -0.7))
     val = F.scalar_product(dlt, y)
-    assert _close(val.real, _mpmath_form(F.RE, dlt, y, grid12.r_max)) and val.imag == 0.0
-    v = F.make_test_vector(grid12, channel="g")
+    assert _close(val.real, _mpmath_form(F.RE, dlt, y, F.R_MAX)) and val.imag == 0.0
+    v = F.make_test_vector(channel="g")
     assert abs(F.symplectic(v, dlt) - np.pi**1.5) < 1e-12
 
 
@@ -258,20 +262,20 @@ SMOOTH = RadialPolynomial((1.0, -2.0, 1.0), 1.0)
     ],
     ids=lambda v: v if isinstance(v, str) else f"{v[0]}{v[1]}@" + ",".join(f"{c:g}" for c in v[2]),
 )
-def test_panel_route_pairs_match_mpmath(grid, form, x, y):
-    # pairs with a time offset off the closed form, in the truncated model on (0, r_max]
+def test_panel_route_pairs_match_mpmath(form, x, y):
+    # pairs with a time offset off the closed form, in the truncated model on (0, R_MAX]
     def vector(kind, channel, offset):
         if kind == "bump":
-            v = F.make_bump_vector(grid, SMOOTH, channel)
+            v = F.make_bump_vector(SMOOTH, channel)
         elif kind == "gauss2":
-            v = F.make_test_vector(grid, channel="g")
+            v = F.make_test_vector(channel="g")
         else:
-            v = F.make_charge_vector(grid) if channel == "g" else F.make_test_vector(grid)
+            v = F.make_charge_vector() if channel == "g" else F.make_test_vector()
         return F.translate(v, offset)
 
     vx, vy = vector(*x), vector(*y)
     value = F.symplectic(vx, vy) if form == F.SIGMA else F.scalar_product(vx, vy).real
-    assert _close(value, _mpmath_form(form, vx, vy, grid.r_max))
+    assert _close(value, _mpmath_form(form, vx, vy, F.R_MAX))
 
 
 def test_time_translation(pair):
@@ -345,7 +349,7 @@ def test_translate_restores_the_term_order(pair):
     assert [c for c, _ in F.add(moved, moved).terms] == [4.0, 2.0]
 
 
-def test_linear_structure(grid, pair):
+def test_linear_structure(pair):
     gam, dlt = pair
     assert F.add(gam, F.negate(gam)).is_zero
     assert F.scale(0.0, gam).is_zero
@@ -353,7 +357,7 @@ def test_linear_structure(grid, pair):
     assert F.add(gam, dlt).klass == F.CHARGE
     assert F.add(gam, dlt).charge == 1.0
     assert F.add(dlt, F.translate(dlt, (0.0, 1.0, 0.0, 0.0))).klass == F.TEST
-    z = F.zero_vector(grid)
+    z = F.zero_vector()
     assert F.symplectic(z, dlt) == 0.0
     assert F.add(z, gam).terms == gam.terms
     with pytest.raises(UsageError):
@@ -391,26 +395,26 @@ def test_intertwiner_label_norm_against_independent_quadrature(pair):
     assert abs(4.0 * F.vacuum_exponent(lab) - ref) < 1e-9
 
 
-def test_bump_vector(grid):
-    ball = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+def test_bump_vector():
+    ball = F.make_bump_vector(RadialPolynomial((1.0,), 1.0))
     # charge equals the position-space integral of the profile
     assert abs(ball.charge - 4.0 * np.pi / 3.0) < 1e-12
     assert ball.klass == F.CHARGE
     # an equal shape built separately is the same atom
-    again = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    again = F.make_bump_vector(RadialPolynomial((1.0,), 1.0))
     assert again.terms == ball.terms and again.charge == ball.charge
     # another support is another atom, of 8 times the charge
-    wide = F.make_bump_vector(grid, RadialPolynomial((1.0,), 2.0))
+    wide = F.make_bump_vector(RadialPolynomial((1.0,), 2.0))
     assert wide.terms[0][1] != ball.terms[0][1]
     assert math.isclose(wide.charge, 8.0 * ball.charge, rel_tol=1e-14)
     # a bare callable is not a shape
     with pytest.raises(UsageError):
-        F.make_bump_vector(grid, lambda r: np.ones_like(r))
-    dlt = F.make_test_vector(grid)
+        F.make_bump_vector(lambda r: np.ones_like(r))
+    dlt = F.make_test_vector()
     val = F.symplectic(ball, dlt)
     # sigma(ball, delta) = 4 pi int f~(r) e^{-r^2/2} dr, f~ the profile transform
     ref = 4.0 * np.pi * quad(
-        lambda r: radial_fourier(lambda s: np.ones_like(s), 1.0, r) * np.exp(-0.5 * r**2),
+        lambda r: panel_fourier(lambda s: np.ones_like(s), 1.0, r) * np.exp(-0.5 * r**2),
         0.0,
         np.inf,
         limit=200,
@@ -418,33 +422,33 @@ def test_bump_vector(grid):
     assert abs(val - ref) < 1e-8
 
 
-def test_bump_transform_memo_follows_the_shape(grid):
+def test_bump_transform_memo_follows_the_shape():
     # the memo must serve the transform of the atom's own shape: shape (2,) is
     # twice shape (1,), so after (1,) is memoized, (2,) doubles sigma and charge
-    dlt = F.make_test_vector(grid)
-    one = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    dlt = F.make_test_vector()
+    one = F.make_bump_vector(RadialPolynomial((1.0,), 1.0))
     before = F.symplectic(one, dlt)
-    two = F.make_bump_vector(grid, RadialPolynomial((2.0,), 1.0))
+    two = F.make_bump_vector(RadialPolynomial((2.0,), 1.0))
     after = F.symplectic(two, dlt)
     assert after == 2.0 * before
     assert two.charge == 2.0 * one.charge
     # the memoized transform is the uncached closed form, read-only
-    r, w = F._radial_rule_for([(1.0, two.terms[0][1], dlt.terms[0][1], 0.0)], grid)
-    uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), 1.0, r)
+    r, w = F._radial_rule_for([(1.0, two.terms[0][1], dlt.terms[0][1], 0.0)], F.R_MAX)
+    uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r)
     cached = two.terms[0][1].profile.momentum_values(r)
     assert np.array_equal(cached, uncached) and not cached.flags.writeable
     ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
     assert math.isclose(after, ref, rel_tol=1e-14)
 
 
-def test_bump_vector_keeps_its_transform_after_another_shape(grid):
+def test_bump_vector_keeps_its_transform_after_another_shape():
     # a bump atom holds its shape by value: building and evaluating a bump of
     # another shape leaves its sigma unchanged, and the two are distinct atoms
     # and distinct Weyl labels
-    dlt = F.make_test_vector(grid)
-    one = F.make_bump_vector(grid, RadialPolynomial((1.0,), 1.0))
+    dlt = F.make_test_vector()
+    one = F.make_bump_vector(RadialPolynomial((1.0,), 1.0))
     before = F.symplectic(one, dlt)
-    two = F.make_bump_vector(grid, RadialPolynomial((2.0,), 1.0))
+    two = F.make_bump_vector(RadialPolynomial((2.0,), 1.0))
     assert F.symplectic(two, dlt) == 2.0 * before
     assert F.symplectic(one, dlt) == before
     assert one.terms[0][1] != two.terms[0][1]
@@ -465,7 +469,7 @@ def test_bump_profile_needs_a_shape():
 def mixed(pair):
     # multi-term vectors with time offsets, both channels and spatial separations
     gam, dlt = pair
-    g2 = F.make_test_vector(gam.grid, amplitude=0.6, width=1.3, channel="g")
+    g2 = F.make_test_vector(amplitude=0.6, width=1.3, channel="g")
     x = F.add(F.translate(gam, (0.3, 1.0, 0.0, 2.0)), F.scale(0.7, F.translate(dlt, (-0.4, 0.0, 1.0, 0.0))))
     x = F.add(x, F.translate(g2, (0.0, -2.0, 0.5, 0.0)))
     y = F.add(dlt, F.translate(g2, (0.9, 0.5, 0.2, 5.0)))
@@ -489,7 +493,7 @@ def test_sigma_exactly_additive_over_pairs(pair):
 
 def test_scalar_product_of_a_vector_with_itself_is_real(mixed):
     x, y = mixed
-    v = F.add(F.scale(0.5, y), F.translate(F.make_test_vector(x.grid, channel="g"), (0.4, 0.0, 0.0, 1.0)))
+    v = F.add(F.scale(0.5, y), F.translate(F.make_test_vector(channel="g"), (0.4, 0.0, 0.0, 1.0)))
     assert v.klass == F.TEST and len(v.terms) == 4
     val = F.scalar_product(v, v)
     assert val.imag == 0.0 and val.real > 0.0
@@ -506,10 +510,10 @@ def test_swapped_operands_share_pair_integrals(mixed):
     assert F._pair_integral.cache_info().misses == misses
 
 
-def _direct_pair_sum(form, ka, kb, delta, grid):
+def _direct_pair_sum(form, ka, kb, delta):
     """4 pi dot(w, K sinc(r delta)) on the pair's own rule, one sinc per node, and 4 pi dot(w, |K|)."""
     ax, ay = (F.Atom(p, c, (t, 0.0, 0.0, 0.0)) for p, c, t in (ka, kb))
-    r, w = F._radial_rule_for([(1.0, ax, ay, delta)], grid)
+    r, w = F._radial_rule_for([(1.0, ax, ay, delta)], F.R_MAX)
     kern = F._kernel(form, ax, ay, r)
     direct = float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
     return 4.0 * np.pi * direct, 4.0 * np.pi * float(np.dot(w, np.abs(kern)))
@@ -534,37 +538,37 @@ def _split_phase_cases():
 
 
 @pytest.mark.parametrize("form, ka, kb, delta", _split_phase_cases())
-def test_pair_integral_matches_direct_sinc_sum(grid, form, ka, kb, delta):
+def test_pair_integral_matches_direct_sinc_sum(form, ka, kb, delta):
     # the per-panel phase split changes only rounding: each node's phase
     # error is eps * delta * r, so the difference is bounded by eps times
     # the pair's zero-separation size 4 pi sum |w K|
-    value = F._panel_pair_integral(form, ka, kb, delta, grid)
-    ref, size = _direct_pair_sum(form, ka, kb, delta, grid)
+    value = F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)
+    ref, size = _direct_pair_sum(form, ka, kb, delta)
     if delta == 0.0:
         assert value == ref
     else:
         assert abs(value - ref) <= 1e-13 * size
     # the kernel is bit-exactly antisymmetric (SIGMA) or symmetric (RE) under a swap
-    swapped = F._panel_pair_integral(form, kb, ka, delta, grid)
+    swapped = F._panel_pair_integral(form, kb, ka, delta, F.R_MAX)
     assert swapped == (-value if form == F.SIGMA else value)
 
 
-def test_pair_integral_memo_is_bounded_and_holds_floats(grid, monkeypatch):
+def test_pair_integral_memo_is_bounded_and_holds_floats(monkeypatch):
     info = F._pair_integral.cache_info()
     assert info.maxsize is not None and info.currsize <= info.maxsize
     gauss = F.Profile("gauss", width=1.0)
     g, h = (gauss, "g", 0.0), (gauss, "h", 0.5)
-    value = F._pair_integral(F.SIGMA, g, h, 3.0, grid)
-    assert type(value) is float and type(F._pair_integral(F.RE, g, h, 3.0, grid)) is float
+    value = F._pair_integral(F.SIGMA, g, h, 3.0)
+    assert type(value) is float and type(F._pair_integral(F.RE, g, h, 3.0)) is float
     # kernels that vanish identically build no rule
     monkeypatch.setattr(F, "_radial_rule_for", None)
     undecorated = F._pair_integral.__wrapped__
-    assert undecorated(F.SIGMA, g, g, 3.0, grid) == 0.0
-    assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0, grid) == 0.0
+    assert undecorated(F.SIGMA, g, g, 3.0) == 0.0
+    assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0) == 0.0
 
 
 @pytest.mark.parametrize("t", [0.7, -1.1, 3.0])
-def test_equal_time_kernels_vanish_without_a_rule(grid, monkeypatch, t):
+def test_equal_time_kernels_vanish_without_a_rule(monkeypatch, t):
     # at equal time offsets sigma in equal channels and Re in unequal ones
     # vanish identically; with unequal profiles the panel sum is rounding only
     gauss, broad = F.Profile("gauss", width=1.0), F.Profile("gauss", width=1.3)
@@ -577,12 +581,12 @@ def test_equal_time_kernels_vanish_without_a_rule(grid, monkeypatch, t):
         for delta in (0.0, 0.3, 2.5)
     ]
     for form, ka, kb, delta in cases:
-        assert abs(F._panel_pair_integral(form, ka, kb, delta, grid)) <= 1e-15
-    x = F.translate(F.make_test_vector(grid, width=1.0, channel="g"), (t, 0.0, 0.0, 0.0))
-    y = F.translate(F.make_charge_vector(grid, width=1.3), (t, 0.3, 0.0, 0.0))
+        assert abs(F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)) <= 1e-15
+    x = F.translate(F.make_test_vector(width=1.0, channel="g"), (t, 0.0, 0.0, 0.0))
+    y = F.translate(F.make_charge_vector(width=1.3), (t, 0.3, 0.0, 0.0))
     monkeypatch.setattr(F, "_radial_rule_for", None)
     for form, ka, kb, delta in cases:
-        assert F._pair_integral.__wrapped__(form, ka, kb, delta, grid) == 0.0
+        assert F._pair_integral.__wrapped__(form, ka, kb, delta) == 0.0
     assert F.symplectic(x, y) == 0.0
 
 
@@ -592,17 +596,17 @@ CLOSED_FORM_DELTAS = (0.5, 1.5, 20.0, 150.0, 1280.0, 1.0e4, 8.0e4)
 @pytest.mark.parametrize("offsets", [(0.0, 0.0), (0.5, -1.2), (3.0, 0.0), (0.0, 7.5)])
 @pytest.mark.parametrize("widths", [(1.0, 1.0), (1.0, 1.3)])
 @pytest.mark.parametrize("cx, cy", [("g", "g"), ("g", "h"), ("h", "g"), ("h", "h")])
-def test_gauss_sigma_closed_form_matches_panel_route(grid, cx, cy, widths, offsets):
+def test_gauss_sigma_closed_form_matches_panel_route(cx, cy, widths, offsets):
     # the closed form integrates over [0, inf); the rule stops at r_max = 10,
     # where e^{-a r_max^2} <= e^{-100}, so the two agree to the rule's bound
     ka = (F.Profile("gauss", width=widths[0]), cx, offsets[0])
     kb = (F.Profile("gauss", width=widths[1]), cy, offsets[1])
-    size = _direct_pair_sum(F.SIGMA, ka, kb, 0.0, grid)[1]
+    size = _direct_pair_sum(F.SIGMA, ka, kb, 0.0)[1]
     for delta in CLOSED_FORM_DELTAS:
-        value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta, grid)
+        value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta)
         assert type(value) is float
-        assert abs(value - F._panel_pair_integral(F.SIGMA, ka, kb, delta, grid)) <= 1e-13 * size
-        assert F._pair_integral.__wrapped__(F.SIGMA, kb, ka, delta, grid) == -value
+        assert abs(value - F._panel_pair_integral(F.SIGMA, ka, kb, delta, F.R_MAX)) <= 1e-13 * size
+        assert F._pair_integral.__wrapped__(F.SIGMA, kb, ka, delta) == -value
 
 
 @pytest.mark.parametrize(
@@ -617,32 +621,32 @@ def test_gauss_sigma_closed_form_matches_panel_route(grid, cx, cy, widths, offse
         ("h", "h", (1.0, 1.0), (3.0, 0.0), 20.0),
     ],
 )
-def test_gauss_sigma_closed_form_matches_mpmath(grid, cx, cy, widths, offsets, delta):
+def test_gauss_sigma_closed_form_matches_mpmath(cx, cy, widths, offsets, delta):
     ka = (F.Profile("gauss", width=widths[0]), cx, offsets[0])
     kb = (F.Profile("gauss", width=widths[1]), cy, offsets[1])
-    value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta, grid)
+    value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta)
     # the closed form integrates over [0, inf); past r = 16 the integrand is below e^{-256}
     ref = _mpmath_pair(F.SIGMA, ka, kb, delta, 16.0)
     assert abs(value - ref) <= 1e-13 * max(1.0, abs(ref))
 
 
-def test_pair_integral_fallbacks_reach_the_panel_rule(grid, monkeypatch):
+def test_pair_integral_fallbacks_reach_the_panel_rule(monkeypatch):
     # below the minimum separation, with a short cutoff tail, for gauss2 and
     # for RE the pair integral builds its rule; the closed form builds none
     calls = []
 
-    def sentinel(pairs, grid):
+    def sentinel(pairs, r_max):
         calls.append(pairs)
-        return rule_for(pairs, grid)
+        return rule_for(pairs, r_max)
 
     rule_for = F._radial_rule_for
     monkeypatch.setattr(F, "_radial_rule_for", sentinel)
     gauss, broad = F.Profile("gauss", width=1.0), F.Profile("gauss", width=0.5)
     g, h = (gauss, "g", 0.0), (gauss, "h", 0.5)
     undecorated = F._pair_integral.__wrapped__
-    undecorated(F.SIGMA, g, h, 3.0, grid)
+    undecorated(F.SIGMA, g, h, 3.0)
     assert calls == []
-    assert 0.5 * (0.5**2 + 0.5**2) * grid.r_max**2 < F.CLOSED_FORM_MIN_TAIL
+    assert 0.5 * (0.5**2 + 0.5**2) * F.R_MAX**2 < F.CLOSED_FORM_MIN_TAIL
     fallbacks = [
         (F.SIGMA, g, h, 0.5 * F.CLOSED_FORM_MIN_DELTA),
         (F.SIGMA, (broad, "g", 0.0), (broad, "h", 0.5), 3.0),
@@ -651,18 +655,18 @@ def test_pair_integral_fallbacks_reach_the_panel_rule(grid, monkeypatch):
     ]
     for form, ka, kb, delta in fallbacks:
         calls.clear()
-        value = undecorated(form, ka, kb, delta, grid)
+        value = undecorated(form, ka, kb, delta)
         assert len(calls) == 1
-        assert value == F._panel_pair_integral(form, ka, kb, delta, grid)
+        assert value == F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)
 
 
-def test_different_grids_rejected(grid, grid12):
-    gam = F.make_charge_vector(grid)
-    dlt = F.make_test_vector(grid12)
-    with pytest.raises(UsageError):
-        F.symplectic(gam, dlt)
-    with pytest.raises(UsageError):
-        F.add(gam, dlt)
+def test_vectors_from_two_contexts_agree():
+    # every vector lives in the one model with cutoff R_MAX, so vectors of
+    # two materializations of one config combine as those of one do
+    one, two = RunContext(RunConfig()), RunContext(RunConfig())
+    (gam, dlt), (gam2, dlt2) = (tuple(ctx.vectors.values()) for ctx in (one, two))
+    assert F.symplectic(gam, dlt2) == F.symplectic(gam2, dlt) == F.symplectic(gam, dlt)
+    assert F.add(gam, dlt2).terms == F.add(gam, dlt).terms
 
 
 @pytest.mark.parametrize(
@@ -671,17 +675,18 @@ def test_different_grids_rejected(grid, grid12):
 def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y):
     # Two radial bumps of support 1 at t = 0 and distance d > 2 couple like
     # point charges (Newton's shell theorem): sigma = 2 pi^2 phi_x(0) phi_y(0) / d
-    # in the model without a momentum cutoff.  The rule stops at r_max, so the
-    # gap is the cutoff error, and it must shrink as r_max grows.
+    # in the model without a momentum cutoff.  The panel rule stops at r_max,
+    # so the gap is the cutoff error, and it must shrink as r_max grows past
+    # the model's R_MAX.
     coeffs = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
     px, py = (F.Profile("bump", shape=RadialPolynomial(coeffs[shape], 1.0)) for shape in (shape_x, shape_y))
-    grids = {r_max: build_grid(r_max) for r_max in (10.0, 40.0)}
     for d in (2.5, 20.0):
         exact = 2.0 * math.pi**2 * px.value_at_zero() * py.value_at_zero() / d
         gap = {
-            r_max: abs(F._pair_integral.__wrapped__(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d, g) - exact)
-            for r_max, g in grids.items()
+            r_max: abs(F._panel_pair_integral(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d, r_max) - exact)
+            for r_max in (F.R_MAX, 40.0)
         }
-        assert gap[40.0] < gap[10.0]
+        assert gap[F.R_MAX] == abs(F._pair_integral.__wrapped__(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d) - exact)
+        assert gap[40.0] < gap[F.R_MAX]
         if shape_x == shape_y == "smooth":
             assert gap[40.0] <= 1e-12

@@ -23,31 +23,31 @@ vec_params = st.lists(atom_params, min_size=1, max_size=2)
 obj_params = st.tuples(st.booleans(), atom_params)
 
 
-def build_vec(grid, params):
-    out = F.zero_vector(grid)
+def build_vec(params):
+    out = F.zero_vector()
     for chan, w, amp, t, x, y, z in params:
-        v = F.make_test_vector(grid, amplitude=amp, width=w, channel=chan)
+        v = F.make_test_vector(amplitude=amp, width=w, channel=chan)
         out = F.add(out, F.translate(v, (t, x, y, z)))
     return out
 
 
-def build_obj(grid, params):
+def build_obj(params):
     charged, (chan, w, amp, t, x, y, z) = params
     if charged:
-        v = F.make_charge_vector(grid, q=amp, width=w)
+        v = F.make_charge_vector(q=amp, width=w)
     else:
-        v = F.make_test_vector(grid, amplitude=amp, width=w, channel=chan)
+        v = F.make_test_vector(amplitude=amp, width=w, channel=chan)
     return C.make_object(F.translate(v, (t, x, y, z)))
 
 
 @settings(max_examples=30, **COMMON)
 @given(vec_params, vec_params, st.floats(-2, 2), st.floats(-2, 2))
-def test_symplectic_antisymmetric_bilinear(grid, px, py, a, b):
-    x, y = build_vec(grid, px), build_vec(grid, py)
+def test_symplectic_antisymmetric_bilinear(px, py, a, b):
+    x, y = build_vec(px), build_vec(py)
     sxy = F.symplectic(x, y)
     assert abs(sxy + F.symplectic(y, x)) <= 1e-10 * (1.0 + abs(sxy))
     combo = F.add(F.scale(a, x), F.scale(b, y))
-    z = build_vec(grid, px[:1])
+    z = build_vec(px[:1])
     lhs = F.symplectic(combo, z)
     rhs = a * F.symplectic(x, z) + b * F.symplectic(y, z)
     assert abs(lhs - rhs) <= 1e-9 * (1.0 + abs(lhs) + abs(rhs))
@@ -55,8 +55,8 @@ def test_symplectic_antisymmetric_bilinear(grid, px, py, a, b):
 
 @settings(max_examples=25, **COMMON)
 @given(vec_params, vec_params, vec_params)
-def test_weyl_cocycle_laws(grid, px, py, pz):
-    x, y, z = build_vec(grid, px), build_vec(grid, py), build_vec(grid, pz)
+def test_weyl_cocycle_laws(px, py, pz):
+    x, y, z = build_vec(px), build_vec(py), build_vec(pz)
     wx, wy, wz = weyl(x), weyl(y), weyl(z)
     merged = F.add(x, y)
     exchange = weyl_mul(weyl(y, np.exp(1j * F.symplectic(x, y))), wx)
@@ -75,16 +75,16 @@ def test_weyl_cocycle_laws(grid, px, py, pz):
 
 @settings(max_examples=25, **COMMON)
 @given(vec_params, st.floats(-1.5, 1.5).filter(lambda s: abs(s) > 1e-3))
-def test_vacuum_exponent_quadratic(grid, px, s):
-    x = build_vec(grid, px)
+def test_vacuum_exponent_quadratic(px, s):
+    x = build_vec(px)
     base = F.vacuum_exponent(x)
     assert abs(F.vacuum_exponent(F.scale(s, x)) - s * s * base) <= 1e-9 * (1.0 + base)
 
 
 @settings(max_examples=20, **COMMON)
 @given(obj_params, obj_params, obj_params, st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
-def test_category_coherence(grid, pa, pb, pc, phi1, phi2):
-    a, b, c = build_obj(grid, pa), build_obj(grid, pb), build_obj(grid, pc)
+def test_category_coherence(pa, pb, pc, phi1, phi2):
+    a, b, c = build_obj(pa), build_obj(pb), build_obj(pc)
     h1, h2 = C.hexagon_residuals(a, b, c)
     assert max(h1, h2) <= 1e-12
     r = C.rephase(C.hom_basis(a, C.translate_object(a, (0.0, 1.0, 0.0, -0.5))), np.exp(1j * phi1))
@@ -97,8 +97,8 @@ def test_category_coherence(grid, pa, pb, pc, phi1, phi2):
 
 @settings(max_examples=20, **COMMON)
 @given(obj_params, st.floats(0, 2 * math.pi), times, coords)
-def test_transport_keeps_intertwiner_relation(grid, pa, phi, t, off):
-    a = build_obj(grid, pa)
+def test_transport_keeps_intertwiner_relation(pa, phi, t, off):
+    a = build_obj(pa)
     r = C.rephase(C.hom_basis(a, C.translate_object(a, (t, off, 0.4, -0.2))), np.exp(1j * phi))
     f = F.intertwiner_label(a.data, F.translate(a.data, (0.0, -0.7, 1.1, 0.3)))
     assert C.intertwiner_relation_residual(r, f) <= 1e-12
@@ -165,9 +165,9 @@ def test_tail_policy_samples(window_start, sample_count):
 
 @settings(max_examples=25, **COMMON)
 @given(vec_params, times, coords, coords, coords, times, coords, coords, coords)
-def test_translation_composes(grid, px, t1, x1, y1, z1, t2, x2, y2, z2):
-    x = build_vec(grid, px)
-    probe = F.make_test_vector(grid, amplitude=1.0, width=1.0, channel="h")
+def test_translation_composes(px, t1, x1, y1, z1, t2, x2, y2, z2):
+    x = build_vec(px)
+    probe = F.make_test_vector(amplitude=1.0, width=1.0, channel="h")
     a, b = (t1, x1, y1, z1), (t2, x2, y2, z2)
     twice = F.translate(F.translate(x, a), b)
     once = F.translate(x, tuple(p + q for p, q in zip(a, b)))
@@ -198,18 +198,18 @@ merge_terms = st.lists(st.tuples(merge_coeffs, merge_atoms), max_size=5)
 merge_factors = st.sampled_from([1.0, -1.0, 2.0, 1e-30, -1e-30])
 
 
-def build_merge_vec(grid, terms):
-    out = F.zero_vector(grid)
+def build_merge_vec(terms):
+    out = F.zero_vector()
     for c, (chan, w, t, x) in terms:
-        v = F.make_test_vector(grid, amplitude=c, width=w, channel=chan)
+        v = F.make_test_vector(amplitude=c, width=w, channel=chan)
         out = F.add(out, F.translate(v, (t, x, 0.0, 0.0)))
     return out
 
 
 @settings(max_examples=300, **COMMON)
 @given(merge_terms, merge_terms, merge_factors, merge_factors)
-def test_merged_sum_equals_dict_and_sort(grid, tx, ty, fx, fy):
-    x, y = build_merge_vec(grid, tx), build_merge_vec(grid, ty)
+def test_merged_sum_equals_dict_and_sort(tx, ty, fx, fy):
+    x, y = build_merge_vec(tx), build_merge_vec(ty)
     # scale drops the products that underflow, which the dict merge drops too
     sx, sy = F.scale(fx, x), F.scale(fy, y)
     assert _bits(sx.terms) == _bits(_dict_and_sort([(fx * c, a) for c, a in x.terms]))

@@ -1,4 +1,8 @@
-"""Quadrature rules and grid checks against closed-form integrals and mpmath."""
+"""Quadrature rules and the radial transform against closed-form integrals and mpmath.
+
+The panel-sum transform of tests/panel_transform.py is the reference route
+for the package's closed-form transform of a RadialPolynomial.
+"""
 
 from fractions import Fraction
 
@@ -7,64 +11,16 @@ import numpy as np
 import pytest
 
 from conebraid import quadrature as Q
-from conebraid._angular import SUPPORTED_ORDERS, angular_rule
-from conebraid.errors import ConfigError, UsageError
+from conebraid.errors import ConfigError
 from conebraid.quadrature import (
-    CHECKSUM_ANGULAR_POINTS,
-    CHECKSUM_RADIAL_NODES,
     TWO_PI_32,
     RadialPolynomial,
-    build_grid,
     composite_legendre_unit,
     gauss_legendre_unit,
     radial_fourier,
-    radial_panel_rule,
 )
 
-
-def _sphere_monomial_exact(i, j, k):
-    # integral over S^2 of x^i y^j z^k; zero unless all exponents are even
-    if i % 2 or j % 2 or k % 2:
-        return 0.0
-    def dfact(n):
-        out = 1
-        while n > 1:
-            out *= n
-            n -= 2
-        return out
-    num = dfact(i - 1) * dfact(j - 1) * dfact(k - 1)
-    return 4.0 * np.pi * num / dfact(i + j + k + 1)
-
-
-@pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
-def test_angular_rule_basic(order):
-    nodes, weights = angular_rule(order)
-    assert nodes.shape == (order, 3)
-    assert np.all(weights > 0)
-    assert abs(weights.sum() - 4.0 * np.pi) < 1e-12
-    assert np.max(np.abs(np.einsum("ij,ij->i", nodes, nodes) - 1.0)) < 1e-14
-
-
-@pytest.mark.parametrize("order", sorted(SUPPORTED_ORDERS))
-def test_angular_antipode_is_exact(order):
-    # exact float negation is well defined, so -u is found by exact key lookup
-    nodes, weights = angular_rule(order)
-    weight_of = {tuple(u): w for u, w in zip(nodes, weights)}
-    assert len(weight_of) == order
-    for u, w in zip(nodes, weights):
-        assert weight_of[tuple(-u)] == w
-
-
-@pytest.mark.parametrize("order,degree", [(26, 7), (50, 11), (194, 23)])
-def test_angular_polynomial_exactness(order, degree):
-    nodes, weights = angular_rule(order)
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            for k in range(degree + 1 - i - j):
-                if i + j + k > degree:
-                    continue
-                val = np.dot(weights, nodes[:, 0] ** i * nodes[:, 1] ** j * nodes[:, 2] ** k)
-                assert abs(val - _sphere_monomial_exact(i, j, k)) < 1e-12
+from panel_transform import panel_fourier, radial_panel_rule
 
 
 def test_gauss_legendre_unit():
@@ -74,33 +30,16 @@ def test_gauss_legendre_unit():
     assert abs(np.dot(weights, nodes**3) - 0.25) < 1e-14
 
 
-def test_build_grid_validation():
-    for r_max in (0.0, -1.0, float("inf"), float("nan")):
-        with pytest.raises(ConfigError):
-            build_grid(r_max)
-
-
-def test_grid_checksum_deterministic():
-    a = build_grid(10.0)
-    b = build_grid(10.0)
-    c = build_grid(12.0)
-    assert a.checksum == b.checksum
-    assert a.checksum != c.checksum
-    # reports carry the checksum, so its value is pinned
-    assert (CHECKSUM_RADIAL_NODES, CHECKSUM_ANGULAR_POINTS) == (64, 26)
-    assert a.checksum == "253bff392c9c730e"
-
-
 def test_radial_fourier_indicator():
     # unit ball indicator: f~(p) = (2 pi)^{-3/2} 4 pi (sin p - p cos p)/p^3
     p = np.array([0.0, 0.5, 1.0, 2.0, 5.0])
-    got = radial_fourier(lambda r: np.ones_like(r), 1.0, p)
+    got = panel_fourier(lambda r: np.ones_like(r), 1.0, p)
     with np.errstate(invalid="ignore"):
         expected = (2.0 * np.pi) ** -1.5 * 4.0 * np.pi * (np.sin(p) - p * np.cos(p)) / p**3
     expected[0] = (2.0 * np.pi) ** -1.5 * 4.0 * np.pi / 3.0
     assert np.max(np.abs(got - expected)) < 1e-12
     # scalar momentum passes through as a scalar
-    assert np.isscalar(radial_fourier(lambda r: np.ones_like(r), 1.0, 0.0))
+    assert np.isscalar(panel_fourier(lambda r: np.ones_like(r), 1.0, 0.0))
 
 
 @pytest.mark.parametrize("count", [1, 128, 129, 4000])
@@ -111,21 +50,21 @@ def test_radial_fourier_blocks_match_one_shot(count):
     r, w = radial_panel_rule(1.0)
     kernel = np.sinc(np.outer(p, r) / np.pi)
     one_shot = 4.0 * np.pi / TWO_PI_32 * np.sum(kernel * (w * r**2 * fn(r))[None, :], axis=1)
-    assert np.array_equal(radial_fourier(fn, 1.0, p), one_shot)
+    assert np.array_equal(panel_fourier(fn, 1.0, p), one_shot)
 
 
 def test_radial_fourier_panel_consistency():
     fn = lambda r: (1.0 - r**2) ** 2
     p = np.linspace(0.0, 8.0, 17)
-    a = radial_fourier(fn, 1.0, p, panels=200)
-    b = radial_fourier(fn, 1.0, p, panels=400)
+    a = panel_fourier(fn, 1.0, p, panels=200)
+    b = panel_fourier(fn, 1.0, p, panels=400)
     assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_radial_panel_rule_integrates_polynomial():
     nodes, weights = radial_panel_rule(2.0, panels=200)
     assert abs(np.dot(weights, nodes**4) - 2.0**5 / 5.0) < 1e-12
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         radial_panel_rule(2.0, panels=100)
 
 
@@ -170,15 +109,15 @@ def test_polynomial_transform_matches_mpmath_and_panel_sum(shape, support):
     near_branch = branch * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
     x = np.concatenate([np.logspace(-6, np.log10(10.0 * support), 36), near_branch])
     p = x / support
-    got = radial_fourier(profile, support, p)
-    phi0 = radial_fourier(profile, support, 0.0)
+    got = radial_fourier(profile, p)
+    phi0 = radial_fourier(profile, 0.0)
     # p = 0 is the j = 0 series coefficient, exactly
     exact0 = 4.0 * np.pi / TWO_PI_32 * support**3 * float(sum(Fraction(c) / (2 * k + 3) for k, c in enumerate(coeffs)))
     assert phi0 == exact0
     oracle = np.array([_mpmath_transform(coeffs, support, pk) for pk in p])
     assert np.max(np.abs(got - oracle)) <= 1e-15 * phi0
     # the panel sum of the equivalent callable is the reference route
-    panel = radial_fourier(lambda r: sum(c * (r / support) ** (2 * k) for k, c in enumerate(coeffs)), support, p)
+    panel = panel_fourier(lambda r: sum(c * (r / support) ** (2 * k) for k, c in enumerate(coeffs)), support, p)
     assert np.max(np.abs(got - panel)) <= 1e-15 * phi0
 
 
@@ -187,15 +126,14 @@ def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
     r = np.linspace(0.0, 1.5, 7)
     # Horner in (r/R)^2, so equal to the factored form up to rounding
     assert np.max(np.abs(profile(r) - (1.0 - (r / 1.5) ** 2) ** 2)) <= 1e-15
-    expected = radial_fourier(profile, 1.5, np.array([0.0, 1.0, 5.0]))
-    monkeypatch.setattr(Q, "radial_panel_rule", None)
-    assert np.array_equal(radial_fourier(profile, 1.5, np.array([0.0, 1.0, 5.0])), expected)
-    assert np.isscalar(radial_fourier(profile, 1.5, 2.0))
+    expected = radial_fourier(profile, np.array([0.0, 1.0, 5.0]))
+    monkeypatch.setattr(Q, "composite_legendre_unit", None)
+    monkeypatch.setattr(Q, "gauss_legendre_unit", None)
+    assert np.array_equal(radial_fourier(profile, np.array([0.0, 1.0, 5.0])), expected)
+    assert np.isscalar(radial_fourier(profile, 2.0))
     # equal by value, so equal shapes share atoms
     assert RadialPolynomial([1, -2, 1], 1.5) == profile
     assert hash(RadialPolynomial((1.0, -2.0, 1.0), 1.5)) == hash(profile)
-    with pytest.raises(UsageError):
-        radial_fourier(profile, 1.0, 2.0)
     for coeffs, support in (((), 1.0), ((1.0,) * 5, 1.0), ((float("nan"),), 1.0), ((1.0,), 0.0)):
         with pytest.raises(ConfigError):
             RadialPolynomial(coeffs, support)

@@ -101,3 +101,13 @@ def test_report_drift_script(tmp_path):
     renamed.write_text(json.dumps(data))
     digest = _run("report_drift.py", str(report), str(renamed))
     assert digest.returncode == 0 and "metadata keys changed: config_digest" in digest.stdout, digest.stdout
+
+    # reports of another seed or suite are a wrong pairing, not row drift
+    for key, value in (("seed", 11), ("suite", "braiding")):
+        data = json.loads(report.read_text())
+        data["metadata"][key] = value
+        other = tmp_path / f"other_{key}.json"
+        other.write_text(json.dumps(data))
+        proc = _run("report_drift.py", str(report), str(other))
+        assert proc.returncode == 2 and not proc.stdout, proc.stdout
+        assert len(proc.stderr.splitlines()) == 1 and key in proc.stderr, proc.stderr

@@ -14,8 +14,8 @@ from conebraid.quadrature import RadialPolynomial
 
 
 @pytest.fixture(scope="module")
-def pair(grid):
-    return F.make_charge_vector(grid, q=1.0, width=1.0), F.make_test_vector(grid, 1.0, 1.0)
+def pair():
+    return F.make_charge_vector(q=1.0, width=1.0), F.make_test_vector(1.0, 1.0)
 
 
 def test_commutator_norm_reference(pair):
@@ -53,10 +53,10 @@ def test_exchange_relation(pair):
     assert abs(ratio - np.exp(1j * F.symplectic(gam, y))) < 1e-14
 
 
-def test_product_associative_and_star_antimultiplicative(grid, pair):
+def test_product_associative_and_star_antimultiplicative(pair):
     _, dlt = pair
     e1 = W.weyl_add(W.weyl(dlt), W.weyl(F.translate(dlt, (0, 1, 0, 0)), 0.5j))
-    e2 = W.weyl_add(W.weyl(F.translate(dlt, (0, 0, 1, 0))), W.weyl_unit(grid))
+    e2 = W.weyl_add(W.weyl(F.translate(dlt, (0, 0, 1, 0))), W.weyl_unit())
     e3 = W.weyl_add(W.weyl(F.translate(dlt, (0, 0, 0, 1)), -1.0), W.weyl(dlt, 0.25))
     left = W.weyl_mul(W.weyl_mul(e1, e2), e3)
     right = W.weyl_mul(e1, W.weyl_mul(e2, e3))
@@ -69,7 +69,7 @@ def test_product_associative_and_star_antimultiplicative(grid, pair):
         assert abs(s1.coeff_of(x) - s2.coeff_of(x)) < 1e-12
 
 
-def test_label_identity_is_exact(grid, pair):
+def test_label_identity_is_exact(pair):
     _, dlt = pair
     # 0.1 + 0.2 rounds to 0.30000000000000004, so the two routes give one offset
     jitter = F.translate(F.translate(dlt, (0.0, 0.1, 0.0, 0.0)), (0.0, 0.2, 0.0, 0.0))
@@ -90,7 +90,7 @@ def test_label_identity_is_exact(grid, pair):
     assert element.coeff_of(other) == 0.0
 
 
-def test_conjugation_by_generator_rephases(grid, pair):
+def test_conjugation_by_generator_rephases(pair):
     gam, dlt = pair
     # W(u)* W(y) W(u) = e^{-i sigma(u, y)} W(y)
     u = W.weyl(gam)
@@ -102,11 +102,11 @@ def test_conjugation_by_generator_rephases(grid, pair):
     assert abs(coeff - np.exp(-1j * F.symplectic(gam, y))) < 1e-13
 
 
-def test_vacuum_state(grid, pair):
+def test_vacuum_state(pair):
     _, dlt = pair
     assert abs(W.vacuum_state(W.weyl(dlt)) - math.exp(-math.pi / 2.0)) < 1e-12
-    assert abs(W.vacuum_state(W.weyl_unit(grid)) - 1.0) < 1e-14
-    e = W.weyl_add(W.weyl_unit(grid), W.weyl(dlt, 2.0j))
+    assert abs(W.vacuum_state(W.weyl_unit()) - 1.0) < 1e-14
+    e = W.weyl_add(W.weyl_unit(), W.weyl(dlt, 2.0j))
     want = 1.0 + 2.0j * math.exp(-math.pi / 2.0)
     assert abs(W.vacuum_state(e) - want) < 1e-12
 
@@ -117,13 +117,13 @@ def test_vacuum_rejects_charge_labels(pair):
         W.vacuum_state(W.weyl(gam))
 
 
-def test_gram_matrix_values_and_positivity(grid, pair):
+def test_gram_matrix_values_and_positivity(pair):
     gam, dlt = pair
-    g2 = W.gram_matrix([F.zero_vector(grid), dlt])
+    g2 = W.gram_matrix([F.zero_vector(), dlt])
     assert abs(g2[0, 0] - 1.0) < 1e-14
     assert abs(g2[0, 1] - math.exp(-math.pi / 2.0)) < 1e-12
     fam = [
-        F.zero_vector(grid),
+        F.zero_vector(),
         dlt,
         F.translate(dlt, (0.0, 1.5, 0.0, 0.0)),
         F.scale(0.5, F.translate(dlt, (0.3, 0.0, 0.0, 2.0))),
@@ -134,11 +134,11 @@ def test_gram_matrix_values_and_positivity(grid, pair):
     # chargeless differences of translated charge vectors are admissible labels
     lab1 = F.intertwiner_label(gam, F.translate(gam, (0.0, 0.0, 0.0, 3.0)))
     lab2 = F.intertwiner_label(gam, F.translate(gam, (0.0, 0.0, 0.0, 6.0)))
-    g3 = W.gram_matrix([F.zero_vector(grid), lab1, lab2])
+    g3 = W.gram_matrix([F.zero_vector(), lab1, lab2])
     assert np.linalg.eigvalsh(g3).min() > -1e-12
 
 
-def test_gram_matrix_guard(grid, pair):
+def test_gram_matrix_guard(pair):
     _, dlt = pair
     labels = [F.scale(0.1 * (k + 1), dlt) for k in range(17)]
     with pytest.raises(UsageError):
@@ -146,29 +146,22 @@ def test_gram_matrix_guard(grid, pair):
     assert W.gram_matrix([]).shape == (0, 0)
 
 
-def test_grid_mismatch_rejected(grid, grid12):
-    a = W.weyl(F.make_test_vector(grid))
-    b = W.weyl(F.make_test_vector(grid12))
-    with pytest.raises(UsageError):
-        W.weyl_mul(a, b)
-
-
-def test_bump_labels_follow_their_shape(grid):
+def test_bump_labels_follow_their_shape():
     # shapes f and 2 f: unequal atoms must stay unequal labels
-    first = F.make_bump_vector(grid, RadialPolynomial((1.0, -2.0, 1.0), 1.0))
-    second = F.make_bump_vector(grid, RadialPolynomial((2.0, -4.0, 2.0), 1.0))
+    first = F.make_bump_vector(RadialPolynomial((1.0, -2.0, 1.0), 1.0))
+    second = F.make_bump_vector(RadialPolynomial((2.0, -4.0, 2.0), 1.0))
     assert first.terms != second.terms
     assert W.label_id(first) != W.label_id(second)
     assert len(W.weyl_add(W.weyl(first), W.weyl(second, -1.0)).terms) == 2
     # vectors built separately from equal shapes share one atom and one label
-    again = F.make_bump_vector(grid, RadialPolynomial((1.0, -2.0, 1.0), 1.0))
+    again = F.make_bump_vector(RadialPolynomial((1.0, -2.0, 1.0), 1.0))
     assert again.terms == first.terms
     assert W.label_id(again) == W.label_id(first)
     assert W.weyl_add(W.weyl(first), W.weyl(again, -1.0)).is_zero
 
 
 @lru_cache(maxsize=1)
-def _label_pool(grid):
+def _label_pool():
     """Gaussian, gauss2 and bump vectors (both shapes, two supports), their scales and translations.
 
     The pool is built twice over, so equal vectors also occur as separately built objects.
@@ -176,13 +169,13 @@ def _label_pool(grid):
     pool = []
     for _ in range(2):
         base = [
-            F.make_charge_vector(grid, q=1.0, width=1.0),
-            F.make_charge_vector(grid, q=1.0, width=1.3),
-            F.make_test_vector(grid, 1.0, 1.0, channel="h"),
-            F.make_test_vector(grid, 1.0, 1.0, channel="g"),
+            F.make_charge_vector(q=1.0, width=1.0),
+            F.make_charge_vector(q=1.0, width=1.3),
+            F.make_test_vector(1.0, 1.0, channel="h"),
+            F.make_test_vector(1.0, 1.0, channel="g"),
         ]
         base += [
-            F.make_bump_vector(grid, RadialPolynomial(coeffs, support), channel=channel)
+            F.make_bump_vector(RadialPolynomial(coeffs, support), channel=channel)
             for coeffs in ((1.0,), (1.0, -2.0, 1.0))
             for support in (1.0, 2.5)
             for channel in ("g", "h")
@@ -200,9 +193,9 @@ def _label_pool(grid):
 
 @settings(derandomize=True, deadline=None, max_examples=300)
 @given(st.data())
-def test_one_label_identity(grid, data):
+def test_one_label_identity(data):
     # equal terms and equal Weyl labels are the same relation on every pair of the pool
-    pool = _label_pool(grid)
+    pool = _label_pool()
     n = len(pool)
     i = data.draw(st.integers(0, n - 1))
     # half the draws take the separately built twin of x
@@ -213,10 +206,10 @@ def test_one_label_identity(grid, data):
 
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -2.0, 1.0)], ids=["indicator", "smooth"])
 @pytest.mark.parametrize("support", [1.0, 2.5])
-def test_bumps_of_equal_shape_cancel(grid, coeffs, support):
+def test_bumps_of_equal_shape_cancel(coeffs, support):
     # two bump vectors built separately from equal shapes subtract to the zero vector
-    x = F.make_bump_vector(grid, RadialPolynomial(coeffs, support))
-    y = F.make_bump_vector(grid, RadialPolynomial(coeffs, support))
+    x = F.make_bump_vector(RadialPolynomial(coeffs, support))
+    y = F.make_bump_vector(RadialPolynomial(coeffs, support))
     diff = F.subtract(x, y)
     assert diff.is_zero and diff.klass == F.TEST and diff.charge == 0.0
     assert W.weyl_mul(W.weyl(x), W.star(W.weyl(y))).terms[0][1].is_zero
