@@ -31,10 +31,10 @@ cone independence of the extension.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InternalError, UsageError
 from .field import (
@@ -47,6 +47,9 @@ from .field import (
     zero_vector,
 )
 from .weyl import WeylElement, commutator_norm, label_id, weyl, weyl_mul
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -64,20 +67,17 @@ class ConeSpec:
     time_exponent: float = 0.0
 
     def __post_init__(self):
-        ax = np.asarray(self.axis, dtype=float)
-        norm = float(np.linalg.norm(ax))
-        if not np.isfinite(norm) or norm == 0.0:
+        ax = tuple(map(float, self.axis))
+        norm = math.hypot(*ax)
+        if len(ax) != 3 or not math.isfinite(norm) or norm == 0.0:
             raise ConfigError("cone axis must be a nonzero finite vector")
-        object.__setattr__(self, "axis", tuple(ax / norm))
+        object.__setattr__(self, "axis", tuple(c / norm for c in ax))
         if not (0.0 < self.half_angle < math.pi / 2.0):
             raise ConfigError("cone half angle must lie in (0, pi/2)")
         if self.time_slope < 0.0:
             raise ConfigError("cone time slope must be nonnegative")
         if not (0.0 <= self.time_exponent < 1.0):
             raise ConfigError("cone time exponent must lie in [0, 1)")
-
-    def direction(self) -> np.ndarray:
-        return np.asarray(self.axis)
 
     def opposite(self) -> "ConeSpec":
         ax = tuple(-c for c in self.axis)
@@ -90,19 +90,22 @@ class ConeSpec:
         return (a0, radius * self.axis[0], radius * self.axis[1], radius * self.axis[2])
 
     def contains_direction(self, vec3) -> bool:
-        v = np.asarray(vec3, dtype=float)
-        n = np.linalg.norm(v)
+        n = math.hypot(*vec3)
         if n == 0.0:
             return False
-        cosang = float(np.dot(v / n, self.direction()))
-        return math.acos(min(1.0, max(-1.0, cosang))) < self.half_angle
+        return _angle(tuple(c / n for c in vec3), self.axis) < self.half_angle
 
     def axis_angle_to(self, other: "ConeSpec") -> float:
-        cosang = float(np.dot(self.direction(), other.direction()))
-        return math.acos(min(1.0, max(-1.0, cosang)))
+        return _angle(self.axis, other.axis)
 
     def overlaps(self, other: "ConeSpec") -> bool:
         return self.axis_angle_to(other) < self.half_angle + other.half_angle
+
+
+def _angle(u, v) -> float:
+    """Angle between two unit 3-vectors."""
+    cosang = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+    return math.acos(min(1.0, max(-1.0, cosang)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +197,13 @@ def compose(s: Intertwiner, r: Intertwiner) -> Intertwiner:
     """s after r; the coefficient picks up the cocycle of the label product."""
     if not same_object(r.target, s.source):
         raise UsageError("compose needs target of the right factor = source of the left")
-    coeff = s.coeff * r.coeff * np.exp(0.5j * symplectic(s.label, r.label))
+    coeff = s.coeff * r.coeff * cmath.exp(0.5j * symplectic(s.label, r.label))
     return Intertwiner(source=r.source, target=s.target, coeff=coeff, label=add(s.label, r.label))
 
 
 def star_mor(r: Intertwiner) -> Intertwiner:
     return Intertwiner(
-        source=r.target, target=r.source, coeff=np.conj(r.coeff), label=negate(r.label)
+        source=r.target, target=r.source, coeff=r.coeff.conjugate(), label=negate(r.label)
     )
 
 
@@ -213,8 +216,8 @@ def tensor_mor(r: Intertwiner, s: Intertwiner) -> Intertwiner:
     coeff = (
         r.coeff
         * s.coeff
-        * np.exp(1j * symplectic(r.source.data, s.label))
-        * np.exp(0.5j * symplectic(r.label, s.label))
+        * cmath.exp(1j * symplectic(r.source.data, s.label))
+        * cmath.exp(0.5j * symplectic(r.label, s.label))
     )
     return Intertwiner(
         source=tensor_obj(r.source, s.source),
@@ -226,7 +229,7 @@ def tensor_mor(r: Intertwiner, s: Intertwiner) -> Intertwiner:
 
 def auto_action(obj: ChargeAutomorphism, a: WeylElement) -> WeylElement:
     terms = tuple(
-        (c * np.exp(1j * symplectic(obj.data, x)), x) for c, x in a.terms
+        (c * cmath.exp(1j * symplectic(obj.data, x)), x) for c, x in a.terms
     )
     return WeylElement(terms)
 
@@ -246,7 +249,7 @@ def intertwiner_relation_residual(r: Intertwiner, f: FieldVector) -> float:
 
 def braiding_exact(a: ChargeAutomorphism, b: ChargeAutomorphism) -> Intertwiner:
     """The limit braiding: a pure phase e^{-i sigma(a, b)} on the zero label."""
-    coeff = np.exp(-1j * symplectic(a.data, b.data))
+    coeff = cmath.exp(-1j * symplectic(a.data, b.data))
     return Intertwiner(
         source=tensor_obj(a, b),
         target=tensor_obj(b, a),
@@ -294,12 +297,12 @@ def braiding_asymptotic(
         u = hom_basis(a, a_far)
         v = hom_basis(b, b_far)
         if rng is not None:
-            u = rephase(u, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
-            v = rephase(v, np.exp(1j * rng.uniform(0.0, 2.0 * np.pi)))
+            u = rephase(u, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
+            v = rephase(v, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
         eps = compose(star_mor(tensor_mor(v, u)), tensor_mor(u, v))
         if not eps.label.is_zero:
             raise InternalError("asymptotic braiding must have zero label")
-        closed = np.exp(
+        closed = cmath.exp(
             1j
             * (
                 symplectic(a.data, v.label)
@@ -344,7 +347,7 @@ def cone_homotopy(
 def implementation_residual(obj: ChargeAutomorphism, a, f: FieldVector) -> float:
     """Norm of U_a* W(f) U_a - rho(W(f)), reduced to |e^{i sigma(rho_a, f)} - 1|."""
     moved = translate(obj.data, a)
-    return float(abs(np.exp(1j * symplectic(moved, f)) - 1.0))
+    return abs(cmath.exp(1j * symplectic(moved, f)) - 1.0)
 
 
 def abelianness_residual(x: FieldVector, y: FieldVector) -> float:
@@ -390,8 +393,8 @@ def extension_residual(
     """Cone dependence of the extended action, |e^{-i sigma(rho_a1, y)} - e^{-i sigma(rho_a2, y)}|."""
     moved1 = translate(obj.data, cone1.translation(radius))
     moved2 = translate(obj.data, cone2.translation(radius))
-    p1 = np.exp(-1j * symplectic(moved1, s.label))
-    p2 = np.exp(-1j * symplectic(moved2, s.label))
+    p1 = cmath.exp(-1j * symplectic(moved1, s.label))
+    p2 = cmath.exp(-1j * symplectic(moved2, s.label))
     return float(abs(p1 - p2))
 
 

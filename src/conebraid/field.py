@@ -63,27 +63,27 @@ Each pair integral takes one of two routes:
   per panel and per panel offset, not one per node, which changes k by
   rounding only.  The rule grows linearly with d and is capped at
   RADIAL_RULE_MAX_NODES.
+
+This module is scalar code and imports no numpy.  The array code (the rules,
+the bump transform and the panel-route kernel) lives in quadrature, which
+is imported where the first array is built: in _radial_rule_for and in the
+panel route.  Building vectors, their charges and every closed-form or
+vanishing pair integral loads no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 import math
 import operator
 
-import numpy as np
-
 from .errors import ConfigError, DomainError, UsageError
-from .quadrature import (
-    RadialPolynomial,
-    TWO_PI_32,
-    composite_legendre_unit,
-    radial_fourier,
-)
 
 TEST = "test"
 CHARGE = "charge"
+
+TWO_PI_32 = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
 
 # The momentum cutoff: every bilinear form integrates over (0, R_MAX].
 R_MAX = 10.0
@@ -91,6 +91,7 @@ R_MAX = 10.0
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
 # oscillation wavelength of the fastest sinc/trig factor over (0, r_max],
 # rounded up to whole composite panels of PANEL_ORDER cached nodes each.
+# quadrature.panel_sinc_sum reads the panels of a rule at the same order.
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
@@ -105,21 +106,54 @@ CLOSED_FORM_MIN_DELTA = 0.5
 CLOSED_FORM_MIN_TAIL = 40.0
 # Pair integrals kept; the default run needs about 4k.
 PAIR_CACHE_SIZE = 1 << 14
-# Panels per block of a pair integral's kernel, which bounds its temporaries
-# to PAIR_BLOCK_PANELS * RADIAL_RULE_PANEL_ORDER nodes whatever the rule size.
-PAIR_BLOCK_PANELS = 256
 SIGMA, RE = "sigma", "re"
+# quadrature's closed-form transform of a RadialPolynomial sums the power
+# series sum_j a_j x^{2j} in x = pR below x = 4, where the factors
+# x^{2j}/(2j+1)! stay below 3 and fall under 1e-40 within _SERIES_TERMS
+# terms, and runs an upward recursion from there on.  That recursion scales
+# rounding by about prod_{n <= 2K+1} n/x at x = 4, which stays below 1 for up
+# to _MAX_POLY_TERMS coefficients (K + 1).
+_SERIES_TERMS = 30
+_MAX_POLY_TERMS = 4
 
 
-# A far pair reads its rule in kernel blocks of at most 16,384 momenta
-# (128 KB), one entry each; 256 entries keep every block of a pair for both
-# forms up to separations of about 2.6e5.
-@lru_cache(maxsize=256)
-def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> np.ndarray:
-    """Read-only radial_fourier of a bump shape at the given momenta."""
-    out = radial_fourier(shape, np.frombuffer(momenta))
-    out.setflags(write=False)
-    return out
+@dataclass(frozen=True)
+class RadialPolynomial:
+    """Radial position profile f(r) = sum_k coeffs[k] (r / support)^{2k} on [0, support].
+
+    quadrature.radial_fourier transforms it in closed form.  Instances with
+    equal coefficients and support compare equal.
+    """
+
+    coeffs: tuple[float, ...]
+    support: float
+
+    def __post_init__(self) -> None:
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not 1 <= len(coeffs) <= _MAX_POLY_TERMS or not all(math.isfinite(c) for c in coeffs):
+            raise ConfigError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
+        if not math.isfinite(self.support) or self.support <= 0.0:
+            raise ConfigError(f"support radius must be positive, got {self.support}")
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "support", float(self.support))
+
+    @cached_property
+    def series(self) -> tuple[float, ...]:
+        """a_j with sum_k c_k M_{2k+2}(x) = sum_j a_j x^{2j}, M_m(x) = int_0^1 u^m sinc(xu) du.
+
+        a_j = (-1)^j / (2j+1)! * sum_k c_k / (2k+2j+3) is summed over the
+        monomials in exact rationals and rounded once, so the cancellation
+        between the monomials of a shape costs no digits.
+        """
+        # imported here: fractions loads decimal, about 0.4 MB of peak RSS that a
+        # run without a bump charge would pay at start-up
+        from fractions import Fraction
+
+        out = []
+        for j in range(_SERIES_TERMS):
+            exact = sum(Fraction(c) / (2 * k + 2 * j + 3) for k, c in enumerate(self.coeffs))
+            out.append(float((-1) ** j * exact / math.factorial(2 * j + 1)))
+        return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -148,22 +182,16 @@ class Profile:
     def __hash__(self) -> int:
         return self._hash
 
-    def momentum_values(self, r: np.ndarray) -> np.ndarray:
-        if self.kind == "gauss":
-            return np.exp(-0.5 * (self.width * r) ** 2)
-        if self.kind == "gauss2":
-            return r**2 * np.exp(-0.5 * (self.width * r) ** 2)
-        if self.kind == "bump":
-            return _bump_transform(self.shape, np.asarray(r, dtype=float).tobytes())
-        raise ConfigError(f"unknown profile kind {self.kind!r}")
-
     def value_at_zero(self) -> float:
+        """The profile at zero momentum, with no array (quadrature evaluates it at r > 0)."""
         if self.kind == "gauss":
             return 1.0
         if self.kind == "gauss2":
             return 0.0
         if self.kind == "bump":
-            return float(self.momentum_values(np.zeros(1))[0])
+            # radial_fourier(shape, 0.0) with no array: its series at x = 0 is
+            # a_0, scaled by the same factors in the same order, bit for bit
+            return 4.0 * math.pi / TWO_PI_32 * self.shape.support**3 * self.shape.series[0]
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
 
@@ -412,36 +440,17 @@ def translate(x: FieldVector, a) -> FieldVector:
     return FieldVector(tuple(terms), x.klass, x.charge)
 
 
-def _channel_factors(atom: Atom, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real radial factors (G, H) with g~ = e^{-i p.d} G and h~ = e^{-i p.d} H."""
-    phi = atom.profile.momentum_values(r)
-    t = atom.offset[0]
-    if t == 0.0:
-        zero = np.zeros_like(phi)
-        return (phi, zero) if atom.channel == "g" else (zero, phi)
-    c = np.cos(r * t)
-    if atom.channel == "g":
-        # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
-        return c * phi, -t * np.sinc(r * t / np.pi) * phi
-    # h -> cos(omega t) h,  g -> omega sin(omega t) h
-    return r * np.sin(r * t) * phi, c * phi
+def _radial_rule_for(pairs, r_max: float):
+    """Composite rule (nodes, weights) on (0, r_max] for the given (c, atom, atom, delta) pairs."""
+    from .quadrature import composite_legendre_unit  # numpy loads with the first rule
 
-
-def _radial_rule_for(pairs, r_max: float) -> tuple[np.ndarray, np.ndarray]:
     # the time offsets are added first, so the rule is symmetric in each pair
     mu = max(delta + (abs(ax.offset[0]) + abs(ay.offset[0])) for _, ax, ay, delta in pairs)
-    n = max(RADIAL_RULE_BASE, int(np.ceil(RADIAL_RULE_OVERSAMPLE * mu * r_max / (2.0 * np.pi))))
+    n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * r_max / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
     nodes, weights = composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
     return r_max * nodes, r_max * weights
-
-
-def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
-    """K(r) of the pair; swapping ax and ay negates SIGMA and keeps RE, both bit for bit."""
-    gx, hx = _channel_factors(ax, r)
-    gy, hy = _channel_factors(ay, r)
-    return gx * hy - gy * hx if form == SIGMA else gx * gy / r + hx * hy * r
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -502,29 +511,14 @@ def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
 def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, r_max: float) -> float:
     """4 pi int_0^r_max K(r) sinc(r delta) dr on the composite rule for this one atom pair.
 
-    At delta = 0 the value is dot(w, K).  Otherwise node m of panel k of the
-    rule is r = k h + r0_m, so
-    sin(delta r) = sin(k delta h) cos(delta r0_m) + cos(k delta h) sin(delta r0_m)
-    takes P + 64 sines and cosines instead of one per node; the kernel runs
-    over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
+    The rule is _radial_rule_for's, and quadrature.panel_sinc_sum sums the
+    kernel on it.
     """
+    from .quadrature import panel_sinc_sum
+
     ax, ay = (Atom(profile, channel, (t, 0.0, 0.0, 0.0)) for profile, channel, t in (ka, kb))
     r, w = _radial_rule_for(((1.0, ax, ay, delta),), r_max)
-    if delta == 0.0:
-        return 4.0 * np.pi * float(np.dot(w, _kernel(form, ax, ay, r)))
-    order = RADIAL_RULE_PANEL_ORDER
-    panels = len(r) // order
-    first = delta * r[:order]
-    cos0, sin0 = np.cos(first), np.sin(first)
-    step = delta * r_max / panels
-    total = 0.0
-    for k in range(0, panels, PAIR_BLOCK_PANELS):
-        block = slice(k * order, (k + PAIR_BLOCK_PANELS) * order)
-        rb = r[block]
-        a = (w[block] * _kernel(form, ax, ay, rb) / (delta * rb)).reshape(-1, order)
-        start = step * np.arange(k, k + len(a))
-        total += float(np.sin(start) @ (a @ cos0) + np.cos(start) @ (a @ sin0))
-    return 4.0 * np.pi * total
+    return panel_sinc_sum(form, ax, ay, delta, r, w, r_max)
 
 
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:

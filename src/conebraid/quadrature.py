@@ -1,9 +1,14 @@
-"""Deterministic quadrature over momentum space.
+"""Array code of the field model: radial rules, the bump transform and the panel-route kernel.
+
+This module and seqalg are the only ones that import numpy.  The field
+layer imports this one where it builds its first array (a radial rule, or
+a pair integral on the panel route), so importing the package, loading a
+config and building the field vectors of a run load no numpy.
 
 Momentum integrals of radial kernels run over (0, r_max] on composite
 Gauss-Legendre panel rules; the origin is never a node, so integrands with
 integrable |p|^-k singularities can be evaluated directly.  A compactly
-supported position profile is an even polynomial (``RadialPolynomial``),
+supported position profile is an even polynomial (``field.RadialPolynomial``),
 whose radial Fourier transform is closed form.
 
 All constructions are pure functions of their arguments; rules built from
@@ -12,24 +17,20 @@ equal parameters are bit-identical.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError
+from .field import RADIAL_RULE_PANEL_ORDER, SIGMA, TWO_PI_32, Atom, Profile, RadialPolynomial
 
-TWO_PI_32 = (2.0 * np.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
-# The closed-form transform of a RadialPolynomial sums its power series in
-# x = pR below _SERIES_MAX_X, where the factors x^{2j}/(2j+1)! stay below 3
-# and fall under 1e-40 within _SERIES_TERMS terms, and runs the upward
-# recursion over int_0^1 u^n {sin, cos}(xu) du from there on.  That recursion
-# scales rounding by about prod_{n <= 2K+1} n/x at x = 4, which stays below 1
-# for up to _MAX_POLY_TERMS coefficients (K + 1).
+# The closed-form transform sums a RadialPolynomial's series below
+# _SERIES_MAX_X and runs the upward recursion from there on (see the series
+# constants in field).
 _SERIES_MAX_X = 4.0
-_SERIES_TERMS = 30
-_MAX_POLY_TERMS = 4
+# Panels per block of a pair integral's kernel, which bounds its temporaries
+# to PAIR_BLOCK_PANELS * RADIAL_RULE_PANEL_ORDER nodes whatever the rule size.
+PAIR_BLOCK_PANELS = 256
 
 
 @lru_cache(maxsize=256)
@@ -65,57 +66,11 @@ def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, n
     return nodes, weights
 
 
-@dataclass(frozen=True)
-class RadialPolynomial:
-    """Radial position profile f(r) = sum_k coeffs[k] (r / support)^{2k} on [0, support].
-
-    Callable on radii, and radial_fourier transforms it in closed
-    form.  Instances with equal coefficients and support compare equal.
-    """
-
-    coeffs: tuple[float, ...]
-    support: float
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not 1 <= len(coeffs) <= _MAX_POLY_TERMS or not all(math.isfinite(c) for c in coeffs):
-            raise ConfigError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
-        if not math.isfinite(self.support) or self.support <= 0.0:
-            raise ConfigError(f"support radius must be positive, got {self.support}")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "support", float(self.support))
-
-    def __call__(self, r) -> np.ndarray:
-        u2 = (np.asarray(r, dtype=float) / self.support) ** 2
-        return np.polynomial.polynomial.polyval(u2, self.coeffs)
-
-
-@lru_cache(maxsize=64)
-def _series_coefficients(coeffs: tuple[float, ...]) -> np.ndarray:
-    """a_j with sum_k c_k M_{2k+2}(x) = sum_j a_j x^{2j}, M_m(x) = int_0^1 u^m sinc(xu) du.
-
-    a_j = (-1)^j / (2j+1)! * sum_k c_k / (2k+2j+3) is summed over the
-    monomials in exact rationals and rounded once, so the cancellation
-    between the monomials of a shape costs no digits.
-    """
-    # imported here: fractions loads decimal, about 0.4 MB of peak RSS that a
-    # run without a bump charge would pay at start-up
-    from fractions import Fraction
-
-    out = np.empty(_SERIES_TERMS)
-    for j in range(_SERIES_TERMS):
-        exact = sum(Fraction(c) / (2 * k + 2 * j + 3) for k, c in enumerate(coeffs))
-        out[j] = float((-1) ** j * exact / math.factorial(2 * j + 1))
-    out.setflags(write=False)
-    return out
-
-
-def _moment_series(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    """sum_k c_k M_{2k+2}(x) by Horner in x^2; accurate for x < _SERIES_MAX_X."""
-    a = _series_coefficients(coeffs)
+def _moment_series(series: tuple[float, ...], x: np.ndarray) -> np.ndarray:
+    """sum_j a_j x^{2j} by Horner in x^2; accurate for x < _SERIES_MAX_X."""
     x2 = x * x
-    total = np.full_like(x, a[-1])
-    for coeff in a[-2::-1]:
+    total = np.full_like(x, series[-1])
+    for coeff in series[-2::-1]:
         total = total * x2 + coeff
     return total
 
@@ -137,25 +92,91 @@ def _moment_recursion(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
     return total / x
 
 
-def _polynomial_fourier(profile: RadialPolynomial, p: np.ndarray) -> np.ndarray:
-    """4 pi (2 pi)^{-3/2} R^3 sum_k c_k M_{2k+2}(pR) of a RadialPolynomial of support R."""
-    x = np.abs(p) * profile.support
-    near = x < _SERIES_MAX_X
-    moments = np.empty_like(x)
-    moments[near] = _moment_series(profile.coeffs, x[near])
-    moments[~near] = _moment_recursion(profile.coeffs, x[~near])
-    return 4.0 * np.pi / TWO_PI_32 * profile.support**3 * moments
-
-
 def radial_fourier(profile: RadialPolynomial, momenta) -> np.ndarray:
     """Momentum-space transform of a radial position profile, in closed form.
 
     Computes f~(p) = (2 pi)^{-3/2} * 4 pi * integral_0^R r^2 sinc(p r) f(r) dr
     for the convention f~(p) = (2 pi)^{-3/2} integral e^{-i p.x} f(|x|) d^3x,
     evaluated at the requested momentum magnitudes, with R the profile's
-    support.  The p -> 0 limit is the sinc limit and is handled exactly.
+    support: 4 pi (2 pi)^{-3/2} R^3 sum_k c_k M_{2k+2}(pR).  The p -> 0
+    limit is the sinc limit and is handled exactly.
     """
-    out = _polynomial_fourier(profile, np.atleast_1d(np.asarray(momenta, dtype=float)))
+    x = np.abs(np.atleast_1d(np.asarray(momenta, dtype=float))) * profile.support
+    near = x < _SERIES_MAX_X
+    moments = np.empty_like(x)
+    moments[near] = _moment_series(profile.series, x[near])
+    moments[~near] = _moment_recursion(profile.coeffs, x[~near])
+    out = 4.0 * np.pi / TWO_PI_32 * profile.support**3 * moments
     if np.ndim(momenta) == 0:
         return out[0]
     return out
+
+
+# A far pair reads its rule in kernel blocks of at most 16,384 momenta
+# (128 KB), one entry each; 256 entries keep every block of a pair for both
+# forms up to separations of about 2.6e5.
+@lru_cache(maxsize=256)
+def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> np.ndarray:
+    """Read-only radial_fourier of a bump shape at the given momenta."""
+    out = radial_fourier(shape, np.frombuffer(momenta))
+    out.setflags(write=False)
+    return out
+
+
+def _momentum_values(profile: Profile, r: np.ndarray) -> np.ndarray:
+    """The radial momentum profile at the momenta r (Profile.value_at_zero gives r = 0)."""
+    if profile.kind == "gauss":
+        return np.exp(-0.5 * (profile.width * r) ** 2)
+    if profile.kind == "gauss2":
+        return r**2 * np.exp(-0.5 * (profile.width * r) ** 2)
+    if profile.kind == "bump":
+        return _bump_transform(profile.shape, np.asarray(r, dtype=float).tobytes())
+    raise ConfigError(f"unknown profile kind {profile.kind!r}")
+
+
+def _channel_factors(atom: Atom, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real radial factors (G, H) with g~ = e^{-i p.d} G and h~ = e^{-i p.d} H."""
+    phi = _momentum_values(atom.profile, r)
+    t = atom.offset[0]
+    if t == 0.0:
+        zero = np.zeros_like(phi)
+        return (phi, zero) if atom.channel == "g" else (zero, phi)
+    c = np.cos(r * t)
+    if atom.channel == "g":
+        # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
+        return c * phi, -t * np.sinc(r * t / np.pi) * phi
+    # h -> cos(omega t) h,  g -> omega sin(omega t) h
+    return r * np.sin(r * t) * phi, c * phi
+
+
+def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
+    """K(r) of the pair; swapping ax and ay negates SIGMA and keeps RE, both bit for bit."""
+    gx, hx = _channel_factors(ax, r)
+    gy, hy = _channel_factors(ay, r)
+    return gx * hy - gy * hx if form == SIGMA else gx * gy / r + hx * hy * r
+
+
+def panel_sinc_sum(form: str, ax: Atom, ay: Atom, delta: float, r: np.ndarray, w: np.ndarray, r_max: float) -> float:
+    """4 pi int_0^r_max K(r) sinc(r delta) dr of one atom pair on the composite rule (r, w).
+
+    K is field._pair_integral's kernel of the form.  At delta = 0 the value
+    is dot(w, K).  Otherwise node m of panel k of the rule is r = k h + r0_m, so
+    sin(delta r) = sin(k delta h) cos(delta r0_m) + cos(k delta h) sin(delta r0_m)
+    takes P + 64 sines and cosines instead of one per node; the kernel runs
+    over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
+    """
+    if delta == 0.0:
+        return 4.0 * np.pi * float(np.dot(w, _kernel(form, ax, ay, r)))
+    order = RADIAL_RULE_PANEL_ORDER
+    panels = len(r) // order
+    first = delta * r[:order]
+    cos0, sin0 = np.cos(first), np.sin(first)
+    step = delta * r_max / panels
+    total = 0.0
+    for k in range(0, panels, PAIR_BLOCK_PANELS):
+        block = slice(k * order, (k + PAIR_BLOCK_PANELS) * order)
+        rb = r[block]
+        a = (w[block] * _kernel(form, ax, ay, rb) / (delta * rb)).reshape(-1, order)
+        start = step * np.arange(k, k + len(a))
+        total += float(np.sin(start) @ (a @ cos0) + np.cos(start) @ (a @ sin0))
+    return 4.0 * np.pi * total

@@ -13,19 +13,20 @@ here, so a config can change what is checked but never how strictly.
 
 from __future__ import annotations
 
+import cmath
 import math
 import time
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import category as cat
 from . import field as fld
-from . import seqalg as sa
 from .config import ChargeCfg, RunConfig
 from .errors import ConfigError, InternalError
-from .quadrature import RadialPolynomial
 from .report import CheckRow, Report
 from .weyl import gram_matrix, weyl, weyl_mul
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SUITE_NAMES = ("laws", "braiding", "homotopy", "decay", "seqalg", "all")
 
@@ -94,7 +95,7 @@ def vector_from_charge_cfg(cfg: ChargeCfg) -> fld.FieldVector:
             return fld.make_charge_vector(q=cfg.q, width=cfg.s)
         return fld.make_test_vector(amplitude=cfg.q, width=cfg.s, channel="h")
     # a bump atom is its shape's value, so charges of equal shape share atoms and pair integrals
-    shape = RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius)
+    shape = fld.RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius)
     return fld.make_bump_vector(shape, channel=cfg.channel, amplitude=cfg.q)
 
 
@@ -120,19 +121,19 @@ class RunContext:
 
     def homotopy_chain(self):
         """Cones rotated in a fixed plane through the configured axis."""
-        axis0 = self.cone.direction()
-        probe = np.array([1.0, 0.0, 0.0])
-        if abs(float(np.dot(axis0, probe))) > 0.9:
-            probe = np.array([0.0, 1.0, 0.0])
-        ortho = probe - float(np.dot(probe, axis0)) * axis0
-        ortho /= np.linalg.norm(ortho)
+        axis0 = self.cone.axis
+        # the plane holds the unit probe e_i, whose dot with the axis is axis0[i]
+        i = 1 if abs(axis0[0]) > 0.9 else 0
+        ortho = tuple(float(k == i) - axis0[i] * a for k, a in enumerate(axis0))
+        norm = math.hypot(*ortho)
+        ortho = tuple(c / norm for c in ortho)
         step = math.radians(HOMOTOPY_STEP_DEG)
         chain = []
         for k in range(HOMOTOPY_STEPS + 1):
-            ax = math.cos(k * step) * axis0 + math.sin(k * step) * ortho
+            cos, sin = math.cos(k * step), math.sin(k * step)
             chain.append(
                 cat.ConeSpec(
-                    tuple(ax),
+                    tuple(cos * a + sin * o for a, o in zip(axis0, ortho)),
                     self.cone.half_angle,
                     self.cone.time_slope,
                     self.cone.time_exponent,
@@ -219,8 +220,8 @@ def _random_arrow(ctx: RunContext, rng: np.random.Generator, obj=None) -> cat.In
         obj = _random_object(ctx, rng)
     shift = _uniform(rng, *_ARROW_SHIFT)
     arrow = cat.hom_basis(obj, cat.translate_object(obj, shift))
-    (angle,) = _uniform(rng, (0.0,), (2.0 * np.pi,))
-    return cat.rephase(arrow, np.exp(1j * angle))
+    (angle,) = _uniform(rng, (0.0,), (2.0 * math.pi,))
+    return cat.rephase(arrow, cmath.exp(1j * angle))
 
 
 def _coeff_distance(u, v, label: fld.FieldVector) -> float:
@@ -271,7 +272,7 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
 
         x, y, z = a_obj.data, b_obj.data, c_obj.data
         wx, wy, wz = weyl(x), weyl(y), weyl(z)
-        phase = np.exp(1j * fld.symplectic(x, y))
+        phase = cmath.exp(1j * fld.symplectic(x, y))
         bump(
             "laws/weyl_exchange",
             _coeff_distance(weyl_mul(wx, wy), weyl_mul(weyl(y, phase), wx), fld.add(x, y)),
@@ -303,8 +304,9 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
         vec = fld.make_test_vector(amplitude=amp, width=width, channel=chan)
         shift = (0.0, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         labels.append(fld.translate(vec, shift))
-    eigs = np.linalg.eigvalsh(gram_matrix(labels))
-    min_eig = float(eigs.min())
+    from numpy.linalg import eigvalsh
+
+    min_eig = float(eigvalsh(gram_matrix(labels)).min())
 
     rows = []
     for check in _LAW_CHECKS:
@@ -416,6 +418,10 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
 
 
 def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
+    import numpy as np
+
+    from . import seqalg as sa
+
     policy = sa.TailPolicy()
     alg = sa.MatrixAlgebra(2)
     eye = np.eye(2, dtype=complex)
@@ -486,6 +492,13 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     return rows
 
 
+def _stream(seed: int) -> np.random.Generator:
+    """The random stream of one suite; numpy loads with the first suite that draws."""
+    from numpy.random import default_rng
+
+    return default_rng(seed)
+
+
 def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     """Run a named suite and assemble the report; row count must match the plan."""
     plan = plan_counts(config, suite)
@@ -496,15 +509,15 @@ def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     rows: list[CheckRow] = []
     parts = [name for name, _ in plan]
     if "laws" in parts:
-        rows.extend(run_laws(ctx, np.random.default_rng(effective_seed)))
+        rows.extend(run_laws(ctx, _stream(effective_seed)))
     if "braiding" in parts:
-        rows.extend(run_braiding(ctx, np.random.default_rng(effective_seed + 1)))
+        rows.extend(run_braiding(ctx, _stream(effective_seed + 1)))
     if "homotopy" in parts:
         rows.extend(run_homotopy(ctx))
     if "decay" in parts:
         rows.extend(run_decay(ctx))
     if "seqalg" in parts:
-        rows.extend(run_seqalg(ctx, np.random.default_rng(effective_seed + 2)))
+        rows.extend(run_seqalg(ctx, _stream(effective_seed + 2)))
     if len(rows) != expected:
         raise InternalError(f"suite {suite!r} produced {len(rows)} rows, planned {expected}")
     return Report(

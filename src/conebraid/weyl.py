@@ -23,10 +23,10 @@ functional are positive semidefinite, which the tests assert directly.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
 
 from .errors import UsageError
 from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent, zero_vector
@@ -91,13 +91,13 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
     items = []
     for ca, x in a.terms:
         for cb, y in b.terms:
-            phase = np.exp(0.5j * symplectic(x, y))
+            phase = cmath.exp(0.5j * symplectic(x, y))
             items.append((ca * cb * phase, add(x, y)))
     return _canonical(items)
 
 
 def star(a: WeylElement) -> WeylElement:
-    return _canonical([(np.conj(c), negate(x)) for c, x in a.terms])
+    return _canonical([(c.conjugate(), negate(x)) for c, x in a.terms])
 
 
 def conjugate(u: WeylElement, a: WeylElement) -> WeylElement:
@@ -107,19 +107,24 @@ def conjugate(u: WeylElement, a: WeylElement) -> WeylElement:
 
 def commutator_norm(x: FieldVector, y: FieldVector) -> float:
     """Norm of [W(x), W(y)]; equals |e^{i sigma(x, y)} - 1|."""
-    return float(abs(np.exp(1j * symplectic(x, y)) - 1.0))
+    return abs(cmath.exp(1j * symplectic(x, y)) - 1.0)
 
 
 def vacuum_state(a: WeylElement) -> complex:
     """Quasi-free vacuum expectation; every label must be test class."""
     total = 0.0 + 0.0j
     for c, x in a.terms:
-        total += c * np.exp(-vacuum_exponent(x))
+        total += c * math.exp(-vacuum_exponent(x))
     return total
 
 
-def gram_matrix(labels) -> np.ndarray:
-    """Vacuum gram matrix G[k, l] = omega(W(x_k)* W(x_l)) of generator labels."""
+def gram_matrix(labels):
+    """Vacuum gram matrix G[k, l] = omega(W(x_k)* W(x_l)) of generator labels, an ndarray.
+
+    Its real exponentials stay on numpy's exp, which math.exp does not match bit for bit.
+    """
+    import numpy as np
+
     labels = list(labels)
     if not labels:
         return np.zeros((0, 0), dtype=complex)

@@ -8,11 +8,18 @@ that has no closed form here (the unit-ball indicator as a bare callable).
 
 import numpy as np
 
-from conebraid.quadrature import TWO_PI_32, composite_legendre_unit
+from conebraid.field import TWO_PI_32
+from conebraid.quadrature import composite_legendre_unit
 
 # Momenta per block of the sinc kernel; bounds its temporaries to
 # FOURIER_BLOCK x (panel nodes) whatever the number of momenta.
 FOURIER_BLOCK = 128
+
+
+def polynomial_values(shape, r) -> np.ndarray:
+    """A RadialPolynomial's f(r) = sum_k c_k (r / R)^{2k}, by Horner in (r / R)^2."""
+    u2 = (np.asarray(r, dtype=float) / shape.support) ** 2
+    return np.polynomial.polynomial.polyval(u2, shape.coeffs)
 
 
 def radial_panel_rule(support_radius: float, panels: int = 240, order: int = 8) -> tuple[np.ndarray, np.ndarray]:

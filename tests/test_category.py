@@ -58,6 +58,16 @@ def test_cone_spec_validation():
             bad()
 
 
+@pytest.mark.parametrize("axis", [(1.0, 2.0, 2.0), (0.3, -1.7, 2.9), (2.0, -3.0, 6.0), (-5.0, 0.0, 1e-3)])
+def test_cone_axis_normalized_within_an_ulp_of_numpy(axis):
+    # the axis is normalized with math.hypot; numpy's norm may differ in the last bit
+    cone = C.ConeSpec(axis, HALF)
+    want = np.asarray(axis) / np.linalg.norm(axis)
+    assert all(type(c) is float for c in cone.axis)
+    for got, ref in zip(cone.axis, want):
+        assert abs(got - ref) <= math.ulp(ref)
+
+
 def test_hom_sets_separated_by_charge(objs):
     gam, dlt = objs
     assert C.hom_basis(gam, C.make_object(F.make_charge_vector(q=2.0))) is None

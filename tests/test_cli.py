@@ -508,11 +508,77 @@ def test_cli_byte_identical_reruns(tmp_path):
     assert first == second
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.special costs 0.2-0.3 s of start-up in every verify process
+def _fresh_stdout(code: str) -> str:
+    """Last stdout line of `code` run in a fresh interpreter on this checkout's src.
+
+    This process has loaded numpy and scipy already, so import checks need
+    their own interpreter.
+    """
     src = str(CONFIG_PATH.parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, conebraid.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.special costs 0.2-0.3 s of start-up in every verify process
+    code = "import sys, conebraid.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    assert _fresh_stdout(code) == "[]"
+
+
+def _bump_sloped_dict() -> dict:
+    data = default_dict()
+    data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})
+    data["cone"].update({"time_slope": 1.0, "time_exponent": 0.5})
+    data["radii"] = [10.0, 15.0, 20.0]
+    return data
+
+
+def _numpy_loaded_after(code: str) -> bool:
+    return _fresh_stdout(f"{code}\nimport sys\nprint('numpy' in sys.modules)") == "True"
+
+
+def test_cli_import_loads_no_numpy():
+    assert not _numpy_loaded_after("import conebraid.cli")
+
+
+@pytest.mark.parametrize("maker", [default_dict, _bump_sloped_dict], ids=["default", "bump-sloped"])
+def test_config_and_run_context_load_no_numpy(tmp_path, maker):
+    # numpy costs about 0.1 s of every process's start-up; a config, its
+    # charges (bump charges included) and its cones need none of it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(maker()))
+    code = (
+        "import conebraid.cli\n"
+        "from conebraid.config import load_config\n"
+        "from conebraid.suites import RunContext\n"
+        f"ctx = RunContext(load_config({str(cfg)!r}))\n"
+        "assert all(v.charge > 0.0 for v in ctx.vectors.values() if v.klass == 'charge')"
+    )
+    assert not _numpy_loaded_after(code)
+
+
+def test_malformed_config_exits_2_without_numpy(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"radii": [1.0]}')
+    code = f"from conebraid.cli import main\nassert main(['verify', '--config', {str(cfg)!r}]) == 2"
+    assert not _numpy_loaded_after(code)
+
+
+def test_numpy_boundary_of_verify_runs(tmp_path):
+    # the decay suite at far radii takes only closed-form or vanishing pair
+    # integrals, so it loads no numpy; braiding draws its rephasing from a
+    # numpy stream and builds a rule, so it does
+    data = default_dict()
+    data["radii"] = [1.0e4, 2.0e4, 4.0e4]
+    far = tmp_path / "far.json"
+    far.write_text(json.dumps(data))
+    runs = {
+        "decay": (far, 0, False),
+        "braiding": (CONFIG_PATH, 1, True),
+    }
+    for suite, (cfg, exit_code, loads_numpy) in runs.items():
+        args = ["verify", "--config", str(cfg), "--suite", suite, "--out", str(tmp_path / suite)]
+        code = f"from conebraid.cli import main\nassert main({args!r}) == {exit_code}"
+        assert _numpy_loaded_after(code) is loads_numpy, suite

@@ -17,14 +17,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import erf
 
 from conebraid import field as F
 from conebraid import weyl as W
+from conebraid import quadrature as Q
 from conebraid.config import RunConfig
 from conebraid.errors import ConfigError, DomainError, UsageError
-from conebraid.quadrature import RadialPolynomial, composite_legendre_unit, radial_fourier
+from conebraid.field import RadialPolynomial
+from conebraid.quadrature import composite_legendre_unit, radial_fourier
 from conebraid.suites import RunContext
 
 from panel_transform import panel_fourier
@@ -91,7 +94,7 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
         built.append(panels * order)
         return np.ones(1), np.ones(1)
 
-    monkeypatch.setattr(F, "composite_legendre_unit", record)
+    monkeypatch.setattr(Q, "composite_legendre_unit", record)
     # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
     F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e6)], F.R_MAX)
     assert built == [31831040] and built[0] <= F.RADIAL_RULE_MAX_NODES
@@ -435,7 +438,7 @@ def test_bump_transform_memo_follows_the_shape():
     # the memoized transform is the uncached closed form, read-only
     r, w = F._radial_rule_for([(1.0, two.terms[0][1], dlt.terms[0][1], 0.0)], F.R_MAX)
     uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r)
-    cached = two.terms[0][1].profile.momentum_values(r)
+    cached = Q._momentum_values(two.terms[0][1].profile, r)
     assert np.array_equal(cached, uncached) and not cached.flags.writeable
     ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
     assert math.isclose(after, ref, rel_tol=1e-14)
@@ -463,6 +466,25 @@ def test_bump_profile_needs_a_shape():
     shape = RadialPolynomial((1.0, -2.0, 1.0), 2.5)
     assert F.Profile("bump", shape=shape).key == ("bump", 0.0, (2.5, 1.0, -2.0, 1.0))
     assert F.Profile("gauss", width=1.5).key == ("gauss", 1.5, ())
+
+
+@pytest.mark.parametrize("support", [0.5, 1.0, 2.5])
+@pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -2.0, 1.0)], ids=["indicator", "smooth"])
+def test_bump_value_at_zero_is_the_transform_at_zero(coeffs, support):
+    # the charge needs no array: a_0 scaled as radial_fourier scales its series at p = 0
+    shape = RadialPolynomial(coeffs, support)
+    value = F.Profile("bump", shape=shape).value_at_zero()
+    assert type(value) is float and value == radial_fourier(shape, 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=4),
+    st.floats(1e-3, 1e3),
+)
+def test_bump_value_at_zero_matches_the_transform_bit_for_bit(coeffs, support):
+    shape = RadialPolynomial(tuple(coeffs), support)
+    assert F.Profile("bump", shape=shape).value_at_zero() == radial_fourier(shape, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -514,7 +536,7 @@ def _direct_pair_sum(form, ka, kb, delta):
     """4 pi dot(w, K sinc(r delta)) on the pair's own rule, one sinc per node, and 4 pi dot(w, |K|)."""
     ax, ay = (F.Atom(p, c, (t, 0.0, 0.0, 0.0)) for p, c, t in (ka, kb))
     r, w = F._radial_rule_for([(1.0, ax, ay, delta)], F.R_MAX)
-    kern = F._kernel(form, ax, ay, r)
+    kern = Q._kernel(form, ax, ay, r)
     direct = float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
     return 4.0 * np.pi * direct, 4.0 * np.pi * float(np.dot(w, np.abs(kern)))
 

@@ -248,3 +248,33 @@ def test_random_increasing_map_draws_like_scalar_steps(seed):
         assert type(value) is int and value == prefix[n]
     assert rng.integers(0, 1 << 62, size=3).tolist() == ref_rng.integers(0, 1 << 62, size=3).tolist()
     assert rng.random() == ref_rng.random()
+
+
+def test_bound_precheck_skips_svds_and_keeps_the_seqalg_rows(monkeypatch):
+    # the Frobenius pre-test decides most bound checks without an svd; where it
+    # cannot, the check takes the svd as before, so every row is byte-identical
+    from conebraid.config import RunConfig
+    from conebraid.report import Report
+    from conebraid.suites import RunContext, run_seqalg
+
+    ctx = RunContext(RunConfig().validate())
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(SA.np.linalg, "svd", counting_svd)
+
+    def run():
+        calls.clear()
+        rows = run_seqalg(ctx, np.random.default_rng(2))
+        return Report(suite="seqalg", config_digest="", seed=2, rows=rows).to_csv(), len(calls)
+
+    prechecked, fewer = run()
+    # a pre-test that never decides leaves every bound check to the svd
+    monkeypatch.setattr(SA.MatrixAlgebra, "norm_bound", lambda self, a: math.inf)
+    exact, every = run()
+    assert prechecked == exact
+    assert fewer < every

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conebraid import field as F
 from conebraid import weyl as W
 from conebraid.errors import DomainError, UsageError
-from conebraid.quadrature import RadialPolynomial
+from conebraid.field import RadialPolynomial
 
 
 @pytest.fixture(scope="module")
