@@ -1,56 +1,36 @@
 """Residual decay curves for the localized-implementation checks.
 
-Sweeps the four decay residuals (implementation against a fixed observable,
+Runs the decay suite over a radius ladder and writes the first charge
+pair's five residuals (implementation against a fixed observable,
 implementation against a transported-arrow label, abelianness of far-apart
-transporter labels, tensor ordering, cone extension) over a radius ladder
-and writes them as CSV.  The implementation residual against a fixed test
-observable carries the charge's Coulomb-type 1/R tail and crosses 1e-2
-only near R = 125; every transporter-label variant decays like 1/R^2 or
-faster and is already below 1e-2 by R = 20.
+transporter labels, tensor ordering, cone extension) as CSV, one row per
+radius.  The implementation residual against a fixed test observable
+carries the charge's Coulomb-type 1/R tail and crosses 1e-2 only near
+R = 125; every transporter-label variant decays like 1/R^2 or faster and is
+already below 1e-2 by R = 20.
 """
 
 import argparse
 import csv
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-import conebraid.category as C
 from conebraid.config import load_config
-from conebraid.suites import TRANSPORTER_OFFSET, RunContext
+from conebraid.suites import run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
-COLUMNS = ("radius", "implementation", "impl_transported", "abelianness", "tensor", "extension")
-
-
-def sweep(ctx: RunContext, radii) -> list[tuple]:
-    gamma, delta = (ctx.objects[n] for n in list(ctx.objects)[:2])
-    cone_u = ctx.cone
-    cone_v = ctx.cone.opposite()
-    off = TRANSPORTER_OFFSET
-    shift_u = (0.0,) + tuple(off * a for a in cone_u.axis)
-    shift_v = (0.0,) + tuple(off * a for a in cone_v.axis)
-    r = C.hom_basis(gamma, C.translate_object(gamma, shift_u))
-    s = C.hom_basis(delta, C.translate_object(delta, shift_v))
-    s_plus = C.hom_basis(delta, C.translate_object(delta, shift_u))
-    rows = []
-    for radius in radii:
-        ta = cone_u.translation(radius)
-        rows.append(
-            (
-                radius,
-                C.implementation_residual(gamma, ta, delta.data),
-                C.implementation_residual(gamma, ta, s.label),
-                C.abelianness_residual(
-                    C.transported_arrow(r, cone_u, radius).label,
-                    C.transported_arrow(s, cone_v, radius).label,
-                ),
-                C.tensor_abelianness_residual(r, s, cone_u, cone_v, radius),
-                C.extension_residual(gamma, s_plus, cone_u, cone_v, radius),
-            )
-        )
-    return rows
+# each residual column and the decay suite check it reads
+CHECKS = {
+    "implementation": "decay/implementation",
+    "impl_transported": "decay/implementation_transported",
+    "abelianness": "decay/abelianness",
+    "tensor": "decay/tensor_ordering",
+    "extension": "decay/extension",
+}
+COLUMNS = ("radius", *CHECKS)
 
 
 def main() -> int:
@@ -62,9 +42,12 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=6)
     args = parser.parse_args()
 
-    ctx = RunContext(load_config(args.config))
-    radii = list(np.geomspace(args.r_min, args.r_max, args.points))
-    rows = sweep(ctx, radii)
+    config = load_config(args.config)
+    ladder = tuple(float(r) for r in np.geomspace(args.r_min, args.r_max, args.points))
+    report = run_suite(replace(config, radii=ladder).validate(), "decay")
+    first_pair = f"{config.charges[0].name}:{config.charges[1].name}"
+    residual = {(row.check_id, row.radius): row.residual for row in report.rows if row.charge_pair == first_pair}
+    rows = [(radius, *(residual[check, radius] for check in CHECKS.values())) for radius in ladder]
 
     header = " ".join(f"{c:>16s}" for c in COLUMNS)
     print(header)

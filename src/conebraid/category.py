@@ -89,12 +89,6 @@ class ConeSpec:
         a0 = self.time_slope * radius**self.time_exponent if self.time_slope else 0.0
         return (a0, radius * self.axis[0], radius * self.axis[1], radius * self.axis[2])
 
-    def contains_direction(self, vec3) -> bool:
-        n = math.hypot(*vec3)
-        if n == 0.0:
-            return False
-        return _angle(tuple(c / n for c in vec3), self.axis) < self.half_angle
-
     def axis_angle_to(self, other: "ConeSpec") -> float:
         return _angle(self.axis, other.axis)
 
@@ -156,10 +150,6 @@ class Intertwiner:
 
 def make_object(data: FieldVector, name: str = "") -> ChargeAutomorphism:
     return ChargeAutomorphism(data=data, name=name)
-
-
-def zero_object() -> ChargeAutomorphism:
-    return ChargeAutomorphism(data=zero_vector(), name="iota")
 
 
 def translate_object(obj: ChargeAutomorphism, a) -> ChargeAutomorphism:

@@ -1,11 +1,11 @@
 """Command line front end.
 
-Every subcommand loads a JSON config, runs one named check suite (verify
-runs all of them unless --suite narrows it), emits the report, and exits
-with 0 when every check passed, 1 when any check failed, and 2 on
-configuration problems.  No other exit codes are used.  The planned row
-count is printed before the numerics start; report files contain no
-timing data and are byte stable for a fixed config and seed.
+`conebraid verify` loads a JSON config, runs the named check suite (all of
+them unless --suite narrows it), emits the report, and exits with 0 when
+every check passed, 1 when any check failed, and 2 on configuration
+problems.  No other exit codes are used.  The planned row count is printed
+before the numerics start; report files contain no timing data and are
+byte stable for a fixed config and seed.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ from .errors import ConebraidError, ConfigError, UsageError
 from .report import emit_report
 from .suites import SUITE_NAMES, plan_counts, run_suite
 
-_SUBCOMMANDS = ("verify", "braiding", "homotopy", "decay", "seqalg", "report")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -27,28 +25,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Check suites for cone-localized charge braiding and sequence algebras.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _SUBCOMMANDS:
-        p = sub.add_parser(name, help=f"run the {name} checks" if name != "report" else "run all checks, emit csv and json")
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", default=None, help="output directory (default: config out_dir)")
-        p.add_argument("--format", default="csv", choices=("csv", "json"), help="report file format")
-        p.add_argument("--seed", type=int, default=None, help="override the configured seed")
-        if name == "verify":
-            p.add_argument(
-                "--suite",
-                default="all",
-                choices=SUITE_NAMES,
-                help="which suite to run (default: all)",
-            )
+    p = sub.add_parser("verify", help="run the checks")
+    p.add_argument("--config", required=True, help="path to the JSON run configuration")
+    p.add_argument("--out", default="out", help="output directory (default: out)")
+    p.add_argument("--format", default="csv", choices=("csv", "json"), help="report file format")
+    p.add_argument("--seed", type=int, default=None, help="override the configured seed")
+    p.add_argument("--suite", default="all", choices=SUITE_NAMES, help="which suite to run (default: all)")
     return parser
-
-
-def _suite_for(args) -> str:
-    if args.command == "verify":
-        return args.suite
-    if args.command == "report":
-        return "all"
-    return args.command
 
 
 def main(argv=None) -> int:
@@ -58,15 +41,12 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.seed is not None and args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
-        suite = _suite_for(args)
-        plan = plan_counts(config, suite)
+        plan = plan_counts(config, args.suite)
         total = sum(n for _, n in plan)
         detail = ", ".join(f"{name}: {n}" for name, n in plan)
-        print(f"plan: suite {suite!r} -> {total} rows ({detail})")
-        report = run_suite(config, suite, seed=args.seed)
-        out_dir = args.out if args.out is not None else config.out_dir
-        fmt = "both" if args.command == "report" else args.format
-        written = emit_report(report, out_dir, fmt)
+        print(f"plan: suite {args.suite!r} -> {total} rows ({detail})")
+        report = run_suite(config, args.suite, seed=args.seed)
+        written = emit_report(report, args.out, args.format)
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

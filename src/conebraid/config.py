@@ -1,7 +1,8 @@
 """Run configuration: a single JSON file with every physical parameter explicit.
 
 A config carries only what a workload varies: the charges, the cone, the
-radii, the seed and the output directory.  The check policy is fixed in
+radii and the seed.  The output directory is the CLI's --out, so it never
+enters the config digest.  The check policy is fixed in
 ``suites`` and the momentum cutoff in ``field`` (R_MAX), so no config can
 move a threshold or the model.
 
@@ -66,7 +67,6 @@ class RunConfig:
     cone: ConeCfg = field(default_factory=ConeCfg)
     radii: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0)
     seed: int = 0
-    out_dir: str = "out"
 
     def validate(self) -> "RunConfig":
         names = [c.name for c in self.charges]

@@ -440,12 +440,12 @@ def translate(x: FieldVector, a) -> FieldVector:
     return FieldVector(tuple(terms), x.klass, x.charge)
 
 
-def _radial_rule_for(pairs, r_max: float):
-    """Composite rule (nodes, weights) on (0, r_max] for the given (c, atom, atom, delta) pairs."""
+def _radial_rule_for(ka: tuple, kb: tuple, delta: float, r_max: float):
+    """Composite rule (nodes, weights) on (0, r_max] for one pair of (profile, channel, t) atom keys."""
     from .quadrature import composite_legendre_unit  # numpy loads with the first rule
 
-    # the time offsets are added first, so the rule is symmetric in each pair
-    mu = max(delta + (abs(ax.offset[0]) + abs(ay.offset[0])) for _, ax, ay, delta in pairs)
+    # the time offsets are added first, so the rule is symmetric in the pair
+    mu = delta + (abs(ka[2]) + abs(kb[2]))
     n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * r_max / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
@@ -516,9 +516,8 @@ def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, r_max: f
     """
     from .quadrature import panel_sinc_sum
 
-    ax, ay = (Atom(profile, channel, (t, 0.0, 0.0, 0.0)) for profile, channel, t in (ka, kb))
-    r, w = _radial_rule_for(((1.0, ax, ay, delta),), r_max)
-    return panel_sinc_sum(form, ax, ay, delta, r, w, r_max)
+    r, w = _radial_rule_for(ka, kb, delta, r_max)
+    return panel_sinc_sum(form, ka, kb, delta, r, w, r_max)
 
 
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:

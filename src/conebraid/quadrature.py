@@ -22,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError
-from .field import RADIAL_RULE_PANEL_ORDER, SIGMA, TWO_PI_32, Atom, Profile, RadialPolynomial
+from .field import RADIAL_RULE_PANEL_ORDER, SIGMA, TWO_PI_32, Profile, RadialPolynomial
 
 # The closed-form transform sums a RadialPolynomial's series below
 # _SERIES_MAX_X and runs the upward recursion from there on (see the series
@@ -134,30 +134,30 @@ def _momentum_values(profile: Profile, r: np.ndarray) -> np.ndarray:
     raise ConfigError(f"unknown profile kind {profile.kind!r}")
 
 
-def _channel_factors(atom: Atom, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real radial factors (G, H) with g~ = e^{-i p.d} G and h~ = e^{-i p.d} H."""
-    phi = _momentum_values(atom.profile, r)
-    t = atom.offset[0]
+def _channel_factors(key: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real radial factors (G, H) of an atom key (profile, channel, t): g~ = e^{-i p.d} G, h~ = e^{-i p.d} H."""
+    profile, channel, t = key
+    phi = _momentum_values(profile, r)
     if t == 0.0:
         zero = np.zeros_like(phi)
-        return (phi, zero) if atom.channel == "g" else (zero, phi)
+        return (phi, zero) if channel == "g" else (zero, phi)
     c = np.cos(r * t)
-    if atom.channel == "g":
+    if channel == "g":
         # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
         return c * phi, -t * np.sinc(r * t / np.pi) * phi
     # h -> cos(omega t) h,  g -> omega sin(omega t) h
     return r * np.sin(r * t) * phi, c * phi
 
 
-def _kernel(form: str, ax: Atom, ay: Atom, r: np.ndarray) -> np.ndarray:
-    """K(r) of the pair; swapping ax and ay negates SIGMA and keeps RE, both bit for bit."""
-    gx, hx = _channel_factors(ax, r)
-    gy, hy = _channel_factors(ay, r)
+def _kernel(form: str, kx: tuple, ky: tuple, r: np.ndarray) -> np.ndarray:
+    """K(r) of the pair of atom keys; swapping kx and ky negates SIGMA and keeps RE, both bit for bit."""
+    gx, hx = _channel_factors(kx, r)
+    gy, hy = _channel_factors(ky, r)
     return gx * hy - gy * hx if form == SIGMA else gx * gy / r + hx * hy * r
 
 
-def panel_sinc_sum(form: str, ax: Atom, ay: Atom, delta: float, r: np.ndarray, w: np.ndarray, r_max: float) -> float:
-    """4 pi int_0^r_max K(r) sinc(r delta) dr of one atom pair on the composite rule (r, w).
+def panel_sinc_sum(form: str, kx: tuple, ky: tuple, delta: float, r: np.ndarray, w: np.ndarray, r_max: float) -> float:
+    """4 pi int_0^r_max K(r) sinc(r delta) dr of one pair of atom keys on the composite rule (r, w).
 
     K is field._pair_integral's kernel of the form.  At delta = 0 the value
     is dot(w, K).  Otherwise node m of panel k of the rule is r = k h + r0_m, so
@@ -166,7 +166,7 @@ def panel_sinc_sum(form: str, ax: Atom, ay: Atom, delta: float, r: np.ndarray, w
     over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
     """
     if delta == 0.0:
-        return 4.0 * np.pi * float(np.dot(w, _kernel(form, ax, ay, r)))
+        return 4.0 * np.pi * float(np.dot(w, _kernel(form, kx, ky, r)))
     order = RADIAL_RULE_PANEL_ORDER
     panels = len(r) // order
     first = delta * r[:order]
@@ -176,7 +176,7 @@ def panel_sinc_sum(form: str, ax: Atom, ay: Atom, delta: float, r: np.ndarray, w
     for k in range(0, panels, PAIR_BLOCK_PANELS):
         block = slice(k * order, (k + PAIR_BLOCK_PANELS) * order)
         rb = r[block]
-        a = (w[block] * _kernel(form, ax, ay, rb) / (delta * rb)).reshape(-1, order)
+        a = (w[block] * _kernel(form, kx, ky, rb) / (delta * rb)).reshape(-1, order)
         start = step * np.arange(k, k + len(a))
         total += float(np.sin(start) @ (a @ cos0) + np.cos(start) @ (a @ sin0))
     return 4.0 * np.pi * total

@@ -107,21 +107,17 @@ class Report:
 
 
 def emit_report(report: Report, out_dir, fmt: str) -> list[Path]:
-    if fmt not in ("csv", "json", "both"):
+    """Write the report as out_dir/<suite>_report.<fmt> and return the written paths."""
+    if fmt not in ("csv", "json"):
         raise ConfigError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-    written = []
-    stems = {"csv": [".csv"], "json": [".json"], "both": [".csv", ".json"]}[fmt]
-    for suffix in stems:
-        path = out / f"{report.suite}_report{suffix}"
-        text = report.to_csv() if suffix == ".csv" else report.to_json()
-        try:
-            path.write_text(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write report file {path}: {exc}") from exc
-        written.append(path)
-    return written
+    path = out / f"{report.suite}_report.{fmt}"
+    try:
+        path.write_text(report.to_csv() if fmt == "csv" else report.to_json())
+    except OSError as exc:
+        raise ConfigError(f"cannot write report file {path}: {exc}") from exc
+    return [path]

@@ -52,9 +52,6 @@ class MatrixAlgebra:
     def unit(self):
         return np.eye(self.dim, dtype=complex)
 
-    def zero(self):
-        return np.zeros((self.dim, self.dim), dtype=complex)
-
     def add(self, a, b):
         return a + b
 
@@ -66,9 +63,6 @@ class MatrixAlgebra:
 
     def star(self, a):
         return a.conj().T
-
-    def scale(self, c, a):
-        return c * a
 
     def norm(self, a) -> float:
         # the largest singular value, as np.linalg.norm(a, 2) computes it
@@ -102,9 +96,6 @@ class WeylPhaseAlgebra:
     def unit(self):
         return (1.0 + 0.0j, zero_vector())
 
-    def zero(self):
-        return (0.0 + 0.0j, zero_vector())
-
     def add(self, a, b):
         if label_id(a[1]) != label_id(b[1]):
             raise UsageError("phase-algebra addition requires equal labels")
@@ -121,9 +112,6 @@ class WeylPhaseAlgebra:
 
     def star(self, a):
         return (np.conj(a[0]), vec_negate(a[1]))
-
-    def scale(self, c, a):
-        return (c * a[0], a[1])
 
     def norm(self, a) -> float:
         return float(abs(a[0]))

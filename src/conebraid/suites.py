@@ -172,10 +172,6 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     return [(suite, counts[suite])]
 
 
-def planned_rows(config: RunConfig, suite: str) -> int:
-    return sum(n for _, n in plan_counts(config, suite))
-
-
 def _row(check_id, charge_pair, cone_id, radius, value, residual, threshold) -> CheckRow:
     residual = float(residual)
     return CheckRow(

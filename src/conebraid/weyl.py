@@ -24,7 +24,6 @@ functional are positive semidefinite, which the tests assert directly.
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,14 +107,6 @@ def conjugate(u: WeylElement, a: WeylElement) -> WeylElement:
 def commutator_norm(x: FieldVector, y: FieldVector) -> float:
     """Norm of [W(x), W(y)]; equals |e^{i sigma(x, y)} - 1|."""
     return abs(cmath.exp(1j * symplectic(x, y)) - 1.0)
-
-
-def vacuum_state(a: WeylElement) -> complex:
-    """Quasi-free vacuum expectation; every label must be test class."""
-    total = 0.0 + 0.0j
-    for c, x in a.terms:
-        total += c * math.exp(-vacuum_exponent(x))
-    return total
 
 
 def gram_matrix(labels):

@@ -19,7 +19,7 @@ from conebraid.config import RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
 from conebraid.seqalg import TailPolicy
-from conebraid.suites import planned_rows, run_suite, vector_from_charge_cfg
+from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "default.json"
 
@@ -43,7 +43,8 @@ def test_config_defaults_match_reference():
     assert cfg.seed == 0
     # a config carries only what a workload varies; the check policy is not config
     # and the momentum cutoff is the model's constant, not config
-    assert set(cfg.to_dict()) == {"charges", "cone", "radii", "seed", "out_dir"}
+    # and the output directory is the CLI's --out, so it never moves the config digest
+    assert set(cfg.to_dict()) == {"charges", "cone", "radii", "seed"}
 
 
 def test_check_policy_is_fixed_in_suites():
@@ -178,26 +179,32 @@ def test_report_json_omits_wall_time():
 
 def test_emit_report_formats_and_errors(tmp_path):
     rep = _report([])
-    paths = emit_report(rep, tmp_path / "out", "both")
-    assert [p.suffix for p in paths] == [".csv", ".json"]
+    for fmt in ("csv", "json"):
+        paths = emit_report(rep, tmp_path / "out", fmt)
+        assert paths == [tmp_path / "out" / f"demo_report.{fmt}"] and paths[0].is_file()
     blocker = tmp_path / "file.txt"
     blocker.write_text("x")
     with pytest.raises(ConfigError):
         emit_report(rep, blocker / "sub", "csv")
-    with pytest.raises(ConfigError):
-        emit_report(rep, tmp_path, "yaml")
+    for fmt in ("yaml", "both"):
+        with pytest.raises(ConfigError):
+            emit_report(rep, tmp_path, fmt)
 
 
 def test_plan_counts_default():
     cfg = load_config(CONFIG_PATH)
-    assert planned_rows(cfg, "laws") == 13
-    assert planned_rows(cfg, "braiding") == 12
-    assert planned_rows(cfg, "homotopy") == 8
-    assert planned_rows(cfg, "decay") == 20
-    assert planned_rows(cfg, "seqalg") == 9
-    assert planned_rows(cfg, "all") == 62
+
+    def planned_rows(suite):
+        return sum(n for _, n in plan_counts(cfg, suite))
+
+    assert planned_rows("laws") == 13
+    assert planned_rows("braiding") == 12
+    assert planned_rows("homotopy") == 8
+    assert planned_rows("decay") == 20
+    assert planned_rows("seqalg") == 9
+    assert planned_rows("all") == 62
     with pytest.raises(ConfigError):
-        planned_rows(cfg, "bogus")
+        planned_rows("bogus")
 
 
 def test_braiding_rows_follow_radius_schedule():
@@ -259,16 +266,19 @@ def test_vector_materialization_variants():
 
 def test_cli_exit_codes(tmp_path):
     assert main(["verify", "--config", str(CONFIG_PATH), "--suite", "laws", "--out", str(tmp_path / "a")]) == 0
-    assert main(["braiding", "--config", str(CONFIG_PATH), "--out", str(tmp_path / "b")]) == 1
+    assert main(["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--out", str(tmp_path / "b")]) == 1
     bad = tmp_path / "dup.json"
     data = default_dict()
     data["charges"][1]["name"] = data["charges"][0]["name"]
     bad.write_text(json.dumps(data))
     assert main(["verify", "--config", str(bad), "--out", str(tmp_path / "c")]) == 2
     assert main(["verify", "--config", str(tmp_path / "missing.json")]) == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", "--config", str(CONFIG_PATH), "--suite", "bogus"])
-    assert exc.value.code == 2
+    # verify is the only subcommand: the former per-suite and report ones are usage errors
+    for argv in (["verify", "--suite", "bogus"], ["braiding"], ["report"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", str(CONFIG_PATH), "--out", str(tmp_path / "d")])
+        assert exc.value.code == 2
+    assert not (tmp_path / "d").exists()
 
 
 def test_cli_negative_seed_override_exits_2_with_one_line(tmp_path, capsys):
@@ -293,7 +303,7 @@ def test_cli_rejects_broken_homotopy_chain_before_any_suite(tmp_path, capsys, mo
         raise AssertionError("run_laws ran for a plan that cannot finish")
 
     monkeypatch.setattr(suites, "run_laws", no_laws)
-    for argv in (["verify", "--suite", "all"], ["homotopy"]):
+    for argv in (["verify", "--suite", "all"], ["verify", "--suite", "homotopy"]):
         assert main([*argv, "--config", str(narrow), "--out", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert "plan:" not in captured.out
@@ -328,9 +338,9 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "config.cone: expected an object" in err
 
 
-# The keys a config carried before the check policy moved into suites and the
-# momentum cutoff into field, each at the value it shipped with, and the
-# top-level key the rejection names.
+# The keys a config carried before the check policy moved into suites, the
+# momentum cutoff into field and the output directory into --out, each at the
+# value it shipped with, and the top-level key the rejection names.
 _REMOVED_KEYS = {
     "n_radial": (lambda d: d.__setitem__("grid", {"r_max": 10.0, "n_radial": 64}), "grid"),
     "n_angular": (lambda d: d.__setitem__("grid", {"r_max": 10.0, "n_angular": 26}), "grid"),
@@ -349,6 +359,7 @@ _REMOVED_KEYS = {
     "law_samples": (lambda d: d.__setitem__("law_samples", 100), "law_samples"),
     "homotopy": (lambda d: d.__setitem__("homotopy", {"steps": 6, "step_deg": 30.0}), "homotopy"),
     "transporter_offset": (lambda d: d.__setitem__("transporter_offset", 2.0), "transporter_offset"),
+    "out_dir": (lambda d: d.__setitem__("out_dir", "out"), "out_dir"),
 }
 
 
@@ -501,7 +512,7 @@ def test_cli_plan_line_and_json_output(tmp_path, capsys):
 def test_cli_byte_identical_reruns(tmp_path):
     for sub in ("run1", "run2"):
         assert main(
-            ["braiding", "--config", str(CONFIG_PATH), "--out", str(tmp_path / sub)]
+            ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--out", str(tmp_path / sub)]
         ) == 1
     first = (tmp_path / "run1" / "braiding_report.csv").read_bytes()
     second = (tmp_path / "run2" / "braiding_report.csv").read_bytes()

@@ -96,10 +96,10 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
 
     monkeypatch.setattr(Q, "composite_legendre_unit", record)
     # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
-    F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e6)], F.R_MAX)
+    F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 2.0e6, F.R_MAX)
     assert built == [31831040] and built[0] <= F.RADIAL_RULE_MAX_NODES
     with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
-        F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], 2.0e8)], F.R_MAX)
+        F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 2.0e8, F.R_MAX)
     assert len(built) == 1
 
 
@@ -107,7 +107,7 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
 def test_radial_rule_is_composite_panels(pair, d, panels):
     # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node panels
     gam, dlt = pair
-    r, w = F._radial_rule_for([(1.0, gam.terms[0][1], dlt.terms[0][1], d)], F.R_MAX)
+    r, w = F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, d, F.R_MAX)
     nodes, weights = composite_legendre_unit(panels, 64)
     assert np.array_equal(r, 10.0 * nodes) and np.array_equal(w, 10.0 * weights)
 
@@ -436,7 +436,7 @@ def test_bump_transform_memo_follows_the_shape():
     assert after == 2.0 * before
     assert two.charge == 2.0 * one.charge
     # the memoized transform is the uncached closed form, read-only
-    r, w = F._radial_rule_for([(1.0, two.terms[0][1], dlt.terms[0][1], 0.0)], F.R_MAX)
+    r, w = F._radial_rule_for(two.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 0.0, F.R_MAX)
     uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r)
     cached = Q._momentum_values(two.terms[0][1].profile, r)
     assert np.array_equal(cached, uncached) and not cached.flags.writeable
@@ -534,9 +534,8 @@ def test_swapped_operands_share_pair_integrals(mixed):
 
 def _direct_pair_sum(form, ka, kb, delta):
     """4 pi dot(w, K sinc(r delta)) on the pair's own rule, one sinc per node, and 4 pi dot(w, |K|)."""
-    ax, ay = (F.Atom(p, c, (t, 0.0, 0.0, 0.0)) for p, c, t in (ka, kb))
-    r, w = F._radial_rule_for([(1.0, ax, ay, delta)], F.R_MAX)
-    kern = Q._kernel(form, ax, ay, r)
+    r, w = F._radial_rule_for(ka, kb, delta, F.R_MAX)
+    kern = Q._kernel(form, ka, kb, r)
     direct = float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
     return 4.0 * np.pi * direct, 4.0 * np.pi * float(np.dot(w, np.abs(kern)))
 
@@ -657,9 +656,9 @@ def test_pair_integral_fallbacks_reach_the_panel_rule(monkeypatch):
     # for RE the pair integral builds its rule; the closed form builds none
     calls = []
 
-    def sentinel(pairs, r_max):
-        calls.append(pairs)
-        return rule_for(pairs, r_max)
+    def sentinel(ka, kb, delta, r_max):
+        calls.append((ka, kb, delta))
+        return rule_for(ka, kb, delta, r_max)
 
     rule_for = F._radial_rule_for
     monkeypatch.setattr(F, "_radial_rule_for", sentinel)

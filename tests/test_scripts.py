@@ -56,14 +56,6 @@ def test_decay_curves_script(tmp_path):
     assert len(out.read_text().splitlines()) == 4
 
 
-def test_run_default_script(tmp_path):
-    # the default config fails 19 of its 62 rows by design, so the script exits 1
-    proc = _run("run_default.py", "--out", str(tmp_path))
-    assert proc.returncode == 1 and not proc.stderr, proc.stderr
-    assert "total 62 rows" in proc.stdout
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["all_report.csv", "all_report.json"]
-
-
 def test_report_drift_script(tmp_path):
     config = str(ROOT / "configs" / "default.json")
     assert main(["verify", "--config", config, "--suite", "laws", "--format", "json", "--out", str(tmp_path)]) == 0

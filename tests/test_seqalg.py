@@ -57,7 +57,7 @@ def test_limsup_norm_examples(alg, policy, mats):
 
 def test_is_null_examples(alg, policy, mats):
     a, _, _ = mats
-    assert SA.is_null(SA.constant(alg, alg.zero()), policy)
+    assert SA.is_null(SA.constant(alg, np.zeros_like(a)), policy)
     assert not SA.is_null(SA.constant(alg, a), policy)
     inv = SA.SequenceElement(alg, lambda n: a / n, alg.norm(a))
     assert not SA.is_null(inv, policy)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from conebraid import field as F
 from conebraid import weyl as W
-from conebraid.errors import DomainError, UsageError
+from conebraid.errors import UsageError
 from conebraid.field import RadialPolynomial
 
 
@@ -100,21 +100,6 @@ def test_conjugation_by_generator_rephases(pair):
     coeff, label = out.terms[0]
     assert W.label_id(label) == W.label_id(y)
     assert abs(coeff - np.exp(-1j * F.symplectic(gam, y))) < 1e-13
-
-
-def test_vacuum_state(pair):
-    _, dlt = pair
-    assert abs(W.vacuum_state(W.weyl(dlt)) - math.exp(-math.pi / 2.0)) < 1e-12
-    assert abs(W.vacuum_state(W.weyl_unit()) - 1.0) < 1e-14
-    e = W.weyl_add(W.weyl_unit(), W.weyl(dlt, 2.0j))
-    want = 1.0 + 2.0j * math.exp(-math.pi / 2.0)
-    assert abs(W.vacuum_state(e) - want) < 1e-12
-
-
-def test_vacuum_rejects_charge_labels(pair):
-    gam, _ = pair
-    with pytest.raises(DomainError):
-        W.vacuum_state(W.weyl(gam))
 
 
 def test_gram_matrix_values_and_positivity(pair):
