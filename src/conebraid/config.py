@@ -187,7 +187,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
-
-
-def save_config(config: RunConfig, path) -> None:
-    Path(path).write_text(config.to_canonical_json())

@@ -12,12 +12,12 @@ every report carries the policy so the finite nature of the check stays
 visible.
 
 Two algebra instantiations are provided: dense complex matrices up to
-dimension 8 under the spectral norm, and single Weyl phase generators
-(coefficient times a field label) whose product twists by the symplectic
-cocycle.  Polar unitarization maps an almost-unitary matrix sequence to
-its entrywise polar factor, substituting the identity where the entry is
-numerically singular; the output is entrywise unitary and null-close to
-the input whenever the precondition holds.
+dimension 8 under the spectral norm, and single Weyl phase generators,
+weyl.WeylElement values whose product and star are weyl's own.  Polar
+unitarization maps an almost-unitary matrix sequence to its entrywise
+polar factor, substituting the identity where the entry is numerically
+singular; the output is entrywise unitary and null-close to the input
+whenever the precondition holds.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, UsageError
-from .field import FieldVector, add as vec_add, negate as vec_negate, symplectic, zero_vector
-from .weyl import label_id
+from .field import FieldVector, zero_vector
+from .weyl import WeylElement, label_id, star as weyl_star, weyl, weyl_mul
 
 MATRIX_DIM_MAX = 8
 POLAR_SINGULAR_CUTOFF = 1e-8
@@ -83,49 +83,48 @@ class MatrixAlgebra:
 
 
 class WeylPhaseAlgebra:
-    """Single Weyl phase generators (coefficient, field label).
+    """Single Weyl phase generators, weyl.WeylElement values.
 
-    The product twists by the symplectic cocycle; addition is defined only
-    between equal labels (general sums live in the full Weyl layer, not
-    here).  The norm of a single generator is the coefficient modulus.
+    Product and star are weyl's; addition is defined only between equal
+    labels, since a sum of two generators is no generator.  The norm of a
+    single generator is the coefficient modulus.
     """
 
-    def element(self, coeff: complex, label: FieldVector):
-        return (complex(coeff), label)
+    def element(self, coeff: complex, label: FieldVector) -> WeylElement:
+        return weyl(label, coeff)
 
-    def unit(self):
-        return (1.0 + 0.0j, zero_vector())
+    def unit(self) -> WeylElement:
+        return weyl(zero_vector())
 
     def add(self, a, b):
-        if label_id(a[1]) != label_id(b[1]):
+        if label_id(a.label) != label_id(b.label):
             raise UsageError("phase-algebra addition requires equal labels")
-        return (a[0] + b[0], a[1])
+        return WeylElement(a.coeff + b.coeff, a.label)
 
     def sub(self, a, b):
-        if label_id(a[1]) != label_id(b[1]):
+        if label_id(a.label) != label_id(b.label):
             raise UsageError("phase-algebra subtraction requires equal labels")
-        return (a[0] - b[0], a[1])
+        return WeylElement(a.coeff - b.coeff, a.label)
 
     def mul(self, a, b):
-        phase = np.exp(0.5j * symplectic(a[1], b[1]))
-        return (a[0] * b[0] * phase, vec_add(a[1], b[1]))
+        return weyl_mul(a, b)
 
     def star(self, a):
-        return (np.conj(a[0]), vec_negate(a[1]))
+        return weyl_star(a)
 
     def norm(self, a) -> float:
-        return float(abs(a[0]))
+        return float(abs(a.coeff))
 
     norm_bound = norm  # the norm is already a modulus
 
     def polar(self, a):
-        mod = abs(a[0])
+        mod = abs(a.coeff)
         if mod < POLAR_SINGULAR_CUTOFF:
             return self.unit(), float(mod)
-        return (a[0] / mod, a[1]), float(mod)
+        return WeylElement(a.coeff / mod, a.label), float(mod)
 
     def unitarity_defect(self, a) -> float:
-        return abs(abs(a[0]) - 1.0)
+        return abs(abs(a.coeff) - 1.0)
 
 
 @dataclass(frozen=True)

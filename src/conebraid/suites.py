@@ -105,9 +105,7 @@ class RunContext:
     def __init__(self, config: RunConfig):
         self.config = config
         self.vectors = {c.name: vector_from_charge_cfg(c) for c in config.charges}
-        self.objects = {
-            name: cat.make_object(vec, name=name) for name, vec in self.vectors.items()
-        }
+        self.objects = {name: cat.ChargeAutomorphism(vec) for name, vec in self.vectors.items()}
         self.cone = cat.ConeSpec(
             config.cone.axis,
             config.half_angle_rad(),
@@ -208,7 +206,7 @@ def _random_object(ctx: RunContext, rng: np.random.Generator) -> cat.ChargeAutom
     (magnitude,) = _uniform(rng, (0.5,), (2.0,))
     factor = magnitude * (-1.0, 1.0)[rng.integers(2)]
     shift = _uniform(rng, *_OBJECT_SHIFT)
-    return cat.make_object(fld.translate(fld.scale(factor, base), shift))
+    return cat.ChargeAutomorphism(fld.translate(fld.scale(factor, base), shift))
 
 
 def _random_arrow(ctx: RunContext, rng: np.random.Generator, obj=None) -> cat.Intertwiner:
@@ -284,9 +282,9 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
         f = fld.intertwiner_label(c_obj.data, fld.translate(c_obj.data, (0.0, 1.0, -0.5, 0.5)))
         bump("laws/intertwiner_relation", cat.intertwiner_relation_residual(r, f))
 
-        u, v = weyl(f), r.as_weyl()
-        lhs_w = cat.auto_action(a_obj, weyl_mul(u, v))
-        rhs_w = weyl_mul(cat.auto_action(a_obj, u), cat.auto_action(a_obj, v))
+        u = weyl(f)
+        lhs_w = cat.auto_action(a_obj, weyl_mul(u, r))
+        rhs_w = weyl_mul(cat.auto_action(a_obj, u), cat.auto_action(a_obj, r))
         bump(
             "laws/auto_action_homomorphism",
             _coeff_distance(lhs_w, rhs_w, fld.add(f, r.label)),

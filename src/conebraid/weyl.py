@@ -1,19 +1,22 @@
-"""Finite combinations of Weyl generators over the field symplectic space.
+"""Weyl generators c W(x) over the field symplectic space.
 
 Generators multiply with the phase cocycle
 
     W(x) W(y) = e^{+i sigma(x, y)/2} W(x + y),
 
 so W(x)* = W(-x), each generator is unitary, and the exchange relation
-W(x) W(y) = e^{+i sigma(x, y)} W(y) W(x) holds.  Elements are finite
-complex combinations of generators; products expand term by term with the
-cocycle phase evaluated by the field-layer symplectic form.
+W(x) W(y) = e^{+i sigma(x, y)} W(y) W(x) holds.  A WeylElement is one
+generator, a coefficient times a field label: the hom-spaces of the charge
+category are one dimensional, so every arrow, every braiding and every
+law this package checks is of that form.  The category's arrows extend
+WeylElement, and ``category.compose`` shares the one private product
+``_product`` with ``weyl_mul``.
 
 Generator labels are identified exactly: ``label_id`` is the vector's
 terms as (atom sort key, coefficient) pairs, so two vectors have equal
 labels exactly when their terms are equal, the identity the field layer
-merges terms on.  Elements merge generators on that key, and ``coeff_of``
-is one dict lookup.
+merges terms on.  ``coeff_of`` reads the coefficient of an equal label and
+0 for any other.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on test-class labels (the exponent diverges otherwise, and
@@ -25,12 +28,10 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import UsageError
-from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent, zero_vector
+from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent
 
-COEFF_EPS = 1e-14
 GRAM_MAX_LABELS = 16
 
 
@@ -41,67 +42,36 @@ def label_id(vec: FieldVector) -> tuple:
 
 @dataclass(frozen=True, eq=False, init=False)
 class WeylElement:
-    terms: tuple[tuple[complex, FieldVector], ...]
+    """The generator coeff * W(label)."""
 
-    def __init__(self, terms: tuple):
-        # the field goes straight into the instance dict, as in field.FieldVector
-        self.__dict__["terms"] = terms
+    coeff: complex
+    label: FieldVector
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @cached_property
-    def _coeffs(self) -> dict:
-        return {label_id(x): c for c, x in self.terms}
+    def __init__(self, coeff: complex, label: FieldVector):
+        # fields go straight into the instance dict, as in field.FieldVector
+        d = self.__dict__
+        d["coeff"], d["label"] = coeff, label
 
     def coeff_of(self, label: FieldVector) -> complex:
-        return self._coeffs.get(label_id(label), 0.0 + 0.0j)
-
-
-def _canonical(items) -> WeylElement:
-    merged: dict[tuple, tuple[complex, FieldVector]] = {}
-    for c, x in items:
-        key = label_id(x)
-        if key in merged:
-            prev_c, prev_x = merged[key]
-            merged[key] = (prev_c + c, prev_x)
-        else:
-            merged[key] = (complex(c), x)
-    kept = [(c, x) for key, (c, x) in sorted(merged.items()) if abs(c) > COEFF_EPS]
-    return WeylElement(tuple(kept))
+        return self.coeff if label_id(label) == label_id(self.label) else 0.0 + 0.0j
 
 
 def weyl(label: FieldVector, coeff: complex = 1.0) -> WeylElement:
-    # _canonical of the one item, with nothing to merge or sort
-    c = complex(coeff)
-    return WeylElement(((c, label),) if abs(c) > COEFF_EPS else ())
+    return WeylElement(complex(coeff), label)
 
 
-def weyl_unit() -> WeylElement:
-    return weyl(zero_vector())
-
-
-def weyl_add(a: WeylElement, b: WeylElement) -> WeylElement:
-    return _canonical(list(a.terms) + list(b.terms))
+def _product(a: WeylElement, b: WeylElement) -> tuple[complex, FieldVector]:
+    """Coefficient and label of the product a b, in that order of the factors."""
+    coeff = a.coeff * b.coeff * cmath.exp(0.5j * symplectic(a.label, b.label))
+    return coeff, add(a.label, b.label)
 
 
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
-    items = []
-    for ca, x in a.terms:
-        for cb, y in b.terms:
-            phase = cmath.exp(0.5j * symplectic(x, y))
-            items.append((ca * cb * phase, add(x, y)))
-    return _canonical(items)
+    return WeylElement(*_product(a, b))
 
 
 def star(a: WeylElement) -> WeylElement:
-    return _canonical([(c.conjugate(), negate(x)) for c, x in a.terms])
-
-
-def conjugate(u: WeylElement, a: WeylElement) -> WeylElement:
-    """u* a u, the adjoint action of the (unitary) element u."""
-    return weyl_mul(weyl_mul(star(u), a), u)
+    return WeylElement(a.coeff.conjugate(), negate(a.label))
 
 
 def commutator_norm(x: FieldVector, y: FieldVector) -> float:

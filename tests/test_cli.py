@@ -281,6 +281,42 @@ def test_cli_exit_codes(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def test_unconjugated_star_fails_the_categorical_rows(tmp_path, monkeypatch):
+    # the categorical braiding is judged by its rows, not by an internal error:
+    # a star_mor that leaves the coefficient unconjugated still writes a report
+    from conebraid import category as C
+
+    def unconjugated(r):
+        return C.Intertwiner(r.target, r.source, r.coeff, F.negate(r.label))
+
+    monkeypatch.setattr(C, "star_mor", unconjugated)
+    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--format", "json"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
+    categorical = [row for row in rows if row["check_id"] == "braiding/categorical_vs_closed_form"]
+    assert len(categorical) == 4 and not any(row["pass"] for row in categorical)
+
+
+@pytest.mark.parametrize("suite", ["braiding", "decay"])
+def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
+    # category.compose shares weyl's private product, so these suites stay off weyl_mul
+    from conebraid import weyl as W
+
+    def forbidden(a, b):
+        raise AssertionError("weyl_mul called")
+
+    original = W.weyl_mul
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.partition(".")[0] == "conebraid" and getattr(module, "weyl_mul", None) is original:
+            monkeypatch.setattr(module, "weyl_mul", forbidden)
+            patched.append(name)
+    assert {"conebraid.weyl", "conebraid.category", "conebraid.suites"} <= set(patched)
+    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", suite, "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert (tmp_path / f"{suite}_report.csv").is_file()
+
+
 def test_cli_negative_seed_override_exits_2_with_one_line(tmp_path, capsys):
     # the config path rejects a negative seed; the --seed override must too
     argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "laws", "--out", str(tmp_path), "--seed"]

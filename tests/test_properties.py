@@ -37,7 +37,7 @@ def build_obj(params):
         v = F.make_charge_vector(q=amp, width=w)
     else:
         v = F.make_test_vector(amplitude=amp, width=w, channel=chan)
-    return C.make_object(F.translate(v, (t, x, y, z)))
+    return C.ChargeAutomorphism(F.translate(v, (t, x, y, z)))
 
 
 @settings(max_examples=30, **COMMON)

@@ -224,15 +224,33 @@ def test_weyl_phase_algebra(policy):
     with pytest.raises(UsageError):
         wa.add(x, y)
     u, modulus = wa.polar(x)
-    assert abs(abs(u[0]) - 1.0) < 1e-14 and modulus == 0.5
+    assert abs(abs(u.coeff) - 1.0) < 1e-14 and modulus == 0.5
     fallback, _ = wa.polar(wa.element(1e-12, dlt))
-    assert fallback[0] == 1.0 and fallback[1].is_zero
+    assert fallback.coeff == 1.0 and fallback.label.is_zero
     # phase generators commute in coefficient up to the symplectic phase
     useq = SA.SequenceElement(wa, lambda n: wa.element(np.exp(1j / n), dlt), 1.0)
     adj = SA.adjoint_morphism(useq, wa.element(1.0, F.translate(dlt, (0.0, 2.0, 0.0, 0.0))))
-    assert abs(adj.at(64)[0] - 1.0) < 1e-12
+    assert abs(adj.at(64).coeff - 1.0) < 1e-12
     with pytest.raises(UsageError):
         SA.seq_add(SA.constant(wa, wa.unit()), SA.constant(SA.MatrixAlgebra(2), np.eye(2)))
+
+
+def test_weyl_phase_algebra_is_weyls_product_and_star():
+    # the phase algebra's elements are Weyl generators, multiplied by weyl_mul bit for bit
+    from conebraid import weyl as W
+
+    wa = SA.WeylPhaseAlgebra()
+    gam, dlt = F.make_charge_vector(), F.make_test_vector()
+    x = wa.element(np.exp(0.3j), F.translate(gam, (0.0, 1.0, 0.0, 0.0)))
+    y = wa.element(-0.5j, F.translate(dlt, (0.2, 0.0, -1.0, 2.0)))
+    assert isinstance(x, W.WeylElement)
+    for a, b in ((x, y), (y, x), (x, wa.unit()), (wa.star(y), x)):
+        got, want = wa.mul(a, b), W.weyl_mul(a, b)
+        assert got.coeff.real.hex() == want.coeff.real.hex()
+        assert got.coeff.imag.hex() == want.coeff.imag.hex()
+        assert got.label.terms == want.label.terms
+    assert wa.star(x).coeff == W.star(x).coeff
+    assert wa.star(x).label.terms == W.star(x).label.terms
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11, 123])

@@ -1,4 +1,4 @@
-"""Weyl product, star, vacuum functional, and gram positivity checks."""
+"""Weyl generator product, star, label identity, vacuum functional, and gram positivity checks."""
 
 import math
 from functools import lru_cache
@@ -38,10 +38,8 @@ def test_generators_are_unitary(pair):
     _, dlt = pair
     a = W.weyl(F.translate(dlt, (0.0, 1.0, 0.0, 0.0)))
     p = W.weyl_mul(W.star(a), a)
-    assert len(p.terms) == 1
-    coeff, label = p.terms[0]
-    assert label.is_zero
-    assert abs(coeff - 1.0) < 1e-14
+    assert p.label.is_zero
+    assert abs(p.coeff - 1.0) < 1e-14
 
 
 def test_exchange_relation(pair):
@@ -49,24 +47,32 @@ def test_exchange_relation(pair):
     y = F.translate(dlt, (0.0, 2.0, 0.0, 0.0))
     ab = W.weyl_mul(W.weyl(gam), W.weyl(y))
     ba = W.weyl_mul(W.weyl(y), W.weyl(gam))
-    ratio = ab.terms[0][0] / ba.terms[0][0]
+    assert W.label_id(ab.label) == W.label_id(ba.label)
+    ratio = ab.coeff / ba.coeff
     assert abs(ratio - np.exp(1j * F.symplectic(gam, y))) < 1e-14
 
 
 def test_product_associative_and_star_antimultiplicative(pair):
-    _, dlt = pair
-    e1 = W.weyl_add(W.weyl(dlt), W.weyl(F.translate(dlt, (0, 1, 0, 0)), 0.5j))
-    e2 = W.weyl_add(W.weyl(F.translate(dlt, (0, 0, 1, 0))), W.weyl_unit())
-    e3 = W.weyl_add(W.weyl(F.translate(dlt, (0, 0, 0, 1)), -1.0), W.weyl(dlt, 0.25))
+    gam, dlt = pair
+    e1 = W.weyl(F.translate(dlt, (0, 1, 0, 0)), 0.5j)
+    e2 = W.weyl(F.add(gam, F.translate(dlt, (0, 0, 1, 0))), -1.5)
+    e3 = W.weyl(F.translate(dlt, (0.5, 0, 0, 1)), 0.25 + 1j)
     left = W.weyl_mul(W.weyl_mul(e1, e2), e3)
     right = W.weyl_mul(e1, W.weyl_mul(e2, e3))
-    assert len(left.terms) == len(right.terms) == 8
-    for _, x in left.terms:
-        assert abs(left.coeff_of(x) - right.coeff_of(x)) < 1e-12
+    assert W.label_id(left.label) == W.label_id(right.label)
+    assert abs(left.coeff - right.coeff) < 1e-12
+    # the product carries the cocycle of each pair of factors
+    sig = F.symplectic
+    x1, x2, x3 = e1.label, e2.label, e3.label
+    want = 0.5j * -1.5 * (0.25 + 1j) * np.exp(0.5j * (sig(x1, x2) + sig(x1, x3) + sig(x2, x3)))
+    assert abs(left.coeff - want) < 1e-12
     s1 = W.star(W.weyl_mul(e1, e2))
     s2 = W.weyl_mul(W.star(e2), W.star(e1))
-    for _, x in s1.terms:
-        assert abs(s1.coeff_of(x) - s2.coeff_of(x)) < 1e-12
+    assert W.label_id(s1.label) == W.label_id(s2.label) == W.label_id(F.negate(F.add(x1, x2)))
+    assert abs(s1.coeff - s2.coeff) < 1e-12
+    # star is an involution, bit for bit
+    twice = W.star(W.star(e2))
+    assert twice.coeff == e2.coeff and twice.label.terms == e2.label.terms
 
 
 def test_label_identity_is_exact(pair):
@@ -75,19 +81,21 @@ def test_label_identity_is_exact(pair):
     jitter = F.translate(F.translate(dlt, (0.0, 0.1, 0.0, 0.0)), (0.0, 0.2, 0.0, 0.0))
     direct = F.translate(dlt, (0.0, 0.30000000000000004, 0.0, 0.0))
     assert W.label_id(jitter) == W.label_id(direct)
-    summed = W.weyl_add(W.weyl(jitter, 1.0), W.weyl(direct, -1.0))
-    assert summed.is_zero
     # offsets and coefficients one ulp apart are distinct labels
     ulp = F.translate(dlt, (0.0, math.nextafter(0.30000000000000004, 1.0), 0.0, 0.0))
     assert W.label_id(ulp) != W.label_id(direct)
-    assert len(W.weyl_add(W.weyl(ulp, 1.0), W.weyl(direct, -1.0)).terms) == 2
     assert W.label_id(F.scale(math.nextafter(1.0, 2.0), direct)) != W.label_id(direct)
     other = F.translate(dlt, (0.0, 0.3001, 0.0, 0.0))
     assert W.label_id(other) != W.label_id(direct)
-    # coeff_of reads the coefficient of an equal label, built separately
-    element = W.weyl_add(W.weyl(direct, 2.0j), W.weyl(ulp, -1.0))
-    assert element.coeff_of(jitter) == 2.0j and element.coeff_of(ulp) == -1.0
-    assert element.coeff_of(other) == 0.0
+    # coeff_of reads the coefficient of an equal label, built separately, and 0 for any other
+    element = W.weyl(direct, 2.0j)
+    assert element.coeff_of(jitter) == 2.0j and element.coeff_of(direct) == 2.0j
+    assert element.coeff_of(ulp) == 0.0 and element.coeff_of(other) == 0.0
+    assert W.weyl(ulp, -1.0).coeff_of(ulp) == -1.0 and W.weyl(ulp, -1.0).coeff_of(direct) == 0.0
+    # a generator times the star of an equal label is a multiple of the unit
+    back = W.weyl_mul(W.weyl(jitter), W.star(W.weyl(direct)))
+    assert back.label.is_zero and abs(back.coeff - 1.0) < 1e-14
+    assert not W.weyl_mul(W.weyl(ulp), W.star(W.weyl(direct))).label.is_zero
 
 
 def test_conjugation_by_generator_rephases(pair):
@@ -95,11 +103,9 @@ def test_conjugation_by_generator_rephases(pair):
     # W(u)* W(y) W(u) = e^{-i sigma(u, y)} W(y)
     u = W.weyl(gam)
     y = F.translate(dlt, (0.0, 0.0, 0.0, 3.0))
-    out = W.conjugate(u, W.weyl(y))
-    assert len(out.terms) == 1
-    coeff, label = out.terms[0]
-    assert W.label_id(label) == W.label_id(y)
-    assert abs(coeff - np.exp(-1j * F.symplectic(gam, y))) < 1e-13
+    out = W.weyl_mul(W.weyl_mul(W.star(u), W.weyl(y)), u)
+    assert W.label_id(out.label) == W.label_id(y)
+    assert abs(out.coeff - np.exp(-1j * F.symplectic(gam, y))) < 1e-13
 
 
 def test_gram_matrix_values_and_positivity(pair):
@@ -137,12 +143,12 @@ def test_bump_labels_follow_their_shape():
     second = F.make_bump_vector(RadialPolynomial((2.0, -4.0, 2.0), 1.0))
     assert first.terms != second.terms
     assert W.label_id(first) != W.label_id(second)
-    assert len(W.weyl_add(W.weyl(first), W.weyl(second, -1.0)).terms) == 2
+    assert W.weyl(first).coeff_of(second) == 0.0
     # vectors built separately from equal shapes share one atom and one label
     again = F.make_bump_vector(RadialPolynomial((1.0, -2.0, 1.0), 1.0))
     assert again.terms == first.terms
     assert W.label_id(again) == W.label_id(first)
-    assert W.weyl_add(W.weyl(first), W.weyl(again, -1.0)).is_zero
+    assert W.weyl(first, -1.0).coeff_of(again) == -1.0
 
 
 @lru_cache(maxsize=1)
@@ -197,4 +203,4 @@ def test_bumps_of_equal_shape_cancel(coeffs, support):
     y = F.make_bump_vector(RadialPolynomial(coeffs, support))
     diff = F.subtract(x, y)
     assert diff.is_zero and diff.klass == F.TEST and diff.charge == 0.0
-    assert W.weyl_mul(W.weyl(x), W.star(W.weyl(y))).terms[0][1].is_zero
+    assert W.weyl_mul(W.weyl(x), W.star(W.weyl(y))).label.is_zero
