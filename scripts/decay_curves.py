@@ -12,7 +12,6 @@ already below 1e-2 by R = 20.
 
 import argparse
 import csv
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -44,7 +43,7 @@ def main() -> int:
 
     config = load_config(args.config)
     ladder = tuple(float(r) for r in np.geomspace(args.r_min, args.r_max, args.points))
-    report = run_suite(replace(config, radii=ladder).validate(), "decay")
+    report = run_suite(config._replace(radii=ladder).validate(), "decay")
     first_pair = f"{config.charges[0].name}:{config.charges[1].name}"
     residual = {(row.check_id, row.radius): row.residual for row in report.rows if row.charge_pair == first_pair}
     rows = [(radius, *(residual[check, radius] for check in CHECKS.values())) for radius in ladder]

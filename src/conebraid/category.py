@@ -36,43 +36,52 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ConfigError, InternalError, UsageError
-from .field import FieldVector, add, intertwiner_label, symplectic, translate, zero_vector
+from .field import FieldVector, Frozen, add, intertwiner_label, symplectic, translate, zero_vector
 from .weyl import WeylElement, _product, commutator_norm, label_id, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
-    import numpy as np
+    import random
 
 
-@dataclass(frozen=True)
-class ConeSpec:
+class ConeSpec(Frozen):
     """Open spacelike cone of spatial directions with a translation profile.
 
     Translations at a given radius move by radius times the axis, with an
     optional time component kappa * radius**beta; beta < 1 keeps the path
-    asymptotically spacelike.
+    asymptotically spacelike.  Cones with equal fields compare equal.
     """
 
-    axis: tuple[float, float, float]
-    half_angle: float
-    time_slope: float = 0.0
-    time_exponent: float = 0.0
-
-    def __post_init__(self):
-        ax = tuple(map(float, self.axis))
+    def __init__(self, axis, half_angle: float, time_slope: float = 0.0, time_exponent: float = 0.0):
+        ax = tuple(map(float, axis))
         norm = math.hypot(*ax)
         if len(ax) != 3 or not math.isfinite(norm) or norm == 0.0:
             raise ConfigError("cone axis must be a nonzero finite vector")
-        object.__setattr__(self, "axis", tuple(c / norm for c in ax))
-        if not (0.0 < self.half_angle < math.pi / 2.0):
+        if not (0.0 < half_angle < math.pi / 2.0):
             raise ConfigError("cone half angle must lie in (0, pi/2)")
-        if self.time_slope < 0.0:
+        if time_slope < 0.0:
             raise ConfigError("cone time slope must be nonnegative")
-        if not (0.0 <= self.time_exponent < 1.0):
+        if not (0.0 <= time_exponent < 1.0):
             raise ConfigError("cone time exponent must lie in [0, 1)")
+        self.__dict__.update(
+            axis=tuple(c / norm for c in ax),
+            half_angle=half_angle,
+            time_slope=time_slope,
+            time_exponent=time_exponent,
+        )
+
+    def _key(self) -> tuple:
+        return (self.axis, self.half_angle, self.time_slope, self.time_exponent)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def opposite(self) -> "ConeSpec":
         ax = tuple(-c for c in self.axis)
@@ -97,9 +106,11 @@ def _angle(u, v) -> float:
     return math.acos(min(1.0, max(-1.0, cosang)))
 
 
-@dataclass(frozen=True, eq=False)
-class ChargeAutomorphism:
-    data: FieldVector
+class ChargeAutomorphism(Frozen):
+    """A charge automorphism, carrying its field data; objects compare by identity."""
+
+    def __init__(self, data: FieldVector):
+        self.__dict__["data"] = data
 
     @property
     def charge(self) -> float:
@@ -125,15 +136,10 @@ class _TensorObject(ChargeAutomorphism):
         return data
 
 
-@dataclass(frozen=True, eq=False, init=False)
 class Intertwiner(WeylElement):
     """The generator coeff * W(label) as an arrow from source to target."""
 
-    source: ChargeAutomorphism
-    target: ChargeAutomorphism
-
     def __init__(self, source: ChargeAutomorphism, target: ChargeAutomorphism, coeff, label: FieldVector):
-        # fields go straight into the instance dict, as in field.FieldVector
         d = self.__dict__
         d["source"], d["target"], d["coeff"], d["label"] = source, target, coeff, label
 
@@ -230,8 +236,7 @@ def braiding_exact(a: ChargeAutomorphism, b: ChargeAutomorphism) -> Intertwiner:
     )
 
 
-@dataclass(frozen=True)
-class BraidingRun:
+class BraidingRun(NamedTuple):
     """Transported exchange phases at each radius, and the closed-form
     phases exp(i(sigma(a, v) - sigma(b_far, u))) each should equal.
     """
@@ -246,14 +251,15 @@ def braiding_asymptotic(
     b: ChargeAutomorphism,
     cone: ConeSpec,
     radii,
-    rng: np.random.Generator | None = None,
+    rng: random.Random | None = None,
 ) -> BraidingRun:
     """Braiding via transported exchange at each radius along the cone.
 
     The first charge is moved to radius r along the cone axis, the second
     to the exact antipode; the exchange is evaluated through star, tensor,
-    and composition of the transport arrows.  Passing an rng re-draws the
-    free phase of every transporter; the result is invariant because each
+    and composition of the transport arrows.  Passing an rng (anything with
+    random.Random's uniform) re-draws the free phase of every transporter
+    from rng.uniform(0, 2 pi); the result is invariant because each
     transporter meets its own star.  Each phase comes with its closed form,
     which the braiding suite compares it with.  The limit phase is
     approached like c/R.

@@ -22,8 +22,8 @@ import hashlib
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .field import R_MAX
@@ -39,8 +39,7 @@ SCALE_MIN, SCALE_MAX = 1e-3, 1e3
 GAUSS_S_MIN = math.sqrt(40.0) / R_MAX
 
 
-@dataclass(frozen=True)
-class ChargeCfg:
+class ChargeCfg(NamedTuple):
     name: str
     profile: str = "gaussian-momentum"
     channel: str = "g"
@@ -50,21 +49,19 @@ class ChargeCfg:
     shape: str = "indicator"
 
 
-@dataclass(frozen=True)
-class ConeCfg:
+class ConeCfg(NamedTuple):
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     half_angle_deg: float = 30.0
     time_slope: float = 0.0
     time_exponent: float = 0.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     charges: tuple[ChargeCfg, ...] = (
         ChargeCfg(name="gamma", profile="gaussian-momentum", channel="g", q=1.0, s=1.0),
         ChargeCfg(name="delta", profile="gaussian-momentum", channel="h", q=1.0, s=1.0),
     )
-    cone: ConeCfg = field(default_factory=ConeCfg)
+    cone: ConeCfg = ConeCfg()
     radii: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0)
     seed: int = 0
 
@@ -114,8 +111,9 @@ class RunConfig:
         return math.radians(self.cone.half_angle_deg)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        out["charges"] = [asdict(c) for c in self.charges]
+        out = self._asdict()
+        out["charges"] = [c._asdict() for c in self.charges]
+        out["cone"] = self.cone._asdict()
         return out
 
     def to_canonical_json(self) -> str:
@@ -133,10 +131,10 @@ def _check_scale(what: str, value: float) -> None:
 def _typed(value, hint, where: str):
     """Check a value against its field annotation and return it typed.
 
-    The annotation is a config dataclass, a tuple, float (any finite number,
+    The annotation is a config section, a tuple, float (any finite number,
     returned as float), int or str; a boolean is not a number.
     """
-    if is_dataclass(hint):
+    if hint in (ChargeCfg, ConeCfg):
         return _build(hint, value, where)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):

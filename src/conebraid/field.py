@@ -73,7 +73,6 @@ vanishing pair integral loads no numpy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 import math
 import operator
@@ -117,25 +116,42 @@ _SERIES_TERMS = 30
 _MAX_POLY_TERMS = 4
 
 
-@dataclass(frozen=True)
-class RadialPolynomial:
+class Frozen:
+    """Base of the value types: fields are set once, in __init__, through the
+    instance dict, and assigning or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RadialPolynomial(Frozen):
     """Radial position profile f(r) = sum_k coeffs[k] (r / support)^{2k} on [0, support].
 
     quadrature.radial_fourier transforms it in closed form.  Instances with
     equal coefficients and support compare equal.
     """
 
-    coeffs: tuple[float, ...]
-    support: float
-
-    def __post_init__(self) -> None:
-        coeffs = tuple(float(c) for c in self.coeffs)
+    def __init__(self, coeffs, support: float) -> None:
+        coeffs = tuple(float(c) for c in coeffs)
         if not 1 <= len(coeffs) <= _MAX_POLY_TERMS or not all(math.isfinite(c) for c in coeffs):
             raise ConfigError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
-        if not math.isfinite(self.support) or self.support <= 0.0:
-            raise ConfigError(f"support radius must be positive, got {self.support}")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "support", float(self.support))
+        if not math.isfinite(support) or support <= 0.0:
+            raise ConfigError(f"support radius must be positive, got {support}")
+        self.__dict__.update(coeffs=coeffs, support=float(support))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeffs, self.support) == (other.coeffs, other.support)
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs, self.support))
 
     @cached_property
     def series(self) -> tuple[float, ...]:
@@ -156,28 +172,27 @@ class RadialPolynomial:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Profile:
+class Profile(Frozen):
     """Radial momentum profile of an atom.
 
     kind "gauss" is exp(-r^2 w^2 / 2); kind "gauss2" is r^2 exp(-r^2 w^2 / 2)
     (chargeless in the g channel); kind "bump" is the radial Fourier
-    transform of the position profile ``shape``.  Profiles are equal exactly
-    when their fields are, and ``key`` = (kind, width, shape data) orders
-    them by the same data: the shape data is () for a Gaussian and
-    (support, *coeffs) for a bump.  The key and the hash are computed once.
+    transform of the position profile ``shape``.  ``key`` = (kind, width,
+    shape data) is equal exactly when the fields are, so profiles compare
+    and order by it: the shape data is () for a Gaussian and (support,
+    *coeffs) for a bump.  The key and the hash are computed once.
     """
 
-    kind: str
-    width: float = 0.0
-    shape: RadialPolynomial | None = None
-
-    def __post_init__(self) -> None:
-        if (self.kind == "bump") != isinstance(self.shape, RadialPolynomial):
+    def __init__(self, kind: str, width: float = 0.0, shape: RadialPolynomial | None = None) -> None:
+        if (kind == "bump") != isinstance(shape, RadialPolynomial):
             raise UsageError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
-        shape = () if self.shape is None else (self.shape.support, *self.shape.coeffs)
-        key = (self.kind, self.width, shape)
-        self.__dict__["key"], self.__dict__["_hash"] = key, hash(key)
+        key = (kind, width, () if shape is None else (shape.support, *shape.coeffs))
+        self.__dict__.update(kind=kind, width=width, shape=shape, key=key, _hash=hash(key))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key == other.key
 
     def __hash__(self) -> int:
         return self._hash
@@ -195,22 +210,16 @@ class Profile:
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
 
-# FieldVector and Atom are the objects the algebra builds most, so they
-# write their fields straight into the instance dict: the frozen dataclass
-# __init__ sets each one through object.__setattr__, at twice the cost.
-@dataclass(frozen=True, init=False)
-class Atom:
+# FieldVector and Atom are the objects the algebra builds most, so their
+# constructors fill the instance dict item by item.
+class Atom(Frozen):
     """A profile in one channel at a spacetime offset (t, x, y, z).
 
     Computed once at construction: ``sort_key`` = (profile key, channel,
-    offset), which orders atoms and is equal exactly when the atoms are;
-    the hash; the pair-memo key (profile, channel, t) and its sort key
-    (profile key, channel, t).
+    offset), which orders atoms and is equal exactly when the atoms are, so
+    atoms compare by it; the hash; the pair-memo key (profile, channel, t)
+    and its sort key (profile key, channel, t).
     """
-
-    profile: Profile
-    channel: str  # "g" or "h"
-    offset: tuple[float, float, float, float]
 
     def __init__(self, profile: Profile, channel: str, offset=(0.0, 0.0, 0.0, 0.0)):
         sort_key = (profile.key, channel, offset)
@@ -219,6 +228,11 @@ class Atom:
         d["sort_key"], d["_hash"] = sort_key, hash(sort_key)
         d["pair_key"] = (profile, channel, offset[0])
         d["pair_sort_key"] = (profile.key, channel, offset[0])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.sort_key == other.sort_key
 
     def __hash__(self) -> int:
         return self._hash
@@ -269,17 +283,13 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
     return (*out, *xs[i:], *ys[j:])
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class FieldVector:
+class FieldVector(Frozen):
     """Immutable finite combination of translated radial atoms.
 
     ``terms`` is canonical: (coefficient, atom) pairs sorted by the atoms'
-    sort keys, each atom once, every coefficient nonzero.
+    sort keys, each atom once, every coefficient nonzero.  Vectors compare
+    by identity; ``weyl.label_id`` is their exact value identity.
     """
-
-    terms: tuple[tuple[float, Atom], ...]
-    klass: str
-    charge: float
 
     def __init__(self, terms: tuple, klass: str, charge: float):
         d = self.__dict__

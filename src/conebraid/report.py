@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError
 
@@ -30,8 +30,7 @@ CSV_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     check_id: str
     charge_pair: str
     cone_id: str
@@ -46,13 +45,20 @@ class CheckRow:
         return (self.check_id, self.charge_pair, self.cone_id, r)
 
 
-@dataclass
 class Report:
-    suite: str
-    config_digest: str
-    seed: int
-    rows: list[CheckRow] = field(default_factory=list)
-    wall_time_s: float = 0.0
+    def __init__(
+        self,
+        suite: str,
+        config_digest: str,
+        seed: int,
+        rows: list[CheckRow] | None = None,
+        wall_time_s: float = 0.0,
+    ):
+        self.suite = suite
+        self.config_digest = config_digest
+        self.seed = seed
+        self.rows = [] if rows is None else rows
+        self.wall_time_s = wall_time_s
 
     def sorted_rows(self) -> list[CheckRow]:
         return sorted(self.rows, key=CheckRow.sort_key)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +33,9 @@ from .weyl import WeylElement, label_id, star as weyl_star, weyl, weyl_mul
 
 MATRIX_DIM_MAX = 8
 POLAR_SINGULAR_CUTOFF = 1e-8
-# Relative margin of the bound check's pre-test.  The computed norm_bound and
-# the computed norm each lie within about 1e-14 of their exact values (dim <=
+# Relative margin of the Frobenius pre-tests (the bound check and
+# adjoint_morphism's unitarity check).  The computed norm_bound and the
+# computed norm each lie within about 1e-14 of their exact values (dim <=
 # MATRIX_DIM_MAX), and the exact norm is at most the exact bound, so a
 # norm_bound below limit / (1 + margin) proves that the norm passes too.
 BOUND_CHECK_MARGIN = 1e-12
@@ -80,6 +80,10 @@ class MatrixAlgebra:
 
     def unitarity_defect(self, a) -> float:
         return self.norm(self.star(a) @ a - self.unit())
+
+    def unitarity_defect_bound(self, a) -> float:
+        """norm_bound of the defect matrix, an upper bound on unitarity_defect(a)."""
+        return self.norm_bound(self.star(a) @ a - self.unit())
 
 
 class WeylPhaseAlgebra:
@@ -126,22 +130,22 @@ class WeylPhaseAlgebra:
     def unitarity_defect(self, a) -> float:
         return abs(abs(a.coeff) - 1.0)
 
+    unitarity_defect_bound = unitarity_defect
 
-@dataclass(frozen=True)
+
 class TailPolicy:
     """Finite surrogate for tail behavior: K samples strictly beyond N0."""
 
-    window_start: int = 32
-    sample_count: int = 16
-    tolerance: float = 1e-6
-
-    def __post_init__(self):
-        if self.window_start < 1:
+    def __init__(self, window_start: int = 32, sample_count: int = 16, tolerance: float = 1e-6):
+        if window_start < 1:
             raise UsageError("window_start must be at least 1")
-        if self.sample_count < 8:
+        if sample_count < 8:
             raise UsageError("sample_count must be at least 8")
-        if not (self.tolerance > 0.0):
+        if not (tolerance > 0.0):
             raise UsageError("tolerance must be positive")
+        self.window_start = window_start
+        self.sample_count = sample_count
+        self.tolerance = tolerance
 
     def samples(self) -> tuple[int, ...]:
         near = self.sample_count - self.sample_count // 2
@@ -326,7 +330,9 @@ def adjoint_morphism(u: SequenceElement, value, tol: float = 1e-10) -> SequenceE
 
     def gen(n: int):
         un = u.at(n)
-        if alg.unitarity_defect(un) > tol:
+        # SequenceElement.at's pre-test: the exact defect only when the bound cannot decide
+        bound = alg.unitarity_defect_bound(un)
+        if not bound * (1.0 + BOUND_CHECK_MARGIN) <= tol and alg.unitarity_defect(un) > tol:
             raise DomainError(f"adjoint morphism needs unitary entries, defect at n={n}")
         return alg.mul(alg.mul(alg.star(un), value), un)
 

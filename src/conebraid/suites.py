@@ -26,6 +26,8 @@ from .report import CheckRow, Report
 from .weyl import gram_matrix, weyl, weyl_mul
 
 if TYPE_CHECKING:
+    import random
+
     import numpy as np
 
 SUITE_NAMES = ("laws", "braiding", "homotopy", "decay", "seqalg", "all")
@@ -311,7 +313,7 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     return rows
 
 
-def run_braiding(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
+def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     radii = ctx.config.radii
     rows = []
     for name_a, name_b in ctx.charge_pairs():
@@ -487,7 +489,7 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
 
 
 def _stream(seed: int) -> np.random.Generator:
-    """The random stream of one suite; numpy loads with the first suite that draws."""
+    """The numpy stream of the laws or seqalg suite, whose draws feed numpy arrays."""
     from numpy.random import default_rng
 
     return default_rng(seed)
@@ -505,7 +507,11 @@ def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     if "laws" in parts:
         rows.extend(run_laws(ctx, _stream(effective_seed)))
     if "braiding" in parts:
-        rows.extend(run_braiding(ctx, _stream(effective_seed + 1)))
+        # the rephase angles are plain floats: stdlib random, not
+        # numpy.random (about 12 ms and 2.6 MB to import)
+        import random
+
+        rows.extend(run_braiding(ctx, random.Random(effective_seed + 1)))
     if "homotopy" in parts:
         rows.extend(run_homotopy(ctx))
     if "decay" in parts:

@@ -27,10 +27,9 @@ functional are positive semidefinite, which the tests assert directly.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 from .errors import UsageError
-from .field import FieldVector, add, negate, subtract, symplectic, vacuum_exponent
+from .field import FieldVector, Frozen, add, negate, subtract, symplectic, vacuum_exponent
 
 GRAM_MAX_LABELS = 16
 
@@ -40,15 +39,10 @@ def label_id(vec: FieldVector) -> tuple:
     return tuple([(atom.sort_key, coeff) for coeff, atom in vec.terms])
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class WeylElement:
-    """The generator coeff * W(label)."""
-
-    coeff: complex
-    label: FieldVector
+class WeylElement(Frozen):
+    """The generator coeff * W(label); elements compare by identity."""
 
     def __init__(self, coeff: complex, label: FieldVector):
-        # fields go straight into the instance dict, as in field.FieldVector
         d = self.__dict__
         d["coeff"], d["label"] = coeff, label
 

@@ -297,6 +297,23 @@ def test_unconjugated_star_fails_the_categorical_rows(tmp_path, monkeypatch):
     assert len(categorical) == 4 and not any(row["pass"] for row in categorical)
 
 
+def test_unconjugated_star_fails_every_rephase_row(tmp_path, monkeypatch):
+    # with the coefficient unconjugated, a rephased exchange keeps (z_u z_v)^2
+    # instead of |z_u z_v|^2 = 1, so every rephase row fails unless the stream
+    # is degenerate (every angle 0 or pi)
+    from conebraid import category as C
+
+    def unconjugated(r):
+        return C.Intertwiner(r.target, r.source, r.coeff, F.negate(r.label))
+
+    monkeypatch.setattr(C, "star_mor", unconjugated)
+    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--format", "json"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
+    rephase = [row for row in rows if row["check_id"] == "braiding/rephase_invariance"]
+    assert len(rephase) == 4 and not any(row["pass"] for row in rephase)
+
+
 @pytest.mark.parametrize("suite", ["braiding", "decay"])
 def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
     # category.compose shares weyl's private product, so these suites stay off weyl_mul
@@ -593,17 +610,19 @@ def test_cli_import_loads_no_numpy():
 @pytest.mark.parametrize("maker", [default_dict, _bump_sloped_dict], ids=["default", "bump-sloped"])
 def test_config_and_run_context_load_no_numpy(tmp_path, maker):
     # numpy costs about 0.1 s of every process's start-up; a config, its
-    # charges (bump charges included) and its cones need none of it
+    # charges (bump charges included) and its cones need none of it, nor
+    # dataclasses, which imports inspect, ast, dis and tokenize (about 11 ms)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(maker()))
     code = (
-        "import conebraid.cli\n"
+        "import sys, conebraid.cli\n"
         "from conebraid.config import load_config\n"
         "from conebraid.suites import RunContext\n"
         f"ctx = RunContext(load_config({str(cfg)!r}))\n"
-        "assert all(v.charge > 0.0 for v in ctx.vectors.values() if v.klass == 'charge')"
+        "assert all(v.charge > 0.0 for v in ctx.vectors.values() if v.klass == 'charge')\n"
+        "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))"
     )
-    assert not _numpy_loaded_after(code)
+    assert _fresh_stdout(code) == "[]"
 
 
 def test_malformed_config_exits_2_without_numpy(tmp_path):
@@ -615,17 +634,21 @@ def test_malformed_config_exits_2_without_numpy(tmp_path):
 
 def test_numpy_boundary_of_verify_runs(tmp_path):
     # the decay suite at far radii takes only closed-form or vanishing pair
-    # integrals, so it loads no numpy; braiding draws its rephasing from a
-    # numpy stream and builds a rule, so it does
+    # integrals, so it loads no numpy; braiding builds a rule, so it does, but
+    # it draws its rephase angles from a stdlib random.Random, not numpy.random
     data = default_dict()
     data["radii"] = [1.0e4, 2.0e4, 4.0e4]
     far = tmp_path / "far.json"
     far.write_text(json.dumps(data))
-    runs = {
-        "decay": (far, 0, False),
-        "braiding": (CONFIG_PATH, 1, True),
-    }
-    for suite, (cfg, exit_code, loads_numpy) in runs.items():
-        args = ["verify", "--config", str(cfg), "--suite", suite, "--out", str(tmp_path / suite)]
-        code = f"from conebraid.cli import main\nassert main({args!r}) == {exit_code}"
-        assert _numpy_loaded_after(code) is loads_numpy, suite
+    runs = [
+        ("decay", far, 0, "[False, False]"),
+        ("braiding", CONFIG_PATH, 1, "[True, False]"),
+        ("braiding", far, 0, "[True, False]"),
+    ]
+    for k, (suite, cfg, exit_code, loaded) in enumerate(runs):
+        args = ["verify", "--config", str(cfg), "--suite", suite, "--out", str(tmp_path / str(k))]
+        code = (
+            f"import sys\nfrom conebraid.cli import main\nassert main({args!r}) == {exit_code}\n"
+            "print(['numpy' in sys.modules, 'numpy.random' in sys.modules])"
+        )
+        assert _fresh_stdout(code) == loaded, (suite, cfg)

@@ -458,6 +458,41 @@ def test_bump_vector_keeps_its_transform_after_another_shape():
     assert W.label_id(one) != W.label_id(two)
 
 
+def test_value_types_are_immutable_and_compare_by_value_or_identity():
+    from conebraid import category as C
+
+    shape = RadialPolynomial((1.0, -2.0, 1.0), 2.5)
+    profile = F.Profile("bump", shape=shape)
+    atom = F.Atom(profile, "g", (0.0, 1.0, 0.0, 0.0))
+    vec = F.make_charge_vector()
+    cone = C.ConeSpec((0.0, 0.0, 2.0), 0.5)
+    values = [
+        (shape, RadialPolynomial([1, -2, 1], 2.5)),
+        (profile, F.Profile("bump", shape=RadialPolynomial((1.0, -2.0, 1.0), 2.5))),
+        (atom, F.Atom(F.Profile("bump", shape=shape), "g", (0.0, 1.0, 0.0, 0.0))),
+        (cone, C.ConeSpec((0.0, 0.0, 1.0), 0.5)),
+    ]
+    for x, twin in values:
+        assert x == twin and hash(x) == hash(twin) and x is not twin
+    assert atom != F.Atom(profile, "h", (0.0, 1.0, 0.0, 0.0)) and profile != F.Profile("gauss", width=1.0)
+    # vectors, generators and objects compare by identity
+    assert vec != F.make_charge_vector() and vec == vec
+    assert W.weyl(vec) != W.weyl(vec)
+    for obj, name in [
+        (shape, "support"),
+        (profile, "width"),
+        (atom, "channel"),
+        (vec, "terms"),
+        (W.weyl(vec), "coeff"),
+        (cone, "axis"),
+        (C.ChargeAutomorphism(vec), "data"),
+    ]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+
+
 def test_bump_profile_needs_a_shape():
     with pytest.raises(UsageError):
         F.Profile("bump")

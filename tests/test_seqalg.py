@@ -269,8 +269,9 @@ def test_random_increasing_map_draws_like_scalar_steps(seed):
 
 
 def test_bound_precheck_skips_svds_and_keeps_the_seqalg_rows(monkeypatch):
-    # the Frobenius pre-test decides most bound checks without an svd; where it
-    # cannot, the check takes the svd as before, so every row is byte-identical
+    # the Frobenius pre-test decides most bound checks and every unitarity check
+    # without an svd; where it cannot, the check takes the svd as before, so
+    # every row is byte-identical
     from conebraid.config import RunConfig
     from conebraid.report import Report
     from conebraid.suites import RunContext, run_seqalg
@@ -291,8 +292,11 @@ def test_bound_precheck_skips_svds_and_keeps_the_seqalg_rows(monkeypatch):
         return Report(suite="seqalg", config_digest="", seed=2, rows=rows).to_csv(), len(calls)
 
     prechecked, fewer = run()
-    # a pre-test that never decides leaves every bound check to the svd
+    # a pre-test that never decides leaves every bound and unitarity check to the svd
     monkeypatch.setattr(SA.MatrixAlgebra, "norm_bound", lambda self, a: math.inf)
     exact, every = run()
     assert prechecked == exact
-    assert fewer < every
+    # the pre-test decides all 64 of adjoint_morphism's unitarity checks
+    # (865 svds without it), but none of the 401 bound checks whose bound is
+    # the spectral norm (a constant unitary: bound 1, Frobenius norm sqrt(2))
+    assert (fewer, every) == (801, 1253)
