@@ -1,16 +1,26 @@
 """Command line front end.
 
 `conebraid verify` loads a JSON config, runs the named check suite (all of
-them unless --suite narrows it), emits the report, and exits with 0 when
-every check passed, 1 when any check failed, and 2 on configuration
-problems.  No other exit codes are used.  The planned row count is printed
-before the numerics start; report files contain no timing data and are
+them unless --suite narrows it), emits the report, and exits with
+
+- 0 when every check passed;
+- 1 when any check failed, or when the run could not finish: a
+  DomainError (an operand outside its domain, such as a radial rule over
+  its node cap) or an InternalError prints one line on stderr and writes
+  no report;
+- 2 on configuration problems, with one line on stderr and no report.
+
+No other exit codes are used.  The planned row count is printed, and
+flushed, before the numerics start.  If the reader of stdout goes away
+(as under `| head -1`), the rest of the output is dropped and the exit
+code is still the verdict.  Report files contain no timing data and are
 byte stable for a fixed config and seed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import load_config
@@ -34,6 +44,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _say(text: str) -> None:
+    """Print and flush text; once stdout's reader is gone, drop it instead of raising.
+
+    The recipe of the Python docs (signal module, note on SIGPIPE): point
+    stdout at devnull, so that later prints and the interpreter's last
+    flush write nowhere.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -44,7 +69,7 @@ def main(argv=None) -> int:
         plan = plan_counts(config, args.suite)
         total = sum(n for _, n in plan)
         detail = ", ".join(f"{name}: {n}" for name, n in plan)
-        print(f"plan: suite {args.suite!r} -> {total} rows ({detail})")
+        _say(f"plan: suite {args.suite!r} -> {total} rows ({detail})")
         report = run_suite(config, args.suite, seed=args.seed)
         written = emit_report(report, args.out, args.format)
     except (ConfigError, UsageError) as exc:
@@ -56,20 +81,14 @@ def main(argv=None) -> int:
 
     failures = report.failures()
     n_pass = len(report.rows) - len(failures)
-    print(
-        f"ran {len(report.rows)} checks in {report.wall_time_s:.2f}s: "
-        f"{n_pass} passed, {len(failures)} failed"
-    )
+    lines = [f"ran {len(report.rows)} checks in {report.wall_time_s:.2f}s: {n_pass} passed, {len(failures)} failed"]
     for row in failures:
         where = f" R={row.radius:g}" if row.radius is not None else ""
         pair = f" {row.charge_pair}" if row.charge_pair else ""
         cone = f" {row.cone_id}" if row.cone_id else ""
-        print(
-            f"FAIL {row.check_id}{pair}{cone}{where} "
-            f"residual={row.residual:.3e} > {row.threshold:.0e}"
-        )
-    for path in written:
-        print(f"wrote {path}")
+        lines.append(f"FAIL {row.check_id}{pair}{cone}{where} residual={row.residual:.3e} > {row.threshold:.0e}")
+    lines.extend(f"wrote {path}" for path in written)
+    _say("\n".join(lines))
     return 0 if report.all_passed() else 1
 
 

@@ -165,10 +165,10 @@ def _build(cls, data, where: str):
     unknown = set(data) - set(hints)
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    try:
-        return cls(**{key: _typed(value, hints[key], f"{where}.{key}") for key, value in data.items()})
-    except TypeError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    missing = set(hints) - set(data) - set(cls._field_defaults)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    return cls(**{key: _typed(value, hints[key], f"{where}.{key}") for key, value in data.items()})
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -1,10 +1,11 @@
 """Exception hierarchy shared by all modules.
 
-Three failure families map onto the three CLI exit codes: configuration
-problems (bad cones, bad charges, malformed config files) exit with 2, check
-failures exit with 1, and internal consistency violations are always raised
-as hard errors because they indicate a broken build rather than a failed
-physics check.
+The CLI maps them onto its exit codes: configuration problems (bad cones,
+bad charges, malformed config files: ConfigError, UsageError) exit with 2,
+and a DomainError or InternalError ends the run with exit 1, one line on
+stderr and no report, like a failed check but without rows.  An
+InternalError means the build itself is inconsistent, not that a physics
+check failed.
 """
 
 

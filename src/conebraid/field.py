@@ -57,18 +57,15 @@ Each pair integral takes one of two routes:
   exactly.
 - panel rule: every other pair (Re, any "gauss2" or "bump" atom, d below
   the minimum, a short tail) integrates over (0, R_MAX] on composite
-  Gauss-Legendre panels.  At zero separation k is the plain rule sum of the
-  kernel.  At separation d > 0 the sinc factor is split per panel, since
-  node m of panel k sits at k h + r0_m: sin(d r) needs one sine and cosine
-  per panel and per panel offset, not one per node, which changes k by
-  rounding only.  The rule grows linearly with d and is capped at
-  RADIAL_RULE_MAX_NODES.
+  Gauss-Legendre panels.  The kernel times sinc(d r) is evaluated node by
+  node, a panel at a time, and summed with math.fsum.  The rule grows
+  linearly with d and is capped at RADIAL_RULE_MAX_NODES, and its cost is
+  about a microsecond per node.
 
-This module is scalar code and imports no numpy.  The array code (the rules,
-the bump transform and the panel-route kernel) lives in quadrature, which
-is imported where the first array is built: in _radial_rule_for and in the
-panel route.  Building vectors, their charges and every closed-form or
-vanishing pair integral loads no numpy.
+Like every module of the package, this one and quadrature (the rules, the
+bump transform and the panel-route kernel) use the standard library only.
+quadrature imports from this module, so it is imported where it is first
+needed: in _radial_rule_for and in the panel route.
 """
 
 from __future__ import annotations
@@ -90,7 +87,7 @@ R_MAX = 10.0
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
 # oscillation wavelength of the fastest sinc/trig factor over (0, r_max],
 # rounded up to whole composite panels of PANEL_ORDER cached nodes each.
-# quadrature.panel_sinc_sum reads the panels of a rule at the same order.
+# quadrature.panel_sinc_sum evaluates the kernel one such panel at a time.
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
@@ -198,14 +195,14 @@ class Profile(Frozen):
         return self._hash
 
     def value_at_zero(self) -> float:
-        """The profile at zero momentum, with no array (quadrature evaluates it at r > 0)."""
+        """The profile at zero momentum, without quadrature (which evaluates it at r > 0)."""
         if self.kind == "gauss":
             return 1.0
         if self.kind == "gauss2":
             return 0.0
         if self.kind == "bump":
-            # radial_fourier(shape, 0.0) with no array: its series at x = 0 is
-            # a_0, scaled by the same factors in the same order, bit for bit
+            # radial_fourier(shape, 0.0) without quadrature: its series at x = 0
+            # is a_0, scaled by the same factors in the same order, bit for bit
             return 4.0 * math.pi / TWO_PI_32 * self.shape.support**3 * self.shape.series[0]
         raise ConfigError(f"unknown profile kind {self.kind!r}")
 
@@ -451,16 +448,15 @@ def translate(x: FieldVector, a) -> FieldVector:
 
 
 def _radial_rule_for(ka: tuple, kb: tuple, delta: float, r_max: float):
-    """Composite rule (nodes, weights) on (0, r_max] for one pair of (profile, channel, t) atom keys."""
-    from .quadrature import composite_legendre_unit  # numpy loads with the first rule
+    """Composite unit rule (nodes, weights) on [0, 1] sized for one pair of (profile, channel, t) atom keys on (0, r_max]."""
+    from .quadrature import composite_legendre_unit
 
     # the time offsets are added first, so the rule is symmetric in the pair
     mu = delta + (abs(ka[2]) + abs(kb[2]))
     n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * r_max / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
-    nodes, weights = composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
-    return r_max * nodes, r_max * weights
+    return composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -521,13 +517,13 @@ def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
 def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, r_max: float) -> float:
     """4 pi int_0^r_max K(r) sinc(r delta) dr on the composite rule for this one atom pair.
 
-    The rule is _radial_rule_for's, and quadrature.panel_sinc_sum sums the
-    kernel on it.
+    The unit rule is _radial_rule_for's, and quadrature.panel_sinc_sum scales
+    it to (0, r_max] and sums the kernel on it.
     """
     from .quadrature import panel_sinc_sum
 
-    r, w = _radial_rule_for(ka, kb, delta, r_max)
-    return panel_sinc_sum(form, ka, kb, delta, r, w, r_max)
+    u, w = _radial_rule_for(ka, kb, delta, r_max)
+    return panel_sinc_sum(form, ka, kb, delta, u, w, r_max)
 
 
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:

@@ -1,15 +1,20 @@
-"""Array code of the field model: radial rules, the bump transform and the panel-route kernel.
+"""Radial rules, the bump transform and the panel-route kernel, on the stdlib.
 
-This module and seqalg are the only ones that import numpy.  The field
-layer imports this one where it builds its first array (a radial rule, or
-a pair integral on the panel route), so importing the package, loading a
-config and building the field vectors of a run load no numpy.
+Rules are Gauss-Legendre on [0, 1].  ``gauss_legendre_unit`` finds the
+nodes by Newton's method on the Legendre three-term recurrence, from
+Tricomi's initial guesses (Hale & Townsend, SIAM J. Sci. Comput. 35,
+2013), and ``composite_legendre_unit`` stacks one cached fixed-order rule
+over equal panels.  Both store nodes and weights in ``array('d')``, 8 bytes
+per node, and hand them out as read-only memoryviews, so a cached rule
+cannot be changed by its readers.
 
-Momentum integrals of radial kernels run over (0, r_max] on composite
-Gauss-Legendre panel rules; the origin is never a node, so integrands with
-integrable |p|^-k singularities can be evaluated directly.  A compactly
-supported position profile is an even polynomial (``field.RadialPolynomial``),
-whose radial Fourier transform is closed form.
+Momentum integrals of radial kernels run over (0, r_max] on the composite
+rule scaled by r_max; the origin is never a node, so integrands with
+integrable |p|^-k singularities can be evaluated directly.  The kernel is
+evaluated one momentum at a time, a panel at a time, and summed with
+``math.fsum``, so a pair integral holds one panel of values whatever the
+rule size.  A compactly supported position profile is an even polynomial
+(``field.RadialPolynomial``), whose radial Fourier transform is closed form.
 
 All constructions are pure functions of their arguments; rules built from
 equal parameters are bit-identical.
@@ -17,166 +22,210 @@ equal parameters are bit-identical.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
+from itertools import chain
+import math
 
-import numpy as np
-
-from .errors import ConfigError
+from .errors import ConfigError, InternalError
 from .field import RADIAL_RULE_PANEL_ORDER, SIGMA, TWO_PI_32, Profile, RadialPolynomial
 
 # The closed-form transform sums a RadialPolynomial's series below
 # _SERIES_MAX_X and runs the upward recursion from there on (see the series
 # constants in field).
 _SERIES_MAX_X = 4.0
-# Panels per block of a pair integral's kernel, which bounds its temporaries
-# to PAIR_BLOCK_PANELS * RADIAL_RULE_PANEL_ORDER nodes whatever the rule size.
-PAIR_BLOCK_PANELS = 256
+# Newton on the recurrence stops once a step is below _NEWTON_STEP; the root
+# is then the iterate minus that last step, whose own error is of the order
+# of the step squared times |P''/P'|, far below an ulp.
+_NEWTON_STEP = 1e-12
+_NEWTON_MAX_STEPS = 20
+
+
+def _legendre(n: int, x: float) -> tuple[float, float]:
+    """(P_{n-1}(x), P_n(x)) by the three-term recurrence, for n >= 1."""
+    p0, p1 = 1.0, x
+    for j in range(2, n + 1):
+        p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+    return p0, p1
 
 
 @lru_cache(maxsize=256)
-def gauss_legendre_unit(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped from [-1, 1] to [0, 1]."""
+def gauss_legendre_unit(n: int) -> tuple[memoryview, memoryview]:
+    """Gauss-Legendre nodes (ascending) and weights mapped from [-1, 1] to [0, 1].
+
+    Each root x of P_n in (0, 1) comes from Newton's method on the
+    recurrence.  The node pair is (1 -/+ x) / 2, with 1 - x taken as the
+    exact difference 1 - x_k of the last iterate plus the last step, and
+    the weight is 1 / ((1 - x^2) P_n'(x)^2), with P_n' carried from x_k to
+    the root by one Taylor step (P_n'' from Legendre's equation).  So nodes
+    near 0 keep their relative accuracy, and the weights are not limited by
+    the rounding of the root.
+    """
     if n < 1:
         raise ConfigError("Gauss-Legendre rule needs at least one node")
-    x, w = np.polynomial.legendre.leggauss(n)
-    nodes = 0.5 * (x + 1.0)
-    weights = 0.5 * w
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    low, low_weights = [], []
+    for k in range(1, n // 2 + 1):
+        theta = math.pi * (4 * k - 1) / (4 * n + 2)
+        x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / math.sin(theta) ** 2) / (384.0 * n**4)) * math.cos(theta)
+        for _ in range(_NEWTON_MAX_STEPS):
+            pm, p = _legendre(n, x)
+            one_x2 = (1.0 - x) * (1.0 + x)
+            dp = n * (pm - x * p) / one_x2
+            dx = p / dp
+            if abs(dx) <= _NEWTON_STEP:
+                break
+            x -= dx
+        else:
+            raise InternalError(f"Newton's method found no root {k} of P_{n}")
+        d = (1.0 - x) + dx  # 1 - root
+        dp_root = dp - dx * (2.0 * x * dp - n * (n + 1) * p) / one_x2
+        low.append(0.5 * d)
+        low_weights.append(1.0 / (d * (2.0 - d) * dp_root * dp_root))
+    mid, mid_weight = [], []
+    if n % 2:
+        pm, _ = _legendre(n, 0.0)
+        mid, mid_weight = [0.5], [1.0 / (n * pm) ** 2]
+    nodes = array("d", low + mid + [1.0 - u for u in reversed(low)])
+    weights = array("d", low_weights + mid_weight + low_weights[::-1])
+    return memoryview(nodes).toreadonly(), memoryview(weights).toreadonly()
 
 
 @lru_cache(maxsize=64)
-def composite_legendre_unit(panels: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+def composite_legendre_unit(panels: int, order: int = 64) -> tuple[memoryview, memoryview]:
     """Composite Gauss-Legendre rule on [0, 1] with equal-width panels.
 
-    A single n-node rule is a dense eigensolve costing O(n^3); stacking one
-    cached fixed-order rule keeps construction linear in panels * order.
-    This is the only rule family: the radial route scales it.
+    Node m of panel k is k h + h u_m for the cached order-point rule (u, w)
+    and h = 1 / panels, with weight h w_m.  A single n-node rule costs
+    O(n^2) by Newton; stacking one fixed-order rule keeps construction
+    linear in panels * order.  This is the only rule family: the radial
+    route scales it.
     """
     if panels < 1 or order < 2:
         raise ConfigError("composite rule needs at least one panel of order >= 2")
     base_nodes, base_weights = gauss_legendre_unit(order)
     width = 1.0 / panels
-    starts = width * np.arange(panels)
-    nodes = (starts[:, None] + width * base_nodes[None, :]).reshape(-1)
-    weights = np.broadcast_to(width * base_weights, (panels, order)).reshape(-1).copy()
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    offsets = [width * u for u in base_nodes]
+    nodes = array("d")
+    for k in range(panels):
+        start = width * k
+        nodes.extend([start + u for u in offsets])
+    weights = array("d", [width * w for w in base_weights]) * panels
+    return memoryview(nodes).toreadonly(), memoryview(weights).toreadonly()
 
 
-def _moment_series(series: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    """sum_j a_j x^{2j} by Horner in x^2; accurate for x < _SERIES_MAX_X."""
-    x2 = x * x
-    total = np.full_like(x, series[-1])
-    for coeff in series[-2::-1]:
-        total = total * x2 + coeff
-    return total
+def _moment(series: tuple[float, ...], coeffs: tuple[float, ...], x: float) -> float:
+    """sum_k c_k M_{2k+2}(x), M_m(x) = int_0^1 u^m sinc(xu) du, at x >= 0.
 
-
-def _moment_recursion(coeffs: tuple[float, ...], x: np.ndarray) -> np.ndarray:
-    """sum_k c_k M_{2k+2}(x) for x >= _SERIES_MAX_X, from M_m = S_{m-1} / x.
-
-    S_n = int_0^1 u^n sin(xu) du and C_n = int_0^1 u^n cos(xu) du obey
-    S_n = -cos(x)/x + (n/x) C_{n-1} and C_n = sin(x)/x - (n/x) S_{n-1},
-    from S_0 = (1 - cos x)/x and C_0 = sin(x)/x.
+    Below _SERIES_MAX_X: the series sum_j a_j x^{2j} by Horner in x^2.  From
+    there on: M_m = S_{m-1} / x, where S_n = int_0^1 u^n sin(xu) du and
+    C_n = int_0^1 u^n cos(xu) du obey S_n = -cos(x)/x + (n/x) C_{n-1} and
+    C_n = sin(x)/x - (n/x) S_{n-1}, from S_0 = (1 - cos x)/x and
+    C_0 = sin(x)/x.
     """
-    sin, cos = np.sin(x), np.cos(x)
-    s, c = (1.0 - cos) / x, sin / x
-    total = np.zeros_like(x)
-    for n in range(1, 2 * len(coeffs)):
-        s, c = -cos / x + (n / x) * c, sin / x - (n / x) * s
-        if n % 2:
-            total += coeffs[n // 2] * s
+    if x < _SERIES_MAX_X:
+        x2 = x * x
+        total = series[-1]
+        for a in series[-2::-1]:
+            total = total * x2 + a
+        return total
+    sin, cos = math.sin(x), math.cos(x)
+    minus_cos_x, sin_x = -cos / x, sin / x
+    s, c = (1.0 - cos) / x, sin_x
+    total = 0.0
+    for k, coeff in enumerate(coeffs):
+        if k:
+            step = 2 * k / x
+            s, c = minus_cos_x + step * c, sin_x - step * s
+        step = (2 * k + 1) / x
+        s, c = minus_cos_x + step * c, sin_x - step * s
+        total += coeff * s
     return total / x
 
 
-def radial_fourier(profile: RadialPolynomial, momenta) -> np.ndarray:
+def radial_fourier(profile: RadialPolynomial, momenta):
     """Momentum-space transform of a radial position profile, in closed form.
 
     Computes f~(p) = (2 pi)^{-3/2} * 4 pi * integral_0^R r^2 sinc(p r) f(r) dr
     for the convention f~(p) = (2 pi)^{-3/2} integral e^{-i p.x} f(|x|) d^3x,
     evaluated at the requested momentum magnitudes, with R the profile's
     support: 4 pi (2 pi)^{-3/2} R^3 sum_k c_k M_{2k+2}(pR).  The p -> 0
-    limit is the sinc limit and is handled exactly.
+    limit is the sinc limit and is handled exactly.  A number gives a
+    float, a sequence of momenta a list.
     """
-    x = np.abs(np.atleast_1d(np.asarray(momenta, dtype=float))) * profile.support
-    near = x < _SERIES_MAX_X
-    moments = np.empty_like(x)
-    moments[near] = _moment_series(profile.series, x[near])
-    moments[~near] = _moment_recursion(profile.coeffs, x[~near])
-    out = 4.0 * np.pi / TWO_PI_32 * profile.support**3 * moments
-    if np.ndim(momenta) == 0:
-        return out[0]
-    return out
+    scale = 4.0 * math.pi / TWO_PI_32 * profile.support**3
+    series, coeffs, support = profile.series, profile.coeffs, profile.support
+    if isinstance(momenta, (int, float)):
+        return scale * _moment(series, coeffs, abs(momenta) * support)
+    return [scale * _moment(series, coeffs, abs(p) * support) for p in momenta]
 
 
-# A far pair reads its rule in kernel blocks of at most 16,384 momenta
-# (128 KB), one entry each; 256 entries keep every block of a pair for both
-# forms up to separations of about 2.6e5.
-@lru_cache(maxsize=256)
-def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> np.ndarray:
-    """Read-only radial_fourier of a bump shape at the given momenta."""
-    out = radial_fourier(shape, np.frombuffer(momenta))
-    out.setflags(write=False)
-    return out
+# A pair integral reads the transform one panel of momenta at a time; 4,096
+# panels (about 5 MB) keep every panel of a pair for both forms up to rules
+# of 262,144 nodes, separations of about 1.6e4.
+@lru_cache(maxsize=4096)
+def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> memoryview:
+    """Read-only radial_fourier of a bump shape at the momenta packed as doubles."""
+    return memoryview(array("d", radial_fourier(shape, array("d", momenta)))).toreadonly()
 
 
-def _momentum_values(profile: Profile, r: np.ndarray) -> np.ndarray:
+def _momentum_values(profile: Profile, r: list[float]):
     """The radial momentum profile at the momenta r (Profile.value_at_zero gives r = 0)."""
+    exp = math.exp
     if profile.kind == "gauss":
-        return np.exp(-0.5 * (profile.width * r) ** 2)
+        w = profile.width
+        return [exp(-0.5 * (w * x) ** 2) for x in r]
     if profile.kind == "gauss2":
-        return r**2 * np.exp(-0.5 * (profile.width * r) ** 2)
+        w = profile.width
+        return [x**2 * exp(-0.5 * (w * x) ** 2) for x in r]
     if profile.kind == "bump":
-        return _bump_transform(profile.shape, np.asarray(r, dtype=float).tobytes())
+        return _bump_transform(profile.shape, array("d", r).tobytes())
     raise ConfigError(f"unknown profile kind {profile.kind!r}")
 
 
-def _channel_factors(key: tuple, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _channel_factors(key: tuple, r: list[float]) -> tuple:
     """Real radial factors (G, H) of an atom key (profile, channel, t): g~ = e^{-i p.d} G, h~ = e^{-i p.d} H."""
     profile, channel, t = key
     phi = _momentum_values(profile, r)
     if t == 0.0:
-        zero = np.zeros_like(phi)
+        zero = [0.0] * len(r)
         return (phi, zero) if channel == "g" else (zero, phi)
-    c = np.cos(r * t)
+    cos_t = [math.cos(x * t) * f for x, f in zip(r, phi)]
     if channel == "g":
         # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
-        return c * phi, -t * np.sinc(r * t / np.pi) * phi
+        return cos_t, [-math.sin(x * t) / x * f for x, f in zip(r, phi)]
     # h -> cos(omega t) h,  g -> omega sin(omega t) h
-    return r * np.sin(r * t) * phi, c * phi
+    return [x * math.sin(x * t) * f for x, f in zip(r, phi)], cos_t
 
 
-def _kernel(form: str, kx: tuple, ky: tuple, r: np.ndarray) -> np.ndarray:
+def _kernel(form: str, kx: tuple, ky: tuple, r: list[float]) -> list[float]:
     """K(r) of the pair of atom keys; swapping kx and ky negates SIGMA and keeps RE, both bit for bit."""
     gx, hx = _channel_factors(kx, r)
     gy, hy = _channel_factors(ky, r)
-    return gx * hy - gy * hx if form == SIGMA else gx * gy / r + hx * hy * r
+    if form == SIGMA:
+        return [a * d - c * b for a, b, c, d in zip(gx, hx, gy, hy)]
+    return [a * c / x + b * d * x for x, a, b, c, d in zip(r, gx, hx, gy, hy)]
 
 
-def panel_sinc_sum(form: str, kx: tuple, ky: tuple, delta: float, r: np.ndarray, w: np.ndarray, r_max: float) -> float:
-    """4 pi int_0^r_max K(r) sinc(r delta) dr of one pair of atom keys on the composite rule (r, w).
+def panel_sinc_sum(form: str, kx: tuple, ky: tuple, delta: float, u, w, r_max: float) -> float:
+    """4 pi int_0^r_max K(r) sinc(r delta) dr of one pair of atom keys on the unit rule (u, w).
 
-    K is field._pair_integral's kernel of the form.  At delta = 0 the value
-    is dot(w, K).  Otherwise node m of panel k of the rule is r = k h + r0_m, so
-    sin(delta r) = sin(k delta h) cos(delta r0_m) + cos(k delta h) sin(delta r0_m)
-    takes P + 64 sines and cosines instead of one per node; the kernel runs
-    over blocks of PAIR_BLOCK_PANELS panels, so its temporaries stay small.
+    K is field._pair_integral's kernel of the form.  The rule scales to
+    nodes r = r_max u and weights r_max w.  The kernel is evaluated one
+    panel of RADIAL_RULE_PANEL_ORDER nodes at a time, each node's sinc
+    directly as sin(delta r) / (delta r), and the terms stream into one
+    math.fsum, so the sum is correctly rounded and only a panel of values is
+    held at once.
     """
-    if delta == 0.0:
-        return 4.0 * np.pi * float(np.dot(w, _kernel(form, kx, ky, r)))
     order = RADIAL_RULE_PANEL_ORDER
-    panels = len(r) // order
-    first = delta * r[:order]
-    cos0, sin0 = np.cos(first), np.sin(first)
-    step = delta * r_max / panels
-    total = 0.0
-    for k in range(0, panels, PAIR_BLOCK_PANELS):
-        block = slice(k * order, (k + PAIR_BLOCK_PANELS) * order)
-        rb = r[block]
-        a = (w[block] * _kernel(form, kx, ky, rb) / (delta * rb)).reshape(-1, order)
-        start = step * np.arange(k, k + len(a))
-        total += float(np.sin(start) @ (a @ cos0) + np.cos(start) @ (a @ sin0))
-    return 4.0 * np.pi * total
+
+    def panels():
+        for start in range(0, len(u), order):
+            r = [r_max * x for x in u[start : start + order]]
+            weights = [r_max * x for x in w[start : start + order]]
+            kernel = _kernel(form, kx, ky, r)
+            if delta == 0.0:
+                yield [a * k for a, k in zip(weights, kernel)]
+            else:
+                yield [a * k * math.sin(delta * x) / (delta * x) for a, k, x in zip(weights, kernel, r)]
+
+    return 4.0 * math.pi * math.fsum(chain.from_iterable(panels()))

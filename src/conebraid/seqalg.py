@@ -11,79 +11,127 @@ tails are probed far out).  is_null means that surrogate falls below tau;
 every report carries the policy so the finite nature of the check stays
 visible.
 
-Two algebra instantiations are provided: dense complex matrices up to
-dimension 8 under the spectral norm, and single Weyl phase generators,
-weyl.WeylElement values whose product and star are weyl's own.  Polar
-unitarization maps an almost-unitary matrix sequence to its entrywise
-polar factor, substituting the identity where the entry is numerically
-singular; the output is entrywise unitary and null-close to the input
-whenever the precondition holds.
+Two algebra instantiations are provided: complex 2 x 2 matrices under the
+spectral norm, and single Weyl phase generators, weyl.WeylElement values
+whose product and star are weyl's own.  A matrix is a pair of rows of
+complex numbers, and its norm, smallest singular value and polar factor
+are closed forms in the entries of A*A, so no decomposition is needed.
+Polar unitarization maps an almost-unitary matrix sequence to its
+entrywise polar factor, substituting the identity where the entry is
+numerically singular; the output is entrywise unitary and null-close to
+the input whenever the precondition holds.  Random draws come from a
+stdlib random.Random.
 """
 
 from __future__ import annotations
 
 import bisect
+from itertools import accumulate
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, UsageError
 from .field import FieldVector, zero_vector
 from .weyl import WeylElement, label_id, star as weyl_star, weyl, weyl_mul
 
-MATRIX_DIM_MAX = 8
+if TYPE_CHECKING:
+    import random
+
 POLAR_SINGULAR_CUTOFF = 1e-8
-# Relative margin of the Frobenius pre-tests (the bound check and
-# adjoint_morphism's unitarity check).  The computed norm_bound and the
-# computed norm each lie within about 1e-14 of their exact values (dim <=
-# MATRIX_DIM_MAX), and the exact norm is at most the exact bound, so a
-# norm_bound below limit / (1 + margin) proves that the norm passes too.
-BOUND_CHECK_MARGIN = 1e-12
+
+Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
+
+
+def _normalized(m: Matrix) -> tuple[float, float, float, complex, float, Matrix]:
+    """(scale, p, q, r, |det n|, n) for n = m / scale, scale a power of two, n* n = [[p, r], [conj(r), q]].
+
+    The scale brings the largest entry modulus into [0.5, 1), so the
+    products below neither overflow nor underflow.  A zero matrix has scale
+    0; a matrix with a nan or infinite entry keeps scale 1, so its norm is
+    not finite.
+    """
+    (a, b), (c, d) = m
+    moduli = (abs(a), abs(b), abs(c), abs(d))
+    if not any(moduli):
+        return 0.0, 0.0, 0.0, 0j, 0.0, m
+    scale = math.ldexp(1.0, math.frexp(max(moduli))[1])
+    a, b, c, d = a / scale, b / scale, c / scale, d / scale
+    p = a.real * a.real + a.imag * a.imag + c.real * c.real + c.imag * c.imag
+    q = b.real * b.real + b.imag * b.imag + d.real * d.real + d.imag * d.imag
+    r = a.conjugate() * b + c.conjugate() * d
+    return scale, p, q, r, abs(a * d - b * c), ((a, b), (c, d))
+
+
+def _largest_singular_value(p: float, q: float, r: complex) -> float:
+    """s_max of a matrix n with n* n = [[p, r], [conj(r), q]]."""
+    return math.sqrt(0.5 * (p + q) + math.hypot(0.5 * (p - q), abs(r)))
 
 
 class MatrixAlgebra:
-    """Dense complex (dim x dim) matrices with the spectral norm."""
+    """Complex 2 x 2 matrices ((a, b), (c, d)) with the spectral norm.
 
-    def __init__(self, dim: int):
-        if not (1 <= dim <= MATRIX_DIM_MAX):
-            raise UsageError(f"matrix dimension must lie in [1, {MATRIX_DIM_MAX}]")
-        self.dim = dim
+    With m* m = [[p, r], [conj(r), q]], the largest singular value is
+    s_max with s_max^2 = (p + q)/2 + hypot((p - q)/2, |r|), a sum of
+    nonnegative terms, so it keeps its relative accuracy when the two
+    singular values are nearly equal; the smallest is |det m| / s_max.
+    """
 
-    def unit(self):
-        return np.eye(self.dim, dtype=complex)
+    def element(self, rows) -> Matrix:
+        """The matrix with the given two rows of two numbers each."""
+        rows = tuple(tuple(complex(z) for z in row) for row in rows)
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise UsageError("a matrix element has two rows of two entries")
+        return rows
 
-    def add(self, a, b):
-        return a + b
+    def unit(self) -> Matrix:
+        return ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
 
-    def sub(self, a, b):
-        return a - b
+    def add(self, x: Matrix, y: Matrix) -> Matrix:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return ((a + e, b + f), (c + g, d + h))
 
-    def mul(self, a, b):
-        return a @ b
+    def sub(self, x: Matrix, y: Matrix) -> Matrix:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return ((a - e, b - f), (c - g, d - h))
 
-    def star(self, a):
-        return a.conj().T
+    def scale(self, z: complex, x: Matrix) -> Matrix:
+        (a, b), (c, d) = x
+        return ((z * a, z * b), (z * c, z * d))
 
-    def norm(self, a) -> float:
-        # the largest singular value, as np.linalg.norm(a, 2) computes it
-        # without that function's axis handling
-        return float(np.linalg.svd(a, compute_uv=False)[0])
+    def mul(self, x: Matrix, y: Matrix) -> Matrix:
+        (a, b), (c, d) = x
+        (e, f), (g, h) = y
+        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
 
-    def norm_bound(self, a) -> float:
-        """The Frobenius norm, an upper bound on norm(a) at about a sixth of an svd's cost (2 x 2)."""
-        return math.sqrt(np.vdot(a, a).real)
+    def star(self, x: Matrix) -> Matrix:
+        (a, b), (c, d) = x
+        return ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
 
-    def polar(self, a):
-        """Polar factor by SVD and the smallest singular value of the input."""
-        u, s, vh = np.linalg.svd(a)
-        return u @ vh, float(s.min())
+    def norm(self, x: Matrix) -> float:
+        scale, p, q, r, _, _ = _normalized(x)
+        return scale * _largest_singular_value(p, q, r)
 
-    def unitarity_defect(self, a) -> float:
-        return self.norm(self.star(a) @ a - self.unit())
+    def polar(self, x: Matrix) -> tuple[Matrix, float]:
+        """Polar factor x (x* x)^{-1/2} and the smallest singular value of x.
 
-    def unitarity_defect_bound(self, a) -> float:
-        """norm_bound of the defect matrix, an upper bound on unitarity_defect(a)."""
-        return self.norm_bound(self.star(a) @ a - self.unit())
+        For M = x* x, sqrt(M) = (M + delta I) / t with delta = sqrt(det M) =
+        |det x| and t = sqrt(tr M + 2 delta), so (x* x)^{-1/2} is the
+        adjugate [[q + delta, -r], [-conj(r), p + delta]] over t delta.  A
+        singular x has no polar factor: its polar is the unit, with smallest
+        singular value 0.
+        """
+        scale, p, q, r, delta, m = _normalized(x)
+        if delta == 0.0:
+            return self.unit(), 0.0
+        t = math.sqrt(p + q + 2.0 * delta)
+        inv_sqrt = ((q + delta, -r), (-r.conjugate(), p + delta))
+        smallest = scale * (delta / _largest_singular_value(p, q, r))
+        return self.scale(1.0 / (t * delta), self.mul(m, inv_sqrt)), smallest
+
+    def unitarity_defect(self, x: Matrix) -> float:
+        return self.norm(self.sub(self.mul(self.star(x), x), self.unit()))
 
 
 class WeylPhaseAlgebra:
@@ -119,8 +167,6 @@ class WeylPhaseAlgebra:
     def norm(self, a) -> float:
         return float(abs(a.coeff))
 
-    norm_bound = norm  # the norm is already a modulus
-
     def polar(self, a):
         mod = abs(a.coeff)
         if mod < POLAR_SINGULAR_CUTOFF:
@@ -129,8 +175,6 @@ class WeylPhaseAlgebra:
 
     def unitarity_defect(self, a) -> float:
         return abs(abs(a.coeff) - 1.0)
-
-    unitarity_defect_bound = unitarity_defect
 
 
 class TailPolicy:
@@ -157,15 +201,11 @@ class TailPolicy:
 
 class SequenceElement:
     """Pure generator with a certified norm bound; evaluations and their
-    norms are memoized.
-
-    The bound check of an evaluation tests the algebra's cheap norm_bound
-    first, with a margin that covers rounding, and computes the norm only
-    when that test cannot decide; norm_at computes the norm on first read.
+    norms are memoized, and each evaluation is checked against the bound.
     """
 
     def __init__(self, algebra, generator, bound: float):
-        if not (bound >= 0.0 and np.isfinite(bound)):
+        if not (bound >= 0.0 and math.isfinite(bound)):
             raise UsageError("bound must be a finite nonnegative real")
         self.algebra = algebra
         self.generator = generator
@@ -178,23 +218,16 @@ class SequenceElement:
             raise UsageError("sequence indices start at 1")
         if n not in self._memo:
             value = self.generator(n)
-            limit = self.bound * (1.0 + 1e-9) + 1e-12
-            # "not <=" sends a nan to the exact check
-            if not self.algebra.norm_bound(value) * (1.0 + BOUND_CHECK_MARGIN) <= limit:
-                norm = self.algebra.norm(value)
-                if norm > limit:
-                    raise UsageError(
-                        f"generator breaks its certified bound at n={n}: {norm} > {self.bound}"
-                    )
-                self._norms[n] = norm
-            self._memo[n] = value
+            norm = self.algebra.norm(value)
+            # "not <=" also refuses a nan norm
+            if not norm <= self.bound * (1.0 + 1e-9) + 1e-12:
+                raise UsageError(f"generator breaks its certified bound at n={n}: {norm} > {self.bound}")
+            self._memo[n], self._norms[n] = value, norm
         return self._memo[n]
 
     def norm_at(self, n: int) -> float:
         """algebra.norm(at(n)), computed once."""
-        value = self.at(n)
-        if n not in self._norms:
-            self._norms[n] = self.algebra.norm(value)
+        self.at(n)
         return self._norms[n]
 
 
@@ -265,17 +298,21 @@ def subsequence(s: SequenceElement, index_map) -> SequenceElement:
     return SequenceElement(s.algebra, gen, s.bound)
 
 
-def random_increasing_map(rng: np.random.Generator, max_step: int = 4):
-    """Random strictly increasing map with memoized prefix, steps in [1, max_step]."""
+def random_increasing_map(rng: random.Random, max_step: int = 4):
+    """Random strictly increasing map with memoized prefix, steps in [1, max_step].
+
+    The steps are drawn in index order, one rng.random() each through
+    rng.choices, as the map is first read beyond its prefix.
+    """
     prefix = [0]
+    steps = range(1, max_step + 1)
 
     def index_map(n: int) -> int:
         missing = n + 1 - len(prefix)
         if missing > 0:
-            # one vector draw of exactly the missing steps: the rng is shared,
-            # and it yields the same stream as that many scalar draws
-            steps = rng.integers(1, max_step + 1, size=missing)
-            prefix.extend((prefix[-1] + np.cumsum(steps)).tolist())
+            # accumulate repeats its initial value, the last known image
+            last = prefix.pop()
+            prefix.extend(accumulate(rng.choices(steps, k=missing), initial=last))
         return prefix[n]
 
     return index_map
@@ -285,7 +322,7 @@ def stability_probe(
     s: SequenceElement,
     member_fn,
     policy: TailPolicy,
-    rng: np.random.Generator,
+    rng: random.Random,
     n_maps: int = 8,
 ) -> tuple[bool, int]:
     """Re-test membership under n_maps random subsequences.
@@ -330,9 +367,7 @@ def adjoint_morphism(u: SequenceElement, value, tol: float = 1e-10) -> SequenceE
 
     def gen(n: int):
         un = u.at(n)
-        # SequenceElement.at's pre-test: the exact defect only when the bound cannot decide
-        bound = alg.unitarity_defect_bound(un)
-        if not bound * (1.0 + BOUND_CHECK_MARGIN) <= tol and alg.unitarity_defect(un) > tol:
+        if alg.unitarity_defect(un) > tol:
             raise DomainError(f"adjoint morphism needs unitary entries, defect at n={n}")
         return alg.mul(alg.mul(alg.star(un), value), un)
 

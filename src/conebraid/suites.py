@@ -23,12 +23,10 @@ from . import field as fld
 from .config import ChargeCfg, RunConfig
 from .errors import ConfigError, InternalError
 from .report import CheckRow, Report
-from .weyl import gram_matrix, weyl, weyl_mul
+from .weyl import gram_matrix, min_eigenvalue, weyl, weyl_mul
 
 if TYPE_CHECKING:
     import random
-
-    import numpy as np
 
 SUITE_NAMES = ("laws", "braiding", "homotopy", "decay", "seqalg", "all")
 
@@ -191,27 +189,21 @@ _OBJECT_SHIFT = ((-1.0, -3.0, -3.0, -3.0), (1.0, 3.0, 3.0, 3.0))
 _ARROW_SHIFT = ((-1.0, -2.0, -2.0, -2.0), (1.0, 2.0, 2.0, 2.0))
 
 
-def _uniform(rng: np.random.Generator, low, high) -> tuple[float, ...]:
-    """The draws rng.uniform(l, h) makes for each pair in turn, bit for bit.
-
-    Generator.uniform computes l + (h - l) u from one rng.random() double
-    u, so one vector rng.random() gives the same numbers without the
-    per-call argument checks, which cost several times the draw.  Likewise
-    rng.integers(n) makes the draw that rng.choice of n items makes.
-    """
-    return tuple(l + (h - l) * u for l, h, u in zip(low, high, rng.random(len(low)).tolist()))
+def _uniform(rng: random.Random, low, high) -> tuple[float, ...]:
+    """One draw l + (h - l) u per pair of bounds, u = rng.random()."""
+    return tuple([l + (h - l) * rng.random() for l, h in zip(low, high)])
 
 
-def _random_object(ctx: RunContext, rng: np.random.Generator) -> cat.ChargeAutomorphism:
+def _random_object(ctx: RunContext, rng: random.Random) -> cat.ChargeAutomorphism:
     names = list(ctx.vectors)
-    base = ctx.vectors[names[rng.integers(len(names))]]
+    base = ctx.vectors[names[rng.randrange(len(names))]]
     (magnitude,) = _uniform(rng, (0.5,), (2.0,))
-    factor = magnitude * (-1.0, 1.0)[rng.integers(2)]
+    factor = magnitude * (-1.0, 1.0)[rng.randrange(2)]
     shift = _uniform(rng, *_OBJECT_SHIFT)
     return cat.ChargeAutomorphism(fld.translate(fld.scale(factor, base), shift))
 
 
-def _random_arrow(ctx: RunContext, rng: np.random.Generator, obj=None) -> cat.Intertwiner:
+def _random_arrow(ctx: RunContext, rng: random.Random, obj=None) -> cat.Intertwiner:
     if obj is None:
         obj = _random_object(ctx, rng)
     shift = _uniform(rng, *_ARROW_SHIFT)
@@ -224,7 +216,7 @@ def _coeff_distance(u, v, label: fld.FieldVector) -> float:
     return float(abs(u.coeff_of(label) - v.coeff_of(label)))
 
 
-def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
+def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     worst = {check: 0.0 for check in _LAW_CHECKS}
 
     def bump(check: str, value: float) -> None:
@@ -294,15 +286,12 @@ def run_laws(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
 
     labels = []
     for _ in range(8):
-        width = float(rng.uniform(0.6, 1.6))
-        amp = float(rng.uniform(0.2, 1.5))
-        chan = str(rng.choice(["g", "h"]))
+        width, amp = _uniform(rng, (0.6, 0.2), (1.6, 1.5))
+        chan = rng.choice(("g", "h"))
         vec = fld.make_test_vector(amplitude=amp, width=width, channel=chan)
-        shift = (0.0, float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+        shift = (0.0, *_uniform(rng, (-2.0,) * 3, (2.0,) * 3))
         labels.append(fld.translate(vec, shift))
-    from numpy.linalg import eigvalsh
-
-    min_eig = float(eigvalsh(gram_matrix(labels)).min())
+    min_eig = min_eigenvalue(gram_matrix(labels))
 
     rows = []
     for check in _LAW_CHECKS:
@@ -413,22 +402,32 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
     return rows
 
 
-def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
-    import numpy as np
+def _normal_matrix(alg, rng: random.Random):
+    """A 2 x 2 matrix of independent standard complex normal entries (real, then imaginary parts)."""
+    re = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    im = [rng.gauss(0.0, 1.0) for _ in range(4)]
+    z = [complex(x, y) for x, y in zip(re, im)]
+    return alg.element((z[:2], z[2:]))
 
+
+def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     from . import seqalg as sa
 
     policy = sa.TailPolicy()
-    alg = sa.MatrixAlgebra(2)
-    eye = np.eye(2, dtype=complex)
+    alg = sa.MatrixAlgebra()
+    eye = alg.unit()
 
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    p = p / alg.norm(p)
-    a_val = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    # a random unitary [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1
+    a, b = (complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(2))
+    size = math.hypot(abs(a), abs(b))
+    a, b = a / size, b / size
+    q = alg.element(((a, -b.conjugate()), (b, a.conjugate())))
+    p = _normal_matrix(alg, rng)
+    p = alg.scale(1.0 / alg.norm(p), p)
+    a_val = _normal_matrix(alg, rng)
 
     rows = []
-    drift = sa.SequenceElement(alg, lambda n: q + 0.5**n * p, 2.0)
+    drift = sa.SequenceElement(alg, lambda n: alg.add(q, alg.scale(0.5**n, p)), 2.0)
     unit = sa.polar_unitarize(drift, policy)
     defect = max(alg.unitarity_defect(unit.at(n)) for n in policy.samples())
     rows.append(_row("seqalg/polar_unitarity", "", "", None, defect, defect, LAWS_THRESHOLD))
@@ -436,9 +435,10 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     dist = sa.limsup_norm(sa.seq_sub(unit, drift), policy)
     rows.append(_row("seqalg/polar_null_distance", "", "", None, dist, dist, policy.tolerance))
 
-    gappy = sa.SequenceElement(alg, lambda n: np.zeros((2, 2), dtype=complex) if n < 8 else q, 1.0)
+    zero = alg.scale(0.0, eye)
+    gappy = sa.SequenceElement(alg, lambda n: zero if n < 8 else q, 1.0)
     fallback = sa.polar_unitarize(gappy, policy)
-    fb_res = alg.norm(fallback.at(5) - eye)
+    fb_res = alg.norm(alg.sub(fallback.at(5), eye))
     rows.append(_row("seqalg/polar_singular_fallback", "", "", None, fb_res, fb_res, LAWS_THRESHOLD))
 
     member = lambda t, pol: sa.equivalent(t, sa.constant(alg, q), pol)
@@ -447,7 +447,7 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
         _row("seqalg/subsequence_stability", "", "", None, complex(n_maps), 0.0 if ok else 1.0, 0.5)
     )
 
-    b_val = q + np.array([[0.0, 0.0], [0.0, 1.0]])
+    b_val = alg.add(q, alg.element(((0.0, 0.0), (0.0, 1.0))))
     alt = sa.SequenceElement(alg, lambda n: q if n % 2 == 0 else b_val, alg.norm(b_val) + 1.0)
     even = sa.subsequence(alt, lambda n: 2 * n)
     odd = sa.subsequence(alt, lambda n: 2 * n + 1)
@@ -457,7 +457,7 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
         _row("seqalg/subsequence_converse", "", "", None, gap, 0.0 if separated else 1.0, 0.5)
     )
 
-    null_s = sa.SequenceElement(alg, lambda n: 0.5**n * p, 1.0)
+    null_s = sa.SequenceElement(alg, lambda n: alg.scale(0.5**n, p), 1.0)
     ideal = max(
         sa.limsup_norm(sa.seq_mul(null_s, alt), policy),
         sa.limsup_norm(sa.seq_mul(alt, null_s), policy),
@@ -465,18 +465,19 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     rows.append(_row("seqalg/null_ideal", "", "", None, ideal, ideal, policy.tolerance))
 
     adj = sa.adjoint_morphism(unit, a_val)
-    target = q.conj().T @ a_val @ q
-    adj_res = max(alg.norm(adj.at(n) - target) for n in policy.samples())
+    target = alg.mul(alg.mul(alg.star(q), a_val), q)
+    adj_res = max(alg.norm(alg.sub(adj.at(n), target)) for n in policy.samples())
     rows.append(_row("seqalg/adjoint_constant", "", "", None, adj_res, adj_res, policy.tolerance))
 
-    center = sa.SequenceElement(alg, lambda n: np.exp(1j * n) * eye, 1.0)
+    center = sa.SequenceElement(alg, lambda n: alg.scale(cmath.exp(1j * n), eye), 1.0)
     cen_res = max(
-        alg.norm(sa.adjoint_morphism(center, a_val).at(n) - a_val) for n in policy.samples()
+        alg.norm(alg.sub(sa.adjoint_morphism(center, a_val).at(n), a_val)) for n in policy.samples()
     )
     rows.append(_row("seqalg/adjoint_center", "", "", None, cen_res, cen_res, LAWS_THRESHOLD))
 
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    u_alt = sa.SequenceElement(alg, lambda n: q if n % 2 == 0 else rot @ q, 1.0)
+    rot = alg.element(((0.0, -1.0), (1.0, 0.0)))
+    rot_q = alg.mul(rot, q)
+    u_alt = sa.SequenceElement(alg, lambda n: q if n % 2 == 0 else rot_q, 1.0)
     adj_alt = sa.adjoint_morphism(u_alt, a_val)
     adj_even = sa.subsequence(adj_alt, lambda n: 2 * n)
     adj_odd = sa.subsequence(adj_alt, lambda n: 2 * n + 1)
@@ -488,13 +489,6 @@ def run_seqalg(ctx: RunContext, rng: np.random.Generator) -> list[CheckRow]:
     return rows
 
 
-def _stream(seed: int) -> np.random.Generator:
-    """The numpy stream of the laws or seqalg suite, whose draws feed numpy arrays."""
-    from numpy.random import default_rng
-
-    return default_rng(seed)
-
-
 def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     """Run a named suite and assemble the report; row count must match the plan."""
     plan = plan_counts(config, suite)
@@ -504,20 +498,19 @@ def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     ctx = RunContext(config)
     rows: list[CheckRow] = []
     parts = [name for name, _ in plan]
-    if "laws" in parts:
-        rows.extend(run_laws(ctx, _stream(effective_seed)))
-    if "braiding" in parts:
-        # the rephase angles are plain floats: stdlib random, not
-        # numpy.random (about 12 ms and 2.6 MB to import)
-        import random
+    # imported here: a run of the homotopy or decay suite alone draws nothing
+    import random
 
+    if "laws" in parts:
+        rows.extend(run_laws(ctx, random.Random(effective_seed)))
+    if "braiding" in parts:
         rows.extend(run_braiding(ctx, random.Random(effective_seed + 1)))
     if "homotopy" in parts:
         rows.extend(run_homotopy(ctx))
     if "decay" in parts:
         rows.extend(run_decay(ctx))
     if "seqalg" in parts:
-        rows.extend(run_seqalg(ctx, _stream(effective_seed + 2)))
+        rows.extend(run_seqalg(ctx, random.Random(effective_seed + 2)))
     if len(rows) != expected:
         raise InternalError(f"suite {suite!r} produced {len(rows)} rows, planned {expected}")
     return Report(

@@ -1,9 +1,12 @@
-"""Panel-sum radial Fourier transform of any callable profile, for tests.
+"""Radial Fourier transforms in numpy, for tests.
 
-The package transforms only RadialPolynomial profiles, in closed form.  This
-helper sums the defining integral on a composite Gauss-Legendre rule instead,
-so the tests can hold the closed form against it, and against any profile
-that has no closed form here (the unit-ball indicator as a bare callable).
+The package transforms only RadialPolynomial profiles, in closed form, one
+momentum at a time.  ``panel_fourier`` sums the defining integral on a
+composite Gauss-Legendre rule instead, so the tests can hold the closed
+form against it, and against any profile that has no closed form here (the
+unit-ball indicator as a bare callable).  ``numpy_radial_fourier`` is the
+same closed form vectorised in numpy, as the package computed it before it
+left numpy.
 """
 
 import numpy as np
@@ -29,7 +32,7 @@ def radial_panel_rule(support_radius: float, panels: int = 240, order: int = 8) 
     if panels < 200:
         raise ValueError(f"at least 200 panels required, got {panels}")
     nodes, weights = composite_legendre_unit(panels, order)
-    return support_radius * nodes, support_radius * weights
+    return support_radius * np.asarray(nodes), support_radius * np.asarray(weights)
 
 
 def panel_fourier(profile, support_radius: float, momenta, panels: int = 240):
@@ -50,3 +53,29 @@ def panel_fourier(profile, support_radius: float, momenta, panels: int = 240):
         sums[i : i + FOURIER_BLOCK] = np.sum(kernel * base, axis=1)
     out = 4.0 * np.pi / TWO_PI_32 * sums
     return out[0] if np.ndim(momenta) == 0 else out
+
+
+def numpy_radial_fourier(shape, momenta) -> np.ndarray:
+    """4 pi (2 pi)^{-3/2} R^3 sum_k c_k M_{2k+2}(pR) of a RadialPolynomial, vectorised.
+
+    M_m(x) = int_0^1 u^m sinc(xu) du: the shape's power series below x = 4,
+    the upward sine/cosine recursion from there on.
+    """
+    x = np.abs(np.atleast_1d(np.asarray(momenta, dtype=float))) * shape.support
+    near = x < 4.0
+    moments = np.empty_like(x)
+    x2 = x[near] * x[near]
+    total = np.full_like(x2, shape.series[-1])
+    for coeff in shape.series[-2::-1]:
+        total = total * x2 + coeff
+    moments[near] = total
+    xf = x[~near]
+    sin, cos = np.sin(xf), np.cos(xf)
+    s, c = (1.0 - cos) / xf, sin / xf
+    total = np.zeros_like(xf)
+    for n in range(1, 2 * len(shape.coeffs)):
+        s, c = -cos / xf + (n / xf) * c, sin / xf - (n / xf) * s
+        if n % 2:
+            total += shape.coeffs[n // 2] * s
+    moments[~near] = total / xf
+    return 4.0 * np.pi / TWO_PI_32 * shape.support**3 * moments

@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -92,6 +93,8 @@ def test_check_policy_is_fixed_in_suites():
         lambda d: d.__setitem__("seed", 0.0),
         lambda d: d.__setitem__("radii", [10.0, 20.0, float("inf")]),
         lambda d: d["charges"][0].__setitem__("q", 10**400),
+        # a charge without its one required key
+        lambda d: d.__setitem__("charges", [{"q": 1.0}, {"name": "b"}]),
     ],
 )
 def test_config_validation_errors(mutate):
@@ -99,6 +102,15 @@ def test_config_validation_errors(mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+def test_missing_keys_are_named_like_unknown_ones():
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"charges": [{"q": 1.0}, {"name": "b"}]})
+    assert str(exc.value) == "config.charges[0]: missing keys ['name']"
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict({"charges": [{"name": "a"}, {"q": 1.0, "bogus": 1}]})
+    assert str(exc.value) == "config.charges[1]: unknown keys ['bogus']"
 
 
 def _tree_paths(node, path=()):
@@ -578,9 +590,7 @@ def _fresh_stdout(code: str) -> str:
     This process has loaded numpy and scipy already, so import checks need
     their own interpreter.
     """
-    src = str(CONFIG_PATH.parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip().splitlines()[-1]
 
@@ -632,23 +642,92 @@ def test_malformed_config_exits_2_without_numpy(tmp_path):
     assert not _numpy_loaded_after(code)
 
 
+def _fresh_env() -> dict:
+    src = str(CONFIG_PATH.parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _drift_cases(tmp_path) -> dict:
+    """The five report-drift cases of CI: (config path, extra arguments) by name."""
+    bump = tmp_path / "bump_sloped.json"
+    bump.write_text(json.dumps(_bump_sloped_dict()))
+    far_data = default_dict()
+    far_data["radii"] = [1.0e4, 2.0e4, 4.0e4]
+    far = tmp_path / "far_radius.json"
+    far.write_text(json.dumps(far_data))
+    return {
+        "default": (CONFIG_PATH, []),
+        "seed11": (CONFIG_PATH, ["--seed", "11"]),
+        "decay_extended": (CONFIG_PATH.parent / "decay_extended.json", []),
+        "bump_sloped": (bump, []),
+        "far_radius": (far, []),
+    }
+
+
 def test_numpy_boundary_of_verify_runs(tmp_path):
-    # the decay suite at far radii takes only closed-form or vanishing pair
-    # integrals, so it loads no numpy; braiding builds a rule, so it does, but
-    # it draws its rephase angles from a stdlib random.Random, not numpy.random
+    # every suite on every CI drift config runs in a fresh process in which
+    # importing numpy fails, and exits and reports exactly as a run in this
+    # process, which has numpy loaded (as perfbench's traced runs do)
+    for name, (cfg, extra) in _drift_cases(tmp_path).items():
+        for suite in suites.SUITE_NAMES:
+            args = ["verify", "--config", str(cfg), "--suite", suite, "--format", "json", *extra]
+            with_numpy, without = tmp_path / name / suite / "with", tmp_path / name / suite / "without"
+            expected = main([*args, "--out", str(with_numpy)])
+            code = (
+                "import sys\nsys.modules['numpy'] = None\nfrom conebraid.cli import main\n"
+                f"raise SystemExit(main({[*args, '--out', str(without)]!r}))"
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=120
+            )
+            assert proc.returncode == expected and not proc.stderr, (name, suite, proc.stderr)
+            report = f"{suite}_report.json"
+            assert (without / report).read_bytes() == (with_numpy / report).read_bytes(), (name, suite)
+
+
+def test_package_imports_no_numpy():
+    # no module of the package names numpy in an import statement, at any depth
+    import ast
+
+    package = CONFIG_PATH.parent.parent / "src" / "conebraid"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.partition(".")[0] == "numpy" for n in names), (path.name, node.lineno)
+
+
+def test_closed_stdout_pipe_keeps_the_verdict(tmp_path):
+    # `verify | head -1`: the reader leaves after the plan line; the run still
+    # writes its report, prints no traceback and exits with its verdict
+    argv = [sys.executable, "-m", "conebraid", "verify", "--config", str(CONFIG_PATH), "--out", str(tmp_path)]
+    proc = subprocess.Popen(argv, env=_fresh_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert first.startswith(b"plan: suite 'all' -> 62 rows") and stderr == b""
+    assert (tmp_path / "all_report.csv").is_file()
+
+
+def test_rule_over_the_cap_exits_1_fast_with_one_line(tmp_path):
+    # a bump pair at radius 4e6 needs a rule of about 1.3e8 nodes, over the
+    # cap, and the braiding suite meets it before building any large rule:
+    # exit 1 within seconds, one stderr line, the plan line only, no report
     data = default_dict()
-    data["radii"] = [1.0e4, 2.0e4, 4.0e4]
-    far = tmp_path / "far.json"
-    far.write_text(json.dumps(data))
-    runs = [
-        ("decay", far, 0, "[False, False]"),
-        ("braiding", CONFIG_PATH, 1, "[True, False]"),
-        ("braiding", far, 0, "[True, False]"),
-    ]
-    for k, (suite, cfg, exit_code, loaded) in enumerate(runs):
-        args = ["verify", "--config", str(cfg), "--suite", suite, "--out", str(tmp_path / str(k))]
-        code = (
-            f"import sys\nfrom conebraid.cli import main\nassert main({args!r}) == {exit_code}\n"
-            "print(['numpy' in sys.modules, 'numpy.random' in sys.modules])"
-        )
-        assert _fresh_stdout(code) == loaded, (suite, cfg)
+    data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})
+    data["radii"] = [4.0e6, 5.0e6, 6.0e6]
+    cfg = tmp_path / "far_bump.json"
+    cfg.write_text(json.dumps(data))
+    argv = [sys.executable, "-m", "conebraid", "verify", "--config", str(cfg), "--suite", "braiding", "--out", str(tmp_path)]
+    started = time.perf_counter()
+    proc = subprocess.run(argv, env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert time.perf_counter() - started < 10.0
+    assert proc.returncode == 1
+    assert re.fullmatch(r"error: radial rule of \d+ nodes exceeds the cap of 33554432 nodes\n", proc.stderr)
+    assert proc.stdout.startswith("plan: suite 'braiding' -> 9 rows") and len(proc.stdout.splitlines()) == 1
+    assert not list(tmp_path.glob("*_report.*"))

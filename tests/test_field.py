@@ -30,7 +30,7 @@ from conebraid.field import RadialPolynomial
 from conebraid.quadrature import composite_legendre_unit, radial_fourier
 from conebraid.suites import RunContext
 
-from panel_transform import panel_fourier
+from panel_transform import numpy_radial_fourier, panel_fourier
 
 SQRT_HALF = 0.7071067811865476
 
@@ -105,11 +105,12 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
 
 @pytest.mark.parametrize("d, panels", [(0.5, 3), (1280.0, 319)])
 def test_radial_rule_is_composite_panels(pair, d, panels):
-    # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node panels
+    # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node
+    # panels; the pair reads the cached unit rule, which the panel route scales
     gam, dlt = pair
-    r, w = F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, d, F.R_MAX)
+    u, w = F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, d, F.R_MAX)
     nodes, weights = composite_legendre_unit(panels, 64)
-    assert np.array_equal(r, 10.0 * nodes) and np.array_equal(w, 10.0 * weights)
+    assert u is nodes and w is weights and len(u) == 64 * panels
 
 
 def test_sigma_against_independent_quadrature(pair):
@@ -436,11 +437,12 @@ def test_bump_transform_memo_follows_the_shape():
     assert after == 2.0 * before
     assert two.charge == 2.0 * one.charge
     # the memoized transform is the uncached closed form, read-only
-    r, w = F._radial_rule_for(two.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 0.0, F.R_MAX)
-    uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r)
-    cached = Q._momentum_values(two.terms[0][1].profile, r)
-    assert np.array_equal(cached, uncached) and not cached.flags.writeable
-    ref = 4.0 * np.pi * float(np.dot(w, uncached * np.exp(-0.5 * r**2)))
+    u, w = F._radial_rule_for(two.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 0.0, F.R_MAX)
+    r = F.R_MAX * np.asarray(u)
+    uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r.tolist())
+    cached = Q._momentum_values(two.terms[0][1].profile, r.tolist())
+    assert cached.readonly and cached.tolist() == uncached
+    ref = 4.0 * np.pi * float(np.dot(F.R_MAX * np.asarray(w), np.asarray(uncached) * np.exp(-0.5 * r**2)))
     assert math.isclose(after, ref, rel_tol=1e-14)
 
 
@@ -567,10 +569,23 @@ def test_swapped_operands_share_pair_integrals(mixed):
     assert F._pair_integral.cache_info().misses == misses
 
 
+def _numpy_channel_factors(key, r):
+    """(G, H) of an atom key on the momenta r, in numpy (the package's channel mixing, restated)."""
+    profile, channel, t = key
+    if profile.kind == "bump":
+        phi = numpy_radial_fourier(profile.shape, r)
+    else:
+        phi = np.exp(-0.5 * (profile.width * r) ** 2) * (r**2 if profile.kind == "gauss2" else 1.0)
+    c, s = np.cos(r * t) * phi, np.sin(r * t) * phi
+    return (c, -s / r) if channel == "g" else (r * s, c)
+
+
 def _direct_pair_sum(form, ka, kb, delta):
-    """4 pi dot(w, K sinc(r delta)) on the pair's own rule, one sinc per node, and 4 pi dot(w, |K|)."""
-    r, w = F._radial_rule_for(ka, kb, delta, F.R_MAX)
-    kern = Q._kernel(form, ka, kb, r)
+    """4 pi dot(w, K sinc(r delta)) on the pair's own rule in numpy, and 4 pi dot(w, |K|)."""
+    u, w = F._radial_rule_for(ka, kb, delta, F.R_MAX)
+    r, w = F.R_MAX * np.asarray(u), F.R_MAX * np.asarray(w)
+    (gx, hx), (gy, hy) = _numpy_channel_factors(ka, r), _numpy_channel_factors(kb, r)
+    kern = gx * hy - gy * hx if form == F.SIGMA else gx * gy / r + hx * hy * r
     direct = float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
     return 4.0 * np.pi * direct, 4.0 * np.pi * float(np.dot(w, np.abs(kern)))
 
@@ -595,15 +610,12 @@ def _split_phase_cases():
 
 @pytest.mark.parametrize("form, ka, kb, delta", _split_phase_cases())
 def test_pair_integral_matches_direct_sinc_sum(form, ka, kb, delta):
-    # the per-panel phase split changes only rounding: each node's phase
-    # error is eps * delta * r, so the difference is bounded by eps times
-    # the pair's zero-separation size 4 pi sum |w K|
+    # the stdlib panel route against the same rule sum in numpy: they differ
+    # by rounding only, each node's sinc by about eps, so the difference is
+    # bounded by eps times the pair's zero-separation size 4 pi sum |w K|
     value = F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)
     ref, size = _direct_pair_sum(form, ka, kb, delta)
-    if delta == 0.0:
-        assert value == ref
-    else:
-        assert abs(value - ref) <= 1e-13 * size
+    assert abs(value - ref) <= (1e-15 if delta == 0.0 else 1e-13) * size
     # the kernel is bit-exactly antisymmetric (SIGMA) or symmetric (RE) under a swap
     swapped = F._panel_pair_integral(form, kb, ka, delta, F.R_MAX)
     assert swapped == (-value if form == F.SIGMA else value)
@@ -654,14 +666,17 @@ CLOSED_FORM_DELTAS = (0.5, 1.5, 20.0, 150.0, 1280.0, 1.0e4, 8.0e4)
 @pytest.mark.parametrize("cx, cy", [("g", "g"), ("g", "h"), ("h", "g"), ("h", "h")])
 def test_gauss_sigma_closed_form_matches_panel_route(cx, cy, widths, offsets):
     # the closed form integrates over [0, inf); the rule stops at r_max = 10,
-    # where e^{-a r_max^2} <= e^{-100}, so the two agree to the rule's bound
+    # where e^{-a r_max^2} <= e^{-100}, so the two agree to the rule's bound.
+    # The rule sum is taken in numpy here, since the stdlib panel route costs
+    # about a microsecond per node; test_pair_integral_matches_direct_sinc_sum
+    # pins the package's sum to this one on rules up to separation 8e4
     ka = (F.Profile("gauss", width=widths[0]), cx, offsets[0])
     kb = (F.Profile("gauss", width=widths[1]), cy, offsets[1])
     size = _direct_pair_sum(F.SIGMA, ka, kb, 0.0)[1]
     for delta in CLOSED_FORM_DELTAS:
         value = F._pair_integral.__wrapped__(F.SIGMA, ka, kb, delta)
         assert type(value) is float
-        assert abs(value - F._panel_pair_integral(F.SIGMA, ka, kb, delta, F.R_MAX)) <= 1e-13 * size
+        assert abs(value - _direct_pair_sum(F.SIGMA, ka, kb, delta)[0]) <= 1e-13 * size
         assert F._pair_integral.__wrapped__(F.SIGMA, kb, ka, delta) == -value
 
 

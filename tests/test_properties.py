@@ -105,18 +105,19 @@ def test_transport_keeps_intertwiner_relation(pa, phi, t, off):
 
 
 matrices = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
-    lambda v: np.array(v[:4], dtype=float).reshape(2, 2)
-    + 1j * np.array(v[4:], dtype=float).reshape(2, 2)
+    lambda v: SA.MatrixAlgebra().element(
+        ((complex(v[0], v[4]), complex(v[1], v[5])), (complex(v[2], v[6]), complex(v[3], v[7])))
+    )
 )
 
 
 @settings(max_examples=25, **COMMON)
 @given(matrices, matrices)
 def test_seqalg_quotient_laws(matrices_a, matrices_b):
-    alg = SA.MatrixAlgebra(2)
+    alg = SA.MatrixAlgebra()
     policy = SA.TailPolicy()
     a, b = matrices_a, matrices_b
-    s = SA.SequenceElement(alg, lambda n: a + 0.5**n * b, alg.norm(a) + alg.norm(b) + 1.0)
+    s = SA.SequenceElement(alg, lambda n: alg.add(a, alg.scale(0.5**n, b)), alg.norm(a) + alg.norm(b) + 1.0)
     t = SA.constant(alg, b)
     # star distributes over sums on the quotient
     lhs = SA.seq_star(SA.seq_add(s, t))
@@ -126,7 +127,7 @@ def test_seqalg_quotient_laws(matrices_a, matrices_b):
     assert SA.limsup_norm(SA.seq_add(s, t), policy) <= (
         SA.limsup_norm(s, policy) + SA.limsup_norm(t, policy) + 1e-12
     )
-    null = SA.SequenceElement(alg, lambda n: 0.5**n * b, alg.norm(b) + 1.0)
+    null = SA.SequenceElement(alg, lambda n: alg.scale(0.5**n, b), alg.norm(b) + 1.0)
     assert SA.is_null(null, policy)
     assert SA.equivalent(SA.seq_add(t, null), t, policy)
 
@@ -135,8 +136,8 @@ def test_seqalg_quotient_laws(matrices_a, matrices_b):
 @given(st.lists(st.tuples(st.integers(1, 12), st.integers(1, 30)), min_size=1, max_size=12))
 def test_subsequence_check_matches_all_pairs_scan(draws):
     # the neighbour check raises exactly where a scan of every evaluated pair does
-    alg = SA.MatrixAlgebra(1)
-    base = SA.constant(alg, np.eye(1, dtype=complex))
+    alg = SA.MatrixAlgebra()
+    base = SA.constant(alg, alg.unit())
     images = {}
     for n, m in draws:
         images.setdefault(n, m)

@@ -1,10 +1,12 @@
 """Quadrature rules and the radial transform against closed-form integrals and mpmath.
 
 The panel-sum transform of tests/panel_transform.py is the reference route
-for the package's closed-form transform of a RadialPolynomial.
+for the package's closed-form transform of a RadialPolynomial, and its
+numpy closed form is the formula the package used before it left numpy.
 """
 
 from fractions import Fraction
+import math
 
 import mpmath
 import numpy as np
@@ -15,14 +17,54 @@ from conebraid.errors import ConfigError
 from conebraid.field import TWO_PI_32, RadialPolynomial
 from conebraid.quadrature import composite_legendre_unit, gauss_legendre_unit, radial_fourier
 
-from panel_transform import panel_fourier, polynomial_values, radial_panel_rule
+from panel_transform import numpy_radial_fourier, panel_fourier, polynomial_values, radial_panel_rule
 
 
 def test_gauss_legendre_unit():
     nodes, weights = gauss_legendre_unit(16)
-    assert np.all((nodes > 0) & (nodes < 1))
+    assert nodes.readonly and weights.readonly and nodes.format == "d"
+    nodes, weights = np.asarray(nodes), np.asarray(weights)
+    assert np.all((nodes > 0) & (nodes < 1)) and np.all(np.diff(nodes) > 0)
     assert abs(weights.sum() - 1.0) < 1e-14
     assert abs(np.dot(weights, nodes**3) - 0.25) < 1e-14
+    assert [v.tolist() for v in gauss_legendre_unit(1)] == [[0.5], [1.0]]
+    with pytest.raises(ConfigError):
+        gauss_legendre_unit.__wrapped__(0)
+
+
+def _mpmath_legendre_rule(n, guesses):
+    """Nodes and weights on [0, 1] at 40 digits, by Newton from the given nodes."""
+    with mpmath.workdps(40):
+        nodes, weights = [], []
+        for guess in guesses:
+            x = mpmath.mpf(2 * guess - 1)
+            for _ in range(8):
+                p, pm = mpmath.legendre(n, x), mpmath.legendre(n - 1, x)
+                x -= p * (x * x - 1) / (n * (x * p - pm))
+            dp = n * (x * mpmath.legendre(n, x) - mpmath.legendre(n - 1, x)) / (x * x - 1)
+            nodes.append((1 + x) / 2)
+            weights.append(1 / ((1 - x * x) * dp * dp))
+        return nodes, weights
+
+
+@pytest.mark.parametrize("n", [2, 7, 64, 200])
+def test_gauss_legendre_unit_against_mpmath_and_leggauss(n):
+    # Newton on the recurrence against a 40-digit rule: no worse than numpy's
+    # eigenvalue-based leggauss (mapped to [0, 1] as the package once did it)
+    # on node error and on relative weight error
+    nodes, weights = gauss_legendre_unit(n)
+    exact_nodes, exact_weights = _mpmath_legendre_rule(n, nodes)
+    x, w = np.polynomial.legendre.leggauss(n)
+
+    def errors(got_nodes, got_weights):
+        node_err = max(abs(mpmath.mpf(float(a)) - b) for a, b in zip(got_nodes, exact_nodes))
+        weight_err = max(abs(mpmath.mpf(float(a)) - b) / b for a, b in zip(got_weights, exact_weights))
+        return float(node_err), float(weight_err)
+
+    node_err, weight_err = errors(nodes, weights)
+    numpy_node_err, numpy_weight_err = errors(0.5 * (x + 1.0), 0.5 * w)
+    assert node_err <= max(numpy_node_err, 2.0**-54) and node_err <= 1e-16
+    assert weight_err <= max(numpy_weight_err, 2.0**-52) and weight_err <= 2e-13
 
 
 def test_radial_fourier_indicator():
@@ -64,14 +106,18 @@ def test_radial_panel_rule_integrates_polynomial():
 
 
 def test_composite_rule_matches_single_rule():
-    n1, w1 = gauss_legendre_unit(512)
-    n2, w2 = composite_legendre_unit(8, 64)
+    n1, w1 = (np.asarray(v) for v in gauss_legendre_unit(512))
+    rule = composite_legendre_unit(8, 64)
+    n2, w2 = (np.asarray(v) for v in rule)
     assert len(n2) == 512 and np.all(np.diff(n2) > 0)
-    assert abs(w2.sum() - 1.0) < 1e-14
+    assert abs(math.fsum(w2) - 1.0) < 1e-14
     f = lambda r: np.exp(-9.0 * r * r) * np.cos(31.0 * r)
     assert abs(np.dot(w1, f(n1)) - np.dot(w2, f(n2))) < 1e-13
+    # cached, and read-only: no reader can change a rule another reads
     cached = composite_legendre_unit(8, 64)
-    assert cached[0] is n2 and not cached[0].flags.writeable
+    assert cached[0] is rule[0] and cached[0].readonly and cached[1].readonly
+    with pytest.raises(TypeError):
+        cached[0][0] = 0.5
     with pytest.raises(ConfigError):
         composite_legendre_unit(0)
     with pytest.raises(ConfigError):
@@ -104,7 +150,7 @@ def test_polynomial_transform_matches_mpmath_and_panel_sum(shape, support):
     near_branch = branch * (1.0 + np.array([-1e-3, -1e-12, 0.0, 1e-12, 1e-3]))
     x = np.concatenate([np.logspace(-6, np.log10(10.0 * support), 36), near_branch])
     p = x / support
-    got = radial_fourier(profile, p)
+    got = np.asarray(radial_fourier(profile, p.tolist()))
     phi0 = radial_fourier(profile, 0.0)
     # p = 0 is the j = 0 series coefficient, exactly
     exact0 = 4.0 * np.pi / TWO_PI_32 * support**3 * float(sum(Fraction(c) / (2 * k + 3) for k, c in enumerate(coeffs)))
@@ -116,16 +162,29 @@ def test_polynomial_transform_matches_mpmath_and_panel_sum(shape, support):
     assert np.max(np.abs(got - panel)) <= 1e-15 * phi0
 
 
+@pytest.mark.parametrize("count", [192, 896, 160_000])
+@pytest.mark.parametrize("shape", sorted(BUMP_SHAPES))
+def test_radial_fourier_matches_the_numpy_formula(shape, count):
+    # the per-momentum stdlib transform against the vectorised numpy closed
+    # form, on the momenta of composite rules over (0, 10]: within an ulp
+    profile = RadialPolynomial(BUMP_SHAPES[shape], 1.0)
+    nodes, _ = composite_legendre_unit(count // 64, 64)
+    p = 10.0 * np.asarray(nodes)
+    got = np.asarray(radial_fourier(profile, p.tolist()))
+    want = numpy_radial_fourier(profile, p)
+    assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+
 def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
     profile = RadialPolynomial((1.0, -2.0, 1.0), 1.5)
     r = np.linspace(0.0, 1.5, 7)
     # Horner in (r/R)^2, so equal to the factored form up to rounding
     assert np.max(np.abs(polynomial_values(profile, r) - (1.0 - (r / 1.5) ** 2) ** 2)) <= 1e-15
-    expected = radial_fourier(profile, np.array([0.0, 1.0, 5.0]))
+    expected = radial_fourier(profile, [0.0, 1.0, 5.0])
     monkeypatch.setattr(Q, "composite_legendre_unit", None)
     monkeypatch.setattr(Q, "gauss_legendre_unit", None)
-    assert np.array_equal(radial_fourier(profile, np.array([0.0, 1.0, 5.0])), expected)
-    assert np.isscalar(radial_fourier(profile, 2.0))
+    assert radial_fourier(profile, (0.0, 1.0, 5.0)) == expected
+    assert type(expected) is list and type(radial_fourier(profile, 2.0)) is float
     # equal by value, so equal shapes share atoms
     assert RadialPolynomial([1, -2, 1], 1.5) == profile
     assert hash(RadialPolynomial((1.0, -2.0, 1.0), 1.5)) == hash(profile)

@@ -1,6 +1,7 @@
 """Sequence-quotient machinery: tail surrogate, polar factors, stability probes."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -10,9 +11,13 @@ from conebraid import seqalg as SA
 from conebraid.errors import DomainError, UsageError
 
 
+ALG = SA.MatrixAlgebra()
+M = ALG.element  # a numpy 2 x 2 array as the algebra's matrix
+
+
 @pytest.fixture(scope="module")
 def alg():
-    return SA.MatrixAlgebra(2)
+    return ALG
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +27,11 @@ def policy():
 
 @pytest.fixture(scope="module")
 def mats(alg):
+    # numpy arrays, for the tests' own arithmetic; M() makes them matrices
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    p /= alg.norm(p)
+    p /= alg.norm(M(p))
     a = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
     return a, q, p
 
@@ -48,38 +54,42 @@ def test_tail_policy_validation_and_samples(policy):
 
 def test_limsup_norm_examples(alg, policy, mats):
     a, _, _ = mats
-    assert SA.limsup_norm(SA.constant(alg, a), policy) == alg.norm(a)
-    alt = SA.SequenceElement(alg, lambda n: a if n % 2 == 0 else 2 * a, 2 * alg.norm(a))
-    assert abs(SA.limsup_norm(alt, policy) - 2 * alg.norm(a)) < 1e-14
-    inv = SA.SequenceElement(alg, lambda n: a / n, alg.norm(a))
-    assert SA.limsup_norm(inv, policy) <= alg.norm(a) / policy.window_start
+    assert SA.limsup_norm(SA.constant(alg, M(a)), policy) == alg.norm(M(a))
+    alt = SA.SequenceElement(alg, lambda n: M(a if n % 2 == 0 else 2 * a), 2 * alg.norm(M(a)))
+    assert abs(SA.limsup_norm(alt, policy) - 2 * alg.norm(M(a))) < 1e-14
+    inv = SA.SequenceElement(alg, lambda n: M(a / n), alg.norm(M(a)))
+    assert SA.limsup_norm(inv, policy) <= alg.norm(M(a)) / policy.window_start
 
 
 def test_is_null_examples(alg, policy, mats):
     a, _, _ = mats
-    assert SA.is_null(SA.constant(alg, np.zeros_like(a)), policy)
-    assert not SA.is_null(SA.constant(alg, a), policy)
-    inv = SA.SequenceElement(alg, lambda n: a / n, alg.norm(a))
+    assert SA.is_null(SA.constant(alg, M(np.zeros_like(a))), policy)
+    assert not SA.is_null(SA.constant(alg, M(a)), policy)
+    inv = SA.SequenceElement(alg, lambda n: M(a / n), alg.norm(M(a)))
     assert not SA.is_null(inv, policy)
     # window scaled by the norm pushes the tail strictly under tolerance
-    wide = SA.TailPolicy(window_start=math.ceil(alg.norm(a) / policy.tolerance))
+    wide = SA.TailPolicy(window_start=math.ceil(alg.norm(M(a)) / policy.tolerance))
     assert SA.is_null(inv, wide)
 
 
 def test_bound_certification(alg, policy, mats):
     a, _, _ = mats
-    lying = SA.SequenceElement(alg, lambda n: a * n, alg.norm(a))
+    lying = SA.SequenceElement(alg, lambda n: M(a * n), alg.norm(M(a)))
     with pytest.raises(UsageError):
         SA.limsup_norm(lying, policy)
     with pytest.raises(UsageError):
-        SA.SequenceElement(alg, lambda n: a, float("inf"))
+        SA.SequenceElement(alg, lambda n: M(a), float("inf"))
     with pytest.raises(UsageError):
-        SA.constant(alg, a).at(0)
+        SA.constant(alg, M(a)).at(0)
+    # a nan entry breaks every bound, even beside zeros
+    for bad in (a * math.nan, np.array([[0.0, math.nan], [0.0, 0.0]])):
+        with pytest.raises(UsageError):
+            SA.SequenceElement(alg, lambda n: M(bad), 1.0).at(1)
 
 
 def test_subsequence_monotonicity(alg, policy, mats):
     a, _, _ = mats
-    c = SA.constant(alg, a)
+    c = SA.constant(alg, M(a))
     assert np.allclose(SA.subsequence(c, lambda n: n).at(7), a)
     bad = SA.subsequence(c, lambda n: 10 - n)
     bad.at(3)
@@ -93,7 +103,7 @@ def test_subsequence_violation_between_distant_evaluations(alg, mats):
     # 9 maps below the images of 2 and 5, and neither was evaluated just
     # before 9; the check sees it through 9's sorted neighbour 5
     a, _, _ = mats
-    c = SA.constant(alg, a)
+    c = SA.constant(alg, M(a))
     images = {2: 50, 20: 200, 5: 60, 12: 120, 9: 40}
     sub = SA.subsequence(c, images.__getitem__)
     for n in (2, 20, 5, 12):
@@ -111,28 +121,28 @@ def test_subsequence_violation_between_distant_evaluations(alg, mats):
 
 def test_subsequence_stability_of_equivalence(alg, policy, mats):
     a, _, p = mats
-    drift = SA.SequenceElement(alg, lambda n: a + 0.5**n * p, alg.norm(a) + 1.0)
-    member = lambda t, pol: SA.equivalent(t, SA.constant(alg, a), pol)
+    drift = SA.SequenceElement(alg, lambda n: M(a + 0.5**n * p), alg.norm(M(a)) + 1.0)
+    member = lambda t, pol: SA.equivalent(t, SA.constant(alg, M(a)), pol)
     assert member(drift, policy)
-    ok, n_maps = SA.stability_probe(drift, member, policy, np.random.default_rng(1))
+    ok, n_maps = SA.stability_probe(drift, member, policy, random.Random(1))
     assert ok and n_maps == 8
 
 
 def test_alternating_subsequences_separate(alg, policy, mats):
     a, _, _ = mats
     b = a + np.array([[0.0, 0.0], [0.0, 1.0]])
-    alt = SA.SequenceElement(alg, lambda n: a if n % 2 == 0 else b, 4.0)
+    alt = SA.SequenceElement(alg, lambda n: M(a if n % 2 == 0 else b), 4.0)
     even = SA.subsequence(alt, lambda n: 2 * n)
     odd = SA.subsequence(alt, lambda n: 2 * n + 1)
-    assert SA.equivalent(even, SA.constant(alg, a), policy)
-    assert SA.equivalent(odd, SA.constant(alg, b), policy)
+    assert SA.equivalent(even, SA.constant(alg, M(a)), policy)
+    assert SA.equivalent(odd, SA.constant(alg, M(b)), policy)
     assert not SA.equivalent(even, odd, policy)
 
 
 def test_null_ideal_law(alg, policy, mats):
     a, _, p = mats
-    null_s = SA.SequenceElement(alg, lambda n: 0.5**n * p, 1.0)
-    alt = SA.SequenceElement(alg, lambda n: a if n % 2 == 0 else 2 * a, 2 * alg.norm(a))
+    null_s = SA.SequenceElement(alg, lambda n: M(0.5**n * p), 1.0)
+    alt = SA.SequenceElement(alg, lambda n: M(a if n % 2 == 0 else 2 * a), 2 * alg.norm(M(a)))
     assert SA.is_null(null_s, policy)
     assert SA.is_null(SA.seq_mul(null_s, alt), policy)
     assert SA.is_null(SA.seq_mul(alt, null_s), policy)
@@ -142,7 +152,7 @@ def test_null_ideal_law(alg, policy, mats):
 def test_polar_hand_example(alg, policy):
     early = np.array([[0.0, 2.0], [1.0, 0.0]], dtype=complex)
     late = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    s = SA.SequenceElement(alg, lambda n: early if n < 5 else late, 2.0)
+    s = SA.SequenceElement(alg, lambda n: M(early if n < 5 else late), 2.0)
     u = SA.polar_unitarize(s, policy)
     # B |B|^{-1} = [[0,1],[1,0]] for both branches (|B| = diag(1, 2) early)
     assert np.allclose(u.at(2), late)
@@ -153,7 +163,7 @@ def test_polar_hand_example(alg, policy):
 def test_polar_scalar_example(alg):
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    s = SA.SequenceElement(alg, lambda n: q * (1.0 + 1.0 / n), 2.0)
+    s = SA.SequenceElement(alg, lambda n: M(q * (1.0 + 1.0 / n)), 2.0)
     wide = SA.TailPolicy(window_start=2_000_000)
     u = SA.polar_unitarize(s, wide)
     assert np.allclose(u.at(3_000_000), q)
@@ -162,27 +172,27 @@ def test_polar_scalar_example(alg):
 
 def test_polar_rejects_non_almost_unitary(alg, policy):
     with pytest.raises(DomainError):
-        SA.polar_unitarize(SA.constant(alg, 2.0 * np.eye(2, dtype=complex)), policy)
+        SA.polar_unitarize(SA.constant(alg, M(2.0 * np.eye(2))), policy)
 
 
 def test_polar_corpus_default_policy(alg, policy, mats):
     _, q, p = mats
-    s = SA.SequenceElement(alg, lambda n: q + 0.5**n * p, 2.0)
+    s = SA.SequenceElement(alg, lambda n: M(q + 0.5**n * p), 2.0)
     u = SA.polar_unitarize(s, policy)
     defects = [alg.unitarity_defect(u.at(n)) for n in policy.samples()]
     assert max(defects) < 1e-12
     assert SA.is_null(SA.seq_sub(u, s), policy)
     # Lipschitz-style comparison against the unitarity defect of the input
     for n in policy.samples()[:6]:
-        num = alg.norm(u.at(n) - s.at(n))
-        den = alg.norm(alg.star(s.at(n)) @ s.at(n) - np.eye(2))
+        num = alg.norm(alg.sub(u.at(n), s.at(n)))
+        den = alg.unitarity_defect(s.at(n))
         assert num <= 2.0 * den
 
 
 def test_polar_singular_fallback(alg, policy, mats):
     _, q, _ = mats
     s = SA.SequenceElement(
-        alg, lambda n: np.zeros((2, 2), dtype=complex) if n == 5 else q, 1.0
+        alg, lambda n: M(np.zeros((2, 2)) if n == 5 else q), 1.0
     )
     u = SA.polar_unitarize(s, policy)
     assert np.allclose(u.at(5), np.eye(2))
@@ -191,27 +201,30 @@ def test_polar_singular_fallback(alg, policy, mats):
 
 def test_adjoint_morphism(alg, policy, mats):
     a, q, _ = mats
-    adj = SA.adjoint_morphism(SA.constant(alg, q), a)
+    adj = SA.adjoint_morphism(SA.constant(alg, M(q)), M(a))
     assert np.allclose(adj.at(50), q.conj().T @ a @ q)
-    center = SA.SequenceElement(alg, lambda n: np.exp(1j * n) * np.eye(2), 1.0)
-    assert np.allclose(SA.adjoint_morphism(center, a).at(40), a)
+    center = SA.SequenceElement(alg, lambda n: M(np.exp(1j * n) * np.eye(2)), 1.0)
+    assert np.allclose(SA.adjoint_morphism(center, M(a)).at(40), a)
     with pytest.raises(DomainError):
-        SA.adjoint_morphism(SA.constant(alg, 2.0 * np.eye(2, dtype=complex)), a).at(33)
+        SA.adjoint_morphism(SA.constant(alg, M(2.0 * np.eye(2))), M(a)).at(33)
 
 
 def test_adjoint_alternating_is_unstable(alg, policy, mats):
     a, q, _ = mats
     rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    u_alt = SA.SequenceElement(alg, lambda n: q if n % 2 == 0 else rot @ q, 1.0)
-    adj = SA.adjoint_morphism(u_alt, a)
+    u_alt = SA.SequenceElement(alg, lambda n: M(q if n % 2 == 0 else rot @ q), 1.0)
+    adj = SA.adjoint_morphism(u_alt, M(a))
     even = SA.subsequence(adj, lambda n: 2 * n)
     odd = SA.subsequence(adj, lambda n: 2 * n + 1)
     assert not SA.equivalent(even, odd, policy)
 
 
 def test_matrix_algebra_guards():
-    with pytest.raises(UsageError):
-        SA.MatrixAlgebra(9)
+    # the algebra is 2 x 2 only: other shapes are refused where they enter
+    for rows in (np.eye(3), np.eye(1), [[1.0, 0.0], [0.0]], [[1.0, 0.0]]):
+        with pytest.raises(UsageError):
+            ALG.element(rows)
+    assert ALG.element(np.eye(2)) == ALG.unit()
 
 
 def test_weyl_phase_algebra(policy):
@@ -232,7 +245,7 @@ def test_weyl_phase_algebra(policy):
     adj = SA.adjoint_morphism(useq, wa.element(1.0, F.translate(dlt, (0.0, 2.0, 0.0, 0.0))))
     assert abs(adj.at(64).coeff - 1.0) < 1e-12
     with pytest.raises(UsageError):
-        SA.seq_add(SA.constant(wa, wa.unit()), SA.constant(SA.MatrixAlgebra(2), np.eye(2)))
+        SA.seq_add(SA.constant(wa, wa.unit()), SA.constant(ALG, ALG.unit()))
 
 
 def test_weyl_phase_algebra_is_weyls_product_and_star():
@@ -255,48 +268,55 @@ def test_weyl_phase_algebra_is_weyls_product_and_star():
 
 @pytest.mark.parametrize("seed", [0, 5, 11, 123])
 def test_random_increasing_map_draws_like_scalar_steps(seed):
-    # the shared rng must end where one scalar draw per step would leave it
-    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    # the shared rng must end where one draw per step, in index order, leaves it
+    rng, ref_rng = random.Random(seed), random.Random(seed)
     index_map = SA.random_increasing_map(rng)
     prefix = [0]
     for n in (3, 0, 3, 10, 7, 40, 41, 41, 300):
         while len(prefix) <= n:
-            prefix.append(prefix[-1] + int(ref_rng.integers(1, 5)))
+            prefix.append(prefix[-1] + ref_rng.choices(range(1, 5))[0])
         value = index_map(n)
         assert type(value) is int and value == prefix[n]
-    assert rng.integers(0, 1 << 62, size=3).tolist() == ref_rng.integers(0, 1 << 62, size=3).tolist()
+    assert rng.getrandbits(62) == ref_rng.getrandbits(62)
     assert rng.random() == ref_rng.random()
 
 
-def test_bound_precheck_skips_svds_and_keeps_the_seqalg_rows(monkeypatch):
-    # the Frobenius pre-test decides most bound checks and every unitarity check
-    # without an svd; where it cannot, the check takes the svd as before, so
-    # every row is byte-identical
-    from conebraid.config import RunConfig
-    from conebraid.report import Report
-    from conebraid.suites import RunContext, run_seqalg
+def _svd_cases():
+    rng = np.random.default_rng(7)
+    cases = []
+    for k in range(40):
+        cases.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+    cases.append(3.0 * q)  # equal singular values
+    cases.append(q * (1.0 + np.array([[1e-9, 0.0], [0.0, 0.0]])))  # nearly equal
+    u, v = rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal(size=2) + 1j * rng.normal(size=2)
+    cases.append(np.outer(u, v.conj()))  # rank 1
+    cases.append(np.array([[0.0, 2.0], [0.0, 0.0]]))  # rank 1, nilpotent
+    cases.extend([1e-150 * cases[0], 1e150 * cases[1], 1e-150 * cases[-2], 1e150 * cases[40]])
+    return cases
 
-    ctx = RunContext(RunConfig().validate())
-    svd = np.linalg.svd
-    calls = []
 
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
+@pytest.mark.parametrize("k", range(48))
+def test_matrix_norm_polar_and_smallest_singular_value_match_svd(k):
+    # the closed forms against LAPACK's svd at 1e-14 relative: s_max, s_min
+    # (relative to s_max), and the polar factor u vh unless s_min / s_max is
+    # below the polar cutoff's 1e-8
+    x = _svd_cases()[k]
+    m = M(x)
+    u, s, vh = np.linalg.svd(x)
+    assert abs(ALG.norm(m) - s[0]) <= 1e-14 * s[0]
+    polar, smallest = ALG.polar(m)
+    assert abs(smallest - s[1]) <= 1e-14 * s[0]
+    if s[1] > 1e-8 * s[0]:
+        assert np.max(np.abs(np.array(polar) - u @ vh)) <= 1e-14
+        assert ALG.unitarity_defect(polar) <= 1e-14
+    # products and adjoints are numpy's, entry by entry
+    y = _svd_cases()[(k + 1) % 48]
+    assert np.allclose(ALG.mul(m, M(y)), x @ y, rtol=1e-15, atol=0.0)
+    assert np.array_equal(np.array(ALG.star(m)), x.conj().T)
 
-    monkeypatch.setattr(SA.np.linalg, "svd", counting_svd)
 
-    def run():
-        calls.clear()
-        rows = run_seqalg(ctx, np.random.default_rng(2))
-        return Report(suite="seqalg", config_digest="", seed=2, rows=rows).to_csv(), len(calls)
-
-    prechecked, fewer = run()
-    # a pre-test that never decides leaves every bound and unitarity check to the svd
-    monkeypatch.setattr(SA.MatrixAlgebra, "norm_bound", lambda self, a: math.inf)
-    exact, every = run()
-    assert prechecked == exact
-    # the pre-test decides all 64 of adjoint_morphism's unitarity checks
-    # (865 svds without it), but none of the 401 bound checks whose bound is
-    # the spectral norm (a constant unitary: bound 1, Frobenius norm sqrt(2))
-    assert (fewer, every) == (801, 1253)
+def test_zero_matrix_has_the_unit_as_polar_and_no_norm():
+    zero = M(np.zeros((2, 2)))
+    assert ALG.norm(zero) == 0.0
+    assert ALG.polar(zero) == (ALG.unit(), 0.0)
