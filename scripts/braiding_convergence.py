@@ -9,10 +9,8 @@ that crossing explicit.
 """
 
 import argparse
+import cmath
 import math
-
-import numpy as np
-from scipy.special import erf
 
 from conebraid.category import braiding_asymptotic, braiding_exact
 from conebraid.config import load_config
@@ -24,7 +22,14 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def closed_form(d: float) -> float:
-    return math.sqrt(math.pi / 2.0) * erf(d / 2.0) / d
+    return math.sqrt(math.pi / 2.0) * math.erf(d / 2.0) / d
+
+
+def geometric_ladder(r_min: float, r_max: float, points: int) -> list[float]:
+    """points radii in equal ratios from r_min to r_max, both end points exact."""
+    ratio = r_max / r_min
+    inner = [r_min * ratio ** (k / (points - 1)) for k in range(1, points - 1)]
+    return [r_min, *inner, r_max]
 
 
 def main() -> int:
@@ -38,14 +43,14 @@ def main() -> int:
     ctx = RunContext(load_config(args.config))
     gamma, delta = (ctx.objects[n] for n in list(ctx.objects)[:2])
     exact = braiding_exact(gamma, delta).coeff
-    radii = list(np.geomspace(args.r_min, args.r_max, args.points))
+    radii = geometric_ladder(args.r_min, args.r_max, args.points)
     run = braiding_asymptotic(gamma, delta, ctx.cone, radii)
 
     print(f"exact phase: {exact:.12f}")
     print(f"{'R':>8s} {'residual':>14s} {'closed form':>14s} {'ratio to 1/R':>13s}")
     for radius, phase in zip(run.radii, run.phases):
         res = abs(phase - exact)
-        pred = abs(np.exp(1j * closed_form(2.0 * radius)) - 1.0)
+        pred = abs(cmath.exp(1j * closed_form(2.0 * radius)) - 1.0)
         print(f"{radius:8.1f} {res:14.6e} {pred:14.6e} {res * 2.0 * radius:13.6f}")
 
     target = 1e-3

@@ -14,8 +14,6 @@ import argparse
 import csv
 from pathlib import Path
 
-import numpy as np
-
 from conebraid.config import load_config
 from conebraid.suites import run_suite
 
@@ -32,6 +30,13 @@ CHECKS = {
 COLUMNS = ("radius", *CHECKS)
 
 
+def geometric_ladder(r_min: float, r_max: float, points: int) -> list[float]:
+    """points radii in equal ratios from r_min to r_max, both end points exact."""
+    ratio = r_max / r_min
+    inner = [r_min * ratio ** (k / (points - 1)) for k in range(1, points - 1)]
+    return [r_min, *inner, r_max]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=ROOT / "configs" / "decay_extended.json")
@@ -42,7 +47,7 @@ def main() -> int:
     args = parser.parse_args()
 
     config = load_config(args.config)
-    ladder = tuple(float(r) for r in np.geomspace(args.r_min, args.r_max, args.points))
+    ladder = tuple(geometric_ladder(args.r_min, args.r_max, args.points))
     report = run_suite(config._replace(radii=ladder).validate(), "decay")
     first_pair = f"{config.charges[0].name}:{config.charges[1].name}"
     residual = {(row.check_id, row.radius): row.residual for row in report.rows if row.charge_pair == first_pair}

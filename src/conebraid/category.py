@@ -18,14 +18,17 @@ pure phases on a zero label.
 
 The asymptotic braiding transports each charge along a spacelike cone, the
 second charge along the opposite cone, and evaluates the transported
-exchange through the categorical operations.  Next to each categorical
-phase it returns the closed-form phase
+exchange through the categorical operations.  ``braiding_asymptotic`` is
+the one braiding routine: the braiding suite reads it on the configured
+cone and the homotopy suite once per cone of its chain.  Next to each
+categorical phase it returns the closed-form phase
 
     exp(i [sigma(gamma, delta_b - delta) - sigma(delta_b, gamma_a - gamma)])
 
 and the braiding suite reports their distance as a row (both sides use the
 same symplectic evaluator, so the row guards the category algebra, not the
-quadrature).  Residual
+quadrature).  A call with an rng also returns the exchange of the same
+transport arrows with their free phases redrawn.  Residual
 helpers quantify the finite-radius deviations: implementation defect of a
 translated charge on a fixed observable, commutator decay of transported
 intertwiner labels, ordering defect of transported tensor products, and
@@ -93,18 +96,6 @@ class ConeSpec(Frozen):
         a0 = self.time_slope * radius**self.time_exponent if self.time_slope else 0.0
         return (a0, radius * self.axis[0], radius * self.axis[1], radius * self.axis[2])
 
-    def axis_angle_to(self, other: "ConeSpec") -> float:
-        return _angle(self.axis, other.axis)
-
-    def overlaps(self, other: "ConeSpec") -> bool:
-        return self.axis_angle_to(other) < self.half_angle + other.half_angle
-
-
-def _angle(u, v) -> float:
-    """Angle between two unit 3-vectors."""
-    cosang = u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-    return math.acos(min(1.0, max(-1.0, cosang)))
-
 
 class ChargeAutomorphism(Frozen):
     """A charge automorphism, carrying its field data; objects compare by identity."""
@@ -149,8 +140,8 @@ def translate_object(obj: ChargeAutomorphism, a) -> ChargeAutomorphism:
 
 
 def same_object(a: ChargeAutomorphism, b: ChargeAutomorphism) -> bool:
-    """Equal field data: the exact label identity, read off the canonical terms."""
-    return a.data.terms == b.data.terms
+    """Equal field data: the exact label identity of the two data vectors."""
+    return label_id(a.data) == label_id(b.data)
 
 
 def hom_basis(source: ChargeAutomorphism, target: ChargeAutomorphism):
@@ -237,13 +228,15 @@ def braiding_exact(a: ChargeAutomorphism, b: ChargeAutomorphism) -> Intertwiner:
 
 
 class BraidingRun(NamedTuple):
-    """Transported exchange phases at each radius, and the closed-form
-    phases exp(i(sigma(a, v) - sigma(b_far, u))) each should equal.
+    """Transported exchange phases at each radius, the closed-form phases
+    exp(i(sigma(a, v) - sigma(b_far, u))) each should equal, and the
+    exchange phases with the transporters rephased (empty without an rng).
     """
 
     radii: tuple[float, ...]
     phases: tuple[complex, ...]
     closed: tuple[complex, ...]
+    rephased: tuple[complex, ...] = ()
 
 
 def braiding_asymptotic(
@@ -255,19 +248,22 @@ def braiding_asymptotic(
 ) -> BraidingRun:
     """Braiding via transported exchange at each radius along the cone.
 
-    The first charge is moved to radius r along the cone axis, the second
-    to the exact antipode; the exchange is evaluated through star, tensor,
-    and composition of the transport arrows.  Passing an rng (anything with
-    random.Random's uniform) re-draws the free phase of every transporter
-    from rng.uniform(0, 2 pi); the result is invariant because each
-    transporter meets its own star.  Each phase comes with its closed form,
-    which the braiding suite compares it with.  The limit phase is
+    The one braiding routine: the braiding suite calls it on the configured
+    cone, and the homotopy suite once per cone of its chain.  The first
+    charge is moved to radius r along the cone axis, the second to the
+    exact antipode; the exchange is evaluated through star, tensor, and
+    composition of the transport arrows u and v.  Each phase comes with its
+    closed form, which the braiding suite compares it with.  Passing an rng
+    (anything with random.Random's uniform) also returns the exchange of
+    the same u and v with their free phases redrawn from
+    rng.uniform(0, 2 pi), u then v at each radius; it equals the plain
+    phase because each transporter meets its own star.  The limit phase is
     approached like c/R.
     """
     radii = [float(r) for r in radii]
     if len(radii) < 3 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
         raise UsageError("radii must be strictly increasing with at least 3 entries")
-    phases, closed_phases = [], []
+    phases, closed_phases, rephased = [], [], []
     for radius in radii:
         ta = cone.translation(radius)
         tb = tuple(-c for c in ta)
@@ -275,48 +271,19 @@ def braiding_asymptotic(
         b_far = translate_object(b, tb)
         u = hom_basis(a, a_far)
         v = hom_basis(b, b_far)
-        if rng is not None:
-            u = rephase(u, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-            v = rephase(v, cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi)))
-        eps = compose(star_mor(tensor_mor(v, u)), tensor_mor(u, v))
-        if not eps.label.is_zero:
-            raise InternalError("asymptotic braiding must have zero label")
-        closed = cmath.exp(
-            1j
-            * (
-                symplectic(a.data, v.label)
-                - symplectic(b_far.data, u.label)
-            )
-        )
-        phases.append(complex(eps.coeff))
+        closed = cmath.exp(1j * (symplectic(a.data, v.label) - symplectic(b_far.data, u.label)))
         closed_phases.append(complex(closed))
-    return BraidingRun(radii=tuple(radii), phases=tuple(phases), closed=tuple(closed_phases))
-
-
-def cone_homotopy(
-    a: ChargeAutomorphism,
-    b: ChargeAutomorphism,
-    chain,
-    radii,
-) -> list[complex]:
-    """Braiding phase at the largest radius for each cone along a chain of overlapping cones.
-
-    Each value is the phase at the largest radius, not the limit itself;
-    the limit phase is approached like c/R.
-
-    Consecutive cones must overlap (axis angle below the sum of the half
-    angles) so the chain is a genuine path of admissible directions.
-    """
-    chain = list(chain)
-    if not chain:
-        raise ConfigError("cone chain must be nonempty")
-    for first, second in zip(chain, chain[1:]):
-        if not first.overlaps(second):
-            raise ConfigError(
-                "consecutive cones do not overlap: axis angle "
-                f"{first.axis_angle_to(second):.4f} exceeds {first.half_angle + second.half_angle:.4f}"
-            )
-    return [braiding_asymptotic(a, b, cone, radii).phases[-1] for cone in chain]
+        transports = [(u, v)]
+        if rng is not None:
+            z_u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            z_v = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+            transports.append((rephase(u, z_u), rephase(v, z_v)))
+        for (x, y), out in zip(transports, (phases, rephased)):
+            eps = compose(star_mor(tensor_mor(y, x)), tensor_mor(x, y))
+            if not eps.label.is_zero:
+                raise InternalError("asymptotic braiding must have zero label")
+            out.append(complex(eps.coeff))
+    return BraidingRun(tuple(radii), tuple(phases), tuple(closed_phases), tuple(rephased))
 
 
 def implementation_residual(obj: ChargeAutomorphism, a, f: FieldVector) -> float:

@@ -285,7 +285,8 @@ class FieldVector(Frozen):
 
     ``terms`` is canonical: (coefficient, atom) pairs sorted by the atoms'
     sort keys, each atom once, every coefficient nonzero.  Vectors compare
-    by identity; ``weyl.label_id`` is their exact value identity.
+    by identity; their terms tuple, which ``weyl.label_id`` returns, is
+    their exact value identity.
     """
 
     def __init__(self, terms: tuple, klass: str, charge: float):

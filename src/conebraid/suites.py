@@ -118,7 +118,7 @@ class RunContext:
         return [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
 
     def homotopy_chain(self):
-        """Cones rotated in a fixed plane through the configured axis."""
+        """The configured cone, then cones rotated from it in a fixed plane through its axis."""
         axis0 = self.cone.axis
         # the plane holds the unit probe e_i, whose dot with the axis is axis0[i]
         i = 1 if abs(axis0[0]) > 0.9 else 0
@@ -126,17 +126,11 @@ class RunContext:
         norm = math.hypot(*ortho)
         ortho = tuple(c / norm for c in ortho)
         step = math.radians(HOMOTOPY_STEP_DEG)
-        chain = []
-        for k in range(HOMOTOPY_STEPS + 1):
+        chain = [self.cone]
+        for k in range(1, HOMOTOPY_STEPS + 1):
             cos, sin = math.cos(k * step), math.sin(k * step)
-            chain.append(
-                cat.ConeSpec(
-                    tuple(cos * a + sin * o for a, o in zip(axis0, ortho)),
-                    self.cone.half_angle,
-                    self.cone.time_slope,
-                    self.cone.time_exponent,
-                )
-            )
+            axis = tuple(cos * a + sin * o for a, o in zip(axis0, ortho))
+            chain.append(cat.ConeSpec(axis, self.cone.half_angle, self.cone.time_slope, self.cone.time_exponent))
         return chain
 
 
@@ -144,8 +138,12 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     """(label, row count) per sub-suite, computable without running numerics.
 
     A plan with the homotopy suite needs cones wider than half a chain step,
-    so that consecutive cones of the chain overlap; it is rejected here,
-    before any suite runs.
+    so that consecutive cones of the chain overlap.  A plan with the
+    braiding, homotopy or decay suite needs every charge pair to couple: at
+    equal times sigma pairs only g with h, and a cone with time_slope 0
+    transports at equal times, so a pair in one channel braids trivially
+    and its rows read literal zeros.  Both are rejected here, before any
+    suite runs.
     """
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")
@@ -154,6 +152,15 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
             f"the homotopy chain steps by {HOMOTOPY_STEP_DEG:g} degrees, so its cones need "
             f"half_angle_deg above {HOMOTOPY_STEP_DEG / 2:g}, got {config.cone.half_angle_deg:g}"
         )
+    if suite in ("braiding", "homotopy", "decay", "all") and config.cone.time_slope == 0.0:
+        for i, first in enumerate(config.charges):
+            for second in config.charges[i + 1 :]:
+                if first.channel == second.channel:
+                    raise ConfigError(
+                        f"charges {first.name!r} and {second.name!r} share channel {first.channel!r} "
+                        "on a cone with time_slope 0, so they braid trivially and no braiding, "
+                        "homotopy or decay row can fail"
+                    )
     n_charges = len(config.charges)
     n_pairs = n_charges * (n_charges - 1) // 2
     n_radii = len(config.radii)
@@ -309,9 +316,8 @@ def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         pair = f"{name_a}:{name_b}"
         a_obj, b_obj = ctx.objects[name_a], ctx.objects[name_b]
         exact = cat.braiding_exact(a_obj, b_obj).coeff
-        plain = cat.braiding_asymptotic(a_obj, b_obj, ctx.cone, radii)
-        redrawn = cat.braiding_asymptotic(a_obj, b_obj, ctx.cone, radii, rng=rng)
-        for radius, phase, closed, phase_r in zip(radii, plain.phases, plain.closed, redrawn.phases):
+        run = cat.braiding_asymptotic(a_obj, b_obj, ctx.cone, radii, rng=rng)
+        for radius, phase, closed, phase_r in zip(radii, run.phases, run.closed, run.rephased):
             rows.append(
                 _row("braiding/limit_vs_exact", pair, "", radius, phase, abs(phase - exact), BRAIDING_THRESHOLD)
             )
@@ -348,7 +354,7 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
         pair = f"{name_a}:{name_b}"
         a_obj, b_obj = ctx.objects[name_a], ctx.objects[name_b]
         exact = cat.braiding_exact(a_obj, b_obj).coeff
-        limits = cat.cone_homotopy(a_obj, b_obj, chain, radii)
+        limits = [cat.braiding_asymptotic(a_obj, b_obj, cone, radii).phases[-1] for cone in chain]
         for k, limit in enumerate(limits):
             rows.append(
                 _row(

@@ -13,10 +13,11 @@ WeylElement, and ``category.compose`` shares the one private product
 ``_product`` with ``weyl_mul``.
 
 Generator labels are identified exactly: ``label_id`` is the vector's
-terms as (atom sort key, coefficient) pairs, so two vectors have equal
-labels exactly when their terms are equal, the identity the field layer
-merges terms on.  ``coeff_of`` reads the coefficient of an equal label and
-0 for any other.
+canonical terms tuple itself, whose atoms compare and hash by their sort
+keys, so two vectors have equal labels exactly when their terms are equal,
+the identity the field layer merges terms on and ``category.same_object``
+compares objects by.  ``coeff_of`` reads the coefficient of an equal label
+and 0 for any other.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on test-class labels (the exponent diverges otherwise, and
@@ -42,8 +43,8 @@ _JACOBI_MAX_SWEEPS = 30
 
 
 def label_id(vec: FieldVector) -> tuple:
-    """Exact hashable identity of a field vector: (atom sort key, coefficient) per term."""
-    return tuple([(atom.sort_key, coeff) for coeff, atom in vec.terms])
+    """Exact hashable identity of a field vector: its canonical (coefficient, atom) terms."""
+    return vec.terms
 
 
 class WeylElement(Frozen):

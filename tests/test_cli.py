@@ -229,6 +229,78 @@ def test_braiding_rows_follow_radius_schedule():
     assert [r.radius for r in sorted(per_pair, key=lambda r: r.radius)] == data["radii"]
 
 
+def test_homotopy_chain_starts_at_the_configured_cone():
+    ctx = suites.RunContext(load_config(CONFIG_PATH))
+    chain = ctx.homotopy_chain()
+    assert chain[0] is ctx.cone and len(chain) == suites.HOMOTOPY_STEPS + 1
+
+
+def test_cone00_homotopy_row_is_the_largest_radius_braiding_row():
+    report = run_suite(load_config(CONFIG_PATH), "all")
+    (cone00,) = [r for r in report.rows if r.check_id == "homotopy/limit_vs_exact" and r.cone_id == "cone00"]
+    (at_40,) = [r for r in report.rows if r.check_id == "braiding/limit_vs_exact" and r.radius == 40.0]
+    assert cone00.value == at_40.value and cone00.residual == at_40.residual
+
+
+def test_each_homotopy_row_transports_along_its_own_cone(monkeypatch):
+    # moving every cone but the configured one to 1.5 R changes the homotopy
+    # rows of those cones, and no braiding row, which reads the configured cone
+    import random
+
+    ctx = suites.RunContext(load_config(CONFIG_PATH))
+
+    def rows():
+        braiding = suites.run_braiding(ctx, random.Random(1))
+        homotopy = [r for r in suites.run_homotopy(ctx) if r.cone_id]
+        return braiding, homotopy
+
+    braiding, homotopy = rows()
+    translation = suites.cat.ConeSpec.translation
+
+    def farther(cone, radius):
+        return translation(cone, radius if cone is ctx.cone else 1.5 * radius)
+
+    monkeypatch.setattr(suites.cat.ConeSpec, "translation", farther)
+    braiding_moved, homotopy_moved = rows()
+    assert braiding_moved == braiding
+    assert homotopy_moved[0] == homotopy[0] and homotopy_moved[0].cone_id == "cone00"
+    assert [r.cone_id for r in homotopy_moved[1:]] == [f"cone{k:02d}" for k in range(1, suites.HOMOTOPY_STEPS + 1)]
+    assert all(moved.value != row.value for moved, row in zip(homotopy_moved[1:], homotopy[1:]))
+
+
+@pytest.mark.parametrize("channels", ["gg", "hh", "ghg"])
+def test_cli_rejects_uncoupled_charge_pairs_before_any_suite(tmp_path, capsys, monkeypatch, channels):
+    # at equal times sigma pairs only g with h: two charges in one channel on a
+    # cone with time_slope 0 braid trivially, so no braiding, homotopy or decay row can fail
+    data = default_dict()
+    charge = data["charges"][0]
+    data["charges"] = [dict(charge, name=f"c{k}", channel=c) for k, c in enumerate(channels)]
+    path = tmp_path / "uncoupled.json"
+    path.write_text(json.dumps(data))
+    pair = "'c0' and 'c1'" if channels != "ghg" else "'c0' and 'c2'"
+
+    def no_laws(*args):
+        raise AssertionError("run_laws ran for a rejected plan")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "run_laws", no_laws)
+        for suite in ("all", "braiding", "homotopy", "decay"):
+            argv = ["verify", "--config", str(path), "--suite", suite, "--out", str(tmp_path / suite)]
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert "plan:" not in captured.out
+            assert len(captured.err.splitlines()) == 1 and pair in captured.err, captured.err
+            assert f"share channel {channels[0]!r}" in captured.err
+            assert not (tmp_path / suite).exists()
+    # the laws and seqalg suites draw time-shifted objects, so they still run
+    for suite in ("laws", "seqalg"):
+        assert main(["verify", "--config", str(path), "--suite", suite, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / f"{suite}_report.csv").exists()
+    # a time-sloped cone transports the two charges at unequal times, so they couple
+    data["cone"].update(time_slope=1.0, time_exponent=0.5)
+    assert sum(n for _, n in plan_counts(config_from_dict(data), "all")) > 0
+
+
 def test_laws_suite_all_pass():
     report = run_suite(load_config(CONFIG_PATH), "laws")
     assert len(report.rows) == 13 and report.all_passed()
