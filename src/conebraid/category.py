@@ -54,7 +54,9 @@ class ConeSpec(Frozen):
 
     Translations at a given radius move by radius times the axis, with an
     optional time component kappa * radius**beta; beta < 1 keeps the path
-    asymptotically spacelike.  Cones with equal fields compare equal.
+    asymptotically spacelike, and ``translation`` refuses a timelike radius.
+    The one cone check: a config is validated by building its cone, so the
+    messages speak in the config's keys and units.  Cones compare by identity.
     """
 
     def __init__(self, axis, half_angle: float, time_slope: float = 0.0, time_exponent: float = 0.0):
@@ -63,28 +65,15 @@ class ConeSpec(Frozen):
         if len(ax) != 3 or not math.isfinite(norm) or norm == 0.0:
             raise ConfigError("cone axis must be a nonzero finite vector")
         if not (0.0 < half_angle < math.pi / 2.0):
-            raise ConfigError("cone half angle must lie in (0, pi/2)")
-        if time_slope < 0.0:
-            raise ConfigError("cone time slope must be nonnegative")
-        if not (0.0 <= time_exponent < 1.0):
-            raise ConfigError("cone time exponent must lie in [0, 1)")
+            raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
+        if time_slope < 0.0 or not (0.0 <= time_exponent < 1.0):
+            raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
         self.__dict__.update(
             axis=tuple(c / norm for c in ax),
             half_angle=half_angle,
             time_slope=time_slope,
             time_exponent=time_exponent,
         )
-
-    def _key(self) -> tuple:
-        return (self.axis, self.half_angle, self.time_slope, self.time_exponent)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
     def opposite(self) -> "ConeSpec":
         ax = tuple(-c for c in self.axis)
@@ -94,6 +83,11 @@ class ConeSpec(Frozen):
         if radius <= 0:
             raise ConfigError("cone translation radius must be positive")
         a0 = self.time_slope * radius**self.time_exponent if self.time_slope else 0.0
+        if not abs(a0) < radius:
+            raise ConfigError(
+                f"cone transport at radius {radius:g} is not spacelike: "
+                f"|time_slope * R^time_exponent| = {abs(a0):g} >= R"
+            )
         return (a0, radius * self.axis[0], radius * self.axis[1], radius * self.axis[2])
 
 
@@ -144,10 +138,8 @@ def same_object(a: ChargeAutomorphism, b: ChargeAutomorphism) -> bool:
     return label_id(a.data) == label_id(b.data)
 
 
-def hom_basis(source: ChargeAutomorphism, target: ChargeAutomorphism):
-    """Unit basis arrow of the hom-set, or None when the charges differ."""
-    if source.charge != target.charge:
-        return None
+def hom_basis(source: ChargeAutomorphism, target: ChargeAutomorphism) -> Intertwiner:
+    """Unit basis arrow of the hom-set; intertwiner_label raises DomainError when the charges differ."""
     return Intertwiner(
         source=source,
         target=target,

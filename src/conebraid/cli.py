@@ -14,7 +14,7 @@ No other exit codes are used.  The planned row count is printed, and
 flushed, before the numerics start.  If the reader of stdout goes away
 (as under `| head -1`), the rest of the output is dropped and the exit
 code is still the verdict.  Report files contain no timing data and are
-byte stable for a fixed config and seed.
+byte stable for a fixed config; the config alone sets the seed.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="path to the JSON run configuration")
     p.add_argument("--out", default="out", help="output directory (default: out)")
     p.add_argument("--format", default="csv", choices=("csv", "json"), help="report file format")
-    p.add_argument("--seed", type=int, default=None, help="override the configured seed")
     p.add_argument("--suite", default="all", choices=SUITE_NAMES, help="which suite to run (default: all)")
     return parser
 
@@ -64,13 +63,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config)
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         plan = plan_counts(config, args.suite)
         total = sum(n for _, n in plan)
         detail = ", ".join(f"{name}: {n}" for name, n in plan)
         _say(f"plan: suite {args.suite!r} -> {total} rows ({detail})")
-        report = run_suite(config, args.suite, seed=args.seed)
+        report = run_suite(config, args.suite)
         written = emit_report(report, args.out, args.format)
     except (ConfigError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

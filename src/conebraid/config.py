@@ -4,7 +4,8 @@ A config carries only what a workload varies: the charges, the cone, the
 radii and the seed.  The output directory is the CLI's --out, so it never
 enters the config digest.  The check policy is fixed in
 ``suites`` and the momentum cutoff in ``field`` (R_MAX), so no config can
-move a threshold or the model.
+move a threshold or the model.  ``validate`` checks the cone by building it
+(``cone_spec``, the cone a run uses) and transporting it to every radius.
 
 The dialect is plain JSON with a fixed key tree; serialization is canonical
 (sorted keys, two-space indent, trailing newline), so parse -> dump is
@@ -25,14 +26,15 @@ import typing
 from pathlib import Path
 from typing import NamedTuple
 
+from .category import ConeSpec
 from .errors import ConfigError
-from .field import R_MAX
+from .field import BUMP_SHAPES, R_MAX
 
 _PROFILE_KINDS = ("gaussian-momentum", "bump-position")
-_BUMP_SHAPES = ("indicator", "smooth")
-# Length-scale bounds for s and support_radius: past them float powers
-# overflow (s ** 2, support_radius ** 3), or every sigma and charge underflows
-# to zero and the braiding rows pass trivially.  A Gaussian charge also needs
+# Bounds for s, support_radius and |q|: past them float powers overflow
+# (s ** 2, support_radius ** 3), or every sigma and charge underflows to zero
+# and the braiding rows pass trivially.  q = 0 on a g-channel Gaussian is the
+# chargeless r^2-damped variant, which couples.  A Gaussian charge also needs
 # s >= sqrt(40) / R_MAX: at equal widths that is the closed-form sigma
 # route's own tail condition a * R_MAX^2 >= 40 (field.CLOSED_FORM_MIN_TAIL).
 SCALE_MIN, SCALE_MAX = 1e-3, 1e3
@@ -78,11 +80,13 @@ class RunConfig(NamedTuple):
                 raise ConfigError(f"charge {c.name!r}: channel must be 'g' or 'h'")
             for name, value in (("s", c.s), ("support_radius", c.support_radius)):
                 _check_scale(f"charge {c.name!r}: {name}", value)
+            if c.q != 0.0 or (c.profile, c.channel) != ("gaussian-momentum", "g"):
+                _check_scale(f"charge {c.name!r}: |q|", abs(c.q))
             if c.profile == "gaussian-momentum" and c.s < GAUSS_S_MIN:
                 raise ConfigError(
                     f"charge {c.name!r}: s must be at least sqrt(40) / R_MAX = {GAUSS_S_MIN:.4g}, got {c.s:g}"
                 )
-            if c.shape not in _BUMP_SHAPES:
+            if c.shape not in BUMP_SHAPES:
                 raise ConfigError(f"charge {c.name!r}: unknown bump shape {c.shape!r}")
             if not c.name:
                 raise ConfigError("charge names must be nonempty")
@@ -90,25 +94,16 @@ class RunConfig(NamedTuple):
             raise ConfigError("radii must be strictly increasing with at least 3 entries")
         if self.radii[0] <= 0:
             raise ConfigError("radii must be positive")
-        slope, exponent = self.cone.time_slope, self.cone.time_exponent
-        if slope < 0 or not (0.0 <= exponent < 1.0):
-            raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
+        cone = self.cone_spec()
         for radius in self.radii:
-            # the transport (a0, R * axis) of ConeSpec.translation must be spacelike
-            a0 = slope * radius**exponent if slope else 0.0
-            if not abs(a0) < radius:
-                raise ConfigError(
-                    f"cone transport at radius {radius:g} is not spacelike: "
-                    f"|time_slope * R^time_exponent| = {abs(a0):g} >= R"
-                )
-        if not (0.0 < self.half_angle_rad() < math.pi / 2.0):
-            raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
+            cone.translation(radius)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
 
-    def half_angle_rad(self) -> float:
-        return math.radians(self.cone.half_angle_deg)
+    def cone_spec(self) -> ConeSpec:
+        cone = self.cone
+        return ConeSpec(cone.axis, math.radians(cone.half_angle_deg), cone.time_slope, cone.time_exponent)
 
     def to_dict(self) -> dict:
         out = self._asdict()

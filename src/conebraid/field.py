@@ -34,6 +34,10 @@ over momenta |p| <= R_MAX, one fixed cutoff for every vector, and sigma =
 analytically: q = (2 pi)^{3/2} g~(0), evaluated from the profile's closed
 form at construction.
 
+A vector's class is its charge: only a test vector, of charge exactly 0.0,
+has a scalar product.  A sum's charge is the sum of its operands', so a
+difference of equal charges is a test vector however it was built.
+
 Both bilinear forms take one route, the radial route, which integrates the
 exact angular average (the phase pair e^{i p.(d_A - d_B)} averages to
 sinc(r |d_A - d_B|)) and so stays accurate at arbitrary translation radius.
@@ -76,9 +80,6 @@ import operator
 
 from .errors import ConfigError, DomainError, UsageError
 
-TEST = "test"
-CHARGE = "charge"
-
 TWO_PI_32 = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
 
 # The momentum cutoff: every bilinear form integrates over (0, R_MAX].
@@ -100,6 +101,9 @@ RADIAL_RULE_MAX_NODES = 1 << 25
 # over [0, inf), which differs from the rule's (0, R_MAX] by about e^{-a R_MAX^2}.
 CLOSED_FORM_MIN_DELTA = 0.5
 CLOSED_FORM_MIN_TAIL = 40.0
+# Coefficients of each named bump shape in powers of (r/R)^2: the indicator
+# is 1, smooth is (1 - (r/R)^2)^2 inside the support, C^1 at the boundary.
+BUMP_SHAPES = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
 # Pair integrals kept; the default run needs about 4k.
 PAIR_CACHE_SIZE = 1 << 14
 SIGMA, RE = "sigma", "re"
@@ -284,14 +288,15 @@ class FieldVector(Frozen):
     """Immutable finite combination of translated radial atoms.
 
     ``terms`` is canonical: (coefficient, atom) pairs sorted by the atoms'
-    sort keys, each atom once, every coefficient nonzero.  Vectors compare
-    by identity; their terms tuple, which ``weyl.label_id`` returns, is
-    their exact value identity.
+    sort keys, each atom once, every coefficient nonzero.  ``charge`` is
+    the vector's class: 0.0 for a test vector.  Vectors compare by
+    identity; their terms tuple, which ``weyl.label_id`` returns, is their
+    exact value identity.
     """
 
-    def __init__(self, terms: tuple, klass: str, charge: float):
+    def __init__(self, terms: tuple, charge: float):
         d = self.__dict__
-        d["terms"], d["klass"], d["charge"] = terms, klass, charge
+        d["terms"], d["charge"] = terms, charge
 
     @property
     def is_zero(self) -> bool:
@@ -308,15 +313,15 @@ class FieldVector(Frozen):
         return value
 
 
-def _make(items, klass, charge) -> FieldVector:
+def _make(items, charge) -> FieldVector:
     terms = _canonical_terms(items)
     if not terms:
         return zero_vector()
-    return FieldVector(terms, klass, charge)
+    return FieldVector(terms, charge)
 
 
 def zero_vector() -> FieldVector:
-    return FieldVector((), TEST, 0.0)
+    return FieldVector((), 0.0)
 
 
 def make_charge_vector(q: float = 1.0, width: float = 1.0) -> FieldVector:
@@ -326,7 +331,7 @@ def make_charge_vector(q: float = 1.0, width: float = 1.0) -> FieldVector:
     if q == 0.0:
         return zero_vector()
     atom = Atom(Profile("gauss", width=float(width)), "g")
-    return _make([(q / TWO_PI_32, atom)], CHARGE, float(q))
+    return _make([(q / TWO_PI_32, atom)], float(q))
 
 
 def make_test_vector(
@@ -347,7 +352,7 @@ def make_test_vector(
         return zero_vector()
     kind = "gauss" if channel == "h" else "gauss2"
     atom = Atom(Profile(kind, width=float(width)), channel)
-    return _make([(float(amplitude), atom)], TEST, 0.0)
+    return _make([(float(amplitude), atom)], 0.0)
 
 
 def make_bump_vector(
@@ -358,31 +363,22 @@ def make_bump_vector(
     """Vector from a compactly supported radial position profile.
 
     The charge is the profile's own integral (4 pi int r^2 f dr times the
-    amplitude), the closed-form transform of ``shape`` at zero momentum; the
-    vector is test class exactly when that charge vanishes.  Vectors built
-    from equal shapes have equal atoms.
+    amplitude), the closed-form transform of ``shape`` at zero momentum, so
+    an h-channel bump is a test vector.  Vectors built from equal shapes
+    have equal atoms.
     """
     if channel not in ("g", "h"):
         raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
     atom = Atom(Profile("bump", shape=shape), channel)
-    q = amplitude * atom.charge_factor()
-    klass = TEST if q == 0.0 else CHARGE
-    return _make([(float(amplitude), atom)], klass, q)
+    return _make([(float(amplitude), atom)], amplitude * atom.charge_factor())
 
 
 def add(x: FieldVector, y: FieldVector) -> FieldVector:
-    """Sum of two vectors.
-
-    The class bookkeeping is conservative: the sum is test class only when
-    both operands are, or when the terms cancel exactly to the zero vector.
-    Chargeless differences of equivalent charge vectors are produced by the
-    dedicated intertwiner_label path instead.
-    """
+    """Sum of two vectors, of charge x.charge + y.charge."""
     terms = _merge_terms(x.terms, y.terms)
     if not terms:
         return zero_vector()
-    klass = TEST if (x.klass == TEST and y.klass == TEST) else CHARGE
-    return FieldVector(terms, klass, x.charge + y.charge)
+    return FieldVector(terms, x.charge + y.charge)
 
 
 def scale(c: float, x: FieldVector) -> FieldVector:
@@ -396,8 +392,8 @@ def scale(c: float, x: FieldVector) -> FieldVector:
     terms = tuple([(c * coeff, atom) for coeff, atom in x.terms])
     if any(coeff == 0.0 for coeff, _ in terms):
         # a product underflowed; drop it, so every coefficient stays nonzero
-        return _make(terms, x.klass, c * x.charge)
-    return FieldVector(terms, x.klass, c * x.charge)
+        return _make(terms, c * x.charge)
+    return FieldVector(terms, c * x.charge)
 
 
 def negate(x: FieldVector) -> FieldVector:
@@ -409,15 +405,12 @@ def subtract(x: FieldVector, y: FieldVector) -> FieldVector:
 
 
 def intertwiner_label(source: FieldVector, target: FieldVector) -> FieldVector:
-    """target - source, marked test class; requires exactly equal charges."""
+    """target - source, a test vector (its charge is exactly 0.0); requires exactly equal charges."""
     if target.charge != source.charge:
         raise DomainError(
             f"intertwiner label needs equal charges, got {source.charge} and {target.charge}"
         )
-    diff = subtract(target, source)
-    if diff.is_zero:
-        return diff
-    return FieldVector(diff.terms, TEST, 0.0)
+    return subtract(target, source)
 
 
 def translate(x: FieldVector, a) -> FieldVector:
@@ -444,8 +437,8 @@ def translate(x: FieldVector, a) -> FieldVector:
         terms.append((coeff, Atom(atom.profile, atom.channel, (t + a0, u + a1, v + a2, w + a3))))
     keys = [atom.sort_key for _, atom in terms]
     if any(map(operator.ge, keys, keys[1:])):
-        return _make(terms, x.klass, x.charge)
-    return FieldVector(tuple(terms), x.klass, x.charge)
+        return _make(terms, x.charge)
+    return FieldVector(tuple(terms), x.charge)
 
 
 def _radial_rule_for(ka: tuple, kb: tuple, delta: float, r_max: float):
@@ -552,20 +545,20 @@ def symplectic(x: FieldVector, y: FieldVector) -> float:
 
     Bilinear over atom pairs and antisymmetric, both exactly (see the module
     docstring); equals -Im scalar_product on test vectors.  Defined for every
-    class (the omega^{-2} kernel is integrable in three dimensions).
+    charge (the omega^{-2} kernel is integrable in three dimensions).
     """
     return _form(SIGMA, x, y)
 
 
 def scalar_product(x: FieldVector, y: FieldVector) -> complex:
-    """(x, y) by the exact-angular radial route; test class only.
+    """(x, y) by the exact-angular radial route; test vectors (charge 0.0) only.
 
     The imaginary part is -sigma(x, y) from the same pair integrals, so
     (x, x) is exactly real.
     """
     for v, side in ((x, "left"), (y, "right")):
-        if v.klass != TEST:
-            raise DomainError(f"scalar product undefined for charge-class {side} operand")
+        if v.charge != 0.0:
+            raise DomainError(f"scalar product undefined for a charged {side} operand")
     return complex(_form(RE, x, y), -_form(SIGMA, x, y))
 
 

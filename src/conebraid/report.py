@@ -1,16 +1,16 @@
 """Check reports and their CSV/JSON emission.
 
 A report is a flat list of rows, one per (check, radius); checks without a
-radius schedule leave the radius cell empty.  Row order is fixed by
-(check_id, charge_pair, cone_id, radius) so emission is byte stable for a
-given config and seed.  Wall time is kept on the Report object for console
+radius schedule leave the radius cell empty.  A Report sorts its rows once,
+when it is built, by (check_id, charge_pair, cone_id, radius), so emission
+is byte stable for a given config.  Both formats write one record per row,
+keyed by CSV_COLUMNS.  Wall time is kept on the Report object for console
 output only; it never enters the emitted files, which must be identical
 across runs.
 """
 
 from __future__ import annotations
 
-import io
 import json
 from pathlib import Path
 from typing import NamedTuple
@@ -44,6 +44,21 @@ class CheckRow(NamedTuple):
         r = self.radius if self.radius is not None else -1.0
         return (self.check_id, self.charge_pair, self.cone_id, r)
 
+    def record(self) -> dict:
+        """The row's cells keyed by CSV_COLUMNS: strings, floats, None for no radius, and the verdict."""
+        radius = None if self.radius is None else float(self.radius)
+        numbers = (self.value.real, self.value.imag, self.residual, self.threshold)
+        cells = (self.check_id, self.charge_pair, self.cone_id, radius, *map(float, numbers), bool(self.passed))
+        return dict(zip(CSV_COLUMNS, cells))
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else value
+
 
 class Report:
     def __init__(
@@ -51,41 +66,25 @@ class Report:
         suite: str,
         config_digest: str,
         seed: int,
-        rows: list[CheckRow] | None = None,
+        rows: list[CheckRow],
         wall_time_s: float = 0.0,
     ):
         self.suite = suite
         self.config_digest = config_digest
         self.seed = seed
-        self.rows = [] if rows is None else rows
+        self.rows = sorted(rows, key=CheckRow.sort_key)
         self.wall_time_s = wall_time_s
-
-    def sorted_rows(self) -> list[CheckRow]:
-        return sorted(self.rows, key=CheckRow.sort_key)
 
     def all_passed(self) -> bool:
         return all(row.passed for row in self.rows)
 
     def failures(self) -> list[CheckRow]:
-        return [row for row in self.sorted_rows() if not row.passed]
+        return [row for row in self.rows if not row.passed]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(",".join(CSV_COLUMNS) + "\n")
-        for row in self.sorted_rows():
-            cells = (
-                row.check_id,
-                row.charge_pair,
-                row.cone_id,
-                "" if row.radius is None else repr(float(row.radius)),
-                repr(float(row.value.real)),
-                repr(float(row.value.imag)),
-                repr(float(row.residual)),
-                repr(float(row.threshold)),
-                "true" if row.passed else "false",
-            )
-            buf.write(",".join(cells) + "\n")
-        return buf.getvalue()
+        lines = [",".join(CSV_COLUMNS)]
+        lines.extend(",".join(map(_csv_cell, row.record().values())) for row in self.rows)
+        return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         payload = {
@@ -94,20 +93,7 @@ class Report:
                 "config_digest": self.config_digest,
                 "seed": self.seed,
             },
-            "rows": [
-                {
-                    "check_id": row.check_id,
-                    "charge_pair": row.charge_pair,
-                    "cone_id": row.cone_id,
-                    "radius": row.radius,
-                    "value_re": row.value.real,
-                    "value_im": row.value.imag,
-                    "residual": row.residual,
-                    "threshold": row.threshold,
-                    "pass": row.passed,
-                }
-                for row in self.sorted_rows()
-            ],
+            "rows": [row.record() for row in self.rows],
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 

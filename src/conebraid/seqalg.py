@@ -7,9 +7,9 @@ declared finite surrogate: a TailPolicy fixes a window start N0, a sample
 count K, and a tolerance tau, and limsup_norm takes the maximum sampled
 norm over K indices strictly beyond N0: half consecutive (so alternating
 patterns are seen by both parities), half geometrically spaced (so slow
-tails are probed far out).  is_null means that surrogate falls below tau;
-every report carries the policy so the finite nature of the check stays
-visible.
+tails are probed far out).  is_null means that surrogate falls below tau.
+The seqalg suite reads its rows against the default TailPolicy, fixed in
+code like the rest of the check policy; reports do not record it.
 
 Two algebra instantiations are provided: complex 2 x 2 matrices under the
 spectral norm, and single Weyl phase generators, weyl.WeylElement values
@@ -38,6 +38,9 @@ if TYPE_CHECKING:
     import random
 
 POLAR_SINGULAR_CUTOFF = 1e-8
+ADJOINT_UNITARY_TOL = 1e-10  # largest unitarity defect adjoint_morphism accepts
+MAX_INDEX_STEP = 4  # random_increasing_map's steps lie in [1, MAX_INDEX_STEP]
+PROBE_MAPS = 8  # random subsequences a stability_probe re-tests
 
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
@@ -231,10 +234,9 @@ class SequenceElement:
         return self._norms[n]
 
 
-def constant(algebra, value, bound: float | None = None) -> SequenceElement:
-    if bound is None:
-        bound = algebra.norm(value)
-    return SequenceElement(algebra, lambda n: value, bound)
+def constant(algebra, value) -> SequenceElement:
+    """n -> value, certified by the value's own norm."""
+    return SequenceElement(algebra, lambda n: value, algebra.norm(value))
 
 
 def seq_add(s: SequenceElement, t: SequenceElement) -> SequenceElement:
@@ -298,14 +300,14 @@ def subsequence(s: SequenceElement, index_map) -> SequenceElement:
     return SequenceElement(s.algebra, gen, s.bound)
 
 
-def random_increasing_map(rng: random.Random, max_step: int = 4):
-    """Random strictly increasing map with memoized prefix, steps in [1, max_step].
+def random_increasing_map(rng: random.Random):
+    """Random strictly increasing map with memoized prefix, steps in [1, MAX_INDEX_STEP].
 
     The steps are drawn in index order, one rng.random() each through
     rng.choices, as the map is first read beyond its prefix.
     """
     prefix = [0]
-    steps = range(1, max_step + 1)
+    steps = range(1, MAX_INDEX_STEP + 1)
 
     def index_map(n: int) -> int:
         missing = n + 1 - len(prefix)
@@ -318,24 +320,18 @@ def random_increasing_map(rng: random.Random, max_step: int = 4):
     return index_map
 
 
-def stability_probe(
-    s: SequenceElement,
-    member_fn,
-    policy: TailPolicy,
-    rng: random.Random,
-    n_maps: int = 8,
-) -> tuple[bool, int]:
-    """Re-test membership under n_maps random subsequences.
+def stability_probe(s: SequenceElement, member_fn, policy: TailPolicy, rng: random.Random) -> tuple[bool, int]:
+    """Re-test membership under PROBE_MAPS random subsequences.
 
-    Returns (all subsequences still satisfy member_fn, n_maps).  A finite
-    probe of the subsequence-closure property, never a proof; the count is
-    returned so reports can state the probe cardinality.
+    Returns (all subsequences still satisfy member_fn, PROBE_MAPS).  A
+    finite probe of the subsequence-closure property, never a proof; the
+    count is returned so reports can state the probe cardinality.
     """
-    for _ in range(n_maps):
+    for _ in range(PROBE_MAPS):
         sub = subsequence(s, random_increasing_map(rng))
         if not member_fn(sub, policy):
-            return False, n_maps
-    return True, n_maps
+            return False, PROBE_MAPS
+    return True, PROBE_MAPS
 
 
 def polar_unitarize(s: SequenceElement, policy: TailPolicy) -> SequenceElement:
@@ -360,14 +356,14 @@ def polar_unitarize(s: SequenceElement, policy: TailPolicy) -> SequenceElement:
     return SequenceElement(alg, gen, 1.0)
 
 
-def adjoint_morphism(u: SequenceElement, value, tol: float = 1e-10) -> SequenceElement:
-    """n -> u(n)* value u(n); entries of u must be unitary within tol."""
+def adjoint_morphism(u: SequenceElement, value) -> SequenceElement:
+    """n -> u(n)* value u(n); entries of u must be unitary within ADJOINT_UNITARY_TOL."""
     alg = u.algebra
     value_norm = alg.norm(value)
 
     def gen(n: int):
         un = u.at(n)
-        if alg.unitarity_defect(un) > tol:
+        if alg.unitarity_defect(un) > ADJOINT_UNITARY_TOL:
             raise DomainError(f"adjoint morphism needs unitary entries, defect at n={n}")
         return alg.mul(alg.mul(alg.star(un), value), un)
 

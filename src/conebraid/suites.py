@@ -4,8 +4,8 @@ Each suite turns a RunConfig into a flat list of report rows, one per
 (check, radius); checks without a radius schedule leave the radius cell
 empty.  Row counts are computed up front from config shape alone, so the
 plan can be printed before any numerics run and asserted afterwards.  All
-randomness flows from the configured seed, which keeps emitted reports
-byte stable.
+randomness flows from the configured seed, so the config digest and the
+suite name fix a report's bytes.
 
 The check policy (thresholds, sample counts, the homotopy chain) is fixed
 here, so a config can change what is checked but never how strictly.
@@ -82,11 +82,6 @@ _SEQALG_CHECKS = (
     "seqalg/adjoint_alternating",
 )
 
-# Coefficients of each bump shape in powers of (r/R)^2: the indicator is 1,
-# smooth is (1 - (r/R)^2)^2 inside the support, C^1 at the boundary.
-_BUMP_SHAPE_COEFFS = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
-
-
 def vector_from_charge_cfg(cfg: ChargeCfg) -> fld.FieldVector:
     if cfg.profile == "gaussian-momentum":
         if cfg.channel == "g":
@@ -95,7 +90,7 @@ def vector_from_charge_cfg(cfg: ChargeCfg) -> fld.FieldVector:
             return fld.make_charge_vector(q=cfg.q, width=cfg.s)
         return fld.make_test_vector(amplitude=cfg.q, width=cfg.s, channel="h")
     # a bump atom is its shape's value, so charges of equal shape share atoms and pair integrals
-    shape = fld.RadialPolynomial(_BUMP_SHAPE_COEFFS[cfg.shape], cfg.support_radius)
+    shape = fld.RadialPolynomial(fld.BUMP_SHAPES[cfg.shape], cfg.support_radius)
     return fld.make_bump_vector(shape, channel=cfg.channel, amplitude=cfg.q)
 
 
@@ -106,12 +101,7 @@ class RunContext:
         self.config = config
         self.vectors = {c.name: vector_from_charge_cfg(c) for c in config.charges}
         self.objects = {name: cat.ChargeAutomorphism(vec) for name, vec in self.vectors.items()}
-        self.cone = cat.ConeSpec(
-            config.cone.axis,
-            config.half_angle_rad(),
-            config.cone.time_slope,
-            config.cone.time_exponent,
-        )
+        self.cone = config.cone_spec()
 
     def charge_pairs(self):
         names = list(self.objects)
@@ -210,9 +200,7 @@ def _random_object(ctx: RunContext, rng: random.Random) -> cat.ChargeAutomorphis
     return cat.ChargeAutomorphism(fld.translate(fld.scale(factor, base), shift))
 
 
-def _random_arrow(ctx: RunContext, rng: random.Random, obj=None) -> cat.Intertwiner:
-    if obj is None:
-        obj = _random_object(ctx, rng)
+def _random_arrow(rng: random.Random, obj: cat.ChargeAutomorphism) -> cat.Intertwiner:
     shift = _uniform(rng, *_ARROW_SHIFT)
     arrow = cat.hom_basis(obj, cat.translate_object(obj, shift))
     (angle,) = _uniform(rng, (0.0,), (2.0 * math.pi,))
@@ -237,17 +225,17 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         bump("laws/hexagon_left", hex_left)
         bump("laws/hexagon_right", hex_right)
 
-        r = _random_arrow(ctx, rng, a_obj)
-        s = _random_arrow(ctx, rng, b_obj)
+        r = _random_arrow(rng, a_obj)
+        s = _random_arrow(rng, b_obj)
         bump("laws/naturality", cat.naturality_residual(r, s))
 
-        r2 = _random_arrow(ctx, rng, r.target)
-        s2 = _random_arrow(ctx, rng, s.target)
+        r2 = _random_arrow(rng, r.target)
+        s2 = _random_arrow(rng, s.target)
         lhs = cat.tensor_mor(cat.compose(r2, r), cat.compose(s2, s))
         rhs = cat.compose(cat.tensor_mor(r2, s2), cat.tensor_mor(r, s))
         bump("laws/interchange", abs(lhs.coeff - rhs.coeff))
 
-        r3 = _random_arrow(ctx, rng, r2.target)
+        r3 = _random_arrow(rng, r2.target)
         left = cat.compose(cat.compose(r3, r2), r)
         right = cat.compose(r3, cat.compose(r2, r))
         bump("laws/compose_associativity", abs(left.coeff - right.coeff))
@@ -495,11 +483,11 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     return rows
 
 
-def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
+def run_suite(config: RunConfig, suite: str) -> Report:
     """Run a named suite and assemble the report; row count must match the plan."""
     plan = plan_counts(config, suite)
     expected = sum(n for _, n in plan)
-    effective_seed = config.seed if seed is None else int(seed)
+    seed = config.seed
     started = time.perf_counter()
     ctx = RunContext(config)
     rows: list[CheckRow] = []
@@ -508,21 +496,21 @@ def run_suite(config: RunConfig, suite: str, seed: int | None = None) -> Report:
     import random
 
     if "laws" in parts:
-        rows.extend(run_laws(ctx, random.Random(effective_seed)))
+        rows.extend(run_laws(ctx, random.Random(seed)))
     if "braiding" in parts:
-        rows.extend(run_braiding(ctx, random.Random(effective_seed + 1)))
+        rows.extend(run_braiding(ctx, random.Random(seed + 1)))
     if "homotopy" in parts:
         rows.extend(run_homotopy(ctx))
     if "decay" in parts:
         rows.extend(run_decay(ctx))
     if "seqalg" in parts:
-        rows.extend(run_seqalg(ctx, random.Random(effective_seed + 2)))
+        rows.extend(run_seqalg(ctx, random.Random(seed + 2)))
     if len(rows) != expected:
         raise InternalError(f"suite {suite!r} produced {len(rows)} rows, planned {expected}")
     return Report(
         suite=suite,
         config_digest=config.digest(),
-        seed=effective_seed,
+        seed=seed,
         rows=rows,
         wall_time_s=time.perf_counter() - started,
     )

@@ -20,7 +20,7 @@ compares objects by.  ``coeff_of`` reads the coefficient of an equal label
 and 0 for any other.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
-only evaluated on test-class labels (the exponent diverges otherwise, and
+only evaluated on labels of charge 0.0 (the exponent diverges otherwise, and
 the field layer raises).  Gram matrices of generator families under this
 functional are positive semidefinite; ``min_eigenvalue`` gives the smallest
 eigenvalue the laws suite checks that on.

@@ -14,6 +14,7 @@ F(d) = sqrt(pi/2) erf(d/2) / d, so the extrapolation starts from numbers
 that are known to be right.
 """
 
+import json
 import math
 import random
 import subprocess
@@ -175,7 +176,7 @@ def test_criterion_04_cone_rotation_chain(ctx, pair):
 
 
 def test_criterion_05_coherence_suite(ctx):
-    report = run_suite(ctx.config, "laws", seed=0)
+    report = run_suite(ctx.config, "laws")
     identity_rows = [r for r in report.rows if r.check_id != "laws/gram_psd"]
     worst = max(r.residual for r in identity_rows)
     ok = LAW_SAMPLES >= 100 and worst <= 1e-12
@@ -305,6 +306,9 @@ def test_criterion_09_sequence_algebra_corpus():
 
 
 def test_criterion_10_byte_identical_reruns(tmp_path):
+    # the config alone sets the seed
+    seeded = tmp_path / "seeded.json"
+    seeded.write_text(json.dumps({**json.loads(CONFIG_PATH.read_text()), "seed": 11}))
     outputs = []
     for sub in ("a", "b"):
         proc = subprocess.run(
@@ -314,9 +318,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
                 "conebraid",
                 "verify",
                 "--config",
-                str(CONFIG_PATH),
-                "--seed",
-                "0",
+                str(seeded),
                 "--out",
                 str(tmp_path / sub),
             ],

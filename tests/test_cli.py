@@ -40,7 +40,8 @@ def test_config_roundtrip_idempotent():
 def test_config_defaults_match_reference():
     cfg = RunConfig().validate()
     assert cfg.radii == (10.0, 20.0, 30.0, 40.0)
-    assert math.isclose(cfg.half_angle_rad(), math.radians(30.0))
+    cone = cfg.cone_spec()
+    assert cone.axis == (0.0, 0.0, 1.0) and cone.half_angle == math.radians(30.0)
     assert cfg.seed == 0
     # a config carries only what a workload varies; the check policy is not config
     # and the momentum cutoff is the model's constant, not config
@@ -179,6 +180,22 @@ def test_report_csv_shape():
     assert _report([]).to_csv() == text[0] + "\n"
 
 
+def test_report_rows_are_sorted_whatever_the_input_order():
+    rows = [
+        CheckRow("b/x", "g:d", "", 20.0, 0j, 0.0, 1.0, True),
+        CheckRow("a/y", "", "cone01", None, 0j, 0.0, 1.0, True),
+        CheckRow("b/x", "g:d", "", 10.0, 0j, 2.0, 1.0, False),
+        CheckRow("a/y", "", "cone00", None, 0j, 0.0, 1.0, True),
+    ]
+    want = sorted(rows, key=CheckRow.sort_key)
+    for order in (rows, rows[::-1], rows[1:] + rows[:1]):
+        rep = _report(order)
+        assert rep.rows == want and rep.failures() == [want[2]]
+        # both formats write one record per row, in that order
+        assert json.loads(rep.to_json())["rows"] == [row.record() for row in want]
+        assert [line.split(",")[3] for line in rep.to_csv().splitlines()[1:]] == ["", "", "10.0", "20.0"]
+
+
 def test_report_json_omits_wall_time():
     rep = _report([CheckRow("a", "", "", 10.0, 1j, 0.1, 1.0, True)])
     rep.wall_time_s = 1.234
@@ -314,17 +331,19 @@ def test_seqalg_suite_deterministic_and_seed_sensitive():
     first = run_suite(cfg, "seqalg").to_csv()
     second = run_suite(cfg, "seqalg").to_csv()
     assert first == second
-    reseeded = run_suite(cfg, "seqalg", seed=7)
-    assert reseeded.to_csv() == run_suite(cfg, "seqalg", seed=7).to_csv()
-    assert reseeded.all_passed()
+    # the config alone sets the seed
+    seeded = config_from_dict({**default_dict(), "seed": 7})
+    reseeded = run_suite(seeded, "seqalg")
+    assert reseeded.seed == 7 and reseeded.to_csv() == run_suite(seeded, "seqalg").to_csv()
+    assert reseeded.to_csv() != first and reseeded.all_passed()
 
 
 def test_vector_materialization_variants():
     cfg = load_config(CONFIG_PATH)
     gamma = vector_from_charge_cfg(cfg.charges[0])
     delta = vector_from_charge_cfg(cfg.charges[1])
-    assert gamma.klass == "charge" and math.isclose(gamma.charge, 1.0)
-    assert delta.klass == "test" and delta.charge == 0.0
+    assert math.isclose(gamma.charge, 1.0)
+    assert delta.charge == 0.0
 
     ball = config_from_dict(
         {
@@ -345,7 +364,7 @@ def test_vector_materialization_variants():
     neutral = vector_from_charge_cfg(
         config_from_dict({"charges": [{"name": "n", "q": 0.0}, {"name": "m"}]}).charges[0]
     )
-    assert neutral.klass == "test" and not neutral.is_zero
+    assert neutral.charge == 0.0 and not neutral.is_zero
 
 
 def test_cli_exit_codes(tmp_path):
@@ -418,14 +437,64 @@ def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
     assert (tmp_path / f"{suite}_report.csv").is_file()
 
 
-def test_cli_negative_seed_override_exits_2_with_one_line(tmp_path, capsys):
-    # the config path rejects a negative seed; the --seed override must too
-    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "laws", "--out", str(tmp_path), "--seed"]
-    assert main([*argv, "-1"]) == 2
+def _exits_2_with_one_line(data: dict, tmp_path, capsys) -> str:
+    """Run verify on the config tree; assert exit 2, no stdout and no report, and return the stderr line."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --seed must be nonnegative, got -1\n"
-    assert "plan:" not in captured.out and not list(tmp_path.iterdir())
-    assert main([*argv, "0"]) == 0
+    assert captured.out == "" and not out.exists()
+    (line,) = captured.err.splitlines()
+    return line
+
+
+def test_cli_negative_config_seed_exits_2_with_one_line(tmp_path, capsys):
+    # the config alone sets the seed, and rejects a negative one
+    data = default_dict()
+    data["seed"] = -1
+    assert _exits_2_with_one_line(data, tmp_path, capsys) == "error: seed must be nonnegative"
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--config", str(CONFIG_PATH), "--seed", "0"])
+    assert exc.value.code == 2
+
+
+def test_cli_zero_cone_axis_exits_2_before_the_plan(tmp_path, capsys):
+    # ConeSpec checks the cone while the config loads, so no plan line is printed
+    data = default_dict()
+    data["cone"]["axis"] = [0.0, 0.0, 0.0]
+    assert _exits_2_with_one_line(data, tmp_path, capsys) == "error: cone axis must be a nonzero finite vector"
+
+
+@pytest.mark.parametrize(
+    "name, change",
+    [
+        ("delta", {"q": 0.0}),
+        ("gamma", {"q": 1e-300}),
+        ("gamma", {"q": -2e3}),
+        ("gamma", {"profile": "bump-position", "q": 0.0}),
+    ],
+    ids=["h-channel-zero", "underflowing", "too-large", "bump-zero"],
+)
+def test_cli_rejects_charges_that_cannot_couple(tmp_path, capsys, name, change):
+    # the zero vector, or a charge whose couplings all underflow, would pass every row
+    data = default_dict()
+    (charge,) = [c for c in data["charges"] if c["name"] == name]
+    charge.update(change)
+    line = _exits_2_with_one_line(data, tmp_path, capsys)
+    assert line.startswith(f"error: charge {name!r}: |q| must lie in [0.001, 1000]")
+
+
+def test_zero_q_on_a_g_channel_gaussian_is_the_chargeless_variant():
+    # q = 0 on a g-channel gaussian-momentum charge is the r^2-damped test vector, which couples
+    data = default_dict()
+    data["charges"][0]["q"] = 0.0
+    cfg = config_from_dict(data)
+    vector = vector_from_charge_cfg(cfg.charges[0])
+    assert vector.charge == 0.0 and not vector.is_zero
+    report = run_suite(cfg, "braiding")
+    assert len(report.rows) == 12
+    assert all(row.value != 1.0 for row in report.rows if row.check_id == "braiding/limit_vs_exact")
 
 
 def test_cli_rejects_broken_homotopy_chain_before_any_suite(tmp_path, capsys, monkeypatch):
@@ -701,7 +770,7 @@ def test_config_and_run_context_load_no_numpy(tmp_path, maker):
         "from conebraid.config import load_config\n"
         "from conebraid.suites import RunContext\n"
         f"ctx = RunContext(load_config({str(cfg)!r}))\n"
-        "assert all(v.charge > 0.0 for v in ctx.vectors.values() if v.klass == 'charge')\n"
+        "assert all(v.charge > 0.0 for v in ctx.vectors.values() if v.charge != 0.0)\n"
         "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))"
     )
     assert _fresh_stdout(code) == "[]"
@@ -720,19 +789,21 @@ def _fresh_env() -> dict:
 
 
 def _drift_cases(tmp_path) -> dict:
-    """The five report-drift cases of CI: (config path, extra arguments) by name."""
+    """The config path of each of the five report-drift cases of CI, by name."""
     bump = tmp_path / "bump_sloped.json"
     bump.write_text(json.dumps(_bump_sloped_dict()))
     far_data = default_dict()
     far_data["radii"] = [1.0e4, 2.0e4, 4.0e4]
     far = tmp_path / "far_radius.json"
     far.write_text(json.dumps(far_data))
+    seed11 = tmp_path / "seed11.json"
+    seed11.write_text(json.dumps({**default_dict(), "seed": 11}))
     return {
-        "default": (CONFIG_PATH, []),
-        "seed11": (CONFIG_PATH, ["--seed", "11"]),
-        "decay_extended": (CONFIG_PATH.parent / "decay_extended.json", []),
-        "bump_sloped": (bump, []),
-        "far_radius": (far, []),
+        "default": CONFIG_PATH,
+        "seed11": seed11,
+        "decay_extended": CONFIG_PATH.parent / "decay_extended.json",
+        "bump_sloped": bump,
+        "far_radius": far,
     }
 
 
@@ -740,9 +811,9 @@ def test_numpy_boundary_of_verify_runs(tmp_path):
     # every suite on every CI drift config runs in a fresh process in which
     # importing numpy fails, and exits and reports exactly as a run in this
     # process, which has numpy loaded (as perfbench's traced runs do)
-    for name, (cfg, extra) in _drift_cases(tmp_path).items():
+    for name, cfg in _drift_cases(tmp_path).items():
         for suite in suites.SUITE_NAMES:
-            args = ["verify", "--config", str(cfg), "--suite", suite, "--format", "json", *extra]
+            args = ["verify", "--config", str(cfg), "--suite", suite, "--format", "json"]
             with_numpy, without = tmp_path / name / suite / "with", tmp_path / name / suite / "without"
             expected = main([*args, "--out", str(with_numpy)])
             code = (

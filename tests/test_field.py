@@ -49,12 +49,12 @@ def pair():
 def test_constructor_bookkeeping():
     gam = F.make_charge_vector(q=1.0)
     dlt = F.make_test_vector()
-    assert (gam.klass, gam.charge) == (F.CHARGE, 1.0)
-    assert (dlt.klass, dlt.charge) == (F.TEST, 0.0)
+    assert gam.charge == 1.0
+    assert dlt.charge == 0.0
     assert F.make_charge_vector(q=-2.5).charge == -2.5
     assert F.make_charge_vector(q=0.0).is_zero
     v = F.make_test_vector(channel="g")
-    assert (v.klass, v.charge) == (F.TEST, 0.0)
+    assert v.charge == 0.0 and not v.is_zero
     with pytest.raises(ConfigError):
         F.make_charge_vector(width=0.0)
     with pytest.raises(ConfigError):
@@ -285,7 +285,7 @@ def test_panel_route_pairs_match_mpmath(form, x, y):
 def test_time_translation(pair):
     gam, dlt = pair
     gt = F.translate(gam, (0.7, 0.0, 0.0, 0.0))
-    assert gt.charge == 1.0 and gt.klass == F.CHARGE
+    assert gt.charge == 1.0
     dt = F.translate(dlt, (1.3, 0.0, 0.0, 0.0))
     assert abs(F.vacuum_exponent(dt) - F.vacuum_exponent(dlt)) < 1e-12
     # evolution is symplectic: joint translation leaves sigma fixed
@@ -358,9 +358,8 @@ def test_linear_structure(pair):
     assert F.add(gam, F.negate(gam)).is_zero
     assert F.scale(0.0, gam).is_zero
     assert F.scale(2.0, F.scale(3.0, dlt)).terms == F.scale(6.0, dlt).terms
-    assert F.add(gam, dlt).klass == F.CHARGE
     assert F.add(gam, dlt).charge == 1.0
-    assert F.add(dlt, F.translate(dlt, (0.0, 1.0, 0.0, 0.0))).klass == F.TEST
+    assert F.add(dlt, F.translate(dlt, (0.0, 1.0, 0.0, 0.0))).charge == 0.0
     z = F.zero_vector()
     assert F.symplectic(z, dlt) == 0.0
     assert F.add(z, gam).terms == gam.terms
@@ -372,12 +371,24 @@ def test_intertwiner_label(pair):
     gam, dlt = pair
     ga = F.translate(gam, (0.0, 0.0, 0.0, 10.0))
     lab = F.intertwiner_label(gam, ga)
-    assert lab.klass == F.TEST and lab.charge == 0.0 and len(lab.terms) == 2
+    assert lab.charge == 0.0 and len(lab.terms) == 2
     want = _sigma_exact(10.0) - SQRT_HALF
     assert abs(F.symplectic(lab, dlt) - want) < 1e-12
     assert F.intertwiner_label(gam, gam).is_zero
     with pytest.raises(DomainError):
         F.intertwiner_label(gam, F.scale(2.0, gam))
+
+
+def test_difference_of_equal_charges_is_a_test_vector_however_built(pair):
+    # the charge is a vector's only class: moved - gamma summed by add is the
+    # intertwiner label's vector, scalar product included, bit for bit
+    gam, _ = pair
+    moved = F.translate(gam, (0.0, 0.0, 0.0, 10.0))
+    s = F.add(moved, F.negate(gam))
+    lab = F.intertwiner_label(gam, moved)
+    assert s.charge == 0.0 and s.terms == lab.terms
+    value = F.scalar_product(s, s)
+    assert value == F.scalar_product(lab, lab) and value.real > 0.0
 
 
 def test_intertwiner_label_norm_against_independent_quadrature(pair):
@@ -403,7 +414,6 @@ def test_bump_vector():
     ball = F.make_bump_vector(RadialPolynomial((1.0,), 1.0))
     # charge equals the position-space integral of the profile
     assert abs(ball.charge - 4.0 * np.pi / 3.0) < 1e-12
-    assert ball.klass == F.CHARGE
     # an equal shape built separately is the same atom
     again = F.make_bump_vector(RadialPolynomial((1.0,), 1.0))
     assert again.terms == ball.terms and again.charge == ball.charge
@@ -472,13 +482,13 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
         (shape, RadialPolynomial([1, -2, 1], 2.5)),
         (profile, F.Profile("bump", shape=RadialPolynomial((1.0, -2.0, 1.0), 2.5))),
         (atom, F.Atom(F.Profile("bump", shape=shape), "g", (0.0, 1.0, 0.0, 0.0))),
-        (cone, C.ConeSpec((0.0, 0.0, 1.0), 0.5)),
     ]
     for x, twin in values:
         assert x == twin and hash(x) == hash(twin) and x is not twin
     assert atom != F.Atom(profile, "h", (0.0, 1.0, 0.0, 0.0)) and profile != F.Profile("gauss", width=1.0)
-    # vectors, generators and objects compare by identity
+    # vectors, generators, objects and cones compare by identity
     assert vec != F.make_charge_vector() and vec == vec
+    assert cone != C.ConeSpec((0.0, 0.0, 1.0), 0.5) and cone == cone
     assert W.weyl(vec) != W.weyl(vec)
     for obj, name in [
         (shape, "support"),
@@ -553,7 +563,7 @@ def test_sigma_exactly_additive_over_pairs(pair):
 def test_scalar_product_of_a_vector_with_itself_is_real(mixed):
     x, y = mixed
     v = F.add(F.scale(0.5, y), F.translate(F.make_test_vector(channel="g"), (0.4, 0.0, 0.0, 1.0)))
-    assert v.klass == F.TEST and len(v.terms) == 4
+    assert v.charge == 0.0 and len(v.terms) == 4
     val = F.scalar_product(v, v)
     assert val.imag == 0.0 and val.real > 0.0
 
