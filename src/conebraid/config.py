@@ -28,17 +28,17 @@ from typing import NamedTuple
 
 from .category import ConeSpec
 from .errors import ConfigError
-from .field import BUMP_SHAPES, R_MAX
+from .field import BUMP_SHAPES, CLOSED_FORM_MIN_TAIL, R_MAX
 
 _PROFILE_KINDS = ("gaussian-momentum", "bump-position")
 # Bounds for s, support_radius and |q|: past them float powers overflow
 # (s ** 2, support_radius ** 3), or every sigma and charge underflows to zero
 # and the braiding rows pass trivially.  q = 0 on a g-channel Gaussian is the
 # chargeless r^2-damped variant, which couples.  A Gaussian charge also needs
-# s >= sqrt(40) / R_MAX: at equal widths that is the closed-form sigma
-# route's own tail condition a * R_MAX^2 >= 40 (field.CLOSED_FORM_MIN_TAIL).
+# s >= sqrt(CLOSED_FORM_MIN_TAIL) / R_MAX: at equal widths that is the
+# closed-form sigma route's own tail condition a * R_MAX^2 >= CLOSED_FORM_MIN_TAIL.
 SCALE_MIN, SCALE_MAX = 1e-3, 1e3
-GAUSS_S_MIN = math.sqrt(40.0) / R_MAX
+GAUSS_S_MIN = math.sqrt(CLOSED_FORM_MIN_TAIL) / R_MAX
 
 
 class ChargeCfg(NamedTuple):
@@ -84,7 +84,7 @@ class RunConfig(NamedTuple):
                 _check_scale(f"charge {c.name!r}: |q|", abs(c.q))
             if c.profile == "gaussian-momentum" and c.s < GAUSS_S_MIN:
                 raise ConfigError(
-                    f"charge {c.name!r}: s must be at least sqrt(40) / R_MAX = {GAUSS_S_MIN:.4g}, got {c.s:g}"
+                    f"charge {c.name!r}: s must be at least sqrt({CLOSED_FORM_MIN_TAIL:g}) / R_MAX = {GAUSS_S_MIN:.4g}, got {c.s:g}"
                 )
             if c.shape not in BUMP_SHAPES:
                 raise ConfigError(f"charge {c.name!r}: unknown bump shape {c.shape!r}")

@@ -15,7 +15,8 @@ omega sin(omega a0) h~ and h~ -> cos(omega a0) h~ - omega^{-1} sin(omega a0) g~,
 which is exactly f~ -> e^{i omega a0} f~.
 
 A profile is its value: a Gaussian kind with its width, or a bump with its
-RadialPolynomial position shape, whose transform is closed form.  Atoms are
+RadialPolynomial position shape, whose transform is closed form
+(quadrature.radial_fourier); _channel_factors evolves it in time.  Atoms are
 equal exactly when profile, channel and offset are, and Atom.sort_key orders
 them by the same data, so one exact identity serves terms, pair memo and Weyl
 labels.  A profile's key and hash, and an atom's sort key, hash and pair-memo
@@ -61,20 +62,22 @@ Each pair integral takes one of two routes:
   exactly.
 - panel rule: every other pair (Re, any "gauss2" or "bump" atom, d below
   the minimum, a short tail) integrates over (0, R_MAX] on composite
-  Gauss-Legendre panels.  The kernel times sinc(d r) is evaluated node by
-  node, a panel at a time, and summed with math.fsum.  The rule grows
-  linearly with d and is capped at RADIAL_RULE_MAX_NODES, and its cost is
-  about a microsecond per node.
+  Gauss-Legendre panels.  The origin is never a node, so the omega^{-1}
+  factors are evaluated directly.  The kernel times sinc(d r) is evaluated
+  node by node, a panel at a time, and summed with math.fsum.  The rule
+  grows linearly with d and is capped at RADIAL_RULE_MAX_NODES, and its cost
+  is about a microsecond per node.
 
-Like every module of the package, this one and quadrature (the rules, the
-bump transform and the panel-route kernel) use the standard library only.
-quadrature imports from this module, so it is imported where it is first
-needed: in _radial_rule_for and in the panel route.
+Like every module of the package, this one and quadrature (the rules and the
+bump transform) use the standard library only.  quadrature imports nothing
+from here; it is imported where first needed (rules, a bump's values and
+charge), so building Gaussian vectors never loads it.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from itertools import chain
 import math
 import operator
 
@@ -88,7 +91,7 @@ R_MAX = 10.0
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
 # oscillation wavelength of the fastest sinc/trig factor over (0, r_max],
 # rounded up to whole composite panels of PANEL_ORDER cached nodes each.
-# quadrature.panel_sinc_sum evaluates the kernel one such panel at a time.
+# _panel_pair_integral evaluates the kernel one such panel at a time.
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
@@ -107,13 +110,7 @@ BUMP_SHAPES = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
 # Pair integrals kept; the default run needs about 4k.
 PAIR_CACHE_SIZE = 1 << 14
 SIGMA, RE = "sigma", "re"
-# quadrature's closed-form transform of a RadialPolynomial sums the power
-# series sum_j a_j x^{2j} in x = pR below x = 4, where the factors
-# x^{2j}/(2j+1)! stay below 3 and fall under 1e-40 within _SERIES_TERMS
-# terms, and runs an upward recursion from there on.  That recursion scales
-# rounding by about prod_{n <= 2K+1} n/x at x = 4, which stays below 1 for up
-# to _MAX_POLY_TERMS coefficients (K + 1).
-_SERIES_TERMS = 30
+# quadrature's bump transform stays accurate up to 4 terms (see _SERIES_MAX_X).
 _MAX_POLY_TERMS = 4
 
 
@@ -154,24 +151,6 @@ class RadialPolynomial(Frozen):
     def __hash__(self) -> int:
         return hash((self.coeffs, self.support))
 
-    @cached_property
-    def series(self) -> tuple[float, ...]:
-        """a_j with sum_k c_k M_{2k+2}(x) = sum_j a_j x^{2j}, M_m(x) = int_0^1 u^m sinc(xu) du.
-
-        a_j = (-1)^j / (2j+1)! * sum_k c_k / (2k+2j+3) is summed over the
-        monomials in exact rationals and rounded once, so the cancellation
-        between the monomials of a shape costs no digits.
-        """
-        # imported here: fractions loads decimal, about 0.4 MB of peak RSS that a
-        # run without a bump charge would pay at start-up
-        from fractions import Fraction
-
-        out = []
-        for j in range(_SERIES_TERMS):
-            exact = sum(Fraction(c) / (2 * k + 2 * j + 3) for k, c in enumerate(self.coeffs))
-            out.append(float((-1) ** j * exact / math.factorial(2 * j + 1)))
-        return tuple(out)
-
 
 class Profile(Frozen):
     """Radial momentum profile of an atom.
@@ -181,12 +160,21 @@ class Profile(Frozen):
     transform of the position profile ``shape``.  ``key`` = (kind, width,
     shape data) is equal exactly when the fields are, so profiles compare
     and order by it: the shape data is () for a Gaussian and (support,
-    *coeffs) for a bump.  The key and the hash are computed once.
+    *coeffs) for a bump.  The key and the hash are computed once.  A
+    Gaussian's width must be finite and positive, and a bump has none, so
+    each function has one profile.
     """
 
     def __init__(self, kind: str, width: float = 0.0, shape: RadialPolynomial | None = None) -> None:
+        if kind not in ("gauss", "gauss2", "bump"):
+            raise UsageError(f"profile kind must be 'gauss', 'gauss2' or 'bump', got {kind!r}")
         if (kind == "bump") != isinstance(shape, RadialPolynomial):
             raise UsageError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
+        if kind == "bump":
+            if width != 0.0:
+                raise UsageError("a bump profile has no width")
+        elif not (math.isfinite(width) and width > 0.0):
+            raise ConfigError("width must be positive")
         key = (kind, width, () if shape is None else (shape.support, *shape.coeffs))
         self.__dict__.update(kind=kind, width=width, shape=shape, key=key, _hash=hash(key))
 
@@ -198,17 +186,16 @@ class Profile(Frozen):
     def __hash__(self) -> int:
         return self._hash
 
-    def value_at_zero(self) -> float:
-        """The profile at zero momentum, without quadrature (which evaluates it at r > 0)."""
-        if self.kind == "gauss":
-            return 1.0
-        if self.kind == "gauss2":
-            return 0.0
+    def values(self, r: list[float]):
+        """The radial momentum profile at the momenta r, one float per momentum."""
         if self.kind == "bump":
-            # radial_fourier(shape, 0.0) without quadrature: its series at x = 0
-            # is a_0, scaled by the same factors in the same order, bit for bit
-            return 4.0 * math.pi / TWO_PI_32 * self.shape.support**3 * self.shape.series[0]
-        raise ConfigError(f"unknown profile kind {self.kind!r}")
+            from .quadrature import cached_transform
+
+            return cached_transform(self.shape, r)
+        exp, w = math.exp, self.width
+        if self.kind == "gauss":
+            return [exp(-0.5 * (w * x) ** 2) for x in r]
+        return [x**2 * exp(-0.5 * (w * x) ** 2) for x in r]
 
 
 # FieldVector and Atom are the objects the algebra builds most, so their
@@ -237,13 +224,6 @@ class Atom(Frozen):
 
     def __hash__(self) -> int:
         return self._hash
-
-    def charge_factor(self) -> float:
-        """(2 pi)^{3/2} g~(0) of the unit-coefficient atom; time offsets keep it."""
-        if self.channel != "g":
-            return 0.0
-        q = TWO_PI_32 * self.profile.value_at_zero()
-        return 0.0 if abs(q) < 1e-12 else q
 
 
 def _canonical_terms(items) -> tuple[tuple[float, Atom], ...]:
@@ -326,12 +306,10 @@ def zero_vector() -> FieldVector:
 
 def make_charge_vector(q: float = 1.0, width: float = 1.0) -> FieldVector:
     """Gaussian g-channel vector of total charge q and momentum width 1/width."""
-    if width <= 0:
-        raise ConfigError("width must be positive")
+    profile = Profile("gauss", width=float(width))
     if q == 0.0:
         return zero_vector()
-    atom = Atom(Profile("gauss", width=float(width)), "g")
-    return _make([(q / TWO_PI_32, atom)], float(q))
+    return _make([(q / TWO_PI_32, Atom(profile, "g"))], float(q))
 
 
 def make_test_vector(
@@ -344,15 +322,12 @@ def make_test_vector(
     The h channel uses the plain Gaussian; a g-channel request uses the
     r^2-damped Gaussian so the zero-momentum value (the charge) vanishes.
     """
-    if width <= 0:
-        raise ConfigError("width must be positive")
     if channel not in ("g", "h"):
         raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
+    profile = Profile("gauss" if channel == "h" else "gauss2", width=float(width))
     if amplitude == 0.0:
         return zero_vector()
-    kind = "gauss" if channel == "h" else "gauss2"
-    atom = Atom(Profile(kind, width=float(width)), channel)
-    return _make([(float(amplitude), atom)], 0.0)
+    return _make([(float(amplitude), Atom(profile, channel))], 0.0)
 
 
 def make_bump_vector(
@@ -363,14 +338,19 @@ def make_bump_vector(
     """Vector from a compactly supported radial position profile.
 
     The charge is the profile's own integral (4 pi int r^2 f dr times the
-    amplitude), the closed-form transform of ``shape`` at zero momentum, so
-    an h-channel bump is a test vector.  Vectors built from equal shapes
-    have equal atoms.
+    amplitude), (2 pi)^{3/2} times the closed-form transform of ``shape`` at
+    zero momentum, and 0.0 below 1e-12; an h-channel bump is a test vector.
+    Vectors built from equal shapes have equal atoms.
     """
     if channel not in ("g", "h"):
         raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
     atom = Atom(Profile("bump", shape=shape), channel)
-    return _make([(float(amplitude), atom)], amplitude * atom.charge_factor())
+    q = 0.0
+    if channel == "g":
+        from .quadrature import radial_fourier
+
+        q = TWO_PI_32 * radial_fourier(shape, 0.0)
+    return _make([(float(amplitude), atom)], amplitude * (0.0 if abs(q) < 1e-12 else q))
 
 
 def add(x: FieldVector, y: FieldVector) -> FieldVector:
@@ -508,16 +488,51 @@ def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
     return sign * 2.0 * math.pi / delta * jump
 
 
+def _channel_factors(key: tuple, r: list[float]) -> tuple:
+    """Real radial factors (G, H) of an atom key (profile, channel, t): g~ = e^{-i p.d} G, h~ = e^{-i p.d} H."""
+    profile, channel, t = key
+    phi = profile.values(r)
+    if t == 0.0:
+        zero = [0.0] * len(r)
+        return (phi, zero) if channel == "g" else (zero, phi)
+    cos_t = [math.cos(x * t) * f for x, f in zip(r, phi)]
+    if channel == "g":
+        # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
+        return cos_t, [-math.sin(x * t) / x * f for x, f in zip(r, phi)]
+    # h -> cos(omega t) h,  g -> omega sin(omega t) h
+    return [x * math.sin(x * t) * f for x, f in zip(r, phi)], cos_t
+
+
 def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, r_max: float) -> float:
     """4 pi int_0^r_max K(r) sinc(r delta) dr on the composite rule for this one atom pair.
 
-    The unit rule is _radial_rule_for's, and quadrature.panel_sinc_sum scales
-    it to (0, r_max] and sums the kernel on it.
+    K is _pair_integral's kernel of the form.  _radial_rule_for's unit rule
+    scales to nodes r = r_max u and weights r_max w.  The kernel is
+    evaluated one panel of RADIAL_RULE_PANEL_ORDER nodes at a time, each
+    node's sinc directly as sin(delta r) / (delta r), and the terms stream
+    into one math.fsum, so the sum is correctly rounded and only a panel of
+    values is held at once.  Swapping ka and kb negates the SIGMA kernel and
+    keeps the RE kernel, both bit for bit.
     """
-    from .quadrature import panel_sinc_sum
-
     u, w = _radial_rule_for(ka, kb, delta, r_max)
-    return panel_sinc_sum(form, ka, kb, delta, u, w, r_max)
+    order = RADIAL_RULE_PANEL_ORDER
+
+    def panels():
+        for start in range(0, len(u), order):
+            r = [r_max * x for x in u[start : start + order]]
+            weights = [r_max * x for x in w[start : start + order]]
+            gx, hx = _channel_factors(ka, r)
+            gy, hy = _channel_factors(kb, r)
+            if form == SIGMA:
+                kernel = [a * d - c * b for a, b, c, d in zip(gx, hx, gy, hy)]
+            else:
+                kernel = [a * c / x + b * d * x for x, a, b, c, d in zip(r, gx, hx, gy, hy)]
+            if delta == 0.0:
+                yield [a * k for a, k in zip(weights, kernel)]
+            else:
+                yield [a * k * math.sin(delta * x) / (delta * x) for a, k, x in zip(weights, kernel, r)]
+
+    return 4.0 * math.pi * math.fsum(chain.from_iterable(panels()))
 
 
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:

@@ -1,4 +1,4 @@
-"""Radial rules, the bump transform and the panel-route kernel, on the stdlib.
+"""Radial rules and the closed-form bump transform, on the stdlib.
 
 Rules are Gauss-Legendre on [0, 1].  ``gauss_legendre_unit`` finds the
 nodes by Newton's method on the Legendre three-term recurrence, from
@@ -8,32 +8,32 @@ over equal panels.  Both store nodes and weights in ``array('d')``, 8 bytes
 per node, and hand them out as read-only memoryviews, so a cached rule
 cannot be changed by its readers.
 
-Momentum integrals of radial kernels run over (0, r_max] on the composite
-rule scaled by r_max; the origin is never a node, so integrands with
-integrable |p|^-k singularities can be evaluated directly.  The kernel is
-evaluated one momentum at a time, a panel at a time, and summed with
-``math.fsum``, so a pair integral holds one panel of values whatever the
-rule size.  A compactly supported position profile is an even polynomial
-(``field.RadialPolynomial``), whose radial Fourier transform is closed form.
+``radial_fourier`` transforms a compactly supported radial position
+profile, an even polynomial with ``coeffs`` and ``support`` (a
+field.RadialPolynomial), in closed form, and ``cached_transform`` memoizes
+it per list of momenta, as field's panel route reads it a panel at a time.
 
-All constructions are pure functions of their arguments; rules built from
-equal parameters are bit-identical.
+This module imports nothing from field; field imports it where it is first
+needed.  All constructions are pure functions of their arguments; rules
+built from equal parameters are bit-identical.
 """
 
 from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import chain
 import math
 
 from .errors import ConfigError, InternalError
-from .field import RADIAL_RULE_PANEL_ORDER, SIGMA, TWO_PI_32, Profile, RadialPolynomial
 
-# The closed-form transform sums a RadialPolynomial's series below
-# _SERIES_MAX_X and runs the upward recursion from there on (see the series
-# constants in field).
+# The closed-form transform sums the power series sum_j a_j x^{2j} in x = pR
+# below _SERIES_MAX_X = 4, where the factors x^{2j}/(2j+1)! stay below 3 and
+# fall under 1e-40 within _SERIES_TERMS terms, and runs an upward recursion
+# from there on.  That recursion scales rounding by about
+# prod_{n <= 2K+1} n/x at x = 4, which stays below 1 for up to 4
+# coefficients (K + 1), field.RadialPolynomial's limit.
 _SERIES_MAX_X = 4.0
+_SERIES_TERMS = 30
 # Newton on the recurrence stops once a step is below _NEWTON_STEP; the root
 # is then the iterate minus that last step, whose own error is of the order
 # of the step squared times |P''/P'|, far below an ulp.
@@ -91,7 +91,7 @@ def gauss_legendre_unit(n: int) -> tuple[memoryview, memoryview]:
 
 
 @lru_cache(maxsize=64)
-def composite_legendre_unit(panels: int, order: int = 64) -> tuple[memoryview, memoryview]:
+def composite_legendre_unit(panels: int, order: int) -> tuple[memoryview, memoryview]:
     """Composite Gauss-Legendre rule on [0, 1] with equal-width panels.
 
     Node m of panel k is k h + h u_m for the cached order-point rule (u, w)
@@ -111,6 +111,25 @@ def composite_legendre_unit(panels: int, order: int = 64) -> tuple[memoryview, m
         nodes.extend([start + u for u in offsets])
     weights = array("d", [width * w for w in base_weights]) * panels
     return memoryview(nodes).toreadonly(), memoryview(weights).toreadonly()
+
+
+@lru_cache(maxsize=64)
+def _series(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """a_j with sum_k c_k M_{2k+2}(x) = sum_j a_j x^{2j}, M_m(x) = int_0^1 u^m sinc(xu) du.
+
+    a_j = (-1)^j / (2j+1)! * sum_k c_k / (2k+2j+3) is summed over the
+    monomials in exact rationals and rounded once, so the cancellation
+    between the monomials of a shape costs no digits.
+    """
+    # imported here: fractions loads decimal, about 0.4 MB of peak RSS that a
+    # run without a bump charge would pay at start-up
+    from fractions import Fraction
+
+    out = []
+    for j in range(_SERIES_TERMS):
+        exact = sum(Fraction(c) / (2 * k + 2 * j + 3) for k, c in enumerate(coeffs))
+        out.append(float((-1) ** j * exact / math.factorial(2 * j + 1)))
+    return tuple(out)
 
 
 def _moment(series: tuple[float, ...], coeffs: tuple[float, ...], x: float) -> float:
@@ -142,7 +161,7 @@ def _moment(series: tuple[float, ...], coeffs: tuple[float, ...], x: float) -> f
     return total / x
 
 
-def radial_fourier(profile: RadialPolynomial, momenta):
+def radial_fourier(profile, momenta):
     """Momentum-space transform of a radial position profile, in closed form.
 
     Computes f~(p) = (2 pi)^{-3/2} * 4 pi * integral_0^R r^2 sinc(p r) f(r) dr
@@ -152,8 +171,10 @@ def radial_fourier(profile: RadialPolynomial, momenta):
     limit is the sinc limit and is handled exactly.  A number gives a
     float, a sequence of momenta a list.
     """
-    scale = 4.0 * math.pi / TWO_PI_32 * profile.support**3
-    series, coeffs, support = profile.series, profile.coeffs, profile.support
+    coeffs, support = profile.coeffs, profile.support
+    # 4 pi (2 pi)^{-3/2} = sqrt(2 / pi), the same double
+    scale = math.sqrt(2.0 / math.pi) * support**3
+    series = _series(coeffs)
     if isinstance(momenta, (int, float)):
         return scale * _moment(series, coeffs, abs(momenta) * support)
     return [scale * _moment(series, coeffs, abs(p) * support) for p in momenta]
@@ -163,69 +184,11 @@ def radial_fourier(profile: RadialPolynomial, momenta):
 # panels (about 5 MB) keep every panel of a pair for both forms up to rules
 # of 262,144 nodes, separations of about 1.6e4.
 @lru_cache(maxsize=4096)
-def _bump_transform(shape: RadialPolynomial, momenta: bytes) -> memoryview:
+def _bump_transform(shape, momenta: bytes) -> memoryview:
     """Read-only radial_fourier of a bump shape at the momenta packed as doubles."""
     return memoryview(array("d", radial_fourier(shape, array("d", momenta)))).toreadonly()
 
 
-def _momentum_values(profile: Profile, r: list[float]):
-    """The radial momentum profile at the momenta r (Profile.value_at_zero gives r = 0)."""
-    exp = math.exp
-    if profile.kind == "gauss":
-        w = profile.width
-        return [exp(-0.5 * (w * x) ** 2) for x in r]
-    if profile.kind == "gauss2":
-        w = profile.width
-        return [x**2 * exp(-0.5 * (w * x) ** 2) for x in r]
-    if profile.kind == "bump":
-        return _bump_transform(profile.shape, array("d", r).tobytes())
-    raise ConfigError(f"unknown profile kind {profile.kind!r}")
-
-
-def _channel_factors(key: tuple, r: list[float]) -> tuple:
-    """Real radial factors (G, H) of an atom key (profile, channel, t): g~ = e^{-i p.d} G, h~ = e^{-i p.d} H."""
-    profile, channel, t = key
-    phi = _momentum_values(profile, r)
-    if t == 0.0:
-        zero = [0.0] * len(r)
-        return (phi, zero) if channel == "g" else (zero, phi)
-    cos_t = [math.cos(x * t) * f for x, f in zip(r, phi)]
-    if channel == "g":
-        # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
-        return cos_t, [-math.sin(x * t) / x * f for x, f in zip(r, phi)]
-    # h -> cos(omega t) h,  g -> omega sin(omega t) h
-    return [x * math.sin(x * t) * f for x, f in zip(r, phi)], cos_t
-
-
-def _kernel(form: str, kx: tuple, ky: tuple, r: list[float]) -> list[float]:
-    """K(r) of the pair of atom keys; swapping kx and ky negates SIGMA and keeps RE, both bit for bit."""
-    gx, hx = _channel_factors(kx, r)
-    gy, hy = _channel_factors(ky, r)
-    if form == SIGMA:
-        return [a * d - c * b for a, b, c, d in zip(gx, hx, gy, hy)]
-    return [a * c / x + b * d * x for x, a, b, c, d in zip(r, gx, hx, gy, hy)]
-
-
-def panel_sinc_sum(form: str, kx: tuple, ky: tuple, delta: float, u, w, r_max: float) -> float:
-    """4 pi int_0^r_max K(r) sinc(r delta) dr of one pair of atom keys on the unit rule (u, w).
-
-    K is field._pair_integral's kernel of the form.  The rule scales to
-    nodes r = r_max u and weights r_max w.  The kernel is evaluated one
-    panel of RADIAL_RULE_PANEL_ORDER nodes at a time, each node's sinc
-    directly as sin(delta r) / (delta r), and the terms stream into one
-    math.fsum, so the sum is correctly rounded and only a panel of values is
-    held at once.
-    """
-    order = RADIAL_RULE_PANEL_ORDER
-
-    def panels():
-        for start in range(0, len(u), order):
-            r = [r_max * x for x in u[start : start + order]]
-            weights = [r_max * x for x in w[start : start + order]]
-            kernel = _kernel(form, kx, ky, r)
-            if delta == 0.0:
-                yield [a * k for a, k in zip(weights, kernel)]
-            else:
-                yield [a * k * math.sin(delta * x) / (delta * x) for a, k, x in zip(weights, kernel, r)]
-
-    return 4.0 * math.pi * math.fsum(chain.from_iterable(panels()))
+def cached_transform(shape, momenta: list[float]) -> memoryview:
+    """radial_fourier of a bump shape at the momenta, read-only, memoized per list of momenta."""
+    return _bump_transform(shape, array("d", momenta).tobytes())

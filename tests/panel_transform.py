@@ -12,7 +12,7 @@ left numpy.
 import numpy as np
 
 from conebraid.field import TWO_PI_32
-from conebraid.quadrature import composite_legendre_unit
+from conebraid.quadrature import _series, composite_legendre_unit
 
 # Momenta per block of the sinc kernel; bounds its temporaries to
 # FOURIER_BLOCK x (panel nodes) whatever the number of momenta.
@@ -65,8 +65,9 @@ def numpy_radial_fourier(shape, momenta) -> np.ndarray:
     near = x < 4.0
     moments = np.empty_like(x)
     x2 = x[near] * x[near]
-    total = np.full_like(x2, shape.series[-1])
-    for coeff in shape.series[-2::-1]:
+    series = _series(shape.coeffs)
+    total = np.full_like(x2, series[-1])
+    for coeff in series[-2::-1]:
         total = total * x2 + coeff
     moments[near] = total
     xf = x[~near]

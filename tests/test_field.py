@@ -12,6 +12,7 @@ independent route for the radial integrals, and mpmath.quad at 30 digits a
 third for atom-pair integrals on both the closed-form and the panel route.
 """
 
+from fractions import Fraction
 import math
 
 import mpmath
@@ -450,7 +451,7 @@ def test_bump_transform_memo_follows_the_shape():
     u, w = F._radial_rule_for(two.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 0.0, F.R_MAX)
     r = F.R_MAX * np.asarray(u)
     uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r.tolist())
-    cached = Q._momentum_values(two.terms[0][1].profile, r.tolist())
+    cached = two.terms[0][1].profile.values(r.tolist())
     assert cached.readonly and cached.tolist() == uncached
     ref = 4.0 * np.pi * float(np.dot(F.R_MAX * np.asarray(w), np.asarray(uncached) * np.exp(-0.5 * r**2)))
     assert math.isclose(after, ref, rel_tol=1e-14)
@@ -505,6 +506,25 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
             delattr(obj, name)
 
 
+def test_profile_checks_its_kind_and_width():
+    # a misspelt kind is a misuse of the library; a Gaussian of width 0 is
+    # flat up to the cutoff, a negative width repeats a positive one, and a
+    # width on a bump would make a second profile of the same function
+    with pytest.raises(UsageError, match="profile kind"):
+        F.Profile("gaus", width=1.0)
+    for width in (0.0, -1.0, math.inf, math.nan):
+        for kind in ("gauss", "gauss2"):
+            with pytest.raises(ConfigError, match="width must be positive"):
+                F.Profile(kind, width=width)
+    with pytest.raises(UsageError, match="no width"):
+        F.Profile("bump", width=5.0, shape=RadialPolynomial((1.0,), 1.0))
+    # the vector constructors build the profile first, so a zero vector checks its width too
+    with pytest.raises(ConfigError, match="width must be positive"):
+        F.make_charge_vector(q=0.0, width=-1.0)
+    with pytest.raises(ConfigError, match="width must be positive"):
+        F.make_test_vector(amplitude=0.0, width=0.0)
+
+
 def test_bump_profile_needs_a_shape():
     with pytest.raises(UsageError):
         F.Profile("bump")
@@ -518,10 +538,14 @@ def test_bump_profile_needs_a_shape():
 @pytest.mark.parametrize("support", [0.5, 1.0, 2.5])
 @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, -2.0, 1.0)], ids=["indicator", "smooth"])
 def test_bump_value_at_zero_is_the_transform_at_zero(coeffs, support):
-    # the charge needs no array: a_0 scaled as radial_fourier scales its series at p = 0
+    # a bump's charge is (2 pi)^{3/2} times its transform at zero momentum:
+    # q = 4 pi int_0^R r^2 f(r) dr = 4 pi R^3 sum_k c_k / (2k + 3), an exact
+    # rational times 4 pi R^3; an h-channel bump carries none
     shape = RadialPolynomial(coeffs, support)
-    value = F.Profile("bump", shape=shape).value_at_zero()
-    assert type(value) is float and value == radial_fourier(shape, 0.0)
+    charge = F.make_bump_vector(shape).charge
+    exact = Fraction(support) ** 3 * sum(Fraction(c) / (2 * k + 3) for k, c in enumerate(coeffs))
+    assert type(charge) is float and math.isclose(charge, 4.0 * math.pi * float(exact), rel_tol=1e-15)
+    assert F.make_bump_vector(shape, channel="h").charge == 0.0
 
 
 @settings(derandomize=True, deadline=None, max_examples=200)
@@ -531,7 +555,10 @@ def test_bump_value_at_zero_is_the_transform_at_zero(coeffs, support):
 )
 def test_bump_value_at_zero_matches_the_transform_bit_for_bit(coeffs, support):
     shape = RadialPolynomial(tuple(coeffs), support)
-    assert F.Profile("bump", shape=shape).value_at_zero() == radial_fourier(shape, 0.0)
+    q = F.TWO_PI_32 * radial_fourier(shape, 0.0)
+    assert F.make_bump_vector(shape).charge == (0.0 if abs(q) < 1e-12 else q)
+    exact = Fraction(support) ** 3 * sum(Fraction(c) / (2 * k + 3) for k, c in enumerate(coeffs))
+    assert math.isclose(q, 4.0 * math.pi * float(exact), rel_tol=1e-14, abs_tol=1e-290)
 
 
 @pytest.fixture(scope="module")
@@ -762,7 +789,7 @@ def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y):
     coeffs = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
     px, py = (F.Profile("bump", shape=RadialPolynomial(coeffs[shape], 1.0)) for shape in (shape_x, shape_y))
     for d in (2.5, 20.0):
-        exact = 2.0 * math.pi**2 * px.value_at_zero() * py.value_at_zero() / d
+        exact = 2.0 * math.pi**2 * radial_fourier(px.shape, 0.0) * radial_fourier(py.shape, 0.0) / d
         gap = {
             r_max: abs(F._panel_pair_integral(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d, r_max) - exact)
             for r_max in (F.R_MAX, 40.0)

@@ -5,8 +5,10 @@ for the package's closed-form transform of a RadialPolynomial, and its
 numpy closed form is the formula the package used before it left numpy.
 """
 
+import ast
 from fractions import Fraction
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -119,7 +121,7 @@ def test_composite_rule_matches_single_rule():
     with pytest.raises(TypeError):
         cached[0][0] = 0.5
     with pytest.raises(ConfigError):
-        composite_legendre_unit(0)
+        composite_legendre_unit(0, 64)
     with pytest.raises(ConfigError):
         composite_legendre_unit(4, 1)
 
@@ -191,3 +193,19 @@ def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
     for coeffs, support in (((), 1.0), ((1.0,) * 5, 1.0), ((float("nan"),), 1.0), ((1.0,), 0.0)):
         with pytest.raises(ConfigError):
             RadialPolynomial(coeffs, support)
+
+
+def test_quadrature_imports_nothing_from_field():
+    # field owns the radial model and imports quadrature lazily; an import
+    # back from field, at any depth of the module, would make a cycle
+    tree = ast.parse(Path(Q.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["conebraid" if node.level else "", node.module]))
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert "conebraid.errors" in imported and "fractions" in imported
+    assert "conebraid.field" not in imported
