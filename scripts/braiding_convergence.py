@@ -39,6 +39,8 @@ def main() -> int:
     parser.add_argument("--r-max", type=float, default=640.0)
     parser.add_argument("--points", type=int, default=7)
     args = parser.parse_args()
+    if args.points < 3 or not 0.0 < args.r_min < args.r_max < math.inf:
+        parser.error("the ladder needs --points >= 3 and 0 < --r-min < --r-max < inf")
 
     ctx = RunContext(load_config(args.config))
     gamma, delta = (ctx.objects[n] for n in list(ctx.objects)[:2])

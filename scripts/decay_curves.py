@@ -12,6 +12,7 @@ already below 1e-2 by R = 20.
 
 import argparse
 import csv
+import math
 from pathlib import Path
 
 from conebraid.config import load_config
@@ -45,6 +46,8 @@ def main() -> int:
     parser.add_argument("--r-max", type=float, default=320.0)
     parser.add_argument("--points", type=int, default=6)
     args = parser.parse_args()
+    if args.points < 3 or not 0.0 < args.r_min < args.r_max < math.inf:
+        parser.error("the ladder needs --points >= 3 and 0 < --r-min < --r-max < inf")
 
     config = load_config(args.config)
     ladder = tuple(geometric_ladder(args.r_min, args.r_max, args.points))

@@ -31,6 +31,9 @@ from .errors import ConfigError
 from .field import BUMP_SHAPES, CLOSED_FORM_MIN_TAIL, R_MAX
 
 _PROFILE_KINDS = ("gaussian-momentum", "bump-position")
+# The charge keys each profile never reads: they must keep their defaults, so
+# that a value no number reads cannot move the config digest.
+_UNREAD_KEYS = {"gaussian-momentum": ("support_radius", "shape"), "bump-position": ("s",)}
 # Bounds for s, support_radius and |q|: past them float powers overflow
 # (s ** 2, support_radius ** 3), or every sigma and charge underflows to zero
 # and the braiding rows pass trivially.  q = 0 on a g-channel Gaussian is the
@@ -78,6 +81,9 @@ class RunConfig(NamedTuple):
                 raise ConfigError(f"charge {c.name!r}: unknown profile {c.profile!r}")
             if c.channel not in ("g", "h"):
                 raise ConfigError(f"charge {c.name!r}: channel must be 'g' or 'h'")
+            for key in _UNREAD_KEYS[c.profile]:
+                if getattr(c, key) != ChargeCfg._field_defaults[key]:
+                    raise ConfigError(f"charge {c.name!r}: {key} is not read by a {c.profile} charge")
             for name, value in (("s", c.s), ("support_radius", c.support_radius)):
                 _check_scale(f"charge {c.name!r}: {name}", value)
             if c.q != 0.0 or (c.profile, c.channel) != ("gaussian-momentum", "g"):

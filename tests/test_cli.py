@@ -22,7 +22,8 @@ from conebraid.report import CheckRow, Report, emit_report
 from conebraid.seqalg import TailPolicy
 from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
 
-CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+CONFIG_PATH = CONFIG_DIR / "default.json"
 
 
 def default_dict() -> dict:
@@ -31,7 +32,6 @@ def default_dict() -> dict:
 
 def test_config_roundtrip_idempotent():
     cfg = load_config(CONFIG_PATH)
-    assert cfg.to_canonical_json() == CONFIG_PATH.read_text()
     again = config_from_dict(json.loads(cfg.to_canonical_json()))
     assert again == cfg
     assert len(cfg.digest()) == 16 and int(cfg.digest(), 16) >= 0
@@ -623,11 +623,36 @@ def test_cli_out_of_scale_config_exits_2_with_one_line(tmp_path, capsys, mutate,
     assert not list(tmp_path.glob("*_report.*"))
 
 
-def test_config_scale_bounds_are_inclusive():
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (
+            lambda d: d["charges"][0].__setitem__("support_radius", 5.0),
+            "charge 'gamma': support_radius is not read by a gaussian-momentum charge",
+        ),
+        (
+            lambda d: d["charges"][0].__setitem__("shape", "smooth"),
+            "charge 'gamma': shape is not read by a gaussian-momentum charge",
+        ),
+        (_bump_charge(s=2.0), "charge 'gamma': s is not read by a bump-position charge"),
+    ],
+    ids=["gaussian_support_radius", "gaussian_shape", "bump_s"],
+)
+def test_cli_unread_charge_key_exits_2_with_one_line(tmp_path, capsys, mutate, message):
+    # a key the charge's profile never reads could only move the config digest
     data = default_dict()
-    data["charges"][0].update({"profile": "bump-position", "s": 1e-3, "support_radius": 1e-3})
-    data["charges"][1].update({"s": 1e3, "support_radius": 1e3})
+    mutate(data)
+    _assert_exit_2_with_one_line(tmp_path, capsys, data, message)
+
+
+def test_config_scale_bounds_are_inclusive():
+    # each bound on the profile that reads it: s on a Gaussian, support_radius on a bump
+    data = default_dict()
+    data["charges"][0].update({"profile": "bump-position", "support_radius": 1e-3})
+    data["charges"][1]["s"] = 1e3
     assert config_from_dict(data).charges[1].s == 1e3
+    data["charges"][0]["support_radius"] = 1e3
+    assert config_from_dict(data).charges[0].support_radius == 1e3
     # s = sqrt(40) / R_MAX exactly is the tail condition's edge, read from field
     data = default_dict()
     data["charges"][0]["s"] = math.sqrt(40.0) / F.R_MAX
@@ -675,9 +700,7 @@ def test_cli_bump_charge_at_far_radii(tmp_path):
     # the smooth bump's transform is closed form, so far bump pairs cost
     # O(1) per rule node; the sloped transport (a0 = sqrt(R) << R) stays
     # spacelike, and each braiding residual falls off like 1/R
-    data = default_dict()
-    data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})
-    data["cone"].update({"time_slope": 1.0, "time_exponent": 0.5})
+    data = json.loads((CONFIG_DIR / "bump_sloped.json").read_text())
     data["radii"] = [1.0e4, 2.0e4, 4.0e4]
     cfg = tmp_path / "far_bump.json"
     cfg.write_text(json.dumps(data))
@@ -742,14 +765,6 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_stdout(code) == "[]"
 
 
-def _bump_sloped_dict() -> dict:
-    data = default_dict()
-    data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})
-    data["cone"].update({"time_slope": 1.0, "time_exponent": 0.5})
-    data["radii"] = [10.0, 15.0, 20.0]
-    return data
-
-
 def _numpy_loaded_after(code: str) -> bool:
     return _fresh_stdout(f"{code}\nimport sys\nprint('numpy' in sys.modules)") == "True"
 
@@ -759,18 +774,17 @@ def test_cli_import_loads_no_numpy():
 
 
 @pytest.mark.parametrize(
-    "maker, loaded",
-    [(default_dict, "[]"), (_bump_sloped_dict, "['conebraid.quadrature']")],
+    "name, loaded",
+    [("default", "[]"), ("bump_sloped", "['conebraid.quadrature']")],
     ids=["default", "bump-sloped"],
 )
-def test_config_and_run_context_load_no_numpy(tmp_path, maker, loaded):
+def test_config_and_run_context_load_no_numpy(name, loaded):
     # numpy costs about 0.1 s of every process's start-up; a config, its
     # charges (bump charges included) and its cones need none of it, nor
     # dataclasses, which imports inspect, ast, dis and tokenize (about 11 ms).
     # Gaussian charges need no quadrature either; a bump charge reads its
     # closed-form transform at zero momentum
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(maker()))
+    cfg = CONFIG_DIR / f"{name}.json"
     code = (
         "import sys, conebraid.cli\n"
         "from conebraid.config import load_config\n"
@@ -795,34 +809,15 @@ def _fresh_env() -> dict:
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def _drift_cases(tmp_path) -> dict:
-    """The config path of each of CI's first five report-drift cases, by name.
-
-    CI's tilted-cone and two-bump cases are left out here, where every suite
-    of every case runs twice.
-    """
-    bump = tmp_path / "bump_sloped.json"
-    bump.write_text(json.dumps(_bump_sloped_dict()))
-    far_data = default_dict()
-    far_data["radii"] = [1.0e4, 2.0e4, 4.0e4]
-    far = tmp_path / "far_radius.json"
-    far.write_text(json.dumps(far_data))
-    seed11 = tmp_path / "seed11.json"
-    seed11.write_text(json.dumps({**default_dict(), "seed": 11}))
-    return {
-        "default": CONFIG_PATH,
-        "seed11": seed11,
-        "decay_extended": CONFIG_PATH.parent / "decay_extended.json",
-        "bump_sloped": bump,
-        "far_radius": far,
-    }
+# CI's report-drift cases: every committed config, by name
+DRIFT_CASES = {p.stem: p for p in sorted(CONFIG_DIR.glob("*.json"))}
 
 
 def test_numpy_boundary_of_verify_runs(tmp_path):
     # every suite on every CI drift config runs in a fresh process in which
     # importing numpy fails, and exits and reports exactly as a run in this
     # process, which has numpy loaded (as perfbench's traced runs do)
-    for name, cfg in _drift_cases(tmp_path).items():
+    for name, cfg in DRIFT_CASES.items():
         for suite in suites.SUITE_NAMES:
             args = ["verify", "--config", str(cfg), "--suite", suite, "--format", "json"]
             with_numpy, without = tmp_path / name / suite / "with", tmp_path / name / suite / "without"

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conebraid.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -54,6 +56,19 @@ def test_decay_curves_script(tmp_path):
     proc = _run("decay_curves.py", "--r-max", "40", "--points", "3", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert len(out.read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("script", ["braiding_convergence.py", "decay_curves.py"])
+@pytest.mark.parametrize(
+    "ladder",
+    [("--points", "2"), ("--r-min", "0"), ("--r-min", "40", "--r-max", "10"), ("--r-max", "inf")],
+    ids=["two_points", "zero_r_min", "reversed", "infinite_r_max"],
+)
+def test_sweep_script_rejects_a_bad_ladder(script, ladder):
+    # a usage error: exit 2 before any suite runs, with no traceback
+    proc = _run(script, *ladder)
+    assert proc.returncode == 2 and not proc.stdout, proc.stdout
+    assert "Traceback" not in proc.stderr and "the ladder needs --points >= 3" in proc.stderr, proc.stderr
 
 
 def test_report_drift_script(tmp_path):
