@@ -15,6 +15,7 @@ import math
 from conebraid.category import braiding_asymptotic, braiding_exact
 from conebraid.config import load_config
 from conebraid.suites import RunContext
+from ladder import check_ladder, geometric_ladder
 
 from pathlib import Path
 
@@ -25,13 +26,6 @@ def closed_form(d: float) -> float:
     return math.sqrt(math.pi / 2.0) * math.erf(d / 2.0) / d
 
 
-def geometric_ladder(r_min: float, r_max: float, points: int) -> list[float]:
-    """points radii in equal ratios from r_min to r_max, both end points exact."""
-    ratio = r_max / r_min
-    inner = [r_min * ratio ** (k / (points - 1)) for k in range(1, points - 1)]
-    return [r_min, *inner, r_max]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=ROOT / "configs" / "default.json")
@@ -39,8 +33,7 @@ def main() -> int:
     parser.add_argument("--r-max", type=float, default=640.0)
     parser.add_argument("--points", type=int, default=7)
     args = parser.parse_args()
-    if args.points < 3 or not 0.0 < args.r_min < args.r_max < math.inf:
-        parser.error("the ladder needs --points >= 3 and 0 < --r-min < --r-max < inf")
+    check_ladder(parser, args)
 
     ctx = RunContext(load_config(args.config))
     gamma, delta = (ctx.objects[n] for n in list(ctx.objects)[:2])

@@ -12,11 +12,11 @@ already below 1e-2 by R = 20.
 
 import argparse
 import csv
-import math
 from pathlib import Path
 
 from conebraid.config import load_config
 from conebraid.suites import run_suite
+from ladder import check_ladder, geometric_ladder
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,13 +31,6 @@ CHECKS = {
 COLUMNS = ("radius", *CHECKS)
 
 
-def geometric_ladder(r_min: float, r_max: float, points: int) -> list[float]:
-    """points radii in equal ratios from r_min to r_max, both end points exact."""
-    ratio = r_max / r_min
-    inner = [r_min * ratio ** (k / (points - 1)) for k in range(1, points - 1)]
-    return [r_min, *inner, r_max]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--config", default=ROOT / "configs" / "decay_extended.json")
@@ -46,8 +39,7 @@ def main() -> int:
     parser.add_argument("--r-max", type=float, default=320.0)
     parser.add_argument("--points", type=int, default=6)
     args = parser.parse_args()
-    if args.points < 3 or not 0.0 < args.r_min < args.r_max < math.inf:
-        parser.error("the ladder needs --points >= 3 and 0 < --r-min < --r-max < inf")
+    check_ladder(parser, args)
 
     config = load_config(args.config)
     ladder = tuple(geometric_ladder(args.r_min, args.r_max, args.points))

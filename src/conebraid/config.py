@@ -19,12 +19,21 @@ fixed-length tuples such as the cone axis must have that length.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import typing
 from pathlib import Path
 from typing import NamedTuple
+
+# The builtin SHA-256 first, as CPython's random.py does for SHA-512:
+# importing hashlib loads OpenSSL, a few MB of every run's peak RSS.
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .category import ConeSpec
 from .errors import ConfigError
@@ -121,7 +130,7 @@ class RunConfig(NamedTuple):
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_canonical_json().encode()).hexdigest()[:16]
+        return sha256(self.to_canonical_json().encode()).hexdigest()[:16]
 
 
 def _check_scale(what: str, value: float) -> None:

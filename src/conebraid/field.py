@@ -16,14 +16,13 @@ which is exactly f~ -> e^{i omega a0} f~.
 
 A profile is its value: a Gaussian kind with its width, or a bump with its
 RadialPolynomial position shape, whose transform is closed form
-(quadrature.radial_fourier); _channel_factors evolves it in time.  Atoms are
-equal exactly when profile, channel and offset are, and Atom.sort_key orders
-them by the same data, so one exact identity serves terms, pair memo and Weyl
-labels.  A profile's key and hash, and an atom's sort key, hash and pair-memo
-key, are computed once at construction, since every dict and memo lookup
-hashes them.  A vector's terms stay canonical (sorted by sort key, each atom
-once, coefficients nonzero), so a sum merges two sorted term tuples in one
-pass.
+(quadrature.radial_fourier); _channel_factors evolves it in time.
+RadialPolynomial, Profile and Atom are named tuples of their fields, so
+they compare, hash and order as those fields, and one exact identity
+serves terms, pair memo and Weyl labels: atoms are equal exactly when
+profile, channel and offset are.  A vector's terms stay canonical (sorted
+by atom, each atom once, coefficients nonzero), so a sum merges two sorted
+term tuples in one pass.
 
 The two bilinear forms are
 
@@ -80,6 +79,7 @@ from functools import lru_cache
 from itertools import chain
 import math
 import operator
+from typing import NamedTuple
 
 from .errors import ConfigError, DomainError, UsageError
 
@@ -89,7 +89,7 @@ TWO_PI_32 = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
 R_MAX = 10.0
 
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
-# oscillation wavelength of the fastest sinc/trig factor over (0, r_max],
+# oscillation wavelength of the fastest sinc/trig factor over (0, R_MAX],
 # rounded up to whole composite panels of PANEL_ORDER cached nodes each.
 # _panel_pair_integral evaluates the kernel one such panel at a time.
 RADIAL_RULE_BASE = 192
@@ -115,8 +115,9 @@ _MAX_POLY_TERMS = 4
 
 
 class Frozen:
-    """Base of the value types: fields are set once, in __init__, through the
-    instance dict, and assigning or deleting an attribute raises AttributeError.
+    """Base of the identity types (FieldVector, WeylElement, ChargeAutomorphism,
+    ConeSpec): fields are set once, in __init__, through the instance dict, and
+    assigning or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -128,63 +129,52 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class RadialPolynomial(Frozen):
+class RadialPolynomial(NamedTuple("RadialPolynomial", [("support", float), ("coeffs", tuple)])):
     """Radial position profile f(r) = sum_k coeffs[k] (r / support)^{2k} on [0, support].
 
-    quadrature.radial_fourier transforms it in closed form.  Instances with
-    equal coefficients and support compare equal.
+    quadrature.radial_fourier transforms it in closed form.  The value is
+    the tuple (support, coeffs), so it compares, hashes and orders by them.
     """
 
-    def __init__(self, coeffs, support: float) -> None:
+    __slots__ = ()
+
+    def __new__(cls, coeffs, support: float) -> "RadialPolynomial":
         coeffs = tuple(float(c) for c in coeffs)
         if not 1 <= len(coeffs) <= _MAX_POLY_TERMS or not all(math.isfinite(c) for c in coeffs):
             raise ConfigError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
         if not math.isfinite(support) or support <= 0.0:
             raise ConfigError(f"support radius must be positive, got {support}")
-        self.__dict__.update(coeffs=coeffs, support=float(support))
+        return super().__new__(cls, float(support), coeffs)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.coeffs, self.support) == (other.coeffs, other.support)
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs, self.support))
+    def __getnewargs__(self) -> tuple:
+        # copy and pickle rebuild through __new__, whose order differs from the fields'
+        return self.coeffs, self.support
 
 
-class Profile(Frozen):
+class Profile(NamedTuple("Profile", [("kind", str), ("width", float), ("shape", tuple)])):
     """Radial momentum profile of an atom.
 
     kind "gauss" is exp(-r^2 w^2 / 2); kind "gauss2" is r^2 exp(-r^2 w^2 / 2)
     (chargeless in the g channel); kind "bump" is the radial Fourier
-    transform of the position profile ``shape``.  ``key`` = (kind, width,
-    shape data) is equal exactly when the fields are, so profiles compare
-    and order by it: the shape data is () for a Gaussian and (support,
-    *coeffs) for a bump.  The key and the hash are computed once.  A
-    Gaussian's width must be finite and positive, and a bump has none, so
-    each function has one profile.
+    transform of the position profile ``shape``.  The value is the tuple
+    (kind, width, shape), with shape () for a Gaussian, so profiles compare,
+    hash and order by it.  A Gaussian's width must be finite and positive,
+    and a bump has none, so each function has one profile.
     """
 
-    def __init__(self, kind: str, width: float = 0.0, shape: RadialPolynomial | None = None) -> None:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, width: float = 0.0, shape: RadialPolynomial | tuple = ()) -> "Profile":
         if kind not in ("gauss", "gauss2", "bump"):
             raise UsageError(f"profile kind must be 'gauss', 'gauss2' or 'bump', got {kind!r}")
-        if (kind == "bump") != isinstance(shape, RadialPolynomial):
+        if not (isinstance(shape, RadialPolynomial) if kind == "bump" else shape == ()):
             raise UsageError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
         if kind == "bump":
             if width != 0.0:
                 raise UsageError("a bump profile has no width")
         elif not (math.isfinite(width) and width > 0.0):
             raise ConfigError("width must be positive")
-        key = (kind, width, () if shape is None else (shape.support, *shape.coeffs))
-        self.__dict__.update(kind=kind, width=width, shape=shape, key=key, _hash=hash(key))
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.key == other.key
-
-    def __hash__(self) -> int:
-        return self._hash
+        return super().__new__(cls, kind, width, shape)
 
     def values(self, r: list[float]):
         """The radial momentum profile at the momenta r, one float per momentum."""
@@ -198,32 +188,15 @@ class Profile(Frozen):
         return [x**2 * exp(-0.5 * (w * x) ** 2) for x in r]
 
 
-# FieldVector and Atom are the objects the algebra builds most, so their
-# constructors fill the instance dict item by item.
-class Atom(Frozen):
+class Atom(NamedTuple):
     """A profile in one channel at a spacetime offset (t, x, y, z).
 
-    Computed once at construction: ``sort_key`` = (profile key, channel,
-    offset), which orders atoms and is equal exactly when the atoms are, so
-    atoms compare by it; the hash; the pair-memo key (profile, channel, t)
-    and its sort key (profile key, channel, t).
+    Atoms compare, hash and order as the tuple (profile, channel, offset).
     """
 
-    def __init__(self, profile: Profile, channel: str, offset=(0.0, 0.0, 0.0, 0.0)):
-        sort_key = (profile.key, channel, offset)
-        d = self.__dict__
-        d["profile"], d["channel"], d["offset"] = profile, channel, offset
-        d["sort_key"], d["_hash"] = sort_key, hash(sort_key)
-        d["pair_key"] = (profile, channel, offset[0])
-        d["pair_sort_key"] = (profile.key, channel, offset[0])
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.sort_key == other.sort_key
-
-    def __hash__(self) -> int:
-        return self._hash
+    profile: Profile
+    channel: str
+    offset: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
 
 def _canonical_terms(items) -> tuple[tuple[float, Atom], ...]:
@@ -231,16 +204,16 @@ def _canonical_terms(items) -> tuple[tuple[float, Atom], ...]:
     for coeff, atom in items:
         merged[atom] = merged.get(atom, 0.0) + coeff
     kept = [(c, a) for a, c in merged.items() if c != 0.0]
-    kept.sort(key=lambda t: t[1].sort_key)
+    kept.sort(key=operator.itemgetter(1))
     return tuple(kept)
 
 
 def _merge_terms(xs: tuple, ys: tuple) -> tuple:
     """_canonical_terms of xs + ys for two canonical term tuples, in one pass.
 
-    Both are sorted by sort key with unique atoms and nonzero coefficients,
-    so equal atoms meet side by side; their coefficient is cx + cy, the
-    same float the dict merge gives.
+    Both are sorted by atom with unique atoms and nonzero coefficients, so
+    equal atoms meet side by side; their coefficient is cx + cy, the same
+    float the dict merge gives.
     """
     if not xs or not ys:
         return xs or ys
@@ -249,10 +222,10 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
     nx, ny = len(xs), len(ys)
     while i < nx and j < ny:
         (cx, ax), (cy, ay) = xs[i], ys[j]
-        if ax.sort_key < ay.sort_key:
+        if ax < ay:
             out.append(xs[i])
             i += 1
-        elif ay.sort_key < ax.sort_key:
+        elif ay < ax:
             out.append(ys[j])
             j += 1
         else:
@@ -264,14 +237,15 @@ def _merge_terms(xs: tuple, ys: tuple) -> tuple:
     return (*out, *xs[i:], *ys[j:])
 
 
+# FieldVector is the object the algebra builds most, so its constructor fills
+# the instance dict item by item.
 class FieldVector(Frozen):
     """Immutable finite combination of translated radial atoms.
 
-    ``terms`` is canonical: (coefficient, atom) pairs sorted by the atoms'
-    sort keys, each atom once, every coefficient nonzero.  ``charge`` is
-    the vector's class: 0.0 for a test vector.  Vectors compare by
-    identity; their terms tuple, which ``weyl.label_id`` returns, is their
-    exact value identity.
+    ``terms`` is canonical: (coefficient, atom) pairs sorted by atom, each
+    atom once, every coefficient nonzero.  ``charge`` is the vector's class:
+    0.0 for a test vector.  Vectors compare by identity; their terms tuple,
+    which ``weyl.label_id`` returns, is their exact value identity.
     """
 
     def __init__(self, terms: tuple, charge: float):
@@ -283,12 +257,12 @@ class FieldVector(Frozen):
         return not self.terms
 
     def __getattr__(self, name: str):
-        # ``pair_terms``, built on first use: (coefficient, pair key, pair sort
-        # key, spatial offset) per term, as _form reads them.  (A lock-free
-        # cached_property: most vectors never meet a bilinear form.)
+        # ``pair_terms``, built on first use: (coefficient, pair key (profile,
+        # channel, t), spatial offset) per term, as _form reads them.  (A
+        # lock-free cached_property: most vectors never meet a bilinear form.)
         if name != "pair_terms":
             raise AttributeError(name)
-        value = [(c, a.pair_key, a.pair_sort_key, a.offset[1:]) for c, a in self.terms]
+        value = [(c, (profile, channel, offset[0]), offset[1:]) for c, (profile, channel, offset) in self.terms]
         self.__dict__["pair_terms"] = value
         return value
 
@@ -411,23 +385,23 @@ def translate(x: FieldVector, a) -> FieldVector:
     if not any(a):
         return x
     a0, a1, a2, a3 = a
-    terms = []
-    for coeff, atom in x.terms:
-        t, u, v, w = atom.offset
-        terms.append((coeff, Atom(atom.profile, atom.channel, (t + a0, u + a1, v + a2, w + a3))))
-    keys = [atom.sort_key for _, atom in terms]
-    if any(map(operator.ge, keys, keys[1:])):
+    terms = [
+        (coeff, Atom(profile, channel, (t + a0, u + a1, v + a2, w + a3)))
+        for coeff, (profile, channel, (t, u, v, w)) in x.terms
+    ]
+    atoms = [atom for _, atom in terms]
+    if any(map(operator.ge, atoms, atoms[1:])):
         return _make(terms, x.charge)
     return FieldVector(tuple(terms), x.charge)
 
 
-def _radial_rule_for(ka: tuple, kb: tuple, delta: float, r_max: float):
-    """Composite unit rule (nodes, weights) on [0, 1] sized for one pair of (profile, channel, t) atom keys on (0, r_max]."""
+def _radial_rule_for(ka: tuple, kb: tuple, delta: float):
+    """Composite unit rule (nodes, weights) on [0, 1] sized for one pair of (profile, channel, t) atom keys on (0, R_MAX]."""
     from .quadrature import composite_legendre_unit
 
     # the time offsets are added first, so the rule is symmetric in the pair
     mu = delta + (abs(ka[2]) + abs(kb[2]))
-    n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * r_max / (2.0 * math.pi)))
+    n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * R_MAX / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
     return composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
@@ -453,7 +427,7 @@ def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float:
         a = 0.5 * (ka[0].width ** 2 + kb[0].width ** 2)
         if a * R_MAX**2 >= CLOSED_FORM_MIN_TAIL:
             return _gauss_sigma(ka[1], kb[1], ka[2] - kb[2], delta, a)
-    return _panel_pair_integral(form, ka, kb, delta, R_MAX)
+    return _panel_pair_integral(form, ka, kb, delta)
 
 
 def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
@@ -503,24 +477,24 @@ def _channel_factors(key: tuple, r: list[float]) -> tuple:
     return [x * math.sin(x * t) * f for x, f in zip(r, phi)], cos_t
 
 
-def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float, r_max: float) -> float:
-    """4 pi int_0^r_max K(r) sinc(r delta) dr on the composite rule for this one atom pair.
+def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float:
+    """4 pi int_0^R_MAX K(r) sinc(r delta) dr on the composite rule for this one atom pair.
 
     K is _pair_integral's kernel of the form.  _radial_rule_for's unit rule
-    scales to nodes r = r_max u and weights r_max w.  The kernel is
+    scales to nodes r = R_MAX u and weights R_MAX w.  The kernel is
     evaluated one panel of RADIAL_RULE_PANEL_ORDER nodes at a time, each
     node's sinc directly as sin(delta r) / (delta r), and the terms stream
     into one math.fsum, so the sum is correctly rounded and only a panel of
     values is held at once.  Swapping ka and kb negates the SIGMA kernel and
     keeps the RE kernel, both bit for bit.
     """
-    u, w = _radial_rule_for(ka, kb, delta, r_max)
+    u, w = _radial_rule_for(ka, kb, delta)
     order = RADIAL_RULE_PANEL_ORDER
 
     def panels():
         for start in range(0, len(u), order):
-            r = [r_max * x for x in u[start : start + order]]
-            weights = [r_max * x for x in w[start : start + order]]
+            r = [R_MAX * x for x in u[start : start + order]]
+            weights = [R_MAX * x for x in w[start : start + order]]
             gx, hx = _channel_factors(ka, r)
             gy, hy = _channel_factors(kb, r)
             if form == SIGMA:
@@ -539,13 +513,13 @@ def _form(form: str, x: FieldVector, y: FieldVector) -> float:
     """Correctly rounded sum of c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.
 
     Each k comes from the one memo entry of the unordered atom pair, read in
-    pair-sort-key order: a swapped SIGMA value is negated, and atoms whose
-    sort keys tie keep their order.
+    pair-key order: a swapped SIGMA value is negated, and equal pair keys
+    keep their order.
     """
     antisymmetric, dist, values = form == SIGMA, math.dist, []
-    for cx, kx, sx, dx in x.pair_terms:
-        for cy, ky, sy, dy in y.pair_terms:
-            if sy < sx:
+    for cx, kx, dx in x.pair_terms:
+        for cy, ky, dy in y.pair_terms:
+            if ky < kx:
                 value = _pair_integral(form, ky, kx, dist(dx, dy))
                 if antisymmetric:
                     value = -value

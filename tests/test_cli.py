@@ -765,6 +765,17 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_stdout(code) == "[]"
 
 
+def test_verify_loads_no_openssl(tmp_path):
+    # hashlib loads _hashlib (OpenSSL), a few MB of peak RSS; the config
+    # digest reads the builtin SHA-256 instead
+    code = (
+        "import sys\nfrom conebraid.cli import main\n"
+        f"main(['verify', '--config', {str(CONFIG_PATH)!r}, '--suite', 'all', '--out', {str(tmp_path)!r}])\n"
+        "print(sorted(m for m in ('_hashlib', 'hashlib') if m in sys.modules))"
+    )
+    assert _fresh_stdout(code) == "[]"
+
+
 def _numpy_loaded_after(code: str) -> bool:
     return _fresh_stdout(f"{code}\nimport sys\nprint('numpy' in sys.modules)") == "True"
 

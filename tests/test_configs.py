@@ -19,6 +19,15 @@ def test_committed_config_is_canonical(path):
     assert path.read_text() == load_config(path).to_canonical_json()
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
+def test_digest_is_the_hashlib_sha256_prefix(path):
+    # config.digest reads the builtin SHA-256 module; its bytes are hashlib's
+    import hashlib
+
+    config = load_config(path)
+    assert config.digest() == hashlib.sha256(config.to_canonical_json().encode()).hexdigest()[:16]
+
+
 def test_readme_names_every_config():
     readme = (ROOT / "README.md").read_text()
     assert [p.name for p in CONFIGS if f"configs/{p.name}" not in readme] == []

@@ -12,6 +12,7 @@ independent route for the radial integrals, and mpmath.quad at 30 digits a
 third for atom-pair integrals on both the closed-form and the panel route.
 """
 
+import copy
 from fractions import Fraction
 import math
 
@@ -97,19 +98,19 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
 
     monkeypatch.setattr(Q, "composite_legendre_unit", record)
     # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
-    F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 2.0e6, F.R_MAX)
+    F._radial_rule_for(gam.pair_terms[0][1], dlt.pair_terms[0][1], 2.0e6)
     assert built == [31831040] and built[0] <= F.RADIAL_RULE_MAX_NODES
     with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
-        F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 2.0e8, F.R_MAX)
+        F._radial_rule_for(gam.pair_terms[0][1], dlt.pair_terms[0][1], 2.0e8)
     assert len(built) == 1
 
 
 @pytest.mark.parametrize("d, panels", [(0.5, 3), (1280.0, 319)])
 def test_radial_rule_is_composite_panels(pair, d, panels):
-    # n = max(192, ceil(10 * d * r_max / (2 pi))) nodes, rounded up to 64-node
+    # n = max(192, ceil(10 * d * R_MAX / (2 pi))) nodes, rounded up to 64-node
     # panels; the pair reads the cached unit rule, which the panel route scales
     gam, dlt = pair
-    u, w = F._radial_rule_for(gam.terms[0][1].pair_key, dlt.terms[0][1].pair_key, d, F.R_MAX)
+    u, w = F._radial_rule_for(gam.pair_terms[0][1], dlt.pair_terms[0][1], d)
     nodes, weights = composite_legendre_unit(panels, 64)
     assert u is nodes and w is weights and len(u) == 64 * panels
 
@@ -448,7 +449,7 @@ def test_bump_transform_memo_follows_the_shape():
     assert after == 2.0 * before
     assert two.charge == 2.0 * one.charge
     # the memoized transform is the uncached closed form, read-only
-    u, w = F._radial_rule_for(two.terms[0][1].pair_key, dlt.terms[0][1].pair_key, 0.0, F.R_MAX)
+    u, w = F._radial_rule_for(two.pair_terms[0][1], dlt.pair_terms[0][1], 0.0)
     r = F.R_MAX * np.asarray(u)
     uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r.tolist())
     cached = two.terms[0][1].profile.values(r.tolist())
@@ -479,13 +480,23 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
     atom = F.Atom(profile, "g", (0.0, 1.0, 0.0, 0.0))
     vec = F.make_charge_vector()
     cone = C.ConeSpec((0.0, 0.0, 2.0), 0.5)
+    gauss = F.Profile("gauss", width=1.5)
     values = [
         (shape, RadialPolynomial([1, -2, 1], 2.5)),
         (profile, F.Profile("bump", shape=RadialPolynomial((1.0, -2.0, 1.0), 2.5))),
         (atom, F.Atom(F.Profile("bump", shape=shape), "g", (0.0, 1.0, 0.0, 0.0))),
+        (gauss, F.Profile("gauss", width=1.5)),
+        (F.Atom(gauss, "h"), F.Atom(F.Profile("gauss", width=1.5), "h", (0.0, 0.0, 0.0, 0.0))),
     ]
     for x, twin in values:
         assert x == twin and hash(x) == hash(twin) and x is not twin
+        # copy rebuilds through the checking constructor, whose argument
+        # order differs from the fields' for a RadialPolynomial
+        copied = copy.deepcopy(x)
+        assert copied == x and type(copied) is type(x)
+    # the value types are their fields' tuples: equality and hash are the tuple's
+    for cls in (RadialPolynomial, F.Profile, F.Atom):
+        assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
     assert atom != F.Atom(profile, "h", (0.0, 1.0, 0.0, 0.0)) and profile != F.Profile("gauss", width=1.0)
     # vectors, generators, objects and cones compare by identity
     assert vec != F.make_charge_vector() and vec == vec
@@ -530,9 +541,13 @@ def test_bump_profile_needs_a_shape():
         F.Profile("bump")
     with pytest.raises(UsageError):
         F.Profile("gauss", width=1.0, shape=RadialPolynomial((1.0,), 1.0))
+    with pytest.raises(UsageError):
+        F.Profile("gauss", width=1.0, shape=(2.5, (1.0,)))
+    # a profile is the tuple of its fields, with shape () for a Gaussian
     shape = RadialPolynomial((1.0, -2.0, 1.0), 2.5)
-    assert F.Profile("bump", shape=shape).key == ("bump", 0.0, (2.5, 1.0, -2.0, 1.0))
-    assert F.Profile("gauss", width=1.5).key == ("gauss", 1.5, ())
+    assert shape == (2.5, (1.0, -2.0, 1.0))
+    assert F.Profile("bump", shape=shape) == ("bump", 0.0, (2.5, (1.0, -2.0, 1.0)))
+    assert F.Profile("gauss", width=1.5) == ("gauss", 1.5, ())
 
 
 @pytest.mark.parametrize("support", [0.5, 1.0, 2.5])
@@ -619,7 +634,7 @@ def _numpy_channel_factors(key, r):
 
 def _direct_pair_sum(form, ka, kb, delta):
     """4 pi dot(w, K sinc(r delta)) on the pair's own rule in numpy, and 4 pi dot(w, |K|)."""
-    u, w = F._radial_rule_for(ka, kb, delta, F.R_MAX)
+    u, w = F._radial_rule_for(ka, kb, delta)
     r, w = F.R_MAX * np.asarray(u), F.R_MAX * np.asarray(w)
     (gx, hx), (gy, hy) = _numpy_channel_factors(ka, r), _numpy_channel_factors(kb, r)
     kern = gx * hy - gy * hx if form == F.SIGMA else gx * gy / r + hx * hy * r
@@ -650,11 +665,11 @@ def test_pair_integral_matches_direct_sinc_sum(form, ka, kb, delta):
     # the stdlib panel route against the same rule sum in numpy: they differ
     # by rounding only, each node's sinc by about eps, so the difference is
     # bounded by eps times the pair's zero-separation size 4 pi sum |w K|
-    value = F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)
+    value = F._panel_pair_integral(form, ka, kb, delta)
     ref, size = _direct_pair_sum(form, ka, kb, delta)
     assert abs(value - ref) <= (1e-15 if delta == 0.0 else 1e-13) * size
     # the kernel is bit-exactly antisymmetric (SIGMA) or symmetric (RE) under a swap
-    swapped = F._panel_pair_integral(form, kb, ka, delta, F.R_MAX)
+    swapped = F._panel_pair_integral(form, kb, ka, delta)
     assert swapped == (-value if form == F.SIGMA else value)
 
 
@@ -686,7 +701,7 @@ def test_equal_time_kernels_vanish_without_a_rule(monkeypatch, t):
         for delta in (0.0, 0.3, 2.5)
     ]
     for form, ka, kb, delta in cases:
-        assert abs(F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)) <= 1e-15
+        assert abs(F._panel_pair_integral(form, ka, kb, delta)) <= 1e-15
     x = F.translate(F.make_test_vector(width=1.0, channel="g"), (t, 0.0, 0.0, 0.0))
     y = F.translate(F.make_charge_vector(width=1.3), (t, 0.3, 0.0, 0.0))
     monkeypatch.setattr(F, "_radial_rule_for", None)
@@ -702,8 +717,8 @@ CLOSED_FORM_DELTAS = (0.5, 1.5, 20.0, 150.0, 1280.0, 1.0e4, 8.0e4)
 @pytest.mark.parametrize("widths", [(1.0, 1.0), (1.0, 1.3)])
 @pytest.mark.parametrize("cx, cy", [("g", "g"), ("g", "h"), ("h", "g"), ("h", "h")])
 def test_gauss_sigma_closed_form_matches_panel_route(cx, cy, widths, offsets):
-    # the closed form integrates over [0, inf); the rule stops at r_max = 10,
-    # where e^{-a r_max^2} <= e^{-100}, so the two agree to the rule's bound.
+    # the closed form integrates over [0, inf); the rule stops at R_MAX = 10,
+    # where e^{-a R_MAX^2} <= e^{-100}, so the two agree to the rule's bound.
     # The rule sum is taken in numpy here, since the stdlib panel route costs
     # about a microsecond per node; test_pair_integral_matches_direct_sinc_sum
     # pins the package's sum to this one on rules up to separation 8e4
@@ -743,9 +758,9 @@ def test_pair_integral_fallbacks_reach_the_panel_rule(monkeypatch):
     # for RE the pair integral builds its rule; the closed form builds none
     calls = []
 
-    def sentinel(ka, kb, delta, r_max):
+    def sentinel(ka, kb, delta):
         calls.append((ka, kb, delta))
-        return rule_for(ka, kb, delta, r_max)
+        return rule_for(ka, kb, delta)
 
     rule_for = F._radial_rule_for
     monkeypatch.setattr(F, "_radial_rule_for", sentinel)
@@ -765,7 +780,7 @@ def test_pair_integral_fallbacks_reach_the_panel_rule(monkeypatch):
         calls.clear()
         value = undecorated(form, ka, kb, delta)
         assert len(calls) == 1
-        assert value == F._panel_pair_integral(form, ka, kb, delta, F.R_MAX)
+        assert value == F._panel_pair_integral(form, ka, kb, delta)
 
 
 def test_vectors_from_two_contexts_agree():
@@ -780,20 +795,21 @@ def test_vectors_from_two_contexts_agree():
 @pytest.mark.parametrize(
     "shape_x, shape_y", [("indicator", "indicator"), ("indicator", "smooth"), ("smooth", "smooth")]
 )
-def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y):
+def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y, monkeypatch):
     # Two radial bumps of support 1 at t = 0 and distance d > 2 couple like
     # point charges (Newton's shell theorem): sigma = 2 pi^2 phi_x(0) phi_y(0) / d
-    # in the model without a momentum cutoff.  The panel rule stops at r_max,
-    # so the gap is the cutoff error, and it must shrink as r_max grows past
-    # the model's R_MAX.
+    # in the model without a momentum cutoff.  The panel rule stops at R_MAX,
+    # so the gap is the cutoff error, and it must shrink as the cutoff grows
+    # past the model's R_MAX (set here on the module for one evaluation).
     coeffs = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
     px, py = (F.Profile("bump", shape=RadialPolynomial(coeffs[shape], 1.0)) for shape in (shape_x, shape_y))
     for d in (2.5, 20.0):
         exact = 2.0 * math.pi**2 * radial_fourier(px.shape, 0.0) * radial_fourier(py.shape, 0.0) / d
-        gap = {
-            r_max: abs(F._panel_pair_integral(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d, r_max) - exact)
-            for r_max in (F.R_MAX, 40.0)
-        }
+        gap = {}
+        for r_max in (F.R_MAX, 40.0):
+            with monkeypatch.context() as m:
+                m.setattr(F, "R_MAX", r_max)
+                gap[r_max] = abs(F._panel_pair_integral(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d) - exact)
         assert gap[F.R_MAX] == abs(F._pair_integral.__wrapped__(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d) - exact)
         assert gap[40.0] < gap[F.R_MAX]
         if shape_x == shape_y == "smooth":

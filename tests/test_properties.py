@@ -182,7 +182,38 @@ def _dict_and_sort(terms):
     for c, a in terms:
         merged[a] = merged.get(a, 0.0) + c
     kept = [(c, a) for a, c in merged.items() if c != 0.0]
-    return tuple(sorted(kept, key=lambda t: t[1].sort_key))
+    return tuple(sorted(kept, key=lambda t: t[1]))
+
+
+def _old_sort_key(atom):
+    """The atom order the field once cached per atom, rebuilt from the fields:
+    ((kind, width, () or (support, *coeffs)), channel, offset)."""
+    profile = atom.profile
+    shape = (profile.shape.support, *profile.shape.coeffs) if profile.kind == "bump" else ()
+    return ((profile.kind, profile.width, shape), atom.channel, atom.offset)
+
+
+# Few values per field, so random atoms often tie in a leading field.
+order_profiles = st.one_of(
+    st.builds(F.Profile, st.sampled_from(["gauss", "gauss2"]), st.sampled_from([0.5, 1.0, 1.3])),
+    st.builds(
+        lambda coeffs, support: F.Profile("bump", shape=F.RadialPolynomial(coeffs, support)),
+        st.sampled_from([(1.0,), (1.0, -2.0), (1.0, -2.0, 1.0), (2.0,)]),
+        st.sampled_from([1.0, 2.5]),
+    ),
+)
+order_offsets = st.tuples(*[st.sampled_from([-1.0, -0.0, 0.0, 0.5])] * 4)
+order_atoms = st.builds(F.Atom, order_profiles, st.sampled_from(["g", "h"]), order_offsets)
+
+
+@settings(max_examples=300, **COMMON)
+@given(st.lists(order_atoms, min_size=2, max_size=8))
+def test_atoms_order_as_their_old_sort_key(atoms):
+    # sorting atoms as tuples gives the order of the old key, tie for tie
+    assert [id(a) for a in sorted(atoms)] == [id(a) for a in sorted(atoms, key=_old_sort_key)]
+    for a in atoms:
+        for b in atoms:
+            assert (a < b, a == b) == (_old_sort_key(a) < _old_sort_key(b), _old_sort_key(a) == _old_sort_key(b))
 
 
 def _bits(terms):
