@@ -36,14 +36,13 @@ def main() -> int:
     check_ladder(parser, args)
 
     ctx = RunContext(load_config(args.config))
-    gamma, delta = (ctx.objects[n] for n in list(ctx.objects)[:2])
+    gamma, delta = list(ctx.vectors.values())[:2]
     exact = braiding_exact(gamma, delta).coeff
-    radii = geometric_ladder(args.r_min, args.r_max, args.points)
-    run = braiding_asymptotic(gamma, delta, ctx.cone, radii)
 
     print(f"exact phase: {exact:.12f}")
     print(f"{'R':>8s} {'residual':>14s} {'closed form':>14s} {'ratio to 1/R':>13s}")
-    for radius, phase in zip(run.radii, run.phases):
+    for radius in geometric_ladder(args.r_min, args.r_max, args.points):
+        phase, _, _ = braiding_asymptotic(gamma, delta, ctx.cone, radius)
         res = abs(phase - exact)
         pred = abs(cmath.exp(1j * closed_form(2.0 * radius)) - 1.0)
         print(f"{radius:8.1f} {res:14.6e} {pred:14.6e} {res * 2.0 * radius:13.6f}")

@@ -1,13 +1,16 @@
-"""Charge automorphisms, intertwiners, braiding, and cone asymptotics.
+"""Objects, intertwiners, braiding, and cone asymptotics.
 
-Objects are charge automorphisms gamma(W(f)) = e^{i sigma(gamma, f)} W(f),
-carrying only their field data; the charge separates inequivalent objects,
+An object is a charge automorphism gamma_f(W(x)) = e^{i sigma(f, x)} W(x),
+which its field data f fixes, so an object is its FieldVector: the tensor
+product of two objects is their composition, whose data is field.add of
+theirs, and moving an object is field.translate.  Objects are equal when
+their data are (weyl.label_id); the charge separates inequivalent objects,
 and hom-sets between equal charges are one dimensional, spanned by the
 Weyl generator of the data difference.  An Intertwiner is therefore a
-weyl.WeylElement, coefficient times label, with a source and a target.
-Composition is the generator product and the adjoint is the generator
-star, both taken from weyl; the tensor product of arrows is R times the
-source automorphism applied to S,
+weyl.WeylElement, coefficient times label, with a source and a target
+vector.  Composition is the generator product and the adjoint is the
+generator star, both taken from weyl; the tensor product of arrows is R
+times the source automorphism applied to S,
 
     compose:  coeff_S coeff_R e^{+i sigma(y_S, y_R)/2}
     tensor:   coeff_R coeff_S e^{i sigma(gamma_R, y_S)} e^{+i sigma(y_R, y_S)/2}
@@ -16,12 +19,13 @@ with y the arrow labels and gamma_R the source data of the left factor.
 Everything is scalar: the object monoid is abelian, so braiding arrows are
 pure phases on a zero label.
 
-The asymptotic braiding transports each charge along a spacelike cone, the
-second charge along the opposite cone, and evaluates the transported
-exchange through the categorical operations.  ``braiding_asymptotic`` is
-the one braiding routine: the braiding suite reads it on the configured
-cone and the homotopy suite once per cone of its chain.  Next to each
-categorical phase it returns the closed-form phase
+The asymptotic braiding transports the first charge along a spacelike
+cone to one radius, the second to the antipode, and evaluates the
+transported exchange through the categorical operations.
+``braiding_asymptotic`` is the one braiding routine, one radius per call:
+the braiding suite calls it at each configured radius on the configured
+cone, and the homotopy suite at the largest radius on each cone of its
+chain.  Next to the categorical phase it returns the closed-form phase
 
     exp(i [sigma(gamma, delta_b - delta) - sigma(delta_b, gamma_a - gamma)])
 
@@ -39,7 +43,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InternalError, UsageError
 from .field import FieldVector, Frozen, add, intertwiner_label, symplectic, translate, zero_vector
@@ -91,64 +95,25 @@ class ConeSpec(Frozen):
         return (a0, radius * self.axis[0], radius * self.axis[1], radius * self.axis[2])
 
 
-class ChargeAutomorphism(Frozen):
-    """A charge automorphism, carrying its field data; objects compare by identity."""
-
-    def __init__(self, data: FieldVector):
-        self.__dict__["data"] = data
-
-    @property
-    def charge(self) -> float:
-        return self.data.charge
-
-
-class _TensorObject(ChargeAutomorphism):
-    """a (x) b, whose data a.data + b.data is summed on first use.
-
-    Most tensor products that a law check builds are only an arrow's source
-    or target, and their data is never read.
-    """
-
-    def __init__(self, a: ChargeAutomorphism, b: ChargeAutomorphism):
-        self.__dict__["_factors"] = (a, b)
-
-    def __getattr__(self, attr: str):
-        if attr != "data":
-            raise AttributeError(attr)
-        a, b = self._factors
-        data = add(a.data, b.data)
-        self.__dict__["data"] = data
-        return data
-
-
 class Intertwiner(WeylElement):
-    """The generator coeff * W(label) as an arrow from source to target."""
+    """The generator coeff * W(label) as an arrow from the object source to the object target."""
 
-    def __init__(self, source: ChargeAutomorphism, target: ChargeAutomorphism, coeff, label: FieldVector):
+    def __init__(self, source: FieldVector, target: FieldVector, coeff, label: FieldVector):
         d = self.__dict__
         d["source"], d["target"], d["coeff"], d["label"] = source, target, coeff, label
 
 
-def translate_object(obj: ChargeAutomorphism, a) -> ChargeAutomorphism:
-    return ChargeAutomorphism(translate(obj.data, a))
-
-
-def same_object(a: ChargeAutomorphism, b: ChargeAutomorphism) -> bool:
-    """Equal field data: the exact label identity of the two data vectors."""
-    return label_id(a.data) == label_id(b.data)
-
-
-def hom_basis(source: ChargeAutomorphism, target: ChargeAutomorphism) -> Intertwiner:
+def hom_basis(source: FieldVector, target: FieldVector) -> Intertwiner:
     """Unit basis arrow of the hom-set; intertwiner_label raises DomainError when the charges differ."""
     return Intertwiner(
         source=source,
         target=target,
         coeff=1.0 + 0.0j,
-        label=intertwiner_label(source.data, target.data),
+        label=intertwiner_label(source, target),
     )
 
 
-def identity(obj: ChargeAutomorphism) -> Intertwiner:
+def identity(obj: FieldVector) -> Intertwiner:
     return hom_basis(obj, obj)
 
 
@@ -160,7 +125,7 @@ def rephase(r: Intertwiner, z: complex) -> Intertwiner:
 
 def compose(s: Intertwiner, r: Intertwiner) -> Intertwiner:
     """s after r; the coefficient picks up the cocycle of the label product."""
-    if not same_object(r.target, s.source):
+    if label_id(r.target) != label_id(s.source):
         raise UsageError("compose needs target of the right factor = source of the left")
     # weyl_mul's own product, so the braiding and decay paths never call weyl_mul
     return Intertwiner(r.source, s.target, *_product(s, r))
@@ -171,29 +136,25 @@ def star_mor(r: Intertwiner) -> Intertwiner:
     return Intertwiner(r.target, r.source, adjoint.coeff, adjoint.label)
 
 
-def tensor_obj(a: ChargeAutomorphism, b: ChargeAutomorphism) -> ChargeAutomorphism:
-    return _TensorObject(a, b)
-
-
 def tensor_mor(r: Intertwiner, s: Intertwiner) -> Intertwiner:
     """r tensor s = r composed with the source automorphism of r applied to s."""
     coeff = (
         r.coeff
         * s.coeff
-        * cmath.exp(1j * symplectic(r.source.data, s.label))
+        * cmath.exp(1j * symplectic(r.source, s.label))
         * cmath.exp(0.5j * symplectic(r.label, s.label))
     )
     return Intertwiner(
-        source=tensor_obj(r.source, s.source),
-        target=tensor_obj(r.target, s.target),
+        source=add(r.source, s.source),
+        target=add(r.target, s.target),
         coeff=coeff,
         label=add(r.label, s.label),
     )
 
 
-def auto_action(obj: ChargeAutomorphism, a: WeylElement) -> WeylElement:
+def auto_action(obj: FieldVector, a: WeylElement) -> WeylElement:
     """obj(c W(x)) = c e^{i sigma(obj, x)} W(x)."""
-    return WeylElement(a.coeff * cmath.exp(1j * symplectic(obj.data, a.label)), a.label)
+    return WeylElement(a.coeff * cmath.exp(1j * symplectic(obj, a.label)), a.label)
 
 
 def intertwiner_relation_residual(r: Intertwiner, f: FieldVector) -> float:
@@ -208,80 +169,58 @@ def intertwiner_relation_residual(r: Intertwiner, f: FieldVector) -> float:
     return float(abs(lhs.coeff - rhs.coeff))
 
 
-def braiding_exact(a: ChargeAutomorphism, b: ChargeAutomorphism) -> Intertwiner:
+def braiding_exact(a: FieldVector, b: FieldVector) -> Intertwiner:
     """The limit braiding: a pure phase e^{-i sigma(a, b)} on the zero label."""
-    coeff = cmath.exp(-1j * symplectic(a.data, b.data))
-    return Intertwiner(
-        source=tensor_obj(a, b),
-        target=tensor_obj(b, a),
-        coeff=coeff,
-        label=zero_vector(),
-    )
+    coeff = cmath.exp(-1j * symplectic(a, b))
+    return Intertwiner(source=add(a, b), target=add(b, a), coeff=coeff, label=zero_vector())
 
 
-class BraidingRun(NamedTuple):
-    """Transported exchange phases at each radius, the closed-form phases
-    exp(i(sigma(a, v) - sigma(b_far, u))) each should equal, and the
-    exchange phases with the transporters rephased (empty without an rng).
-    """
-
-    radii: tuple[float, ...]
-    phases: tuple[complex, ...]
-    closed: tuple[complex, ...]
-    rephased: tuple[complex, ...] = ()
+def _exchange(u: Intertwiner, v: Intertwiner) -> complex:
+    """Phase of (v x u)* (u x v), which must sit on the zero label."""
+    eps = compose(star_mor(tensor_mor(v, u)), tensor_mor(u, v))
+    if not eps.label.is_zero:
+        raise InternalError("asymptotic braiding must have zero label")
+    return complex(eps.coeff)
 
 
 def braiding_asymptotic(
-    a: ChargeAutomorphism,
-    b: ChargeAutomorphism,
+    a: FieldVector,
+    b: FieldVector,
     cone: ConeSpec,
-    radii,
+    radius: float,
     rng: random.Random | None = None,
-) -> BraidingRun:
-    """Braiding via transported exchange at each radius along the cone.
+) -> tuple[complex, complex, complex | None]:
+    """(phase, closed, rephased): the transported exchange at one radius along the cone.
 
-    The one braiding routine: the braiding suite calls it on the configured
-    cone, and the homotopy suite once per cone of its chain.  The first
-    charge is moved to radius r along the cone axis, the second to the
-    exact antipode; the exchange is evaluated through star, tensor, and
-    composition of the transport arrows u and v.  Each phase comes with its
-    closed form, which the braiding suite compares it with.  Passing an rng
-    (anything with random.Random's uniform) also returns the exchange of
+    The one braiding routine: the braiding suite calls it at each radius on
+    the configured cone, and the homotopy suite at the largest radius on
+    each cone of its chain.  The first charge is moved to the radius along
+    the cone axis, the second to the exact antipode; the exchange is
+    evaluated through star, tensor, and composition of the transport arrows
+    u and v.  ``closed`` is the phase exp(i(sigma(a, v) - sigma(b_far, u)))
+    the exchange should equal.  Passing an rng (anything with
+    random.Random's uniform) also returns, as ``rephased``, the exchange of
     the same u and v with their free phases redrawn from
-    rng.uniform(0, 2 pi), u then v at each radius; it equals the plain
-    phase because each transporter meets its own star.  The limit phase is
-    approached like c/R.
+    rng.uniform(0, 2 pi), u then v; it equals the plain phase because each
+    transporter meets its own star.  Without an rng, ``rephased`` is None.
+    The limit phase is approached like c/R.
     """
-    radii = [float(r) for r in radii]
-    if len(radii) < 3 or any(r2 <= r1 for r1, r2 in zip(radii, radii[1:])):
-        raise UsageError("radii must be strictly increasing with at least 3 entries")
-    phases, closed_phases, rephased = [], [], []
-    for radius in radii:
-        ta = cone.translation(radius)
-        tb = tuple(-c for c in ta)
-        a_far = translate_object(a, ta)
-        b_far = translate_object(b, tb)
-        u = hom_basis(a, a_far)
-        v = hom_basis(b, b_far)
-        closed = cmath.exp(1j * (symplectic(a.data, v.label) - symplectic(b_far.data, u.label)))
-        closed_phases.append(complex(closed))
-        transports = [(u, v)]
-        if rng is not None:
-            z_u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            z_v = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
-            transports.append((rephase(u, z_u), rephase(v, z_v)))
-        for (x, y), out in zip(transports, (phases, rephased)):
-            eps = compose(star_mor(tensor_mor(y, x)), tensor_mor(x, y))
-            if not eps.label.is_zero:
-                raise InternalError("asymptotic braiding must have zero label")
-            out.append(complex(eps.coeff))
-    return BraidingRun(tuple(radii), tuple(phases), tuple(closed_phases), tuple(rephased))
+    ta = cone.translation(radius)
+    b_far = translate(b, tuple(-c for c in ta))
+    u = hom_basis(a, translate(a, ta))
+    v = hom_basis(b, b_far)
+    closed = complex(cmath.exp(1j * (symplectic(a, v.label) - symplectic(b_far, u.label))))
+    phase, rephased = _exchange(u, v), None
+    if rng is not None:
+        z_u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        z_v = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+        rephased = _exchange(rephase(u, z_u), rephase(v, z_v))
+    return phase, closed, rephased
 
 
-def implementation_residual(obj: ChargeAutomorphism, a, f: FieldVector) -> float:
+def implementation_residual(obj: FieldVector, a, f: FieldVector) -> float:
     """Norm of U_a* W(f) U_a - rho(W(f)), reduced to |e^{i sigma(rho_a, f)} - 1|."""
-    moved = translate(obj.data, a)
-    return abs(cmath.exp(1j * symplectic(moved, f)) - 1.0)
+    return abs(cmath.exp(1j * symplectic(translate(obj, a), f)) - 1.0)
 
 
 def abelianness_residual(x: FieldVector, y: FieldVector) -> float:
@@ -295,8 +234,8 @@ def abelianness_residual(x: FieldVector, y: FieldVector) -> float:
 def transported_arrow(r: Intertwiner, cone: ConeSpec, radius: float) -> Intertwiner:
     """U' r U* with U, U' the transporters of source and target along the cone."""
     ta = cone.translation(radius)
-    u = hom_basis(r.source, translate_object(r.source, ta))
-    u_prime = hom_basis(r.target, translate_object(r.target, ta))
+    u = hom_basis(r.source, translate(r.source, ta))
+    u_prime = hom_basis(r.target, translate(r.target, ta))
     return compose(u_prime, compose(r, star_mor(u)))
 
 
@@ -318,30 +257,28 @@ def tensor_abelianness_residual(
 
 
 def extension_residual(
-    obj: ChargeAutomorphism,
+    obj: FieldVector,
     s: Intertwiner,
     cone1: ConeSpec,
     cone2: ConeSpec,
     radius: float,
 ) -> float:
     """Cone dependence of the extended action, |e^{-i sigma(rho_a1, y)} - e^{-i sigma(rho_a2, y)}|."""
-    moved1 = translate(obj.data, cone1.translation(radius))
-    moved2 = translate(obj.data, cone2.translation(radius))
+    moved1 = translate(obj, cone1.translation(radius))
+    moved2 = translate(obj, cone2.translation(radius))
     p1 = cmath.exp(-1j * symplectic(moved1, s.label))
     p2 = cmath.exp(-1j * symplectic(moved2, s.label))
     return float(abs(p1 - p2))
 
 
-def hexagon_residuals(
-    a: ChargeAutomorphism, b: ChargeAutomorphism, c: ChargeAutomorphism
-) -> tuple[float, float]:
+def hexagon_residuals(a: FieldVector, b: FieldVector, c: FieldVector) -> tuple[float, float]:
     """Coefficient distances of the two hexagon identities; zero by bilinearity."""
-    lhs1 = braiding_exact(tensor_obj(a, b), c)
+    lhs1 = braiding_exact(add(a, b), c)
     rhs1 = compose(
         tensor_mor(braiding_exact(a, c), identity(b)),
         tensor_mor(identity(a), braiding_exact(b, c)),
     )
-    lhs2 = braiding_exact(a, tensor_obj(b, c))
+    lhs2 = braiding_exact(a, add(b, c))
     rhs2 = compose(
         tensor_mor(identity(b), braiding_exact(a, c)),
         tensor_mor(braiding_exact(a, b), identity(c)),

@@ -115,7 +115,7 @@ _MAX_POLY_TERMS = 4
 
 
 class Frozen:
-    """Base of the identity types (FieldVector, WeylElement, ChargeAutomorphism,
+    """Base of the identity types (FieldVector, WeylElement and its Intertwiner,
     ConeSpec): fields are set once, in __init__, through the instance dict, and
     assigning or deleting an attribute raises AttributeError.
     """
@@ -255,16 +255,6 @@ class FieldVector(Frozen):
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __getattr__(self, name: str):
-        # ``pair_terms``, built on first use: (coefficient, pair key (profile,
-        # channel, t), spatial offset) per term, as _form reads them.  (A
-        # lock-free cached_property: most vectors never meet a bilinear form.)
-        if name != "pair_terms":
-            raise AttributeError(name)
-        value = [(c, (profile, channel, offset[0]), offset[1:]) for c, (profile, channel, offset) in self.terms]
-        self.__dict__["pair_terms"] = value
-        return value
 
 
 def _make(items, charge) -> FieldVector:
@@ -512,13 +502,15 @@ def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float
 def _form(form: str, x: FieldVector, y: FieldVector) -> float:
     """Correctly rounded sum of c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.
 
-    Each k comes from the one memo entry of the unordered atom pair, read in
-    pair-key order: a swapped SIGMA value is negated, and equal pair keys
-    keep their order.
+    Each k comes from the one memo entry of the unordered atom pair, keyed
+    by the atoms' (profile, channel, t) and read in that key's order: a
+    swapped SIGMA value is negated, and equal pair keys keep their order.
     """
     antisymmetric, dist, values = form == SIGMA, math.dist, []
-    for cx, kx, dx in x.pair_terms:
-        for cy, ky, dy in y.pair_terms:
+    ys = [(c, (profile, channel, offset[0]), offset[1:]) for c, (profile, channel, offset) in y.terms]
+    for cx, (profile, channel, offset) in x.terms:
+        kx, dx = (profile, channel, offset[0]), offset[1:]
+        for cy, ky, dy in ys:
             if ky < kx:
                 value = _pair_integral(form, ky, kx, dist(dx, dy))
                 if antisymmetric:

@@ -95,16 +95,15 @@ def vector_from_charge_cfg(cfg: ChargeCfg) -> fld.FieldVector:
 
 
 class RunContext:
-    """Materialized configuration: field vectors, objects, cone."""
+    """Materialized configuration: one field vector per charge (the charge's object), and the cone."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.vectors = {c.name: vector_from_charge_cfg(c) for c in config.charges}
-        self.objects = {name: cat.ChargeAutomorphism(vec) for name, vec in self.vectors.items()}
         self.cone = config.cone_spec()
 
     def charge_pairs(self):
-        names = list(self.objects)
+        names = list(self.vectors)
         return [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
 
     def homotopy_chain(self):
@@ -191,18 +190,18 @@ def _uniform(rng: random.Random, low, high) -> tuple[float, ...]:
     return tuple([l + (h - l) * rng.random() for l, h in zip(low, high)])
 
 
-def _random_object(ctx: RunContext, rng: random.Random) -> cat.ChargeAutomorphism:
+def _random_object(ctx: RunContext, rng: random.Random) -> fld.FieldVector:
     names = list(ctx.vectors)
     base = ctx.vectors[names[rng.randrange(len(names))]]
     (magnitude,) = _uniform(rng, (0.5,), (2.0,))
     factor = magnitude * (-1.0, 1.0)[rng.randrange(2)]
     shift = _uniform(rng, *_OBJECT_SHIFT)
-    return cat.ChargeAutomorphism(fld.translate(fld.scale(factor, base), shift))
+    return fld.translate(fld.scale(factor, base), shift)
 
 
-def _random_arrow(rng: random.Random, obj: cat.ChargeAutomorphism) -> cat.Intertwiner:
+def _random_arrow(rng: random.Random, obj: fld.FieldVector) -> cat.Intertwiner:
     shift = _uniform(rng, *_ARROW_SHIFT)
-    arrow = cat.hom_basis(obj, cat.translate_object(obj, shift))
+    arrow = cat.hom_basis(obj, fld.translate(obj, shift))
     (angle,) = _uniform(rng, (0.0,), (2.0 * math.pi,))
     return cat.rephase(arrow, cmath.exp(1j * angle))
 
@@ -218,15 +217,15 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         worst[check] = max(worst[check], float(value))
 
     for _ in range(LAW_SAMPLES):
-        a_obj = _random_object(ctx, rng)
-        b_obj = _random_object(ctx, rng)
-        c_obj = _random_object(ctx, rng)
-        hex_left, hex_right = cat.hexagon_residuals(a_obj, b_obj, c_obj)
+        x = _random_object(ctx, rng)
+        y = _random_object(ctx, rng)
+        z = _random_object(ctx, rng)
+        hex_left, hex_right = cat.hexagon_residuals(x, y, z)
         bump("laws/hexagon_left", hex_left)
         bump("laws/hexagon_right", hex_right)
 
-        r = _random_arrow(rng, a_obj)
-        s = _random_arrow(rng, b_obj)
+        r = _random_arrow(rng, x)
+        s = _random_arrow(rng, y)
         bump("laws/naturality", cat.naturality_residual(r, s))
 
         r2 = _random_arrow(rng, r.target)
@@ -248,12 +247,9 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
             abs(cat.compose(cat.star_mor(r), r).coeff - abs(r.coeff) ** 2),
         )
 
-        round_trip = cat.compose(
-            cat.braiding_exact(b_obj, a_obj), cat.braiding_exact(a_obj, b_obj)
-        )
+        round_trip = cat.compose(cat.braiding_exact(y, x), cat.braiding_exact(x, y))
         bump("laws/braiding_symmetry", abs(round_trip.coeff - 1.0))
 
-        x, y, z = a_obj.data, b_obj.data, c_obj.data
         wx, wy, wz = weyl(x), weyl(y), weyl(z)
         phase = cmath.exp(1j * fld.symplectic(x, y))
         bump(
@@ -268,12 +264,12 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
             ),
         )
 
-        f = fld.intertwiner_label(c_obj.data, fld.translate(c_obj.data, (0.0, 1.0, -0.5, 0.5)))
+        f = fld.intertwiner_label(z, fld.translate(z, (0.0, 1.0, -0.5, 0.5)))
         bump("laws/intertwiner_relation", cat.intertwiner_relation_residual(r, f))
 
         u = weyl(f)
-        lhs_w = cat.auto_action(a_obj, weyl_mul(u, r))
-        rhs_w = weyl_mul(cat.auto_action(a_obj, u), cat.auto_action(a_obj, r))
+        lhs_w = cat.auto_action(x, weyl_mul(u, r))
+        rhs_w = weyl_mul(cat.auto_action(x, u), cat.auto_action(x, r))
         bump(
             "laws/auto_action_homomorphism",
             _coeff_distance(lhs_w, rhs_w, fld.add(f, r.label)),
@@ -298,14 +294,13 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
 
 
 def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
-    radii = ctx.config.radii
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
-        a_obj, b_obj = ctx.objects[name_a], ctx.objects[name_b]
-        exact = cat.braiding_exact(a_obj, b_obj).coeff
-        run = cat.braiding_asymptotic(a_obj, b_obj, ctx.cone, radii, rng=rng)
-        for radius, phase, closed, phase_r in zip(radii, run.phases, run.closed, run.rephased):
+        a, b = ctx.vectors[name_a], ctx.vectors[name_b]
+        exact = cat.braiding_exact(a, b).coeff
+        for radius in ctx.config.radii:
+            phase, closed, phase_r = cat.braiding_asymptotic(a, b, ctx.cone, radius, rng=rng)
             rows.append(
                 _row("braiding/limit_vs_exact", pair, "", radius, phase, abs(phase - exact), BRAIDING_THRESHOLD)
             )
@@ -335,21 +330,22 @@ def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
 
 
 def run_homotopy(ctx: RunContext) -> list[CheckRow]:
-    radii = ctx.config.radii
+    """Each chain cone's braiding at the largest radius, the one radius the rows report."""
+    radius = ctx.config.radii[-1]
     chain = ctx.homotopy_chain()
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
-        a_obj, b_obj = ctx.objects[name_a], ctx.objects[name_b]
-        exact = cat.braiding_exact(a_obj, b_obj).coeff
-        limits = [cat.braiding_asymptotic(a_obj, b_obj, cone, radii).phases[-1] for cone in chain]
+        a, b = ctx.vectors[name_a], ctx.vectors[name_b]
+        exact = cat.braiding_exact(a, b).coeff
+        limits = [cat.braiding_asymptotic(a, b, cone, radius)[0] for cone in chain]
         for k, limit in enumerate(limits):
             rows.append(
                 _row(
                     "homotopy/limit_vs_exact",
                     pair,
                     f"cone{k:02d}",
-                    radii[-1],
+                    radius,
                     limit,
                     abs(limit - exact),
                     HOMOTOPY_THRESHOLD,
@@ -359,9 +355,7 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
             (abs(p - q) for i, p in enumerate(limits) for q in limits[i + 1 :]),
             default=0.0,
         )
-        rows.append(
-            _row("homotopy/mutual_spread", pair, "", radii[-1], spread, spread, HOMOTOPY_THRESHOLD)
-        )
+        rows.append(_row("homotopy/mutual_spread", pair, "", radius, spread, spread, HOMOTOPY_THRESHOLD))
     return rows
 
 
@@ -373,15 +367,15 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
-        a_obj, b_obj = ctx.objects[name_a], ctx.objects[name_b]
-        r = cat.hom_basis(a_obj, cat.translate_object(a_obj, shift_u))
-        s = cat.hom_basis(b_obj, cat.translate_object(b_obj, shift_v))
-        s_plus = cat.hom_basis(b_obj, cat.translate_object(b_obj, shift_u))
+        a, b = ctx.vectors[name_a], ctx.vectors[name_b]
+        r = cat.hom_basis(a, fld.translate(a, shift_u))
+        s = cat.hom_basis(b, fld.translate(b, shift_v))
+        s_plus = cat.hom_basis(b, fld.translate(b, shift_u))
         for radius in ctx.config.radii:
             ta = cone_u.translation(radius)
-            impl = cat.implementation_residual(a_obj, ta, b_obj.data)
+            impl = cat.implementation_residual(a, ta, b)
             rows.append(_row("decay/implementation", pair, "", radius, impl, impl, DECAY_THRESHOLD))
-            impl_t = cat.implementation_residual(a_obj, ta, s.label)
+            impl_t = cat.implementation_residual(a, ta, s.label)
             rows.append(
                 _row("decay/implementation_transported", pair, "", radius, impl_t, impl_t, DECAY_THRESHOLD)
             )
@@ -391,7 +385,7 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
             rows.append(_row("decay/abelianness", pair, "", radius, abel, abel, DECAY_THRESHOLD))
             tens = cat.tensor_abelianness_residual(r, s, cone_u, cone_v, radius)
             rows.append(_row("decay/tensor_ordering", pair, "", radius, tens, tens, DECAY_THRESHOLD))
-            ext = cat.extension_residual(a_obj, s_plus, cone_u, cone_v, radius)
+            ext = cat.extension_residual(a, s_plus, cone_u, cone_v, radius)
             rows.append(_row("decay/extension", pair, "", radius, ext, ext, EXTENSION_THRESHOLD))
     return rows
 

@@ -16,7 +16,7 @@ Generator labels are identified exactly: ``label_id`` is the vector's
 canonical terms tuple itself, whose atoms compare and hash as the tuples of
 their fields, so two vectors have equal labels exactly when their terms are
 equal, the identity the field layer merges terms on and
-``category.same_object`` compares objects by.  ``coeff_of`` reads the
+``category.compose`` compares objects by.  ``coeff_of`` reads the
 coefficient of an equal label and 0 for any other.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is

@@ -61,12 +61,14 @@ def extrapolate(values, radii=RADII):
     return limit, float(abs(limit - coarse))
 
 
-def phase_pin(run) -> float:
-    """Largest distance of a braiding run's phases from exp(i (F(2R) - F(0)))."""
-    return max(
-        abs(p - np.exp(1j * (coupling(2.0 * r) - coupling(0.0))))
-        for r, p in zip(run.radii, run.phases)
-    )
+def braiding_phases(gamma, delta, cone, radii=RADII) -> list[complex]:
+    """The transported exchange phase at each radius, one braiding_asymptotic call per radius."""
+    return [C.braiding_asymptotic(gamma, delta, cone, radius)[0] for radius in radii]
+
+
+def phase_pin(phases, radii=RADII) -> float:
+    """Largest distance of braiding phases at the radii from exp(i (F(2R) - F(0)))."""
+    return max(abs(p - np.exp(1j * (coupling(2.0 * r) - coupling(0.0)))) for r, p in zip(radii, phases))
 
 
 def spread(values) -> float:
@@ -87,7 +89,7 @@ def ctx():
 
 @pytest.fixture(scope="module")
 def pair(ctx):
-    return ctx.objects["gamma"], ctx.objects["delta"]
+    return ctx.vectors["gamma"], ctx.vectors["delta"]
 
 
 def test_criterion_01_symplectic_oracle(pair):
@@ -99,7 +101,7 @@ def test_criterion_01_symplectic_oracle(pair):
     oracle = (2.0 * math.pi) ** -1.5 * 4.0 * math.pi * quad(
         lambda r: math.exp(-0.5 * (s * s + t * t) * r * r), 0.0, np.inf
     )[0]
-    value = F.symplectic(gamma.data, delta.data)
+    value = F.symplectic(gamma, delta)
     elapsed = time.perf_counter() - started
     ok = (
         abs(closed - 1.0 / math.sqrt(2.0)) < 1e-12
@@ -112,7 +114,7 @@ def test_criterion_01_symplectic_oracle(pair):
 
 def test_criterion_02_exact_braiding_phase(pair):
     gamma, delta = pair
-    sigma = F.symplectic(gamma.data, delta.data)
+    sigma = F.symplectic(gamma, delta)
     coeff = C.braiding_exact(gamma, delta).coeff
     dev = abs(coeff - np.exp(-1j * sigma))
     verdict(2, dev <= 1e-12, f"braiding coefficient deviates from e^(-i sigma) by {dev:.3e}")
@@ -122,11 +124,11 @@ def test_criterion_03_braiding_limit_convergence(ctx, pair):
     started = time.perf_counter()
     gamma, delta = pair
     exact = C.braiding_exact(gamma, delta).coeff
-    run = C.braiding_asymptotic(gamma, delta, ctx.cone, RADII)
-    res = [abs(p - exact) for p in run.phases]
+    phases = braiding_phases(gamma, delta, ctx.cone)
+    res = [abs(p - exact) for p in phases]
     elapsed = time.perf_counter() - started
-    pin = phase_pin(run)
-    limit, estimate = extrapolate(run.phases)
+    pin = phase_pin(phases)
+    limit, estimate = extrapolate(phases)
     dist = abs(limit - exact)
     ok = (
         pin < 1e-12
@@ -148,11 +150,11 @@ def test_criterion_04_cone_rotation_chain(ctx, pair):
     gamma, delta = pair
     exact = C.braiding_exact(gamma, delta).coeff
     chain = ctx.homotopy_chain()
-    runs = [C.braiding_asymptotic(gamma, delta, cone, RADII) for cone in chain]
-    at_40 = [run.phases[-1] for run in runs]
+    runs = [braiding_phases(gamma, delta, cone) for cone in chain]
+    at_40 = [phases[-1] for phases in runs]
     at_40_spread = spread(at_40)
-    pin = max(phase_pin(run) for run in runs)
-    extrapolated = [extrapolate(run.phases) for run in runs]
+    pin = max(phase_pin(phases) for phases in runs)
+    extrapolated = [extrapolate(phases) for phases in runs]
     limits = [limit for limit, _ in extrapolated]
     estimate = max(est for _, est in extrapolated)
     limit_spread = spread(limits)
@@ -193,9 +195,9 @@ def _decay_triple(ctx, pair, radius):
     off = TRANSPORTER_OFFSET
     shift_u = (0.0,) + tuple(off * a for a in cone_u.axis)
     shift_v = (0.0,) + tuple(off * a for a in cone_v.axis)
-    r = C.hom_basis(gamma, C.translate_object(gamma, shift_u))
-    s = C.hom_basis(delta, C.translate_object(delta, shift_v))
-    impl = C.implementation_residual(gamma, cone_u.translation(radius), delta.data)
+    r = C.hom_basis(gamma, F.translate(gamma, shift_u))
+    s = C.hom_basis(delta, F.translate(delta, shift_v))
+    impl = C.implementation_residual(gamma, cone_u.translation(radius), delta)
     abel = C.abelianness_residual(
         C.transported_arrow(r, cone_u, radius).label,
         C.transported_arrow(s, cone_v, radius).label,
@@ -232,7 +234,7 @@ def test_criterion_07_extension_independence(ctx, pair):
     gamma, delta = pair
     off = TRANSPORTER_OFFSET
     shift = (0.0,) + tuple(off * a for a in ctx.cone.axis)
-    s_plus = C.hom_basis(delta, C.translate_object(delta, shift))
+    s_plus = C.hom_basis(delta, F.translate(delta, shift))
     res = C.extension_residual(gamma, s_plus, ctx.cone, ctx.cone.opposite(), 40.0)
     verdict(7, res < 1e-2, f"opposite-cone extension residual {res:.4e} at R=40")
 
@@ -240,8 +242,8 @@ def test_criterion_07_extension_independence(ctx, pair):
 def test_criterion_08_weyl_model_validity(ctx, pair):
     gamma, delta = pair
     shift = (0.0, 0.0, 0.0, 2.0)
-    r = C.hom_basis(gamma, C.translate_object(gamma, shift))
-    f = F.intertwiner_label(delta.data, F.translate(delta.data, (0.0, 1.0, 0.0, -1.0)))
+    r = C.hom_basis(gamma, F.translate(gamma, shift))
+    f = F.intertwiner_label(delta, F.translate(delta, (0.0, 1.0, 0.0, -1.0)))
     rel = max(
         C.intertwiner_relation_residual(r, f),
         C.intertwiner_relation_residual(C.braiding_exact(gamma, delta), f),
@@ -258,8 +260,8 @@ def test_criterion_08_weyl_model_validity(ctx, pair):
         labels.append(F.translate(vec, (0.0, *rng.uniform(-2.0, 2.0, size=3))))
     min_eig = float(np.linalg.eigvalsh(gram_matrix(labels)).min())
 
-    x = delta.data
-    y = F.translate(gamma.data, (0.0, 0.0, 0.0, 1.0))
+    x = delta
+    y = F.translate(gamma, (0.0, 0.0, 0.0, 1.0))
     y = F.scale(math.pi / F.symplectic(x, y), y)
     comm = commutator_norm(x, y)
 

@@ -37,7 +37,7 @@ def build_obj(params):
         v = F.make_charge_vector(q=amp, width=w)
     else:
         v = F.make_test_vector(amplitude=amp, width=w, channel=chan)
-    return C.ChargeAutomorphism(F.translate(v, (t, x, y, z)))
+    return F.translate(v, (t, x, y, z))
 
 
 @settings(max_examples=30, **COMMON)
@@ -87,8 +87,8 @@ def test_category_coherence(pa, pb, pc, phi1, phi2):
     a, b, c = build_obj(pa), build_obj(pb), build_obj(pc)
     h1, h2 = C.hexagon_residuals(a, b, c)
     assert max(h1, h2) <= 1e-12
-    r = C.rephase(C.hom_basis(a, C.translate_object(a, (0.0, 1.0, 0.0, -0.5))), np.exp(1j * phi1))
-    s = C.rephase(C.hom_basis(b, C.translate_object(b, (0.3, 0.0, -1.0, 0.0))), np.exp(1j * phi2))
+    r = C.rephase(C.hom_basis(a, F.translate(a, (0.0, 1.0, 0.0, -0.5))), np.exp(1j * phi1))
+    s = C.rephase(C.hom_basis(b, F.translate(b, (0.3, 0.0, -1.0, 0.0))), np.exp(1j * phi2))
     assert C.naturality_residual(r, s) <= 1e-12
     round_trip = C.compose(C.braiding_exact(b, a), C.braiding_exact(a, b))
     assert abs(round_trip.coeff - 1.0) <= 1e-12
@@ -99,8 +99,8 @@ def test_category_coherence(pa, pb, pc, phi1, phi2):
 @given(obj_params, st.floats(0, 2 * math.pi), times, coords)
 def test_transport_keeps_intertwiner_relation(pa, phi, t, off):
     a = build_obj(pa)
-    r = C.rephase(C.hom_basis(a, C.translate_object(a, (t, off, 0.4, -0.2))), np.exp(1j * phi))
-    f = F.intertwiner_label(a.data, F.translate(a.data, (0.0, -0.7, 1.1, 0.3)))
+    r = C.rephase(C.hom_basis(a, F.translate(a, (t, off, 0.4, -0.2))), np.exp(1j * phi))
+    f = F.intertwiner_label(a, F.translate(a, (0.0, -0.7, 1.1, 0.3)))
     assert C.intertwiner_relation_residual(r, f) <= 1e-12
 
 
