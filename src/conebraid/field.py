@@ -46,8 +46,8 @@ The radial route sums c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.  Each
 memoized pair integral k uses the rule sized for its own pair, so it does not
 depend on the other pairs of a call, and the correctly rounded sum makes both
 forms exactly bilinear over pairs.  A pair at equal time offsets in equal
-channels for sigma, or in unequal channels for Re (x, y), is 0.0 with no rule
-built: both forms are invariant under a joint time translation, and at t = 0
+channels for sigma, or in unequal channels for Re (x, y), is 0.0 with no panel
+evaluated: both forms are invariant under a joint time translation, and at t = 0
 those channels do not couple, so the kernel vanishes identically.
 The pairs (a, b) and (b, a) share one memo entry: swapping the atoms
 negates the sigma kernel and keeps the Re kernel, both bit for bit.
@@ -60,17 +60,20 @@ Each pair integral takes one of two routes:
   terms cost the same at every d, and swapping the atoms negates the value
   exactly.
 - panel rule: every other pair (Re, any "gauss2" or "bump" atom, d below
-  the minimum, a short tail) integrates over (0, R_MAX] on composite
-  Gauss-Legendre panels.  The origin is never a node, so the omega^{-1}
-  factors are evaluated directly.  The kernel times sinc(d r) is evaluated
-  node by node, a panel at a time, and summed with math.fsum.  The rule
-  grows linearly with d and is capped at RADIAL_RULE_MAX_NODES, and its cost
-  is about a microsecond per node.
+  the minimum, a short tail) integrates over (0, R_MAX] on equal panels,
+  each the one cached RADIAL_RULE_PANEL_ORDER-node Gauss-Legendre rule
+  scaled in place, so no composite rule is stored.  The origin is never a
+  node, so the omega^{-1} factors are evaluated directly.  The kernel times
+  sinc(d r) is evaluated node by node, a panel at a time, and summed with
+  math.fsum.  The node count grows linearly with d and is capped at
+  RADIAL_RULE_MAX_NODES; its cost is about a microsecond per node, and its
+  memory that of one panel.
 
-Like every module of the package, this one and quadrature (the rules and the
-bump transform) use the standard library only.  quadrature imports nothing
-from here; it is imported where first needed (rules, a bump's values and
-charge), so building Gaussian vectors never loads it.
+Like every module of the package, this one and quadrature (the one
+Gauss-Legendre rule and the bump transform) use the standard library only.
+quadrature imports nothing from here and knows no panel layout; it is
+imported where first needed (the panel rule, a bump's values and charge), so
+building Gaussian vectors never loads it.
 """
 
 from __future__ import annotations
@@ -90,13 +93,14 @@ R_MAX = 10.0
 
 # Radial-route rule sizing: at least BASE nodes, OVERSAMPLE nodes per
 # oscillation wavelength of the fastest sinc/trig factor over (0, R_MAX],
-# rounded up to whole composite panels of PANEL_ORDER cached nodes each.
+# rounded up to whole panels of the one cached PANEL_ORDER-node rule.
 # _panel_pair_integral evaluates the kernel one such panel at a time.
 RADIAL_RULE_BASE = 192
 RADIAL_RULE_OVERSAMPLE = 10.0
 RADIAL_RULE_PANEL_ORDER = 64
-# Largest radial rule built, for pairs off the closed-form route: a bump pair
-# at separation 2e6 needs 31.8M nodes on (0, R_MAX].
+# Most nodes one pair integral off the closed-form route walks: a bump pair
+# at separation 2e6 needs 31.8M nodes on (0, R_MAX].  Only a panel is held at
+# once, so the cap bounds time (about a microsecond per node), not memory.
 RADIAL_RULE_MAX_NODES = 1 << 25
 # SIGMA of two "gauss" atoms takes its closed form at separations from
 # MIN_DELTA on (below it the erf forms cancel, and the panel rule has only its
@@ -385,16 +389,14 @@ def translate(x: FieldVector, a) -> FieldVector:
     return FieldVector(tuple(terms), x.charge)
 
 
-def _radial_rule_for(ka: tuple, kb: tuple, delta: float):
-    """Composite unit rule (nodes, weights) on [0, 1] sized for one pair of (profile, channel, t) atom keys on (0, R_MAX]."""
-    from .quadrature import composite_legendre_unit
-
-    # the time offsets are added first, so the rule is symmetric in the pair
+def _panel_count(ka: tuple, kb: tuple, delta: float) -> int:
+    """Panels of RADIAL_RULE_PANEL_ORDER nodes on (0, R_MAX] for one pair of (profile, channel, t) atom keys."""
+    # the time offsets are added first, so the count is symmetric in the pair
     mu = delta + (abs(ka[2]) + abs(kb[2]))
     n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * R_MAX / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
-    return composite_legendre_unit(-(-n // RADIAL_RULE_PANEL_ORDER), RADIAL_RULE_PANEL_ORDER)
+    return -(-n // RADIAL_RULE_PANEL_ORDER)
 
 
 @lru_cache(maxsize=PAIR_CACHE_SIZE)
@@ -468,23 +470,30 @@ def _channel_factors(key: tuple, r: list[float]) -> tuple:
 
 
 def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float:
-    """4 pi int_0^R_MAX K(r) sinc(r delta) dr on the composite rule for this one atom pair.
+    """4 pi int_0^R_MAX K(r) sinc(r delta) dr on composite panels for this one atom pair.
 
-    K is _pair_integral's kernel of the form.  _radial_rule_for's unit rule
-    scales to nodes r = R_MAX u and weights R_MAX w.  The kernel is
-    evaluated one panel of RADIAL_RULE_PANEL_ORDER nodes at a time, each
-    node's sinc directly as sin(delta r) / (delta r), and the terms stream
-    into one math.fsum, so the sum is correctly rounded and only a panel of
-    values is held at once.  Swapping ka and kb negates the SIGMA kernel and
-    keeps the RE kernel, both bit for bit.
+    K is _pair_integral's kernel of the form.  (0, R_MAX] is cut into
+    _panel_count equal panels, and panel k of P reads the one cached
+    RADIAL_RULE_PANEL_ORDER-node unit rule (u, w) in place: with h = 1/P,
+    nodes r = R_MAX (h k + h u) and weights R_MAX (h w).  The kernel is
+    evaluated one panel at a time, each node's sinc directly as
+    sin(delta r) / (delta r), and the terms stream into one math.fsum, so the
+    sum is correctly rounded and only a panel of values is held at once.
+    Swapping ka and kb negates the SIGMA kernel and keeps the RE kernel,
+    both bit for bit.
     """
-    u, w = _radial_rule_for(ka, kb, delta)
-    order = RADIAL_RULE_PANEL_ORDER
+    from .quadrature import gauss_legendre_unit
+
+    count = _panel_count(ka, kb, delta)
+    u, w = gauss_legendre_unit(RADIAL_RULE_PANEL_ORDER)
+    h = 1.0 / count
+    offsets = [h * x for x in u]
+    weights = [R_MAX * (h * x) for x in w]
 
     def panels():
-        for start in range(0, len(u), order):
-            r = [R_MAX * x for x in u[start : start + order]]
-            weights = [R_MAX * x for x in w[start : start + order]]
+        for panel in range(count):
+            start = h * panel
+            r = [R_MAX * (start + x) for x in offsets]
             gx, hx = _channel_factors(ka, r)
             gy, hy = _channel_factors(kb, r)
             if form == SIGMA:

@@ -3,10 +3,10 @@
 Rules are Gauss-Legendre on [0, 1].  ``gauss_legendre_unit`` finds the
 nodes by Newton's method on the Legendre three-term recurrence, from
 Tricomi's initial guesses (Hale & Townsend, SIAM J. Sci. Comput. 35,
-2013), and ``composite_legendre_unit`` stacks one cached fixed-order rule
-over equal panels.  Both store nodes and weights in ``array('d')``, 8 bytes
-per node, and hand them out as read-only memoryviews, so a cached rule
-cannot be changed by its readers.
+2013).  It stores nodes and weights in ``array('d')`` and hands them out as
+read-only memoryviews, so a cached rule cannot be changed by its readers.
+field's panel route reads one fixed-order rule and scales it to each panel
+itself; no composite rule is built here.
 
 ``radial_fourier`` transforms a compactly supported radial position
 profile, an even polynomial with ``coeffs`` and ``support`` (a
@@ -87,29 +87,6 @@ def gauss_legendre_unit(n: int) -> tuple[memoryview, memoryview]:
         mid, mid_weight = [0.5], [1.0 / (n * pm) ** 2]
     nodes = array("d", low + mid + [1.0 - u for u in reversed(low)])
     weights = array("d", low_weights + mid_weight + low_weights[::-1])
-    return memoryview(nodes).toreadonly(), memoryview(weights).toreadonly()
-
-
-@lru_cache(maxsize=64)
-def composite_legendre_unit(panels: int, order: int) -> tuple[memoryview, memoryview]:
-    """Composite Gauss-Legendre rule on [0, 1] with equal-width panels.
-
-    Node m of panel k is k h + h u_m for the cached order-point rule (u, w)
-    and h = 1 / panels, with weight h w_m.  A single n-node rule costs
-    O(n^2) by Newton; stacking one fixed-order rule keeps construction
-    linear in panels * order.  This is the only rule family: the radial
-    route scales it.
-    """
-    if panels < 1 or order < 2:
-        raise ConfigError("composite rule needs at least one panel of order >= 2")
-    base_nodes, base_weights = gauss_legendre_unit(order)
-    width = 1.0 / panels
-    offsets = [width * u for u in base_nodes]
-    nodes = array("d")
-    for k in range(panels):
-        start = width * k
-        nodes.extend([start + u for u in offsets])
-    weights = array("d", [width * w for w in base_weights]) * panels
     return memoryview(nodes).toreadonly(), memoryview(weights).toreadonly()
 
 

@@ -40,6 +40,12 @@ if TYPE_CHECKING:
 POLAR_SINGULAR_CUTOFF = 1e-8
 ADJOINT_UNITARY_TOL = 1e-10  # largest unitarity defect adjoint_morphism accepts
 MAX_INDEX_STEP = 4  # random_increasing_map's steps lie in [1, MAX_INDEX_STEP]
+# random_increasing_map draws its steps a block at a time, one byte per step
+# mapped through _STEPS.  MAX_INDEX_STEP divides 256, so each step value
+# takes exactly 256 / MAX_INDEX_STEP of the bytes and a uniform byte gives a
+# uniform step.
+_STEP_BLOCK = 4096
+_STEPS = bytes(1 + b % MAX_INDEX_STEP for b in range(256))
 PROBE_MAPS = 8  # random subsequences a stability_probe re-tests
 
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
@@ -303,18 +309,18 @@ def subsequence(s: SequenceElement, index_map) -> SequenceElement:
 def random_increasing_map(rng: random.Random):
     """Random strictly increasing map with memoized prefix, steps in [1, MAX_INDEX_STEP].
 
-    The steps are drawn in index order, one rng.random() each through
-    rng.choices, as the map is first read beyond its prefix.
+    The prefix grows by blocks of _STEP_BLOCK steps, each one
+    rng.randbytes(_STEP_BLOCK) translated through _STEPS, as the map is
+    first read beyond it.  So the values depend only on the rng's state when
+    the map was made, not on the order its indices are read.
     """
     prefix = [0]
-    steps = range(1, MAX_INDEX_STEP + 1)
 
     def index_map(n: int) -> int:
-        missing = n + 1 - len(prefix)
-        if missing > 0:
+        while len(prefix) <= n:
             # accumulate repeats its initial value, the last known image
             last = prefix.pop()
-            prefix.extend(accumulate(rng.choices(steps, k=missing), initial=last))
+            prefix.extend(accumulate(rng.randbytes(_STEP_BLOCK).translate(_STEPS), initial=last))
         return prefix[n]
 
     return index_map

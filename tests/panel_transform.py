@@ -4,7 +4,9 @@ The package transforms only RadialPolynomial profiles, in closed form, one
 momentum at a time.  ``panel_fourier`` sums the defining integral on a
 composite Gauss-Legendre rule instead, so the tests can hold the closed
 form against it, and against any profile that has no closed form here (the
-unit-ball indicator as a bare callable).  ``numpy_radial_fourier`` is the
+unit-ball indicator as a bare callable).  ``composite_rule`` stacks the
+package's fixed-order rule over equal panels with the float expressions of
+field's panel route, so a test can sum the route's own nodes in numpy.  ``numpy_radial_fourier`` is the
 same closed form vectorised in numpy, as the package computed it before it
 left numpy.
 """
@@ -12,7 +14,7 @@ left numpy.
 import numpy as np
 
 from conebraid.field import TWO_PI_32
-from conebraid.quadrature import _series, composite_legendre_unit
+from conebraid.quadrature import _series, gauss_legendre_unit
 
 # Momenta per block of the sinc kernel; bounds its temporaries to
 # FOURIER_BLOCK x (panel nodes) whatever the number of momenta.
@@ -25,14 +27,22 @@ def polynomial_values(shape, r) -> np.ndarray:
     return np.polynomial.polynomial.polyval(u2, shape.coeffs)
 
 
+def composite_rule(panels: int, order: int = 64) -> tuple[np.ndarray, np.ndarray]:
+    """Composite Gauss-Legendre rule on [0, 1]: node m of panel k is h k + h u_m, weight h w_m, h = 1 / panels."""
+    u, w = (np.asarray(v) for v in gauss_legendre_unit(order))
+    h = 1.0 / panels
+    nodes = (h * np.arange(panels))[:, None] + (h * u)[None, :]
+    return nodes.ravel(), np.tile(h * w, panels)
+
+
 def radial_panel_rule(support_radius: float, panels: int = 240, order: int = 8) -> tuple[np.ndarray, np.ndarray]:
     """Composite Gauss-Legendre rule on [0, support_radius]."""
     if support_radius <= 0.0:
         raise ValueError(f"support radius must be positive, got {support_radius}")
     if panels < 200:
         raise ValueError(f"at least 200 panels required, got {panels}")
-    nodes, weights = composite_legendre_unit(panels, order)
-    return support_radius * np.asarray(nodes), support_radius * np.asarray(weights)
+    nodes, weights = composite_rule(panels, order)
+    return support_radius * nodes, support_radius * weights
 
 
 def panel_fourier(profile, support_radius: float, momenta, panels: int = 240):

@@ -876,7 +876,7 @@ def test_closed_stdout_pipe_keeps_the_verdict(tmp_path):
 
 def test_rule_over_the_cap_exits_1_fast_with_one_line(tmp_path):
     # a bump pair at radius 4e6 needs a rule of about 1.3e8 nodes, over the
-    # cap, and the braiding suite meets it before building any large rule:
+    # cap, and the braiding suite meets it before walking any large rule:
     # exit 1 within seconds, one stderr line, the plan line only, no report
     data = default_dict()
     data["charges"][0].update({"profile": "bump-position", "shape": "smooth", "support_radius": 1.0})

@@ -15,6 +15,7 @@ third for atom-pair integrals on both the closed-form and the panel route.
 import copy
 from fractions import Fraction
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -29,10 +30,10 @@ from conebraid import quadrature as Q
 from conebraid.config import RunConfig
 from conebraid.errors import ConfigError, DomainError, UsageError
 from conebraid.field import RadialPolynomial
-from conebraid.quadrature import composite_legendre_unit, radial_fourier
+from conebraid.quadrature import radial_fourier
 from conebraid.suites import RunContext
 
-from panel_transform import numpy_radial_fourier, panel_fourier
+from panel_transform import composite_rule, numpy_radial_fourier, panel_fourier
 
 SQRT_HALF = 0.7071067811865476
 
@@ -96,29 +97,38 @@ def test_sigma_large_separation_panel_route(pair, d):
 
 def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
     gam, dlt = pair
-    built = []
-
-    def record(panels, order):
-        built.append(panels * order)
-        return np.ones(1), np.ones(1)
-
-    monkeypatch.setattr(Q, "composite_legendre_unit", record)
     # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
-    F._radial_rule_for(pair_key(gam), pair_key(dlt), 2.0e6)
-    assert built == [31831040] and built[0] <= F.RADIAL_RULE_MAX_NODES
+    panels = F._panel_count(pair_key(gam), pair_key(dlt), 2.0e6)
+    assert panels == 497_360 and 64 * panels <= F.RADIAL_RULE_MAX_NODES
     with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
-        F._radial_rule_for(pair_key(gam), pair_key(dlt), 2.0e8)
-    assert len(built) == 1
+        F._panel_count(pair_key(gam), pair_key(dlt), 2.0e8)
+    # the pair integral raises before it reads a rule or evaluates a node
+    monkeypatch.setattr(Q, "gauss_legendre_unit", None)
+    monkeypatch.setattr(F, "_channel_factors", None)
+    with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
+        F._panel_pair_integral(F.RE, pair_key(gam), pair_key(dlt), 2.0e8)
 
 
 @pytest.mark.parametrize("d, panels", [(0.5, 3), (1280.0, 319)])
 def test_radial_rule_is_composite_panels(pair, d, panels):
-    # n = max(192, ceil(10 * d * R_MAX / (2 pi))) nodes, rounded up to 64-node
-    # panels; the pair reads the cached unit rule, which the panel route scales
+    # n = max(192, ceil(10 * d * R_MAX / (2 pi))) nodes, rounded up to 64-node panels
     gam, dlt = pair
-    u, w = F._radial_rule_for(pair_key(gam), pair_key(dlt), d)
-    nodes, weights = composite_legendre_unit(panels, 64)
-    assert u is nodes and w is weights and len(u) == 64 * panels
+    assert F._panel_count(pair_key(gam), pair_key(dlt), d) == panels
+
+
+def test_panel_route_holds_no_composite_rule():
+    # the route walks the cached 64-node rule panel by panel, so its peak
+    # memory does not grow with the separation: a gauss2 Re pair at d = 1e4
+    # walks 2,487 panels, whose stacked rule alone would take about 2.5 MB
+    key = (F.Profile("gauss2", width=1.0), "g", 0.0)
+    F._panel_pair_integral(F.RE, key, key, 1.0)
+    tracemalloc.start()
+    try:
+        F._panel_pair_integral(F.RE, key, key, 1.0e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_sigma_against_independent_quadrature(pair):
@@ -455,12 +465,12 @@ def test_bump_transform_memo_follows_the_shape():
     assert after == 2.0 * before
     assert two.charge == 2.0 * one.charge
     # the memoized transform is the uncached closed form, read-only
-    u, w = F._radial_rule_for(pair_key(two), pair_key(dlt), 0.0)
-    r = F.R_MAX * np.asarray(u)
+    u, w = composite_rule(F._panel_count(pair_key(two), pair_key(dlt), 0.0))
+    r = F.R_MAX * u
     uncached = radial_fourier(RadialPolynomial((2.0,), 1.0), r.tolist())
     cached = two.terms[0][1].profile.values(r.tolist())
     assert cached.readonly and cached.tolist() == uncached
-    ref = 4.0 * np.pi * float(np.dot(F.R_MAX * np.asarray(w), np.asarray(uncached) * np.exp(-0.5 * r**2)))
+    ref = 4.0 * np.pi * float(np.dot(F.R_MAX * w, np.asarray(uncached) * np.exp(-0.5 * r**2)))
     assert math.isclose(after, ref, rel_tol=1e-14)
 
 
@@ -639,8 +649,8 @@ def _numpy_channel_factors(key, r):
 
 def _direct_pair_sum(form, ka, kb, delta):
     """4 pi dot(w, K sinc(r delta)) on the pair's own rule in numpy, and 4 pi dot(w, |K|)."""
-    u, w = F._radial_rule_for(ka, kb, delta)
-    r, w = F.R_MAX * np.asarray(u), F.R_MAX * np.asarray(w)
+    u, w = composite_rule(F._panel_count(ka, kb, delta))
+    r, w = F.R_MAX * u, F.R_MAX * w
     (gx, hx), (gy, hy) = _numpy_channel_factors(ka, r), _numpy_channel_factors(kb, r)
     kern = gx * hy - gy * hx if form == F.SIGMA else gx * gy / r + hx * hy * r
     direct = float(np.dot(w, kern * np.sinc(r * (delta / np.pi))))
@@ -685,8 +695,8 @@ def test_pair_integral_memo_is_bounded_and_holds_floats(monkeypatch):
     g, h = (gauss, "g", 0.0), (gauss, "h", 0.5)
     value = F._pair_integral(F.SIGMA, g, h, 3.0)
     assert type(value) is float and type(F._pair_integral(F.RE, g, h, 3.0)) is float
-    # kernels that vanish identically build no rule
-    monkeypatch.setattr(F, "_radial_rule_for", None)
+    # kernels that vanish identically size no panels
+    monkeypatch.setattr(F, "_panel_count", None)
     undecorated = F._pair_integral.__wrapped__
     assert undecorated(F.SIGMA, g, g, 3.0) == 0.0
     assert undecorated(F.RE, g, (gauss, "h", 0.0), 3.0) == 0.0
@@ -709,7 +719,7 @@ def test_equal_time_kernels_vanish_without_a_rule(monkeypatch, t):
         assert abs(F._panel_pair_integral(form, ka, kb, delta)) <= 1e-15
     x = F.translate(F.make_test_vector(width=1.0, channel="g"), (t, 0.0, 0.0, 0.0))
     y = F.translate(F.make_charge_vector(width=1.3), (t, 0.3, 0.0, 0.0))
-    monkeypatch.setattr(F, "_radial_rule_for", None)
+    monkeypatch.setattr(F, "_panel_count", None)
     for form, ka, kb, delta in cases:
         assert F._pair_integral.__wrapped__(form, ka, kb, delta) == 0.0
     assert F.symplectic(x, y) == 0.0
@@ -760,15 +770,15 @@ def test_gauss_sigma_closed_form_matches_mpmath(cx, cy, widths, offsets, delta):
 
 def test_pair_integral_fallbacks_reach_the_panel_rule(monkeypatch):
     # below the minimum separation, with a short cutoff tail, for gauss2 and
-    # for RE the pair integral builds its rule; the closed form builds none
+    # for RE the pair integral sizes its panels; the closed form sizes none
     calls = []
 
     def sentinel(ka, kb, delta):
         calls.append((ka, kb, delta))
-        return rule_for(ka, kb, delta)
+        return panel_count(ka, kb, delta)
 
-    rule_for = F._radial_rule_for
-    monkeypatch.setattr(F, "_radial_rule_for", sentinel)
+    panel_count = F._panel_count
+    monkeypatch.setattr(F, "_panel_count", sentinel)
     gauss, broad = F.Profile("gauss", width=1.0), F.Profile("gauss", width=0.5)
     g, h = (gauss, "g", 0.0), (gauss, "h", 0.5)
     undecorated = F._pair_integral.__wrapped__

@@ -17,9 +17,9 @@ import pytest
 from conebraid import quadrature as Q
 from conebraid.errors import ConfigError
 from conebraid.field import TWO_PI_32, RadialPolynomial
-from conebraid.quadrature import composite_legendre_unit, gauss_legendre_unit, radial_fourier
+from conebraid.quadrature import gauss_legendre_unit, radial_fourier
 
-from panel_transform import numpy_radial_fourier, panel_fourier, polynomial_values, radial_panel_rule
+from panel_transform import composite_rule, numpy_radial_fourier, panel_fourier, polynomial_values, radial_panel_rule
 
 
 def test_gauss_legendre_unit():
@@ -108,22 +108,14 @@ def test_radial_panel_rule_integrates_polynomial():
 
 
 def test_composite_rule_matches_single_rule():
+    # eight panels of the cached 64-node rule, as field's panel route walks
+    # them, integrate like one 512-node rule
     n1, w1 = (np.asarray(v) for v in gauss_legendre_unit(512))
-    rule = composite_legendre_unit(8, 64)
-    n2, w2 = (np.asarray(v) for v in rule)
+    n2, w2 = composite_rule(8, 64)
     assert len(n2) == 512 and np.all(np.diff(n2) > 0)
     assert abs(math.fsum(w2) - 1.0) < 1e-14
     f = lambda r: np.exp(-9.0 * r * r) * np.cos(31.0 * r)
     assert abs(np.dot(w1, f(n1)) - np.dot(w2, f(n2))) < 1e-13
-    # cached, and read-only: no reader can change a rule another reads
-    cached = composite_legendre_unit(8, 64)
-    assert cached[0] is rule[0] and cached[0].readonly and cached[1].readonly
-    with pytest.raises(TypeError):
-        cached[0][0] = 0.5
-    with pytest.raises(ConfigError):
-        composite_legendre_unit(0, 64)
-    with pytest.raises(ConfigError):
-        composite_legendre_unit(4, 1)
 
 
 BUMP_SHAPES = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
@@ -170,8 +162,8 @@ def test_radial_fourier_matches_the_numpy_formula(shape, count):
     # the per-momentum stdlib transform against the vectorised numpy closed
     # form, on the momenta of composite rules over (0, 10]: within an ulp
     profile = RadialPolynomial(BUMP_SHAPES[shape], 1.0)
-    nodes, _ = composite_legendre_unit(count // 64, 64)
-    p = 10.0 * np.asarray(nodes)
+    nodes, _ = composite_rule(count // 64, 64)
+    p = 10.0 * nodes
     got = np.asarray(radial_fourier(profile, p.tolist()))
     want = numpy_radial_fourier(profile, p)
     assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
@@ -183,7 +175,6 @@ def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
     # Horner in (r/R)^2, so equal to the factored form up to rounding
     assert np.max(np.abs(polynomial_values(profile, r) - (1.0 - (r / 1.5) ** 2) ** 2)) <= 1e-15
     expected = radial_fourier(profile, [0.0, 1.0, 5.0])
-    monkeypatch.setattr(Q, "composite_legendre_unit", None)
     monkeypatch.setattr(Q, "gauss_legendre_unit", None)
     assert radial_fourier(profile, (0.0, 1.0, 5.0)) == expected
     assert type(expected) is list and type(radial_fourier(profile, 2.0)) is float

@@ -267,18 +267,22 @@ def test_weyl_phase_algebra_is_weyls_product_and_star():
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11, 123])
-def test_random_increasing_map_draws_like_scalar_steps(seed):
-    # the shared rng must end where one draw per step, in index order, leaves it
-    rng, ref_rng = random.Random(seed), random.Random(seed)
-    index_map = SA.random_increasing_map(rng)
-    prefix = [0]
-    for n in (3, 0, 3, 10, 7, 40, 41, 41, 300):
-        while len(prefix) <= n:
-            prefix.append(prefix[-1] + ref_rng.choices(range(1, 5))[0])
-        value = index_map(n)
-        assert type(value) is int and value == prefix[n]
-    assert rng.getrandbits(62) == ref_rng.getrandbits(62)
-    assert rng.random() == ref_rng.random()
+def test_random_increasing_map_is_read_order_free(seed, monkeypatch):
+    # the steps come a byte block at a time, never from Random.choices, so a
+    # map's values depend on the rng it was made from, not on the read order
+    def no_choices(*args, **kwargs):
+        raise AssertionError("Random.choices called")
+
+    monkeypatch.setattr(random.Random, "choices", no_choices)
+    first, second = SA.random_increasing_map(random.Random(seed)), SA.random_increasing_map(random.Random(seed))
+    values = {n: first(n) for n in (300, 3, 41)}
+    assert {n: second(n) for n in (3, 41, 300)} == values
+    # past the first block too
+    assert first(2 * SA._STEP_BLOCK) == second(2 * SA._STEP_BLOCK)
+    images = [first(n) for n in range(2 * SA._STEP_BLOCK + 1)]
+    assert images[0] == 0 and all(type(v) is int for v in images)
+    steps = [b - a for a, b in zip(images, images[1:])]
+    assert set(steps) <= set(range(1, SA.MAX_INDEX_STEP + 1))
 
 
 def _svd_cases():
