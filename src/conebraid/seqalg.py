@@ -1,7 +1,7 @@
-"""Bounded-sequence quotient machinery over small normed *-algebras.
+"""Bounded sequences of 2 x 2 complex matrices modulo null sequences.
 
-A sequence element is a pure generator n -> algebra element together with
-a caller-certified norm bound; pointwise add, multiply, and star descend
+A sequence element is a pure generator n -> matrix together with a
+caller-certified norm bound; pointwise subtract, multiply, and star descend
 to the quotient by null sequences.  The asymptotic norm is replaced by a
 declared finite surrogate: a TailPolicy fixes a window start N0, a sample
 count K, and a tolerance tau, and limsup_norm takes the maximum sampled
@@ -11,13 +11,13 @@ tails are probed far out).  is_null means that surrogate falls below tau.
 The seqalg suite reads its rows against the default TailPolicy, fixed in
 code like the rest of the check policy; reports do not record it.
 
-Two algebra instantiations are provided: complex 2 x 2 matrices under the
-spectral norm, and single Weyl phase generators, weyl.WeylElement values
-whose product and star are weyl's own.  A matrix is a pair of rows of
-complex numbers, and its norm, smallest singular value and polar factor
-are closed forms in the entries of A*A, so no decomposition is needed.
-Polar unitarization maps an almost-unitary matrix sequence to its
-entrywise polar factor, substituting the identity where the entry is
+The algebra is the complex 2 x 2 matrices under the spectral norm, and its
+operations are the module functions matrix, add, sub, scale, mul, star,
+norm, polar and unitarity_defect, with UNIT the identity.  A matrix is a
+pair of rows of complex numbers, and its norm, smallest singular value and
+polar factor are closed forms in the entries of A*A, so no decomposition
+is needed.  Polar unitarization maps an almost-unitary matrix sequence to
+its entrywise polar factor, substituting the identity where the entry is
 numerically singular; the output is entrywise unitary and null-close to
 the input whenever the precondition holds.  Random draws come from a
 stdlib random.Random.
@@ -31,8 +31,6 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, UsageError
-from .field import FieldVector, zero_vector
-from .weyl import WeylElement, label_id, star as weyl_star, weyl, weyl_mul
 
 if TYPE_CHECKING:
     import random
@@ -76,114 +74,76 @@ def _largest_singular_value(p: float, q: float, r: complex) -> float:
     return math.sqrt(0.5 * (p + q) + math.hypot(0.5 * (p - q), abs(r)))
 
 
-class MatrixAlgebra:
-    """Complex 2 x 2 matrices ((a, b), (c, d)) with the spectral norm.
+# Complex 2 x 2 matrices ((a, b), (c, d)) with the spectral norm.  With
+# m* m = [[p, r], [conj(r), q]], the largest singular value is s_max with
+# s_max^2 = (p + q)/2 + hypot((p - q)/2, |r|), a sum of nonnegative terms,
+# so it keeps its relative accuracy when the two singular values are nearly
+# equal; the smallest is |det m| / s_max.
 
-    With m* m = [[p, r], [conj(r), q]], the largest singular value is
-    s_max with s_max^2 = (p + q)/2 + hypot((p - q)/2, |r|), a sum of
-    nonnegative terms, so it keeps its relative accuracy when the two
-    singular values are nearly equal; the smallest is |det m| / s_max.
+UNIT: Matrix = ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
+
+
+def matrix(rows) -> Matrix:
+    """The matrix with the given two rows of two numbers each."""
+    rows = tuple(tuple(complex(z) for z in row) for row in rows)
+    if len(rows) != 2 or any(len(row) != 2 for row in rows):
+        raise UsageError("a matrix has two rows of two entries")
+    return rows
+
+
+def add(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a + e, b + f), (c + g, d + h))
+
+
+def sub(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a - e, b - f), (c - g, d - h))
+
+
+def scale(z: complex, x: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    return ((z * a, z * b), (z * c, z * d))
+
+
+def mul(x: Matrix, y: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def star(x: Matrix) -> Matrix:
+    (a, b), (c, d) = x
+    return ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
+
+
+def norm(x: Matrix) -> float:
+    factor, p, q, r, _, _ = _normalized(x)
+    return factor * _largest_singular_value(p, q, r)
+
+
+def polar(x: Matrix) -> tuple[Matrix, float]:
+    """Polar factor x (x* x)^{-1/2} and the smallest singular value of x.
+
+    For M = x* x, sqrt(M) = (M + delta I) / t with delta = sqrt(det M) =
+    |det x| and t = sqrt(tr M + 2 delta), so (x* x)^{-1/2} is the
+    adjugate [[q + delta, -r], [-conj(r), p + delta]] over t delta.  A
+    singular x has no polar factor: its polar is the unit, with smallest
+    singular value 0.
     """
-
-    def element(self, rows) -> Matrix:
-        """The matrix with the given two rows of two numbers each."""
-        rows = tuple(tuple(complex(z) for z in row) for row in rows)
-        if len(rows) != 2 or any(len(row) != 2 for row in rows):
-            raise UsageError("a matrix element has two rows of two entries")
-        return rows
-
-    def unit(self) -> Matrix:
-        return ((1.0 + 0j, 0j), (0j, 1.0 + 0j))
-
-    def add(self, x: Matrix, y: Matrix) -> Matrix:
-        (a, b), (c, d) = x
-        (e, f), (g, h) = y
-        return ((a + e, b + f), (c + g, d + h))
-
-    def sub(self, x: Matrix, y: Matrix) -> Matrix:
-        (a, b), (c, d) = x
-        (e, f), (g, h) = y
-        return ((a - e, b - f), (c - g, d - h))
-
-    def scale(self, z: complex, x: Matrix) -> Matrix:
-        (a, b), (c, d) = x
-        return ((z * a, z * b), (z * c, z * d))
-
-    def mul(self, x: Matrix, y: Matrix) -> Matrix:
-        (a, b), (c, d) = x
-        (e, f), (g, h) = y
-        return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-    def star(self, x: Matrix) -> Matrix:
-        (a, b), (c, d) = x
-        return ((a.conjugate(), c.conjugate()), (b.conjugate(), d.conjugate()))
-
-    def norm(self, x: Matrix) -> float:
-        scale, p, q, r, _, _ = _normalized(x)
-        return scale * _largest_singular_value(p, q, r)
-
-    def polar(self, x: Matrix) -> tuple[Matrix, float]:
-        """Polar factor x (x* x)^{-1/2} and the smallest singular value of x.
-
-        For M = x* x, sqrt(M) = (M + delta I) / t with delta = sqrt(det M) =
-        |det x| and t = sqrt(tr M + 2 delta), so (x* x)^{-1/2} is the
-        adjugate [[q + delta, -r], [-conj(r), p + delta]] over t delta.  A
-        singular x has no polar factor: its polar is the unit, with smallest
-        singular value 0.
-        """
-        scale, p, q, r, delta, m = _normalized(x)
-        if delta == 0.0:
-            return self.unit(), 0.0
-        t = math.sqrt(p + q + 2.0 * delta)
-        inv_sqrt = ((q + delta, -r), (-r.conjugate(), p + delta))
-        smallest = scale * (delta / _largest_singular_value(p, q, r))
-        return self.scale(1.0 / (t * delta), self.mul(m, inv_sqrt)), smallest
-
-    def unitarity_defect(self, x: Matrix) -> float:
-        return self.norm(self.sub(self.mul(self.star(x), x), self.unit()))
+    factor, p, q, r, delta, m = _normalized(x)
+    if delta == 0.0:
+        return UNIT, 0.0
+    t = math.sqrt(p + q + 2.0 * delta)
+    inv_sqrt = ((q + delta, -r), (-r.conjugate(), p + delta))
+    smallest = factor * (delta / _largest_singular_value(p, q, r))
+    return scale(1.0 / (t * delta), mul(m, inv_sqrt)), smallest
 
 
-class WeylPhaseAlgebra:
-    """Single Weyl phase generators, weyl.WeylElement values.
-
-    Product and star are weyl's; addition is defined only between equal
-    labels, since a sum of two generators is no generator.  The norm of a
-    single generator is the coefficient modulus.
-    """
-
-    def element(self, coeff: complex, label: FieldVector) -> WeylElement:
-        return weyl(label, coeff)
-
-    def unit(self) -> WeylElement:
-        return weyl(zero_vector())
-
-    def add(self, a, b):
-        if label_id(a.label) != label_id(b.label):
-            raise UsageError("phase-algebra addition requires equal labels")
-        return WeylElement(a.coeff + b.coeff, a.label)
-
-    def sub(self, a, b):
-        if label_id(a.label) != label_id(b.label):
-            raise UsageError("phase-algebra subtraction requires equal labels")
-        return WeylElement(a.coeff - b.coeff, a.label)
-
-    def mul(self, a, b):
-        return weyl_mul(a, b)
-
-    def star(self, a):
-        return weyl_star(a)
-
-    def norm(self, a) -> float:
-        return float(abs(a.coeff))
-
-    def polar(self, a):
-        mod = abs(a.coeff)
-        if mod < POLAR_SINGULAR_CUTOFF:
-            return self.unit(), float(mod)
-        return WeylElement(a.coeff / mod, a.label), float(mod)
-
-    def unitarity_defect(self, a) -> float:
-        return abs(abs(a.coeff) - 1.0)
+def unitarity_defect(x: Matrix) -> float:
+    return norm(sub(mul(star(x), x), UNIT))
 
 
 class TailPolicy:
@@ -213,55 +173,47 @@ class SequenceElement:
     norms are memoized, and each evaluation is checked against the bound.
     """
 
-    def __init__(self, algebra, generator, bound: float):
+    def __init__(self, generator, bound: float):
         if not (bound >= 0.0 and math.isfinite(bound)):
             raise UsageError("bound must be a finite nonnegative real")
-        self.algebra = algebra
         self.generator = generator
         self.bound = float(bound)
-        self._memo: dict[int, object] = {}
+        self._memo: dict[int, Matrix] = {}
         self._norms: dict[int, float] = {}
 
-    def at(self, n: int):
+    def at(self, n: int) -> Matrix:
         if n < 1:
             raise UsageError("sequence indices start at 1")
         if n not in self._memo:
             value = self.generator(n)
-            norm = self.algebra.norm(value)
+            size = norm(value)
             # "not <=" also refuses a nan norm
-            if not norm <= self.bound * (1.0 + 1e-9) + 1e-12:
-                raise UsageError(f"generator breaks its certified bound at n={n}: {norm} > {self.bound}")
-            self._memo[n], self._norms[n] = value, norm
+            if not size <= self.bound * (1.0 + 1e-9) + 1e-12:
+                raise UsageError(f"generator breaks its certified bound at n={n}: {size} > {self.bound}")
+            self._memo[n], self._norms[n] = value, size
         return self._memo[n]
 
     def norm_at(self, n: int) -> float:
-        """algebra.norm(at(n)), computed once."""
+        """norm(at(n)), computed once."""
         self.at(n)
         return self._norms[n]
 
 
-def constant(algebra, value) -> SequenceElement:
+def constant(value: Matrix) -> SequenceElement:
     """n -> value, certified by the value's own norm."""
-    return SequenceElement(algebra, lambda n: value, algebra.norm(value))
-
-
-def seq_add(s: SequenceElement, t: SequenceElement) -> SequenceElement:
-    _same_algebra(s, t)
-    return SequenceElement(s.algebra, lambda n: s.algebra.add(s.at(n), t.at(n)), s.bound + t.bound)
+    return SequenceElement(lambda n: value, norm(value))
 
 
 def seq_sub(s: SequenceElement, t: SequenceElement) -> SequenceElement:
-    _same_algebra(s, t)
-    return SequenceElement(s.algebra, lambda n: s.algebra.sub(s.at(n), t.at(n)), s.bound + t.bound)
+    return SequenceElement(lambda n: sub(s.at(n), t.at(n)), s.bound + t.bound)
 
 
 def seq_mul(s: SequenceElement, t: SequenceElement) -> SequenceElement:
-    _same_algebra(s, t)
-    return SequenceElement(s.algebra, lambda n: s.algebra.mul(s.at(n), t.at(n)), s.bound * t.bound)
+    return SequenceElement(lambda n: mul(s.at(n), t.at(n)), s.bound * t.bound)
 
 
 def seq_star(s: SequenceElement) -> SequenceElement:
-    return SequenceElement(s.algebra, lambda n: s.algebra.star(s.at(n)), s.bound)
+    return SequenceElement(lambda n: star(s.at(n)), s.bound)
 
 
 def limsup_norm(s: SequenceElement, policy: TailPolicy) -> float:
@@ -286,7 +238,7 @@ def subsequence(s: SequenceElement, index_map) -> SequenceElement:
     evaluated: list[int] = []
     image: dict[int, int] = {}
 
-    def gen(n: int):
+    def gen(n: int) -> Matrix:
         m = int(index_map(n))
         if m < 1:
             raise UsageError("index map must produce indices >= 1")
@@ -303,7 +255,7 @@ def subsequence(s: SequenceElement, index_map) -> SequenceElement:
             image[n] = m
         return s.at(m)
 
-    return SequenceElement(s.algebra, gen, s.bound)
+    return SequenceElement(gen, s.bound)
 
 
 def random_increasing_map(rng: random.Random):
@@ -326,18 +278,12 @@ def random_increasing_map(rng: random.Random):
     return index_map
 
 
-def stability_probe(s: SequenceElement, member_fn, policy: TailPolicy, rng: random.Random) -> tuple[bool, int]:
-    """Re-test membership under PROBE_MAPS random subsequences.
+def stability_probe(s: SequenceElement, member_fn, policy: TailPolicy, rng: random.Random) -> bool:
+    """Whether PROBE_MAPS random subsequences of s all still satisfy member_fn.
 
-    Returns (all subsequences still satisfy member_fn, PROBE_MAPS).  A
-    finite probe of the subsequence-closure property, never a proof; the
-    count is returned so reports can state the probe cardinality.
+    A finite probe of the subsequence-closure property, never a proof.
     """
-    for _ in range(PROBE_MAPS):
-        sub = subsequence(s, random_increasing_map(rng))
-        if not member_fn(sub, policy):
-            return False, PROBE_MAPS
-    return True, PROBE_MAPS
+    return all(member_fn(subsequence(s, random_increasing_map(rng)), policy) for _ in range(PROBE_MAPS))
 
 
 def polar_unitarize(s: SequenceElement, policy: TailPolicy) -> SequenceElement:
@@ -347,35 +293,27 @@ def polar_unitarize(s: SequenceElement, policy: TailPolicy) -> SequenceElement:
     the identity.  Requires is_null(s* s - 1) and is_null(s s* - 1) under
     the policy; the output is entrywise unitary and null-close to s.
     """
-    alg = s.algebra
-    one = constant(alg, alg.unit())
+    one = constant(UNIT)
     for defect in (seq_sub(seq_mul(seq_star(s), s), one), seq_sub(seq_mul(s, seq_star(s)), one)):
         if not is_null(defect, policy):
             raise DomainError("polar unitarization needs an almost-unitary input sequence")
 
-    def gen(n: int):
-        u, smallest = alg.polar(s.at(n))
+    def gen(n: int) -> Matrix:
+        u, smallest = polar(s.at(n))
         if smallest < POLAR_SINGULAR_CUTOFF:
-            return alg.unit()
+            return UNIT
         return u
 
-    return SequenceElement(alg, gen, 1.0)
+    return SequenceElement(gen, 1.0)
 
 
-def adjoint_morphism(u: SequenceElement, value) -> SequenceElement:
+def adjoint_morphism(u: SequenceElement, value: Matrix) -> SequenceElement:
     """n -> u(n)* value u(n); entries of u must be unitary within ADJOINT_UNITARY_TOL."""
-    alg = u.algebra
-    value_norm = alg.norm(value)
 
-    def gen(n: int):
+    def gen(n: int) -> Matrix:
         un = u.at(n)
-        if alg.unitarity_defect(un) > ADJOINT_UNITARY_TOL:
+        if unitarity_defect(un) > ADJOINT_UNITARY_TOL:
             raise DomainError(f"adjoint morphism needs unitary entries, defect at n={n}")
-        return alg.mul(alg.mul(alg.star(un), value), un)
+        return mul(mul(star(un), value), un)
 
-    return SequenceElement(alg, gen, value_norm)
-
-
-def _same_algebra(s: SequenceElement, t: SequenceElement) -> None:
-    if s.algebra is not t.algebra:
-        raise UsageError("sequence elements live over different algebras")
+    return SequenceElement(gen, norm(value))

@@ -390,53 +390,52 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
     return rows
 
 
-def _normal_matrix(alg, rng: random.Random):
+def _normal_matrix(rng: random.Random):
     """A 2 x 2 matrix of independent standard complex normal entries (real, then imaginary parts)."""
     re = [rng.gauss(0.0, 1.0) for _ in range(4)]
     im = [rng.gauss(0.0, 1.0) for _ in range(4)]
     z = [complex(x, y) for x, y in zip(re, im)]
-    return alg.element((z[:2], z[2:]))
+    return ((z[0], z[1]), (z[2], z[3]))
 
 
 def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     from . import seqalg as sa
 
     policy = sa.TailPolicy()
-    alg = sa.MatrixAlgebra()
-    eye = alg.unit()
+    eye = sa.UNIT
 
     # a random unitary [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1
     a, b = (complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(2))
     size = math.hypot(abs(a), abs(b))
     a, b = a / size, b / size
-    q = alg.element(((a, -b.conjugate()), (b, a.conjugate())))
-    p = _normal_matrix(alg, rng)
-    p = alg.scale(1.0 / alg.norm(p), p)
-    a_val = _normal_matrix(alg, rng)
+    q = sa.matrix(((a, -b.conjugate()), (b, a.conjugate())))
+    p = _normal_matrix(rng)
+    p = sa.scale(1.0 / sa.norm(p), p)
+    a_val = _normal_matrix(rng)
 
     rows = []
-    drift = sa.SequenceElement(alg, lambda n: alg.add(q, alg.scale(0.5**n, p)), 2.0)
+    drift = sa.SequenceElement(lambda n: sa.add(q, sa.scale(0.5**n, p)), 2.0)
     unit = sa.polar_unitarize(drift, policy)
-    defect = max(alg.unitarity_defect(unit.at(n)) for n in policy.samples())
+    defect = max(sa.unitarity_defect(unit.at(n)) for n in policy.samples())
     rows.append(_row("seqalg/polar_unitarity", "", "", None, defect, defect, LAWS_THRESHOLD))
 
     dist = sa.limsup_norm(sa.seq_sub(unit, drift), policy)
     rows.append(_row("seqalg/polar_null_distance", "", "", None, dist, dist, policy.tolerance))
 
-    zero = alg.scale(0.0, eye)
-    gappy = sa.SequenceElement(alg, lambda n: zero if n < 8 else q, 1.0)
+    zero = sa.scale(0.0, eye)
+    gappy = sa.SequenceElement(lambda n: zero if n < 8 else q, 1.0)
     fallback = sa.polar_unitarize(gappy, policy)
-    fb_res = alg.norm(alg.sub(fallback.at(5), eye))
+    fb_res = sa.norm(sa.sub(fallback.at(5), eye))
     rows.append(_row("seqalg/polar_singular_fallback", "", "", None, fb_res, fb_res, LAWS_THRESHOLD))
 
-    member = lambda t, pol: sa.equivalent(t, sa.constant(alg, q), pol)
-    ok, n_maps = sa.stability_probe(drift, member, policy, rng)
+    member = lambda t, pol: sa.equivalent(t, sa.constant(q), pol)
+    ok = sa.stability_probe(drift, member, policy, rng)
     rows.append(
-        _row("seqalg/subsequence_stability", "", "", None, complex(n_maps), 0.0 if ok else 1.0, 0.5)
+        _row("seqalg/subsequence_stability", "", "", None, complex(sa.PROBE_MAPS), 0.0 if ok else 1.0, 0.5)
     )
 
-    b_val = alg.add(q, alg.element(((0.0, 0.0), (0.0, 1.0))))
-    alt = sa.SequenceElement(alg, lambda n: q if n % 2 == 0 else b_val, alg.norm(b_val) + 1.0)
+    b_val = sa.add(q, sa.matrix(((0.0, 0.0), (0.0, 1.0))))
+    alt = sa.SequenceElement(lambda n: q if n % 2 == 0 else b_val, sa.norm(b_val) + 1.0)
     even = sa.subsequence(alt, lambda n: 2 * n)
     odd = sa.subsequence(alt, lambda n: 2 * n + 1)
     gap = sa.limsup_norm(sa.seq_sub(even, odd), policy)
@@ -445,7 +444,7 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         _row("seqalg/subsequence_converse", "", "", None, gap, 0.0 if separated else 1.0, 0.5)
     )
 
-    null_s = sa.SequenceElement(alg, lambda n: alg.scale(0.5**n, p), 1.0)
+    null_s = sa.SequenceElement(lambda n: sa.scale(0.5**n, p), 1.0)
     ideal = max(
         sa.limsup_norm(sa.seq_mul(null_s, alt), policy),
         sa.limsup_norm(sa.seq_mul(alt, null_s), policy),
@@ -453,19 +452,19 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     rows.append(_row("seqalg/null_ideal", "", "", None, ideal, ideal, policy.tolerance))
 
     adj = sa.adjoint_morphism(unit, a_val)
-    target = alg.mul(alg.mul(alg.star(q), a_val), q)
-    adj_res = max(alg.norm(alg.sub(adj.at(n), target)) for n in policy.samples())
+    target = sa.mul(sa.mul(sa.star(q), a_val), q)
+    adj_res = max(sa.norm(sa.sub(adj.at(n), target)) for n in policy.samples())
     rows.append(_row("seqalg/adjoint_constant", "", "", None, adj_res, adj_res, policy.tolerance))
 
-    center = sa.SequenceElement(alg, lambda n: alg.scale(cmath.exp(1j * n), eye), 1.0)
+    center = sa.SequenceElement(lambda n: sa.scale(cmath.exp(1j * n), eye), 1.0)
     cen_res = max(
-        alg.norm(alg.sub(sa.adjoint_morphism(center, a_val).at(n), a_val)) for n in policy.samples()
+        sa.norm(sa.sub(sa.adjoint_morphism(center, a_val).at(n), a_val)) for n in policy.samples()
     )
     rows.append(_row("seqalg/adjoint_center", "", "", None, cen_res, cen_res, LAWS_THRESHOLD))
 
-    rot = alg.element(((0.0, -1.0), (1.0, 0.0)))
-    rot_q = alg.mul(rot, q)
-    u_alt = sa.SequenceElement(alg, lambda n: q if n % 2 == 0 else rot_q, 1.0)
+    rot = sa.matrix(((0.0, -1.0), (1.0, 0.0)))
+    rot_q = sa.mul(rot, q)
+    u_alt = sa.SequenceElement(lambda n: q if n % 2 == 0 else rot_q, 1.0)
     adj_alt = sa.adjoint_morphism(u_alt, a_val)
     adj_even = sa.subsequence(adj_alt, lambda n: 2 * n)
     adj_odd = sa.subsequence(adj_alt, lambda n: 2 * n + 1)

@@ -275,7 +275,6 @@ def test_criterion_08_weyl_model_validity(ctx, pair):
 
 
 def test_criterion_09_sequence_algebra_corpus():
-    alg = SA.MatrixAlgebra()
     policy = SA.TailPolicy()
     assert (policy.window_start, policy.sample_count, policy.tolerance) == (32, 16, 1e-6)
     rng = np.random.default_rng(0)
@@ -283,16 +282,16 @@ def test_criterion_09_sequence_algebra_corpus():
     p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     p /= np.linalg.norm(p, 2)
 
-    drift = SA.SequenceElement(alg, lambda n: alg.element(q + 0.5**n * p), 2.0)
+    drift = SA.SequenceElement(lambda n: SA.matrix(q + 0.5**n * p), 2.0)
     unit = SA.polar_unitarize(drift, policy)
-    defect = max(alg.unitarity_defect(unit.at(n)) for n in policy.samples())
+    defect = max(SA.unitarity_defect(unit.at(n)) for n in policy.samples())
     null_ok = SA.is_null(SA.seq_sub(unit, drift), policy)
 
-    member = lambda t, pol: SA.equivalent(t, SA.constant(alg, alg.element(q)), pol)
-    forward_ok, n_maps = SA.stability_probe(drift, member, policy, random.Random(0))
+    member = lambda t, pol: SA.equivalent(t, SA.constant(SA.matrix(q)), pol)
+    forward_ok = SA.stability_probe(drift, member, policy, random.Random(0))
 
-    b = alg.element(q + np.array([[0.0, 0.0], [0.0, 1.0]]))
-    alt = SA.SequenceElement(alg, lambda n: alg.element(q) if n % 2 == 0 else b, alg.norm(b) + 1.0)
+    b = SA.matrix(q + np.array([[0.0, 0.0], [0.0, 1.0]]))
+    alt = SA.SequenceElement(lambda n: SA.matrix(q) if n % 2 == 0 else b, SA.norm(b) + 1.0)
     even = SA.subsequence(alt, lambda n: 2 * n)
     odd = SA.subsequence(alt, lambda n: 2 * n + 1)
     converse_ok = not SA.equivalent(even, odd, policy)
@@ -302,7 +301,7 @@ def test_criterion_09_sequence_algebra_corpus():
         9,
         ok,
         f"polar defect {defect:.2e}, null distance {null_ok}, "
-        f"stability over {n_maps} maps {forward_ok}, converse separation {converse_ok}",
+        f"stability over {SA.PROBE_MAPS} maps {forward_ok}, converse separation {converse_ok}",
     )
 
 

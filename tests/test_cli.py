@@ -384,39 +384,6 @@ def test_cli_exit_codes(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
-def test_unconjugated_star_fails_the_categorical_rows(tmp_path, monkeypatch):
-    # the categorical braiding is judged by its rows, not by an internal error:
-    # a star_mor that leaves the coefficient unconjugated still writes a report
-    from conebraid import category as C
-
-    def unconjugated(r):
-        return C.Intertwiner(r.target, r.source, r.coeff, F.negate(r.label))
-
-    monkeypatch.setattr(C, "star_mor", unconjugated)
-    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--format", "json"]
-    assert main([*argv, "--out", str(tmp_path)]) == 1
-    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
-    categorical = [row for row in rows if row["check_id"] == "braiding/categorical_vs_closed_form"]
-    assert len(categorical) == 4 and not any(row["pass"] for row in categorical)
-
-
-def test_unconjugated_star_fails_every_rephase_row(tmp_path, monkeypatch):
-    # with the coefficient unconjugated, a rephased exchange keeps (z_u z_v)^2
-    # instead of |z_u z_v|^2 = 1, so every rephase row fails unless the stream
-    # is degenerate (every angle 0 or pi)
-    from conebraid import category as C
-
-    def unconjugated(r):
-        return C.Intertwiner(r.target, r.source, r.coeff, F.negate(r.label))
-
-    monkeypatch.setattr(C, "star_mor", unconjugated)
-    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--format", "json"]
-    assert main([*argv, "--out", str(tmp_path)]) == 1
-    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
-    rephase = [row for row in rows if row["check_id"] == "braiding/rephase_invariance"]
-    assert len(rephase) == 4 and not any(row["pass"] for row in rephase)
-
-
 @pytest.mark.parametrize("suite", ["braiding", "decay"])
 def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
     # category.compose shares weyl's private product, so these suites stay off weyl_mul
@@ -762,6 +729,15 @@ def _fresh_stdout(code: str) -> str:
 def test_cli_import_loads_no_scipy():
     # scipy.special costs 0.2-0.3 s of start-up in every verify process
     code = "import sys, conebraid.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
+    assert _fresh_stdout(code) == "[]"
+
+
+def test_seqalg_import_loads_no_field_or_weyl():
+    # seqalg's one algebra is the 2 x 2 matrices; it needs no field vector or Weyl generator
+    code = (
+        "import sys, conebraid.seqalg\n"
+        "print(sorted(m for m in ('conebraid.field', 'conebraid.weyl') if m in sys.modules))"
+    )
     assert _fresh_stdout(code) == "[]"
 
 
