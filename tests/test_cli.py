@@ -384,6 +384,35 @@ def test_cli_exit_codes(tmp_path):
     assert not (tmp_path / "d").exists()
 
 
+def _unconjugated_star_rows(tmp_path, monkeypatch, check_id):
+    # the categorical braiding is judged by its rows, not by an internal error:
+    # a star_mor that leaves the coefficient unconjugated still writes a report
+    # and exits 1 (tests/test_mutations.py checks in process that no other id flips)
+    from conebraid import category as C
+
+    def unconjugated(r):
+        return C.Intertwiner(r.target, r.source, r.coeff, F.negate(r.label))
+
+    monkeypatch.setattr(C, "star_mor", unconjugated)
+    argv = ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--format", "json"]
+    assert main([*argv, "--out", str(tmp_path)]) == 1
+    rows = json.loads((tmp_path / "braiding_report.json").read_text())["rows"]
+    return [row for row in rows if row["check_id"] == check_id]
+
+
+def test_unconjugated_star_fails_the_categorical_rows(tmp_path, monkeypatch):
+    categorical = _unconjugated_star_rows(tmp_path, monkeypatch, "braiding/categorical_vs_closed_form")
+    assert len(categorical) == 4 and not any(row["pass"] for row in categorical)
+
+
+def test_unconjugated_star_fails_every_rephase_row(tmp_path, monkeypatch):
+    # with the coefficient unconjugated, a rephased exchange keeps (z_u z_v)^2
+    # instead of |z_u z_v|^2 = 1, so every rephase row fails unless the stream
+    # is degenerate (every angle 0 or pi)
+    rephase = _unconjugated_star_rows(tmp_path, monkeypatch, "braiding/rephase_invariance")
+    assert len(rephase) == 4 and not any(row["pass"] for row in rephase)
+
+
 @pytest.mark.parametrize("suite", ["braiding", "decay"])
 def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
     # category.compose shares weyl's private product, so these suites stay off weyl_mul
