@@ -50,6 +50,10 @@ _UNREAD_KEYS = {"gaussian-momentum": ("support_radius", "shape"), "bump-position
 # s >= sqrt(CLOSED_FORM_MIN_TAIL) / R_MAX: at equal widths that is the
 # closed-form sigma route's own tail condition a * R_MAX^2 >= CLOSED_FORM_MIN_TAIL.
 SCALE_MIN, SCALE_MAX = 1e-3, 1e3
+# Past RADIUS_MAX the separations the suites form (about 2R plus the shifts)
+# near the float limit: at R = 1e308 math.dist overflows to inf and a
+# sigma becomes inf * erfc(inf) = nan.
+RADIUS_MAX = 1e300
 GAUSS_S_MIN = math.sqrt(CLOSED_FORM_MIN_TAIL) / R_MAX
 
 
@@ -109,6 +113,8 @@ class RunConfig(NamedTuple):
             raise ConfigError("radii must be strictly increasing with at least 3 entries")
         if self.radii[0] <= 0:
             raise ConfigError("radii must be positive")
+        if self.radii[-1] > RADIUS_MAX:
+            raise ConfigError(f"radii must be at most {RADIUS_MAX:g}, got {self.radii[-1]:g}")
         cone = self.cone_spec()
         for radius in self.radii:
             cone.translation(radius)

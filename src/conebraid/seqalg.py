@@ -3,13 +3,10 @@
 A sequence element is a pure generator n -> matrix together with a
 caller-certified norm bound; pointwise subtract, multiply, and star descend
 to the quotient by null sequences.  The asymptotic norm is replaced by a
-declared finite surrogate: a TailPolicy fixes a window start N0, a sample
-count K, and a tolerance tau, and limsup_norm takes the maximum sampled
-norm over K indices strictly beyond N0: half consecutive (so alternating
-patterns are seen by both parities), half geometrically spaced (so slow
-tails are probed far out).  is_null means that surrogate falls below tau.
-The seqalg suite reads its rows against the default TailPolicy, fixed in
-code like the rest of the check policy; reports do not record it.
+finite surrogate fixed in code: limsup_norm takes the maximum norm over
+the indices in SAMPLES, all beyond TAIL_START, and is_null means that
+maximum falls below NULL_TOLERANCE.  Like the rest of the check policy,
+no config moves them and reports do not record them.
 
 The algebra is the complex 2 x 2 matrices under the spectral norm, and its
 operations are the module functions matrix, add, sub, scale, mul, star,
@@ -45,6 +42,12 @@ MAX_INDEX_STEP = 4  # random_increasing_map's steps lie in [1, MAX_INDEX_STEP]
 _STEP_BLOCK = 4096
 _STEPS = bytes(1 + b % MAX_INDEX_STEP for b in range(256))
 PROBE_MAPS = 8  # random subsequences a stability_probe re-tests
+# limsup_norm's 16 sample indices, all beyond TAIL_START: half consecutive
+# (so alternating patterns are seen by both parities), half geometrically
+# spaced (so slow tails are probed far out).
+TAIL_START = 32
+SAMPLES = tuple(range(TAIL_START + 1, TAIL_START + 9)) + tuple(TAIL_START * 2**j for j in range(1, 9))
+NULL_TOLERANCE = 1e-6
 
 Matrix = tuple[tuple[complex, complex], tuple[complex, complex]]
 
@@ -146,28 +149,6 @@ def unitarity_defect(x: Matrix) -> float:
     return norm(sub(mul(star(x), x), UNIT))
 
 
-class TailPolicy:
-    """Finite surrogate for tail behavior: K samples strictly beyond N0."""
-
-    def __init__(self, window_start: int = 32, sample_count: int = 16, tolerance: float = 1e-6):
-        if window_start < 1:
-            raise UsageError("window_start must be at least 1")
-        if sample_count < 8:
-            raise UsageError("sample_count must be at least 8")
-        if not (tolerance > 0.0):
-            raise UsageError("tolerance must be positive")
-        self.window_start = window_start
-        self.sample_count = sample_count
-        self.tolerance = tolerance
-
-    def samples(self) -> tuple[int, ...]:
-        near = self.sample_count - self.sample_count // 2
-        out = [self.window_start + 1 + k for k in range(near)]
-        for j in range(1, self.sample_count // 2 + 1):
-            out.append(self.window_start * 2**j)
-        return tuple(sorted(set(out)))
-
-
 class SequenceElement:
     """Pure generator with a certified norm bound; evaluations and their
     norms are memoized, and each evaluation is checked against the bound.
@@ -216,16 +197,16 @@ def seq_star(s: SequenceElement) -> SequenceElement:
     return SequenceElement(lambda n: star(s.at(n)), s.bound)
 
 
-def limsup_norm(s: SequenceElement, policy: TailPolicy) -> float:
-    return max(s.norm_at(n) for n in policy.samples())
+def limsup_norm(s: SequenceElement) -> float:
+    return max(s.norm_at(n) for n in SAMPLES)
 
 
-def is_null(s: SequenceElement, policy: TailPolicy) -> bool:
-    return limsup_norm(s, policy) < policy.tolerance
+def is_null(s: SequenceElement) -> bool:
+    return limsup_norm(s) < NULL_TOLERANCE
 
 
-def equivalent(s: SequenceElement, t: SequenceElement, policy: TailPolicy) -> bool:
-    return is_null(seq_sub(s, t), policy)
+def equivalent(s: SequenceElement, t: SequenceElement) -> bool:
+    return is_null(seq_sub(s, t))
 
 
 def subsequence(s: SequenceElement, index_map) -> SequenceElement:
@@ -278,24 +259,24 @@ def random_increasing_map(rng: random.Random):
     return index_map
 
 
-def stability_probe(s: SequenceElement, member_fn, policy: TailPolicy, rng: random.Random) -> bool:
-    """Whether PROBE_MAPS random subsequences of s all still satisfy member_fn.
+def stability_probe(s: SequenceElement, limit: SequenceElement, rng: random.Random) -> bool:
+    """Whether PROBE_MAPS random subsequences of s all stay equivalent to limit.
 
     A finite probe of the subsequence-closure property, never a proof.
     """
-    return all(member_fn(subsequence(s, random_increasing_map(rng)), policy) for _ in range(PROBE_MAPS))
+    return all(equivalent(subsequence(s, random_increasing_map(rng)), limit) for _ in range(PROBE_MAPS))
 
 
-def polar_unitarize(s: SequenceElement, policy: TailPolicy) -> SequenceElement:
+def polar_unitarize(s: SequenceElement) -> SequenceElement:
     """Entrywise polar factor of an almost-unitary sequence.
 
     Entries with smallest singular value below the cutoff are replaced by
-    the identity.  Requires is_null(s* s - 1) and is_null(s s* - 1) under
-    the policy; the output is entrywise unitary and null-close to s.
+    the identity.  Requires is_null(s* s - 1) and is_null(s s* - 1); the
+    output is entrywise unitary and null-close to s.
     """
     one = constant(UNIT)
     for defect in (seq_sub(seq_mul(seq_star(s), s), one), seq_sub(seq_mul(s, seq_star(s)), one)):
-        if not is_null(defect, policy):
+        if not is_null(defect):
             raise DomainError("polar unitarization needs an almost-unitary input sequence")
 
     def gen(n: int) -> Matrix:

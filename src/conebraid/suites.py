@@ -401,7 +401,6 @@ def _normal_matrix(rng: random.Random):
 def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     from . import seqalg as sa
 
-    policy = sa.TailPolicy()
     eye = sa.UNIT
 
     # a random unitary [[a, -conj(b)], [b, conj(a)]] with |a|^2 + |b|^2 = 1
@@ -415,21 +414,21 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
 
     rows = []
     drift = sa.SequenceElement(lambda n: sa.add(q, sa.scale(0.5**n, p)), 2.0)
-    unit = sa.polar_unitarize(drift, policy)
-    defect = max(sa.unitarity_defect(unit.at(n)) for n in policy.samples())
+    unit = sa.polar_unitarize(drift)
+    defect = max(sa.unitarity_defect(unit.at(n)) for n in sa.SAMPLES)
     rows.append(_row("seqalg/polar_unitarity", "", "", None, defect, defect, LAWS_THRESHOLD))
 
-    dist = sa.limsup_norm(sa.seq_sub(unit, drift), policy)
-    rows.append(_row("seqalg/polar_null_distance", "", "", None, dist, dist, policy.tolerance))
+    dist = sa.limsup_norm(sa.seq_sub(unit, drift))
+    rows.append(_row("seqalg/polar_null_distance", "", "", None, dist, dist, sa.NULL_TOLERANCE))
 
-    zero = sa.scale(0.0, eye)
-    gappy = sa.SequenceElement(lambda n: zero if n < 8 else q, 1.0)
-    fallback = sa.polar_unitarize(gappy, policy)
+    # early entries with smallest singular value 1e-12, under the polar cutoff
+    near_singular = sa.mul(sa.matrix(((1.0, 0.0), (0.0, 1e-12))), q)
+    gappy = sa.SequenceElement(lambda n: near_singular if n < 8 else q, 1.0)
+    fallback = sa.polar_unitarize(gappy)
     fb_res = sa.norm(sa.sub(fallback.at(5), eye))
     rows.append(_row("seqalg/polar_singular_fallback", "", "", None, fb_res, fb_res, LAWS_THRESHOLD))
 
-    member = lambda t, pol: sa.equivalent(t, sa.constant(q), pol)
-    ok = sa.stability_probe(drift, member, policy, rng)
+    ok = sa.stability_probe(drift, sa.constant(q), rng)
     rows.append(
         _row("seqalg/subsequence_stability", "", "", None, complex(sa.PROBE_MAPS), 0.0 if ok else 1.0, 0.5)
     )
@@ -438,27 +437,27 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     alt = sa.SequenceElement(lambda n: q if n % 2 == 0 else b_val, sa.norm(b_val) + 1.0)
     even = sa.subsequence(alt, lambda n: 2 * n)
     odd = sa.subsequence(alt, lambda n: 2 * n + 1)
-    gap = sa.limsup_norm(sa.seq_sub(even, odd), policy)
-    separated = not sa.equivalent(even, odd, policy)
+    gap = sa.limsup_norm(sa.seq_sub(even, odd))
+    separated = not sa.equivalent(even, odd)
     rows.append(
         _row("seqalg/subsequence_converse", "", "", None, gap, 0.0 if separated else 1.0, 0.5)
     )
 
     null_s = sa.SequenceElement(lambda n: sa.scale(0.5**n, p), 1.0)
     ideal = max(
-        sa.limsup_norm(sa.seq_mul(null_s, alt), policy),
-        sa.limsup_norm(sa.seq_mul(alt, null_s), policy),
+        sa.limsup_norm(sa.seq_mul(null_s, alt)),
+        sa.limsup_norm(sa.seq_mul(alt, null_s)),
     )
-    rows.append(_row("seqalg/null_ideal", "", "", None, ideal, ideal, policy.tolerance))
+    rows.append(_row("seqalg/null_ideal", "", "", None, ideal, ideal, sa.NULL_TOLERANCE))
 
     adj = sa.adjoint_morphism(unit, a_val)
     target = sa.mul(sa.mul(sa.star(q), a_val), q)
-    adj_res = max(sa.norm(sa.sub(adj.at(n), target)) for n in policy.samples())
-    rows.append(_row("seqalg/adjoint_constant", "", "", None, adj_res, adj_res, policy.tolerance))
+    adj_res = max(sa.norm(sa.sub(adj.at(n), target)) for n in sa.SAMPLES)
+    rows.append(_row("seqalg/adjoint_constant", "", "", None, adj_res, adj_res, sa.NULL_TOLERANCE))
 
     center = sa.SequenceElement(lambda n: sa.scale(cmath.exp(1j * n), eye), 1.0)
     cen_res = max(
-        sa.norm(sa.sub(sa.adjoint_morphism(center, a_val).at(n), a_val)) for n in policy.samples()
+        sa.norm(sa.sub(sa.adjoint_morphism(center, a_val).at(n), a_val)) for n in sa.SAMPLES
     )
     rows.append(_row("seqalg/adjoint_center", "", "", None, cen_res, cen_res, LAWS_THRESHOLD))
 
@@ -468,8 +467,8 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     adj_alt = sa.adjoint_morphism(u_alt, a_val)
     adj_even = sa.subsequence(adj_alt, lambda n: 2 * n)
     adj_odd = sa.subsequence(adj_alt, lambda n: 2 * n + 1)
-    adj_gap = sa.limsup_norm(sa.seq_sub(adj_even, adj_odd), policy)
-    unstable = not sa.equivalent(adj_even, adj_odd, policy)
+    adj_gap = sa.limsup_norm(sa.seq_sub(adj_even, adj_odd))
+    unstable = not sa.equivalent(adj_even, adj_odd)
     rows.append(
         _row("seqalg/adjoint_alternating", "", "", None, adj_gap, 0.0 if unstable else 1.0, 0.5)
     )

@@ -275,26 +275,24 @@ def test_criterion_08_weyl_model_validity(ctx, pair):
 
 
 def test_criterion_09_sequence_algebra_corpus():
-    policy = SA.TailPolicy()
-    assert (policy.window_start, policy.sample_count, policy.tolerance) == (32, 16, 1e-6)
+    assert (SA.TAIL_START, len(SA.SAMPLES), SA.NULL_TOLERANCE) == (32, 16, 1e-6)
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
     p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     p /= np.linalg.norm(p, 2)
 
     drift = SA.SequenceElement(lambda n: SA.matrix(q + 0.5**n * p), 2.0)
-    unit = SA.polar_unitarize(drift, policy)
-    defect = max(SA.unitarity_defect(unit.at(n)) for n in policy.samples())
-    null_ok = SA.is_null(SA.seq_sub(unit, drift), policy)
+    unit = SA.polar_unitarize(drift)
+    defect = max(SA.unitarity_defect(unit.at(n)) for n in SA.SAMPLES)
+    null_ok = SA.is_null(SA.seq_sub(unit, drift))
 
-    member = lambda t, pol: SA.equivalent(t, SA.constant(SA.matrix(q)), pol)
-    forward_ok = SA.stability_probe(drift, member, policy, random.Random(0))
+    forward_ok = SA.stability_probe(drift, SA.constant(SA.matrix(q)), random.Random(0))
 
     b = SA.matrix(q + np.array([[0.0, 0.0], [0.0, 1.0]]))
     alt = SA.SequenceElement(lambda n: SA.matrix(q) if n % 2 == 0 else b, SA.norm(b) + 1.0)
     even = SA.subsequence(alt, lambda n: 2 * n)
     odd = SA.subsequence(alt, lambda n: 2 * n + 1)
-    converse_ok = not SA.equivalent(even, odd, policy)
+    converse_ok = not SA.equivalent(even, odd)
 
     ok = defect <= 1e-12 and null_ok and forward_ok and converse_ok
     verdict(

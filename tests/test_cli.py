@@ -15,11 +15,11 @@ from hypothesis import given, settings, strategies as st
 
 from conebraid.cli import main
 from conebraid import field as F
+from conebraid import seqalg
 from conebraid import suites
 from conebraid.config import RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
-from conebraid.seqalg import TailPolicy
 from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -62,8 +62,7 @@ def test_check_policy_is_fixed_in_suites():
     ) == (1e-12, 1e-10, 1e-3, 1e-3, 1e-2, 1e-2)
     assert (suites.LAW_SAMPLES, suites.HOMOTOPY_STEPS, suites.HOMOTOPY_STEP_DEG) == (100, 6, 30.0)
     assert suites.TRANSPORTER_OFFSET == 2.0
-    tp = TailPolicy()
-    assert (tp.window_start, tp.sample_count, tp.tolerance) == (32, 16, 1e-6)
+    assert (seqalg.TAIL_START, len(seqalg.SAMPLES), seqalg.NULL_TOLERANCE) == (32, 16, 1e-6)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +459,28 @@ def test_cli_zero_cone_axis_exits_2_before_the_plan(tmp_path, capsys):
     data = default_dict()
     data["cone"]["axis"] = [0.0, 0.0, 0.0]
     assert _exits_2_with_one_line(data, tmp_path, capsys) == "error: cone axis must be a nonzero finite vector"
+
+
+def test_cli_radius_near_the_float_limit_exits_2_with_one_line(tmp_path, capsys):
+    # at R = 1e308 a separation overflows to inf and a (g, g) sigma becomes
+    # inf * erfc(inf) = nan, which a JSON report cannot hold
+    data = default_dict()
+    for charge in data["charges"]:
+        charge["channel"] = "g"
+    data["cone"].update(time_slope=1.0, time_exponent=0.5)
+    data["radii"] = [1e306, 1e307, 1e308]
+    assert _exits_2_with_one_line(data, tmp_path, capsys) == "error: radii must be at most 1e+300, got 1e+308"
+    # up to the bound every row is finite and passes
+    data["radii"] = [1e298, 1e299, 1e300]
+    cfg = tmp_path / "largest.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["verify", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+
+    def refuse(token):
+        raise AssertionError(f"report holds {token}")
+
+    rows = json.loads((tmp_path / "all_report.json").read_text(), parse_constant=refuse)["rows"]
+    assert len(rows) == 54 and all(row["pass"] for row in rows)
 
 
 @pytest.mark.parametrize(

@@ -1,12 +1,13 @@
 """Committed mutations: each patch of a package function must fail the rows that judge it.
 
-Every entry replaces one function with a plausibly broken version of it and
-runs one suite in process on the default config.  It names either the check
-ids whose rows pass on the unmutated code and fail under the mutation (every
-row of such an id must fail, and no other row may flip), or the error the
-mutated run raises before it reports.
+Every entry replaces one function or constant with a plausibly broken
+version of it and runs one suite in process on the default config.  It
+names either the check ids whose rows pass on the unmutated code and fail
+under the mutation (every row of such an id must fail, and no other row may
+flip), or the error the mutated run raises before it reports.
 """
 
+import cmath
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
@@ -16,8 +17,9 @@ import pytest
 from conebraid import category as C
 from conebraid import field as F
 from conebraid import seqalg as sa
+from conebraid import weyl as W
 from conebraid.config import load_config
-from conebraid.errors import DomainError
+from conebraid.errors import DomainError, InternalError, UsageError
 from conebraid.suites import run_suite
 
 CONFIG = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.json")
@@ -57,6 +59,51 @@ def _seq_mul_adds(seq_mul):
 def _star_mor_unconjugated(star_mor):
     def mutant(r):
         return C.Intertwiner(r.target, r.source, r.coeff, F.negate(r.label))
+
+    return mutant
+
+
+def _star_mor_keeps_label(star_mor):
+    def mutant(r):
+        return C.Intertwiner(r.target, r.source, r.coeff.conjugate(), r.label)
+
+    return mutant
+
+
+def _cocycle_flipped(product):
+    # e^{-i sigma(x, y)/2} in place of e^{+i sigma(x, y)/2}
+    def mutant(a, b):
+        return a.coeff * b.coeff * cmath.exp(-0.5j * F.symplectic(a.label, b.label)), F.add(a.label, b.label)
+
+    return mutant
+
+
+def _tensor_mor_unrotated(tensor_mor):
+    # r's source automorphism no longer acts on s: the factor e^{i sigma(r.source, s.label)} is gone
+    def mutant(r, s):
+        coeff = r.coeff * s.coeff * cmath.exp(0.5j * F.symplectic(r.label, s.label))
+        return C.Intertwiner(F.add(r.source, s.source), F.add(r.target, s.target), coeff, F.add(r.label, s.label))
+
+    return mutant
+
+
+def _star_unconjugated(star):
+    def mutant(a):
+        return W.WeylElement(a.coeff, F.negate(a.label))
+
+    return mutant
+
+
+def _auto_action_flipped(auto_action):
+    def mutant(obj, a):
+        return W.WeylElement(a.coeff * cmath.exp(-1j * F.symplectic(obj, a.label)), a.label)
+
+    return mutant
+
+
+def _braiding_exact_flipped(braiding_exact):
+    def mutant(a, b):
+        return C.Intertwiner(F.add(a, b), F.add(b, a), cmath.exp(1j * F.symplectic(a, b)), F.zero_vector())
 
     return mutant
 
@@ -105,6 +152,79 @@ MUTATIONS = [
     # polar_unitarize's almost-unitary precondition multiplies sequences
     # before any row is written, so a broken product raises there
     Mutation("seq-mul-adds", sa, "seq_mul", _seq_mul_adds, "seqalg", DomainError),
+    # without the cutoff the polar factor of the fallback row's entries, whose
+    # smallest singular value is 1e-12, has norm about 1.00002 and breaks the
+    # certified bound 1.0 of polar_unitarize's output
+    Mutation("polar-cutoff-removed", sa, "POLAR_SINGULAR_CUTOFF", lambda cutoff: -1.0, "seqalg", UsageError),
+    # weyl_mul's cocycle; compose keeps its own binding of _product
+    Mutation(
+        "weyl-cocycle-flipped",
+        W,
+        "_product",
+        _cocycle_flipped,
+        "laws",
+        frozenset({"laws/intertwiner_relation", "laws/weyl_exchange"}),
+    ),
+    # compose's cocycle; the braiding composes labels x and -x, whose
+    # cocycle is 1 at either sign, so only the interchange law sees it
+    Mutation(
+        "compose-cocycle-flipped",
+        C,
+        "_product",
+        _cocycle_flipped,
+        "laws",
+        frozenset({"laws/interchange"}),
+    ),
+    Mutation(
+        "tensor-mor-unrotated-laws",
+        C,
+        "tensor_mor",
+        _tensor_mor_unrotated,
+        "laws",
+        frozenset({"laws/interchange", "laws/naturality"}),
+    ),
+    Mutation(
+        "tensor-mor-unrotated-braiding",
+        C,
+        "tensor_mor",
+        _tensor_mor_unrotated,
+        "braiding",
+        frozenset({"braiding/categorical_vs_closed_form"}),
+    ),
+    Mutation(
+        "star-unconjugated-laws",
+        C,
+        "star",
+        _star_unconjugated,
+        "laws",
+        frozenset({"laws/star_isometry"}),
+    ),
+    Mutation(
+        "star-unconjugated-braiding",
+        C,
+        "star",
+        _star_unconjugated,
+        "braiding",
+        frozenset({"braiding/categorical_vs_closed_form", "braiding/rephase_invariance"}),
+    ),
+    Mutation(
+        "auto-action-flipped",
+        C,
+        "auto_action",
+        _auto_action_flipped,
+        "laws",
+        frozenset({"laws/intertwiner_relation"}),
+    ),
+    Mutation(
+        "braiding-exact-flipped",
+        C,
+        "braiding_exact",
+        _braiding_exact_flipped,
+        "laws",
+        frozenset({"laws/naturality"}),
+    ),
+    # the exchange (v x u)* (u x v) then keeps a nonzero label
+    Mutation("star-mor-keeps-label", C, "star_mor", _star_mor_keeps_label, "braiding", InternalError),
     # with the coefficient unconjugated, the categorical exchange no longer
     # matches the closed form, and a rephased exchange keeps (z_u z_v)^2
     # instead of |z_u z_v|^2 = 1, so every rephase row fails unless the

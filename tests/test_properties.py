@@ -114,21 +114,20 @@ matrices = st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8).map(
 @settings(max_examples=25, **COMMON)
 @given(matrices, matrices)
 def test_seqalg_quotient_laws(matrices_a, matrices_b):
-    policy = SA.TailPolicy()
     a, b = matrices_a, matrices_b
     s = SA.SequenceElement(lambda n: SA.add(a, SA.scale(0.5**n, b)), SA.norm(a) + SA.norm(b) + 1.0)
     t = SA.constant(b)
     # star distributes over differences on the quotient
     lhs = SA.seq_star(SA.seq_sub(s, t))
     rhs = SA.seq_sub(SA.seq_star(s), SA.seq_star(t))
-    assert SA.limsup_norm(SA.seq_sub(lhs, rhs), policy) <= 1e-12
+    assert SA.limsup_norm(SA.seq_sub(lhs, rhs)) <= 1e-12
     # limsup is subadditive and null elements are absorbed
-    assert SA.limsup_norm(SA.seq_sub(s, t), policy) <= (
-        SA.limsup_norm(s, policy) + SA.limsup_norm(t, policy) + 1e-12
+    assert SA.limsup_norm(SA.seq_sub(s, t)) <= (
+        SA.limsup_norm(s) + SA.limsup_norm(t) + 1e-12
     )
     null = SA.SequenceElement(lambda n: SA.scale(0.5**n, b), SA.norm(b) + 1.0)
-    assert SA.is_null(null, policy)
-    assert SA.equivalent(SA.seq_sub(t, null), t, policy)
+    assert SA.is_null(null)
+    assert SA.equivalent(SA.seq_sub(t, null), t)
 
 
 @settings(max_examples=200, **COMMON)
@@ -150,16 +149,6 @@ def test_subsequence_check_matches_all_pairs_scan(draws):
         else:
             sub.at(n)
             accepted[n] = m
-
-
-@settings(max_examples=40, **COMMON)
-@given(st.integers(1, 2000), st.integers(8, 40))
-def test_tail_policy_samples(window_start, sample_count):
-    policy = SA.TailPolicy(window_start=window_start, sample_count=sample_count)
-    samples = policy.samples()
-    assert len(samples) == len(set(samples)) and list(samples) == sorted(samples)
-    assert all(n > window_start for n in samples)
-    assert samples[-1] == window_start * 2 ** (sample_count // 2)
 
 
 @settings(max_examples=25, **COMMON)

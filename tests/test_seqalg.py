@@ -14,11 +14,6 @@ M = SA.matrix  # a numpy 2 x 2 array as a seqalg matrix
 
 
 @pytest.fixture(scope="module")
-def policy():
-    return SA.TailPolicy()
-
-
-@pytest.fixture(scope="module")
 def mats():
     # numpy arrays, for the tests' own arithmetic; M() makes them matrices
     rng = np.random.default_rng(0)
@@ -29,47 +24,42 @@ def mats():
     return a, q, p
 
 
-def test_tail_policy_validation_and_samples(policy):
-    samples = policy.samples()
-    assert all(n > policy.window_start for n in samples)
-    assert len(samples) == policy.sample_count
+def test_tail_samples_and_tolerance_are_fixed():
+    samples = SA.SAMPLES
+    assert samples == (33, 34, 35, 36, 37, 38, 39, 40, 64, 128, 256, 512, 1024, 2048, 4096, 8192)
+    assert SA.NULL_TOLERANCE == 1e-6
+    assert all(n > SA.TAIL_START for n in samples)
+    assert list(samples) == sorted(set(samples))
     # both parities appear, and the far end grows geometrically
     assert {n % 2 for n in samples} == {0, 1}
-    assert samples[-1] == policy.window_start * 2 ** (policy.sample_count // 2)
-    for bad in (
-        lambda: SA.TailPolicy(window_start=0),
-        lambda: SA.TailPolicy(sample_count=7),
-        lambda: SA.TailPolicy(tolerance=0.0),
-    ):
-        with pytest.raises(UsageError):
-            bad()
+    assert samples[-1] == SA.TAIL_START * 2 ** (len(samples) // 2)
 
 
-def test_limsup_norm_examples(policy, mats):
+def test_limsup_norm_examples(mats):
     a, _, _ = mats
-    assert SA.limsup_norm(SA.constant(M(a)), policy) == SA.norm(M(a))
+    assert SA.limsup_norm(SA.constant(M(a))) == SA.norm(M(a))
     alt = SA.SequenceElement(lambda n: M(a if n % 2 == 0 else 2 * a), 2 * SA.norm(M(a)))
-    assert abs(SA.limsup_norm(alt, policy) - 2 * SA.norm(M(a))) < 1e-14
+    assert abs(SA.limsup_norm(alt) - 2 * SA.norm(M(a))) < 1e-14
     inv = SA.SequenceElement(lambda n: M(a / n), SA.norm(M(a)))
-    assert SA.limsup_norm(inv, policy) <= SA.norm(M(a)) / policy.window_start
+    assert SA.limsup_norm(inv) <= SA.norm(M(a)) / SA.TAIL_START
 
 
-def test_is_null_examples(policy, mats):
+def test_is_null_examples(mats):
     a, _, _ = mats
-    assert SA.is_null(SA.constant(M(np.zeros_like(a))), policy)
-    assert not SA.is_null(SA.constant(M(a)), policy)
+    assert SA.is_null(SA.constant(M(np.zeros_like(a))))
+    assert not SA.is_null(SA.constant(M(a)))
     inv = SA.SequenceElement(lambda n: M(a / n), SA.norm(M(a)))
-    assert not SA.is_null(inv, policy)
-    # window scaled by the norm pushes the tail strictly under tolerance
-    wide = SA.TailPolicy(window_start=math.ceil(SA.norm(M(a)) / policy.tolerance))
-    assert SA.is_null(inv, wide)
+    assert not SA.is_null(inv)
+    # an index shift scaled by the norm pushes the tail strictly under tolerance
+    shift = math.ceil(SA.norm(M(a)) / SA.NULL_TOLERANCE)
+    assert SA.is_null(SA.SequenceElement(lambda n: M(a / (n + shift)), SA.norm(M(a))))
 
 
-def test_bound_certification(policy, mats):
+def test_bound_certification(mats):
     a, _, _ = mats
     lying = SA.SequenceElement(lambda n: M(a * n), SA.norm(M(a)))
     with pytest.raises(UsageError):
-        SA.limsup_norm(lying, policy)
+        SA.limsup_norm(lying)
     with pytest.raises(UsageError):
         SA.SequenceElement(lambda n: M(a), float("inf"))
     with pytest.raises(UsageError):
@@ -80,7 +70,7 @@ def test_bound_certification(policy, mats):
             SA.SequenceElement(lambda n: M(bad), 1.0).at(1)
 
 
-def test_subsequence_monotonicity(policy, mats):
+def test_subsequence_monotonicity(mats):
     a, _, _ = mats
     c = SA.constant(M(a))
     assert np.allclose(SA.subsequence(c, lambda n: n).at(7), a)
@@ -112,41 +102,41 @@ def test_subsequence_violation_between_distant_evaluations(mats):
     assert np.allclose(sub.at(9), a) and np.allclose(sub.at(5), a)
 
 
-def test_subsequence_stability_of_equivalence(policy, mats):
+def test_subsequence_stability_of_equivalence(mats):
     a, _, p = mats
     drift = SA.SequenceElement(lambda n: M(a + 0.5**n * p), SA.norm(M(a)) + 1.0)
-    member = lambda t, pol: SA.equivalent(t, SA.constant(M(a)), pol)
-    assert member(drift, policy)
-    assert SA.stability_probe(drift, member, policy, random.Random(1))
-    assert not SA.stability_probe(drift, lambda t, pol: False, policy, random.Random(1))
+    limit = SA.constant(M(a))
+    assert SA.equivalent(drift, limit)
+    assert SA.stability_probe(drift, limit, random.Random(1))
+    assert not SA.stability_probe(drift, SA.constant(M(a + p)), random.Random(1))
 
 
-def test_alternating_subsequences_separate(policy, mats):
+def test_alternating_subsequences_separate(mats):
     a, _, _ = mats
     b = a + np.array([[0.0, 0.0], [0.0, 1.0]])
     alt = SA.SequenceElement(lambda n: M(a if n % 2 == 0 else b), 4.0)
     even = SA.subsequence(alt, lambda n: 2 * n)
     odd = SA.subsequence(alt, lambda n: 2 * n + 1)
-    assert SA.equivalent(even, SA.constant(M(a)), policy)
-    assert SA.equivalent(odd, SA.constant(M(b)), policy)
-    assert not SA.equivalent(even, odd, policy)
+    assert SA.equivalent(even, SA.constant(M(a)))
+    assert SA.equivalent(odd, SA.constant(M(b)))
+    assert not SA.equivalent(even, odd)
 
 
-def test_null_ideal_law(policy, mats):
+def test_null_ideal_law(mats):
     a, _, p = mats
     null_s = SA.SequenceElement(lambda n: M(0.5**n * p), 1.0)
     alt = SA.SequenceElement(lambda n: M(a if n % 2 == 0 else 2 * a), 2 * SA.norm(M(a)))
-    assert SA.is_null(null_s, policy)
-    assert SA.is_null(SA.seq_mul(null_s, alt), policy)
-    assert SA.is_null(SA.seq_mul(alt, null_s), policy)
-    assert SA.is_null(SA.seq_star(null_s), policy)
+    assert SA.is_null(null_s)
+    assert SA.is_null(SA.seq_mul(null_s, alt))
+    assert SA.is_null(SA.seq_mul(alt, null_s))
+    assert SA.is_null(SA.seq_star(null_s))
 
 
-def test_polar_hand_example(policy):
+def test_polar_hand_example():
     early = np.array([[0.0, 2.0], [1.0, 0.0]], dtype=complex)
     late = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     s = SA.SequenceElement(lambda n: M(early if n < 5 else late), 2.0)
-    u = SA.polar_unitarize(s, policy)
+    u = SA.polar_unitarize(s)
     # B |B|^{-1} = [[0,1],[1,0]] for both branches (|B| = diag(1, 2) early)
     assert np.allclose(u.at(2), late)
     assert np.allclose(u.at(100), late)
@@ -156,43 +146,44 @@ def test_polar_hand_example(policy):
 def test_polar_scalar_example():
     rng = np.random.default_rng(5)
     q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    s = SA.SequenceElement(lambda n: M(q * (1.0 + 1.0 / n)), 2.0)
-    wide = SA.TailPolicy(window_start=2_000_000)
-    u = SA.polar_unitarize(s, wide)
-    assert np.allclose(u.at(3_000_000), q)
-    assert SA.is_null(SA.seq_sub(u, s), wide)
+    # q (1 + 1/n) read from index 2,000,000 on, where it is almost unitary
+    shift = 2_000_000
+    s = SA.SequenceElement(lambda n: M(q * (1.0 + 1.0 / (n + shift))), 2.0)
+    u = SA.polar_unitarize(s)
+    assert np.allclose(u.at(3_000_000 - shift), q)
+    assert SA.is_null(SA.seq_sub(u, s))
 
 
-def test_polar_rejects_non_almost_unitary(policy):
+def test_polar_rejects_non_almost_unitary():
     with pytest.raises(DomainError):
-        SA.polar_unitarize(SA.constant(M(2.0 * np.eye(2))), policy)
+        SA.polar_unitarize(SA.constant(M(2.0 * np.eye(2))))
 
 
-def test_polar_corpus_default_policy(policy, mats):
+def test_polar_corpus_default_policy(mats):
     _, q, p = mats
     s = SA.SequenceElement(lambda n: M(q + 0.5**n * p), 2.0)
-    u = SA.polar_unitarize(s, policy)
-    defects = [SA.unitarity_defect(u.at(n)) for n in policy.samples()]
+    u = SA.polar_unitarize(s)
+    defects = [SA.unitarity_defect(u.at(n)) for n in SA.SAMPLES]
     assert max(defects) < 1e-12
-    assert SA.is_null(SA.seq_sub(u, s), policy)
+    assert SA.is_null(SA.seq_sub(u, s))
     # Lipschitz-style comparison against the unitarity defect of the input
-    for n in policy.samples()[:6]:
+    for n in SA.SAMPLES[:6]:
         num = SA.norm(SA.sub(u.at(n), s.at(n)))
         den = SA.unitarity_defect(s.at(n))
         assert num <= 2.0 * den
 
 
-def test_polar_singular_fallback(policy, mats):
+def test_polar_singular_fallback(mats):
     _, q, _ = mats
     s = SA.SequenceElement(
         lambda n: M(np.zeros((2, 2)) if n == 5 else q), 1.0
     )
-    u = SA.polar_unitarize(s, policy)
+    u = SA.polar_unitarize(s)
     assert np.allclose(u.at(5), np.eye(2))
     assert np.allclose(u.at(33), q)
 
 
-def test_adjoint_morphism(policy, mats):
+def test_adjoint_morphism(mats):
     a, q, _ = mats
     adj = SA.adjoint_morphism(SA.constant(M(q)), M(a))
     assert np.allclose(adj.at(50), q.conj().T @ a @ q)
@@ -202,14 +193,14 @@ def test_adjoint_morphism(policy, mats):
         SA.adjoint_morphism(SA.constant(M(2.0 * np.eye(2))), M(a)).at(33)
 
 
-def test_adjoint_alternating_is_unstable(policy, mats):
+def test_adjoint_alternating_is_unstable(mats):
     a, q, _ = mats
     rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
     u_alt = SA.SequenceElement(lambda n: M(q if n % 2 == 0 else rot @ q), 1.0)
     adj = SA.adjoint_morphism(u_alt, M(a))
     even = SA.subsequence(adj, lambda n: 2 * n)
     odd = SA.subsequence(adj, lambda n: 2 * n + 1)
-    assert not SA.equivalent(even, odd, policy)
+    assert not SA.equivalent(even, odd)
 
 
 def test_matrix_algebra_guards():
