@@ -95,7 +95,7 @@ class Report:
             },
             "rows": [row.record() for row in self.rows],
         }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(report: Report, out_dir, fmt: str) -> list[Path]:

@@ -167,13 +167,16 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
 
 
 def _row(check_id, charge_pair, cone_id, radius, value, residual, threshold) -> CheckRow:
-    residual = float(residual)
+    """One report row; a non-finite value or residual is an InternalError, since no report may hold one."""
+    value, residual = complex(value), float(residual)
+    if not (cmath.isfinite(value) and math.isfinite(residual)):
+        raise InternalError(f"{check_id} {charge_pair} {cone_id} R={radius}: non-finite {value} or {residual}")
     return CheckRow(
         check_id=check_id,
         charge_pair=charge_pair,
         cone_id=cone_id,
         radius=radius,
-        value=complex(value),
+        value=value,
         residual=residual,
         threshold=float(threshold),
         passed=bool(residual <= threshold),
@@ -282,12 +285,15 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         vec = fld.make_test_vector(amplitude=amp, width=width, channel=chan)
         shift = (0.0, *_uniform(rng, (-2.0,) * 3, (2.0,) * 3))
         labels.append(fld.translate(vec, shift))
-    min_eig = min_eigenvalue(gram_matrix(labels))
+    gram = gram_matrix(labels)
+    min_eig = min_eigenvalue(gram)
+    # min_eigenvalue reads the matrix as Hermitian, so the residual also judges that it is
+    hermitian = max(abs(z - gram[l][k].conjugate()) for k, row in enumerate(gram) for l, z in enumerate(row))
 
     rows = []
     for check in _LAW_CHECKS:
         if check == "laws/gram_psd":
-            rows.append(_row(check, "", "", None, min_eig, max(0.0, -min_eig), GRAM_THRESHOLD))
+            rows.append(_row(check, "", "", None, min_eig, max(0.0, -min_eig, hermitian), GRAM_THRESHOLD))
         else:
             rows.append(_row(check, "", "", None, worst[check], worst[check], LAWS_THRESHOLD))
     return rows

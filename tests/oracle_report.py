@@ -1,0 +1,138 @@
+"""An independent oracle for the braiding, homotopy and decay rows of a report.
+
+It imports nothing from conebraid, and evaluates every number in mpmath at
+30 digits from a config dict alone (the JSON of a config file, or
+``RunConfig.to_dict()``).  Its scope is one pair of unit-width Gaussian
+charges: a g-channel charge of q = 1, then an h-channel neutral profile of
+amplitude 1, on a cone of time_slope 0.  There the symplectic coupling of
+the charge moved by a and the profile moved by b is
+
+    sigma(gamma_a, delta_b) = F(|a - b|),  F(d) = sqrt(pi/2) erf(d/2) / d,
+
+with F(0) = 1/sqrt(2), and equal channels do not couple.  Every transport
+at radius R moves by R along a cone axis, the second charge's to the
+antipode, and the decay transporters move by TRANSPORTER_OFFSET along the
+axis of their own cone (the configured one for the first charge, its
+opposite for the second).  So each row is a formula in F at explicit
+distances, and no row depends on the cone's axis or angle:
+
+- braiding/limit_vs_exact: e^{i(F(2R) - F(0))}, against the limit e^{-i F(0)};
+- homotopy/limit_vs_exact: the same at the largest radius, on every cone;
+- decay/implementation: |e^{i F(R)} - 1|;
+- decay/implementation_transported: |e^{i(F(R + 2) - F(R))} - 1|;
+- decay/abelianness: |e^{i(F(2R + 4) - 2 F(2R + 2) + F(2R))} - 1|;
+- decay/tensor_ordering: |e^{i(F(2R + 4) - F(2R))} - 1|;
+- decay/extension: |e^{i(F(R + 2) - F(R - 2))} - 1|;
+
+and the categorical, rephase and mutual-spread rows compare two routes to
+one number, so their value and residual are 0.  The checks' thresholds and
+the chain length are restated here; a test pins them to ``suites``'.
+"""
+
+import mpmath
+
+TRANSPORTER_OFFSET = 2.0
+HOMOTOPY_STEPS = 6
+LAWS_THRESHOLD = 1e-12
+BRAIDING_THRESHOLD = 1e-3
+HOMOTOPY_THRESHOLD = 1e-3
+DECAY_THRESHOLD = 1e-2
+EXTENSION_THRESHOLD = 1e-2
+
+DIGITS = 30
+TOLERANCE = 1e-12  # the largest |difference| of a value or residual from the report's
+SUITES = ("braiding/", "homotopy/", "decay/")
+_CHARGE = {"profile": "gaussian-momentum", "q": 1.0, "s": 1.0}
+
+
+class OutOfScope(ValueError):
+    """The config is not one unit Gaussian g/h pair on a cone of time_slope 0."""
+
+
+def _check_scope(config: dict) -> None:
+    charges = config["charges"]
+    if [c["channel"] for c in charges] != ["g", "h"]:
+        raise OutOfScope(f"need one g charge then one h charge, got channels {[c['channel'] for c in charges]}")
+    for c in charges:
+        other = {k: c[k] for k in _CHARGE if c[k] != _CHARGE[k]}
+        if other:
+            raise OutOfScope(f"charge {c['name']!r} is not a unit Gaussian: {other}")
+    if config["cone"]["time_slope"] != 0.0:
+        raise OutOfScope(f"time_slope {config['cone']['time_slope']} transports off the equal-time plane")
+
+
+def _coupling(d):
+    """F(d) = sqrt(pi/2) erf(d/2) / d, and its limit 1/sqrt(2) at d = 0."""
+    if d == 0:
+        return 1 / mpmath.sqrt(2)
+    return mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(d / 2) / d
+
+
+def _defect(phase) -> float:
+    """|e^{i phase} - 1|."""
+    return float(abs(mpmath.expj(phase) - 1))
+
+
+def oracle_rows(config: dict) -> dict:
+    """{(check_id, charge_pair, cone_id, radius): (value, residual, threshold)} for the three suites.
+
+    Raises OutOfScope on a config outside the oracle's one model.
+    """
+    _check_scope(config)
+    pair = ":".join(c["name"] for c in config["charges"])
+    rows = {}
+    with mpmath.workdps(DIGITS):
+        f = _coupling
+        off = mpmath.mpf(TRANSPORTER_OFFSET)
+        limit = mpmath.expj(-f(0))
+
+        def exchange(radius):
+            phase = mpmath.expj(f(2 * radius) - f(0))
+            return complex(phase), float(abs(phase - limit))
+
+        for radius in config["radii"]:
+            r = mpmath.mpf(radius)
+            value, residual = exchange(r)
+            rows[("braiding/limit_vs_exact", pair, "", radius)] = (value, residual, BRAIDING_THRESHOLD)
+            for check in ("braiding/categorical_vs_closed_form", "braiding/rephase_invariance"):
+                rows[(check, pair, "", radius)] = (0j, 0.0, LAWS_THRESHOLD)
+            decay = {
+                "decay/implementation": (f(r), DECAY_THRESHOLD),
+                "decay/implementation_transported": (f(r + off) - f(r), DECAY_THRESHOLD),
+                "decay/abelianness": (f(2 * r + 2 * off) - 2 * f(2 * r + off) + f(2 * r), DECAY_THRESHOLD),
+                "decay/tensor_ordering": (f(2 * r + 2 * off) - f(2 * r), DECAY_THRESHOLD),
+                "decay/extension": (f(r + off) - f(r - off), EXTENSION_THRESHOLD),
+            }
+            for check, (phase, threshold) in decay.items():
+                defect = _defect(phase)
+                rows[(check, pair, "", radius)] = (complex(defect), defect, threshold)
+
+        radius = config["radii"][-1]
+        value, residual = exchange(mpmath.mpf(radius))
+        for k in range(HOMOTOPY_STEPS + 1):
+            rows[("homotopy/limit_vs_exact", pair, f"cone{k:02d}", radius)] = (value, residual, HOMOTOPY_THRESHOLD)
+        rows[("homotopy/mutual_spread", pair, "", radius)] = (0j, 0.0, HOMOTOPY_THRESHOLD)
+    return rows
+
+
+def mismatches(records, oracle: dict) -> dict:
+    """{row key: how it differs} for the braiding, homotopy and decay rows of a report.
+
+    records are report rows as ``CheckRow.record()`` dicts (the JSON report's
+    rows).  A row differs when it is missing on either side, when its
+    value or residual is more than TOLERANCE away, or when its threshold or
+    verdict is not the oracle's.
+    """
+    report = {
+        (r["check_id"], r["charge_pair"], r["cone_id"], r["radius"]): r for r in records if r["check_id"].startswith(SUITES)
+    }
+    out = {key: "only in the report" for key in report.keys() - oracle.keys()}
+    out.update({key: "only in the oracle" for key in oracle.keys() - report.keys()})
+    for key in report.keys() & oracle.keys():
+        row, (value, residual, threshold) = report[key], oracle[key]
+        drift = (row["value_re"] - value.real, row["value_im"] - value.imag, row["residual"] - residual)
+        if not all(abs(d) <= TOLERANCE for d in drift):
+            out[key] = f"value_re, value_im and residual differ by {drift}"
+        elif row["threshold"] != threshold or row["pass"] != (residual <= threshold):
+            out[key] = f"threshold {row['threshold']!r} pass {row['pass']}, against {threshold!r}"
+    return out

@@ -694,6 +694,17 @@ def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
     assert not list(tmp_path.glob("*_report.*"))
 
 
+def test_non_finite_row_exits_1_with_one_line_and_no_report(tmp_path, capsys, monkeypatch):
+    # a JSON report cannot hold NaN, so a row that would carry one ends the
+    # run like an internal error instead of failing as a row
+    monkeypatch.setattr(suites.cat, "extension_residual", lambda *args: math.nan)
+    args = ["verify", "--config", str(CONFIG_PATH), "--suite", "decay", "--format", "json", "--out", str(tmp_path)]
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "decay/extension" in err and "non-finite" in err, err
+    assert not list(tmp_path.glob("*_report.*"))
+
+
 def test_cli_gaussian_pair_at_huge_radii_needs_no_rule(tmp_path):
     # every far Gaussian pair takes the closed form, so radii far past the
     # rule cap run, and each braiding residual is |e^{i F(2R)} - 1|

@@ -4,7 +4,11 @@ Every entry replaces one function or constant with a plausibly broken
 version of it and runs one suite in process on the default config.  It
 names either the check ids whose rows pass on the unmutated code and fail
 under the mutation (every row of such an id must fail, and no other row may
-flip), or the error the mutated run raises before it reports.
+flip), the error the mutated run raises before it reports, or, wrapped in
+Oracle, the check ids whose rows move off the independent oracle of
+tests/oracle_report.py (every row of the suite matches it unmutated, and
+the mutated rows that differ from it, verdict flip or not, are of exactly
+those ids).
 """
 
 import cmath
@@ -17,10 +21,12 @@ import pytest
 from conebraid import category as C
 from conebraid import field as F
 from conebraid import seqalg as sa
+from conebraid import suites
 from conebraid import weyl as W
 from conebraid.config import load_config
 from conebraid.errors import DomainError, InternalError, UsageError
 from conebraid.suites import run_suite
+from oracle_report import mismatches, oracle_rows
 
 CONFIG = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.json")
 
@@ -31,7 +37,11 @@ class Mutation(NamedTuple):
     attribute: str
     mutant: object  # original -> mutated replacement
     suite: str
-    fails: frozenset | type  # check ids that flip to failing, or the error raised
+    fails: frozenset | type  # check ids that flip to failing (or move off the Oracle), or the error raised
+
+
+class Oracle(frozenset):
+    """Check ids whose rows the mutation moves off the oracle."""
 
 
 def _polar_star(polar):
@@ -104,6 +114,30 @@ def _auto_action_flipped(auto_action):
 def _braiding_exact_flipped(braiding_exact):
     def mutant(a, b):
         return C.Intertwiner(F.add(a, b), F.add(b, a), cmath.exp(1j * F.symplectic(a, b)), F.zero_vector())
+
+    return mutant
+
+
+def _gram_unconjugated(gram_matrix):
+    # the lower triangle copies the upper one instead of conjugating it
+    def mutant(labels):
+        gram = gram_matrix(labels)
+        return [[gram[min(k, l)][max(k, l)] for l in range(len(gram))] for k in range(len(gram))]
+
+    return mutant
+
+
+def _commutator_half_phase(commutator_norm):
+    def mutant(x, y):
+        return abs(cmath.exp(0.5j * F.symplectic(x, y)) - 1.0)
+
+    return mutant
+
+
+def _transport_short(translation):
+    # every cone transport stops at 0.9 R
+    def mutant(cone, radius):
+        return translation(cone, 0.9 * radius)
 
     return mutant
 
@@ -237,6 +271,57 @@ MUTATIONS = [
         "braiding",
         frozenset({"braiding/categorical_vs_closed_form", "braiding/rephase_invariance"}),
     ),
+    # min_eigenvalue of the non-Hermitian matrix stays above -1e-10; the
+    # row's Hermitian defect reads about 0.54
+    Mutation(
+        "gram-unconjugated",
+        suites,
+        "gram_matrix",
+        _gram_unconjugated,
+        "laws",
+        frozenset({"laws/gram_psd"}),
+    ),
+    # halving the phase only shrinks the abelianness residual, so no verdict flips
+    Mutation(
+        "commutator-half-phase",
+        C,
+        "commutator_norm",
+        _commutator_half_phase,
+        "decay",
+        Oracle({"decay/abelianness"}),
+    ),
+    # no verdict flips: the limit rows already fail at radii 10..40, and the
+    # others stay far from their thresholds
+    Mutation(
+        "transport-short-braiding",
+        C.ConeSpec,
+        "translation",
+        _transport_short,
+        "braiding",
+        Oracle({"braiding/limit_vs_exact"}),
+    ),
+    Mutation(
+        "transport-short-homotopy",
+        C.ConeSpec,
+        "translation",
+        _transport_short,
+        "homotopy",
+        Oracle({"homotopy/limit_vs_exact"}),
+    ),
+    Mutation(
+        "transport-short-decay",
+        C.ConeSpec,
+        "translation",
+        _transport_short,
+        "decay",
+        Oracle({
+            "decay/implementation",
+            "decay/implementation_transported",
+            "decay/abelianness",
+            "decay/tensor_ordering",
+            "decay/extension",
+        }),
+    ),
 ]
 
 @cache
@@ -254,6 +339,12 @@ def test_mutation_fails_its_rows(mutation, monkeypatch):
             run_suite(CONFIG, mutation.suite)
         return
     after = run_suite(CONFIG, mutation.suite).rows
+    if isinstance(mutation.fails, Oracle):
+        oracle = {key: row for key, row in oracle_rows(CONFIG.to_dict()).items() if key[0].startswith(mutation.suite)}
+        assert mismatches([row.record() for row in before], oracle) == {}
+        moved = mismatches([row.record() for row in after], oracle)
+        assert {key[0] for key in moved} == mutation.fails
+        return
     assert [row.sort_key() for row in after] == [row.sort_key() for row in before]
     flipped = {b.check_id for b, a in zip(before, after) if b.passed != a.passed}
     assert flipped == mutation.fails
