@@ -1,6 +1,7 @@
-"""Compare two JSON reports of one config and seed, row by row.
+"""Compare two reports of one config and seed, row by row.
 
     python scripts/report_drift.py OLD.json NEW.json
+    python scripts/report_drift.py OLD.csv NEW.csv
 
 Rows are matched on (check_id, charge_pair, cone_id, radius).  The script
 prints the largest |difference| of value_re, value_im and residual over the
@@ -12,10 +13,13 @@ otherwise.  It also prints which metadata keys differ (a config digest
 moves whenever the config file changes); that line does not change the exit
 code.  Two reports of different suites or seeds are not two runs of one
 check, so the script prints one line on stderr and exits 2 without
-comparing rows.
+comparing rows.  A .csv report carries no metadata, so a pair with one in
+it (CSV against CSV or against JSON) compares rows only; each CSV cell is
+read back as the JSON report holds it.
 """
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -26,9 +30,18 @@ FIELDS = ("value_re", "value_im", "residual")
 SAME_RUN_KEYS = ("suite", "seed")
 
 
+def _csv_record(cells: dict) -> dict:
+    """A CSV row's cells as the JSON report's record: floats, None for no radius, and a bool verdict."""
+    numbers = {k: float(cells[k]) for k in (*FIELDS, "threshold")}
+    return {**cells, **numbers, "radius": float(cells["radius"]) if cells["radius"] else None, "pass": cells["pass"] == "true"}
+
+
 def _load(path: str) -> tuple[dict, dict]:
-    with open(path) as fh:
-        report = json.load(fh)
+    with open(path, newline="") as fh:
+        if path.endswith(".csv"):
+            report = {"metadata": {}, "rows": [_csv_record(cells) for cells in csv.DictReader(fh)]}
+        else:
+            report = json.load(fh)
     rows = {(r["check_id"], r["charge_pair"], r["cone_id"], r["radius"]): r for r in report["rows"]}
     return report["metadata"], rows
 
@@ -42,11 +55,13 @@ def _delta(a: float, b: float) -> float:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("old", help="report JSON before the change")
-    parser.add_argument("new", help="report JSON after the change")
+    parser.add_argument("old", help="report (.json or .csv) before the change")
+    parser.add_argument("new", help="report (.json or .csv) after the change")
     args = parser.parse_args(argv)
 
     (old_meta, old), (new_meta, new) = _load(args.old), _load(args.new)
+    if not (old_meta and new_meta):  # a CSV report has no metadata to pair with
+        old_meta = new_meta = {}
     differ = [f"{k} {old_meta.get(k)!r} vs {new_meta.get(k)!r}" for k in SAME_RUN_KEYS if old_meta.get(k) != new_meta.get(k)]
     if differ:
         print(f"error: the reports are of different runs ({', '.join(differ)})", file=sys.stderr)

@@ -220,7 +220,7 @@ def braiding_asymptotic(
 
 def implementation_residual(obj: FieldVector, a, f: FieldVector) -> float:
     """Norm of U_a* W(f) U_a - rho(W(f)), reduced to |e^{i sigma(rho_a, f)} - 1|."""
-    return abs(cmath.exp(1j * symplectic(translate(obj, a), f)) - 1.0)
+    return commutator_norm(translate(obj, a), f)
 
 
 def abelianness_residual(x: FieldVector, y: FieldVector) -> float:

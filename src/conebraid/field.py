@@ -78,7 +78,7 @@ building Gaussian vectors never loads it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import chain
 import math
 import operator
@@ -204,20 +204,17 @@ class Atom(NamedTuple):
 
 
 def _canonical_terms(items) -> tuple[tuple[float, Atom], ...]:
-    merged: dict[Atom, float] = {}
-    for coeff, atom in items:
-        merged[atom] = merged.get(atom, 0.0) + coeff
-    kept = [(c, a) for a, c in merged.items() if c != 0.0]
-    kept.sort(key=operator.itemgetter(1))
-    return tuple(kept)
+    """Sorted by atom, each atom once with the sum of its coefficients in input order, zeros dropped."""
+    kept = sorted(((c, a) for c, a in items if c != 0.0), key=operator.itemgetter(1))
+    return reduce(_merge_terms, [(term,) for term in kept], ())
 
 
 def _merge_terms(xs: tuple, ys: tuple) -> tuple:
-    """_canonical_terms of xs + ys for two canonical term tuples, in one pass.
+    """The canonical terms of xs + ys for two canonical term tuples, in one pass.
 
     Both are sorted by atom with unique atoms and nonzero coefficients, so
-    equal atoms meet side by side; their coefficient is cx + cy, the same
-    float the dict merge gives.
+    equal atoms meet side by side; their coefficient is cx + cy, and a
+    zero sum is dropped.
     """
     if not xs or not ys:
         return xs or ys

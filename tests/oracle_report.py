@@ -4,29 +4,33 @@ It imports nothing from conebraid, and evaluates every number in mpmath at
 30 digits from a config dict alone (the JSON of a config file, or
 ``RunConfig.to_dict()``).  Its scope is one pair of unit-width Gaussian
 charges: a g-channel charge of q = 1, then an h-channel neutral profile of
-amplitude 1, on a cone of time_slope 0.  There the symplectic coupling of
-the charge moved by a and the profile moved by b is
+amplitude 1.  There the symplectic coupling of the charge moved by a and
+the profile moved by b is
 
-    sigma(gamma_a, delta_b) = F(|a - b|),  F(d) = sqrt(pi/2) erf(d/2) / d,
+    sigma(gamma_a, delta_b) = F(|a - b|, a_0 - b_0),
+    F(d, dt) = sqrt(pi/2) [erf((d + dt)/2) + erf((d - dt)/2)] / (2 d),
 
-with F(0) = 1/sqrt(2), and equal channels do not couple.  Every transport
-at radius R moves by R along a cone axis, the second charge's to the
-antipode, and the decay transporters move by TRANSPORTER_OFFSET along the
-axis of their own cone (the configured one for the first charge, its
-opposite for the second).  So each row is a formula in F at explicit
-distances, and no row depends on the cone's axis or angle:
+with F(0, dt) = e^{-dt^2/4} / sqrt(2) and F(d) = F(d, 0) = sqrt(pi/2)
+erf(d/2) / d, and equal channels do not couple.  Every transport at radius R
+moves by R along a cone axis and by t = time_slope R^time_exponent in time,
+the second charge's by the opposite spacetime vector, and the decay
+transporters move by TRANSPORTER_OFFSET along the axis of their own cone
+(the configured one for the first charge, its opposite for the second) at
+no time.  So each row is a formula in F at explicit distances, and no row
+depends on the cone's axis or angle; ``phases`` gives them:
 
-- braiding/limit_vs_exact: e^{i(F(2R) - F(0))}, against the limit e^{-i F(0)};
+- braiding/limit_vs_exact: e^{i(F(2R, 2t) - F(0))}, against the limit e^{-i F(0)};
 - homotopy/limit_vs_exact: the same at the largest radius, on every cone;
-- decay/implementation: |e^{i F(R)} - 1|;
-- decay/implementation_transported: |e^{i(F(R + 2) - F(R))} - 1|;
+- decay/implementation: |e^{i F(R, t)} - 1|;
+- decay/implementation_transported: |e^{i(F(R + 2, t) - F(R, t))} - 1|;
 - decay/abelianness: |e^{i(F(2R + 4) - 2 F(2R + 2) + F(2R))} - 1|;
 - decay/tensor_ordering: |e^{i(F(2R + 4) - F(2R))} - 1|;
-- decay/extension: |e^{i(F(R + 2) - F(R - 2))} - 1|;
+- decay/extension: |e^{i(F(R + 2, t) - F(R - 2, t))} - 1|;
 
-and the categorical, rephase and mutual-spread rows compare two routes to
-one number, so their value and residual are 0.  The checks' thresholds and
-the chain length are restated here; a test pins them to ``suites``'.
+(the abelianness and tensor-ordering pairs sit at equal times), and the
+categorical, rephase and mutual-spread rows compare two routes to one
+number, so their value and residual are 0.  The checks' thresholds and the
+chain length are restated here; a test pins them to ``suites``'.
 """
 
 import mpmath
@@ -46,7 +50,7 @@ _CHARGE = {"profile": "gaussian-momentum", "q": 1.0, "s": 1.0}
 
 
 class OutOfScope(ValueError):
-    """The config is not one unit Gaussian g/h pair on a cone of time_slope 0."""
+    """The config is not one unit Gaussian g/h pair."""
 
 
 def _check_scope(config: dict) -> None:
@@ -57,20 +61,39 @@ def _check_scope(config: dict) -> None:
         other = {k: c[k] for k in _CHARGE if c[k] != _CHARGE[k]}
         if other:
             raise OutOfScope(f"charge {c['name']!r} is not a unit Gaussian: {other}")
-    if config["cone"]["time_slope"] != 0.0:
-        raise OutOfScope(f"time_slope {config['cone']['time_slope']} transports off the equal-time plane")
 
 
-def _coupling(d):
-    """F(d) = sqrt(pi/2) erf(d/2) / d, and its limit 1/sqrt(2) at d = 0."""
-    if d == 0:
-        return 1 / mpmath.sqrt(2)
-    return mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(d / 2) / d
+def coupling(d, dt=0):
+    """F(d, dt) at DIGITS digits, and its limit e^{-dt^2/4} / sqrt(2) at d = 0."""
+    with mpmath.workdps(DIGITS):
+        d, dt = mpmath.mpf(d), mpmath.mpf(dt)
+        if d == 0:
+            return mpmath.exp(-dt * dt / 4) / mpmath.sqrt(2)
+        return mpmath.sqrt(mpmath.pi / 2) * (mpmath.erf((d + dt) / 2) + mpmath.erf((d - dt) / 2)) / (2 * d)
 
 
-def _defect(phase) -> float:
+def phases(radius, time=0) -> dict:
+    """{check_id: phase} at DIGITS digits of the exchange and the five decay rows at one radius.
+
+    time is the transport's time component t.  The exchange row's value is
+    e^{i phase}, and each decay row's residual is |e^{i phase} - 1|.
+    """
+    with mpmath.workdps(DIGITS):
+        f, r, t, off = coupling, mpmath.mpf(radius), mpmath.mpf(time), mpmath.mpf(TRANSPORTER_OFFSET)
+        return {
+            "braiding/limit_vs_exact": f(2 * r, 2 * t) - f(0),
+            "decay/implementation": f(r, t),
+            "decay/implementation_transported": f(r + off, t) - f(r, t),
+            "decay/abelianness": f(2 * r + 2 * off) - 2 * f(2 * r + off) + f(2 * r),
+            "decay/tensor_ordering": f(2 * r + 2 * off) - f(2 * r),
+            "decay/extension": f(r + off, t) - f(r - off, t),
+        }
+
+
+def defect(phase) -> float:
     """|e^{i phase} - 1|."""
-    return float(abs(mpmath.expj(phase) - 1))
+    with mpmath.workdps(DIGITS):
+        return float(abs(mpmath.expj(phase) - 1))
 
 
 def oracle_rows(config: dict) -> dict:
@@ -80,37 +103,33 @@ def oracle_rows(config: dict) -> dict:
     """
     _check_scope(config)
     pair = ":".join(c["name"] for c in config["charges"])
+    cone = config["cone"]
     rows = {}
     with mpmath.workdps(DIGITS):
-        f = _coupling
-        off = mpmath.mpf(TRANSPORTER_OFFSET)
-        limit = mpmath.expj(-f(0))
+        limit = mpmath.expj(-coupling(0))
 
-        def exchange(radius):
-            phase = mpmath.expj(f(2 * radius) - f(0))
-            return complex(phase), float(abs(phase - limit))
+        def at(radius):
+            """The exchange row's (value, residual), and the decay rows' phases, at one radius."""
+            r = mpmath.mpf(radius)
+            time = cone["time_slope"] * r ** cone["time_exponent"] if cone["time_slope"] else 0
+            by_check = phases(r, time)
+            exchange = mpmath.expj(by_check.pop("braiding/limit_vs_exact"))
+            return (complex(exchange), float(abs(exchange - limit))), by_check
 
         for radius in config["radii"]:
-            r = mpmath.mpf(radius)
-            value, residual = exchange(r)
-            rows[("braiding/limit_vs_exact", pair, "", radius)] = (value, residual, BRAIDING_THRESHOLD)
+            exchange, decay = at(radius)
+            rows[("braiding/limit_vs_exact", pair, "", radius)] = (*exchange, BRAIDING_THRESHOLD)
             for check in ("braiding/categorical_vs_closed_form", "braiding/rephase_invariance"):
                 rows[(check, pair, "", radius)] = (0j, 0.0, LAWS_THRESHOLD)
-            decay = {
-                "decay/implementation": (f(r), DECAY_THRESHOLD),
-                "decay/implementation_transported": (f(r + off) - f(r), DECAY_THRESHOLD),
-                "decay/abelianness": (f(2 * r + 2 * off) - 2 * f(2 * r + off) + f(2 * r), DECAY_THRESHOLD),
-                "decay/tensor_ordering": (f(2 * r + 2 * off) - f(2 * r), DECAY_THRESHOLD),
-                "decay/extension": (f(r + off) - f(r - off), EXTENSION_THRESHOLD),
-            }
-            for check, (phase, threshold) in decay.items():
-                defect = _defect(phase)
-                rows[(check, pair, "", radius)] = (complex(defect), defect, threshold)
+            for check, phase in decay.items():
+                residual = defect(phase)
+                threshold = EXTENSION_THRESHOLD if check == "decay/extension" else DECAY_THRESHOLD
+                rows[(check, pair, "", radius)] = (complex(residual), residual, threshold)
 
         radius = config["radii"][-1]
-        value, residual = exchange(mpmath.mpf(radius))
+        exchange, _ = at(radius)
         for k in range(HOMOTOPY_STEPS + 1):
-            rows[("homotopy/limit_vs_exact", pair, f"cone{k:02d}", radius)] = (value, residual, HOMOTOPY_THRESHOLD)
+            rows[("homotopy/limit_vs_exact", pair, f"cone{k:02d}", radius)] = (*exchange, HOMOTOPY_THRESHOLD)
         rows[("homotopy/mutual_spread", pair, "", radius)] = (0j, 0.0, HOMOTOPY_THRESHOLD)
     return rows
 

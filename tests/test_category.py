@@ -6,7 +6,8 @@ unit Gaussian test vector delta, both width 1):
     sigma(gamma_a, delta_b) = F(|a - b|),   F(d) = sqrt(pi/2) erf(d/2) / d
 
 with F(0) = 1/sqrt(2).  All braiding and residual values below reduce to
-combinations of F at a few separations, evaluated via scipy.special.erf.
+combinations of F at a few separations, which tests/oracle_report.py
+evaluates in mpmath: ``phases`` gives each row's phase, ``coupling`` F.
 """
 
 import math
@@ -14,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import erf
 
 from conebraid import category as C
 from conebraid import field as F
@@ -22,14 +22,9 @@ from conebraid.config import load_config
 from conebraid.errors import ConfigError, DomainError, InternalError, UsageError
 from conebraid.suites import RunContext, run_braiding, run_homotopy
 from conebraid.weyl import label_id
+from oracle_report import coupling, defect, phases
 
 HALF = math.radians(30.0)
-
-
-def closed_form(d):
-    if d == 0.0:
-        return 1.0 / math.sqrt(2.0)
-    return math.sqrt(math.pi / 2.0) * erf(d / 2.0) / d
 
 
 @pytest.fixture(scope="module")
@@ -120,7 +115,7 @@ def test_braiding_exact_value_and_symmetry(objs):
     gam, dlt = objs
     eps = C.braiding_exact(gam, dlt)
     assert eps.label.is_zero
-    assert abs(eps.coeff - np.exp(-1j / math.sqrt(2.0))) < 1e-12
+    assert abs(eps.coeff - np.exp(-1j * float(coupling(0)))) < 1e-12
     rev = C.compose(C.braiding_exact(dlt, gam), eps)
     assert abs(rev.coeff - 1.0) < 1e-13
     iota = F.zero_vector()
@@ -130,11 +125,11 @@ def test_braiding_exact_value_and_symmetry(objs):
 def test_braiding_asymptotic_matches_closed_form(objs):
     gam, dlt = objs
     cone = C.ConeSpec((0.0, 0.0, 1.0), HALF)
-    sig = 1.0 / math.sqrt(2.0)
+    sig = float(coupling(0))
     resid = []
     for radius in (10.0, 20.0, 30.0, 40.0):
         phase, closed, rephased = C.braiding_asymptotic(gam, dlt, cone, radius)
-        pred = np.exp(1j * (-sig + closed_form(2.0 * radius)))
+        pred = np.exp(1j * float(phases(radius)["braiding/limit_vs_exact"]))
         assert abs(phase - pred) < 1e-12
         assert abs(closed - pred) < 1e-12
         assert rephased is None
@@ -269,12 +264,11 @@ def test_implementation_residual(objs):
     gam, dlt = objs
     # at a = 0 the formula reduces to the plain commutator value
     at_zero = C.implementation_residual(gam, (0.0, 0.0, 0.0, 0.0), dlt)
-    assert abs(at_zero - 2.0 * math.sin(0.5 / math.sqrt(2.0))) < 1e-12
+    assert abs(at_zero - defect(coupling(0))) < 1e-12
     assert C.implementation_residual(gam, (0.0, 0.0, 0.0, 40.0), F.zero_vector()) == 0.0
     for radius in (10.0, 40.0):
         got = C.implementation_residual(gam, (0.0, 0.0, 0.0, radius), dlt)
-        want = abs(np.exp(1j * closed_form(radius)) - 1.0)
-        assert abs(got - want) < 1e-12
+        assert abs(got - defect(phases(radius)["decay/implementation"])) < 1e-12
 
 
 def test_abelianness_residual_closed_form(objs):
@@ -292,9 +286,7 @@ def test_abelianness_residual_closed_form(objs):
         rf = C.transported_arrow(r, cone_u, radius)
         sf = C.transported_arrow(s, cone_v, radius)
         got = C.abelianness_residual(rf.label, sf.label)
-        d = 2.0 * radius
-        theta = closed_form(d + 2 * off) + closed_form(d) - 2.0 * closed_form(d + off)
-        assert abs(got - abs(np.exp(1j * theta) - 1.0)) < 1e-12
+        assert abs(got - defect(phases(radius)["decay/abelianness"])) < 1e-12
         vals[radius] = got
     assert vals[40.0] < vals[10.0] < 1e-2
 
@@ -326,8 +318,7 @@ def test_tensor_abelianness_residual_closed_form(objs):
     for radius in (10.0, 40.0):
         got = C.tensor_abelianness_residual(r, s, cone_u, cone_v, radius)
         # the ordering angle telescopes to F(2R + 4) - F(2R)
-        theta = closed_form(2.0 * radius + 4.0) - closed_form(2.0 * radius)
-        assert abs(got - abs(np.exp(1j * theta) - 1.0)) < 1e-12
+        assert abs(got - defect(phases(radius)["decay/tensor_ordering"])) < 1e-12
         vals[radius] = got
     assert vals[40.0] < vals[10.0]
     assert vals[40.0] < 1e-2
@@ -343,10 +334,8 @@ def test_extension_residual_closed_form(objs):
     vals = {}
     for radius in (10.0, 40.0):
         got = C.extension_residual(gam, s, cone_u, cone_v, radius)
-        t1 = closed_form(radius - 2.0) - closed_form(radius)
-        t2 = closed_form(radius + 2.0) - closed_form(radius)
-        want = abs(np.exp(-1j * t1) - np.exp(-1j * t2))
-        assert abs(got - want) < 1e-12
+        # |e^{-i(F(R - 2) - F(R))} - e^{-i(F(R + 2) - F(R))}| = |e^{i(F(R + 2) - F(R - 2))} - 1|
+        assert abs(got - defect(phases(radius)["decay/extension"])) < 1e-12
         vals[radius] = got
     assert vals[40.0] < vals[10.0]
     assert vals[40.0] < 1e-2

@@ -3,6 +3,7 @@ benchmark's generated copies of two of them."""
 
 import importlib.util
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -31,6 +32,14 @@ def test_digest_is_the_hashlib_sha256_prefix(path):
 def test_readme_names_every_config():
     readme = (ROOT / "README.md").read_text()
     assert [p.name for p in CONFIGS if f"configs/{p.name}" not in readme] == []
+
+
+def test_readme_cites_only_tests_that_exist():
+    # each test_... name README cites is a file or a function under tests/
+    tests = ROOT / "tests"
+    defined = " ".join(path.read_text() for path in tests.glob("*.py"))
+    cited = set(re.findall(r"\btest_\w+", (ROOT / "README.md").read_text()))
+    assert sorted(n for n in cited if not (tests / f"{n}.py").is_file() and f"def {n}(" not in defined) == []
 
 
 def _perfbench_workloads():

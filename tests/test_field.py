@@ -6,10 +6,11 @@ vector (width 1), delta the unit-amplitude Gaussian h-channel vector
 
     sigma(gamma_a, delta_b) = sqrt(pi/2) erf(|a-b| / 2) / |a-b|
 
-(limit 1/sqrt(2) at a = b), which scipy.special.erf supplies independently
-of the package quadrature.  scipy.integrate.quad provides a second
-independent route for the radial integrals, and mpmath.quad at 30 digits a
-third for atom-pair integrals on both the closed-form and the panel route.
+(limit 1/sqrt(2) at a = b), which ``coupling`` of tests/oracle_report.py
+supplies in mpmath at 30 digits, independently of the package quadrature.
+scipy.integrate.quad provides a second independent route for the radial
+integrals, and mpmath.quad at 30 digits a third for atom-pair integrals on
+both the closed-form and the panel route.
 """
 
 import copy
@@ -22,7 +23,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.special import erf
 
 from conebraid import field as F
 from conebraid import weyl as W
@@ -33,15 +33,8 @@ from conebraid.field import RadialPolynomial
 from conebraid.quadrature import radial_fourier
 from conebraid.suites import RunContext
 
+from oracle_report import coupling
 from panel_transform import composite_rule, numpy_radial_fourier, panel_fourier
-
-SQRT_HALF = 0.7071067811865476
-
-
-def _sigma_exact(d):
-    if d == 0.0:
-        return SQRT_HALF
-    return math.sqrt(math.pi / 2.0) * erf(d / 2.0) / d
 
 
 def pair_key(vec):
@@ -72,19 +65,19 @@ def test_constructor_bookkeeping():
 
 def test_sigma_reference_value(pair):
     gam, dlt = pair
-    assert abs(F.symplectic(gam, dlt) - SQRT_HALF) < 1e-12
+    assert abs(F.symplectic(gam, dlt) - float(coupling(0))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [0.5, 2.0, 10.0, 20.0, 40.0])
 def test_sigma_translated_closed_form(pair, d):
     gam, dlt = pair
     val = F.symplectic(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt)
-    assert abs(val - _sigma_exact(d)) < 1e-12
+    assert abs(val - float(coupling(d))) < 1e-12
     # depends only on the separation
     both = F.symplectic(
         F.translate(gam, (0.0, 1.0, 2.0, d)), F.translate(dlt, (0.0, 1.0, 2.0, 0.0))
     )
-    assert abs(both - _sigma_exact(d)) < 1e-12
+    assert abs(both - float(coupling(d))) < 1e-12
 
 
 @pytest.mark.parametrize("d", [150.0, 1280.0])
@@ -92,7 +85,7 @@ def test_sigma_large_separation_panel_route(pair, d):
     # large separations need hundreds of composite panels
     gam, dlt = pair
     val = F.symplectic(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt)
-    assert abs(val - _sigma_exact(d)) < 1e-12
+    assert abs(val - float(coupling(d))) < 1e-12
 
 
 def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
@@ -177,14 +170,7 @@ def test_charge_class_scalar_product_rejected(pair):
     with pytest.raises(DomainError):
         F.vacuum_exponent(gam)
     # sigma stays defined for charge class
-    assert abs(F.symplectic(gam, dlt) - SQRT_HALF) < 1e-12
-
-
-def _mpmath_erf_sigma(d):
-    """F(d) = sqrt(pi/2) erf(d/2) / d at 30 digits."""
-    with mpmath.workdps(30):
-        d = mpmath.mpf(d)
-        return float(mpmath.sqrt(mpmath.pi / 2) * mpmath.erf(d / 2) / d)
+    assert abs(F.symplectic(gam, dlt) - float(coupling(0))) < 1e-12
 
 
 def _mpmath_profile(profile):
@@ -252,7 +238,7 @@ def test_small_offsets_against_oracles():
     gam = F.make_charge_vector()
     dlt = F.make_test_vector()
     a = (0.0, 0.4, -0.3, 0.8)
-    assert _close(F.symplectic(F.translate(gam, a), dlt), _mpmath_erf_sigma(math.hypot(*a)))
+    assert _close(F.symplectic(F.translate(gam, a), dlt), float(coupling(math.hypot(*a))))
     # Re (x, y) of two h-channel Gaussians takes the panel rule
     y = F.translate(dlt, (0.0, 0.5, 0.5, -0.7))
     val = F.scalar_product(dlt, y)
@@ -265,7 +251,7 @@ def test_small_offsets_against_oracles():
 def test_sigma_at_the_closed_form_threshold_against_erf(pair, d):
     # just below the minimum separation sigma takes the panel rule, from it on the closed form
     gam, dlt = pair
-    assert _close(F.symplectic(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt), _mpmath_erf_sigma(d))
+    assert _close(F.symplectic(F.translate(gam, (0.0, 0.0, 0.0, d)), dlt), float(coupling(d)))
 
 
 SMOOTH = RadialPolynomial((1.0, -2.0, 1.0), 1.0)
@@ -390,7 +376,7 @@ def test_intertwiner_label(pair):
     ga = F.translate(gam, (0.0, 0.0, 0.0, 10.0))
     lab = F.intertwiner_label(gam, ga)
     assert lab.charge == 0.0 and len(lab.terms) == 2
-    want = _sigma_exact(10.0) - SQRT_HALF
+    want = float(coupling(10.0)) - float(coupling(0))
     assert abs(F.symplectic(lab, dlt) - want) < 1e-12
     assert F.intertwiner_label(gam, gam).is_zero
     with pytest.raises(DomainError):

@@ -134,6 +134,21 @@ def _commutator_half_phase(commutator_norm):
     return mutant
 
 
+def _gauss_sigma_negated(gauss_sigma):
+    def mutant(*args):
+        return -gauss_sigma(*args)
+
+    return mutant
+
+
+def _panel_sigma_negated(panel_pair_integral):
+    def mutant(form, *args):
+        value = panel_pair_integral(form, *args)
+        return -value if form == F.SIGMA else value
+
+    return mutant
+
+
 def _transport_short(translation):
     # every cone transport stops at 0.9 R
     def mutant(cone, radius):
@@ -281,14 +296,35 @@ MUTATIONS = [
         "laws",
         frozenset({"laws/gram_psd"}),
     ),
-    # halving the phase only shrinks the abelianness residual, so no verdict flips
+    # halving the phase only shrinks the abelianness and implementation
+    # residuals, so no verdict flips
     Mutation(
         "commutator-half-phase",
         C,
         "commutator_norm",
         _commutator_half_phase,
         "decay",
-        Oracle({"decay/abelianness"}),
+        Oracle({"decay/implementation", "decay/implementation_transported", "decay/abelianness"}),
+    ),
+    # either sigma route negated: the closed form carries the exchange's far
+    # pairs, the panel rule its pair at d = 0.  Both sides of the categorical
+    # row read the same sigma, and every decay residual is |e^{+-i theta} - 1|
+    # or |e^{-i theta_1} - e^{-i theta_2}|, blind to a global sign of sigma
+    Mutation(
+        "gauss-sigma-negated",
+        F,
+        "_gauss_sigma",
+        _gauss_sigma_negated,
+        "braiding",
+        Oracle({"braiding/limit_vs_exact"}),
+    ),
+    Mutation(
+        "panel-sigma-negated",
+        F,
+        "_panel_pair_integral",
+        _panel_sigma_negated,
+        "braiding",
+        Oracle({"braiding/limit_vs_exact"}),
     ),
     # no verdict flips: the limit rows already fail at radii 10..40, and the
     # others stay far from their thresholds
@@ -324,16 +360,20 @@ MUTATIONS = [
     ),
 ]
 
+
 @cache
 def _unmutated(suite: str) -> list:
     return run_suite(CONFIG, suite).rows
 
 
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=[m.name for m in MUTATIONS])
-def test_mutation_fails_its_rows(mutation, monkeypatch):
+def test_mutation_fails_its_rows(mutation, monkeypatch, request):
     before = _unmutated(mutation.suite)
     original = getattr(mutation.module, mutation.attribute)
     monkeypatch.setattr(mutation.module, mutation.attribute, mutation.mutant(original))
+    # a memoized pair integral would hide a patched sigma route, and keep it past the test
+    F._pair_integral.cache_clear()
+    request.addfinalizer(F._pair_integral.cache_clear)
     if isinstance(mutation.fails, type):
         with pytest.raises(mutation.fails):
             run_suite(CONFIG, mutation.suite)

@@ -26,15 +26,22 @@ LADDERS = {
     "radii_1e8-4e8": (1e8, 2e8, 4e8),
     "radii_600-627": (600.0, 626.0, 627.0),
 }
+# the default pair on bump_sloped's time-sloped cone, whose transports
+# also move by sqrt(R) in time
+SLOPED = "bump_sloped_cone"
 
 
 def _config(case: str):
+    default = load_config(CONFIG_DIR / "default.json")
     if case in LADDERS:
-        return load_config(CONFIG_DIR / "default.json")._replace(radii=LADDERS[case]).validate()
+        return default._replace(radii=LADDERS[case]).validate()
+    if case == SLOPED:
+        sloped = load_config(CONFIG_DIR / "bump_sloped.json")
+        return default._replace(cone=sloped.cone, radii=sloped.radii).validate()
     return load_config(CONFIG_DIR / f"{case}.json")
 
 
-@pytest.mark.parametrize("case", FILES + list(LADDERS))
+@pytest.mark.parametrize("case", FILES + list(LADDERS) + [SLOPED])
 def test_report_matches_the_oracle(case):
     config = _config(case)
     records = [row.record() for row in run_suite(config, "all").rows]

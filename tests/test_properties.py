@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import conebraid.category as C
 import conebraid.field as F
@@ -164,7 +164,7 @@ def test_translation_composes(px, t1, x1, y1, z1, t2, x2, y2, z2):
 
 
 def _dict_and_sort(terms):
-    """Canonical terms by a dict merge and a sort: the reference for add's one-pass merge."""
+    """Canonical terms by a dict merge and a sort: the reference for the field's one-pass merge."""
     merged = {}
     for c, a in terms:
         merged[a] = merged.get(a, 0.0) + c
@@ -225,10 +225,20 @@ def build_merge_vec(terms):
     return out
 
 
+def merge_atom(chan, w, t, x):
+    """The atom build_merge_vec makes of these parameters."""
+    return F.Atom(F.Profile("gauss" if chan == "h" else "gauss2", w), chan, (t, x, 0.0, 0.0))
+
+
 @settings(max_examples=300, **COMMON)
 @given(merge_terms, merge_terms, merge_factors, merge_factors)
+# float addition is not associative: in input order these sum to 0.0, reversed to 1e-300
+@example([(1e-300, ("h", 1.0, 0.0, 0.0)), (1.0, ("h", 1.0, 0.0, 0.0))], [(-1.0, ("h", 1.0, 0.0, 0.0))], 1.0, 1.0)
 def test_merged_sum_equals_dict_and_sort(tx, ty, fx, fy):
     x, y = build_merge_vec(tx), build_merge_vec(ty)
+    # unsorted terms with repeated atoms merge in input order
+    items = [(c, merge_atom(*params)) for c, params in tx + ty]
+    assert _bits(F._canonical_terms(items)) == _bits(_dict_and_sort(items))
     # scale drops the products that underflow, which the dict merge drops too
     sx, sy = F.scale(fx, x), F.scale(fy, y)
     assert _bits(sx.terms) == _bits(_dict_and_sort([(fx * c, a) for c, a in x.terms]))

@@ -1,4 +1,4 @@
-"""scripts/report_drift.py, run in a fresh interpreter on reports that differ in one way each."""
+"""scripts/report_drift.py, run in a fresh interpreter on JSON and CSV reports that differ in one way each."""
 
 import json
 import os
@@ -69,3 +69,25 @@ def test_report_drift_script(tmp_path):
         proc = _run_drift(str(report), str(other))
         assert proc.returncode == 2 and not proc.stdout, proc.stdout
         assert len(proc.stderr.splitlines()) == 1 and key in proc.stderr, proc.stderr
+
+
+def test_report_drift_reads_csv_reports(tmp_path):
+    config = str(ROOT / "configs" / "default.json")
+    assert main(["verify", "--config", config, "--suite", "decay", "--out", str(tmp_path)]) == 1
+    report = tmp_path / "decay_report.csv"
+    same = _run_drift(str(report), str(report))
+    assert same.returncode == 0, same.stdout
+    assert "20 rows compared, 0 unmatched, 0 thresholds moved, 0 flipped, drift within 1e-12" in same.stdout
+    # against the JSON report of the same run every row matches, and there is no metadata to compare
+    assert main(["verify", "--config", config, "--suite", "decay", "--format", "json", "--out", str(tmp_path)]) == 1
+    mixed = _run_drift(str(tmp_path / "decay_report.json"), str(report))
+    assert mixed.returncode == 0 and "metadata keys changed: none" in mixed.stdout, mixed.stdout
+    # a 1e-11 move of one residual is over the budget; the row's verdict stays
+    header, first, *rest = report.read_text().splitlines()
+    cells = first.split(",")
+    cells[6] = repr(float(cells[6]) + 1e-11)
+    moved = tmp_path / "moved.csv"
+    moved.write_text("\n".join([header, ",".join(cells), *rest]) + "\n")
+    proc = _run_drift(str(report), str(moved))
+    assert proc.returncode == 1, proc.stdout
+    assert "max |delta residual| = 1.000e-11" in proc.stdout and "0 flipped" in proc.stdout
