@@ -36,7 +36,8 @@ transport arrows with their free phases redrawn.  Residual
 helpers quantify the finite-radius deviations: implementation defect of a
 translated charge on a fixed observable, commutator decay of transported
 intertwiner labels, ordering defect of transported tensor products, and
-cone independence of the extension.
+cone independence of the extension; all but the ordering defect, which
+judges tensor_mor, are commutator norms.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InternalError, UsageError
-from .field import FieldVector, Frozen, add, intertwiner_label, symplectic, translate, zero_vector
+from .field import FieldVector, Frozen, add, intertwiner_label, subtract, symplectic, translate, zero_vector
 from .weyl import WeylElement, _product, commutator_norm, label_id, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
@@ -263,12 +264,13 @@ def extension_residual(
     cone2: ConeSpec,
     radius: float,
 ) -> float:
-    """Cone dependence of the extended action, |e^{-i sigma(rho_a1, y)} - e^{-i sigma(rho_a2, y)}|."""
+    """Cone dependence of the extended action, |e^{-i sigma(rho_a1, y)} - e^{-i sigma(rho_a2, y)}|.
+
+    By bilinearity that is the commutator norm of rho_a2 - rho_a1 and y.
+    """
     moved1 = translate(obj, cone1.translation(radius))
     moved2 = translate(obj, cone2.translation(radius))
-    p1 = cmath.exp(-1j * symplectic(moved1, s.label))
-    p2 = cmath.exp(-1j * symplectic(moved2, s.label))
-    return float(abs(p1 - p2))
+    return commutator_norm(subtract(moved2, moved1), s.label)
 
 
 def hexagon_residuals(a: FieldVector, b: FieldVector, c: FieldVector) -> tuple[float, float]:

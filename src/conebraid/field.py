@@ -16,7 +16,7 @@ which is exactly f~ -> e^{i omega a0} f~.
 
 A profile is its value: a Gaussian kind with its width, or a bump with its
 RadialPolynomial position shape, whose transform is closed form
-(quadrature.radial_fourier); _channel_factors evolves it in time.
+(quadrature.radial_fourier).
 RadialPolynomial, Profile and Atom are named tuples of their fields, so
 they compare, hash and order as those fields, and one exact identity
 serves terms, pair memo and Weyl labels: atoms are equal exactly when
@@ -45,12 +45,12 @@ sinc(r |d_A - d_B|)) and so stays accurate at arbitrary translation radius.
 The radial route sums c_x c_y k(a_x, a_y, |d_x - d_y|) over term pairs.  Each
 memoized pair integral k uses the rule sized for its own pair, so it does not
 depend on the other pairs of a call, and the correctly rounded sum makes both
-forms exactly bilinear over pairs.  A pair at equal time offsets in equal
-channels for sigma, or in unequal channels for Re (x, y), is 0.0 with no panel
-evaluated: both forms are invariant under a joint time translation, and at t = 0
-those channels do not couple, so the kernel vanishes identically.
-The pairs (a, b) and (b, a) share one memo entry: swapping the atoms
-negates the sigma kernel and keeps the Re kernel, both bit for bit.
+forms exactly bilinear over pairs.  Both forms are invariant under a joint
+time translation, so one table, _KERNEL, gives each form's kernel of a
+channel pair as sign phi_a phi_b r^power trig(r dt), dt = t_a - t_b, and
+both routes below read it.  A sin kernel at dt = 0 is 0.0 with no panel
+evaluated.  The pairs (a, b) and (b, a) share one memo entry: swapping the
+atoms negates the sigma kernel and keeps the Re kernel, both bit for bit.
 
 Each pair integral takes one of two routes:
 
@@ -63,11 +63,11 @@ Each pair integral takes one of two routes:
   the minimum, a short tail) integrates over (0, R_MAX] on equal panels,
   each the one cached RADIAL_RULE_PANEL_ORDER-node Gauss-Legendre rule
   scaled in place, so no composite rule is stored.  The origin is never a
-  node, so the omega^{-1} factors are evaluated directly.  The kernel times
+  node, so the r^{-1} factors are evaluated directly.  The kernel times
   sinc(d r) is evaluated node by node, a panel at a time, and summed with
-  math.fsum.  The node count grows linearly with d and is capped at
-  RADIAL_RULE_MAX_NODES; its cost is about a microsecond per node, and its
-  memory that of one panel.
+  math.fsum.  The node count grows linearly with the kernel's frequency
+  d + |dt| and is capped at RADIAL_RULE_MAX_NODES; its cost is about a
+  microsecond per node, and its memory that of one panel.
 
 Like every module of the package, this one and quadrature (the one
 Gauss-Legendre rule and the bump transform) use the standard library only.
@@ -114,6 +114,19 @@ BUMP_SHAPES = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
 # Pair integrals kept; the default run needs about 4k.
 PAIR_CACHE_SIZE = 1 << 14
 SIGMA, RE = "sigma", "re"
+# _KERNEL[form, c_a, c_b] = (sign, power, trig).  Less the phase e^{-i p.d}, a g atom at time t has channel
+# factors G = cos(r t) phi, H = -sin(r t) phi / r and an h atom G = r sin(r t) phi, H = cos(r t) phi, so SIGMA's
+# G_a H_b - G_b H_a and RE's G_a G_b / r + r H_a H_b are sign phi_a phi_b r^power trig(r (t_a - t_b)).
+_KERNEL = {
+    (SIGMA, "g", "g"): (1.0, -1, math.sin),
+    (SIGMA, "g", "h"): (1.0, 0, math.cos),
+    (SIGMA, "h", "g"): (-1.0, 0, math.cos),
+    (SIGMA, "h", "h"): (1.0, 1, math.sin),
+    (RE, "g", "g"): (1.0, -1, math.cos),
+    (RE, "g", "h"): (-1.0, 0, math.sin),
+    (RE, "h", "g"): (1.0, 0, math.sin),
+    (RE, "h", "h"): (1.0, 1, math.cos),
+}
 # quadrature's bump transform stays accurate up to 4 terms (see _SERIES_MAX_X).
 _MAX_POLY_TERMS = 4
 
@@ -388,8 +401,8 @@ def translate(x: FieldVector, a) -> FieldVector:
 
 def _panel_count(ka: tuple, kb: tuple, delta: float) -> int:
     """Panels of RADIAL_RULE_PANEL_ORDER nodes on (0, R_MAX] for one pair of (profile, channel, t) atom keys."""
-    # the time offsets are added first, so the count is symmetric in the pair
-    mu = delta + (abs(ka[2]) + abs(kb[2]))
+    # the kernel times sinc(r delta) oscillates at frequency delta + |t_a - t_b|, symmetric in the pair
+    mu = delta + abs(ka[2] - kb[2])
     n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * R_MAX / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
         raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
@@ -401,44 +414,44 @@ def _pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float:
     """4 pi int K(r) sinc(r delta) dr of one atom pair, by the route that fits it.
 
     ka, kb are the atoms' (profile, channel, time offset), delta their spatial
-    distance.  K is g_a h_b - g_b h_a (SIGMA)
-    or g_a g_b / r + r h_a h_b (RE).  At equal time offsets the kernel
-    vanishes identically for SIGMA in equal channels and for RE in unequal
-    ones (both forms are invariant under a joint time translation, and at
-    t = 0 those channel pairs do not couple), so the value is 0.0.  SIGMA of
-    two "gauss" atoms takes the closed form _gauss_sigma when delta >=
-    CLOSED_FORM_MIN_DELTA and a R_MAX^2 >= CLOSED_FORM_MIN_TAIL; every other
-    pair takes the panel rule on (0, R_MAX], _panel_pair_integral.
+    distance, and K the form's kernel from _KERNEL.  A sin kernel at equal
+    time offsets (SIGMA in equal channels, RE in unequal ones) vanishes
+    identically, so the value is 0.0.  SIGMA of two "gauss" atoms takes the
+    closed form _gauss_sigma when delta >= CLOSED_FORM_MIN_DELTA and
+    a R_MAX^2 >= CLOSED_FORM_MIN_TAIL; every other pair takes the panel rule
+    on (0, R_MAX], _panel_pair_integral.
     """
-    if ka[2] == kb[2] and (ka[1] == kb[1]) == (form == SIGMA):
+    sign, power, trig = _KERNEL[form, ka[1], kb[1]]
+    if trig is math.sin and ka[2] == kb[2]:
         return 0.0
     if form == SIGMA and delta >= CLOSED_FORM_MIN_DELTA and ka[0].kind == kb[0].kind == "gauss":
         a = 0.5 * (ka[0].width ** 2 + kb[0].width ** 2)
         if a * R_MAX**2 >= CLOSED_FORM_MIN_TAIL:
-            return _gauss_sigma(ka[1], kb[1], ka[2] - kb[2], delta, a)
+            return _gauss_sigma(sign, power, ka[2] - kb[2], delta, a)
     return _panel_pair_integral(form, ka, kb, delta)
 
 
-def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
+def _gauss_sigma(sign: float, power: int, dt: float, delta: float, a: float) -> float:
     """4 pi int_0^inf K(r) sinc(r delta) dr of two "gauss" atoms, in closed form.
 
-    Their profiles multiply to e^{-a r^2}, and with dt = t_x - t_y the SIGMA
-    kernel is e^{-a r^2} times cos(r dt) for channels (g, h), -cos(r dt) for
-    (h, g), r sin(r dt) for (h, h) and sin(r dt) / r for (g, g).  Product to
-    sum turns each into erf and exp terms (DLMF 7.7).  The value is computed
-    at |dt| and then signed, so swapping the atoms negates it exactly; the
-    cancelling erf sum is an erfc difference, and the cancelling exp and
-    u erf(u) differences are rewritten without cancellation.
+    Their profiles multiply to e^{-a r^2}, so with _KERNEL's (sign, power)
+    of the SIGMA channel pair and dt = t_x - t_y the kernel is sign e^{-a r^2}
+    times cos(r dt) (power 0), r sin(r dt) (power 1) or sin(r dt) / r
+    (power -1).  Product to sum turns each into erf and exp terms (DLMF
+    7.7).  The value is computed at |dt| and then signed, so swapping the
+    atoms negates it exactly; the cancelling erf sum is an erfc difference,
+    and the cancelling exp and u erf(u) differences are rewritten without
+    cancellation.
     """
-    sign = math.copysign(1.0, dt) if cx == cy else (1.0 if cx == "g" else -1.0)
+    sign *= math.copysign(1.0, dt) if power else 1.0
     dt = abs(dt)
     s = 2.0 * math.sqrt(a)
     x, y = (delta + dt) / s, (delta - dt) / s
-    if cx != cy:
+    if not power:
         # (pi^2 / delta) [erf(x) + erf(y)]
         bracket = math.erf(x) + math.erf(y) if y >= 0.0 else math.erfc(-y) - math.erfc(x)
         return sign * math.pi**2 / delta * bracket
-    if cx == "h":
+    if power == 1:
         # (pi / delta) sqrt(pi / a) [e^{-y^2} - e^{-x^2}], and x^2 - y^2 = delta dt / a
         diff = -math.exp(-y * y) * math.expm1(-delta * dt / a)
         return sign * math.pi / delta * math.sqrt(math.pi / a) * diff
@@ -451,33 +464,19 @@ def _gauss_sigma(cx: str, cy: str, dt: float, delta: float, a: float) -> float:
     return sign * 2.0 * math.pi / delta * jump
 
 
-def _channel_factors(key: tuple, r: list[float]) -> tuple:
-    """Real radial factors (G, H) of an atom key (profile, channel, t): g~ = e^{-i p.d} G, h~ = e^{-i p.d} H."""
-    profile, channel, t = key
-    phi = profile.values(r)
-    if t == 0.0:
-        zero = [0.0] * len(r)
-        return (phi, zero) if channel == "g" else (zero, phi)
-    cos_t = [math.cos(x * t) * f for x, f in zip(r, phi)]
-    if channel == "g":
-        # g -> cos(omega t) g,  h -> -omega^{-1} sin(omega t) g
-        return cos_t, [-math.sin(x * t) / x * f for x, f in zip(r, phi)]
-    # h -> cos(omega t) h,  g -> omega sin(omega t) h
-    return [x * math.sin(x * t) * f for x, f in zip(r, phi)], cos_t
-
-
 def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float:
     """4 pi int_0^R_MAX K(r) sinc(r delta) dr on composite panels for this one atom pair.
 
-    K is _pair_integral's kernel of the form.  (0, R_MAX] is cut into
-    _panel_count equal panels, and panel k of P reads the one cached
-    RADIAL_RULE_PANEL_ORDER-node unit rule (u, w) in place: with h = 1/P,
-    nodes r = R_MAX (h k + h u) and weights R_MAX (h w).  The kernel is
-    evaluated one panel at a time, each node's sinc directly as
-    sin(delta r) / (delta r), and the terms stream into one math.fsum, so the
-    sum is correctly rounded and only a panel of values is held at once.
-    Swapping ka and kb negates the SIGMA kernel and keeps the RE kernel,
-    both bit for bit.
+    K is _KERNEL's kernel of the form and channel pair, evaluated node by
+    node as (sign phi_a) phi_b, times or divided by r for power 1 or -1,
+    times trig(r dt) with dt = t_a - t_b unless that is cos(0).  (0, R_MAX]
+    is cut into _panel_count equal panels, and panel k of P reads the one
+    cached RADIAL_RULE_PANEL_ORDER-node unit rule (u, w) in place: with
+    h = 1/P, nodes r = R_MAX (h k + h u) and weights R_MAX (h w).  Each node's sinc
+    is sin(delta r) / (delta r), and the terms stream into one math.fsum,
+    so the sum is correctly rounded and only a panel of values is held at
+    once.  Swapping ka and kb negates dt and flips sign for SIGMA, so it
+    negates the SIGMA value and keeps the RE value, both bit for bit.
     """
     from .quadrature import gauss_legendre_unit
 
@@ -486,17 +485,20 @@ def _panel_pair_integral(form: str, ka: tuple, kb: tuple, delta: float) -> float
     h = 1.0 / count
     offsets = [h * x for x in u]
     weights = [R_MAX * (h * x) for x in w]
+    sign, power, trig = _KERNEL[form, ka[1], kb[1]]
+    dt = ka[2] - kb[2]
 
     def panels():
         for panel in range(count):
             start = h * panel
             r = [R_MAX * (start + x) for x in offsets]
-            gx, hx = _channel_factors(ka, r)
-            gy, hy = _channel_factors(kb, r)
-            if form == SIGMA:
-                kernel = [a * d - c * b for a, b, c, d in zip(gx, hx, gy, hy)]
-            else:
-                kernel = [a * c / x + b * d * x for x, a, b, c, d in zip(r, gx, hx, gy, hy)]
+            kernel = [sign * a * b for a, b in zip(ka[0].values(r), kb[0].values(r))]
+            if power == 1:
+                kernel = [k * x for k, x in zip(kernel, r)]
+            elif power == -1:
+                kernel = [k / x for k, x in zip(kernel, r)]
+            if dt or trig is math.sin:  # cos(r 0) = 1 is the one factor skipped
+                kernel = [k * trig(x * dt) for k, x in zip(kernel, r)]
             if delta == 0.0:
                 yield [a * k for a, k in zip(weights, kernel)]
             else:

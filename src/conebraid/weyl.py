@@ -22,8 +22,8 @@ coefficient of an equal label and 0 for any other.
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on labels of charge 0.0 (the exponent diverges otherwise, and
 the field layer raises).  Gram matrices of generator families under this
-functional are positive semidefinite; ``min_eigenvalue`` gives the smallest
-eigenvalue the laws suite checks that on.
+functional are positive semidefinite, and the laws suite checks that on
+``min_eigenvalue``, a bisection on whether G - mu I has a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -31,15 +31,10 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import InternalError, UsageError
+from .errors import UsageError
 from .field import FieldVector, Frozen, add, negate, subtract, symplectic, vacuum_exponent
 
 GRAM_MAX_LABELS = 16
-# min_eigenvalue's cyclic Jacobi stops once the off-diagonal Frobenius norm
-# is below _JACOBI_EPS (half an ulp of 1) times the matrix's; sweeps converge
-# quadratically, so the cap is never reached on a finite Hermitian matrix.
-_JACOBI_EPS = 2.0**-53
-_JACOBI_MAX_SWEEPS = 30
 
 
 def label_id(vec: FieldVector) -> tuple:
@@ -102,46 +97,44 @@ def gram_matrix(labels) -> list[list[complex]]:
 
 
 def min_eigenvalue(matrix) -> float:
-    """Smallest eigenvalue of a Hermitian matrix given as nested lists, by cyclic Jacobi.
+    """Smallest eigenvalue of a Hermitian matrix given as nested lists, by bisection.
 
-    The matrix H = A + iB is embedded as the real symmetric [[A, -B], [B, A]],
-    whose spectrum is that of H with every eigenvalue doubled.  Cyclic
-    Jacobi sweeps rotate each off-diagonal pair to zero (Golub & Van Loan,
-    Matrix Computations, 8.5.3) until the off-diagonal part is below
-    rounding against the whole; the smallest diagonal entry is then the
-    smallest eigenvalue to about eps times the matrix norm.
+    Every eigenvalue lies in the Gershgorin interval [-rho, rho], rho the
+    largest absolute row sum, and mu lies below the smallest exactly when
+    H - mu I is positive definite, that is, has a Cholesky factor.  53
+    halvings on that test narrow the interval to 2^-52 rho, and its
+    midpoint is returned: the smallest eigenvalue to about eps times the
+    matrix norm (Gershgorin's theorem and the Cholesky factor: Golub & Van
+    Loan, Matrix Computations, 7.2.1 and 4.2).  Only the lower triangle is
+    read.
     """
     n = len(matrix)
     if n == 0:
         raise UsageError("an empty matrix has no eigenvalues")
-    m = 2 * n
-    a = [[0.0] * m for _ in range(m)]
-    for k, row in enumerate(matrix):
-        for l, z in enumerate(row):
-            re, im = z.real, z.imag
-            a[k][l] = a[k + n][l + n] = re
-            a[k][l + n], a[k + n][l] = -im, im
-    # the Frobenius norm, which the rotations keep
-    bound = (_JACOBI_EPS * math.sqrt(math.fsum(x * x for row in a for x in row))) ** 2
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        if math.fsum(a[p][q] * a[p][q] for p in range(m) for q in range(p + 1, m)) <= bound:
-            return min(a[p][p] for p in range(m))
-        for p in range(m - 1):
-            for q in range(p + 1, m):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                # the rotation that zeroes a[p][q] (Golub & Van Loan, Algorithm 8.5.1)
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                row_p, row_q = a[p], a[q]
-                for k in range(m):
-                    x, y = row_p[k], row_q[k]
-                    row_p[k], row_q[k] = c * x - s * y, s * x + c * y
-                for row in a:
-                    x, y = row[p], row[q]
-                    row[p], row[q] = c * x - s * y, s * x + c * y
-                row_p[q] = row_q[p] = 0.0
-    raise InternalError(f"cyclic Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
+    rho = max(math.fsum(abs(matrix[max(k, l)][min(k, l)]) for l in range(n)) for k in range(n))
+    lo, hi = -rho, rho
+    for _ in range(53):
+        mid = 0.5 * (lo + hi)
+        if _positive_definite(matrix, mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _positive_definite(matrix, mu: float) -> bool:
+    """Whether H - mu I has a Cholesky factor L L*, built row by row from H's lower triangle."""
+    factor = []
+    for j, row in enumerate(matrix):
+        lj = []
+        for k in range(j):
+            z = row[k]
+            for a, b in zip(lj, factor[k]):
+                z -= a * b.conjugate()
+            lj.append(z / factor[k][k])
+        pivot = row[j].real - mu - math.fsum(z.real * z.real + z.imag * z.imag for z in lj)
+        if not pivot > 0.0:
+            return False
+        lj.append(math.sqrt(pivot))
+        factor.append(lj)
+    return True

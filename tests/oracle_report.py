@@ -31,6 +31,12 @@ depends on the cone's axis or angle; ``phases`` gives them:
 categorical, rephase and mutual-spread rows compare two routes to one
 number, so their value and residual are 0.  The checks' thresholds and the
 chain length are restated here; a test pins them to ``suites``'.
+
+At large d every coupling approaches the unit pair's Coulomb tail
+``coulomb_tail`` = sqrt(pi/2) / d, whatever dt, and F less that tail falls
+like erfc((d - |dt|)/2).  ``tail_removed`` is F with the tail subtracted at
+every d >= TAIL_MIN_DISTANCE; ``phases`` and ``oracle_rows`` evaluate the rows
+with it in place of F when it is passed as their coupling ``f``.
 """
 
 import mpmath
@@ -44,6 +50,7 @@ DECAY_THRESHOLD = 1e-2
 EXTENSION_THRESHOLD = 1e-2
 
 DIGITS = 30
+TAIL_MIN_DISTANCE = 5
 TOLERANCE = 1e-12  # the largest |difference| of a value or residual from the report's
 SUITES = ("braiding/", "homotopy/", "decay/")
 _CHARGE = {"profile": "gaussian-momentum", "q": 1.0, "s": 1.0}
@@ -72,14 +79,27 @@ def coupling(d, dt=0):
         return mpmath.sqrt(mpmath.pi / 2) * (mpmath.erf((d + dt) / 2) + mpmath.erf((d - dt) / 2)) / (2 * d)
 
 
-def phases(radius, time=0) -> dict:
+def coulomb_tail(d):
+    """sqrt(pi/2) / d at DIGITS digits, which F(d, dt) approaches at large d whatever dt."""
+    with mpmath.workdps(DIGITS):
+        return mpmath.sqrt(mpmath.pi / 2) / mpmath.mpf(d)
+
+
+def tail_removed(d, dt=0):
+    """F(d, dt) less its Coulomb tail at d >= TAIL_MIN_DISTANCE, and F(d, dt) below."""
+    with mpmath.workdps(DIGITS):
+        return coupling(d, dt) - coulomb_tail(d) if d >= TAIL_MIN_DISTANCE else coupling(d, dt)
+
+
+def phases(radius, time=0, f=coupling) -> dict:
     """{check_id: phase} at DIGITS digits of the exchange and the five decay rows at one radius.
 
-    time is the transport's time component t.  The exchange row's value is
-    e^{i phase}, and each decay row's residual is |e^{i phase} - 1|.
+    time is the transport's time component t, and f the coupling F(d, dt).
+    The exchange row's value is e^{i phase}, and each decay row's residual
+    is |e^{i phase} - 1|.
     """
     with mpmath.workdps(DIGITS):
-        f, r, t, off = coupling, mpmath.mpf(radius), mpmath.mpf(time), mpmath.mpf(TRANSPORTER_OFFSET)
+        r, t, off = mpmath.mpf(radius), mpmath.mpf(time), mpmath.mpf(TRANSPORTER_OFFSET)
         return {
             "braiding/limit_vs_exact": f(2 * r, 2 * t) - f(0),
             "decay/implementation": f(r, t),
@@ -96,23 +116,24 @@ def defect(phase) -> float:
         return float(abs(mpmath.expj(phase) - 1))
 
 
-def oracle_rows(config: dict) -> dict:
+def oracle_rows(config: dict, f=coupling) -> dict:
     """{(check_id, charge_pair, cone_id, radius): (value, residual, threshold)} for the three suites.
 
-    Raises OutOfScope on a config outside the oracle's one model.
+    f is the coupling F(d, dt) the rows are evaluated with.  Raises
+    OutOfScope on a config outside the oracle's one model.
     """
     _check_scope(config)
     pair = ":".join(c["name"] for c in config["charges"])
     cone = config["cone"]
     rows = {}
     with mpmath.workdps(DIGITS):
-        limit = mpmath.expj(-coupling(0))
+        limit = mpmath.expj(-f(0))
 
         def at(radius):
             """The exchange row's (value, residual), and the decay rows' phases, at one radius."""
             r = mpmath.mpf(radius)
             time = cone["time_slope"] * r ** cone["time_exponent"] if cone["time_slope"] else 0
-            by_check = phases(r, time)
+            by_check = phases(r, time, f)
             exchange = mpmath.expj(by_check.pop("braiding/limit_vs_exact"))
             return (complex(exchange), float(abs(exchange - limit))), by_check
 

@@ -434,8 +434,13 @@ def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
 
 def _exits_2_with_one_line(data: dict, tmp_path, capsys, *argv: str) -> str:
     """Run verify with argv on the config tree; assert exit 2, no stdout and no report, and return the stderr line."""
+    return _raw_exits_2_with_one_line(json.dumps(data).encode(), tmp_path, capsys, *argv)
+
+
+def _raw_exits_2_with_one_line(raw: bytes, tmp_path, capsys, *argv: str) -> str:
+    """_exits_2_with_one_line on a config file holding exactly raw."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(data))
+    cfg.write_bytes(raw)
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out), *argv]) == 2
     captured = capsys.readouterr()
@@ -555,6 +560,22 @@ def test_cli_malformed_config_exits_2_with_one_line(tmp_path, capsys):
     data = default_dict()
     data["cone"] = [0.0, 0.0, 1.0]
     assert "config.cone: expected an object" in _exits_2_with_one_line(data, tmp_path, capsys)
+
+
+# config files the JSON decoder refuses by raising something other than
+# JSONDecodeError, and a word of the message each raises
+_MALFORMED_BYTES = {
+    "not-utf8": (b"\xff\xfe", "can't decode byte 0xff"),
+    "nested-200000-deep": (b"[" * 200_000 + b"]" * 200_000, "recursion"),
+    "integer-of-5001-digits": (b'{"radii": [' + b"1" * 5001 + b"]}", "5001 digits"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_BYTES))
+def test_cli_malformed_config_raw_exits_2_with_one_line(tmp_path, capsys, case):
+    raw, word = _MALFORMED_BYTES[case]
+    line = _raw_exits_2_with_one_line(raw, tmp_path, capsys)
+    assert line.startswith("error: config ") and word in line, line
 
 
 # The keys a config carried before the check policy moved into suites, the

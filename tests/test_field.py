@@ -97,7 +97,7 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
         F._panel_count(pair_key(gam), pair_key(dlt), 2.0e8)
     # the pair integral raises before it reads a rule or evaluates a node
     monkeypatch.setattr(Q, "gauss_legendre_unit", None)
-    monkeypatch.setattr(F, "_channel_factors", None)
+    monkeypatch.setattr(F.Profile, "values", None)
     with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
         F._panel_pair_integral(F.RE, pair_key(gam), pair_key(dlt), 2.0e8)
 

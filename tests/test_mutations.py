@@ -149,6 +149,24 @@ def _panel_sigma_negated(panel_pair_integral):
     return mutant
 
 
+def _cross_channel_negated(kernel):
+    # both (g, h) and (h, g) sigma signs flipped; the closed form and the panel rule read the one table
+    flipped = {
+        key: (-sign, power, trig)
+        for key, (sign, power, trig) in kernel.items()
+        if key[0] == F.SIGMA and key[1] != key[2]
+    }
+    return {**kernel, **flipped}
+
+
+def _vacuum_exponent_sign(vacuum_exponent):
+    # gram_matrix then takes e^{+(x, x)/4}
+    def mutant(x):
+        return -vacuum_exponent(x)
+
+    return mutant
+
+
 def _transport_short(translation):
     # every cone transport stops at 0.9 R
     def mutant(cone, radius):
@@ -286,8 +304,8 @@ MUTATIONS = [
         "braiding",
         frozenset({"braiding/categorical_vs_closed_form", "braiding/rephase_invariance"}),
     ),
-    # min_eigenvalue of the non-Hermitian matrix stays above -1e-10; the
-    # row's Hermitian defect reads about 0.54
+    # min_eigenvalue reads only the lower triangle, so its value is the
+    # unmutated one; the row's Hermitian defect reads about 0.54
     Mutation(
         "gram-unconjugated",
         suites,
@@ -296,15 +314,30 @@ MUTATIONS = [
         "laws",
         frozenset({"laws/gram_psd"}),
     ),
-    # halving the phase only shrinks the abelianness and implementation
-    # residuals, so no verdict flips
+    # the eigenvalue side of the same row: off-diagonal entries far above 1
+    # make the Gram matrix indefinite, its smallest eigenvalue about -3e6
+    Mutation(
+        "gram-vacuum-exponent-sign",
+        W,
+        "vacuum_exponent",
+        _vacuum_exponent_sign,
+        "laws",
+        frozenset({"laws/gram_psd"}),
+    ),
+    # halving the phase only shrinks the commutator-norm residuals, so no
+    # verdict flips
     Mutation(
         "commutator-half-phase",
         C,
         "commutator_norm",
         _commutator_half_phase,
         "decay",
-        Oracle({"decay/implementation", "decay/implementation_transported", "decay/abelianness"}),
+        Oracle({
+            "decay/implementation",
+            "decay/implementation_transported",
+            "decay/abelianness",
+            "decay/extension",
+        }),
     ),
     # either sigma route negated: the closed form carries the exchange's far
     # pairs, the panel rule its pair at d = 0.  Both sides of the categorical
@@ -323,6 +356,15 @@ MUTATIONS = [
         F,
         "_panel_pair_integral",
         _panel_sigma_negated,
+        "braiding",
+        Oracle({"braiding/limit_vs_exact"}),
+    ),
+    # one table entry pair reaches both routes
+    Mutation(
+        "kernel-cross-channel-negated",
+        F,
+        "_KERNEL",
+        _cross_channel_negated,
         "braiding",
         Oracle({"braiding/limit_vs_exact"}),
     ),
