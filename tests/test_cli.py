@@ -441,12 +441,36 @@ def _raw_exits_2_with_one_line(raw: bytes, tmp_path, capsys, *argv: str) -> str:
     """_exits_2_with_one_line on a config file holding exactly raw."""
     cfg = tmp_path / "cfg.json"
     cfg.write_bytes(raw)
+    return _path_exits_2_with_one_line(cfg, tmp_path, capsys, *argv)
+
+
+def _path_exits_2_with_one_line(cfg: Path, tmp_path, capsys, *argv: str) -> str:
+    """_exits_2_with_one_line on the config file at cfg."""
     out = tmp_path / "out"
     assert main(["verify", "--config", str(cfg), "--out", str(out), *argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
     (line,) = captured.err.splitlines()
     return line
+
+
+@pytest.mark.parametrize("case", ["permission-denied", "proc-self-mem"])
+def test_cli_unreadable_config_exits_2_with_one_line(case, tmp_path, capsys, monkeypatch):
+    # a config the process may not read, or whose read fails with EIO, is a config error
+    if case == "permission-denied":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(default_dict()))
+
+        def refuse(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "read_text", refuse)
+    else:
+        cfg = Path("/proc/self/mem")
+        if not sys.platform.startswith("linux") or not cfg.is_file():
+            pytest.skip("needs Linux's /proc/self/mem")
+    line = _path_exits_2_with_one_line(cfg, tmp_path, capsys)
+    assert line.startswith(f"error: cannot read config {cfg}: ")
 
 
 def test_cli_negative_config_seed_exits_2_with_one_line(tmp_path, capsys):

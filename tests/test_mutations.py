@@ -88,6 +88,14 @@ def _cocycle_flipped(product):
     return mutant
 
 
+def _product_keeps_left_label(product):
+    # the original coefficient, on the left factor's label instead of the sum
+    def mutant(a, b):
+        return product(a, b)[0], a.label
+
+    return mutant
+
+
 def _tensor_mor_unrotated(tensor_mor):
     # r's source automorphism no longer acts on s: the factor e^{i sigma(r.source, s.label)} is gone
     def mutant(r, s):
@@ -241,6 +249,37 @@ MUTATIONS = [
         _cocycle_flipped,
         "laws",
         frozenset({"laws/interchange"}),
+    ),
+    # every weyl_mul product lands on the wrong label, which weyl.distance
+    # counts as |c_a| + |c_b| = 2 for unit coefficients
+    Mutation(
+        "weyl-product-keeps-left-label",
+        W,
+        "_product",
+        _product_keeps_left_label,
+        "laws",
+        frozenset({
+            "laws/weyl_exchange",
+            "laws/weyl_associativity",
+            "laws/intertwiner_relation",
+            "laws/auto_action_homomorphism",
+        }),
+    ),
+    # the same for compose; the hexagon and braiding-symmetry rows compose
+    # only zero labels, which the left label keeps
+    Mutation(
+        "compose-keeps-left-label",
+        C,
+        "_product",
+        _product_keeps_left_label,
+        "laws",
+        frozenset({
+            "laws/naturality",
+            "laws/interchange",
+            "laws/compose_associativity",
+            "laws/compose_units",
+            "laws/star_isometry",
+        }),
     ),
     Mutation(
         "tensor-mor-unrotated-laws",

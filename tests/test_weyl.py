@@ -87,15 +87,32 @@ def test_label_identity_is_exact(pair):
     assert W.label_id(F.scale(math.nextafter(1.0, 2.0), direct)) != W.label_id(direct)
     other = F.translate(dlt, (0.0, 0.3001, 0.0, 0.0))
     assert W.label_id(other) != W.label_id(direct)
-    # coeff_of reads the coefficient of an equal label, built separately, and 0 for any other
+    # distance is 0 between equal coefficients on an equal label, built separately,
+    # and |c_a| + |c_b| on any other label
     element = W.weyl(direct, 2.0j)
-    assert element.coeff_of(jitter) == 2.0j and element.coeff_of(direct) == 2.0j
-    assert element.coeff_of(ulp) == 0.0 and element.coeff_of(other) == 0.0
-    assert W.weyl(ulp, -1.0).coeff_of(ulp) == -1.0 and W.weyl(ulp, -1.0).coeff_of(direct) == 0.0
+    assert W.distance(element, W.weyl(jitter, 2.0j)) == 0.0
+    assert W.distance(element, W.weyl(direct, 2.0j)) == 0.0
+    assert W.distance(element, W.weyl(ulp, 2.0j)) == 4.0
+    assert W.distance(element, W.weyl(other, 2.0j)) == 4.0
+    assert W.distance(W.weyl(ulp, -1.0), W.weyl(ulp, -1.0)) == 0.0
+    assert W.distance(W.weyl(ulp, -1.0), W.weyl(direct, -1.0)) == 2.0
     # a generator times the star of an equal label is a multiple of the unit
     back = W.weyl_mul(W.weyl(jitter), W.star(W.weyl(direct)))
     assert back.label.is_zero and abs(back.coeff - 1.0) < 1e-14
     assert not W.weyl_mul(W.weyl(ulp), W.star(W.weyl(direct))).label.is_zero
+
+
+def test_distance_is_the_norm_of_the_difference(pair):
+    # |c_a - c_b| on equal labels, |c_a| + |c_b| on unequal ones, either way round
+    gam, dlt = pair
+    a = W.weyl(dlt, 3.0 + 4.0j)
+    same = W.weyl(F.make_test_vector(1.0, 1.0), 1.0 + 1.0j)
+    other = W.weyl(gam, -1.0j)
+    assert same.label is not dlt and W.label_id(same.label) == W.label_id(dlt)
+    assert W.distance(a, same) == W.distance(same, a) == abs(2.0 + 3.0j)
+    assert W.distance(a, other) == W.distance(other, a) == 6.0
+    assert W.distance(a, a) == 0.0
+    assert type(W.distance(a, same)) is float and type(W.distance(a, other)) is float
 
 
 def test_conjugation_by_generator_rephases(pair):
@@ -181,12 +198,12 @@ def test_bump_labels_follow_their_shape():
     second = F.make_bump_vector(RadialPolynomial((2.0, -4.0, 2.0), 1.0))
     assert first.terms != second.terms
     assert W.label_id(first) != W.label_id(second)
-    assert W.weyl(first).coeff_of(second) == 0.0
+    assert W.distance(W.weyl(first), W.weyl(second)) == 2.0
     # vectors built separately from equal shapes share one atom and one label
     again = F.make_bump_vector(RadialPolynomial((1.0, -2.0, 1.0), 1.0))
     assert again.terms == first.terms
     assert W.label_id(again) == W.label_id(first)
-    assert W.weyl(first, -1.0).coeff_of(again) == -1.0
+    assert W.distance(W.weyl(first, -1.0), W.weyl(again, -1.0)) == 0.0
 
 
 @lru_cache(maxsize=1)
