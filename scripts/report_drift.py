@@ -15,7 +15,10 @@ code.  Two reports of different suites or seeds are not two runs of one
 check, so the script prints one line on stderr and exits 2 without
 comparing rows.  A .csv report carries no metadata, so a pair with one in
 it (CSV against CSV or against JSON) compares rows only; each CSV cell is
-read back as the JSON report holds it.
+read back as the JSON report holds it.  A report the script cannot read (a
+missing file, a CSV column missing or extra, a non-numeric cell, a verdict
+other than true or false, or two rows with one key) is refused the same
+way: one line on stderr naming the file, and exit 2.
 """
 
 import argparse
@@ -26,23 +29,44 @@ import sys
 
 BUDGET = 1e-12
 FIELDS = ("value_re", "value_im", "residual")
+COLUMNS = ("check_id", "charge_pair", "cone_id", "radius", *FIELDS, "threshold", "pass")
 # metadata that must agree for the rows to be comparable
 SAME_RUN_KEYS = ("suite", "seed")
 
 
-def _csv_record(cells: dict) -> dict:
+def _csv_record(cells: list[str]) -> dict:
     """A CSV row's cells as the JSON report's record: floats, None for no radius, and a bool verdict."""
-    numbers = {k: float(cells[k]) for k in (*FIELDS, "threshold")}
-    return {**cells, **numbers, "radius": float(cells["radius"]) if cells["radius"] else None, "pass": cells["pass"] == "true"}
+    if len(cells) != len(COLUMNS):
+        raise ValueError(f"{len(cells)} cells, not {len(COLUMNS)}")
+    record = dict(zip(COLUMNS, cells))
+    if record["pass"] not in ("true", "false"):
+        raise ValueError(f"pass cell {record['pass']!r} is neither true nor false")
+    numbers = {k: float(record[k]) for k in (*FIELDS, "threshold")}
+    return {**record, **numbers, "radius": float(record["radius"]) if record["radius"] else None, "pass": record["pass"] == "true"}
+
+
+def _csv_rows(fh) -> list[dict]:
+    reader = csv.reader(fh)
+    if tuple(next(reader, ())) != COLUMNS:
+        raise ValueError(f"the header is not {','.join(COLUMNS)}")
+    rows = []
+    for cells in reader:
+        try:
+            rows.append(_csv_record(cells))
+        except ValueError as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def _load(path: str) -> tuple[dict, dict]:
     with open(path, newline="") as fh:
-        if path.endswith(".csv"):
-            report = {"metadata": {}, "rows": [_csv_record(cells) for cells in csv.DictReader(fh)]}
-        else:
-            report = json.load(fh)
-    rows = {(r["check_id"], r["charge_pair"], r["cone_id"], r["radius"]): r for r in report["rows"]}
+        report = {"metadata": {}, "rows": _csv_rows(fh)} if path.endswith(".csv") else json.load(fh)
+    rows = {}
+    for r in report["rows"]:
+        key = (r["check_id"], r["charge_pair"], r["cone_id"], r["radius"])
+        if key in rows:
+            raise ValueError(f"two rows have the key {key}")
+        rows[key] = r
     return report["metadata"], rows
 
 
@@ -59,7 +83,14 @@ def main(argv=None) -> int:
     parser.add_argument("new", help="report (.json or .csv) after the change")
     args = parser.parse_args(argv)
 
-    (old_meta, old), (new_meta, new) = _load(args.old), _load(args.new)
+    loaded = []
+    for path in (args.old, args.new):
+        try:
+            loaded.append(_load(path))
+        except (OSError, ValueError, csv.Error) as exc:
+            print(f"error: cannot read report {path}: {exc}", file=sys.stderr)
+            return 2
+    (old_meta, old), (new_meta, new) = loaded
     if not (old_meta and new_meta):  # a CSV report has no metadata to pair with
         old_meta = new_meta = {}
     differ = [f"{k} {old_meta.get(k)!r} vs {new_meta.get(k)!r}" for k in SAME_RUN_KEYS if old_meta.get(k) != new_meta.get(k)]

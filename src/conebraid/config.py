@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import typing
 from pathlib import Path
 from typing import NamedTuple
@@ -55,6 +56,9 @@ SCALE_MIN, SCALE_MAX = 1e-3, 1e3
 # sigma becomes inf * erfc(inf) = nan.
 RADIUS_MAX = 1e300
 GAUSS_S_MIN = math.sqrt(CLOSED_FORM_MIN_TAIL) / R_MAX
+# A charge name is a report cell, and two names joined by ':' are a pair's key:
+# a comma, quote or newline would break the CSV, and a ':' could make two pairs one key.
+CHARGE_NAME = "[A-Za-z0-9_.-]+"
 
 
 class ChargeCfg(NamedTuple):
@@ -90,6 +94,8 @@ class RunConfig(NamedTuple):
         if len(self.charges) < 2:
             raise ConfigError("at least two charges are required")
         for c in self.charges:
+            if not re.fullmatch(CHARGE_NAME, c.name):
+                raise ConfigError(f"charge names must match {CHARGE_NAME}, got {c.name!r}")
             if c.profile not in _PROFILE_KINDS:
                 raise ConfigError(f"charge {c.name!r}: unknown profile {c.profile!r}")
             if c.channel not in ("g", "h"):
@@ -107,8 +113,6 @@ class RunConfig(NamedTuple):
                 )
             if c.shape not in BUMP_SHAPES:
                 raise ConfigError(f"charge {c.name!r}: unknown bump shape {c.shape!r}")
-            if not c.name:
-                raise ConfigError("charge names must be nonempty")
         if len(self.radii) < 3 or any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ConfigError("radii must be strictly increasing with at least 3 entries")
         if self.radii[0] <= 0:

@@ -42,6 +42,7 @@ LAW_SAMPLES = 100  # random object triples; each law row is the worst over them
 HOMOTOPY_STEPS = 6  # cones rotated from the configured one, in a fixed plane
 HOMOTOPY_STEP_DEG = 30.0
 TRANSPORTER_OFFSET = 2.0  # decay transporters' shift along each cone axis
+MAX_CHARGES, MAX_RADII = 8, 16  # the largest plan: 28 pairs, 3,830 rows
 
 _LAW_CHECKS = (
     "laws/hexagon_left",
@@ -126,16 +127,20 @@ class RunContext:
 def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     """(label, row count) per sub-suite, computable without running numerics.
 
-    A plan with the homotopy suite needs cones wider than half a chain step,
-    so that consecutive cones of the chain overlap.  A plan with the
-    braiding, homotopy or decay suite needs every charge pair to couple: at
-    equal times sigma pairs only g with h, and a cone with time_slope 0
+    A plan has at most MAX_CHARGES charges and MAX_RADII radii.  A plan
+    with the homotopy suite needs cones wider than half a chain step, so
+    that consecutive cones of the chain overlap.  A plan with the braiding,
+    homotopy or decay suite needs every charge pair to couple: at equal
+    times sigma pairs only g with h, and a cone with time_slope 0
     transports at equal times, so a pair in one channel braids trivially
-    and its rows read literal zeros.  Both are rejected here, before any
+    and its rows read literal zeros.  Each is rejected here, before any
     suite runs.
     """
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")
+    if len(config.charges) > MAX_CHARGES or len(config.radii) > MAX_RADII:
+        counts = f"{len(config.charges)} charges and {len(config.radii)} radii"
+        raise ConfigError(f"a run takes at most {MAX_CHARGES} charges and {MAX_RADII} radii, got {counts}")
     if suite in ("homotopy", "all") and 2.0 * config.cone.half_angle_deg <= HOMOTOPY_STEP_DEG:
         raise ConfigError(
             f"the homotopy chain steps by {HOMOTOPY_STEP_DEG:g} degrees, so its cones need "

@@ -20,6 +20,7 @@ from conebraid.config import RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
 from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
+from expected_reports import expected_run
 from oracle_report import coupling, defect
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -95,13 +96,19 @@ def test_check_policy_is_fixed_in_suites():
         lambda d: d["charges"][0].__setitem__("q", 10**400),
         # a charge without its one required key
         lambda d: d.__setitem__("charges", [{"q": 1.0}, {"name": "b"}]),
+        # names that would break a CSV row, or make two charge pairs one key
+        *(
+            lambda d, name=name: d["charges"][0].__setitem__("name", name)
+            for name in ("", "ga,mma", 'ga"mma', "ga\nmma", "ga:mma", "ga mma")
+        ),
     ],
 )
 def test_config_validation_errors(mutate):
     data = default_dict()
     mutate(data)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as exc:
         config_from_dict(data)
+    assert "\n" not in str(exc.value)  # verify prints it as one line
 
 
 def test_missing_keys_are_named_like_unknown_ones():
@@ -221,18 +228,10 @@ def test_emit_report_formats_and_errors(tmp_path):
 
 def test_plan_counts_default():
     cfg = load_config(CONFIG_PATH)
-
-    def planned_rows(suite):
-        return sum(n for _, n in plan_counts(cfg, suite))
-
-    assert planned_rows("laws") == 13
-    assert planned_rows("braiding") == 12
-    assert planned_rows("homotopy") == 8
-    assert planned_rows("decay") == 20
-    assert planned_rows("seqalg") == 9
-    assert planned_rows("all") == 62
+    for suite in suites.SUITE_NAMES:
+        assert sum(n for _, n in plan_counts(cfg, suite)) == expected_run("default", suite)[0], suite
     with pytest.raises(ConfigError):
-        planned_rows("bogus")
+        plan_counts(cfg, "bogus")
 
 
 def test_braiding_rows_follow_radius_schedule():
@@ -317,14 +316,6 @@ def test_cli_rejects_uncoupled_charge_pairs_before_any_suite(tmp_path, capsys, m
     assert sum(n for _, n in plan_counts(config_from_dict(data), "all")) > 0
 
 
-def test_laws_suite_all_pass():
-    report = run_suite(load_config(CONFIG_PATH), "laws")
-    assert len(report.rows) == 13 and report.all_passed()
-    for row in report.rows:
-        if row.check_id != "laws/gram_psd":
-            assert row.residual <= 1e-12
-
-
 def test_seqalg_suite_deterministic_and_seed_sensitive():
     cfg = load_config(CONFIG_PATH)
     first = run_suite(cfg, "seqalg").to_csv()
@@ -367,8 +358,9 @@ def test_vector_materialization_variants():
 
 
 def test_cli_exit_codes(tmp_path):
-    assert main(["verify", "--config", str(CONFIG_PATH), "--suite", "laws", "--out", str(tmp_path / "a")]) == 0
-    assert main(["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--out", str(tmp_path / "b")]) == 1
+    for suite in ("laws", "braiding"):
+        argv = ["verify", "--config", str(CONFIG_PATH), "--suite", suite, "--out", str(tmp_path / suite)]
+        assert main(argv) == expected_run("default", suite)[1]
     bad = tmp_path / "dup.json"
     data = default_dict()
     data["charges"][1]["name"] = data["charges"][0]["name"]
@@ -428,7 +420,7 @@ def test_braiding_and_decay_never_call_weyl_mul(tmp_path, monkeypatch, suite):
             patched.append(name)
     assert {"conebraid.weyl", "conebraid.category", "conebraid.suites"} <= set(patched)
     argv = ["verify", "--config", str(CONFIG_PATH), "--suite", suite, "--out", str(tmp_path)]
-    assert main(argv) == 1
+    assert main(argv) == expected_run("default", suite)[1]
     assert (tmp_path / f"{suite}_report.csv").is_file()
 
 
@@ -644,6 +636,11 @@ def test_cli_config_cannot_raise_thresholds(tmp_path, capsys):
     assert "thresholds" in _exits_2_with_one_line(data, tmp_path, capsys)
 
 
+def _charges(n: int) -> list[dict]:
+    """n unit Gaussian charges, alternating between the g and h channels."""
+    return [{"name": f"c{k}", "channel": "gh"[k % 2]} for k in range(n)]
+
+
 def _bump_charge(**fields):
     return lambda d: d["charges"][0].update({"profile": "bump-position", **fields})
 
@@ -659,8 +656,11 @@ def _bump_charge(**fields):
         (_bump_charge(support_radius=1e-200), "support_radius must lie in [0.001, 1000]"),
         # in range, but the Gaussian's cutoff tail e^{-s^2 R_MAX^2} is above e^{-40}
         (lambda d: d["charges"][1].__setitem__("s", 0.5), "s must be at least sqrt(40) / R_MAX = 0.6325"),
+        # the plan's size is bounded too
+        (lambda d: d.__setitem__("radii", [10.0 * k for k in range(1, 18)]), "got 2 charges and 17 radii"),
+        (lambda d: d.__setitem__("charges", _charges(9)), "at most 8 charges and 16 radii, got 9 charges"),
     ],
-    ids=["s_huge", "support_huge", "s_tiny", "support_tiny", "gauss_tail"],
+    ids=["s_huge", "support_huge", "s_tiny", "support_tiny", "gauss_tail", "radii_17", "charges_9"],
 )
 def test_cli_out_of_scale_config_exits_2_with_one_line(tmp_path, capsys, mutate, message):
     data = default_dict()
@@ -705,6 +705,12 @@ def test_config_scale_bounds_are_inclusive():
     data["charges"][0]["s"] = math.nextafter(math.sqrt(40.0) / F.R_MAX, 0.0)
     with pytest.raises(ConfigError, match="s must be at least"):
         config_from_dict(data)
+    # the plan's bounds: 8 charges at 16 radii plan 28 pairs of 8 + 8 * 16 rows
+    # (on a time-sloped cone, where two charges of one channel couple)
+    data["charges"] = _charges(suites.MAX_CHARGES)
+    data["radii"] = [10.0 * k for k in range(1, suites.MAX_RADII + 1)]
+    data["cone"].update(time_slope=1.0, time_exponent=0.5)
+    assert sum(n for _, n in plan_counts(config_from_dict(data), "all")) == 13 + 9 + 28 * (8 + 8 * 16)
 
 
 def test_cli_radial_rule_cap_exits_1_with_one_line(tmp_path, capsys):
@@ -784,11 +790,12 @@ def test_cli_plan_line_and_json_output(tmp_path, capsys):
             "json",
         ]
     )
-    assert code == 0
+    rows, expected_code = expected_run("default", "seqalg")
+    assert code == expected_code
     out = capsys.readouterr().out
-    assert "plan: suite 'seqalg' -> 9 rows" in out.splitlines()[0]
+    assert f"plan: suite 'seqalg' -> {rows} rows" in out.splitlines()[0]
     payload = json.loads((tmp_path / "seqalg_report.json").read_text())
-    assert len(payload["rows"]) == 9
+    assert len(payload["rows"]) == rows
     assert "wall" not in json.dumps(payload)
     assert set(payload["metadata"]) == {"suite", "config_digest", "seed"}
 
@@ -797,7 +804,7 @@ def test_cli_byte_identical_reruns(tmp_path):
     for sub in ("run1", "run2"):
         assert main(
             ["verify", "--config", str(CONFIG_PATH), "--suite", "braiding", "--out", str(tmp_path / sub)]
-        ) == 1
+        ) == expected_run("default", "braiding")[1]
     first = (tmp_path / "run1" / "braiding_report.csv").read_bytes()
     second = (tmp_path / "run2" / "braiding_report.csv").read_bytes()
     assert first == second
@@ -933,8 +940,9 @@ def test_closed_stdout_pipe_keeps_the_verdict(tmp_path):
     first = proc.stdout.readline()
     proc.stdout.close()
     stderr = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
-    assert first.startswith(b"plan: suite 'all' -> 62 rows") and stderr == b""
+    rows, code = expected_run("default")
+    assert proc.wait(timeout=120) == code
+    assert first.startswith(f"plan: suite 'all' -> {rows} rows".encode()) and stderr == b""
     assert (tmp_path / "all_report.csv").is_file()
 
 

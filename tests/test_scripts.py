@@ -6,7 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conebraid.cli import main
+from expected_reports import expected_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,7 +27,8 @@ def _run_drift(*args: str) -> subprocess.CompletedProcess:
 
 def test_report_drift_script(tmp_path):
     config = str(ROOT / "configs" / "default.json")
-    assert main(["verify", "--config", config, "--suite", "laws", "--format", "json", "--out", str(tmp_path)]) == 0
+    code = expected_run("default", "laws")[1]
+    assert main(["verify", "--config", config, "--suite", "laws", "--format", "json", "--out", str(tmp_path)]) == code
     report = tmp_path / "laws_report.json"
 
     def drift(name, mutate):
@@ -73,13 +77,14 @@ def test_report_drift_script(tmp_path):
 
 def test_report_drift_reads_csv_reports(tmp_path):
     config = str(ROOT / "configs" / "default.json")
-    assert main(["verify", "--config", config, "--suite", "decay", "--out", str(tmp_path)]) == 1
+    rows, code = expected_run("default", "decay")
+    assert main(["verify", "--config", config, "--suite", "decay", "--out", str(tmp_path)]) == code
     report = tmp_path / "decay_report.csv"
     same = _run_drift(str(report), str(report))
     assert same.returncode == 0, same.stdout
-    assert "20 rows compared, 0 unmatched, 0 thresholds moved, 0 flipped, drift within 1e-12" in same.stdout
+    assert f"{rows} rows compared, 0 unmatched, 0 thresholds moved, 0 flipped, drift within 1e-12" in same.stdout
     # against the JSON report of the same run every row matches, and there is no metadata to compare
-    assert main(["verify", "--config", config, "--suite", "decay", "--format", "json", "--out", str(tmp_path)]) == 1
+    assert main(["verify", "--config", config, "--suite", "decay", "--format", "json", "--out", str(tmp_path)]) == code
     mixed = _run_drift(str(tmp_path / "decay_report.json"), str(report))
     assert mixed.returncode == 0 and "metadata keys changed: none" in mixed.stdout, mixed.stdout
     # a 1e-11 move of one residual is over the budget; the row's verdict stays
@@ -91,3 +96,27 @@ def test_report_drift_reads_csv_reports(tmp_path):
     proc = _run_drift(str(report), str(moved))
     assert proc.returncode == 1, proc.stdout
     assert "max |delta residual| = 1.000e-11" in proc.stdout and "0 flipped" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda lines: lines + lines[-1:], "two rows have the key ("),
+        (lambda lines: [lines[0] + ",extra", *lines[1:]], "the header is not check_id,"),
+        (lambda lines: [line.rpartition(",")[0] for line in lines], "the header is not check_id,"),
+        (lambda lines: [lines[0], lines[1] + ",extra", *lines[2:]], "line 2: 10 cells, not 9"),
+        (lambda lines: [lines[0], lines[1].rpartition(",")[0], *lines[2:]], "line 2: 8 cells, not 9"),
+        (lambda lines: [lines[0], lines[1].replace(",1e-12,", ",1e-I2,"), *lines[2:]], "line 2: could not convert"),
+        (lambda lines: [lines[0], lines[1].replace(",true", ",yes"), *lines[2:]], "line 2: pass cell 'yes'"),
+    ],
+    ids=["repeated_key", "extra_column", "missing_column", "extra_cell", "missing_cell", "non_numeric", "verdict"],
+)
+def test_report_drift_refuses_a_report_it_cannot_read(tmp_path, edit, message):
+    # a bad merge that duplicates a row of an expected file must not compare clean
+    report = ROOT / "configs" / "expected" / "default.csv"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
+    proc = _run_drift(str(report), str(bad))
+    assert proc.returncode == 2 and not proc.stdout, proc.stdout
+    assert proc.stderr.startswith(f"error: cannot read report {bad}: ") and message in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
