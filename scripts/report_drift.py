@@ -14,14 +14,16 @@ moves whenever the config file changes); that line does not change the exit
 code.  Two reports of different suites or seeds are not two runs of one
 check, so the script prints one line on stderr and exits 2 without
 comparing rows.  A .csv report carries no metadata, so a pair with one in
-it (CSV against CSV or against JSON) compares rows only; each CSV cell is
-read back as the JSON report holds it.  A report the script cannot read (a
-missing file, a CSV column missing or extra, a non-numeric cell, a verdict
-other than true or false, or two rows with one key) is refused the same
-way: one line on stderr naming the file, and exit 2.
+it compares rows only; each CSV cell is read as the JSON report holds it,
+and rows of both formats pass one record check.  A report the script cannot
+read (a missing file, JSON without a metadata object and a rows list, a
+column missing or extra, a non-numeric cell, a verdict other than true or
+false, or two rows with one key) is refused the same way: one line on
+stderr naming the file, and exit 2.
 """
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -29,45 +31,69 @@ import sys
 
 BUDGET = 1e-12
 FIELDS = ("value_re", "value_im", "residual")
-COLUMNS = ("check_id", "charge_pair", "cone_id", "radius", *FIELDS, "threshold", "pass")
+NUMBERS = (*FIELDS, "threshold")
+COLUMNS = ("check_id", "charge_pair", "cone_id", "radius", *NUMBERS, "pass")
+VERDICTS = {"true": True, "false": False}
 # metadata that must agree for the rows to be comparable
 SAME_RUN_KEYS = ("suite", "seed")
 
 
-def _csv_record(cells: list[str]) -> dict:
-    """A CSV row's cells as the JSON report's record: floats, None for no radius, and a bool verdict."""
+def _csv_values(cells: list[str]) -> dict:
+    """A CSV row's cells as the JSON report writes them; a cell that fits no column's type stays text."""
     if len(cells) != len(COLUMNS):
         raise ValueError(f"{len(cells)} cells, not {len(COLUMNS)}")
-    record = dict(zip(COLUMNS, cells))
-    if record["pass"] not in ("true", "false"):
-        raise ValueError(f"pass cell {record['pass']!r} is neither true nor false")
-    numbers = {k: float(record[k]) for k in (*FIELDS, "threshold")}
-    return {**record, **numbers, "radius": float(record["radius"]) if record["radius"] else None, "pass": record["pass"] == "true"}
+    row = dict(zip(COLUMNS, cells))
+    for k in (*NUMBERS, "radius"):
+        with contextlib.suppress(ValueError):
+            row[k] = float(row[k])
+    row["pass"] = VERDICTS.get(row["pass"], row["pass"])
+    return {**row, "radius": None if row["radius"] == "" else row["radius"]}
 
 
-def _csv_rows(fh) -> list[dict]:
-    reader = csv.reader(fh)
-    if tuple(next(reader, ())) != COLUMNS:
-        raise ValueError(f"the header is not {','.join(COLUMNS)}")
-    rows = []
-    for cells in reader:
-        try:
-            rows.append(_csv_record(cells))
-        except ValueError as exc:
-            raise ValueError(f"line {reader.line_num}: {exc}") from None
-    return rows
+def _record(row) -> dict:
+    """A row of either format, checked: the nine columns, text ids, numbers, and a true/false verdict."""
+    if not isinstance(row, dict):
+        raise ValueError(f"a {type(row).__name__}, not a row")
+    odd = [f"no {k}" for k in COLUMNS if k not in row] + [f"extra column {k!r}" for k in row if k not in COLUMNS]
+    if odd:
+        raise ValueError(", ".join(odd))
+    for k in COLUMNS[:3]:
+        if not isinstance(row[k], str):
+            raise ValueError(f"{k} {row[k]!r} is not text")
+    for k in (*NUMBERS, "radius"):
+        if type(row[k]) not in (int, float) and not (k == "radius" and row[k] is None):  # a bool is no number
+            raise ValueError(f"could not convert {k} {row[k]!r} to a number")
+    if not isinstance(row["pass"], bool):
+        raise ValueError(f"pass cell {row['pass']!r} is neither true nor false")
+    return row
 
 
 def _load(path: str) -> tuple[dict, dict]:
+    """The report's metadata ({} for a CSV report) and its checked rows by key."""
+    is_csv = path.endswith(".csv")
     with open(path, newline="") as fh:
-        report = {"metadata": {}, "rows": _csv_rows(fh)} if path.endswith(".csv") else json.load(fh)
+        if is_csv:
+            reader = csv.reader(fh)
+            if tuple(next(reader, ())) != COLUMNS:
+                raise ValueError(f"the header is not {','.join(COLUMNS)}")
+            metadata, numbered = {}, [(f"line {reader.line_num}", cells) for cells in reader]
+        else:
+            report = json.load(fh)
+            if not (isinstance(report, dict) and isinstance(report.get("metadata"), dict)
+                    and isinstance(report.get("rows"), list)):
+                raise ValueError("the report needs a metadata object and a rows list")
+            metadata, numbered = report["metadata"], [(f"row {n}", row) for n, row in enumerate(report["rows"], 1)]
     rows = {}
-    for r in report["rows"]:
+    for where, row in numbered:
+        try:
+            r = _record(_csv_values(row) if is_csv else row)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
         key = (r["check_id"], r["charge_pair"], r["cone_id"], r["radius"])
         if key in rows:
             raise ValueError(f"two rows have the key {key}")
         rows[key] = r
-    return report["metadata"], rows
+    return metadata, rows
 
 
 def _delta(a: float, b: float) -> float:

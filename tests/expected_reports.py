@@ -8,10 +8,10 @@ from pathlib import Path
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "configs" / "expected"
 
 
-def expected_lines(name: str, suite: str = "all") -> list[str]:
-    """The header and one suite's rows of configs/expected/<name>.csv, as CSV lines."""
+def expected_csv(name: str, suite: str = "all") -> str:
+    """The header and one suite's rows of configs/expected/<name>.csv, as CSV text."""
     header, *rows = (EXPECTED_DIR / f"{name}.csv").read_text().splitlines()
-    return [header, *(row for row in rows if suite == "all" or row.startswith(f"{suite}/"))]
+    return "\n".join([header, *(row for row in rows if suite == "all" or row.startswith(f"{suite}/"))]) + "\n"
 
 
 def expected_run(name: str, suite: str = "all") -> tuple[int, int]:
@@ -19,5 +19,5 @@ def expected_run(name: str, suite: str = "all") -> tuple[int, int]:
 
     The exit code is 1 exactly when a pass cell is false.
     """
-    rows = list(csv.DictReader(expected_lines(name, suite)))
+    rows = list(csv.DictReader(expected_csv(name, suite).splitlines()))
     return len(rows), int(any(row["pass"] == "false" for row in rows))

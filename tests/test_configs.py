@@ -1,10 +1,12 @@
 """The committed configs: canonical files, each named in README, each
-reporting what its expected report says, and the benchmark's generated
-copies of two of them."""
+reporting what its expected report says with numpy loaded and without it,
+and the benchmark's generated copies of two of them."""
 
 import importlib.util
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +15,7 @@ import pytest
 from conebraid.cli import main
 from conebraid.config import load_config
 from conebraid.suites import SUITE_NAMES
-from expected_reports import EXPECTED_DIR, expected_lines, expected_run
+from expected_reports import EXPECTED_DIR, expected_csv, expected_run
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -58,20 +60,38 @@ def _module(path: Path):
     return module
 
 
+REPORT_DRIFT = _module(ROOT / "scripts" / "report_drift.py")
+
+
+def test_one_expected_file_per_config():
+    assert sorted(p.name for p in EXPECTED_DIR.iterdir()) == [f"{p.stem}.csv" for p in CONFIGS]
+
+
 @pytest.mark.parametrize("suite", SUITE_NAMES)
 @pytest.mark.parametrize("path", CONFIGS, ids=[p.stem for p in CONFIGS])
 def test_report_is_the_expected_report(path, suite, tmp_path, capsys):
     # configs/expected/<name>.csv owns what the config reports: each suite's
     # rows, thresholds and verdicts, its values to report_drift's 1e-12, and
-    # so the exit code; one file per config and no other
-    assert sorted(p.name for p in EXPECTED_DIR.iterdir()) == [f"{p.stem}.csv" for p in CONFIGS]
+    # so the exit code.  A fresh process in which importing numpy fails exits
+    # the same and writes the same report bytes as this one, which has numpy
+    # loaded (as perfbench's traced runs do)
     _, code = expected_run(path.stem, suite)
-    assert main(["verify", "--config", str(path), "--suite", suite, "--out", str(tmp_path)]) == code
+    args = ["verify", "--config", str(path), "--suite", suite]
+    here, fresh = (tmp_path / out / f"{suite}_report.csv" for out in ("here", "fresh"))
+    assert main([*args, "--out", str(here.parent)]) == code
     expected = tmp_path / "expected.csv"
-    expected.write_text("\n".join(expected_lines(path.stem, suite)) + "\n")
+    expected.write_text(expected_csv(path.stem, suite))
     capsys.readouterr()
-    drift = _module(ROOT / "scripts" / "report_drift.py")
-    assert drift.main([str(expected), str(tmp_path / f"{suite}_report.csv")]) == 0, capsys.readouterr().out
+    assert REPORT_DRIFT.main([str(expected), str(here)]) == 0, capsys.readouterr().out
+
+    without_numpy = (
+        "import sys\nsys.modules['numpy'] = None\nfrom conebraid.cli import main\n"
+        f"raise SystemExit(main({[*args, '--out', str(fresh.parent)]!r}))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", without_numpy], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code and not proc.stderr, proc.stderr
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 @pytest.mark.parametrize("workload, name", [("bump-sloped", "bump_sloped"), ("far-cone", "far_radius")])

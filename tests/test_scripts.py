@@ -1,7 +1,6 @@
 """scripts/report_drift.py, run in a fresh interpreter on JSON and CSV reports that differ in one way each."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -9,20 +8,31 @@ from pathlib import Path
 import pytest
 
 from conebraid.cli import main
-from expected_reports import expected_run
+from expected_reports import expected_csv, expected_run
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
 def _run_drift(*args: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    # the script needs only the standard library
     return subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "report_drift.py"), *args],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, str(ROOT / "scripts" / "report_drift.py"), *args], capture_output=True, text=True, timeout=120
     )
+
+
+def _edited(report: Path, name: str, edit) -> Path:
+    """A copy of a JSON report, changed in place by edit(data), written next to it as name."""
+    data = json.loads(report.read_text())
+    edit(data)
+    path = report.with_name(name)
+    path.write_text(json.dumps(data))
+    return path
+
+
+def _refused(proc: subprocess.CompletedProcess, bad: Path, message: str) -> None:
+    assert proc.returncode == 2 and not proc.stdout, proc.stdout
+    assert proc.stderr.startswith(f"error: cannot read report {bad}: ") and message in proc.stderr, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_report_drift_script(tmp_path):
@@ -31,12 +41,8 @@ def test_report_drift_script(tmp_path):
     assert main(["verify", "--config", config, "--suite", "laws", "--format", "json", "--out", str(tmp_path)]) == code
     report = tmp_path / "laws_report.json"
 
-    def drift(name, mutate):
-        data = json.loads(report.read_text())
-        mutate(data["rows"])
-        path = tmp_path / name
-        path.write_text(json.dumps(data))
-        return _run_drift(str(report), str(path))
+    def drift(name, mutate, part="rows"):
+        return _run_drift(str(report), str(_edited(report, name, lambda data: mutate(data[part]))))
 
     same = _run_drift(str(report), str(report))
     assert same.returncode == 0, same.stdout
@@ -57,20 +63,12 @@ def test_report_drift_script(tmp_path):
     assert "0 flipped" in moved.stdout
 
     # changed metadata is reported but does not fail the comparison
-    data = json.loads(report.read_text())
-    data["metadata"]["config_digest"] = "0" * 16
-    renamed = tmp_path / "digest.json"
-    renamed.write_text(json.dumps(data))
-    digest = _run_drift(str(report), str(renamed))
+    digest = drift("digest.json", lambda metadata: metadata.update({"config_digest": "0" * 16}), "metadata")
     assert digest.returncode == 0 and "metadata keys changed: config_digest" in digest.stdout, digest.stdout
 
     # reports of another seed or suite are a wrong pairing, not row drift
     for key, value in (("seed", 11), ("suite", "braiding")):
-        data = json.loads(report.read_text())
-        data["metadata"][key] = value
-        other = tmp_path / f"other_{key}.json"
-        other.write_text(json.dumps(data))
-        proc = _run_drift(str(report), str(other))
+        proc = drift(f"other_{key}.json", lambda metadata: metadata.update({key: value}), "metadata")
         assert proc.returncode == 2 and not proc.stdout, proc.stdout
         assert len(proc.stderr.splitlines()) == 1 and key in proc.stderr, proc.stderr
 
@@ -78,12 +76,12 @@ def test_report_drift_script(tmp_path):
 def test_report_drift_reads_csv_reports(tmp_path):
     config = str(ROOT / "configs" / "default.json")
     rows, code = expected_run("default", "decay")
-    assert main(["verify", "--config", config, "--suite", "decay", "--out", str(tmp_path)]) == code
-    report = tmp_path / "decay_report.csv"
+    report = tmp_path / "expected.csv"
+    report.write_text(expected_csv("default", "decay"))
     same = _run_drift(str(report), str(report))
     assert same.returncode == 0, same.stdout
     assert f"{rows} rows compared, 0 unmatched, 0 thresholds moved, 0 flipped, drift within 1e-12" in same.stdout
-    # against the JSON report of the same run every row matches, and there is no metadata to compare
+    # against the JSON report of a run every row matches, and there is no metadata to compare
     assert main(["verify", "--config", config, "--suite", "decay", "--format", "json", "--out", str(tmp_path)]) == code
     mixed = _run_drift(str(tmp_path / "decay_report.json"), str(report))
     assert mixed.returncode == 0 and "metadata keys changed: none" in mixed.stdout, mixed.stdout
@@ -116,7 +114,24 @@ def test_report_drift_refuses_a_report_it_cannot_read(tmp_path, edit, message):
     report = ROOT / "configs" / "expected" / "default.csv"
     bad = tmp_path / "bad.csv"
     bad.write_text("\n".join(edit(report.read_text().splitlines())) + "\n")
-    proc = _run_drift(str(report), str(bad))
-    assert proc.returncode == 2 and not proc.stdout, proc.stdout
-    assert proc.stderr.startswith(f"error: cannot read report {bad}: ") and message in proc.stderr, proc.stderr
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    _refused(_run_drift(str(report), str(bad)), bad, message)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda report: report["rows"][0].pop("threshold"), "row 1: no threshold"),
+        (lambda report: report["rows"][0].update({"residual": "abc"}), "row 1: could not convert residual 'abc'"),
+        (lambda report: report["rows"][0].update({"pass": "yes"}), "row 1: pass cell 'yes'"),
+        (lambda report: report.pop("metadata"), "the report needs a metadata object"),
+    ],
+    ids=["missing_threshold", "non_numeric", "verdict", "no_metadata"],
+)
+def test_report_drift_refuses_a_json_report_it_cannot_read(tmp_path, edit, message):
+    # each JSON row passes the record check a CSV row does
+    config = str(ROOT / "configs" / "default.json")
+    code = expected_run("default", "decay")[1]
+    assert main(["verify", "--config", config, "--suite", "decay", "--format", "json", "--out", str(tmp_path)]) == code
+    report = tmp_path / "decay_report.json"
+    bad = _edited(report, "bad.json", edit)
+    _refused(_run_drift(str(report), str(bad)), bad, message)
