@@ -6,9 +6,9 @@ them unless --suite narrows it), emits the report, and exits with
 - 0 when every check passed;
 - 1 when any check failed, or when the run could not finish: a
   DomainError (an operand outside its domain, such as a radial rule over
-  its node cap) or an InternalError prints one line on stderr and writes
-  no report;
-- 2 on configuration problems, with one line on stderr and no report.
+  its node cap), a UsageError (a broken internal operand check) or an
+  InternalError prints one line on stderr and writes no report;
+- 2 on a ConfigError, with one line on stderr and no report.
 
 No other exit codes are used.  The planned row count is printed, and
 flushed, before the numerics start.  If the reader of stdout goes away
@@ -24,7 +24,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConebraidError, ConfigError, UsageError
+from .errors import ConebraidError, ConfigError
 from .report import emit_report
 from .suites import SUITE_NAMES, plan_counts, run_suite
 
@@ -69,7 +69,7 @@ def main(argv=None) -> int:
         _say(f"plan: suite {args.suite!r} -> {total} rows ({detail})")
         report = run_suite(config, args.suite)
         written = emit_report(report, args.out, args.format)
-    except (ConfigError, UsageError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ConebraidError as exc:

@@ -1,11 +1,11 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps them onto its exit codes: configuration problems (bad cones,
-bad charges, malformed config files: ConfigError, UsageError) exit with 2,
-and a DomainError or InternalError ends the run with exit 1, one line on
-stderr and no report, like a failed check but without rows.  An
-InternalError means the build itself is inconsistent, not that a physics
-check failed.
+The CLI maps them onto its exit codes: a ConfigError (a bad cone, bad
+charges, a malformed config file) exits with 2, and any other error ends
+the run with exit 1, one line on stderr and no report, like a failed check
+but without rows.  A UsageError is a broken internal operand check, which
+no validated config reaches; an InternalError means the build itself is
+inconsistent, not that a physics check failed.
 """
 
 

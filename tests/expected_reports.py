@@ -5,6 +5,8 @@ edited by hand.  A suite's rows are the rows whose check_id has its prefix."""
 import csv
 from pathlib import Path
 
+from conebraid.report import CheckRow
+
 EXPECTED_DIR = Path(__file__).resolve().parent.parent / "configs" / "expected"
 
 
@@ -14,10 +16,23 @@ def expected_csv(name: str, suite: str = "all") -> str:
     return "\n".join([header, *(row for row in rows if suite == "all" or row.startswith(f"{suite}/"))]) + "\n"
 
 
+def expected_rows(name: str, suite: str = "all") -> list[CheckRow]:
+    """One suite's rows of configs/expected/<name>.csv, in report order; repr floats read back exactly."""
+    rows = csv.DictReader(expected_csv(name, suite).splitlines())
+    return [
+        CheckRow(
+            r["check_id"], r["charge_pair"], r["cone_id"], float(r["radius"]) if r["radius"] else None,
+            complex(float(r["value_re"]), float(r["value_im"])), float(r["residual"]), float(r["threshold"]),
+            r["pass"] == "true",
+        )
+        for r in rows
+    ]
+
+
 def expected_run(name: str, suite: str = "all") -> tuple[int, int]:
     """(row count, exit code) of `verify --suite <suite>` on configs/<name>.json.
 
     The exit code is 1 exactly when a pass cell is false.
     """
-    rows = list(csv.DictReader(expected_csv(name, suite).splitlines()))
-    return len(rows), int(any(row["pass"] == "false" for row in rows))
+    rows = expected_rows(name, suite)
+    return len(rows), int(not all(row.passed for row in rows))

@@ -1,10 +1,11 @@
 """Committed mutations: each patch of a package function must fail the rows that judge it.
 
 Every entry replaces one function or constant with a plausibly broken
-version of it and runs one suite in process on the default config.  It
-names either the check ids whose rows pass on the unmutated code and fail
-under the mutation (every row of such an id must fail, and no other row may
-flip), the error the mutated run raises before it reports, or, wrapped in
+version of it and runs one suite in process on the default config, whose
+unmutated rows are those of configs/expected/default.csv.  It names either
+the check ids whose rows pass on the unmutated code and fail under the
+mutation (every row of such an id must fail, and no other row may flip),
+the error the mutated run raises before it reports, or, wrapped in
 Oracle, the check ids whose rows move off the independent oracle of
 tests/oracle_report.py (every row of the suite matches it unmutated, and
 the mutated rows that differ from it, verdict flip or not, are of exactly
@@ -12,7 +13,6 @@ those ids).
 """
 
 import cmath
-from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -26,6 +26,7 @@ from conebraid import weyl as W
 from conebraid.config import load_config
 from conebraid.errors import DomainError, InternalError, UsageError
 from conebraid.suites import run_suite
+from expected_reports import expected_rows
 from oracle_report import mismatches, oracle_rows
 
 CONFIG = load_config(Path(__file__).resolve().parent.parent / "configs" / "default.json")
@@ -442,14 +443,9 @@ MUTATIONS = [
 ]
 
 
-@cache
-def _unmutated(suite: str) -> list:
-    return run_suite(CONFIG, suite).rows
-
-
 @pytest.mark.parametrize("mutation", MUTATIONS, ids=[m.name for m in MUTATIONS])
 def test_mutation_fails_its_rows(mutation, monkeypatch, request):
-    before = _unmutated(mutation.suite)
+    before = expected_rows("default", mutation.suite)
     original = getattr(mutation.module, mutation.attribute)
     monkeypatch.setattr(mutation.module, mutation.attribute, mutation.mutant(original))
     # a memoized pair integral would hide a patched sigma route, and keep it past the test
