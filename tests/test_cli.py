@@ -349,10 +349,10 @@ _INCREASING = "radii must be strictly increasing with at least 3 entries"
 _NOT_JSON = "config .+ is not valid JSON: .*"  # then a word of the decoder's own message
 _BRAIDING = ("braiding",)
 
-# Every config verify refuses, keyed by test id.  Types, keys and values are
-# checked as the config loads, the cone by building it and transporting it to
-# every radius, and the plan's size, homotopy chain and charge couplings by
-# plan_counts before the plan line.
+# Every config verify refuses, keyed by the prefix of its test ids.  Types,
+# keys and values are checked as the config loads, the cone by building it
+# and transporting it to every radius, and the plan's size, homotopy chain
+# and charge couplings by plan_counts before the plan line.
 REFUSED = {
     # charge names: unique, and each a CSV cell that cannot make two charge pairs one key
     "names-repeated": Refused(
@@ -419,6 +419,7 @@ REFUSED = {
     "axis-two-entries": Refused(_cone(axis=[0.0, 1.0]), "config.cone.axis: expected 3 entries, got 2"),
     "axis-text": Refused(_cone(axis="z"), "config.cone.axis: expected a list, got str"),
     "axis-zero": Refused(_cone(axis=[0.0, 0.0, 0.0]), "cone axis must be a nonzero finite vector"),
+    "axis-overflowing": Refused(_cone(axis=[1.5e308] * 3), "cone axis must be a nonzero finite vector"),
     "half-angle-95": Refused(_cone(half_angle_deg=95.0), "cone half angle must lie strictly between 0 and 90 degrees"),
     "half-angle-nan": Refused(_cone(half_angle_deg=math.nan), "config.cone.half_angle_deg: must be finite, got nan"),
     "time-slope-negative": Refused(_cone(time_slope=-1.0), _SLOPE),
