@@ -520,6 +520,24 @@ def test_refused_config_exits_2_with_one_line(case, suite, tmp_path, capsys):
     _refused(_config_file(case.config, tmp_path), case.message, suite, tmp_path, capsys)
 
 
+# The refusals config_from_dict makes itself, as the dict loads; the others
+# need the cone built or the plan counted.  The order keeps each case's test id.
+_AT_LOAD = {REFUSED[name].config: REFUSED[name].message for name in """
+    names-repeated radii-repeated radii-two time-slope-negative unknown-key channel-x s-zero one-charge
+    half-angle-95 cone-unknown-key radius-zero time-exponent-one s-text seed-text q-text axis-two-entries
+    axis-text radii-text cone-a-list half-angle-nan seed-bool seed-float radius-inf q-past-the-float-range
+    charge-missing-name name-empty name-comma name-quote name-newline name-colon name-space""".split()}
+
+
+@pytest.mark.parametrize("mutate", list(_AT_LOAD))
+def test_config_validation_errors(mutate):
+    data = default_dict()
+    mutate(data)
+    with pytest.raises(ConfigError) as exc:
+        config_from_dict(data)
+    assert str(exc.value) == _AT_LOAD[mutate]
+
+
 @pytest.mark.parametrize("case", ["permission-denied", "proc-self-mem"])
 def test_cli_unreadable_config_exits_2_with_one_line(case, tmp_path, capsys, monkeypatch):
     # a config the process may not read, or whose read fails with EIO, is a config error
