@@ -20,8 +20,9 @@ Everything is scalar: the object monoid is abelian, so braiding arrows are
 pure phases on a zero label.
 
 The asymptotic braiding transports the first charge along a spacelike
-cone to one radius, the second to the antipode, and evaluates the
-transported exchange through the categorical operations.
+cone (a ``config.ConeSpec``, checked as its config loads) to one radius,
+the second to the antipode, and evaluates the transported exchange
+through the categorical operations.
 ``braiding_asymptotic`` is the one braiding routine, one radius per call:
 the braiding suite calls it at each configured radius on the configured
 cone, and the homotopy suite at the largest radius on each cone of its
@@ -49,54 +50,14 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, InternalError, UsageError
-from .field import FieldVector, Frozen, add, intertwiner_label, subtract, symplectic, translate, zero_vector
+from .errors import InternalError, UsageError
+from .field import FieldVector, add, intertwiner_label, subtract, symplectic, translate, zero_vector
 from .weyl import WeylElement, _product, commutator_norm, distance, label_id, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
     import random
 
-
-class ConeSpec(Frozen):
-    """Open spacelike cone of spatial directions with a translation profile.
-
-    Translations at a given radius move by radius times the axis, with an
-    optional time component kappa * radius**beta; beta < 1 keeps the path
-    asymptotically spacelike, and ``translation`` refuses a timelike radius.
-    The one cone check: a config is validated by building its cone, so the
-    messages speak in the config's keys and units.  Cones compare by identity.
-    """
-
-    def __init__(self, axis, half_angle: float, time_slope: float = 0.0, time_exponent: float = 0.0):
-        ax = tuple(map(float, axis))
-        norm = math.hypot(*ax)
-        if len(ax) != 3 or not math.isfinite(norm) or norm == 0.0:
-            raise ConfigError("cone axis must be a nonzero finite vector")
-        if not (0.0 < half_angle < math.pi / 2.0):
-            raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
-        if time_slope < 0.0 or not (0.0 <= time_exponent < 1.0):
-            raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
-        self.__dict__.update(
-            axis=tuple(c / norm for c in ax),
-            half_angle=half_angle,
-            time_slope=time_slope,
-            time_exponent=time_exponent,
-        )
-
-    def opposite(self) -> "ConeSpec":
-        ax = tuple(-c for c in self.axis)
-        return ConeSpec(ax, self.half_angle, self.time_slope, self.time_exponent)
-
-    def translation(self, radius: float) -> tuple[float, float, float, float]:
-        if radius <= 0:
-            raise ConfigError("cone translation radius must be positive")
-        a0 = self.time_slope * radius**self.time_exponent if self.time_slope else 0.0
-        if not abs(a0) < radius:
-            raise ConfigError(
-                f"cone transport at radius {radius:g} is not spacelike: "
-                f"|time_slope * R^time_exponent| = {abs(a0):g} >= R"
-            )
-        return (a0, radius * self.axis[0], radius * self.axis[1], radius * self.axis[2])
+    from .config import ConeSpec
 
 
 class Intertwiner(WeylElement):

@@ -8,7 +8,8 @@ them unless --suite narrows it), emits the report, and exits with
   DomainError (an operand outside its domain, such as a radial rule over
   its node cap), a UsageError (a broken internal operand check) or an
   InternalError prints one line on stderr and writes no report;
-- 2 on a ConfigError, with one line on stderr and no report.
+- 2 on a ConfigError, raised only while reading, validating or planning
+  the config or writing its report, with one line on stderr and no report.
 
 No other exit codes are used.  The planned row count is printed, and
 flushed, before the numerics start.  If the reader of stdout goes away

@@ -4,8 +4,9 @@ A config carries only what a workload varies: the charges, the cone, the
 radii and the seed.  The output directory is the CLI's --out, so it never
 enters the config digest.  The check policy is fixed in
 ``suites`` and the momentum cutoff in ``field`` (R_MAX), so no config can
-move a threshold or the model.  ``validate`` checks the cone by building it
-(``cone_spec``, the cone a run uses) and transporting it to every radius.
+move a threshold or the model.  The cone section is the cone a run
+transports along (``ConeSpec``); ``validate`` makes the one cone check,
+on its fields and on its transport to every radius.
 
 The dialect is plain JSON with a fixed key tree; serialization is canonical
 (sorted keys, two-space indent, trailing newline), so parse -> dump is
@@ -36,7 +37,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .category import ConeSpec
 from .errors import ConfigError
 from .field import BUMP_SHAPES, CLOSED_FORM_MIN_TAIL, R_MAX
 
@@ -71,11 +71,37 @@ class ChargeCfg(NamedTuple):
     shape: str = "indicator"
 
 
-class ConeCfg(NamedTuple):
+class ConeSpec(NamedTuple):
+    """Open spacelike cone of the spatial directions within half_angle_deg of axis.
+
+    Transport at radius R moves by R times the unit axis, ``direction``, and
+    in time by time_slope * R**time_exponent; ``translation`` refuses a
+    timelike R.  A derived cone takes its parent's direction as its axis.
+    """
+
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
     half_angle_deg: float = 30.0
     time_slope: float = 0.0
     time_exponent: float = 0.0
+
+    @property
+    def direction(self) -> tuple[float, float, float]:
+        norm = math.hypot(*self.axis)
+        return tuple(c / norm for c in self.axis)
+
+    def opposite(self) -> "ConeSpec":
+        return self._replace(axis=tuple(-c for c in self.direction))
+
+    def translation(self, radius: float) -> tuple[float, float, float, float]:
+        if radius <= 0:
+            raise ConfigError("cone translation radius must be positive")
+        a0 = self.time_slope * radius**self.time_exponent if self.time_slope else 0.0
+        if not abs(a0) < radius:
+            raise ConfigError(
+                f"cone transport at radius {radius:g} is not spacelike: "
+                f"|time_slope * R^time_exponent| = {abs(a0):g} >= R"
+            )
+        return (a0, *(radius * c for c in self.direction))
 
 
 class RunConfig(NamedTuple):
@@ -83,7 +109,7 @@ class RunConfig(NamedTuple):
         ChargeCfg(name="gamma", profile="gaussian-momentum", channel="g", q=1.0, s=1.0),
         ChargeCfg(name="delta", profile="gaussian-momentum", channel="h", q=1.0, s=1.0),
     )
-    cone: ConeCfg = ConeCfg()
+    cone: ConeSpec = ConeSpec()
     radii: tuple[float, ...] = (10.0, 20.0, 30.0, 40.0)
     seed: int = 0
 
@@ -119,16 +145,18 @@ class RunConfig(NamedTuple):
             raise ConfigError("radii must be positive")
         if self.radii[-1] > RADIUS_MAX:
             raise ConfigError(f"radii must be at most {RADIUS_MAX:g}, got {self.radii[-1]:g}")
-        cone = self.cone_spec()
+        cone = self.cone
+        if len(cone.axis) != 3 or not 0.0 < math.hypot(*cone.axis) < math.inf:
+            raise ConfigError("cone axis must be a nonzero finite vector")
+        if not 0.0 < math.radians(cone.half_angle_deg) < math.pi / 2.0:
+            raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
+        if cone.time_slope < 0.0 or not 0.0 <= cone.time_exponent < 1.0:
+            raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
         for radius in self.radii:
             cone.translation(radius)
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         return self
-
-    def cone_spec(self) -> ConeSpec:
-        cone = self.cone
-        return ConeSpec(cone.axis, math.radians(cone.half_angle_deg), cone.time_slope, cone.time_exponent)
 
     def to_dict(self) -> dict:
         out = self._asdict()
@@ -154,7 +182,7 @@ def _typed(value, hint, where: str):
     The annotation is a config section, a tuple, float (any finite number,
     returned as float), int or str; a boolean is not a number.
     """
-    if hint in (ChargeCfg, ConeCfg):
+    if hint in (ChargeCfg, ConeSpec):
         return _build(hint, value, where)
     if typing.get_origin(hint) is tuple:
         if not isinstance(value, (list, tuple)):

@@ -1,11 +1,12 @@
 """Exception hierarchy shared by all modules.
 
-The CLI maps them onto its exit codes: a ConfigError (a bad cone, bad
-charges, a malformed config file) exits with 2, and any other error ends
-the run with exit 1, one line on stderr and no report, like a failed check
-but without rows.  A UsageError is a broken internal operand check, which
-no validated config reaches; an InternalError means the build itself is
-inconsistent, not that a physics check failed.
+The CLI maps them onto its exit codes: a ConfigError, raised only by
+reading, validating (config) or planning (suites.plan_counts) a config
+or writing its report, exits with 2; any other error ends the run with
+exit 1, one line on stderr and no report.  A UsageError is a broken
+internal operand check, which no validated config reaches; an
+InternalError means the build itself is inconsistent, not that a physics
+check failed.
 """
 
 
@@ -14,7 +15,7 @@ class ConebraidError(RuntimeError):
 
 
 class ConfigError(ConebraidError):
-    """Invalid construction parameters or malformed configuration input."""
+    """A config that cannot be read, validated or planned, or a report that cannot be written."""
 
 
 class UsageError(ConebraidError):

@@ -84,7 +84,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import ConfigError, DomainError, UsageError
+from .errors import DomainError, UsageError
 
 TWO_PI_32 = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
 
@@ -133,9 +133,9 @@ _MAX_POLY_TERMS = 4
 
 
 class Frozen:
-    """Base of the identity types (FieldVector, WeylElement and its Intertwiner,
-    ConeSpec): fields are set once, in __init__, through the instance dict, and
-    assigning or deleting an attribute raises AttributeError.
+    """Base of the identity types (FieldVector, WeylElement and its Intertwiner):
+    fields are set once, in __init__, through the instance dict, and assigning
+    or deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
@@ -159,9 +159,9 @@ class RadialPolynomial(NamedTuple("RadialPolynomial", [("support", float), ("coe
     def __new__(cls, coeffs, support: float) -> "RadialPolynomial":
         coeffs = tuple(float(c) for c in coeffs)
         if not 1 <= len(coeffs) <= _MAX_POLY_TERMS or not all(math.isfinite(c) for c in coeffs):
-            raise ConfigError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
+            raise UsageError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
         if not math.isfinite(support) or support <= 0.0:
-            raise ConfigError(f"support radius must be positive, got {support}")
+            raise UsageError(f"support radius must be positive, got {support}")
         return super().__new__(cls, float(support), coeffs)
 
     def __getnewargs__(self) -> tuple:
@@ -191,7 +191,7 @@ class Profile(NamedTuple("Profile", [("kind", str), ("width", float), ("shape", 
             if width != 0.0:
                 raise UsageError("a bump profile has no width")
         elif not (math.isfinite(width) and width > 0.0):
-            raise ConfigError("width must be positive")
+            raise UsageError("width must be positive")
         return super().__new__(cls, kind, width, shape)
 
     def values(self, r: list[float]):
@@ -302,7 +302,7 @@ def make_test_vector(
     r^2-damped Gaussian so the zero-momentum value (the charge) vanishes.
     """
     if channel not in ("g", "h"):
-        raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
+        raise UsageError(f"channel must be 'g' or 'h', got {channel!r}")
     profile = Profile("gauss" if channel == "h" else "gauss2", width=float(width))
     if amplitude == 0.0:
         return zero_vector()
@@ -322,7 +322,7 @@ def make_bump_vector(
     Vectors built from equal shapes have equal atoms.
     """
     if channel not in ("g", "h"):
-        raise ConfigError(f"channel must be 'g' or 'h', got {channel!r}")
+        raise UsageError(f"channel must be 'g' or 'h', got {channel!r}")
     atom = Atom(Profile("bump", shape=shape), channel)
     q = 0.0
     if channel == "g":

@@ -24,7 +24,7 @@ from array import array
 from functools import lru_cache
 import math
 
-from .errors import ConfigError, InternalError
+from .errors import InternalError, UsageError
 
 # The closed-form transform sums the power series sum_j a_j x^{2j} in x = pR
 # below _SERIES_MAX_X = 4, where the factors x^{2j}/(2j+1)! stay below 3 and
@@ -62,7 +62,7 @@ def gauss_legendre_unit(n: int) -> tuple[memoryview, memoryview]:
     the rounding of the root.
     """
     if n < 1:
-        raise ConfigError("Gauss-Legendre rule needs at least one node")
+        raise UsageError("Gauss-Legendre rule needs at least one node")
     low, low_weights = [], []
     for k in range(1, n // 2 + 1):
         theta = math.pi * (4 * k - 1) / (4 * n + 2)

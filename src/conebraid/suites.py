@@ -96,12 +96,11 @@ def vector_from_charge_cfg(cfg: ChargeCfg) -> fld.FieldVector:
 
 
 class RunContext:
-    """Materialized configuration: one field vector per charge (the charge's object), and the cone."""
+    """Materialized configuration: one field vector per charge (the charge's object)."""
 
     def __init__(self, config: RunConfig):
         self.config = config
         self.vectors = {c.name: vector_from_charge_cfg(c) for c in config.charges}
-        self.cone = config.cone_spec()
 
     def charge_pairs(self):
         names = list(self.vectors)
@@ -109,18 +108,18 @@ class RunContext:
 
     def homotopy_chain(self):
         """The configured cone, then cones rotated from it in a fixed plane through its axis."""
-        axis0 = self.cone.axis
+        cone = self.config.cone
+        axis0 = cone.direction
         # the plane holds the unit probe e_i, whose dot with the axis is axis0[i]
         i = 1 if abs(axis0[0]) > 0.9 else 0
         ortho = tuple(float(k == i) - axis0[i] * a for k, a in enumerate(axis0))
         norm = math.hypot(*ortho)
         ortho = tuple(c / norm for c in ortho)
         step = math.radians(HOMOTOPY_STEP_DEG)
-        chain = [self.cone]
+        chain = [cone]
         for k in range(1, HOMOTOPY_STEPS + 1):
             cos, sin = math.cos(k * step), math.sin(k * step)
-            axis = tuple(cos * a + sin * o for a, o in zip(axis0, ortho))
-            chain.append(cat.ConeSpec(axis, self.cone.half_angle, self.cone.time_slope, self.cone.time_exponent))
+            chain.append(cone._replace(axis=tuple(cos * a + sin * o for a, o in zip(axis0, ortho))))
         return chain
 
 
@@ -290,7 +289,7 @@ def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         a, b = ctx.vectors[name_a], ctx.vectors[name_b]
         exact = cat.braiding_exact(a, b).coeff
         for radius in ctx.config.radii:
-            phase, closed, phase_r = cat.braiding_asymptotic(a, b, ctx.cone, radius, rng=rng)
+            phase, closed, phase_r = cat.braiding_asymptotic(a, b, ctx.config.cone, radius, rng=rng)
             rows.append(
                 _row("braiding/limit_vs_exact", pair, "", radius, phase, abs(phase - exact), BRAIDING_THRESHOLD)
             )
@@ -350,10 +349,10 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
 
 
 def run_decay(ctx: RunContext) -> list[CheckRow]:
-    cone_u = ctx.cone
-    cone_v = ctx.cone.opposite()
-    shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_u.axis)
-    shift_v = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_v.axis)
+    cone_u = ctx.config.cone
+    cone_v = cone_u.opposite()
+    shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_u.direction)
+    shift_v = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_v.direction)
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"

@@ -122,7 +122,7 @@ def test_criterion_03_braiding_limit_convergence(ctx, pair):
     started = time.perf_counter()
     gamma, delta = pair
     exact = C.braiding_exact(gamma, delta).coeff
-    phases = braiding_phases(gamma, delta, ctx.cone)
+    phases = braiding_phases(gamma, delta, ctx.config.cone)
     res = [abs(p - exact) for p in phases]
     elapsed = time.perf_counter() - started
     pin = phase_pin(phases)
@@ -188,11 +188,11 @@ def test_criterion_05_coherence_suite(ctx):
 
 def _decay_triple(ctx, pair, radius):
     gamma, delta = pair
-    cone_u = ctx.cone
-    cone_v = ctx.cone.opposite()
+    cone_u = ctx.config.cone
+    cone_v = cone_u.opposite()
     off = TRANSPORTER_OFFSET
-    shift_u = (0.0,) + tuple(off * a for a in cone_u.axis)
-    shift_v = (0.0,) + tuple(off * a for a in cone_v.axis)
+    shift_u = (0.0,) + tuple(off * a for a in cone_u.direction)
+    shift_v = (0.0,) + tuple(off * a for a in cone_v.direction)
     r = C.hom_basis(gamma, F.translate(gamma, shift_u))
     s = C.hom_basis(delta, F.translate(delta, shift_v))
     impl = C.implementation_residual(gamma, cone_u.translation(radius), delta)
@@ -231,9 +231,10 @@ def test_criterion_06_localization_decay(ctx, pair):
 def test_criterion_07_extension_independence(ctx, pair):
     gamma, delta = pair
     off = TRANSPORTER_OFFSET
-    shift = (0.0,) + tuple(off * a for a in ctx.cone.axis)
+    cone = ctx.config.cone
+    shift = (0.0,) + tuple(off * a for a in cone.direction)
     s_plus = C.hom_basis(delta, F.translate(delta, shift))
-    res = C.extension_residual(gamma, s_plus, ctx.cone, ctx.cone.opposite(), 40.0)
+    res = C.extension_residual(gamma, s_plus, cone, cone.opposite(), 40.0)
     verdict(7, res < 1e-2, f"opposite-cone extension residual {res:.4e} at R=40")
 
 

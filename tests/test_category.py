@@ -18,13 +18,11 @@ import pytest
 
 from conebraid import category as C
 from conebraid import field as F
-from conebraid.config import load_config
+from conebraid.config import ConeSpec, load_config
 from conebraid.errors import ConfigError, DomainError, InternalError, UsageError
 from conebraid.suites import RunContext, run_braiding, run_homotopy
 from conebraid.weyl import label_id
 from oracle_report import coupling, defect, phases
-
-HALF = math.radians(30.0)
 
 
 @pytest.fixture(scope="module")
@@ -33,29 +31,22 @@ def objs():
 
 
 def test_cone_spec_validation():
-    cone = C.ConeSpec((0.0, 0.0, 2.0), HALF)
-    assert cone.axis == (0.0, 0.0, 1.0)
-    assert cone.opposite().axis == (0.0, 0.0, -1.0)
+    # the config checks the cone's fields as it loads (REFUSED in tests/test_cli.py)
+    cone = ConeSpec((0.0, 0.0, 2.0))
+    assert cone.direction == (0.0, 0.0, 1.0)
+    assert cone.opposite().direction == (0.0, 0.0, -1.0)
     assert cone.translation(10.0) == (0.0, 0.0, 0.0, 10.0)
-    tilted = C.ConeSpec((0.0, 0.0, 1.0), HALF, time_slope=0.5, time_exponent=0.5)
+    tilted = ConeSpec(time_slope=0.5, time_exponent=0.5)
     a = tilted.translation(4.0)
     assert abs(a[0] - 0.5 * 2.0) < 1e-14
-    for bad in (
-        lambda: C.ConeSpec((0.0, 0.0, 0.0), HALF),
-        lambda: C.ConeSpec((0.0, 0.0, 1.0), 0.0),
-        lambda: C.ConeSpec((0.0, 0.0, 1.0), math.pi / 2.0),
-        lambda: C.ConeSpec((0.0, 0.0, 1.0), HALF, time_slope=-1.0),
-        lambda: C.ConeSpec((0.0, 0.0, 1.0), HALF, time_exponent=1.0),
-        lambda: cone.translation(0.0),
-    ):
-        with pytest.raises(ConfigError):
-            bad()
+    with pytest.raises(ConfigError):
+        cone.translation(0.0)
 
 
 def test_cone_translation_refuses_a_timelike_radius():
     # a0 = 2 R^0.9 is 15.9 at R = 10: the cone itself refuses the transport,
     # with the message a config with this cone exits 2 on
-    cone = C.ConeSpec((0.0, 0.0, 1.0), HALF, time_slope=2.0, time_exponent=0.9)
+    cone = ConeSpec(time_slope=2.0, time_exponent=0.9)
     with pytest.raises(ConfigError, match=r"^cone transport at radius 10 is not spacelike: .* = 15\.8866 >= R$"):
         cone.translation(10.0)
     # far out, R^0.9 falls behind R and the path is spacelike again
@@ -66,10 +57,10 @@ def test_cone_translation_refuses_a_timelike_radius():
 @pytest.mark.parametrize("axis", [(1.0, 2.0, 2.0), (0.3, -1.7, 2.9), (2.0, -3.0, 6.0), (-5.0, 0.0, 1e-3)])
 def test_cone_axis_normalized_within_an_ulp_of_numpy(axis):
     # the axis is normalized with math.hypot; numpy's norm may differ in the last bit
-    cone = C.ConeSpec(axis, HALF)
+    cone = ConeSpec(axis)
     want = np.asarray(axis) / np.linalg.norm(axis)
-    assert all(type(c) is float for c in cone.axis)
-    for got, ref in zip(cone.axis, want):
+    assert all(type(c) is float for c in cone.direction)
+    for got, ref in zip(cone.direction, want):
         assert abs(got - ref) <= math.ulp(ref)
 
 
@@ -124,7 +115,7 @@ def test_braiding_exact_value_and_symmetry(objs):
 
 def test_braiding_asymptotic_matches_closed_form(objs):
     gam, dlt = objs
-    cone = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone = ConeSpec()
     sig = float(coupling(0))
     resid = []
     for radius in (10.0, 20.0, 30.0, 40.0):
@@ -141,7 +132,7 @@ def test_braiding_asymptotic_matches_closed_form(objs):
 
 def test_braiding_asymptotic_trivial_and_validation(objs):
     gam, dlt = objs
-    cone = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone = ConeSpec()
     for radius in (1.0, 2.0, 3.0):
         phase, _, _ = C.braiding_asymptotic(F.zero_vector(), dlt, cone, radius)
         assert abs(phase - 1.0) < 1e-14
@@ -152,7 +143,7 @@ def test_braiding_asymptotic_trivial_and_validation(objs):
 
 def test_braiding_asymptotic_rephase_invariant(objs):
     gam, dlt = objs
-    cone = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone = ConeSpec()
     assert C.braiding_asymptotic(gam, dlt, cone, 5.0)[2] is None
     # one call transports once and exchanges the plain and the rephased arrows
     rng = np.random.default_rng(11)
@@ -274,7 +265,7 @@ def test_implementation_residual(objs):
 
 def test_abelianness_residual_closed_form(objs):
     gam, dlt = objs
-    cone_u = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone_u = ConeSpec()
     cone_v = cone_u.opposite()
     off = 2.0
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, off)))
@@ -294,7 +285,7 @@ def test_abelianness_residual_closed_form(objs):
 
 def test_transported_arrow_geometry(objs):
     gam, _ = objs
-    cone = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone = ConeSpec()
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
     far = C.transported_arrow(r, cone, 10.0)
     direct = F.intertwiner_label(
@@ -307,7 +298,7 @@ def test_transported_arrow_geometry(objs):
 
 def test_tensor_abelianness_residual_closed_form(objs):
     gam, dlt = objs
-    cone_u = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone_u = ConeSpec()
     cone_v = cone_u.opposite()
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, -2.0)))
@@ -327,7 +318,7 @@ def test_tensor_abelianness_residual_closed_form(objs):
 
 def test_extension_residual_closed_form(objs):
     gam, dlt = objs
-    cone_u = C.ConeSpec((0.0, 0.0, 1.0), HALF)
+    cone_u = ConeSpec()
     cone_v = cone_u.opposite()
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, 2.0)))
     assert C.extension_residual(gam, s, cone_u, cone_u, 10.0) == 0.0
@@ -345,7 +336,7 @@ def test_extension_residual_closed_form(objs):
 def test_cone_homotopy_chain(objs):
     gam, dlt = objs
     chain = [
-        C.ConeSpec((math.sin(k * math.pi / 6.0), 0.0, math.cos(k * math.pi / 6.0)), HALF)
+        ConeSpec((math.sin(k * math.pi / 6.0), 0.0, math.cos(k * math.pi / 6.0)))
         for k in range(7)
     ]
     # the braiding at the largest radius is the same on every cone of the chain

@@ -17,7 +17,7 @@ from conebraid.cli import main
 from conebraid import field as F
 from conebraid import seqalg
 from conebraid import suites
-from conebraid.config import RunConfig, config_from_dict, load_config
+from conebraid.config import ConeSpec, RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
 from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
@@ -42,8 +42,7 @@ def test_config_roundtrip_idempotent():
 def test_config_defaults_match_reference():
     cfg = RunConfig().validate()
     assert cfg.radii == (10.0, 20.0, 30.0, 40.0)
-    cone = cfg.cone_spec()
-    assert cone.axis == (0.0, 0.0, 1.0) and cone.half_angle == math.radians(30.0)
+    assert cfg.cone.direction == (0.0, 0.0, 1.0) and cfg.cone.half_angle_deg == 30.0
     assert cfg.seed == 0
     # a config carries only what a workload varies; the check policy is not config
     # and the momentum cutoff is the model's constant, not config
@@ -194,7 +193,7 @@ def test_braiding_rows_follow_radius_schedule():
 def test_homotopy_chain_starts_at_the_configured_cone():
     ctx = suites.RunContext(load_config(CONFIG_PATH))
     chain = ctx.homotopy_chain()
-    assert chain[0] is ctx.cone and len(chain) == suites.HOMOTOPY_STEPS + 1
+    assert chain[0] is ctx.config.cone and len(chain) == suites.HOMOTOPY_STEPS + 1
 
 
 def test_cone00_homotopy_row_is_the_largest_radius_braiding_row():
@@ -217,12 +216,12 @@ def test_each_homotopy_row_transports_along_its_own_cone(monkeypatch):
         return braiding, homotopy
 
     braiding, homotopy = rows()
-    translation = suites.cat.ConeSpec.translation
+    translation = ConeSpec.translation
 
     def farther(cone, radius):
-        return translation(cone, radius if cone is ctx.cone else 1.5 * radius)
+        return translation(cone, radius if cone is ctx.config.cone else 1.5 * radius)
 
-    monkeypatch.setattr(suites.cat.ConeSpec, "translation", farther)
+    monkeypatch.setattr(ConeSpec, "translation", farther)
     braiding_moved, homotopy_moved = rows()
     assert braiding_moved == braiding
     assert homotopy_moved[0] == homotopy[0] and homotopy_moved[0].cone_id == "cone00"
@@ -345,13 +344,14 @@ class Refused(NamedTuple):
 _SCALE = "must lie in [0.001, 1000], got"
 _BOUNDS = "a run takes at most 8 charges and 16 radii, got"
 _SLOPE = "cone time_slope must be nonnegative and time_exponent in [0, 1)"
+_HALF_ANGLE = "cone half angle must lie strictly between 0 and 90 degrees"
 _INCREASING = "radii must be strictly increasing with at least 3 entries"
 _NOT_JSON = "config .+ is not valid JSON: .*"  # then a word of the decoder's own message
 _BRAIDING = ("braiding",)
 
 # Every config verify refuses, keyed by the prefix of its test ids.  Types,
-# keys and values are checked as the config loads, the cone by building it
-# and transporting it to every radius, and the plan's size, homotopy chain
+# keys and values are checked as the config loads, the cone's fields and its
+# transport to every radius among them, and the plan's size, homotopy chain
 # and charge couplings by plan_counts before the plan line.
 REFUSED = {
     # charge names: unique, and each a CSV cell that cannot make two charge pairs one key
@@ -420,7 +420,9 @@ REFUSED = {
     "axis-text": Refused(_cone(axis="z"), "config.cone.axis: expected a list, got str"),
     "axis-zero": Refused(_cone(axis=[0.0, 0.0, 0.0]), "cone axis must be a nonzero finite vector"),
     "axis-overflowing": Refused(_cone(axis=[1.5e308] * 3), "cone axis must be a nonzero finite vector"),
-    "half-angle-95": Refused(_cone(half_angle_deg=95.0), "cone half angle must lie strictly between 0 and 90 degrees"),
+    "half-angle-zero": Refused(_cone(half_angle_deg=0.0), _HALF_ANGLE),
+    "half-angle-90": Refused(_cone(half_angle_deg=90.0), _HALF_ANGLE),
+    "half-angle-95": Refused(_cone(half_angle_deg=95.0), _HALF_ANGLE),
     "half-angle-nan": Refused(_cone(half_angle_deg=math.nan), "config.cone.half_angle_deg: must be finite, got nan"),
     "time-slope-negative": Refused(_cone(time_slope=-1.0), _SLOPE),
     "time-exponent-one": Refused(_cone(time_exponent=1.0), _SLOPE),
@@ -520,8 +522,8 @@ def test_refused_config_exits_2_with_one_line(case, suite, tmp_path, capsys):
     _refused(_config_file(case.config, tmp_path), case.message, suite, tmp_path, capsys)
 
 
-# The refusals config_from_dict makes itself, as the dict loads; the others
-# need the cone built or the plan counted.  The order keeps each case's test id.
+# Refusals config_from_dict makes itself, as the dict loads, checked in
+# process as well.  The order keeps each case's test id.
 _AT_LOAD = {REFUSED[name].config: REFUSED[name].message for name in """
     names-repeated radii-repeated radii-two time-slope-negative unknown-key channel-x s-zero one-charge
     half-angle-95 cone-unknown-key radius-zero time-exponent-one s-text seed-text q-text axis-two-entries
@@ -631,10 +633,17 @@ def test_non_finite_row_exits_1_with_one_line_and_no_report(tmp_path, capsys, mo
     # a JSON report cannot hold NaN, so a row that would carry one ends the
     # run like an internal error instead of failing as a row; so does a broken
     # internal operand check (a UsageError), which is a package bug and not a
-    # config error: without the polar cutoff an output breaks its certified bound
+    # config error: without the polar cutoff an output breaks its certified
+    # bound, and no validated config gives a Gaussian of width 0
+    make_test_vector = F.make_test_vector
+
+    def flat(**kw):
+        return make_test_vector(**{**kw, "width": 0.0})
+
     cases = [
         (suites.cat, "extension_residual", lambda *args: math.nan, "decay", ("decay/extension", "non-finite")),
         (seqalg, "POLAR_SINGULAR_CUTOFF", -1.0, "seqalg", ("generator breaks its certified bound",)),
+        (suites.fld, "make_test_vector", flat, "laws", ("error: width must be positive",)),
     ]
     for module, name, value, suite, words in cases:
         argv = ["verify", "--config", str(CONFIG_PATH), "--suite", suite, "--format", "json", "--out", str(tmp_path)]
@@ -646,6 +655,15 @@ def test_non_finite_row_exits_1_with_one_line_and_no_report(tmp_path, capsys, mo
         (line,) = captured.err.splitlines()
         assert line.startswith("error: ") and all(word in line for word in words), line
         assert not list(tmp_path.glob("*_report.*"))
+
+
+def test_numerics_hold_no_config_error():
+    # only reading, validating and planning a config or writing its report
+    # refuses it: a bad operand inside the numerics is a package bug (exit 1)
+    from conebraid import category, quadrature, weyl
+
+    for module in (F, quadrature, weyl, category, seqalg):
+        assert [name for name, value in vars(module).items() if value is ConfigError] == [], module.__name__
 
 
 def _passing_limit_rows(data: dict, tmp_path) -> list[dict]:

@@ -27,8 +27,8 @@ from scipy.integrate import quad
 from conebraid import field as F
 from conebraid import weyl as W
 from conebraid import quadrature as Q
-from conebraid.config import RunConfig
-from conebraid.errors import ConfigError, DomainError, UsageError
+from conebraid.config import ConeSpec, RunConfig
+from conebraid.errors import DomainError, UsageError
 from conebraid.field import RadialPolynomial
 from conebraid.quadrature import radial_fourier
 from conebraid.suites import RunContext
@@ -57,9 +57,9 @@ def test_constructor_bookkeeping():
     assert F.make_charge_vector(q=0.0).is_zero
     v = F.make_test_vector(channel="g")
     assert v.charge == 0.0 and not v.is_zero
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         F.make_charge_vector(width=0.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         F.make_test_vector(channel="x")
 
 
@@ -475,13 +475,11 @@ def test_bump_vector_keeps_its_transform_after_another_shape():
 
 
 def test_value_types_are_immutable_and_compare_by_value_or_identity():
-    from conebraid import category as C
-
     shape = RadialPolynomial((1.0, -2.0, 1.0), 2.5)
     profile = F.Profile("bump", shape=shape)
     atom = F.Atom(profile, "g", (0.0, 1.0, 0.0, 0.0))
     vec = F.make_charge_vector()
-    cone = C.ConeSpec((0.0, 0.0, 2.0), 0.5)
+    cone = ConeSpec((0.0, 0.0, 2.0), 45.0)
     gauss = F.Profile("gauss", width=1.5)
     values = [
         (shape, RadialPolynomial([1, -2, 1], 2.5)),
@@ -489,6 +487,7 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
         (atom, F.Atom(F.Profile("bump", shape=shape), "g", (0.0, 1.0, 0.0, 0.0))),
         (gauss, F.Profile("gauss", width=1.5)),
         (F.Atom(gauss, "h"), F.Atom(F.Profile("gauss", width=1.5), "h", (0.0, 0.0, 0.0, 0.0))),
+        (cone, ConeSpec((0.0, 0.0, 2.0), 45.0)),
     ]
     for x, twin in values:
         assert x == twin and hash(x) == hash(twin) and x is not twin
@@ -497,12 +496,11 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
         copied = copy.deepcopy(x)
         assert copied == x and type(copied) is type(x)
     # the value types are their fields' tuples: equality and hash are the tuple's
-    for cls in (RadialPolynomial, F.Profile, F.Atom):
+    for cls in (RadialPolynomial, F.Profile, F.Atom, ConeSpec):
         assert cls.__hash__ is tuple.__hash__ and cls.__eq__ is tuple.__eq__
     assert atom != F.Atom(profile, "h", (0.0, 1.0, 0.0, 0.0)) and profile != F.Profile("gauss", width=1.0)
-    # vectors (a category object is its vector), generators and cones compare by identity
+    # vectors (a category object is its vector) and generators compare by identity
     assert vec != F.make_charge_vector() and vec == vec
-    assert cone != C.ConeSpec((0.0, 0.0, 1.0), 0.5) and cone == cone
     assert W.weyl(vec) != W.weyl(vec)
     for obj, name in [
         (shape, "support"),
@@ -526,14 +524,14 @@ def test_profile_checks_its_kind_and_width():
         F.Profile("gaus", width=1.0)
     for width in (0.0, -1.0, math.inf, math.nan):
         for kind in ("gauss", "gauss2"):
-            with pytest.raises(ConfigError, match="width must be positive"):
+            with pytest.raises(UsageError, match="width must be positive"):
                 F.Profile(kind, width=width)
     with pytest.raises(UsageError, match="no width"):
         F.Profile("bump", width=5.0, shape=RadialPolynomial((1.0,), 1.0))
     # the vector constructors build the profile first, so a zero vector checks its width too
-    with pytest.raises(ConfigError, match="width must be positive"):
+    with pytest.raises(UsageError, match="width must be positive"):
         F.make_charge_vector(q=0.0, width=-1.0)
-    with pytest.raises(ConfigError, match="width must be positive"):
+    with pytest.raises(UsageError, match="width must be positive"):
         F.make_test_vector(amplitude=0.0, width=0.0)
 
 

@@ -23,7 +23,7 @@ from conebraid import field as F
 from conebraid import seqalg as sa
 from conebraid import suites
 from conebraid import weyl as W
-from conebraid.config import load_config
+from conebraid.config import ConeSpec, load_config
 from conebraid.errors import DomainError, InternalError, UsageError
 from conebraid.suites import run_suite
 from expected_reports import expected_rows
@@ -412,7 +412,7 @@ MUTATIONS = [
     # others stay far from their thresholds
     Mutation(
         "transport-short-braiding",
-        C.ConeSpec,
+        ConeSpec,
         "translation",
         _transport_short,
         "braiding",
@@ -420,7 +420,7 @@ MUTATIONS = [
     ),
     Mutation(
         "transport-short-homotopy",
-        C.ConeSpec,
+        ConeSpec,
         "translation",
         _transport_short,
         "homotopy",
@@ -428,7 +428,7 @@ MUTATIONS = [
     ),
     Mutation(
         "transport-short-decay",
-        C.ConeSpec,
+        ConeSpec,
         "translation",
         _transport_short,
         "decay",

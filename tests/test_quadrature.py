@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conebraid import quadrature as Q
-from conebraid.errors import ConfigError
+from conebraid.errors import UsageError
 from conebraid.field import TWO_PI_32, RadialPolynomial
 from conebraid.quadrature import gauss_legendre_unit, radial_fourier
 
@@ -30,7 +30,7 @@ def test_gauss_legendre_unit():
     assert abs(weights.sum() - 1.0) < 1e-14
     assert abs(np.dot(weights, nodes**3) - 0.25) < 1e-14
     assert [v.tolist() for v in gauss_legendre_unit(1)] == [[0.5], [1.0]]
-    with pytest.raises(ConfigError):
+    with pytest.raises(UsageError):
         gauss_legendre_unit.__wrapped__(0)
 
 
@@ -182,7 +182,7 @@ def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
     assert RadialPolynomial([1, -2, 1], 1.5) == profile
     assert hash(RadialPolynomial((1.0, -2.0, 1.0), 1.5)) == hash(profile)
     for coeffs, support in (((), 1.0), ((1.0,) * 5, 1.0), ((float("nan"),), 1.0), ((1.0,), 0.0)):
-        with pytest.raises(ConfigError):
+        with pytest.raises(UsageError):
             RadialPolynomial(coeffs, support)
 
 
