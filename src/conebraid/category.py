@@ -19,14 +19,12 @@ with y the arrow labels and gamma_R the source data of the left factor.
 Everything is scalar: the object monoid is abelian, so braiding arrows are
 pure phases on a zero label.
 
-The asymptotic braiding transports the first charge along a spacelike
-cone (a ``config.ConeSpec``, checked as its config loads) to one radius,
-the second to the antipode, and evaluates the transported exchange
-through the categorical operations.
-``braiding_asymptotic`` is the one braiding routine, one radius per call:
-the braiding suite calls it at each configured radius on the configured
-cone, and the homotopy suite at the largest radius on each cone of its
-chain.  Next to the categorical phase it returns the closed-form phase
+Every function here that moves something takes the spacetime 4-vectors
+it applies; which cone, radius and antipode they come from is decided in
+suites.  ``braiding_asymptotic`` is the one braiding routine: it moves
+the first charge by one translation and the second by another, and
+evaluates the transported exchange through the categorical operations.
+Next to the categorical phase it returns the closed-form phase
 
     exp(i [sigma(gamma, delta_b - delta) - sigma(delta_b, gamma_a - gamma)])
 
@@ -56,8 +54,6 @@ from .weyl import WeylElement, _product, commutator_norm, distance, label_id, st
 
 if TYPE_CHECKING:
     import random
-
-    from .config import ConeSpec
 
 
 class Intertwiner(WeylElement):
@@ -145,27 +141,23 @@ def _exchange(u: Intertwiner, v: Intertwiner) -> complex:
 def braiding_asymptotic(
     a: FieldVector,
     b: FieldVector,
-    cone: ConeSpec,
-    radius: float,
+    ta,
+    tb,
     rng: random.Random | None = None,
 ) -> tuple[complex, complex, complex | None]:
-    """(phase, closed, rephased): the transported exchange at one radius along the cone.
+    """(phase, closed, rephased): the exchange of a moved by ta and b moved by tb.
 
-    The one braiding routine: the braiding suite calls it at each radius on
-    the configured cone, and the homotopy suite at the largest radius on
-    each cone of its chain.  The first charge is moved to the radius along
-    the cone axis, the second to the exact antipode; the exchange is
-    evaluated through star, tensor, and composition of the transport arrows
-    u and v.  ``closed`` is the phase exp(i(sigma(a, v) - sigma(b_far, u)))
-    the exchange should equal.  Passing an rng (anything with
-    random.Random's uniform) also returns, as ``rephased``, the exchange of
-    the same u and v with their free phases redrawn from
-    rng.uniform(0, 2 pi), u then v; it equals the plain phase because each
-    transporter meets its own star.  Without an rng, ``rephased`` is None.
-    The limit phase is approached like c/R.
+    The caller passes both transports; the suites pass a cone translation
+    and its antipode.  The exchange is evaluated through star, tensor, and
+    composition of the transport arrows u and v.  ``closed`` is the phase
+    exp(i(sigma(a, v) - sigma(b_far, u))) the exchange should equal.
+    Passing an rng (anything with random.Random's uniform) also returns,
+    as ``rephased``, the exchange of the same u and v with their free
+    phases redrawn from rng.uniform(0, 2 pi), u then v; it equals the plain
+    phase because each transporter meets its own star.  Without an rng,
+    ``rephased`` is None.  Along a cone the limit phase is approached like c/R.
     """
-    ta = cone.translation(radius)
-    b_far = translate(b, tuple(-c for c in ta))
+    b_far = translate(b, tb)
     u = hom_basis(a, translate(a, ta))
     v = hom_basis(b, b_far)
     closed = complex(cmath.exp(1j * (symplectic(a, v.label) - symplectic(b_far, u.label))))
@@ -190,40 +182,25 @@ def abelianness_residual(x: FieldVector, y: FieldVector) -> float:
     return commutator_norm(x, y)
 
 
-def transported_arrow(r: Intertwiner, cone: ConeSpec, radius: float) -> Intertwiner:
-    """U' r U* with U, U' the transporters of source and target along the cone."""
-    ta = cone.translation(radius)
-    u = hom_basis(r.source, translate(r.source, ta))
-    u_prime = hom_basis(r.target, translate(r.target, ta))
+def transported_arrow(r: Intertwiner, t) -> Intertwiner:
+    """U' r U* with U, U' the transporters of source and target by the translation t."""
+    u = hom_basis(r.source, translate(r.source, t))
+    u_prime = hom_basis(r.target, translate(r.target, t))
     return compose(u_prime, compose(r, star_mor(u)))
 
 
-def tensor_abelianness_residual(
-    r: Intertwiner,
-    s: Intertwiner,
-    cone_u: ConeSpec,
-    cone_v: ConeSpec,
-    radius: float,
-) -> float:
-    """Distance of the two tensor orderings after transport."""
-    r_far = transported_arrow(r, cone_u, radius)
-    s_far = transported_arrow(s, cone_v, radius)
+def tensor_abelianness_residual(r_far: Intertwiner, s_far: Intertwiner) -> float:
+    """Distance of the two tensor orderings of two transported arrows."""
     return distance(tensor_mor(r_far, s_far), tensor_mor(s_far, r_far))
 
 
-def extension_residual(
-    obj: FieldVector,
-    s: Intertwiner,
-    cone1: ConeSpec,
-    cone2: ConeSpec,
-    radius: float,
-) -> float:
+def extension_residual(obj: FieldVector, s: Intertwiner, t1, t2) -> float:
     """Cone dependence of the extended action, |e^{-i sigma(rho_a1, y)} - e^{-i sigma(rho_a2, y)}|.
 
     By bilinearity that is the commutator norm of rho_a2 - rho_a1 and y.
     """
-    moved1 = translate(obj, cone1.translation(radius))
-    moved2 = translate(obj, cone2.translation(radius))
+    moved1 = translate(obj, t1)
+    moved2 = translate(obj, t2)
     return commutator_norm(subtract(moved2, moved1), s.label)
 
 

@@ -9,6 +9,9 @@ suite name fix a report's bytes.
 
 The check policy (thresholds, sample counts, the homotopy chain) is fixed
 here, so a config can change what is checked but never how strictly.
+Every transport is computed here too and handed to category as 4-vectors:
+cone translations, their antipodes, the homotopy chain's cones and the
+decay transporters' shifts.
 """
 
 from __future__ import annotations
@@ -282,14 +285,21 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     return rows
 
 
+def _antipodal(cone, radius):
+    """The cone translation at the radius and its antipode in space and time."""
+    ta = cone.translation(radius)
+    return ta, tuple(-c for c in ta)
+
+
 def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
+    transports = [(radius, *_antipodal(ctx.config.cone, radius)) for radius in ctx.config.radii]
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
         a, b = ctx.vectors[name_a], ctx.vectors[name_b]
         exact = cat.braiding_exact(a, b).coeff
-        for radius in ctx.config.radii:
-            phase, closed, phase_r = cat.braiding_asymptotic(a, b, ctx.config.cone, radius, rng=rng)
+        for radius, ta, tb in transports:
+            phase, closed, phase_r = cat.braiding_asymptotic(a, b, ta, tb, rng=rng)
             rows.append(
                 _row("braiding/limit_vs_exact", pair, "", radius, phase, abs(phase - exact), BRAIDING_THRESHOLD)
             )
@@ -321,13 +331,13 @@ def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
 def run_homotopy(ctx: RunContext) -> list[CheckRow]:
     """Each chain cone's braiding at the largest radius, the one radius the rows report."""
     radius = ctx.config.radii[-1]
-    chain = ctx.homotopy_chain()
+    transports = [_antipodal(cone, radius) for cone in ctx.homotopy_chain()]
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
         a, b = ctx.vectors[name_a], ctx.vectors[name_b]
         exact = cat.braiding_exact(a, b).coeff
-        limits = [cat.braiding_asymptotic(a, b, cone, radius)[0] for cone in chain]
+        limits = [cat.braiding_asymptotic(a, b, ta, tb)[0] for ta, tb in transports]
         for k, limit in enumerate(limits):
             rows.append(
                 _row(
@@ -353,6 +363,7 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
     cone_v = cone_u.opposite()
     shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_u.direction)
     shift_v = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_v.direction)
+    transports = [(radius, cone_u.translation(radius), cone_v.translation(radius)) for radius in ctx.config.radii]
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"
@@ -360,21 +371,20 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
         r = cat.hom_basis(a, fld.translate(a, shift_u))
         s = cat.hom_basis(b, fld.translate(b, shift_v))
         s_plus = cat.hom_basis(b, fld.translate(b, shift_u))
-        for radius in ctx.config.radii:
-            ta = cone_u.translation(radius)
-            impl = cat.implementation_residual(a, ta, b)
+        for radius, tu, tv in transports:
+            impl = cat.implementation_residual(a, tu, b)
             rows.append(_row("decay/implementation", pair, "", radius, impl, impl, DECAY_THRESHOLD))
-            impl_t = cat.implementation_residual(a, ta, s.label)
+            impl_t = cat.implementation_residual(a, tu, s.label)
             rows.append(
                 _row("decay/implementation_transported", pair, "", radius, impl_t, impl_t, DECAY_THRESHOLD)
             )
-            x_far = cat.transported_arrow(r, cone_u, radius).label
-            y_far = cat.transported_arrow(s, cone_v, radius).label
-            abel = cat.abelianness_residual(x_far, y_far)
+            r_far = cat.transported_arrow(r, tu)
+            s_far = cat.transported_arrow(s, tv)
+            abel = cat.abelianness_residual(r_far.label, s_far.label)
             rows.append(_row("decay/abelianness", pair, "", radius, abel, abel, DECAY_THRESHOLD))
-            tens = cat.tensor_abelianness_residual(r, s, cone_u, cone_v, radius)
+            tens = cat.tensor_abelianness_residual(r_far, s_far)
             rows.append(_row("decay/tensor_ordering", pair, "", radius, tens, tens, DECAY_THRESHOLD))
-            ext = cat.extension_residual(a, s_plus, cone_u, cone_v, radius)
+            ext = cat.extension_residual(a, s_plus, tu, tv)
             rows.append(_row("decay/extension", pair, "", radius, ext, ext, EXTENSION_THRESHOLD))
     return rows
 

@@ -36,7 +36,6 @@ import oracle_report
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_PATH = ROOT / "configs" / "default.json"
 
-HALF_ANGLE = math.radians(30.0)
 RADII = (10.0, 20.0, 30.0, 40.0)
 
 
@@ -60,8 +59,12 @@ def extrapolate(values, radii=RADII):
 
 
 def braiding_phases(gamma, delta, cone, radii=RADII) -> list[complex]:
-    """The transported exchange phase at each radius, one braiding_asymptotic call per radius."""
-    return [C.braiding_asymptotic(gamma, delta, cone, radius)[0] for radius in radii]
+    """The transported exchange phase at each radius, one braiding_asymptotic call per radius.
+
+    The first charge moves by the cone translation, the second by its antipode.
+    """
+    transports = [cone.translation(radius) for radius in radii]
+    return [C.braiding_asymptotic(gamma, delta, ta, tuple(-c for c in ta))[0] for ta in transports]
 
 
 def phase_pin(phases, radii=RADII) -> float:
@@ -195,12 +198,11 @@ def _decay_triple(ctx, pair, radius):
     shift_v = (0.0,) + tuple(off * a for a in cone_v.direction)
     r = C.hom_basis(gamma, F.translate(gamma, shift_u))
     s = C.hom_basis(delta, F.translate(delta, shift_v))
-    impl = C.implementation_residual(gamma, cone_u.translation(radius), delta)
-    abel = C.abelianness_residual(
-        C.transported_arrow(r, cone_u, radius).label,
-        C.transported_arrow(s, cone_v, radius).label,
-    )
-    tens = C.tensor_abelianness_residual(r, s, cone_u, cone_v, radius)
+    tu, tv = cone_u.translation(radius), cone_v.translation(radius)
+    impl = C.implementation_residual(gamma, tu, delta)
+    r_far, s_far = C.transported_arrow(r, tu), C.transported_arrow(s, tv)
+    abel = C.abelianness_residual(r_far.label, s_far.label)
+    tens = C.tensor_abelianness_residual(r_far, s_far)
     return impl, abel, tens
 
 
@@ -234,7 +236,7 @@ def test_criterion_07_extension_independence(ctx, pair):
     cone = ctx.config.cone
     shift = (0.0,) + tuple(off * a for a in cone.direction)
     s_plus = C.hom_basis(delta, F.translate(delta, shift))
-    res = C.extension_residual(gamma, s_plus, cone, cone.opposite(), 40.0)
+    res = C.extension_residual(gamma, s_plus, cone.translation(40.0), cone.opposite().translation(40.0))
     verdict(7, res < 1e-2, f"opposite-cone extension residual {res:.4e} at R=40")
 
 

@@ -113,13 +113,19 @@ def test_braiding_exact_value_and_symmetry(objs):
     assert abs(C.braiding_exact(gam, iota).coeff - 1.0) < 1e-14
 
 
+def _antipodal(cone, radius):
+    """The transports the suites pass: the cone translation and its antipode."""
+    ta = cone.translation(radius)
+    return ta, tuple(-c for c in ta)
+
+
 def test_braiding_asymptotic_matches_closed_form(objs):
     gam, dlt = objs
     cone = ConeSpec()
     sig = float(coupling(0))
     resid = []
     for radius in (10.0, 20.0, 30.0, 40.0):
-        phase, closed, rephased = C.braiding_asymptotic(gam, dlt, cone, radius)
+        phase, closed, rephased = C.braiding_asymptotic(gam, dlt, *_antipodal(cone, radius))
         pred = np.exp(1j * float(phases(radius)["braiding/limit_vs_exact"]))
         assert abs(phase - pred) < 1e-12
         assert abs(closed - pred) < 1e-12
@@ -134,21 +140,21 @@ def test_braiding_asymptotic_trivial_and_validation(objs):
     gam, dlt = objs
     cone = ConeSpec()
     for radius in (1.0, 2.0, 3.0):
-        phase, _, _ = C.braiding_asymptotic(F.zero_vector(), dlt, cone, radius)
+        phase, _, _ = C.braiding_asymptotic(F.zero_vector(), dlt, *_antipodal(cone, radius))
         assert abs(phase - 1.0) < 1e-14
-    # the radius goes to the cone, which refuses one that is not positive
+    # the suites take the transports from the cone, which refuses a radius that is not positive
     with pytest.raises(ConfigError):
-        C.braiding_asymptotic(gam, dlt, cone, 0.0)
+        cone.translation(0.0)
 
 
 def test_braiding_asymptotic_rephase_invariant(objs):
     gam, dlt = objs
     cone = ConeSpec()
-    assert C.braiding_asymptotic(gam, dlt, cone, 5.0)[2] is None
+    assert C.braiding_asymptotic(gam, dlt, *_antipodal(cone, 5.0))[2] is None
     # one call transports once and exchanges the plain and the rephased arrows
     rng = np.random.default_rng(11)
     for radius in (5.0, 10.0, 15.0):
-        phase, _, rephased = C.braiding_asymptotic(gam, dlt, cone, radius, rng=rng)
+        phase, _, rephased = C.braiding_asymptotic(gam, dlt, *_antipodal(cone, radius), rng=rng)
         assert abs(phase - rephased) < 1e-12
     with pytest.raises(UsageError):
         C.rephase(C.identity(gam), 2.0)
@@ -275,8 +281,8 @@ def test_abelianness_residual_closed_form(objs):
         C.abelianness_residual(gam, s.label)
     vals = {}
     for radius in (10.0, 40.0):
-        rf = C.transported_arrow(r, cone_u, radius)
-        sf = C.transported_arrow(s, cone_v, radius)
+        rf = C.transported_arrow(r, cone_u.translation(radius))
+        sf = C.transported_arrow(s, cone_v.translation(radius))
         got = C.abelianness_residual(rf.label, sf.label)
         assert abs(got - defect(phases(radius)["decay/abelianness"])) < 1e-12
         vals[radius] = got
@@ -287,7 +293,7 @@ def test_transported_arrow_geometry(objs):
     gam, _ = objs
     cone = ConeSpec()
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
-    far = C.transported_arrow(r, cone, 10.0)
+    far = C.transported_arrow(r, cone.translation(10.0))
     direct = F.intertwiner_label(
         F.translate(gam, (0.0, 0.0, 0.0, 10.0)),
         F.translate(gam, (0.0, 0.0, 0.0, 12.0)),
@@ -302,13 +308,14 @@ def test_tensor_abelianness_residual_closed_form(objs):
     cone_v = cone_u.opposite()
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, -2.0)))
-    assert (
-        C.tensor_abelianness_residual(C.identity(gam), C.identity(dlt), cone_u, cone_v, 10.0)
-        == 0.0
-    )
+    r_id = C.transported_arrow(C.identity(gam), cone_u.translation(10.0))
+    s_id = C.transported_arrow(C.identity(dlt), cone_v.translation(10.0))
+    assert C.tensor_abelianness_residual(r_id, s_id) == 0.0
     vals = {}
     for radius in (10.0, 40.0):
-        got = C.tensor_abelianness_residual(r, s, cone_u, cone_v, radius)
+        got = C.tensor_abelianness_residual(
+            C.transported_arrow(r, cone_u.translation(radius)), C.transported_arrow(s, cone_v.translation(radius))
+        )
         # the ordering angle telescopes to F(2R + 4) - F(2R)
         assert abs(got - defect(phases(radius)["decay/tensor_ordering"])) < 1e-12
         vals[radius] = got
@@ -321,11 +328,12 @@ def test_extension_residual_closed_form(objs):
     cone_u = ConeSpec()
     cone_v = cone_u.opposite()
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, 2.0)))
-    assert C.extension_residual(gam, s, cone_u, cone_u, 10.0) == 0.0
-    assert C.extension_residual(gam, C.identity(dlt), cone_u, cone_v, 10.0) == 0.0
+    tu, tv = cone_u.translation(10.0), cone_v.translation(10.0)
+    assert C.extension_residual(gam, s, tu, tu) == 0.0
+    assert C.extension_residual(gam, C.identity(dlt), tu, tv) == 0.0
     vals = {}
     for radius in (10.0, 40.0):
-        got = C.extension_residual(gam, s, cone_u, cone_v, radius)
+        got = C.extension_residual(gam, s, cone_u.translation(radius), cone_v.translation(radius))
         # |e^{-i(F(R - 2) - F(R))} - e^{-i(F(R + 2) - F(R))}| = |e^{i(F(R + 2) - F(R - 2))} - 1|
         assert abs(got - defect(phases(radius)["decay/extension"])) < 1e-12
         vals[radius] = got
@@ -340,7 +348,7 @@ def test_cone_homotopy_chain(objs):
         for k in range(7)
     ]
     # the braiding at the largest radius is the same on every cone of the chain
-    limits = [C.braiding_asymptotic(gam, dlt, cone, 30.0)[0] for cone in chain]
+    limits = [C.braiding_asymptotic(gam, dlt, *_antipodal(cone, 30.0))[0] for cone in chain]
     spread = max(abs(p - q) for p in limits for q in limits)
     assert spread < 1e-12
 
@@ -354,19 +362,19 @@ def test_run_homotopy_braids_each_chain_cone_once_at_the_largest_radius(monkeypa
     calls = []
     braid = C.braiding_asymptotic
 
-    def spy(a, b, cone, radius, rng=None):
-        calls.append((a, b, cone.axis, radius, rng))
-        return braid(a, b, cone, radius, rng)
+    def spy(a, b, ta, tb, rng=None):
+        calls.append((a, b, ta, tb, rng))
+        return braid(a, b, ta, tb, rng)
 
     monkeypatch.setattr(C, "braiding_asymptotic", spy)
     rows = run_homotopy(ctx)
-    axes = [cone.axis for cone in ctx.homotopy_chain()]
+    transports = [_antipodal(cone, ctx.config.radii[-1]) for cone in ctx.homotopy_chain()]
     want = [
-        (ctx.vectors[x], ctx.vectors[y], axis, ctx.config.radii[-1], None)
+        (ctx.vectors[x], ctx.vectors[y], ta, tb, None)
         for x, y in ctx.charge_pairs()
-        for axis in axes
+        for ta, tb in transports
     ]
-    assert len(axes) == 7 and calls == want
+    assert len(transports) == 7 and calls == want
     assert {row.radius for row in rows} == {ctx.config.radii[-1]}
 
 
@@ -382,9 +390,9 @@ def test_run_braiding_draws_u_then_v_at_each_radius(monkeypatch):
 
     braid, rephase = C.braiding_asymptotic, C.rephase
 
-    def spy(a, b, cone, radius, rng=None):
-        events.append(("radius", radius))
-        return braid(a, b, cone, radius, rng)
+    def spy(a, b, ta, tb, rng=None):
+        events.append(("transport", ta, tb))
+        return braid(a, b, ta, tb, rng)
 
     def record(r, z):
         rephased.append((r.source, z))
@@ -395,7 +403,8 @@ def test_run_braiding_draws_u_then_v_at_each_radius(monkeypatch):
     ctx = _default_context()
     run_braiding(ctx, RecordingRng())
     draw = ("draw", 0.0, 2.0 * math.pi)
-    assert events == [event for radius in ctx.config.radii for event in (("radius", radius), draw, draw)]
+    transports = [_antipodal(ctx.config.cone, radius) for radius in ctx.config.radii]
+    assert events == [event for ta, tb in transports for event in (("transport", ta, tb), draw, draw)]
     # the first draw of each radius rephases u (out of the first charge), the second v
     ((name_a, name_b),) = ctx.charge_pairs()
     sources = [ctx.vectors[name_a], ctx.vectors[name_b]] * len(ctx.config.radii)

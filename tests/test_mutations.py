@@ -176,6 +176,14 @@ def _vacuum_exponent_sign(vacuum_exponent):
     return mutant
 
 
+def _second_charge_follows(braiding_asymptotic):
+    # the second charge moves with the first (tb = ta), so the separation stops growing
+    def mutant(a, b, ta, tb, rng=None):
+        return braiding_asymptotic(a, b, ta, ta, rng)
+
+    return mutant
+
+
 def _transport_short(translation):
     # every cone transport stops at 0.9 R
     def mutant(cone, radius):
@@ -423,6 +431,25 @@ MUTATIONS = [
         ConeSpec,
         "translation",
         _transport_short,
+        "homotopy",
+        Oracle({"homotopy/limit_vs_exact"}),
+    ),
+    # the antipode is the suites' decision: without it the exchange reads 1,
+    # the trivial braiding, at every radius and on every cone.  The other
+    # rows compare two sides of the same transports, and no verdict flips
+    Mutation(
+        "second-charge-follows-braiding",
+        C,
+        "braiding_asymptotic",
+        _second_charge_follows,
+        "braiding",
+        Oracle({"braiding/limit_vs_exact"}),
+    ),
+    Mutation(
+        "second-charge-follows-homotopy",
+        C,
+        "braiding_asymptotic",
+        _second_charge_follows,
         "homotopy",
         Oracle({"homotopy/limit_vs_exact"}),
     ),

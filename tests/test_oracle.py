@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from conebraid import suites
-from conebraid.config import load_config
+from conebraid.config import config_from_dict, load_config
 from conebraid.suites import run_suite
 import oracle_report
 from oracle_report import OutOfScope, mismatches, oracle_rows, tail_removed
@@ -34,10 +34,10 @@ SLOPED = "bump_sloped_cone"
 def _config(case: str):
     default = load_config(CONFIG_DIR / "default.json")
     if case in LADDERS:
-        return default._replace(radii=LADDERS[case]).validate()
+        return config_from_dict({**default.to_dict(), "radii": LADDERS[case]})
     if case == SLOPED:
-        sloped = load_config(CONFIG_DIR / "bump_sloped.json")
-        return default._replace(cone=sloped.cone, radii=sloped.radii).validate()
+        sloped = load_config(CONFIG_DIR / "bump_sloped.json").to_dict()
+        return config_from_dict({**default.to_dict(), "cone": sloped["cone"], "radii": sloped["radii"]})
     return load_config(CONFIG_DIR / f"{case}.json")
 
 
