@@ -89,9 +89,6 @@ class ConeSpec(NamedTuple):
         norm = math.hypot(*self.axis)
         return tuple(c / norm for c in self.axis)
 
-    def opposite(self) -> "ConeSpec":
-        return self._replace(axis=tuple(-c for c in self.direction))
-
     def translation(self, radius: float) -> tuple[float, float, float, float]:
         if radius <= 0:
             raise ConfigError("cone translation radius must be positive")

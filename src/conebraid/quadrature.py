@@ -95,17 +95,16 @@ def _series(coeffs: tuple[float, ...]) -> tuple[float, ...]:
     """a_j with sum_k c_k M_{2k+2}(x) = sum_j a_j x^{2j}, M_m(x) = int_0^1 u^m sinc(xu) du.
 
     a_j = (-1)^j / (2j+1)! * sum_k c_k / (2k+2j+3) is summed over the
-    monomials in exact rationals and rounded once, so the cancellation
-    between the monomials of a shape costs no digits.
+    monomials as exact integers over one denominator and rounded once, so
+    the cancellation between the monomials of a shape costs no digits.
     """
-    # imported here: fractions loads decimal, about 0.4 MB of peak RSS that a
-    # run without a bump charge would pay at start-up
-    from fractions import Fraction
-
+    ratios = [c.as_integer_ratio() for c in coeffs]
     out = []
     for j in range(_SERIES_TERMS):
-        exact = sum(Fraction(c) / (2 * k + 2 * j + 3) for k, c in enumerate(coeffs))
-        out.append(float((-1) ** j * exact / math.factorial(2 * j + 1)))
+        dens = [d * (2 * k + 2 * j + 3) for k, (_, d) in enumerate(ratios)]
+        common = math.prod(dens)
+        exact = sum(n * (common // d) for (n, _), d in zip(ratios, dens))
+        out.append((-1) ** j * exact / (common * math.factorial(2 * j + 1)))
     return tuple(out)
 
 

@@ -44,7 +44,7 @@ EXTENSION_THRESHOLD = 1e-2
 LAW_SAMPLES = 100  # random object triples; each law row is the worst over them
 HOMOTOPY_STEPS = 6  # cones rotated from the configured one, in a fixed plane
 HOMOTOPY_STEP_DEG = 30.0
-TRANSPORTER_OFFSET = 2.0  # decay transporters' shift along each cone axis
+TRANSPORTER_OFFSET = 2.0  # decay transporters' shift: + along the cone axis, - for the second charge
 MAX_CHARGES, MAX_RADII = 8, 16  # the largest plan: 28 pairs, 3,830 rows
 
 _LAW_CHECKS = (
@@ -286,7 +286,7 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
 
 
 def _antipodal(cone, radius):
-    """The cone translation at the radius and its antipode in space and time."""
+    """The cone translation at the radius and its antipode, the transport into the opposite cone -C."""
     ta = cone.translation(radius)
     return ta, tuple(-c for c in ta)
 
@@ -359,11 +359,10 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
 
 
 def run_decay(ctx: RunContext) -> list[CheckRow]:
-    cone_u = ctx.config.cone
-    cone_v = cone_u.opposite()
-    shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_u.direction)
-    shift_v = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone_v.direction)
-    transports = [(radius, cone_u.translation(radius), cone_v.translation(radius)) for radius in ctx.config.radii]
+    cone = ctx.config.cone
+    shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * c for c in cone.direction)
+    shift_v = tuple(-c for c in shift_u)
+    transports = [(radius, *_antipodal(cone, radius)) for radius in ctx.config.radii]
     rows = []
     for name_a, name_b in ctx.charge_pairs():
         pair = f"{name_a}:{name_b}"

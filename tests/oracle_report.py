@@ -13,22 +13,21 @@ the profile moved by b is
 with F(0, dt) = e^{-dt^2/4} / sqrt(2) and F(d) = F(d, 0) = sqrt(pi/2)
 erf(d/2) / d, and equal channels do not couple.  Every transport at radius R
 moves by R along a cone axis and by t = time_slope R^time_exponent in time,
-the second charge's by the opposite spacetime vector, and the decay
-transporters move by TRANSPORTER_OFFSET along the axis of their own cone
-(the configured one for the first charge, its opposite for the second) at
-no time.  So each row is a formula in F at explicit distances, and no row
-depends on the cone's axis or angle; ``phases`` gives them:
+the second charge's by the opposite spacetime vector -(t, R axis), and the
+decay transporters move by +TRANSPORTER_OFFSET along the axis, the second
+charge's by -TRANSPORTER_OFFSET, at no time.  So each row is a formula in F
+at explicit distances, and no row depends on the cone's axis or angle;
+``phases`` gives them:
 
 - braiding/limit_vs_exact: e^{i(F(2R, 2t) - F(0))}, against the limit e^{-i F(0)};
 - homotopy/limit_vs_exact: the same at the largest radius, on every cone;
 - decay/implementation: |e^{i F(R, t)} - 1|;
 - decay/implementation_transported: |e^{i(F(R + 2, t) - F(R, t))} - 1|;
-- decay/abelianness: |e^{i(F(2R + 4) - 2 F(2R + 2) + F(2R))} - 1|;
-- decay/tensor_ordering: |e^{i(F(2R + 4) - F(2R))} - 1|;
+- decay/abelianness: |e^{i(F(2R + 4, 2t) - 2 F(2R + 2, 2t) + F(2R, 2t))} - 1|;
+- decay/tensor_ordering: |e^{i(F(2R + 4, 2t) - F(2R, 2t))} - 1|;
 - decay/extension: |e^{i(F(R + 2, t) - F(R - 2, t))} - 1|;
 
-(the abelianness and tensor-ordering pairs sit at equal times), and the
-categorical, rephase and mutual-spread rows compare two routes to one
+and the categorical, rephase and mutual-spread rows compare two routes to one
 number, so their value and residual are 0.  The checks' thresholds and the
 chain length are restated here; a test pins them to ``suites``'.
 
@@ -104,8 +103,8 @@ def phases(radius, time=0, f=coupling) -> dict:
             "braiding/limit_vs_exact": f(2 * r, 2 * t) - f(0),
             "decay/implementation": f(r, t),
             "decay/implementation_transported": f(r + off, t) - f(r, t),
-            "decay/abelianness": f(2 * r + 2 * off) - 2 * f(2 * r + off) + f(2 * r),
-            "decay/tensor_ordering": f(2 * r + 2 * off) - f(2 * r),
+            "decay/abelianness": f(2 * r + 2 * off, 2 * t) - 2 * f(2 * r + off, 2 * t) + f(2 * r, 2 * t),
+            "decay/tensor_ordering": f(2 * r + 2 * off, 2 * t) - f(2 * r, 2 * t),
             "decay/extension": f(r + off, t) - f(r - off, t),
         }
 

@@ -191,14 +191,13 @@ def test_criterion_05_coherence_suite(ctx):
 
 def _decay_triple(ctx, pair, radius):
     gamma, delta = pair
-    cone_u = ctx.config.cone
-    cone_v = cone_u.opposite()
-    off = TRANSPORTER_OFFSET
-    shift_u = (0.0,) + tuple(off * a for a in cone_u.direction)
-    shift_v = (0.0,) + tuple(off * a for a in cone_v.direction)
+    cone = ctx.config.cone
+    shift_u = (0.0,) + tuple(TRANSPORTER_OFFSET * a for a in cone.direction)
+    shift_v = tuple(-c for c in shift_u)
     r = C.hom_basis(gamma, F.translate(gamma, shift_u))
     s = C.hom_basis(delta, F.translate(delta, shift_v))
-    tu, tv = cone_u.translation(radius), cone_v.translation(radius)
+    tu = cone.translation(radius)
+    tv = tuple(-c for c in tu)
     impl = C.implementation_residual(gamma, tu, delta)
     r_far, s_far = C.transported_arrow(r, tu), C.transported_arrow(s, tv)
     abel = C.abelianness_residual(r_far.label, s_far.label)
@@ -236,8 +235,9 @@ def test_criterion_07_extension_independence(ctx, pair):
     cone = ctx.config.cone
     shift = (0.0,) + tuple(off * a for a in cone.direction)
     s_plus = C.hom_basis(delta, F.translate(delta, shift))
-    res = C.extension_residual(gamma, s_plus, cone.translation(40.0), cone.opposite().translation(40.0))
-    verdict(7, res < 1e-2, f"opposite-cone extension residual {res:.4e} at R=40")
+    ta = cone.translation(40.0)
+    res = C.extension_residual(gamma, s_plus, ta, tuple(-c for c in ta))
+    verdict(7, res < 1e-2, f"antipodal extension residual {res:.4e} at R=40")
 
 
 def test_criterion_08_weyl_model_validity(ctx, pair):

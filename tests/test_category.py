@@ -34,7 +34,6 @@ def test_cone_spec_validation():
     # the config checks the cone's fields as it loads (REFUSED in tests/test_cli.py)
     cone = ConeSpec((0.0, 0.0, 2.0))
     assert cone.direction == (0.0, 0.0, 1.0)
-    assert cone.opposite().direction == (0.0, 0.0, -1.0)
     assert cone.translation(10.0) == (0.0, 0.0, 0.0, 10.0)
     tilted = ConeSpec(time_slope=0.5, time_exponent=0.5)
     a = tilted.translation(4.0)
@@ -271,8 +270,7 @@ def test_implementation_residual(objs):
 
 def test_abelianness_residual_closed_form(objs):
     gam, dlt = objs
-    cone_u = ConeSpec()
-    cone_v = cone_u.opposite()
+    cone = ConeSpec()
     off = 2.0
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, off)))
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, -off)))
@@ -281,8 +279,9 @@ def test_abelianness_residual_closed_form(objs):
         C.abelianness_residual(gam, s.label)
     vals = {}
     for radius in (10.0, 40.0):
-        rf = C.transported_arrow(r, cone_u.translation(radius))
-        sf = C.transported_arrow(s, cone_v.translation(radius))
+        ta, tb = _antipodal(cone, radius)
+        rf = C.transported_arrow(r, ta)
+        sf = C.transported_arrow(s, tb)
         got = C.abelianness_residual(rf.label, sf.label)
         assert abs(got - defect(phases(radius)["decay/abelianness"])) < 1e-12
         vals[radius] = got
@@ -304,18 +303,17 @@ def test_transported_arrow_geometry(objs):
 
 def test_tensor_abelianness_residual_closed_form(objs):
     gam, dlt = objs
-    cone_u = ConeSpec()
-    cone_v = cone_u.opposite()
+    cone = ConeSpec()
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, -2.0)))
-    r_id = C.transported_arrow(C.identity(gam), cone_u.translation(10.0))
-    s_id = C.transported_arrow(C.identity(dlt), cone_v.translation(10.0))
+    ta, tb = _antipodal(cone, 10.0)
+    r_id = C.transported_arrow(C.identity(gam), ta)
+    s_id = C.transported_arrow(C.identity(dlt), tb)
     assert C.tensor_abelianness_residual(r_id, s_id) == 0.0
     vals = {}
     for radius in (10.0, 40.0):
-        got = C.tensor_abelianness_residual(
-            C.transported_arrow(r, cone_u.translation(radius)), C.transported_arrow(s, cone_v.translation(radius))
-        )
+        ta, tb = _antipodal(cone, radius)
+        got = C.tensor_abelianness_residual(C.transported_arrow(r, ta), C.transported_arrow(s, tb))
         # the ordering angle telescopes to F(2R + 4) - F(2R)
         assert abs(got - defect(phases(radius)["decay/tensor_ordering"])) < 1e-12
         vals[radius] = got
@@ -325,15 +323,14 @@ def test_tensor_abelianness_residual_closed_form(objs):
 
 def test_extension_residual_closed_form(objs):
     gam, dlt = objs
-    cone_u = ConeSpec()
-    cone_v = cone_u.opposite()
+    cone = ConeSpec()
     s = C.hom_basis(dlt, F.translate(dlt, (0.0, 0.0, 0.0, 2.0)))
-    tu, tv = cone_u.translation(10.0), cone_v.translation(10.0)
+    tu, tv = _antipodal(cone, 10.0)
     assert C.extension_residual(gam, s, tu, tu) == 0.0
     assert C.extension_residual(gam, C.identity(dlt), tu, tv) == 0.0
     vals = {}
     for radius in (10.0, 40.0):
-        got = C.extension_residual(gam, s, cone_u.translation(radius), cone_v.translation(radius))
+        got = C.extension_residual(gam, s, *_antipodal(cone, radius))
         # |e^{-i(F(R - 2) - F(R))} - e^{-i(F(R + 2) - F(R))}| = |e^{i(F(R + 2) - F(R - 2))} - 1|
         assert abs(got - defect(phases(radius)["decay/extension"])) < 1e-12
         vals[radius] = got

@@ -146,9 +146,14 @@ def test_polynomial_transform_matches_mpmath_and_panel_sum(shape, support):
     p = x / support
     got = np.asarray(radial_fourier(profile, p.tolist()))
     phi0 = radial_fourier(profile, 0.0)
-    # p = 0 is the j = 0 series coefficient, exactly
-    exact0 = 4.0 * np.pi / TWO_PI_32 * support**3 * float(sum(Fraction(c) / (2 * k + 3) for k, c in enumerate(coeffs)))
-    assert phi0 == exact0
+    # every series coefficient a_j is its exact rational rounded once, and
+    # p = 0 is the j = 0 coefficient, exactly
+    exact = [
+        (-1) ** j * sum(Fraction(c) / (2 * k + 2 * j + 3) for k, c in enumerate(coeffs)) / math.factorial(2 * j + 1)
+        for j in range(Q._SERIES_TERMS)
+    ]
+    assert Q._series(coeffs) == tuple(float(a) for a in exact)
+    assert phi0 == 4.0 * np.pi / TWO_PI_32 * support**3 * float(exact[0])
     oracle = np.array([_mpmath_transform(coeffs, support, pk) for pk in p])
     assert np.max(np.abs(got - oracle)) <= 1e-15 * phi0
     # the panel sum of the equivalent callable is the reference route
@@ -198,5 +203,5 @@ def test_quadrature_imports_nothing_from_field():
             module = ".".join(filter(None, ["conebraid" if node.level else "", node.module]))
             imported.add(module)
             imported.update(f"{module}.{alias.name}" for alias in node.names)
-    assert "conebraid.errors" in imported and "fractions" in imported
+    assert "conebraid.errors" in imported
     assert "conebraid.field" not in imported
