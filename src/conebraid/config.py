@@ -11,8 +11,8 @@ on its fields and on its transport to every radius.
 The dialect is plain JSON with a fixed key tree; serialization is canonical
 (sorted keys, two-space indent, trailing newline), so parse -> dump is
 idempotent and the config digest is reproducible.  Defaults reproduce the
-reference experiment: the unit Gaussian charge pair, a 30 degree cone along
-z and radii 10..40.  Unknown keys, check-policy and grid keys among them,
+reference experiment: the unit Gaussian charge pair, a cone along z and
+radii 10..40.  Unknown keys, check-policy and grid keys among them,
 are rejected rather than ignored, and every value is checked against
 its field's type: numbers must be finite and are never booleans, and
 fixed-length tuples such as the cone axis must have that length.
@@ -72,7 +72,7 @@ class ChargeCfg(NamedTuple):
 
 
 class ConeSpec(NamedTuple):
-    """Open spacelike cone of the spatial directions within half_angle_deg of axis.
+    """A spacelike cone, as the transport a run moves a charge by.
 
     Transport at radius R moves by R times the unit axis, ``direction``, and
     in time by time_slope * R**time_exponent; ``translation`` refuses a
@@ -80,7 +80,6 @@ class ConeSpec(NamedTuple):
     """
 
     axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
-    half_angle_deg: float = 30.0
     time_slope: float = 0.0
     time_exponent: float = 0.0
 
@@ -145,10 +144,10 @@ class RunConfig(NamedTuple):
         cone = self.cone
         if len(cone.axis) != 3 or not 0.0 < math.hypot(*cone.axis) < math.inf:
             raise ConfigError("cone axis must be a nonzero finite vector")
-        if not 0.0 < math.radians(cone.half_angle_deg) < math.pi / 2.0:
-            raise ConfigError("cone half angle must lie strictly between 0 and 90 degrees")
         if cone.time_slope < 0.0 or not 0.0 <= cone.time_exponent < 1.0:
             raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
+        if cone.time_exponent and not cone.time_slope:
+            raise ConfigError("cone time_exponent is not read on a cone with time_slope 0")
         for radius in self.radii:
             cone.translation(radius)
         if self.seed < 0:

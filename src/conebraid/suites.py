@@ -130,24 +130,17 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     """(label, row count) per sub-suite, computable without running numerics.
 
     A plan has at most MAX_CHARGES charges and MAX_RADII radii.  A plan
-    with the homotopy suite needs cones wider than half a chain step, so
-    that consecutive cones of the chain overlap.  A plan with the braiding,
-    homotopy or decay suite needs every charge pair to couple: at equal
-    times sigma pairs only g with h, and a cone with time_slope 0
-    transports at equal times, so a pair in one channel braids trivially
-    and its rows read literal zeros.  Each is rejected here, before any
-    suite runs.
+    with the braiding, homotopy or decay suite needs every charge pair to
+    couple: at equal times sigma pairs only g with h, and a cone with
+    time_slope 0 transports at equal times, so a pair in one channel
+    braids trivially and its rows read literal zeros.  Each is rejected
+    here, before any suite runs.
     """
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")
     if len(config.charges) > MAX_CHARGES or len(config.radii) > MAX_RADII:
         counts = f"{len(config.charges)} charges and {len(config.radii)} radii"
         raise ConfigError(f"a run takes at most {MAX_CHARGES} charges and {MAX_RADII} radii, got {counts}")
-    if suite in ("homotopy", "all") and 2.0 * config.cone.half_angle_deg <= HOMOTOPY_STEP_DEG:
-        raise ConfigError(
-            f"the homotopy chain steps by {HOMOTOPY_STEP_DEG:g} degrees, so its cones need "
-            f"half_angle_deg above {HOMOTOPY_STEP_DEG / 2:g}, got {config.cone.half_angle_deg:g}"
-        )
     if suite in ("braiding", "homotopy", "decay", "all") and config.cone.time_slope == 0.0:
         for i, first in enumerate(config.charges):
             for second in config.charges[i + 1 :]:

@@ -17,7 +17,7 @@ from conebraid.cli import main
 from conebraid import field as F
 from conebraid import seqalg
 from conebraid import suites
-from conebraid.config import ConeSpec, RunConfig, config_from_dict, load_config
+from conebraid.config import ChargeCfg, ConeSpec, RunConfig, config_from_dict, load_config
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
 from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
@@ -42,7 +42,7 @@ def test_config_roundtrip_idempotent():
 def test_config_defaults_match_reference():
     cfg = RunConfig().validate()
     assert cfg.radii == (10.0, 20.0, 30.0, 40.0)
-    assert cfg.cone.direction == (0.0, 0.0, 1.0) and cfg.cone.half_angle_deg == 30.0
+    assert cfg.cone == ConeSpec(axis=(0.0, 0.0, 1.0), time_slope=0.0, time_exponent=0.0)
     assert cfg.seed == 0
     # a config carries only what a workload varies; the check policy is not config
     # and the momentum cutoff is the model's constant, not config
@@ -344,15 +344,14 @@ class Refused(NamedTuple):
 _SCALE = "must lie in [0.001, 1000], got"
 _BOUNDS = "a run takes at most 8 charges and 16 radii, got"
 _SLOPE = "cone time_slope must be nonnegative and time_exponent in [0, 1)"
-_HALF_ANGLE = "cone half angle must lie strictly between 0 and 90 degrees"
 _INCREASING = "radii must be strictly increasing with at least 3 entries"
 _NOT_JSON = "config .+ is not valid JSON: .*"  # then a word of the decoder's own message
 _BRAIDING = ("braiding",)
 
 # Every config verify refuses, keyed by the prefix of its test ids.  Types,
 # keys and values are checked as the config loads, the cone's fields and its
-# transport to every radius among them, and the plan's size, homotopy chain
-# and charge couplings by plan_counts before the plan line.
+# transport to every radius among them, and the plan's size and charge
+# couplings by plan_counts before the plan line.
 REFUSED = {
     # charge names: unique, and each a CSV cell that cannot make two charge pairs one key
     "names-repeated": Refused(
@@ -420,23 +419,18 @@ REFUSED = {
     "axis-text": Refused(_cone(axis="z"), "config.cone.axis: expected a list, got str"),
     "axis-zero": Refused(_cone(axis=[0.0, 0.0, 0.0]), "cone axis must be a nonzero finite vector"),
     "axis-overflowing": Refused(_cone(axis=[1.5e308] * 3), "cone axis must be a nonzero finite vector"),
-    "half-angle-zero": Refused(_cone(half_angle_deg=0.0), _HALF_ANGLE),
-    "half-angle-90": Refused(_cone(half_angle_deg=90.0), _HALF_ANGLE),
-    "half-angle-95": Refused(_cone(half_angle_deg=95.0), _HALF_ANGLE),
-    "half-angle-nan": Refused(_cone(half_angle_deg=math.nan), "config.cone.half_angle_deg: must be finite, got nan"),
+    "time-slope-nan": Refused(_cone(time_slope=math.nan), "config.cone.time_slope: must be finite, got nan"),
     "time-slope-negative": Refused(_cone(time_slope=-1.0), _SLOPE),
     "time-exponent-one": Refused(_cone(time_exponent=1.0), _SLOPE),
+    # a cone with time_slope 0 never reads its exponent, which could only move the config digest
+    "time-exponent-without-slope": Refused(
+        _cone(time_exponent=0.7), "cone time_exponent is not read on a cone with time_slope 0"
+    ),
     # a0 = 2 R^0.9 is 15.9 at R = 10: the transported charges would be timelike separated
     "timelike-transport": Refused(
         _cone(time_slope=2.0, time_exponent=0.9),
         "cone transport at radius 10 is not spacelike: |time_slope * R^time_exponent| = 15.8866 >= R",
         _BRAIDING,
-    ),
-    # 10 degree cones 30 degrees apart do not overlap, so the homotopy chain is no path
-    "homotopy-chain-broken": Refused(
-        _cone(half_angle_deg=10.0),
-        "the homotopy chain steps by 30 degrees, so its cones need half_angle_deg above 15, got 10",
-        ("all", "homotopy"),
     ),
     # at equal times sigma pairs only g with h: two charges in one channel on a
     # cone with time_slope 0 braid trivially, so no braiding, homotopy or decay row can fail
@@ -475,6 +469,8 @@ REFUSED = {
             ("out_dir", "out_dir", "out"),
         ]
     },
+    # the cone's half angle entered no transport
+    "removed-half_angle_deg": Refused(_cone(half_angle_deg=30.0), "config.cone: unknown keys ['half_angle_deg']"),
     # with every limit threshold at 1.0 the default run would pass all rows
     "thresholds-at-one": Refused(
         _top(thresholds={"braiding": 1.0, "homotopy": 1.0, "decay": 1.0, "extension": 1.0}),
@@ -526,9 +522,10 @@ def test_refused_config_exits_2_with_one_line(case, suite, tmp_path, capsys):
 # process as well.  The order keeps each case's test id.
 _AT_LOAD = {REFUSED[name].config: REFUSED[name].message for name in """
     names-repeated radii-repeated radii-two time-slope-negative unknown-key channel-x s-zero one-charge
-    half-angle-95 cone-unknown-key radius-zero time-exponent-one s-text seed-text q-text axis-two-entries
-    axis-text radii-text cone-a-list half-angle-nan seed-bool seed-float radius-inf q-past-the-float-range
-    charge-missing-name name-empty name-comma name-quote name-newline name-colon name-space""".split()}
+    removed-half_angle_deg cone-unknown-key radius-zero time-exponent-one s-text seed-text q-text
+    axis-two-entries axis-text radii-text cone-a-list time-slope-nan seed-bool seed-float radius-inf
+    q-past-the-float-range charge-missing-name name-empty name-comma name-quote name-newline name-colon
+    name-space time-exponent-without-slope""".split()}
 
 
 @pytest.mark.parametrize("mutate", list(_AT_LOAD))
@@ -538,6 +535,36 @@ def test_config_validation_errors(mutate):
     with pytest.raises(ConfigError) as exc:
         config_from_dict(data)
     assert str(exc.value) == _AT_LOAD[mutate]
+
+
+# A valid value other than the default for each cone and charge key but the
+# name; the keys only a bump-position charge reads are set on a bump copy.
+_OTHER_VALUE = {
+    "axis": [0.3, -0.7, 0.2], "time_slope": 1.0, "time_exponent": 0.5,
+    "profile": "bump-position", "channel": "h", "q": 2.0, "s": 2.0, "support_radius": 2.0, "shape": "smooth",
+}
+_BUMP_KEYS = ("support_radius", "shape")
+
+
+@pytest.mark.parametrize(
+    "section, key", [("cone", key) for key in ConeSpec._fields] + [("charges", key) for key in ChargeCfg._fields[1:]]
+)
+def test_every_cone_and_charge_key_enters_a_number_or_is_refused(section, key):
+    # a value no number reads could only move the config digest, so the config must refuse it
+    def numbers(data):
+        cfg = config_from_dict(data)
+        return vector_from_charge_cfg(cfg.charges[0]).terms, [cfg.cone.translation(r) for r in cfg.radii]
+
+    base = default_dict()
+    if key in _BUMP_KEYS:
+        _bump_charge()(base)
+    edited = json.loads(json.dumps(base))
+    (edited["cone"] if section == "cone" else edited["charges"][0])[key] = _OTHER_VALUE[key]
+    try:
+        moved = numbers(edited)
+    except ConfigError:
+        return
+    assert moved != numbers(base)
 
 
 @pytest.mark.parametrize("case", ["permission-denied", "proc-self-mem"])
@@ -573,13 +600,6 @@ def test_uncoupled_charges_still_run_laws_and_seqalg(tmp_path, channels):
     data["cone"].update(time_slope=1.0, time_exponent=0.5)
     sloped = config_from_dict(data)
     assert sloped.cone.time_slope == 1.0 and sum(n for _, n in plan_counts(sloped, "all")) > 0
-
-
-def test_narrow_cone_still_runs_braiding(tmp_path):
-    # the braiding suite has no homotopy chain, so the cone the chain refuses still runs it
-    cfg = _config_file(REFUSED["homotopy-chain-broken"].config, tmp_path)
-    assert main(["verify", "--suite", "braiding", "--config", str(cfg), "--out", str(tmp_path)]) == 1
-    assert (tmp_path / "braiding_report.csv").exists()
 
 
 def test_radii_up_to_the_float_bound_give_finite_rows(tmp_path):

@@ -479,7 +479,7 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
     profile = F.Profile("bump", shape=shape)
     atom = F.Atom(profile, "g", (0.0, 1.0, 0.0, 0.0))
     vec = F.make_charge_vector()
-    cone = ConeSpec((0.0, 0.0, 2.0), 45.0)
+    cone = ConeSpec((0.0, 0.0, 2.0), 0.5, 0.5)
     gauss = F.Profile("gauss", width=1.5)
     values = [
         (shape, RadialPolynomial([1, -2, 1], 2.5)),
@@ -487,7 +487,7 @@ def test_value_types_are_immutable_and_compare_by_value_or_identity():
         (atom, F.Atom(F.Profile("bump", shape=shape), "g", (0.0, 1.0, 0.0, 0.0))),
         (gauss, F.Profile("gauss", width=1.5)),
         (F.Atom(gauss, "h"), F.Atom(F.Profile("gauss", width=1.5), "h", (0.0, 0.0, 0.0, 0.0))),
-        (cone, ConeSpec((0.0, 0.0, 2.0), 45.0)),
+        (cone, ConeSpec((0.0, 0.0, 2.0), 0.5, 0.5)),
     ]
     for x, twin in values:
         assert x == twin and hash(x) == hash(twin) and x is not twin
