@@ -1,16 +1,16 @@
-"""Objects, intertwiners, braiding, and cone asymptotics.
+"""Objects, intertwiners, braiding, and cone asymptotics over a symplectic space.
 
 An object is a charge automorphism gamma_f(W(x)) = e^{i sigma(f, x)} W(x),
-which its field data f fixes, so an object is its FieldVector: the tensor
-product of two objects is their composition, whose data is field.add of
-theirs, and moving an object is field.translate.  Objects are equal when
-their data are (weyl.label_id); the charge separates inequivalent objects,
-and hom-sets between equal charges are one dimensional, spanned by the
-Weyl generator of the data difference.  An Intertwiner is therefore a
-weyl.WeylElement, coefficient times label, with a source and a target
-vector.  Composition is the generator product and the adjoint is the
-generator star, both taken from weyl; the tensor product of arrows is R
-times the source automorphism applied to S,
+which its vector f fixes, so an object is its vector: the tensor product
+of two objects is their composition, whose vector is f + g, and moving an
+object is f.translate(t).  Objects are equal when their vectors are
+(weyl.label_id); the charge separates inequivalent objects, and hom-sets
+between equal charges are one dimensional, spanned by the Weyl generator
+of target - source (hom_basis, the one place an arrow's label is formed).
+An Intertwiner is therefore a weyl.WeylElement, coefficient times label,
+with a source and a target vector.  Composition is the generator product
+and the adjoint is the generator star, both taken from weyl; the tensor
+product of arrows is R times the source automorphism applied to S,
 
     compose:  coeff_S coeff_R e^{+i sigma(y_S, y_R)/2}
     tensor:   coeff_R coeff_S e^{i sigma(gamma_R, y_S)} e^{+i sigma(y_R, y_S)/2}
@@ -18,6 +18,12 @@ times the source automorphism applied to S,
 with y the arrow labels and gamma_R the source data of the left factor.
 Everything is scalar: the object monoid is abelian, so braiding arrows are
 pure phases on a zero label.
+
+This module and weyl import no model: they read a vector only through
+x + y, -x, x - y, x.symplectic(y), x.translate(t), x.vacuum_exponent()
+(weyl's Gram matrix), x.zero(), terms, charge and is_zero.  The field's
+FieldVector is one such type; the light-ray current of tests/light_ray.py
+is another, whose braiding is not a symmetry.
 
 Every function here that moves something takes the spacetime 4-vectors
 it applies; which cone, radius and antipode they come from is decided in
@@ -48,8 +54,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .errors import InternalError, UsageError
-from .field import FieldVector, add, intertwiner_label, subtract, symplectic, translate, zero_vector
+from .errors import DomainError, InternalError, UsageError
 from .weyl import WeylElement, _product, commutator_norm, distance, label_id, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
@@ -59,22 +64,19 @@ if TYPE_CHECKING:
 class Intertwiner(WeylElement):
     """The generator coeff * W(label) as an arrow from the object source to the object target."""
 
-    def __init__(self, source: FieldVector, target: FieldVector, coeff, label: FieldVector):
+    def __init__(self, source, target, coeff, label):
         d = self.__dict__
         d["source"], d["target"], d["coeff"], d["label"] = source, target, coeff, label
 
 
-def hom_basis(source: FieldVector, target: FieldVector) -> Intertwiner:
-    """Unit basis arrow of the hom-set; intertwiner_label raises DomainError when the charges differ."""
-    return Intertwiner(
-        source=source,
-        target=target,
-        coeff=1.0 + 0.0j,
-        label=intertwiner_label(source, target),
-    )
+def hom_basis(source, target) -> Intertwiner:
+    """Unit basis arrow of the hom-set, labelled target - source; the charges must be exactly equal."""
+    if target.charge != source.charge:
+        raise DomainError(f"intertwiner label needs equal charges, got {source.charge} and {target.charge}")
+    return Intertwiner(source=source, target=target, coeff=1.0 + 0.0j, label=target - source)
 
 
-def identity(obj: FieldVector) -> Intertwiner:
+def identity(obj) -> Intertwiner:
     return hom_basis(obj, obj)
 
 
@@ -102,32 +104,32 @@ def tensor_mor(r: Intertwiner, s: Intertwiner) -> Intertwiner:
     coeff = (
         r.coeff
         * s.coeff
-        * cmath.exp(1j * symplectic(r.source, s.label))
-        * cmath.exp(0.5j * symplectic(r.label, s.label))
+        * cmath.exp(1j * r.source.symplectic(s.label))
+        * cmath.exp(0.5j * r.label.symplectic(s.label))
     )
     return Intertwiner(
-        source=add(r.source, s.source),
-        target=add(r.target, s.target),
+        source=r.source + s.source,
+        target=r.target + s.target,
         coeff=coeff,
-        label=add(r.label, s.label),
+        label=r.label + s.label,
     )
 
 
-def auto_action(obj: FieldVector, a: WeylElement) -> WeylElement:
+def auto_action(obj, a: WeylElement) -> WeylElement:
     """obj(c W(x)) = c e^{i sigma(obj, x)} W(x)."""
-    return WeylElement(a.coeff * cmath.exp(1j * symplectic(obj, a.label)), a.label)
+    return WeylElement(a.coeff * cmath.exp(1j * obj.symplectic(a.label)), a.label)
 
 
-def intertwiner_relation_residual(r: Intertwiner, f: FieldVector) -> float:
+def intertwiner_relation_residual(r: Intertwiner, f) -> float:
     """Distance of W(y) rho(W(f)) from rho'(W(f)) W(y); zero in exact arithmetic."""
     lhs = weyl_mul(r, auto_action(r.source, weyl(f)))
     return distance(lhs, weyl_mul(auto_action(r.target, weyl(f)), r))
 
 
-def braiding_exact(a: FieldVector, b: FieldVector) -> Intertwiner:
+def braiding_exact(a, b) -> Intertwiner:
     """The limit braiding: a pure phase e^{-i sigma(a, b)} on the zero label."""
-    coeff = cmath.exp(-1j * symplectic(a, b))
-    return Intertwiner(source=add(a, b), target=add(b, a), coeff=coeff, label=zero_vector())
+    coeff = cmath.exp(-1j * a.symplectic(b))
+    return Intertwiner(source=a + b, target=b + a, coeff=coeff, label=a.zero())
 
 
 def _exchange(u: Intertwiner, v: Intertwiner) -> complex:
@@ -138,13 +140,7 @@ def _exchange(u: Intertwiner, v: Intertwiner) -> complex:
     return complex(eps.coeff)
 
 
-def braiding_asymptotic(
-    a: FieldVector,
-    b: FieldVector,
-    ta,
-    tb,
-    rng: random.Random | None = None,
-) -> tuple[complex, complex, complex | None]:
+def braiding_asymptotic(a, b, ta, tb, rng: random.Random | None = None) -> tuple[complex, complex, complex | None]:
     """(phase, closed, rephased): the exchange of a moved by ta and b moved by tb.
 
     The caller passes both transports; the suites pass a cone translation
@@ -157,10 +153,10 @@ def braiding_asymptotic(
     phase because each transporter meets its own star.  Without an rng,
     ``rephased`` is None.  Along a cone the limit phase is approached like c/R.
     """
-    b_far = translate(b, tb)
-    u = hom_basis(a, translate(a, ta))
+    b_far = b.translate(tb)
+    u = hom_basis(a, a.translate(ta))
     v = hom_basis(b, b_far)
-    closed = complex(cmath.exp(1j * (symplectic(a, v.label) - symplectic(b_far, u.label))))
+    closed = complex(cmath.exp(1j * (a.symplectic(v.label) - b_far.symplectic(u.label))))
     phase, rephased = _exchange(u, v), None
     if rng is not None:
         z_u = cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
@@ -169,12 +165,12 @@ def braiding_asymptotic(
     return phase, closed, rephased
 
 
-def implementation_residual(obj: FieldVector, a, f: FieldVector) -> float:
+def implementation_residual(obj, a, f) -> float:
     """Norm of U_a* W(f) U_a - rho(W(f)), reduced to |e^{i sigma(rho_a, f)} - 1|."""
-    return commutator_norm(translate(obj, a), f)
+    return commutator_norm(obj.translate(a), f)
 
 
-def abelianness_residual(x: FieldVector, y: FieldVector) -> float:
+def abelianness_residual(x, y) -> float:
     """Commutator norm of the Weyl generators of two chargeless labels."""
     for v, side in ((x, "first"), (y, "second")):
         if v.charge != 0.0:
@@ -184,8 +180,8 @@ def abelianness_residual(x: FieldVector, y: FieldVector) -> float:
 
 def transported_arrow(r: Intertwiner, t) -> Intertwiner:
     """U' r U* with U, U' the transporters of source and target by the translation t."""
-    u = hom_basis(r.source, translate(r.source, t))
-    u_prime = hom_basis(r.target, translate(r.target, t))
+    u = hom_basis(r.source, r.source.translate(t))
+    u_prime = hom_basis(r.target, r.target.translate(t))
     return compose(u_prime, compose(r, star_mor(u)))
 
 
@@ -194,24 +190,22 @@ def tensor_abelianness_residual(r_far: Intertwiner, s_far: Intertwiner) -> float
     return distance(tensor_mor(r_far, s_far), tensor_mor(s_far, r_far))
 
 
-def extension_residual(obj: FieldVector, s: Intertwiner, t1, t2) -> float:
+def extension_residual(obj, s: Intertwiner, t1, t2) -> float:
     """Cone dependence of the extended action, |e^{-i sigma(rho_a1, y)} - e^{-i sigma(rho_a2, y)}|.
 
     By bilinearity that is the commutator norm of rho_a2 - rho_a1 and y.
     """
-    moved1 = translate(obj, t1)
-    moved2 = translate(obj, t2)
-    return commutator_norm(subtract(moved2, moved1), s.label)
+    return commutator_norm(obj.translate(t2) - obj.translate(t1), s.label)
 
 
-def hexagon_residuals(a: FieldVector, b: FieldVector, c: FieldVector) -> tuple[float, float]:
+def hexagon_residuals(a, b, c) -> tuple[float, float]:
     """Distances of the two hexagon identities; zero by bilinearity."""
-    lhs1 = braiding_exact(add(a, b), c)
+    lhs1 = braiding_exact(a + b, c)
     rhs1 = compose(
         tensor_mor(braiding_exact(a, c), identity(b)),
         tensor_mor(identity(a), braiding_exact(b, c)),
     )
-    lhs2 = braiding_exact(a, add(b, c))
+    lhs2 = braiding_exact(a, b + c)
     rhs2 = compose(
         tensor_mor(identity(b), braiding_exact(a, c)),
         tensor_mor(braiding_exact(a, b), identity(c)),

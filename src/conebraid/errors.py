@@ -6,7 +6,8 @@ or writing its report, exits with 2; any other error ends the run with
 exit 1, one line on stderr and no report.  A UsageError is a broken
 internal operand check, which no validated config reaches; an
 InternalError means the build itself is inconsistent, not that a physics
-check failed.
+check failed.  Frozen, the base of the identity types, lives here too,
+since this is the one module that every layer imports.
 """
 
 
@@ -28,3 +29,18 @@ class DomainError(ConebraidError):
 
 class InternalError(ConebraidError):
     """An internal cross-check failed; the build itself is inconsistent."""
+
+
+class Frozen:
+    """Base of the identity types (FieldVector, WeylElement and its Intertwiner):
+    fields are set once, in __init__, through the instance dict, and assigning
+    or deleting an attribute raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")

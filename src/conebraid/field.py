@@ -38,6 +38,11 @@ A vector's class is its charge: only a test vector, of charge exactly 0.0,
 has a scalar product.  A sum's charge is the sum of its operands', so a
 difference of equal charges is a test vector however it was built.
 
+weyl and category import nothing from here: they read a vector through
+x + y, -x, x - y, x.symplectic(y), x.translate(t), x.vacuum_exponent()
+and x.zero().  Each method is the module function of its name, the same
+object bound in FieldVector's class dict; zero returns zero_vector().
+
 Both bilinear forms take one route, the radial route, which integrates the
 exact angular average (the phase pair e^{i p.(d_A - d_B)} averages to
 sinc(r |d_A - d_B|)) and so stays accurate at arbitrary translation radius.
@@ -84,7 +89,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, Frozen, UsageError
 
 TWO_PI_32 = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
 
@@ -130,21 +135,6 @@ _KERNEL = {
 }
 # quadrature's bump transform stays accurate up to 4 terms (see _SERIES_MAX_X).
 _MAX_POLY_TERMS = 4
-
-
-class Frozen:
-    """Base of the identity types (FieldVector, WeylElement and its Intertwiner):
-    fields are set once, in __init__, through the instance dict, and assigning
-    or deleting an attribute raises AttributeError.
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class RadialPolynomial(NamedTuple("RadialPolynomial", [("support", float), ("coeffs", tuple)])):
@@ -271,6 +261,9 @@ class FieldVector(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
+    def zero(self) -> FieldVector:
+        return zero_vector()
+
 
 def _make(items, charge) -> FieldVector:
     terms = _canonical_terms(items)
@@ -361,15 +354,6 @@ def negate(x: FieldVector) -> FieldVector:
 
 def subtract(x: FieldVector, y: FieldVector) -> FieldVector:
     return add(x, negate(y))
-
-
-def intertwiner_label(source: FieldVector, target: FieldVector) -> FieldVector:
-    """target - source, a test vector (its charge is exactly 0.0); requires exactly equal charges."""
-    if target.charge != source.charge:
-        raise DomainError(
-            f"intertwiner label needs equal charges, got {source.charge} and {target.charge}"
-        )
-    return subtract(target, source)
 
 
 def translate(x: FieldVector, a) -> FieldVector:
@@ -560,3 +544,8 @@ def vacuum_exponent(x: FieldVector) -> float:
     if val.real < 0:
         raise DomainError(f"(x, x) should be nonnegative, got {val.real}")
     return 0.25 * val.real
+
+
+# The methods weyl and category read (see the module docstring).
+FieldVector.__add__, FieldVector.__neg__, FieldVector.__sub__ = add, negate, subtract
+FieldVector.symplectic, FieldVector.translate, FieldVector.vacuum_exponent = symplectic, translate, vacuum_exponent

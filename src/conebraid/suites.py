@@ -249,7 +249,7 @@ def run_laws(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
         left_w = weyl_mul(weyl_mul(wx, wy), wz)
         bump("laws/weyl_associativity", distance(left_w, weyl_mul(wx, weyl_mul(wy, wz))))
 
-        f = fld.intertwiner_label(z, fld.translate(z, (0.0, 1.0, -0.5, 0.5)))
+        f = cat.hom_basis(z, fld.translate(z, (0.0, 1.0, -0.5, 0.5))).label
         bump("laws/intertwiner_relation", cat.intertwiner_relation_residual(r, f))
 
         u = weyl(f)

@@ -1,22 +1,23 @@
-"""Weyl generators c W(x) over the field symplectic space.
+"""Weyl generators c W(x) over a symplectic space.
 
 Generators multiply with the phase cocycle
 
     W(x) W(y) = e^{+i sigma(x, y)/2} W(x + y),
 
 so W(x)* = W(-x), each generator is unitary, and the exchange relation
-W(x) W(y) = e^{+i sigma(x, y)} W(y) W(x) holds.  A WeylElement is one
-generator, a coefficient times a field label: the hom-spaces of the charge
-category are one dimensional, so every arrow, every braiding and every
-law this package checks is of that form.  The category's arrows extend
-WeylElement, and ``category.compose`` shares the one private product
-``_product`` with ``weyl_mul``.
+W(x) W(y) = e^{+i sigma(x, y)} W(y) W(x) holds.  A label is any vector
+with x + y, -x, x - y, x.symplectic(y), x.vacuum_exponent() and canonical
+``terms``; this module imports no model (field.FieldVector is one).  A
+WeylElement is one generator, a coefficient times a label: the hom-spaces
+of the charge category are one dimensional, so every arrow, every braiding
+and every law this package checks is of that form.  The category's arrows
+extend WeylElement, and ``category.compose`` shares the one private
+product ``_product`` with ``weyl_mul``.
 
 Generator labels are identified exactly: ``label_id`` is the vector's
-canonical terms tuple itself, whose atoms compare and hash as the tuples of
-their fields, so two vectors have equal labels exactly when their terms are
-equal, the identity the field layer merges terms on and
-``category.compose`` compares objects by.
+canonical terms tuple itself, so two vectors have equal labels exactly
+when their terms are equal, the identity a field vector merges terms on
+and ``category.compose`` compares objects by.
 
 Every law is judged in the norm of the Weyl C*-algebra: ``distance`` is
 ||a - b|| for two generators, |c_a - c_b| on equal labels and
@@ -26,7 +27,7 @@ circle.
 
 The vacuum functional is quasi-free, omega(W(x)) = e^{-(x, x)/4}; it is
 only evaluated on labels of charge 0.0 (the exponent diverges otherwise, and
-the field layer raises).  Gram matrices of generator families under this
+a field vector raises).  Gram matrices of generator families under this
 functional are positive semidefinite, and the laws suite checks that on
 ``min_eigenvalue``, a bisection on whether G - mu I has a Cholesky factor.
 """
@@ -36,33 +37,32 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import UsageError
-from .field import FieldVector, Frozen, add, negate, subtract, symplectic, vacuum_exponent
+from .errors import Frozen, UsageError
 
 GRAM_MAX_LABELS = 16
 
 
-def label_id(vec: FieldVector) -> tuple:
-    """Exact hashable identity of a field vector: its canonical (coefficient, atom) terms."""
+def label_id(vec) -> tuple:
+    """Exact hashable identity of a vector: its canonical terms."""
     return vec.terms
 
 
 class WeylElement(Frozen):
     """The generator coeff * W(label); elements compare by identity."""
 
-    def __init__(self, coeff: complex, label: FieldVector):
+    def __init__(self, coeff: complex, label):
         d = self.__dict__
         d["coeff"], d["label"] = coeff, label
 
 
-def weyl(label: FieldVector, coeff: complex = 1.0) -> WeylElement:
+def weyl(label, coeff: complex = 1.0) -> WeylElement:
     return WeylElement(complex(coeff), label)
 
 
-def _product(a: WeylElement, b: WeylElement) -> tuple[complex, FieldVector]:
+def _product(a: WeylElement, b: WeylElement) -> tuple:
     """Coefficient and label of the product a b, in that order of the factors."""
-    coeff = a.coeff * b.coeff * cmath.exp(0.5j * symplectic(a.label, b.label))
-    return coeff, add(a.label, b.label)
+    coeff = a.coeff * b.coeff * cmath.exp(0.5j * a.label.symplectic(b.label))
+    return coeff, a.label + b.label
 
 
 def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
@@ -70,7 +70,7 @@ def weyl_mul(a: WeylElement, b: WeylElement) -> WeylElement:
 
 
 def star(a: WeylElement) -> WeylElement:
-    return WeylElement(a.coeff.conjugate(), negate(a.label))
+    return WeylElement(a.coeff.conjugate(), -a.label)
 
 
 def distance(a: WeylElement, b: WeylElement) -> float:
@@ -80,9 +80,9 @@ def distance(a: WeylElement, b: WeylElement) -> float:
     return abs(a.coeff) + abs(b.coeff)
 
 
-def commutator_norm(x: FieldVector, y: FieldVector) -> float:
+def commutator_norm(x, y) -> float:
     """Norm of [W(x), W(y)]; equals |e^{i sigma(x, y)} - 1|."""
-    return abs(cmath.exp(1j * symplectic(x, y)) - 1.0)
+    return abs(cmath.exp(1j * x.symplectic(y)) - 1.0)
 
 
 def gram_matrix(labels) -> list[list[complex]]:
@@ -98,8 +98,8 @@ def gram_matrix(labels) -> list[list[complex]]:
     out = [[0j] * n for _ in range(n)]
     for k in range(n):
         for l in range(k, n):
-            diff = subtract(labels[l], labels[k])
-            val = cmath.exp(-0.5j * symplectic(labels[k], labels[l])) * math.exp(-vacuum_exponent(diff))
+            diff = labels[l] - labels[k]
+            val = cmath.exp(-0.5j * labels[k].symplectic(labels[l])) * math.exp(-diff.vacuum_exponent())
             out[k][l] = val
             out[l][k] = val.conjugate()
     return out

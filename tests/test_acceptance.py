@@ -244,7 +244,7 @@ def test_criterion_08_weyl_model_validity(ctx, pair):
     gamma, delta = pair
     shift = (0.0, 0.0, 0.0, 2.0)
     r = C.hom_basis(gamma, F.translate(gamma, shift))
-    f = F.intertwiner_label(delta, F.translate(delta, (0.0, 1.0, 0.0, -1.0)))
+    f = C.hom_basis(delta, F.translate(delta, (0.0, 1.0, 0.0, -1.0))).label
     rel = max(
         C.intertwiner_relation_residual(r, f),
         C.intertwiner_relation_residual(C.braiding_exact(gamma, delta), f),

@@ -293,10 +293,10 @@ def test_transported_arrow_geometry(objs):
     cone = ConeSpec()
     r = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 2.0)))
     far = C.transported_arrow(r, cone.translation(10.0))
-    direct = F.intertwiner_label(
+    direct = C.hom_basis(
         F.translate(gam, (0.0, 0.0, 0.0, 10.0)),
         F.translate(gam, (0.0, 0.0, 0.0, 12.0)),
-    )
+    ).label
     assert label_id(far.label) == label_id(direct)
     assert abs(abs(far.coeff) - 1.0) < 1e-13
 

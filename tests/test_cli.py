@@ -749,15 +749,6 @@ def test_cli_import_loads_no_scipy():
     assert _fresh_stdout(code) == "[]"
 
 
-def test_seqalg_import_loads_no_field_or_weyl():
-    # seqalg's one algebra is the 2 x 2 matrices; it needs no field vector or Weyl generator
-    code = (
-        "import sys, conebraid.seqalg\n"
-        "print(sorted(m for m in ('conebraid.field', 'conebraid.weyl') if m in sys.modules))"
-    )
-    assert _fresh_stdout(code) == "[]"
-
-
 def test_verify_loads_no_openssl(tmp_path):
     # hashlib loads _hashlib (OpenSSL), a few MB of peak RSS; the config
     # digest reads the builtin SHA-256 instead
@@ -828,6 +819,43 @@ def test_package_imports_no_numpy():
                 continue
             assert not any(n.partition(".")[0] == "numpy" for n in names), (path.name, node.lineno)
 
+
+# Each module's imports from the package, function-local ones included.  The
+# construction (weyl, category) reads a vector only through its methods, so
+# it imports no model, and seqalg's one algebra is the 2 x 2 matrices.
+LAYERS = {
+    "__init__": set(),
+    "__main__": {"cli"},
+    "errors": set(),
+    "quadrature": {"errors"},
+    "field": {"errors", "quadrature"},
+    "weyl": {"errors"},
+    "category": {"errors", "weyl"},
+    "seqalg": {"errors"},
+    "config": {"errors", "field"},
+    "report": {"errors"},
+    "suites": {"category", "config", "errors", "field", "report", "seqalg", "weyl"},
+    "cli": {"config", "errors", "report", "suites"},
+}
+
+
+def test_module_imports_follow_the_layer_table():
+    import ast
+
+    package = CONFIG_PATH.parent.parent / "src" / "conebraid"
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        names = found.setdefault(path.stem, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                dotted = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = f"conebraid.{node.module or ''}".rstrip(".") if node.level else node.module
+                dotted = [f"{base}.{alias.name}" for alias in node.names] if base == "conebraid" else [base]
+            else:
+                continue
+            names.update(d.split(".")[1] for d in dotted if d.startswith("conebraid."))
+    assert found == LAYERS
 
 def test_closed_stdout_pipe_keeps_the_verdict(tmp_path):
     # `verify | head -1`: the reader leaves after the plan line; the run still

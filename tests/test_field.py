@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conebraid import category as C
 from conebraid import field as F
 from conebraid import weyl as W
 from conebraid import quadrature as Q
@@ -374,13 +375,13 @@ def test_linear_structure(pair):
 def test_intertwiner_label(pair):
     gam, dlt = pair
     ga = F.translate(gam, (0.0, 0.0, 0.0, 10.0))
-    lab = F.intertwiner_label(gam, ga)
+    lab = C.hom_basis(gam, ga).label
     assert lab.charge == 0.0 and len(lab.terms) == 2
     want = float(coupling(10.0)) - float(coupling(0))
     assert abs(F.symplectic(lab, dlt) - want) < 1e-12
-    assert F.intertwiner_label(gam, gam).is_zero
+    assert C.hom_basis(gam, gam).label.is_zero
     with pytest.raises(DomainError):
-        F.intertwiner_label(gam, F.scale(2.0, gam))
+        C.hom_basis(gam, F.scale(2.0, gam))
 
 
 def test_difference_of_equal_charges_is_a_test_vector_however_built(pair):
@@ -389,7 +390,7 @@ def test_difference_of_equal_charges_is_a_test_vector_however_built(pair):
     gam, _ = pair
     moved = F.translate(gam, (0.0, 0.0, 0.0, 10.0))
     s = F.add(moved, F.negate(gam))
-    lab = F.intertwiner_label(gam, moved)
+    lab = C.hom_basis(gam, moved).label
     assert s.charge == 0.0 and s.terms == lab.terms
     value = F.scalar_product(s, s)
     assert value == F.scalar_product(lab, lab) and value.real > 0.0
@@ -398,7 +399,7 @@ def test_difference_of_equal_charges_is_a_test_vector_however_built(pair):
 def test_intertwiner_label_norm_against_independent_quadrature(pair):
     gam, _ = pair
     d = 10.0
-    lab = F.intertwiner_label(gam, F.translate(gam, (0.0, 0.0, 0.0, d)))
+    lab = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, d))).label
     # (x, x) = (2 pi)^{-3} 4 pi int 2 r^{-1} e^{-r^2} (1 - sinc(r d)) dr
     ref = (
         (2.0 * np.pi) ** -3

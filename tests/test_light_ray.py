@@ -1,0 +1,111 @@
+"""The package's construction on a second model, whose braiding is not a symmetry.
+
+category and weyl read a vector only through its methods, so the light-ray
+current of tests/light_ray.py runs through braiding_asymptotic,
+tensor_mor, compose, star_mor and identity with no patching.  On the right
+asymptopia the first charge moves by +R and the second by -R; on the left
+one, the reverse.  For the co-centred pair below the exchange tends to
+e^{+i q_a q_b / 2} on the right and e^{-i q_a q_b / 2} on the left, so the
+double exchange is e^{i q_a q_b}, not 1, and the two asymptopias give
+inverse braidings.  At R = 10 every erf has saturated to rounding.
+"""
+
+import cmath
+import itertools
+
+import mpmath
+import pytest
+
+from conebraid import category as C
+from conebraid.weyl import distance
+from light_ray import step
+
+R = 10.0
+A, B, Z = step(1.3, 0.0, 1.0), step(0.7, 0.0, 1.5), step(-0.4, 0.5, 1.2)
+QQ = 1.3 * 0.7
+SIDES = {"right": (R, -R), "left": (-R, R)}
+SIGN = {"right": 1.0, "left": -1.0}
+
+
+def _exchange(x, y, side: str) -> complex:
+    return C.braiding_asymptotic(x, y, *SIDES[side])[0]
+
+
+def _braiding(x, y, side: str) -> C.Intertwiner:
+    return C.Intertwiner(x + y, y + x, _exchange(x, y, side), x.zero())
+
+
+def test_symplectic_form_matches_quadrature():
+    def density(f, x):
+        return mpmath.fsum(k * mpmath.exp(-(((x - c) / w) ** 2)) / w for (c, w), k in f.terms) / mpmath.sqrt(mpmath.pi)
+
+    def value(f, x):
+        return mpmath.fsum(k * (1 + mpmath.erf((x - c) / w)) / 2 for (c, w), k in f.terms)
+
+    vectors = [B, A + Z.translate(2.5), B.translate(-3.0) - B]
+    for f, g in itertools.product(vectors, repeat=2):
+        with mpmath.workdps(30):
+            ref = mpmath.quad(lambda x: density(f, x) * value(g, x), [-mpmath.inf, 0, mpmath.inf])
+        assert abs(f.symplectic(g) - float(ref)) < 1e-14
+        assert abs(f.symplectic(g) + g.symplectic(f) - f.charge * g.charge) < 1e-14
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_exchange_reaches_its_limit(side):
+    phase, closed, _ = C.braiding_asymptotic(A, B, *SIDES[side])
+    assert abs(phase - cmath.exp(0.5j * SIGN[side] * QQ)) < 1e-12
+    assert abs(phase - closed) < 1e-12
+
+
+def test_braiding_is_not_a_symmetry():
+    double = _exchange(A, B, "right") * _exchange(B, A, "right")
+    assert abs(double - cmath.exp(1j * QQ)) < 1e-12
+    assert abs(double - 1.0) > 0.8
+
+
+def test_opposite_asymptopia_gives_the_inverse():
+    assert abs(_exchange(B, A, "left") * _exchange(A, B, "right") - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_hexagons_and_naturality(side):
+    lhs1 = _braiding(A + B, Z, side)
+    rhs1 = C.compose(
+        C.tensor_mor(_braiding(A, Z, side), C.identity(B)),
+        C.tensor_mor(C.identity(A), _braiding(B, Z, side)),
+    )
+    lhs2 = _braiding(A, B + Z, side)
+    rhs2 = C.compose(
+        C.tensor_mor(C.identity(B), _braiding(A, Z, side)),
+        C.tensor_mor(_braiding(A, B, side), C.identity(Z)),
+    )
+    assert distance(lhs1, rhs1) < 1e-12 and distance(lhs2, rhs2) < 1e-12
+    r = C.rephase(C.hom_basis(A, A.translate(0.5)), cmath.exp(0.3j))
+    s = C.star_mor(C.hom_basis(B, B.translate(-0.3)))
+    lhs = C.compose(_braiding(r.target, s.target, side), C.tensor_mor(r, s))
+    rhs = C.compose(C.tensor_mor(s, r), _braiding(r.source, s.source, side))
+    assert distance(lhs, rhs) < 1e-12
+
+
+def _second_charge_follows(braiding_asymptotic):
+    def mutant(a, b, ta, tb, rng=None):
+        return braiding_asymptotic(a, b, ta, ta, rng)
+
+    return mutant
+
+
+def _tensor_without_source_action(tensor_mor):
+    def mutant(r, s):
+        coeff = r.coeff * s.coeff * cmath.exp(0.5j * r.label.symplectic(s.label))
+        return C.Intertwiner(r.source + s.source, r.target + s.target, coeff, r.label + s.label)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "attribute, mutant",
+    [("braiding_asymptotic", _second_charge_follows), ("tensor_mor", _tensor_without_source_action)],
+)
+def test_broken_construction_misses_the_limit(monkeypatch, attribute, mutant):
+    monkeypatch.setattr(C, attribute, mutant(getattr(C, attribute)))
+    assert abs(_exchange(A, B, "right") - cmath.exp(0.5j * QQ)) > 0.1

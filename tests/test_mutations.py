@@ -363,10 +363,11 @@ MUTATIONS = [
         frozenset({"laws/gram_psd"}),
     ),
     # the eigenvalue side of the same row: off-diagonal entries far above 1
-    # make the Gram matrix indefinite, its smallest eigenvalue about -3e6
+    # make the Gram matrix indefinite, its smallest eigenvalue about -3e6.
+    # weyl reads the exponent as a method, so the class binding is patched
     Mutation(
         "gram-vacuum-exponent-sign",
-        W,
+        F.FieldVector,
         "vacuum_exponent",
         _vacuum_exponent_sign,
         "laws",

@@ -96,7 +96,7 @@ def test_category_coherence(pa, pb, pc, phi1, phi2):
 def test_transport_keeps_intertwiner_relation(pa, phi, t, off):
     a = build_obj(pa)
     r = C.rephase(C.hom_basis(a, F.translate(a, (t, off, 0.4, -0.2))), np.exp(1j * phi))
-    f = F.intertwiner_label(a, F.translate(a, (0.0, -0.7, 1.1, 0.3)))
+    f = C.hom_basis(a, F.translate(a, (0.0, -0.7, 1.1, 0.3))).label
     assert C.intertwiner_relation_residual(r, f) <= 1e-12
 
 

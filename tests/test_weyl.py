@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conebraid import category as C
 from conebraid import field as F
 from conebraid import weyl as W
 from conebraid.errors import UsageError
@@ -141,8 +142,8 @@ def test_gram_matrix_values_and_positivity(pair):
     assert np.array_equal(g4, g4.conj().T)
     assert np.linalg.eigvalsh(g4).min() > -1e-12
     # chargeless differences of translated charge vectors are admissible labels
-    lab1 = F.intertwiner_label(gam, F.translate(gam, (0.0, 0.0, 0.0, 3.0)))
-    lab2 = F.intertwiner_label(gam, F.translate(gam, (0.0, 0.0, 0.0, 6.0)))
+    lab1 = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 3.0))).label
+    lab2 = C.hom_basis(gam, F.translate(gam, (0.0, 0.0, 0.0, 6.0))).label
     g3 = W.gram_matrix([F.zero_vector(), lab1, lab2])
     assert np.linalg.eigvalsh(g3).min() > -1e-12
 
