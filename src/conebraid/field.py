@@ -116,8 +116,8 @@ CLOSED_FORM_MIN_TAIL = 40.0
 # Coefficients of each named bump shape in powers of (r/R)^2: the indicator
 # is 1, smooth is (1 - (r/R)^2)^2 inside the support, C^1 at the boundary.
 BUMP_SHAPES = {"indicator": (1.0,), "smooth": (1.0, -2.0, 1.0)}
-# Pair integrals kept; a default run_suite(config, "all") fills 2,817 of them,
-# and no committed config more than 2,833.
+# Pair integrals kept; a default run_suite(config, "all") fills 3,107 of them,
+# and no committed config more than 3,125.
 PAIR_CACHE_SIZE = 1 << 14
 SIGMA, RE = "sigma", "re"
 # _KERNEL[form, c_a, c_b] = (sign, power, trig).  Less the phase e^{-i p.d}, a g atom at time t has channel

@@ -21,6 +21,7 @@ from conebraid.config import ChargeCfg, ConeSpec, RunConfig, config_from_dict, l
 from conebraid.errors import ConfigError
 from conebraid.report import CheckRow, Report, emit_report
 from conebraid.suites import plan_counts, run_suite, vector_from_charge_cfg
+from conebraid.weyl import WeylElement
 from expected_reports import expected_csv, expected_rows, expected_run
 from oracle_report import coupling, defect
 
@@ -587,8 +588,8 @@ def test_cli_unreadable_config_exits_2_with_one_line(case, tmp_path, capsys, mon
 
 @pytest.mark.parametrize("channels", ["gg", "hh", "ghg"])
 def test_uncoupled_charges_still_run_laws_and_seqalg(tmp_path, channels):
-    # the laws and seqalg suites draw time-shifted objects, so they run on
-    # the charges the coupling suites refuse
+    # the laws suite draws time-shifted objects and the seqalg suite its own
+    # unit Gaussian pair, so they run on the charges the coupling suites refuse
     cfg = _config_file(_channels(channels), tmp_path)
     for suite in ("laws", "seqalg"):
         assert main(["verify", "--config", str(cfg), "--suite", suite, "--out", str(tmp_path)]) == 0
@@ -653,16 +654,20 @@ def test_non_finite_row_exits_1_with_one_line_and_no_report(tmp_path, capsys, mo
     # a JSON report cannot hold NaN, so a row that would carry one ends the
     # run like an internal error instead of failing as a row; so does a broken
     # internal operand check (a UsageError), which is a package bug and not a
-    # config error: without the polar cutoff an output breaks its certified
-    # bound, and no validated config gives a Gaussian of width 0
+    # config error: a seqalg product that doubles its coefficients breaks an
+    # output's certified bound, and no validated config gives a Gaussian of
+    # width 0
     make_test_vector = F.make_test_vector
 
     def flat(**kw):
         return make_test_vector(**{**kw, "width": 0.0})
 
+    def doubled(a, b):
+        return WeylElement(2.0 * a.coeff * b.coeff, a.label + b.label)
+
     cases = [
         (suites.cat, "extension_residual", lambda *args: math.nan, "decay", ("decay/extension", "non-finite")),
-        (seqalg, "POLAR_SINGULAR_CUTOFF", -1.0, "seqalg", ("generator breaks its certified bound",)),
+        (seqalg, "weyl_mul", doubled, "seqalg", ("generator breaks its certified bound",)),
         (suites.fld, "make_test_vector", flat, "laws", ("error: width must be positive",)),
     ]
     for module, name, value, suite, words in cases:
@@ -822,7 +827,7 @@ def test_package_imports_no_numpy():
 
 # Each module's imports from the package, function-local ones included.  The
 # construction (weyl, category) reads a vector only through its methods, so
-# it imports no model, and seqalg's one algebra is the 2 x 2 matrices.
+# it imports no model, and seqalg's sequences are of weyl's generators.
 LAYERS = {
     "__init__": set(),
     "__main__": {"cli"},
@@ -831,7 +836,7 @@ LAYERS = {
     "field": {"errors", "quadrature"},
     "weyl": {"errors"},
     "category": {"errors", "weyl"},
-    "seqalg": {"errors"},
+    "seqalg": {"errors", "weyl"},
     "config": {"errors", "field"},
     "report": {"errors"},
     "suites": {"category", "config", "errors", "field", "report", "seqalg", "weyl"},

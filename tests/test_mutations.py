@@ -13,6 +13,7 @@ those ids).
 """
 
 import cmath
+import math
 from pathlib import Path
 from typing import NamedTuple
 
@@ -24,7 +25,7 @@ from conebraid import seqalg as sa
 from conebraid import suites
 from conebraid import weyl as W
 from conebraid.config import ConeSpec, load_config
-from conebraid.errors import DomainError, InternalError, UsageError
+from conebraid.errors import InternalError
 from conebraid.suites import run_suite
 from expected_reports import expected_rows
 from oracle_report import mismatches, oracle_rows
@@ -45,24 +46,57 @@ class Oracle(frozenset):
     """Check ids whose rows the mutation moves off the oracle."""
 
 
-def _polar_star(polar):
-    def mutant(x):
-        u, smallest = polar(x)
-        return sa.star(u), smallest
+def _polar_star(polar_unitarize):
+    def mutant(s):
+        u = polar_unitarize(s)
+        return sa.SequenceElement(lambda n: W.star(u.at(n)), 1.0)
 
     return mutant
 
 
 def _adjoint_without_star(adjoint_morphism):
     def mutant(u, value):
-        return sa.SequenceElement(lambda n: sa.mul(sa.mul(u.at(n), value), u.at(n)), sa.norm(value))
+        return sa.SequenceElement(lambda n: W.weyl_mul(W.weyl_mul(u.at(n), value), u.at(n)), abs(value.coeff))
 
     return mutant
 
 
 def _seq_mul_adds(seq_mul):
+    # the coefficients add instead of multiplying
     def mutant(s, t):
-        return sa.SequenceElement(lambda n: sa.add(s.at(n), t.at(n)), s.bound + t.bound)
+        def gen(n):
+            a, b = s.at(n), t.at(n)
+            return W.WeylElement(a.coeff + b.coeff, F.add(a.label, b.label))
+
+        return sa.SequenceElement(gen, s.bound + t.bound)
+
+    return mutant
+
+
+def _limsup_takes_min(limsup_norm):
+    # the smallest tail sample in place of the largest: a liminf
+    def mutant(s, t=None):
+        if t is None:
+            return min(abs(s.at(n).coeff) for n in sa.SAMPLES)
+        return min(W.distance(s.at(n), t.at(n)) for n in sa.SAMPLES)
+
+    return mutant
+
+
+def _exchange_tilted(braiding_asymptotic):
+    # the exchange converges to e^{0.01 i} times the exact braiding phase
+    def mutant(a, b, ta, tb, rng=None):
+        phase, closed, rephased = braiding_asymptotic(a, b, ta, tb, rng)
+        return phase * cmath.exp(0.01j), closed, rephased
+
+    return mutant
+
+
+def _exchange_log_tail(braiding_asymptotic):
+    # the exchange approaches its limit like 1/log R, not like 1/R
+    def mutant(a, b, ta, tb, rng=None):
+        phase, closed, rephased = braiding_asymptotic(a, b, ta, tb, rng)
+        return phase * cmath.exp(1j / math.log(math.hypot(*ta[1:]))), closed, rephased
 
     return mutant
 
@@ -196,10 +230,10 @@ MUTATIONS = [
     Mutation(
         "polar-returns-star",
         sa,
-        "polar",
+        "polar_unitarize",
         _polar_star,
         "seqalg",
-        frozenset({"seqalg/adjoint_constant", "seqalg/polar_null_distance"}),
+        frozenset({"seqalg/adjoint_constant", "seqalg/polar_null_distance", "seqalg/subsequence_stability"}),
     ),
     Mutation(
         "adjoint-without-star",
@@ -207,7 +241,12 @@ MUTATIONS = [
         "adjoint_morphism",
         _adjoint_without_star,
         "seqalg",
-        frozenset({"seqalg/adjoint_constant", "seqalg/adjoint_center"}),
+        frozenset({
+            "seqalg/adjoint_constant",
+            "seqalg/adjoint_center",
+            "seqalg/subsequence_converse",
+            "seqalg/subsequence_stability",
+        }),
     ),
     Mutation(
         "subsequence-ignores-map",
@@ -217,13 +256,15 @@ MUTATIONS = [
         "seqalg",
         frozenset({"seqalg/subsequence_converse", "seqalg/adjoint_alternating"}),
     ),
+    # Ad U_n then reads U_n W(f) U_n*, the inverse action.  No product of a
+    # generator with its own star sees the order, so the unitarity row does not
     Mutation(
         "mul-swapped",
         sa,
-        "mul",
+        "weyl_mul",
         lambda mul: lambda x, y: mul(y, x),
         "seqalg",
-        frozenset({"seqalg/polar_unitarity"}),
+        frozenset({"seqalg/adjoint_constant", "seqalg/subsequence_converse", "seqalg/subsequence_stability"}),
     ),
     Mutation(
         "stability-probe-negated",
@@ -233,13 +274,72 @@ MUTATIONS = [
         "seqalg",
         frozenset({"seqalg/subsequence_stability"}),
     ),
-    # polar_unitarize's almost-unitary precondition multiplies sequences
-    # before any row is written, so a broken product raises there
-    Mutation("seq-mul-adds", sa, "seq_mul", _seq_mul_adds, "seqalg", DomainError),
-    # without the cutoff the polar factor of the fallback row's entries, whose
-    # smallest singular value is 1e-12, has norm about 1.00002 and breaks the
-    # certified bound 1.0 of polar_unitarize's output
-    Mutation("polar-cutoff-removed", sa, "POLAR_SINGULAR_CUTOFF", lambda cutoff: -1.0, "seqalg", UsageError),
+    # the null sequence times a transporter then has norm about 1
+    Mutation("seq-mul-adds", sa, "seq_mul", _seq_mul_adds, "seqalg", frozenset({"seqalg/null_ideal"})),
+    # without the cutoff an entry of modulus 1e-12 keeps its own label
+    # instead of falling back to W(0), at distance 2 from it
+    Mutation(
+        "polar-cutoff-removed",
+        sa,
+        "POLAR_SINGULAR_CUTOFF",
+        lambda cutoff: -1.0,
+        "seqalg",
+        frozenset({"seqalg/polar_singular_fallback"}),
+    ),
+    # a liminf: the alternating adjoint sequence then reads as converging
+    # to rho's action, since its even entries do
+    Mutation(
+        "limsup-takes-min",
+        sa,
+        "limsup_norm",
+        _limsup_takes_min,
+        "seqalg",
+        frozenset({"seqalg/subsequence_converse"}),
+    ),
+    # an exchange converging to the wrong phase, or too slowly, leaves
+    # (eps_R - eps_exact) W(delta) off the null ideal
+    Mutation(
+        "exchange-tilted",
+        C,
+        "braiding_asymptotic",
+        _exchange_tilted,
+        "seqalg",
+        frozenset({"seqalg/null_ideal"}),
+    ),
+    Mutation(
+        "exchange-log-tail",
+        C,
+        "braiding_asymptotic",
+        _exchange_log_tail,
+        "seqalg",
+        frozenset({"seqalg/null_ideal"}),
+    ),
+    # weyl_mul's cocycle in the seqalg suite: Ad U_n(W(delta)) then
+    # converges to e^{-i sigma(rho, delta)} W(delta), the inverse of rho's action
+    Mutation(
+        "weyl-cocycle-flipped-seqalg",
+        W,
+        "_product",
+        _cocycle_flipped,
+        "seqalg",
+        frozenset({"seqalg/adjoint_constant", "seqalg/subsequence_converse", "seqalg/subsequence_stability"}),
+    ),
+    # u* u lands on the label -y of u*, so the unitarity row reads 2, and
+    # every adjoint lands off the observable's label
+    Mutation(
+        "weyl-product-keeps-left-label-seqalg",
+        W,
+        "_product",
+        _product_keeps_left_label,
+        "seqalg",
+        frozenset({
+            "seqalg/polar_unitarity",
+            "seqalg/adjoint_constant",
+            "seqalg/adjoint_center",
+            "seqalg/subsequence_converse",
+            "seqalg/subsequence_stability",
+        }),
+    ),
     # weyl_mul's cocycle; compose keeps its own binding of _product
     Mutation(
         "weyl-cocycle-flipped",

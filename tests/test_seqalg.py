@@ -1,27 +1,27 @@
-"""Sequence-quotient machinery: tail surrogate, polar factors, stability probes."""
+"""Sequence-quotient machinery on Weyl generators: tail surrogate, polar factors, stability probes."""
 
+import cmath
 import math
 import random
 
 import numpy as np
 import pytest
 
+from conebraid import field as F
 from conebraid import seqalg as SA
 from conebraid.errors import DomainError, UsageError
+from conebraid.weyl import WeylElement, weyl
+
+# Two labels whose generators do not commute: sigma(X, Y) is about -0.69.
+X = F.make_test_vector(amplitude=1.0, width=1.0, channel="h")
+Y = F.translate(F.make_charge_vector(q=1.0, width=1.0), (0.0, 0.5, 0.0, 0.0))
 
 
-M = SA.matrix  # a numpy 2 x 2 array as a seqalg matrix
-
-
-@pytest.fixture(scope="module")
-def mats():
-    # numpy arrays, for the tests' own arithmetic; M() makes them matrices
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    p = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    p /= SA.norm(M(p))
-    a = np.array([[1.0, 0.5], [0.0, 1.0]], dtype=complex)
-    return a, q, p
+def _seq(coeff, label=X, bound=None):
+    """n -> coeff(n) W(label), certified by bound (default: the largest |coeff| over 1..10,000)."""
+    if bound is None:
+        bound = max(abs(coeff(n)) for n in range(1, 10_001))
+    return SA.SequenceElement(lambda n: weyl(label, coeff(n)), bound)
 
 
 def test_tail_samples_and_tolerance_are_fixed():
@@ -35,45 +35,45 @@ def test_tail_samples_and_tolerance_are_fixed():
     assert samples[-1] == SA.TAIL_START * 2 ** (len(samples) // 2)
 
 
-def test_limsup_norm_examples(mats):
-    a, _, _ = mats
-    assert SA.limsup_norm(SA.constant(M(a))) == SA.norm(M(a))
-    alt = SA.SequenceElement(lambda n: M(a if n % 2 == 0 else 2 * a), 2 * SA.norm(M(a)))
-    assert abs(SA.limsup_norm(alt) - 2 * SA.norm(M(a))) < 1e-14
-    inv = SA.SequenceElement(lambda n: M(a / n), SA.norm(M(a)))
-    assert SA.limsup_norm(inv) <= SA.norm(M(a)) / SA.TAIL_START
+def test_limsup_norm_examples():
+    assert SA.limsup_norm(SA.constant(weyl(X, 1.5j))) == 1.5
+    alt = _seq(lambda n: 1.0 if n % 2 == 0 else 2.0)
+    assert SA.limsup_norm(alt) == 2.0
+    inv = _seq(lambda n: 1.0 / n)
+    assert SA.limsup_norm(inv) <= 1.0 / SA.TAIL_START
+    # against a second sequence it is the largest weyl.distance: |c_s - c_t|
+    # on equal labels, |c_s| + |c_t| on unequal ones
+    assert SA.limsup_norm(alt, SA.constant(weyl(X))) == 1.0
+    assert SA.limsup_norm(alt, SA.constant(weyl(Y))) == 3.0
 
 
-def test_is_null_examples(mats):
-    a, _, _ = mats
-    assert SA.is_null(SA.constant(M(np.zeros_like(a))))
-    assert not SA.is_null(SA.constant(M(a)))
-    inv = SA.SequenceElement(lambda n: M(a / n), SA.norm(M(a)))
-    assert not SA.is_null(inv)
+def test_is_null_examples():
+    assert SA.is_null(SA.constant(weyl(X, 0.0)))
+    assert not SA.is_null(SA.constant(weyl(X)))
+    assert not SA.is_null(_seq(lambda n: 1.0 / n))
     # an index shift scaled by the norm pushes the tail strictly under tolerance
-    shift = math.ceil(SA.norm(M(a)) / SA.NULL_TOLERANCE)
-    assert SA.is_null(SA.SequenceElement(lambda n: M(a / (n + shift)), SA.norm(M(a))))
+    shift = math.ceil(1.0 / SA.NULL_TOLERANCE)
+    assert SA.is_null(_seq(lambda n: 1.0 / (n + shift), bound=1.0))
 
 
-def test_bound_certification(mats):
-    a, _, _ = mats
-    lying = SA.SequenceElement(lambda n: M(a * n), SA.norm(M(a)))
+def test_bound_certification():
+    lying = SA.SequenceElement(lambda n: weyl(X, n), 1.0)
     with pytest.raises(UsageError):
         SA.limsup_norm(lying)
     with pytest.raises(UsageError):
-        SA.SequenceElement(lambda n: M(a), float("inf"))
+        SA.SequenceElement(lambda n: weyl(X), float("inf"))
     with pytest.raises(UsageError):
-        SA.constant(M(a)).at(0)
-    # a nan entry breaks every bound, even beside zeros
-    for bad in (a * math.nan, np.array([[0.0, math.nan], [0.0, 0.0]])):
+        SA.constant(weyl(X)).at(0)
+    # a nan or infinite coefficient breaks every bound
+    for bad in (math.nan, complex(0.0, math.nan), complex(math.inf, 0.0)):
         with pytest.raises(UsageError):
-            SA.SequenceElement(lambda n: M(bad), 1.0).at(1)
+            SA.SequenceElement(lambda n: weyl(X, bad), 1.0).at(1)
 
 
-def test_subsequence_monotonicity(mats):
-    a, _, _ = mats
-    c = SA.constant(M(a))
-    assert np.allclose(SA.subsequence(c, lambda n: n).at(7), a)
+def test_subsequence_monotonicity():
+    a = weyl(X, 0.5)
+    c = SA.constant(a)
+    assert SA.subsequence(c, lambda n: n).at(7) is a
     bad = SA.subsequence(c, lambda n: 10 - n)
     bad.at(3)
     with pytest.raises(UsageError):
@@ -82,11 +82,11 @@ def test_subsequence_monotonicity(mats):
         SA.subsequence(c, lambda n: 0).at(1)
 
 
-def test_subsequence_violation_between_distant_evaluations(mats):
+def test_subsequence_violation_between_distant_evaluations():
     # 9 maps below the images of 2 and 5, and neither was evaluated just
     # before 9; the check sees it through 9's sorted neighbour 5
-    a, _, _ = mats
-    c = SA.constant(M(a))
+    a = weyl(X, 0.5)
+    c = SA.constant(a)
     images = {2: 50, 20: 200, 5: 60, 12: 120, 9: 40}
     sub = SA.subsequence(c, images.__getitem__)
     for n in (2, 20, 5, 12):
@@ -99,116 +99,109 @@ def test_subsequence_violation_between_distant_evaluations(mats):
         sub.at(3)
     # evaluated indices keep their images, and a consistent index still evaluates
     images[9] = 100
-    assert np.allclose(sub.at(9), a) and np.allclose(sub.at(5), a)
+    assert sub.at(9) is a and sub.at(5) is a
 
 
-def test_subsequence_stability_of_equivalence(mats):
-    a, _, p = mats
-    drift = SA.SequenceElement(lambda n: M(a + 0.5**n * p), SA.norm(M(a)) + 1.0)
-    limit = SA.constant(M(a))
+def test_subsequence_stability_of_equivalence():
+    drift = _seq(lambda n: 1.0 + 0.5**n)
+    limit = SA.constant(weyl(X))
     assert SA.equivalent(drift, limit)
     assert SA.stability_probe(drift, limit, random.Random(1))
-    assert not SA.stability_probe(drift, SA.constant(M(a + p)), random.Random(1))
+    assert not SA.stability_probe(drift, SA.constant(weyl(X, 1.0 + 1e-3)), random.Random(1))
+    assert not SA.stability_probe(drift, SA.constant(weyl(Y)), random.Random(1))
 
 
-def test_alternating_subsequences_separate(mats):
-    a, _, _ = mats
-    b = a + np.array([[0.0, 0.0], [0.0, 1.0]])
-    alt = SA.SequenceElement(lambda n: M(a if n % 2 == 0 else b), 4.0)
+def test_alternating_subsequences_separate():
+    alt = SA.SequenceElement(lambda n: weyl(X) if n % 2 == 0 else weyl(Y), 1.0)
     even = SA.subsequence(alt, lambda n: 2 * n)
     odd = SA.subsequence(alt, lambda n: 2 * n + 1)
-    assert SA.equivalent(even, SA.constant(M(a)))
-    assert SA.equivalent(odd, SA.constant(M(b)))
+    assert SA.equivalent(even, SA.constant(weyl(X)))
+    assert SA.equivalent(odd, SA.constant(weyl(Y)))
     assert not SA.equivalent(even, odd)
+    # the whole sequence has two limit points, so it is equivalent to neither
+    assert not SA.equivalent(alt, SA.constant(weyl(X)))
 
 
-def test_null_ideal_law(mats):
-    a, _, p = mats
-    null_s = SA.SequenceElement(lambda n: M(0.5**n * p), 1.0)
-    alt = SA.SequenceElement(lambda n: M(a if n % 2 == 0 else 2 * a), 2 * SA.norm(M(a)))
+def test_null_ideal_law():
+    null_s = _seq(lambda n: 0.5**n, label=Y)
+    alt = SA.SequenceElement(lambda n: weyl(X, 1.0 if n % 2 == 0 else 2.0), 2.0)
     assert SA.is_null(null_s)
     assert SA.is_null(SA.seq_mul(null_s, alt))
     assert SA.is_null(SA.seq_mul(alt, null_s))
-    assert SA.is_null(SA.seq_star(null_s))
+    # a product's certified bound is the product of the bounds
+    assert SA.seq_mul(null_s, alt).bound == null_s.bound * alt.bound
 
 
 def test_polar_hand_example():
-    early = np.array([[0.0, 2.0], [1.0, 0.0]], dtype=complex)
-    late = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    s = SA.SequenceElement(lambda n: M(early if n < 5 else late), 2.0)
+    # entries before the tail need not be almost unitary: 2 W(X) early,
+    # W(X) late, and both have the polar factor W(X)
+    s = SA.SequenceElement(lambda n: weyl(X, 2.0 if n < 5 else 1.0), 2.0)
     u = SA.polar_unitarize(s)
-    # B |B|^{-1} = [[0,1],[1,0]] for both branches (|B| = diag(1, 2) early)
-    assert np.allclose(u.at(2), late)
-    assert np.allclose(u.at(100), late)
-    assert SA.unitarity_defect(u.at(2)) < 1e-12
+    for n in (2, 100):
+        assert u.at(n).label is X and u.at(n).coeff == 1.0
 
 
 def test_polar_scalar_example():
-    rng = np.random.default_rng(5)
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    # q (1 + 1/n) read from index 2,000,000 on, where it is almost unitary
+    phase = cmath.exp(0.7j)
+    # phase (1 + 1/n) read from index 2,000,000 on, where it is almost unitary
     shift = 2_000_000
-    s = SA.SequenceElement(lambda n: M(q * (1.0 + 1.0 / (n + shift))), 2.0)
+    s = SA.SequenceElement(lambda n: weyl(X, phase * (1.0 + 1.0 / (n + shift))), 2.0)
     u = SA.polar_unitarize(s)
-    assert np.allclose(u.at(3_000_000 - shift), q)
-    assert SA.is_null(SA.seq_sub(u, s))
+    assert abs(u.at(3_000_000 - shift).coeff - phase) <= 1e-15
+    assert SA.equivalent(u, s)
 
 
 def test_polar_rejects_non_almost_unitary():
     with pytest.raises(DomainError):
-        SA.polar_unitarize(SA.constant(M(2.0 * np.eye(2))))
+        SA.polar_unitarize(SA.constant(weyl(X, 2.0)))
+    # the precondition reads ||c|^2 - 1| at every tail sample, so one far entry refuses it
+    with pytest.raises(DomainError):
+        SA.polar_unitarize(SA.SequenceElement(lambda n: weyl(X, 1.1 if n == 8192 else 1.0), 1.1))
 
 
-def test_polar_corpus_default_policy(mats):
-    _, q, p = mats
-    s = SA.SequenceElement(lambda n: M(q + 0.5**n * p), 2.0)
+def test_polar_corpus_default_policy():
+    phase = cmath.exp(-2.1j)
+    s = SA.SequenceElement(lambda n: weyl(Y, phase * (1.0 + 0.5**n)), 2.0)
     u = SA.polar_unitarize(s)
-    defects = [SA.unitarity_defect(u.at(n)) for n in SA.SAMPLES]
+    defects = [abs(abs(u.at(n).coeff) ** 2 - 1.0) for n in SA.SAMPLES]
     assert max(defects) < 1e-12
-    assert SA.is_null(SA.seq_sub(u, s))
+    assert SA.equivalent(u, s)
     # Lipschitz-style comparison against the unitarity defect of the input
-    for n in SA.SAMPLES[:6]:
-        num = SA.norm(SA.sub(u.at(n), s.at(n)))
-        den = SA.unitarity_defect(s.at(n))
+    for n in (1, 2, 3, *SA.SAMPLES[:6]):
+        num = abs(u.at(n).coeff - s.at(n).coeff)
+        den = abs(abs(s.at(n).coeff) ** 2 - 1.0)
         assert num <= 2.0 * den
 
 
-def test_polar_singular_fallback(mats):
-    _, q, _ = mats
-    s = SA.SequenceElement(
-        lambda n: M(np.zeros((2, 2)) if n == 5 else q), 1.0
-    )
+def test_polar_singular_fallback():
+    s = SA.SequenceElement(lambda n: weyl(X, 0.0 if n == 5 else 1j), 1.0)
     u = SA.polar_unitarize(s)
-    assert np.allclose(u.at(5), np.eye(2))
-    assert np.allclose(u.at(33), q)
+    assert u.at(5).label.is_zero and u.at(5).coeff == 1.0
+    assert u.at(33).label is X and u.at(33).coeff == 1j
+    # under the cutoff, not only at zero
+    tiny = SA.SequenceElement(lambda n: weyl(X, 0.5 * SA.POLAR_SINGULAR_CUTOFF if n == 5 else 1.0), 1.0)
+    assert SA.polar_unitarize(tiny).at(5).label.is_zero
 
 
-def test_adjoint_morphism(mats):
-    a, q, _ = mats
-    adj = SA.adjoint_morphism(SA.constant(M(q)), M(a))
-    assert np.allclose(adj.at(50), q.conj().T @ a @ q)
-    center = SA.SequenceElement(lambda n: M(np.exp(1j * n) * np.eye(2)), 1.0)
-    assert np.allclose(SA.adjoint_morphism(center, M(a)).at(40), a)
+def test_adjoint_morphism():
+    # W(Y)* W(X) W(Y) = e^{i sigma(X, Y)} W(X), and the phase is far from 1
+    assert abs(F.symplectic(X, Y)) > 0.5
+    adj = SA.adjoint_morphism(SA.constant(weyl(Y, 1j)), weyl(X, 0.5))
+    value = adj.at(50)
+    assert value.label.terms == X.terms
+    assert abs(value.coeff - 0.5 * cmath.exp(1j * F.symplectic(X, Y))) <= 1e-15
+    center = SA.SequenceElement(lambda n: weyl(F.zero_vector(), cmath.exp(1j * n)), 1.0)
+    assert abs(SA.adjoint_morphism(center, weyl(X)).at(40).coeff - 1.0) <= 1e-15
     with pytest.raises(DomainError):
-        SA.adjoint_morphism(SA.constant(M(2.0 * np.eye(2))), M(a)).at(33)
+        SA.adjoint_morphism(SA.constant(weyl(F.zero_vector(), 2.0)), weyl(X)).at(33)
 
 
-def test_adjoint_alternating_is_unstable(mats):
-    a, q, _ = mats
-    rot = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-    u_alt = SA.SequenceElement(lambda n: M(q if n % 2 == 0 else rot @ q), 1.0)
-    adj = SA.adjoint_morphism(u_alt, M(a))
+def test_adjoint_alternating_is_unstable():
+    u_alt = SA.SequenceElement(lambda n: weyl(Y if n % 2 == 0 else F.scale(2.0, Y)), 1.0)
+    adj = SA.adjoint_morphism(u_alt, weyl(X))
     even = SA.subsequence(adj, lambda n: 2 * n)
     odd = SA.subsequence(adj, lambda n: 2 * n + 1)
     assert not SA.equivalent(even, odd)
-
-
-def test_matrix_algebra_guards():
-    # seqalg matrices are 2 x 2 only: other shapes are refused where they enter
-    for rows in (np.eye(3), np.eye(1), [[1.0, 0.0], [0.0]], [[1.0, 0.0]]):
-        with pytest.raises(UsageError):
-            SA.matrix(rows)
-    assert SA.matrix(np.eye(2)) == SA.UNIT
 
 
 @pytest.mark.parametrize("seed", [0, 5, 11, 123])
@@ -231,41 +224,39 @@ def test_random_increasing_map_is_read_order_free(seed, monkeypatch):
 
 
 def _svd_cases():
+    # coefficients over 300 orders of magnitude, and a 2 x 2 unitary per case
     rng = np.random.default_rng(7)
     cases = []
-    for k in range(40):
-        cases.append(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    cases.append(3.0 * q)  # equal singular values
-    cases.append(q * (1.0 + np.array([[1e-9, 0.0], [0.0, 0.0]])))  # nearly equal
-    u, v = rng.normal(size=2) + 1j * rng.normal(size=2), rng.normal(size=2) + 1j * rng.normal(size=2)
-    cases.append(np.outer(u, v.conj()))  # rank 1
-    cases.append(np.array([[0.0, 2.0], [0.0, 0.0]]))  # rank 1, nilpotent
-    cases.extend([1e-150 * cases[0], 1e150 * cases[1], 1e-150 * cases[-2], 1e150 * cases[40]])
+    for k in range(48):
+        c = complex(*rng.normal(size=2)) * 10.0 ** float(rng.integers(-150, 151) if k % 4 == 0 else 0)
+        q, _ = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+        cases.append((c, q))
     return cases
 
 
 @pytest.mark.parametrize("k", range(48))
 def test_matrix_norm_polar_and_smallest_singular_value_match_svd(k):
-    # the closed forms against LAPACK's svd at 1e-14 relative: s_max, s_min
-    # (relative to s_max), and the polar factor u vh unless s_min / s_max is
-    # below the polar cutoff's 1e-8
-    x = _svd_cases()[k]
-    m = M(x)
-    u, s, vh = np.linalg.svd(x)
-    assert abs(SA.norm(m) - s[0]) <= 1e-14 * s[0]
-    polar, smallest = SA.polar(m)
-    assert abs(smallest - s[1]) <= 1e-14 * s[0]
-    if s[1] > 1e-8 * s[0]:
-        assert np.max(np.abs(np.array(polar) - u @ vh)) <= 1e-14
-        assert SA.unitarity_defect(polar) <= 1e-14
-    # products and adjoints are numpy's, entry by entry
-    y = _svd_cases()[(k + 1) % 48]
-    assert np.allclose(SA.mul(m, M(y)), x @ y, rtol=1e-15, atol=0.0)
-    assert np.array_equal(np.array(SA.star(m)), x.conj().T)
+    # a generator c W(x) is c times a unitary in every representation; as
+    # the matrix c q, LAPACK's svd gives both singular values |c| and the
+    # polar factor u vh = (c/|c|) q.  seqalg's norm must match at 1e-14
+    # relative, and its polar factor too unless |c| is below the cutoff
+    c, q = _svd_cases()[k]
+    u, s, vh = np.linalg.svd(c * q)
+    size = SA.limsup_norm(SA.constant(weyl(X, c)))
+    assert abs(size - s[0]) <= 1e-14 * s[0] and abs(size - s[1]) <= 1e-14 * s[0]
+    # c at index 1, unit-modulus tail entries for the precondition
+    s_c = SA.SequenceElement(lambda n: weyl(X, c if n == 1 else c / size), max(size, 1.0))
+    factor = SA.polar_unitarize(s_c).at(1)
+    if s[1] < SA.POLAR_SINGULAR_CUTOFF:
+        assert factor.label.is_zero and factor.coeff == 1.0
+    else:
+        assert factor.label is X
+        assert np.max(np.abs(factor.coeff * q - u @ vh)) <= 1e-14
 
 
-def test_zero_matrix_has_the_unit_as_polar_and_no_norm():
-    zero = M(np.zeros((2, 2)))
-    assert SA.norm(zero) == 0.0
-    assert SA.polar(zero) == (SA.UNIT, 0.0)
+def test_zero_generator_has_the_unit_as_polar_and_no_norm():
+    zero = SA.constant(weyl(X, 0.0))
+    assert SA.limsup_norm(zero) == 0.0
+    unit = SA.polar_unitarize(SA.SequenceElement(lambda n: weyl(X, 0.0 if n == 1 else 1.0), 1.0)).at(1)
+    assert unit.label.is_zero and unit.coeff == 1.0
+    assert isinstance(unit, WeylElement)
