@@ -7,6 +7,8 @@ fixed in code: limsup_norm takes the maximum, over the indices in SAMPLES,
 all beyond TAIL_START, of ||s_n|| or of ||s_n - t_n||, and is_null and
 equivalent mean that maximum falls below NULL_TOLERANCE.  Like the rest of
 the check policy, no config moves them and reports do not record them.
+Every check reads a sequence, subsequences included, only at SAMPLES: a
+subsequence maps a finite window of indices, and probe maps are drawn there.
 
 The algebra is the Weyl algebra of weyl, the one the category's arrows
 live in: the norm of c W(x) is |c|, the norm of a difference of two
@@ -21,8 +23,6 @@ the input.  Random draws come from a stdlib random.Random.
 
 from __future__ import annotations
 
-import bisect
-from itertools import accumulate
 import math
 from typing import TYPE_CHECKING
 
@@ -34,12 +34,9 @@ if TYPE_CHECKING:
 
 POLAR_SINGULAR_CUTOFF = 1e-8
 ADJOINT_UNITARY_TOL = 1e-10  # largest unitarity defect adjoint_morphism accepts
-MAX_INDEX_STEP = 4  # random_increasing_map's steps lie in [1, MAX_INDEX_STEP]
-# random_increasing_map draws its steps a block at a time, one byte per step
-# mapped through _STEPS.  MAX_INDEX_STEP divides 256, so each step value
-# takes exactly 256 / MAX_INDEX_STEP of the bytes and a uniform byte gives a
-# uniform step.
-_STEP_BLOCK = 4096
+MAX_INDEX_STEP = 4  # stability_probe's index steps lie in [1, MAX_INDEX_STEP]
+# One byte per step, mapped through _STEPS: MAX_INDEX_STEP divides 256, so
+# a uniform byte gives a uniform step.
 _STEPS = bytes(1 + b % MAX_INDEX_STEP for b in range(256))
 PROBE_MAPS = 8  # random subsequences a stability_probe re-tests
 # limsup_norm's 16 sample indices, all beyond TAIL_START: half consecutive
@@ -99,62 +96,42 @@ def equivalent(s: SequenceElement, t: SequenceElement) -> bool:
     return limsup_norm(s, t) < NULL_TOLERANCE
 
 
-def subsequence(s: SequenceElement, index_map) -> SequenceElement:
-    """Reindex by a strictly increasing map; monotonicity is checked lazily
-    across every pair of indices the new element actually evaluates.
+def subsequence(s: SequenceElement, images: dict[int, int]) -> SequenceElement:
+    """Reindex on a window: n -> images[n] for the indices images maps.
 
-    The evaluated indices are kept sorted with their images increasing, so
-    a new index only needs checking against its two neighbours.
+    images is copied and checked once, here, to be ints >= 1 strictly
+    increasing in index order; evaluating an index it does not map is
+    refused.
     """
-    evaluated: list[int] = []
-    image: dict[int, int] = {}
+    images = dict(sorted(images.items()))
+    values = list(images.values())
+    if not all(type(m) is int and m >= 1 for m in values) or any(a >= b for a, b in zip(values, values[1:])):
+        raise UsageError("subsequence images must be ints >= 1, strictly increasing in index order")
 
     def gen(n: int) -> WeylElement:
-        m = int(index_map(n))
-        if m < 1:
-            raise UsageError("index map must produce indices >= 1")
-        k = bisect.bisect_left(evaluated, n)
-        if k < len(evaluated) and evaluated[k] == n:
-            if image[n] != m:
-                raise UsageError("index map is not strictly increasing")
-        else:
-            if (k > 0 and image[evaluated[k - 1]] >= m) or (
-                k < len(evaluated) and image[evaluated[k]] <= m
-            ):
-                raise UsageError("index map is not strictly increasing")
-            evaluated.insert(k, n)
-            image[n] = m
-        return s.at(m)
+        if n not in images:
+            raise UsageError(f"subsequence is not defined at n={n}")
+        return s.at(images[n])
 
     return SequenceElement(gen, s.bound)
-
-
-def random_increasing_map(rng: random.Random):
-    """Random strictly increasing map with memoized prefix, steps in [1, MAX_INDEX_STEP].
-
-    The prefix grows by blocks of _STEP_BLOCK steps, each one
-    rng.randbytes(_STEP_BLOCK) translated through _STEPS, as the map is
-    first read beyond it.  So the values depend only on the rng's state when
-    the map was made, not on the order its indices are read.
-    """
-    prefix = [0]
-
-    def index_map(n: int) -> int:
-        while len(prefix) <= n:
-            # accumulate repeats its initial value, the last known image
-            last = prefix.pop()
-            prefix.extend(accumulate(rng.randbytes(_STEP_BLOCK).translate(_STEPS), initial=last))
-        return prefix[n]
-
-    return index_map
 
 
 def stability_probe(s: SequenceElement, limit: SequenceElement, rng: random.Random) -> bool:
     """Whether PROBE_MAPS random subsequences of s all stay equivalent to limit.
 
-    A finite probe of the subsequence-closure property, never a proof.
+    Each map is drawn on SAMPLES only, the window equivalent reads: from
+    one sample index to the next its image grows by one i.i.d. step in
+    [1, MAX_INDEX_STEP] per index.  A finite probe of the
+    subsequence-closure property, never a proof.
     """
-    return all(equivalent(subsequence(s, random_increasing_map(rng)), limit) for _ in range(PROBE_MAPS))
+    for _ in range(PROBE_MAPS):
+        images, image, last = {}, 0, 0
+        for n in SAMPLES:
+            image += sum(rng.randbytes(n - last).translate(_STEPS))
+            images[n], last = image, n
+        if not equivalent(subsequence(s, images), limit):
+            return False
+    return True
 
 
 def polar_unitarize(s: SequenceElement) -> SequenceElement:

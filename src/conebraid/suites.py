@@ -444,8 +444,8 @@ def run_seqalg(rng: random.Random) -> list[CheckRow]:
     # even entries converge to rho's action and the odd ones to rho_odd's
     u_alt = sa.SequenceElement(lambda n: transporter(rho if n % 2 == 0 else rho_odd, n), 1.0)
     adj_alt = sa.adjoint_morphism(u_alt, w_delta)
-    even = sa.subsequence(adj_alt, lambda n: 2 * n)
-    odd = sa.subsequence(adj_alt, lambda n: 2 * n + 1)
+    even = sa.subsequence(adj_alt, {n: 2 * n for n in sa.SAMPLES})
+    odd = sa.subsequence(adj_alt, {n: 2 * n + 1 for n in sa.SAMPLES})
     gap = sa.limsup_norm(adj_alt, limit)
     converse = sa.equivalent(even, limit) and not sa.equivalent(adj_alt, limit)
     rows.append(

@@ -25,7 +25,7 @@ from conebraid import seqalg as sa
 from conebraid import suites
 from conebraid import weyl as W
 from conebraid.config import ConeSpec, load_config
-from conebraid.errors import InternalError
+from conebraid.errors import InternalError, UsageError
 from conebraid.suites import run_suite
 from expected_reports import expected_rows
 from oracle_report import mismatches, oracle_rows
@@ -252,7 +252,7 @@ MUTATIONS = [
         "subsequence-ignores-map",
         sa,
         "subsequence",
-        lambda subsequence: lambda s, index_map: subsequence(s, lambda n: n),
+        lambda subsequence: lambda s, images: subsequence(s, {n: n for n in images}),
         "seqalg",
         frozenset({"seqalg/subsequence_converse", "seqalg/adjoint_alternating"}),
     ),
@@ -273,6 +273,16 @@ MUTATIONS = [
         lambda stability_probe: lambda *args: not stability_probe(*args),
         "seqalg",
         frozenset({"seqalg/subsequence_stability"}),
+    ),
+    # a zero step repeats an image, which the subsequence refuses when it is
+    # built: on the suite's own path, not only in the unit tests
+    Mutation(
+        "probe-steps-can-be-zero",
+        sa,
+        "_STEPS",
+        lambda steps: bytes(b % sa.MAX_INDEX_STEP for b in range(256)),
+        "seqalg",
+        UsageError,
     ),
     # the null sequence times a transporter then has norm about 1
     Mutation("seq-mul-adds", sa, "seq_mul", _seq_mul_adds, "seqalg", frozenset({"seqalg/null_ideal"})),

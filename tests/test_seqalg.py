@@ -71,35 +71,35 @@ def test_bound_certification():
 
 
 def test_subsequence_monotonicity():
-    a = weyl(X, 0.5)
-    c = SA.constant(a)
-    assert SA.subsequence(c, lambda n: n).at(7) is a
-    bad = SA.subsequence(c, lambda n: 10 - n)
-    bad.at(3)
-    with pytest.raises(UsageError):
-        bad.at(4)
-    with pytest.raises(UsageError):
-        SA.subsequence(c, lambda n: 0).at(1)
+    # checked once, at construction: images must be ints >= 1, strictly increasing in index order
+    c = SA.constant(weyl(X, 0.5))
+    assert SA.subsequence(c, {7: 7}).at(7) is c.at(7)
+    # images are checked in index order, whatever order the dict lists them in
+    assert SA.subsequence(c, {9: 40, 2: 10, 5: 20}).at(5) is c.at(20)
+    for images in ({3: 7, 4: 6}, {3: 7, 4: 7}, {1: 5, 9: 2}, {1: 0}, {1: -3}, {1: 2.0}, {1: True}, {1: "2"}):
+        with pytest.raises(UsageError, match="strictly increasing"):
+            SA.subsequence(c, images)
 
 
-def test_subsequence_violation_between_distant_evaluations():
-    # 9 maps below the images of 2 and 5, and neither was evaluated just
-    # before 9; the check sees it through 9's sorted neighbour 5
-    a = weyl(X, 0.5)
-    c = SA.constant(a)
-    images = {2: 50, 20: 200, 5: 60, 12: 120, 9: 40}
-    sub = SA.subsequence(c, images.__getitem__)
-    for n in (2, 20, 5, 12):
-        sub.at(n)
-    with pytest.raises(UsageError, match="not strictly increasing"):
+def test_subsequence_keeps_its_own_images():
+    a, b = weyl(X, 0.5), weyl(Y, 0.5)
+    s = SA.SequenceElement(lambda n: a if n < 100 else b, 0.5)
+    images = {2: 50, 5: 60}
+    sub = SA.subsequence(s, images)
+    images[2] = 200
+    images[9] = 300
+    del images[5]
+    assert sub.at(2) is a and sub.at(5) is a
+    with pytest.raises(UsageError, match="not defined at n=9"):
         sub.at(9)
-    # 3 maps above the image of its right neighbour 5, evaluated earlier
-    images[3] = 70
-    with pytest.raises(UsageError, match="not strictly increasing"):
-        sub.at(3)
-    # evaluated indices keep their images, and a consistent index still evaluates
-    images[9] = 100
-    assert sub.at(9) is a and sub.at(5) is a
+
+
+def test_subsequence_is_undefined_off_its_window():
+    sub = SA.subsequence(SA.constant(weyl(X)), {n: 2 * n for n in SA.SAMPLES})
+    assert SA.equivalent(sub, SA.constant(weyl(X)))
+    for n in (1, SA.TAIL_START, 41, 8193):
+        with pytest.raises(UsageError, match=f"not defined at n={n}"):
+            sub.at(n)
 
 
 def test_subsequence_stability_of_equivalence():
@@ -113,8 +113,8 @@ def test_subsequence_stability_of_equivalence():
 
 def test_alternating_subsequences_separate():
     alt = SA.SequenceElement(lambda n: weyl(X) if n % 2 == 0 else weyl(Y), 1.0)
-    even = SA.subsequence(alt, lambda n: 2 * n)
-    odd = SA.subsequence(alt, lambda n: 2 * n + 1)
+    even = SA.subsequence(alt, {n: 2 * n for n in SA.SAMPLES})
+    odd = SA.subsequence(alt, {n: 2 * n + 1 for n in SA.SAMPLES})
     assert SA.equivalent(even, SA.constant(weyl(X)))
     assert SA.equivalent(odd, SA.constant(weyl(Y)))
     assert not SA.equivalent(even, odd)
@@ -199,28 +199,41 @@ def test_adjoint_morphism():
 def test_adjoint_alternating_is_unstable():
     u_alt = SA.SequenceElement(lambda n: weyl(Y if n % 2 == 0 else F.scale(2.0, Y)), 1.0)
     adj = SA.adjoint_morphism(u_alt, weyl(X))
-    even = SA.subsequence(adj, lambda n: 2 * n)
-    odd = SA.subsequence(adj, lambda n: 2 * n + 1)
+    even = SA.subsequence(adj, {n: 2 * n for n in SA.SAMPLES})
+    odd = SA.subsequence(adj, {n: 2 * n + 1 for n in SA.SAMPLES})
     assert not SA.equivalent(even, odd)
 
 
-@pytest.mark.parametrize("seed", [0, 5, 11, 123])
-def test_random_increasing_map_is_read_order_free(seed, monkeypatch):
-    # the steps come a byte block at a time, never from Random.choices, so a
-    # map's values depend on the rng it was made from, not on the read order
-    def no_choices(*args, **kwargs):
-        raise AssertionError("Random.choices called")
+def _probe_maps(seed):
+    """The images of the PROBE_MAPS subsequences a probe from Random(seed) builds."""
+    maps = []
+    subsequence = SA.subsequence
 
-    monkeypatch.setattr(random.Random, "choices", no_choices)
-    first, second = SA.random_increasing_map(random.Random(seed)), SA.random_increasing_map(random.Random(seed))
-    values = {n: first(n) for n in (300, 3, 41)}
-    assert {n: second(n) for n in (3, 41, 300)} == values
-    # past the first block too
-    assert first(2 * SA._STEP_BLOCK) == second(2 * SA._STEP_BLOCK)
-    images = [first(n) for n in range(2 * SA._STEP_BLOCK + 1)]
-    assert images[0] == 0 and all(type(v) is int for v in images)
-    steps = [b - a for a, b in zip(images, images[1:])]
-    assert set(steps) <= set(range(1, SA.MAX_INDEX_STEP + 1))
+    def recording(s, images):
+        maps.append(dict(images))
+        return subsequence(s, images)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SA, "subsequence", recording)
+        assert SA.stability_probe(SA.constant(weyl(X)), SA.constant(weyl(X)), random.Random(seed))
+    return maps
+
+
+@pytest.mark.parametrize("seed", [0, 5, 11, 123])
+def test_stability_probe_maps_are_seeded_and_step_in_range(seed):
+    maps = _probe_maps(seed)
+    assert len(maps) == SA.PROBE_MAPS and maps == _probe_maps(seed)
+    # each map is defined on SAMPLES alone, and from one sample index to the
+    # next its image grows by between 1 and MAX_INDEX_STEP per index
+    for images in maps:
+        assert tuple(images) == SA.SAMPLES and all(type(m) is int for m in images.values())
+        for (n0, m0), (n1, m1) in zip([(0, 0), *images.items()], images.items()):
+            assert n1 - n0 <= m1 - m0 <= SA.MAX_INDEX_STEP * (n1 - n0)
+    # every step of the first gap, the 33 indices up to SAMPLES[0], is a byte mapped into [1, MAX_INDEX_STEP]
+    steps = random.Random(seed).randbytes(SA.SAMPLES[0]).translate(SA._STEPS)
+    assert set(steps) <= set(range(1, SA.MAX_INDEX_STEP + 1)) and maps[0][SA.SAMPLES[0]] == sum(steps)
+    # a uniform byte gives a uniform step
+    assert sorted(SA._STEPS) == sorted(list(range(1, SA.MAX_INDEX_STEP + 1)) * (256 // SA.MAX_INDEX_STEP))
 
 
 def _svd_cases():
