@@ -45,6 +45,7 @@ LAW_SAMPLES = 100  # random object triples; each law row is the worst over them
 HOMOTOPY_STEPS = 6  # cones rotated from the configured one, in a fixed plane
 HOMOTOPY_STEP_DEG = 30.0
 TRANSPORTER_OFFSET = 2.0  # decay transporters' shift: + along the cone axis, - for the second charge
+SEQALG_RADIUS = 10.0  # the seqalg ladder's first rung: R_n = SEQALG_RADIUS * n**4
 MAX_CHARGES, MAX_RADII = 8, 16  # the largest plan: 28 pairs, 3,830 rows
 
 _LAW_CHECKS = (
@@ -129,12 +130,12 @@ class RunContext:
 def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
     """(label, row count) per sub-suite, computable without running numerics.
 
-    A plan has at most MAX_CHARGES charges and MAX_RADII radii.  A plan
-    with the braiding, homotopy or decay suite needs every charge pair to
-    couple: at equal times sigma pairs only g with h, and a cone with
-    time_slope 0 transports at equal times, so a pair in one channel
-    braids trivially and its rows read literal zeros.  Each is rejected
-    here, before any suite runs.
+    A plan has at most MAX_CHARGES charges and MAX_RADII radii.  With the
+    braiding, homotopy or decay suite every charge pair must couple: at
+    equal times sigma pairs only g with h, and a cone with time_slope 0
+    transports at equal times, so a pair in one channel braids trivially
+    and its rows read literal zeros.  With seqalg the cone must be
+    spacelike at SEQALG_RADIUS.  Each is rejected here, before any suite runs.
     """
     if suite not in SUITE_NAMES:
         raise ConfigError(f"unknown suite {suite!r}; choose one of {', '.join(SUITE_NAMES)}")
@@ -150,6 +151,9 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
                         "on a cone with time_slope 0, so they braid trivially and no braiding, "
                         "homotopy or decay row can fail"
                     )
+    if suite in ("seqalg", "all"):
+        # |a0| / R = time_slope R^(time_exponent - 1) falls with R, so the first rung is the one to check
+        config.cone.translation(SEQALG_RADIUS)
     n_charges = len(config.charges)
     n_pairs = n_charges * (n_charges - 1) // 2
     n_radii = len(config.radii)
@@ -381,37 +385,33 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
     return rows
 
 
-def run_seqalg(rng: random.Random) -> list[CheckRow]:
-    """Asymptopia on the field: sequences of the unit Gaussian pair's transports out a random axis.
+def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
+    """Asymptopia on the field: sequences of the unit Gaussian pair's transports along the cone.
 
-    The charge rho moves by t_n = R_n (0, axis), R_n = 10 n^4, and the
-    second charge delta by -t_n, whatever the config's charges, so every
-    far pair takes the erf closed form.  The transporters U_n span
+    The charge rho moves by the cone translation t_n at R_n = SEQALG_RADIUS
+    n^4 and delta by its antipode -t_n (_antipodal), whatever the charges,
+    so every far pair takes the erf closed form.  The transporters U_n span
     (rho, rho_n), Ad U_n(W(delta)) must converge to rho(W(delta)), and the
     exchange phase eps_{R_n} to the exact braiding phase.
     """
     from . import seqalg as sa
 
+    cone = ctx.config.cone
     rho, delta = fld.make_charge_vector(), fld.make_test_vector(channel="h")
     zero, w_delta = fld.zero_vector(), weyl(delta)
-    axis = [rng.gauss(0.0, 1.0) for _ in range(3)]
-    size = math.hypot(*axis)
-    axis = [c / size for c in axis]
-    # the odd entries of the alternating transporters start from rho shifted along the axis
-    rho_odd = rho.translate((0.0, *(rng.uniform(1.0, 2.0) * c for c in axis)))
+    # the seed draws only this offset and the probe maps: the odd entries of
+    # the alternating transporters start from rho shifted along the axis
+    offset = rng.uniform(1.0, 2.0)
+    rho_odd = rho.translate((0.0, *(offset * c for c in cone.direction)))
 
     def radius(n):
-        return 10.0 * n**4
-
-    def ladder(n):
-        return (0.0, *(radius(n) * c for c in axis))
+        return SEQALG_RADIUS * n**4
 
     def transporter(source, n):
-        return cat.hom_basis(source, source.translate(ladder(n)))
+        return cat.hom_basis(source, source.translate(_antipodal(cone, radius(n))[0]))
 
     def exchange(n):
-        t = ladder(n)
-        return weyl(zero, cat.braiding_asymptotic(rho, delta, t, tuple(-c for c in t))[0])
+        return weyl(zero, cat.braiding_asymptotic(rho, delta, *_antipodal(cone, radius(n)))[0])
 
     transport = sa.SequenceElement(lambda n: transporter(rho, n), 1.0)
     eps = sa.SequenceElement(exchange, 1.0)
@@ -497,7 +497,7 @@ def run_suite(config: RunConfig, suite: str) -> Report:
     if "decay" in parts:
         rows.extend(run_decay(ctx))
     if "seqalg" in parts:
-        rows.extend(run_seqalg(random.Random(seed + 2)))
+        rows.extend(run_seqalg(ctx, random.Random(seed + 2)))
     if len(rows) != expected:
         raise InternalError(f"suite {suite!r} produced {len(rows)} rows, planned {expected}")
     return Report(

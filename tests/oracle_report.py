@@ -1,4 +1,4 @@
-"""An independent oracle for the braiding, homotopy and decay rows of a report.
+"""An independent oracle for the braiding, homotopy, decay and seqalg rows of a report.
 
 It imports nothing from conebraid, and evaluates every number in mpmath at
 30 digits from a config dict alone (the JSON of a config file, or
@@ -31,6 +31,27 @@ and the categorical, rephase and mutual-spread rows compare two routes to one
 number, so their value and residual are 0.  The checks' thresholds and the
 chain length are restated here; a test pins them to ``suites``'.
 
+The seqalg suite runs its own unit Gaussian pair on every config, so
+``seqalg_rows`` needs no scope and reads only the cone and the seed.  It
+moves the charge by the cone translation at R_n = SEQALG_RADIUS n^4, time
+t_n = time_slope R_n^time_exponent, and the profile by its antipode; the
+odd alternating transporters start from the charge shifted by s along the
+axis, s = random.Random(seed + 2).uniform(1, 2).  Over n in SAMPLES:
+
+- null_ideal: max |e^{i(F(2R_n, 2t_n) - F(0))} - e^{-i F(0)}|;
+- adjoint_constant: max |e^{-i F(R_n, t_n)} - 1|;
+- polar_null_distance: 1/R_33, the drift 1/R_n at the first sample;
+- subsequence_converse: max |a_n - e^{i F(0)}| and adjoint_alternating:
+  max |a_2n - a_2n+1|, where a_m = e^{i(F(0) - F(R_m, t_m))} at even m and
+  e^{i(F(s) - F(R_m + s, t_m))} at odd m;
+
+and the polar unitarity, singular fallback and adjoint center rows are 0 to
+rounding.  The converse and alternating rows' residual is 0 when the
+separation the suite judges holds (1 otherwise), and so is the stability
+row's, whose value is PROBE_MAPS: a probe map's image at n is at least n,
+and |e^{-i F(R_m, t_m)} - 1| falls with m, so every probed subsequence is
+at least as close to its limit as adjoint_constant says.
+
 At large d every coupling approaches the unit pair's Coulomb tail
 ``coulomb_tail`` = sqrt(pi/2) / d, whatever dt, and F less that tail falls
 like erfc((d - |dt|)/2).  ``tail_removed`` is F with the tail subtracted at
@@ -38,10 +59,18 @@ every d >= TAIL_MIN_DISTANCE; ``phases`` and ``oracle_rows`` evaluate the rows
 with it in place of F when it is passed as their coupling ``f``.
 """
 
+import random
+
 import mpmath
 
 TRANSPORTER_OFFSET = 2.0
 HOMOTOPY_STEPS = 6
+SEQALG_RADIUS = 10.0
+TAIL_START = 32
+SAMPLES = tuple(range(TAIL_START + 1, TAIL_START + 9)) + tuple(TAIL_START * 2**j for j in range(1, 9))
+NULL_TOLERANCE = 1e-6
+PROBE_MAPS = 8
+SEPARATION_THRESHOLD = 0.5
 LAWS_THRESHOLD = 1e-12
 BRAIDING_THRESHOLD = 1e-3
 HOMOTOPY_THRESHOLD = 1e-3
@@ -51,7 +80,7 @@ EXTENSION_THRESHOLD = 1e-2
 DIGITS = 30
 TAIL_MIN_DISTANCE = 5
 TOLERANCE = 1e-12  # the largest |difference| of a value or residual from the report's
-SUITES = ("braiding/", "homotopy/", "decay/")
+SUITES = ("braiding/", "homotopy/", "decay/", "seqalg/")
 _CHARGE = {"profile": "gaussian-momentum", "q": 1.0, "s": 1.0}
 
 
@@ -115,11 +144,61 @@ def defect(phase) -> float:
         return float(abs(mpmath.expj(phase) - 1))
 
 
+def _time(cone: dict, radius):
+    """The cone transport's time component at the radius."""
+    return cone["time_slope"] * radius ** cone["time_exponent"] if cone["time_slope"] else 0
+
+
+def seqalg_rows(config: dict, f=coupling) -> dict:
+    """{(check_id, "", "", None): (value, residual, threshold)} for the seqalg suite, on any config.
+
+    f is the coupling F(d, dt) the rows are evaluated with.
+    """
+    cone = config["cone"]
+    shift = random.Random(config["seed"] + 2).uniform(1, 2)
+    with mpmath.workdps(DIGITS):
+
+        def rung(n):
+            radius = SEQALG_RADIUS * mpmath.mpf(n) ** 4
+            return radius, _time(cone, radius)
+
+        def alternating(m):
+            """a_m, the alternating adjoint sequence's coefficient at m."""
+            s = shift if m % 2 else 0
+            radius, time = rung(m)
+            return mpmath.expj(f(s) - f(radius + s, time))
+
+        exact = mpmath.expj(-f(0))
+        null = max(abs(mpmath.expj(f(2 * r, 2 * t) - f(0)) - exact) for r, t in map(rung, SAMPLES))
+        adjoint = max(abs(mpmath.expj(-f(*rung(n))) - 1) for n in SAMPLES)
+        limit = mpmath.expj(f(0))
+        gap = max(abs(alternating(n) - limit) for n in SAMPLES)
+        even_gap = max(abs(alternating(2 * n) - limit) for n in SAMPLES)
+        split = max(abs(alternating(2 * n) - alternating(2 * n + 1)) for n in SAMPLES)
+        drift = 1 / rung(SAMPLES[0])[0]
+    zero = (0j, 0.0, LAWS_THRESHOLD)
+    values = {
+        "seqalg/polar_unitarity": zero,
+        "seqalg/polar_null_distance": (complex(drift), float(drift), NULL_TOLERANCE),
+        "seqalg/polar_singular_fallback": zero,
+        "seqalg/subsequence_stability": (complex(PROBE_MAPS), float(adjoint >= NULL_TOLERANCE), SEPARATION_THRESHOLD),
+        "seqalg/subsequence_converse": (
+            complex(gap), float(not even_gap < NULL_TOLERANCE <= gap), SEPARATION_THRESHOLD
+        ),
+        "seqalg/null_ideal": (complex(null), float(null), NULL_TOLERANCE),
+        "seqalg/adjoint_constant": (complex(adjoint), float(adjoint), NULL_TOLERANCE),
+        "seqalg/adjoint_center": zero,
+        "seqalg/adjoint_alternating": (complex(split), float(split < NULL_TOLERANCE), SEPARATION_THRESHOLD),
+    }
+    return {(check, "", "", None): row for check, row in values.items()}
+
+
 def oracle_rows(config: dict, f=coupling) -> dict:
-    """{(check_id, charge_pair, cone_id, radius): (value, residual, threshold)} for the three suites.
+    """{(check_id, charge_pair, cone_id, radius): (value, residual, threshold)} for the four suites.
 
     f is the coupling F(d, dt) the rows are evaluated with.  Raises
-    OutOfScope on a config outside the oracle's one model.
+    OutOfScope on a config outside the oracle's one model, whose seqalg
+    rows ``seqalg_rows`` still gives.
     """
     _check_scope(config)
     pair = ":".join(c["name"] for c in config["charges"])
@@ -131,8 +210,7 @@ def oracle_rows(config: dict, f=coupling) -> dict:
         def at(radius):
             """The exchange row's (value, residual), and the decay rows' phases, at one radius."""
             r = mpmath.mpf(radius)
-            time = cone["time_slope"] * r ** cone["time_exponent"] if cone["time_slope"] else 0
-            by_check = phases(r, time, f)
+            by_check = phases(r, _time(cone, r), f)
             exchange = mpmath.expj(by_check.pop("braiding/limit_vs_exact"))
             return (complex(exchange), float(abs(exchange - limit))), by_check
 
@@ -151,11 +229,11 @@ def oracle_rows(config: dict, f=coupling) -> dict:
         for k in range(HOMOTOPY_STEPS + 1):
             rows[("homotopy/limit_vs_exact", pair, f"cone{k:02d}", radius)] = (*exchange, HOMOTOPY_THRESHOLD)
         rows[("homotopy/mutual_spread", pair, "", radius)] = (0j, 0.0, HOMOTOPY_THRESHOLD)
-    return rows
+    return {**rows, **seqalg_rows(config, f)}
 
 
 def mismatches(records, oracle: dict) -> dict:
-    """{row key: how it differs} for the braiding, homotopy and decay rows of a report.
+    """{row key: how it differs} for the braiding, homotopy, decay and seqalg rows of a report.
 
     records are report rows as ``CheckRow.record()`` dicts (the JSON report's
     rows).  A row differs when it is missing on either side, when its

@@ -433,6 +433,13 @@ REFUSED = {
         "cone transport at radius 10 is not spacelike: |time_slope * R^time_exponent| = 15.8866 >= R",
         _BRAIDING,
     ),
+    # spacelike at every configured radius, but a0 = 7000 at the seqalg ladder's
+    # first rung R = 10, so only the plans with the seqalg suite refuse it
+    "timelike-seqalg-rung": Refused(
+        lambda d: d.update(cone={**d["cone"], "time_slope": 7000.0}, radii=[1e4, 2e4, 4e4]),
+        "cone transport at radius 10 is not spacelike: |time_slope * R^time_exponent| = 7000 >= R",
+        ("seqalg", "all"),
+    ),
     # at equal times sigma pairs only g with h: two charges in one channel on a
     # cone with time_slope 0 braid trivially, so no braiding, homotopy or decay row can fail
     **{
@@ -584,6 +591,15 @@ def test_cli_unreadable_config_exits_2_with_one_line(case, tmp_path, capsys, mon
         if not sys.platform.startswith("linux") or not cfg.is_file():
             pytest.skip("needs Linux's /proc/self/mem")
     _refused(cfg, re.compile(rf"cannot read config {re.escape(str(cfg))}: .*"), "all", tmp_path, capsys)
+
+
+def test_timelike_seqalg_rung_runs_without_seqalg(tmp_path):
+    # the refusal reads only the seqalg ladder: every other suite plans, and braiding runs
+    cfg = _config_file(REFUSED["timelike-seqalg-rung"].config, tmp_path)
+    config = load_config(cfg)
+    assert all(plan_counts(config, suite) for suite in ("laws", "braiding", "homotopy", "decay"))
+    assert main(["verify", "--config", str(cfg), "--suite", "braiding", "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "braiding_report.csv").exists()
 
 
 @pytest.mark.parametrize("channels", ["gg", "hh", "ghg"])

@@ -7,17 +7,22 @@ asymptopia the first charge moves by +R and the second by -R; on the left
 one, the reverse.  For the co-centred pair below the exchange tends to
 e^{+i q_a q_b / 2} on the right and e^{-i q_a q_b / 2} on the left, so the
 double exchange is e^{i q_a q_b}, not 1, and the two asymptopias give
-inverse braidings.  At R = 10 every erf has saturated to rounding.
+inverse braidings.  At R = 10 every erf has saturated to rounding.  The
+seqalg suite's asymptopia reads the same: the exchange sequence at R_n on
+either side is equivalent to that side's limit, and not to the other's.
 """
 
 import cmath
 import itertools
+import math
 
 import mpmath
 import pytest
 
 from conebraid import category as C
-from conebraid.weyl import distance
+from conebraid import seqalg as sa
+from conebraid.suites import SEQALG_RADIUS
+from conebraid.weyl import distance, weyl
 from light_ray import step
 
 R = 10.0
@@ -85,6 +90,23 @@ def test_hexagons_and_naturality(side):
     lhs = C.compose(_braiding(r.target, s.target, side), C.tensor_mor(r, s))
     rhs = C.compose(C.tensor_mor(s, r), _braiding(r.source, s.source, side))
     assert distance(lhs, rhs) < 1e-12
+
+
+def test_bi_asymptopia_read_by_seqalg():
+    def eps(side):
+        """The exchange phases eps_{R_n} on one side, at the seqalg suite's R_n = SEQALG_RADIUS n^4."""
+
+        def exchange(n):
+            radius = SIGN[side] * SEQALG_RADIUS * n**4
+            return weyl(A.zero(), C.braiding_asymptotic(A, B, radius, -radius)[0])
+
+        return sa.SequenceElement(exchange, 1.0)
+
+    right, left = eps("right"), eps("left")
+    assert sa.equivalent(right, sa.constant(weyl(A.zero(), cmath.exp(0.5j * QQ))))
+    assert sa.equivalent(left, sa.constant(weyl(A.zero(), cmath.exp(-0.5j * QQ))))
+    assert not sa.equivalent(right, left)
+    assert sa.limsup_norm(right, left) == pytest.approx(2.0 * math.sin(QQ / 2.0), abs=1e-12)
 
 
 def _second_charge_follows(braiding_asymptotic):

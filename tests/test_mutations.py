@@ -306,6 +306,22 @@ MUTATIONS = [
         "seqalg",
         frozenset({"seqalg/subsequence_converse"}),
     ),
+    # a halved norm flips no verdict, since every null row sits far below
+    # 1e-6 and every separation far above it, but each row it reads moves
+    Mutation(
+        "limsup-halved",
+        sa,
+        "limsup_norm",
+        lambda limsup_norm: lambda s, t=None: 0.5 * limsup_norm(s, t),
+        "seqalg",
+        Oracle({
+            "seqalg/polar_null_distance",
+            "seqalg/subsequence_converse",
+            "seqalg/null_ideal",
+            "seqalg/adjoint_constant",
+            "seqalg/adjoint_alternating",
+        }),
+    ),
     # an exchange converging to the wrong phase, or too slowly, leaves
     # (eps_R - eps_exact) W(delta) off the null ideal
     Mutation(

@@ -1,9 +1,12 @@
-"""Every braiding, homotopy and decay row of a Gaussian config against the independent oracle.
+"""Every braiding, homotopy, decay and seqalg row of a report against the independent oracle.
 
 tests/oracle_report.py recomputes those rows in mpmath from the config
 alone; here each config runs in process and its report must match the
 oracle row for row, value and residual to 1e-12 and verdict for verdict.
-The radius ladders are the ones README "Numerical findings" cites.
+The braiding, homotopy and decay rows are in scope on the Gaussian
+configs, and the seqalg rows, which run their own unit Gaussian pair, on
+every committed config.  The radius ladders are the ones README
+"Numerical findings" cites.
 """
 
 import json
@@ -11,11 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from conebraid import suites
+from conebraid import seqalg, suites
 from conebraid.config import config_from_dict, load_config
 from conebraid.suites import run_suite
 import oracle_report
-from oracle_report import OutOfScope, mismatches, oracle_rows, tail_removed
+from oracle_report import OutOfScope, mismatches, oracle_rows, seqalg_rows, tail_removed
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FILES = ["default", "seed11", "decay_extended", "far_radius", "tilted_cone"]
@@ -49,6 +52,14 @@ def test_report_matches_the_oracle(case):
     config = _config(case)
     records = [row.record() for row in run_suite(config, "all").rows]
     assert mismatches(records, oracle_rows(config.to_dict())) == {}
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in CONFIG_DIR.glob("*.json")))
+def test_seqalg_rows_match_the_oracle(name):
+    # the bump configs too: the suite moves its own pair along the configured cone
+    config = load_config(CONFIG_DIR / f"{name}.json")
+    records = [row.record() for row in run_suite(config, "seqalg").rows]
+    assert mismatches(records, seqalg_rows(config.to_dict())) == {}
 
 
 # The worst tail-removed residual of each limit check of the unit pair at
@@ -115,5 +126,8 @@ def test_the_oracle_restates_the_suites_constants():
         "HOMOTOPY_THRESHOLD",
         "DECAY_THRESHOLD",
         "EXTENSION_THRESHOLD",
+        "SEQALG_RADIUS",
     )
     assert [getattr(oracle_report, n) for n in names] == [getattr(suites, n) for n in names]
+    names = ("TAIL_START", "SAMPLES", "NULL_TOLERANCE", "PROBE_MAPS")
+    assert [getattr(oracle_report, n) for n in names] == [getattr(seqalg, n) for n in names]
