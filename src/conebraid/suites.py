@@ -434,16 +434,16 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     fb_res = distance(sa.polar_unitarize(gappy).at(5), weyl(zero))
     rows.append(_row("seqalg/polar_singular_fallback", "", "", None, fb_res, fb_res, LAWS_THRESHOLD))
 
+    # the transporters alternate between the sources rho and rho_odd, so the even entries
+    # converge to rho's action and the odd ones to rho_odd's: the probe must reject them
+    u_alt = sa.SequenceElement(lambda n: transporter(rho if n % 2 == 0 else rho_odd, n), 1.0)
+    adj_alt = sa.adjoint_morphism(u_alt, w_delta)
     adj = sa.adjoint_morphism(unit, w_delta)
-    ok = sa.stability_probe(adj, limit, rng)
+    ok = sa.stability_probe(adj, limit, rng) and not sa.stability_probe(adj_alt, limit, rng)
     rows.append(
         _row("seqalg/subsequence_stability", "", "", None, complex(sa.PROBE_MAPS), 0.0 if ok else 1.0, 0.5)
     )
 
-    # the transporters alternate between the sources rho and rho_odd, so the
-    # even entries converge to rho's action and the odd ones to rho_odd's
-    u_alt = sa.SequenceElement(lambda n: transporter(rho if n % 2 == 0 else rho_odd, n), 1.0)
-    adj_alt = sa.adjoint_morphism(u_alt, w_delta)
     even = sa.subsequence(adj_alt, {n: 2 * n for n in sa.SAMPLES})
     odd = sa.subsequence(adj_alt, {n: 2 * n + 1 for n in sa.SAMPLES})
     gap = sa.limsup_norm(adj_alt, limit)

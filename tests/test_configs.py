@@ -48,6 +48,38 @@ def test_readme_cites_only_tests_that_exist():
     assert sorted(n for n in cited if not (tests / f"{n}.py").is_file() and f"def {n}(" not in defined) == []
 
 
+def test_readme_is_at_most_300_lines():
+    # README states what holds; history lives in CHANGES.md and ROADMAP.md
+    assert len((ROOT / "README.md").read_text().splitlines()) <= 300
+
+
+def _findings_units() -> list[str]:
+    """The top-level bullets and paragraphs of README "Numerical findings".
+
+    A unit starts at an unindented line that opens a bullet or follows a
+    blank line, outside a fenced block; indented lines, fenced blocks and
+    indented tables belong to the unit they follow.
+    """
+    section = (ROOT / "README.md").read_text().split("## Numerical findings\n", 1)[1].split("\n## ", 1)[0]
+    units, blank, fenced = [], True, False
+    for line in section.splitlines():
+        opens = not fenced and line[:1] not in ("", " ") and not line.startswith("```")
+        if opens and (blank or line.startswith("- ")):
+            units.append("")
+        if units:
+            units[-1] += line + "\n"
+        fenced ^= line.lstrip().startswith("```")
+        blank = not line.strip()
+    return units
+
+
+def test_readme_findings_cite_a_test_for_each_number():
+    units = _findings_units()
+    assert len(units) >= 5
+    uncited = [u for u in units if re.search(r"\d", u) and not re.search(r"\btest_\w+|\btests/\w+\.py", u)]
+    assert uncited == []
+
+
 def _module(path: Path):
     """A file of the repository outside the package, loaded as a module by path."""
     spec = importlib.util.spec_from_file_location(path.stem, path)

@@ -792,9 +792,17 @@ def test_vectors_from_two_contexts_agree():
     assert F.add(gam, dlt2).terms == F.add(gam, dlt).terms
 
 
-@pytest.mark.parametrize(
-    "shape_x, shape_y", [("indicator", "indicator"), ("indicator", "smooth"), ("smooth", "smooth")]
-)
+# The cutoff error of each bump pair at (d, r_max), to two digits: the
+# table of README "Numerical findings", Bump transform and cutoff.  None is
+# a gap at rounding level, below 1e-14
+SHELL_GAPS = {
+    ("indicator", "indicator"): {(2.5, 10.0): 4.6e-7, (20.0, 10.0): 4.9e-8, (2.5, 40.0): 1.4e-8, (20.0, 40.0): 4.9e-11},
+    ("indicator", "smooth"): {(2.5, 10.0): 3.0e-7, (20.0, 10.0): 1.6e-9, (2.5, 40.0): 7.9e-11, (20.0, 40.0): 2.7e-13},
+    ("smooth", "smooth"): {(2.5, 10.0): 1.9e-8, (20.0, 10.0): 4.6e-11, (2.5, 40.0): 4.3e-13, (20.0, 40.0): None},
+}
+
+
+@pytest.mark.parametrize("shape_x, shape_y", sorted(SHELL_GAPS))
 def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y, monkeypatch):
     # Two radial bumps of support 1 at t = 0 and distance d > 2 couple like
     # point charges (Newton's shell theorem): sigma = 2 pi^2 phi_x(0) phi_y(0) / d
@@ -812,5 +820,6 @@ def test_disjoint_bump_sigma_matches_shell_theorem(shape_x, shape_y, monkeypatch
                 gap[r_max] = abs(F._panel_pair_integral(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d) - exact)
         assert gap[F.R_MAX] == abs(F._pair_integral.__wrapped__(F.SIGMA, (px, "g", 0.0), (py, "h", 0.0), d) - exact)
         assert gap[40.0] < gap[F.R_MAX]
-        if shape_x == shape_y == "smooth":
-            assert gap[40.0] <= 1e-12
+        for r_max, value in gap.items():
+            want = SHELL_GAPS[shape_x, shape_y][d, r_max]
+            assert value <= 1e-14 if want is None else value == pytest.approx(want, rel=0.05)

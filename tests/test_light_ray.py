@@ -10,6 +10,8 @@ double exchange is e^{i q_a q_b}, not 1, and the two asymptopias give
 inverse braidings.  At R = 10 every erf has saturated to rounding.  The
 seqalg suite's asymptopia reads the same: the exchange sequence at R_n on
 either side is equivalent to that side's limit, and not to the other's.
+Of the decay suite's residuals, only the implementation on the second
+charge stays away from 0 here: it reads the monodromy.
 """
 
 import cmath
@@ -107,6 +109,27 @@ def test_bi_asymptopia_read_by_seqalg():
     assert sa.equivalent(left, sa.constant(weyl(A.zero(), cmath.exp(-0.5j * QQ))))
     assert not sa.equivalent(right, left)
     assert sa.limsup_norm(right, left) == pytest.approx(2.0 * math.sin(QQ / 2.0), abs=1e-12)
+
+
+@pytest.mark.parametrize("radius", [10.0, 40.0, 1e3])
+def test_decay_rows_split_into_monodromy_and_hypothesis(radius):
+    # the decay suite's five residuals, with its +-2 arrow shifts and the
+    # second charge at -R.  The implementation on the charged B is the
+    # monodromy |e^{i q_a q_b} - 1|, which is 0 only for a symmetric
+    # braiding, as in 3+1 dimensions; every other form, the construction's
+    # hypothesis, vanishes once the erfs saturate
+    r = C.hom_basis(A, A.translate(2.0))
+    s = C.hom_basis(B, B.translate(-2.0))
+    s_plus = C.hom_basis(B, B.translate(2.0))
+    assert C.implementation_residual(A, radius, B) == pytest.approx(abs(cmath.exp(1j * QQ) - 1.0), abs=1e-12)
+    r_far, s_far = C.transported_arrow(r, radius), C.transported_arrow(s, -radius)
+    hypothesis = [
+        C.implementation_residual(A, radius, s.label),
+        C.abelianness_residual(r_far.label, s_far.label),
+        C.tensor_abelianness_residual(r_far, s_far),
+        C.extension_residual(A, s_plus, radius, -radius),
+    ]
+    assert max(hypothesis) <= (1e-9 if radius < 40.0 else 0.0)
 
 
 def _second_charge_follows(braiding_asymptotic):

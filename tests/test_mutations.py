@@ -274,6 +274,15 @@ MUTATIONS = [
         "seqalg",
         frozenset({"seqalg/subsequence_stability"}),
     ),
+    # a probe that keeps every sequence also keeps the alternating one
+    Mutation(
+        "probe-accepts-everything",
+        sa,
+        "stability_probe",
+        lambda stability_probe: lambda *args: True,
+        "seqalg",
+        frozenset({"seqalg/subsequence_stability"}),
+    ),
     # a zero step repeats an image, which the subsequence refuses when it is
     # built: on the suite's own path, not only in the unit tests
     Mutation(
@@ -297,14 +306,15 @@ MUTATIONS = [
         frozenset({"seqalg/polar_singular_fallback"}),
     ),
     # a liminf: the alternating adjoint sequence then reads as converging
-    # to rho's action, since its even entries do
+    # to rho's action, since its even entries do, and so does every
+    # subsequence the probe draws of it
     Mutation(
         "limsup-takes-min",
         sa,
         "limsup_norm",
         _limsup_takes_min,
         "seqalg",
-        frozenset({"seqalg/subsequence_converse"}),
+        frozenset({"seqalg/subsequence_converse", "seqalg/subsequence_stability"}),
     ),
     # a halved norm flips no verdict, since every null row sits far below
     # 1e-6 and every separation far above it, but each row it reads moves

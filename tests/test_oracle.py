@@ -6,7 +6,7 @@ oracle row for row, value and residual to 1e-12 and verdict for verdict.
 The braiding, homotopy and decay rows are in scope on the Gaussian
 configs, and the seqalg rows, which run their own unit Gaussian pair, on
 every committed config.  The radius ladders are the ones README
-"Numerical findings" cites.
+"Numerical findings", F(d) and its Coulomb tail, cites.
 """
 
 import json
@@ -93,7 +93,7 @@ def test_tail_removed_limit_rows_pass(case):
 
 
 def test_the_oracle_places_the_threshold_crossings():
-    # README "Numerical findings": the exchange residual |e^{i F(2R)} - 1|
+    # README "Numerical findings", Crossings: the exchange residual |e^{i F(2R)} - 1|
     # crosses 1e-3 between R = 626 and 627, and the implementation residual
     # |e^{i F(R)} - 1| crosses 1e-2 near R = 125, between decay_extended's
     # radii 80 and 160
