@@ -54,7 +54,7 @@ import cmath
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, InternalError, UsageError
+from .errors import RunError
 from .weyl import WeylElement, _product, commutator_norm, distance, label_id, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
@@ -72,7 +72,7 @@ class Intertwiner(WeylElement):
 def hom_basis(source, target) -> Intertwiner:
     """Unit basis arrow of the hom-set, labelled target - source; the charges must be exactly equal."""
     if target.charge != source.charge:
-        raise DomainError(f"intertwiner label needs equal charges, got {source.charge} and {target.charge}")
+        raise RunError(f"intertwiner label needs equal charges, got {source.charge} and {target.charge}")
     return Intertwiner(source=source, target=target, coeff=1.0 + 0.0j, label=target - source)
 
 
@@ -82,14 +82,14 @@ def identity(obj) -> Intertwiner:
 
 def rephase(r: Intertwiner, z: complex) -> Intertwiner:
     if abs(abs(z) - 1.0) > 1e-12:
-        raise UsageError("rephase factor must have unit modulus")
+        raise RunError("rephase factor must have unit modulus")
     return Intertwiner(source=r.source, target=r.target, coeff=z * r.coeff, label=r.label)
 
 
 def compose(s: Intertwiner, r: Intertwiner) -> Intertwiner:
     """s after r; the coefficient picks up the cocycle of the label product."""
     if label_id(r.target) != label_id(s.source):
-        raise UsageError("compose needs target of the right factor = source of the left")
+        raise RunError("compose needs target of the right factor = source of the left")
     # weyl_mul's own product, so the braiding and decay paths never call weyl_mul
     return Intertwiner(r.source, s.target, *_product(s, r))
 
@@ -136,7 +136,7 @@ def _exchange(u: Intertwiner, v: Intertwiner) -> complex:
     """Phase of (v x u)* (u x v), which must sit on the zero label."""
     eps = compose(star_mor(tensor_mor(v, u)), tensor_mor(u, v))
     if not eps.label.is_zero:
-        raise InternalError("asymptotic braiding must have zero label")
+        raise RunError("asymptotic braiding must have zero label")
     return complex(eps.coeff)
 
 
@@ -174,7 +174,7 @@ def abelianness_residual(x, y) -> float:
     """Commutator norm of the Weyl generators of two chargeless labels."""
     for v, side in ((x, "first"), (y, "second")):
         if v.charge != 0.0:
-            raise UsageError(f"{side} label must be chargeless")
+            raise RunError(f"{side} label must be chargeless")
     return commutator_norm(x, y)
 
 

@@ -4,10 +4,10 @@
 them unless --suite narrows it), emits the report, and exits with
 
 - 0 when every check passed;
-- 1 when any check failed, or when the run could not finish: a
-  DomainError (an operand outside its domain, such as a radial rule over
-  its node cap), a UsageError (a broken internal operand check) or an
-  InternalError prints one line on stderr and writes no report;
+- 1 when any check failed, or on a RunError: the run could not finish
+  (an operand check failed, a limit such as the radial rule's node cap
+  was hit, or an internal cross-check failed), with one line on stderr
+  and no report;
 - 2 on a ConfigError, raised only while reading, validating or planning
   the config or writing its report, with one line on stderr and no report.
 
@@ -25,7 +25,7 @@ import os
 import sys
 
 from .config import load_config
-from .errors import ConebraidError, ConfigError
+from .errors import ConfigError, RunError
 from .report import emit_report
 from .suites import SUITE_NAMES, plan_counts, run_suite
 
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ConebraidError as exc:
+    except RunError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

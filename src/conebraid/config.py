@@ -12,10 +12,10 @@ The dialect is plain JSON with a fixed key tree; serialization is canonical
 (sorted keys, two-space indent, trailing newline), so parse -> dump is
 idempotent and the config digest is reproducible.  Defaults reproduce the
 reference experiment: the unit Gaussian charge pair, a cone along z and
-radii 10..40.  Unknown keys, check-policy and grid keys among them,
-are rejected rather than ignored, and every value is checked against
-its field's type: numbers must be finite and are never booleans, and
-fixed-length tuples such as the cone axis must have that length.
+radii 10..40.  Unknown keys, check-policy and grid keys among them, and
+repeated keys are rejected rather than ignored, and every value is checked
+against its field's type: numbers must be finite and are never booleans,
+and fixed-length tuples such as the cone axis must have that length.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 import typing
 from pathlib import Path
 from typing import NamedTuple
@@ -142,8 +143,11 @@ class RunConfig(NamedTuple):
         if self.radii[-1] > RADIUS_MAX:
             raise ConfigError(f"radii must be at most {RADIUS_MAX:g}, got {self.radii[-1]:g}")
         cone = self.cone
-        if len(cone.axis) != 3 or not 0.0 < math.hypot(*cone.axis) < math.inf:
+        norm = math.hypot(*cone.axis)
+        if len(cone.axis) != 3 or not 0.0 < norm < math.inf:
             raise ConfigError("cone axis must be a nonzero finite vector")
+        if norm < sys.float_info.min:  # a subnormal norm rounds, and direction would be no unit vector
+            raise ConfigError(f"cone axis norm must be at least {sys.float_info.min:g}, got {norm:g}")
         if cone.time_slope < 0.0 or not 0.0 <= cone.time_exponent < 1.0:
             raise ConfigError("cone time_slope must be nonnegative and time_exponent in [0, 1)")
         if cone.time_exponent and not cone.time_slope:
@@ -222,12 +226,21 @@ def config_from_dict(data: dict) -> RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
+
+    def unique(pairs: list) -> dict:  # json.loads alone keeps a repeated key's last value
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigError(f"config {path} repeats the key {key!r}")
+            data[key] = value
+        return data
+
     # OSError: no permission or an I/O error; ValueError: bad syntax, bytes not
     # UTF-8 or an integer past the digit limit; RecursionError: deep nesting
     try:
         if not path.is_file():
             raise ConfigError(f"config file not found: {path}")
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=unique)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

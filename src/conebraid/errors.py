@@ -1,34 +1,20 @@
-"""Exception hierarchy shared by all modules.
+"""The package's two errors, one per exit code, and the identity types' base.
 
-The CLI maps them onto its exit codes: a ConfigError, raised only by
-reading, validating (config) or planning (suites.plan_counts) a config
-or writing its report, exits with 2; any other error ends the run with
-exit 1, one line on stderr and no report.  A UsageError is a broken
-internal operand check, which no validated config reaches; an
-InternalError means the build itself is inconsistent, not that a physics
-check failed.  Frozen, the base of the identity types, lives here too,
-since this is the one module that every layer imports.
+The CLI maps the errors onto its exit codes: a ConfigError, raised only by
+reading, validating (config) or planning (suites.plan_counts) a config or
+writing its report, exits with 2; a RunError exits with 1.  Either prints
+one line on stderr and writes no report.  Frozen, the base of the identity
+types, lives here too, since this is the one module that every layer
+imports.
 """
 
 
-class ConebraidError(RuntimeError):
-    """Base class for all package errors."""
-
-
-class ConfigError(ConebraidError):
+class ConfigError(RuntimeError):
     """A config that cannot be read, validated or planned, or a report that cannot be written."""
 
 
-class UsageError(ConebraidError):
-    """Operation applied to operands it is not defined for."""
-
-
-class DomainError(ConebraidError):
-    """Operand lies outside the mathematical domain of the operation."""
-
-
-class InternalError(ConebraidError):
-    """An internal cross-check failed; the build itself is inconsistent."""
+class RunError(RuntimeError):
+    """A run that cannot finish: a failed operand check, a limit hit (the radial rule's node cap) or a failed cross-check."""
 
 
 class Frozen:

@@ -89,7 +89,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import DomainError, Frozen, UsageError
+from .errors import Frozen, RunError
 
 TWO_PI_32 = (2.0 * math.pi) ** 1.5  # (2 pi)^{3/2}, the Fourier normalisation
 
@@ -149,9 +149,9 @@ class RadialPolynomial(NamedTuple("RadialPolynomial", [("support", float), ("coe
     def __new__(cls, coeffs, support: float) -> "RadialPolynomial":
         coeffs = tuple(float(c) for c in coeffs)
         if not 1 <= len(coeffs) <= _MAX_POLY_TERMS or not all(math.isfinite(c) for c in coeffs):
-            raise UsageError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
+            raise RunError(f"radial polynomial needs 1 to {_MAX_POLY_TERMS} finite coefficients")
         if not math.isfinite(support) or support <= 0.0:
-            raise UsageError(f"support radius must be positive, got {support}")
+            raise RunError(f"support radius must be positive, got {support}")
         return super().__new__(cls, float(support), coeffs)
 
     def __getnewargs__(self) -> tuple:
@@ -174,14 +174,14 @@ class Profile(NamedTuple("Profile", [("kind", str), ("width", float), ("shape", 
 
     def __new__(cls, kind: str, width: float = 0.0, shape: RadialPolynomial | tuple = ()) -> "Profile":
         if kind not in ("gauss", "gauss2", "bump"):
-            raise UsageError(f"profile kind must be 'gauss', 'gauss2' or 'bump', got {kind!r}")
+            raise RunError(f"profile kind must be 'gauss', 'gauss2' or 'bump', got {kind!r}")
         if not (isinstance(shape, RadialPolynomial) if kind == "bump" else shape == ()):
-            raise UsageError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
+            raise RunError("a bump profile needs a RadialPolynomial shape, and only a bump has one")
         if kind == "bump":
             if width != 0.0:
-                raise UsageError("a bump profile has no width")
+                raise RunError("a bump profile has no width")
         elif not (math.isfinite(width) and width > 0.0):
-            raise UsageError("width must be positive")
+            raise RunError("width must be positive")
         return super().__new__(cls, kind, width, shape)
 
     def values(self, r: list[float]):
@@ -295,7 +295,7 @@ def make_test_vector(
     r^2-damped Gaussian so the zero-momentum value (the charge) vanishes.
     """
     if channel not in ("g", "h"):
-        raise UsageError(f"channel must be 'g' or 'h', got {channel!r}")
+        raise RunError(f"channel must be 'g' or 'h', got {channel!r}")
     profile = Profile("gauss" if channel == "h" else "gauss2", width=float(width))
     if amplitude == 0.0:
         return zero_vector()
@@ -315,7 +315,7 @@ def make_bump_vector(
     Vectors built from equal shapes have equal atoms.
     """
     if channel not in ("g", "h"):
-        raise UsageError(f"channel must be 'g' or 'h', got {channel!r}")
+        raise RunError(f"channel must be 'g' or 'h', got {channel!r}")
     atom = Atom(Profile("bump", shape=shape), channel)
     q = 0.0
     if channel == "g":
@@ -335,10 +335,10 @@ def add(x: FieldVector, y: FieldVector) -> FieldVector:
 
 def scale(c: float, x: FieldVector) -> FieldVector:
     if isinstance(c, complex):
-        raise UsageError("field vectors form a real linear space; scale by a real number")
+        raise RunError("field vectors form a real linear space; scale by a real number")
     c = float(c)
     if not math.isfinite(c):
-        raise UsageError("scale factor must be finite")
+        raise RunError("scale factor must be finite")
     if c == 0.0 or x.is_zero:
         return zero_vector()
     terms = tuple([(c * coeff, atom) for coeff, atom in x.terms])
@@ -368,9 +368,9 @@ def translate(x: FieldVector, a) -> FieldVector:
     """
     a = tuple(map(float, a))
     if len(a) != 4:
-        raise UsageError("translation must be a 4-vector (a0, a1, a2, a3)")
+        raise RunError("translation must be a 4-vector (a0, a1, a2, a3)")
     if not all(map(math.isfinite, a)):
-        raise UsageError("translation components must be finite")
+        raise RunError("translation components must be finite")
     if not any(a):
         return x
     a0, a1, a2, a3 = a
@@ -390,7 +390,7 @@ def _panel_count(ka: tuple, kb: tuple, delta: float) -> int:
     mu = delta + abs(ka[2] - kb[2])
     n = max(RADIAL_RULE_BASE, math.ceil(RADIAL_RULE_OVERSAMPLE * mu * R_MAX / (2.0 * math.pi)))
     if n > RADIAL_RULE_MAX_NODES:
-        raise DomainError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
+        raise RunError(f"radial rule of {n} nodes exceeds the cap of {RADIAL_RULE_MAX_NODES} nodes")
     return -(-n // RADIAL_RULE_PANEL_ORDER)
 
 
@@ -532,7 +532,7 @@ def scalar_product(x: FieldVector, y: FieldVector) -> complex:
     """
     for v, side in ((x, "left"), (y, "right")):
         if v.charge != 0.0:
-            raise DomainError(f"scalar product undefined for a charged {side} operand")
+            raise RunError(f"scalar product undefined for a charged {side} operand")
     return complex(_form(RE, x, y), -_form(SIGMA, x, y))
 
 
@@ -540,9 +540,9 @@ def vacuum_exponent(x: FieldVector) -> float:
     """(x, x)/4, the vacuum damping exponent of the Weyl operator at x."""
     val = scalar_product(x, x)
     if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise DomainError(f"(x, x) should be real, got imaginary part {val.imag}")
+        raise RunError(f"(x, x) should be real, got imaginary part {val.imag}")
     if val.real < 0:
-        raise DomainError(f"(x, x) should be nonnegative, got {val.real}")
+        raise RunError(f"(x, x) should be nonnegative, got {val.real}")
     return 0.25 * val.real
 
 

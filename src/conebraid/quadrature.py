@@ -24,7 +24,7 @@ from array import array
 from functools import lru_cache
 import math
 
-from .errors import InternalError, UsageError
+from .errors import RunError
 
 # The closed-form transform sums the power series sum_j a_j x^{2j} in x = pR
 # below _SERIES_MAX_X = 4, where the factors x^{2j}/(2j+1)! stay below 3 and
@@ -62,7 +62,7 @@ def gauss_legendre_unit(n: int) -> tuple[memoryview, memoryview]:
     the rounding of the root.
     """
     if n < 1:
-        raise UsageError("Gauss-Legendre rule needs at least one node")
+        raise RunError("Gauss-Legendre rule needs at least one node")
     low, low_weights = [], []
     for k in range(1, n // 2 + 1):
         theta = math.pi * (4 * k - 1) / (4 * n + 2)
@@ -76,7 +76,7 @@ def gauss_legendre_unit(n: int) -> tuple[memoryview, memoryview]:
                 break
             x -= dx
         else:
-            raise InternalError(f"Newton's method found no root {k} of P_{n}")
+            raise RunError(f"Newton's method found no root {k} of P_{n}")
         d = (1.0 - x) + dx  # 1 - root
         dp_root = dp - dx * (2.0 * x * dp - n * (n + 1) * p) / one_x2
         low.append(0.5 * d)

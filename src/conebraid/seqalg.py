@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, UsageError
+from .errors import RunError
 from .weyl import WeylElement, distance, star, weyl, weyl_mul
 
 if TYPE_CHECKING:
@@ -54,20 +54,20 @@ class SequenceElement:
 
     def __init__(self, generator, bound: float):
         if not (bound >= 0.0 and math.isfinite(bound)):
-            raise UsageError("bound must be a finite nonnegative real")
+            raise RunError("bound must be a finite nonnegative real")
         self.generator = generator
         self.bound = float(bound)
         self._memo: dict[int, WeylElement] = {}
 
     def at(self, n: int) -> WeylElement:
         if n < 1:
-            raise UsageError("sequence indices start at 1")
+            raise RunError("sequence indices start at 1")
         if n not in self._memo:
             value = self.generator(n)
             size = abs(value.coeff)
             # "not <=" also refuses a nan norm
             if not size <= self.bound * (1.0 + 1e-9) + 1e-12:
-                raise UsageError(f"generator breaks its certified bound at n={n}: {size} > {self.bound}")
+                raise RunError(f"generator breaks its certified bound at n={n}: {size} > {self.bound}")
             self._memo[n] = value
         return self._memo[n]
 
@@ -106,11 +106,11 @@ def subsequence(s: SequenceElement, images: dict[int, int]) -> SequenceElement:
     images = dict(sorted(images.items()))
     values = list(images.values())
     if not all(type(m) is int and m >= 1 for m in values) or any(a >= b for a, b in zip(values, values[1:])):
-        raise UsageError("subsequence images must be ints >= 1, strictly increasing in index order")
+        raise RunError("subsequence images must be ints >= 1, strictly increasing in index order")
 
     def gen(n: int) -> WeylElement:
         if n not in images:
-            raise UsageError(f"subsequence is not defined at n={n}")
+            raise RunError(f"subsequence is not defined at n={n}")
         return s.at(images[n])
 
     return SequenceElement(gen, s.bound)
@@ -142,7 +142,7 @@ def polar_unitarize(s: SequenceElement) -> SequenceElement:
     that scalar); the output is entrywise unitary and null-close to s.
     """
     if not max(abs(abs(s.at(n).coeff) ** 2 - 1.0) for n in SAMPLES) < NULL_TOLERANCE:
-        raise DomainError("polar unitarization needs an almost-unitary input sequence")
+        raise RunError("polar unitarization needs an almost-unitary input sequence")
 
     def gen(n: int) -> WeylElement:
         a = s.at(n)
@@ -160,7 +160,7 @@ def adjoint_morphism(u: SequenceElement, value: WeylElement) -> SequenceElement:
     def gen(n: int) -> WeylElement:
         un = u.at(n)
         if abs(abs(un.coeff) ** 2 - 1.0) > ADJOINT_UNITARY_TOL:
-            raise DomainError(f"adjoint morphism needs unitary entries, defect at n={n}")
+            raise RunError(f"adjoint morphism needs unitary entries, defect at n={n}")
         return weyl_mul(weyl_mul(star(un), value), un)
 
     return SequenceElement(gen, abs(value.coeff))

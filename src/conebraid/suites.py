@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from . import category as cat
 from . import field as fld
 from .config import ChargeCfg, RunConfig
-from .errors import ConfigError, InternalError
+from .errors import ConfigError, RunError
 from .report import CheckRow, Report
 from .weyl import distance, gram_matrix, min_eigenvalue, star, weyl, weyl_mul
 
@@ -171,10 +171,10 @@ def plan_counts(config: RunConfig, suite: str) -> list[tuple[str, int]]:
 
 
 def _row(check_id, charge_pair, cone_id, radius, value, residual, threshold) -> CheckRow:
-    """One report row; a non-finite value or residual is an InternalError, since no report may hold one."""
+    """One report row; a non-finite value or residual is a RunError, since no report may hold one."""
     value, residual = complex(value), float(residual)
     if not (cmath.isfinite(value) and math.isfinite(residual)):
-        raise InternalError(f"{check_id} {charge_pair} {cone_id} R={radius}: non-finite {value} or {residual}")
+        raise RunError(f"{check_id} {charge_pair} {cone_id} R={radius}: non-finite {value} or {residual}")
     return CheckRow(
         check_id=check_id,
         charge_pair=charge_pair,
@@ -499,7 +499,7 @@ def run_suite(config: RunConfig, suite: str) -> Report:
     if "seqalg" in parts:
         rows.extend(run_seqalg(ctx, random.Random(seed + 2)))
     if len(rows) != expected:
-        raise InternalError(f"suite {suite!r} produced {len(rows)} rows, planned {expected}")
+        raise RunError(f"suite {suite!r} produced {len(rows)} rows, planned {expected}")
     return Report(
         suite=suite,
         config_digest=config.digest(),

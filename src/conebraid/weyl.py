@@ -37,7 +37,7 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import Frozen, UsageError
+from .errors import Frozen, RunError
 
 GRAM_MAX_LABELS = 16
 
@@ -93,7 +93,7 @@ def gram_matrix(labels) -> list[list[complex]]:
     """
     labels = list(labels)
     if len(labels) > GRAM_MAX_LABELS:
-        raise UsageError(f"gram matrix limited to {GRAM_MAX_LABELS} labels")
+        raise RunError(f"gram matrix limited to {GRAM_MAX_LABELS} labels")
     n = len(labels)
     out = [[0j] * n for _ in range(n)]
     for k in range(n):
@@ -119,7 +119,7 @@ def min_eigenvalue(matrix) -> float:
     """
     n = len(matrix)
     if n == 0:
-        raise UsageError("an empty matrix has no eigenvalues")
+        raise RunError("an empty matrix has no eigenvalues")
     rho = max(math.fsum(abs(matrix[max(k, l)][min(k, l)]) for l in range(n)) for k in range(n))
     lo, hi = -rho, rho
     for _ in range(53):

@@ -1,5 +1,6 @@
 """Config parsing, report emission, suite planning, and the CLI driver."""
 
+import ast
 import json
 import math
 import os
@@ -420,6 +421,10 @@ REFUSED = {
     "axis-text": Refused(_cone(axis="z"), "config.cone.axis: expected a list, got str"),
     "axis-zero": Refused(_cone(axis=[0.0, 0.0, 0.0]), "cone axis must be a nonzero finite vector"),
     "axis-overflowing": Refused(_cone(axis=[1.5e308] * 3), "cone axis must be a nonzero finite vector"),
+    # a subnormal norm rounds: direction would be (0.5, 0.5, 0.5), and radius 10 a move by 8.66
+    "axis-subnormal": Refused(
+        _cone(axis=[5e-324] * 3), "cone axis norm must be at least 2.22507e-308, got 9.88131e-324"
+    ),
     "time-slope-nan": Refused(_cone(time_slope=math.nan), "config.cone.time_slope: must be finite, got nan"),
     "time-slope-negative": Refused(_cone(time_slope=-1.0), _SLOPE),
     "time-exponent-one": Refused(_cone(time_exponent=1.0), _SLOPE),
@@ -488,6 +493,14 @@ REFUSED = {
     "not-utf8": Refused(b"\xff\xfe", re.compile(_NOT_JSON + "can't decode byte 0xff.*")),
     "nested-200000-deep": Refused(b"[" * 200_000 + b"]" * 200_000, re.compile(_NOT_JSON + "recursion.*")),
     "integer-of-5001-digits": Refused(b'{"radii": [' + b"1" * 5001 + b"]}", re.compile(_NOT_JSON + "5001 digits.*")),
+    # json.loads alone would keep the last value of a repeated key, at any depth
+    "seed-key-twice": Refused(
+        b'{"seed": 288545018, "seed": 7}', re.compile(r"config .+/cfg\.json repeats the key 'seed'")
+    ),
+    "axis-key-twice": Refused(
+        b'{"cone": {"axis": [1.0, 0.0, 0.0], "axis": [0.0, 0.0, 1.0]}}',
+        re.compile(r"config .+/cfg\.json repeats the key 'axis'"),
+    ),
     "file-missing": Refused(Path("missing.json"), re.compile(r"config file not found: .+/missing\.json")),
 }
 
@@ -533,7 +546,7 @@ _AT_LOAD = {REFUSED[name].config: REFUSED[name].message for name in """
     removed-half_angle_deg cone-unknown-key radius-zero time-exponent-one s-text seed-text q-text
     axis-two-entries axis-text radii-text cone-a-list time-slope-nan seed-bool seed-float radius-inf
     q-past-the-float-range charge-missing-name name-empty name-comma name-quote name-newline name-colon
-    name-space time-exponent-without-slope""".split()}
+    name-space time-exponent-without-slope axis-subnormal""".split()}
 
 
 @pytest.mark.parametrize("mutate", list(_AT_LOAD))
@@ -669,7 +682,7 @@ def test_config_scale_bounds_are_inclusive():
 def test_non_finite_row_exits_1_with_one_line_and_no_report(tmp_path, capsys, monkeypatch):
     # a JSON report cannot hold NaN, so a row that would carry one ends the
     # run like an internal error instead of failing as a row; so does a broken
-    # internal operand check (a UsageError), which is a package bug and not a
+    # internal operand check (a RunError), which is a package bug and not a
     # config error: a seqalg product that doubles its coefficients breaks an
     # output's certified bound, and no validated config gives a Gaussian of
     # width 0
@@ -698,13 +711,36 @@ def test_non_finite_row_exits_1_with_one_line_and_no_report(tmp_path, capsys, mo
         assert not list(tmp_path.glob("*_report.*"))
 
 
+def _raises(node: ast.AST, function: str = ""):
+    """(enclosing function, raised name) for each raise under node of a name, module.name or a call to one."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, (ast.Name, ast.Attribute)):
+                yield function, exc.id if isinstance(exc, ast.Name) else exc.attr
+        yield from _raises(child, child.name if isinstance(child, ast.FunctionDef) else function)
+
+
 def test_numerics_hold_no_config_error():
     # only reading, validating and planning a config or writing its report
     # refuses it: a bad operand inside the numerics is a package bug (exit 1)
-    from conebraid import category, quadrature, weyl
+    from conebraid import category, errors, quadrature, weyl
 
     for module in (F, quadrature, weyl, category, seqalg):
         assert [name for name, value in vars(module).items() if value is ConfigError] == [], module.__name__
+    # one error class per exit code, and each raise site names the class of its exit code
+    package_errors = {"ConfigError", "RunError"}
+    assert {name for name, value in vars(errors).items() if isinstance(value, type)} == package_errors | {"Frozen"}
+    # (module, None) is the whole module, (module, function) one function of it
+    config_sites = {("config.py", None), ("report.py", None), ("suites.py", "plan_counts")}
+    seen = set()
+    for path in sorted(Path(F.__file__).parent.glob("*.py")):
+        for function, name in _raises(ast.parse(path.read_text())):
+            if name in package_errors:
+                seen.add(name)
+                sites = {(path.name, None), (path.name, function)}
+                assert name == "RunError" or sites & config_sites, (path.name, function, name)
+    assert seen == package_errors
 
 
 def _passing_limit_rows(data: dict, tmp_path) -> list[dict]:

@@ -29,7 +29,7 @@ from conebraid import field as F
 from conebraid import weyl as W
 from conebraid import quadrature as Q
 from conebraid.config import ConeSpec, RunConfig
-from conebraid.errors import DomainError, UsageError
+from conebraid.errors import RunError
 from conebraid.field import RadialPolynomial
 from conebraid.quadrature import radial_fourier
 from conebraid.suites import RunContext
@@ -58,9 +58,9 @@ def test_constructor_bookkeeping():
     assert F.make_charge_vector(q=0.0).is_zero
     v = F.make_test_vector(channel="g")
     assert v.charge == 0.0 and not v.is_zero
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="width must be positive"):
         F.make_charge_vector(width=0.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="channel must be 'g' or 'h'"):
         F.make_test_vector(channel="x")
 
 
@@ -94,12 +94,12 @@ def test_radial_rule_cap_raises_before_building(pair, monkeypatch):
     # R = 1e6 (separation 2e6) needs 31.8M nodes and stays under the cap
     panels = F._panel_count(pair_key(gam), pair_key(dlt), 2.0e6)
     assert panels == 497_360 and 64 * panels <= F.RADIAL_RULE_MAX_NODES
-    with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
+    with pytest.raises(RunError, match="exceeds the cap of 33554432 nodes"):
         F._panel_count(pair_key(gam), pair_key(dlt), 2.0e8)
     # the pair integral raises before it reads a rule or evaluates a node
     monkeypatch.setattr(Q, "gauss_legendre_unit", None)
     monkeypatch.setattr(F.Profile, "values", None)
-    with pytest.raises(DomainError, match="exceeds the cap of 33554432 nodes"):
+    with pytest.raises(RunError, match="exceeds the cap of 33554432 nodes"):
         F._panel_pair_integral(F.RE, pair_key(gam), pair_key(dlt), 2.0e8)
 
 
@@ -164,11 +164,11 @@ def test_sigma_is_minus_imag_on_test_vectors(pair):
 
 def test_charge_class_scalar_product_rejected(pair):
     gam, dlt = pair
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="charged left operand"):
         F.scalar_product(gam, dlt)
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="charged right operand"):
         F.scalar_product(dlt, gam)
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="charged left operand"):
         F.vacuum_exponent(gam)
     # sigma stays defined for charge class
     assert abs(F.symplectic(gam, dlt) - float(coupling(0))) < 1e-12
@@ -316,9 +316,9 @@ def test_translate_composition(pair):
     t1 = F.translate(F.translate(gam, (0.0, 1.0, 2.0, 3.0)), (1.0, -1.0, 0.5, 0.0))
     t2 = F.translate(gam, (1.0, 0.0, 2.5, 3.0))
     assert t1.terms == t2.terms
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="must be a 4-vector"):
         F.translate(gam, (1.0, 2.0))
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="components must be finite"):
         F.translate(gam, (float("nan"), 0.0, 0.0, 0.0))
 
 
@@ -368,7 +368,7 @@ def test_linear_structure(pair):
     z = F.zero_vector()
     assert F.symplectic(z, dlt) == 0.0
     assert F.add(z, gam).terms == gam.terms
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="real linear space"):
         F.scale(1j, dlt)
 
 
@@ -380,7 +380,7 @@ def test_intertwiner_label(pair):
     want = float(coupling(10.0)) - float(coupling(0))
     assert abs(F.symplectic(lab, dlt) - want) < 1e-12
     assert C.hom_basis(gam, gam).label.is_zero
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="needs equal charges"):
         C.hom_basis(gam, F.scale(2.0, gam))
 
 
@@ -427,7 +427,7 @@ def test_bump_vector():
     assert wide.terms[0][1] != ball.terms[0][1]
     assert math.isclose(wide.charge, 8.0 * ball.charge, rel_tol=1e-14)
     # a bare callable is not a shape
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="needs a RadialPolynomial shape"):
         F.make_bump_vector(lambda r: np.ones_like(r))
     dlt = F.make_test_vector()
     val = F.symplectic(ball, dlt)
@@ -521,27 +521,27 @@ def test_profile_checks_its_kind_and_width():
     # a misspelt kind is a misuse of the library; a Gaussian of width 0 is
     # flat up to the cutoff, a negative width repeats a positive one, and a
     # width on a bump would make a second profile of the same function
-    with pytest.raises(UsageError, match="profile kind"):
+    with pytest.raises(RunError, match="profile kind"):
         F.Profile("gaus", width=1.0)
     for width in (0.0, -1.0, math.inf, math.nan):
         for kind in ("gauss", "gauss2"):
-            with pytest.raises(UsageError, match="width must be positive"):
+            with pytest.raises(RunError, match="width must be positive"):
                 F.Profile(kind, width=width)
-    with pytest.raises(UsageError, match="no width"):
+    with pytest.raises(RunError, match="no width"):
         F.Profile("bump", width=5.0, shape=RadialPolynomial((1.0,), 1.0))
     # the vector constructors build the profile first, so a zero vector checks its width too
-    with pytest.raises(UsageError, match="width must be positive"):
+    with pytest.raises(RunError, match="width must be positive"):
         F.make_charge_vector(q=0.0, width=-1.0)
-    with pytest.raises(UsageError, match="width must be positive"):
+    with pytest.raises(RunError, match="width must be positive"):
         F.make_test_vector(amplitude=0.0, width=0.0)
 
 
 def test_bump_profile_needs_a_shape():
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="needs a RadialPolynomial shape"):
         F.Profile("bump")
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="only a bump has one"):
         F.Profile("gauss", width=1.0, shape=RadialPolynomial((1.0,), 1.0))
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="only a bump has one"):
         F.Profile("gauss", width=1.0, shape=(2.5, (1.0,)))
     # a profile is the tuple of its fields, with shape () for a Gaussian
     shape = RadialPolynomial((1.0, -2.0, 1.0), 2.5)
@@ -563,10 +563,13 @@ def test_bump_value_at_zero_is_the_transform_at_zero(coeffs, support):
     assert F.make_bump_vector(shape, channel="h").charge == 0.0
 
 
+# coefficients k / 9.6 in [-10, 10] and supports 10^(k / 32) in [1e-3, 1e3]:
+# drawn as integers of magnitude below 100, which hypothesis never seeds with
+# literals of the loaded modules, so the examples do not depend on the package
 @settings(derandomize=True, deadline=None, max_examples=200)
 @given(
-    st.lists(st.floats(-10.0, 10.0, allow_nan=False), min_size=1, max_size=4),
-    st.floats(1e-3, 1e3),
+    st.lists(st.integers(-96, 96).map(lambda k: k / 9.6), min_size=1, max_size=4),
+    st.integers(-96, 96).map(lambda k: 10.0 ** (k / 32)),
 )
 def test_bump_value_at_zero_matches_the_transform_bit_for_bit(coeffs, support):
     shape = RadialPolynomial(tuple(coeffs), support)

@@ -5,7 +5,8 @@ version of it and runs one suite in process on the default config, whose
 unmutated rows are those of configs/expected/default.csv.  It names either
 the check ids whose rows pass on the unmutated code and fail under the
 mutation (every row of such an id must fail, and no other row may flip),
-the error the mutated run raises before it reports, or, wrapped in
+the error the mutated run raises before it reports and a pattern its
+message matches, which names the guard that raised it, or, wrapped in
 Oracle, the check ids whose rows move off the independent oracle of
 tests/oracle_report.py (every row of the suite matches it unmutated, and
 the mutated rows that differ from it, verdict flip or not, are of exactly
@@ -25,7 +26,7 @@ from conebraid import seqalg as sa
 from conebraid import suites
 from conebraid import weyl as W
 from conebraid.config import ConeSpec, load_config
-from conebraid.errors import InternalError, UsageError
+from conebraid.errors import RunError
 from conebraid.suites import run_suite
 from expected_reports import expected_rows
 from oracle_report import mismatches, oracle_rows
@@ -39,7 +40,8 @@ class Mutation(NamedTuple):
     attribute: str
     mutant: object  # original -> mutated replacement
     suite: str
-    fails: frozenset | type  # check ids that flip to failing (or move off the Oracle), or the error raised
+    # check ids that flip to failing (or move off the Oracle), or the error raised and its message
+    fails: frozenset | tuple[type, str]
 
 
 class Oracle(frozenset):
@@ -291,7 +293,7 @@ MUTATIONS = [
         "_STEPS",
         lambda steps: bytes(b % sa.MAX_INDEX_STEP for b in range(256)),
         "seqalg",
-        UsageError,
+        (RunError, "strictly increasing"),
     ),
     # the null sequence times a transporter then has norm about 1
     Mutation("seq-mul-adds", sa, "seq_mul", _seq_mul_adds, "seqalg", frozenset({"seqalg/null_ideal"})),
@@ -475,7 +477,7 @@ MUTATIONS = [
         frozenset({"laws/naturality"}),
     ),
     # the exchange (v x u)* (u x v) then keeps a nonzero label
-    Mutation("star-mor-keeps-label", C, "star_mor", _star_mor_keeps_label, "braiding", InternalError),
+    Mutation("star-mor-keeps-label", C, "star_mor", _star_mor_keeps_label, "braiding", (RunError, "zero label")),
     # with the coefficient unconjugated, the categorical exchange no longer
     # matches the closed form, and a rephased exchange keeps (z_u z_v)^2
     # instead of |z_u z_v|^2 = 1, so every rephase row fails unless the
@@ -615,8 +617,9 @@ def test_mutation_fails_its_rows(mutation, monkeypatch, request):
     # a memoized pair integral would hide a patched sigma route, and keep it past the test
     F._pair_integral.cache_clear()
     request.addfinalizer(F._pair_integral.cache_clear)
-    if isinstance(mutation.fails, type):
-        with pytest.raises(mutation.fails):
+    if isinstance(mutation.fails, tuple):
+        error, message = mutation.fails
+        with pytest.raises(error, match=message):
             run_suite(CONFIG, mutation.suite)
         return
     after = run_suite(CONFIG, mutation.suite).rows

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 import conebraid.category as C
 import conebraid.field as F
 import conebraid.seqalg as SA
-from conebraid.errors import UsageError
+from conebraid.errors import RunError
 from conebraid.weyl import distance, star, weyl, weyl_mul
 
 COMMON = dict(derandomize=True, deadline=None)
@@ -174,7 +174,7 @@ def test_subsequence_check_matches_all_pairs_scan(images):
         k < n and mk >= m for k, mk in images.items() for n, m in images.items()
     )
     if broken:
-        with pytest.raises(UsageError, match="strictly increasing"):
+        with pytest.raises(RunError, match="strictly increasing"):
             SA.subsequence(base, images)
     else:
         sub = SA.subsequence(base, images)

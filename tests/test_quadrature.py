@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conebraid import quadrature as Q
-from conebraid.errors import UsageError
+from conebraid.errors import RunError
 from conebraid.field import TWO_PI_32, RadialPolynomial
 from conebraid.quadrature import gauss_legendre_unit, radial_fourier
 
@@ -30,7 +30,7 @@ def test_gauss_legendre_unit():
     assert abs(weights.sum() - 1.0) < 1e-14
     assert abs(np.dot(weights, nodes**3) - 0.25) < 1e-14
     assert [v.tolist() for v in gauss_legendre_unit(1)] == [[0.5], [1.0]]
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="at least one node"):
         gauss_legendre_unit.__wrapped__(0)
 
 
@@ -186,8 +186,14 @@ def test_polynomial_transform_builds_no_panel_rule(monkeypatch):
     # equal by value, so equal shapes share atoms
     assert RadialPolynomial([1, -2, 1], 1.5) == profile
     assert hash(RadialPolynomial((1.0, -2.0, 1.0), 1.5)) == hash(profile)
-    for coeffs, support in (((), 1.0), ((1.0,) * 5, 1.0), ((float("nan"),), 1.0), ((1.0,), 0.0)):
-        with pytest.raises(UsageError):
+    coefficients = "needs 1 to 4 finite coefficients"
+    for coeffs, support, message in (
+        ((), 1.0, coefficients),
+        ((1.0,) * 5, 1.0, coefficients),
+        ((float("nan"),), 1.0, coefficients),
+        ((1.0,), 0.0, "support radius must be positive"),
+    ):
+        with pytest.raises(RunError, match=message):
             RadialPolynomial(coeffs, support)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from conebraid import field as F
 from conebraid import seqalg as SA
-from conebraid.errors import DomainError, UsageError
+from conebraid.errors import RunError
 from conebraid.weyl import WeylElement, weyl
 
 # Two labels whose generators do not commute: sigma(X, Y) is about -0.69.
@@ -58,15 +58,15 @@ def test_is_null_examples():
 
 def test_bound_certification():
     lying = SA.SequenceElement(lambda n: weyl(X, n), 1.0)
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="breaks its certified bound"):
         SA.limsup_norm(lying)
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="bound must be a finite nonnegative real"):
         SA.SequenceElement(lambda n: weyl(X), float("inf"))
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="indices start at 1"):
         SA.constant(weyl(X)).at(0)
     # a nan or infinite coefficient breaks every bound
     for bad in (math.nan, complex(0.0, math.nan), complex(math.inf, 0.0)):
-        with pytest.raises(UsageError):
+        with pytest.raises(RunError, match="breaks its certified bound"):
             SA.SequenceElement(lambda n: weyl(X, bad), 1.0).at(1)
 
 
@@ -77,7 +77,7 @@ def test_subsequence_monotonicity():
     # images are checked in index order, whatever order the dict lists them in
     assert SA.subsequence(c, {9: 40, 2: 10, 5: 20}).at(5) is c.at(20)
     for images in ({3: 7, 4: 6}, {3: 7, 4: 7}, {1: 5, 9: 2}, {1: 0}, {1: -3}, {1: 2.0}, {1: True}, {1: "2"}):
-        with pytest.raises(UsageError, match="strictly increasing"):
+        with pytest.raises(RunError, match="strictly increasing"):
             SA.subsequence(c, images)
 
 
@@ -90,7 +90,7 @@ def test_subsequence_keeps_its_own_images():
     images[9] = 300
     del images[5]
     assert sub.at(2) is a and sub.at(5) is a
-    with pytest.raises(UsageError, match="not defined at n=9"):
+    with pytest.raises(RunError, match="not defined at n=9"):
         sub.at(9)
 
 
@@ -98,7 +98,7 @@ def test_subsequence_is_undefined_off_its_window():
     sub = SA.subsequence(SA.constant(weyl(X)), {n: 2 * n for n in SA.SAMPLES})
     assert SA.equivalent(sub, SA.constant(weyl(X)))
     for n in (1, SA.TAIL_START, 41, 8193):
-        with pytest.raises(UsageError, match=f"not defined at n={n}"):
+        with pytest.raises(RunError, match=f"not defined at n={n}"):
             sub.at(n)
 
 
@@ -152,10 +152,10 @@ def test_polar_scalar_example():
 
 
 def test_polar_rejects_non_almost_unitary():
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="almost-unitary"):
         SA.polar_unitarize(SA.constant(weyl(X, 2.0)))
     # the precondition reads ||c|^2 - 1| at every tail sample, so one far entry refuses it
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="almost-unitary"):
         SA.polar_unitarize(SA.SequenceElement(lambda n: weyl(X, 1.1 if n == 8192 else 1.0), 1.1))
 
 
@@ -192,7 +192,7 @@ def test_adjoint_morphism():
     assert abs(value.coeff - 0.5 * cmath.exp(1j * F.symplectic(X, Y))) <= 1e-15
     center = SA.SequenceElement(lambda n: weyl(F.zero_vector(), cmath.exp(1j * n)), 1.0)
     assert abs(SA.adjoint_morphism(center, weyl(X)).at(40).coeff - 1.0) <= 1e-15
-    with pytest.raises(DomainError):
+    with pytest.raises(RunError, match="needs unitary entries"):
         SA.adjoint_morphism(SA.constant(weyl(F.zero_vector(), 2.0)), weyl(X)).at(33)
 
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from conebraid import category as C
 from conebraid import field as F
 from conebraid import weyl as W
-from conebraid.errors import UsageError
+from conebraid.errors import RunError
 from conebraid.field import RadialPolynomial
 
 
@@ -151,10 +151,10 @@ def test_gram_matrix_values_and_positivity(pair):
 def test_gram_matrix_guard(pair):
     _, dlt = pair
     labels = [F.scale(0.1 * (k + 1), dlt) for k in range(17)]
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="limited to 16 labels"):
         W.gram_matrix(labels)
     assert W.gram_matrix([]) == []
-    with pytest.raises(UsageError):
+    with pytest.raises(RunError, match="empty matrix"):
         W.min_eigenvalue([])
 
 
