@@ -18,8 +18,9 @@ it compares rows only; each CSV cell is read as the JSON report holds it,
 and rows of both formats pass one record check.  A report the script cannot
 read (a missing file, JSON without a metadata object and a rows list, a
 column missing or extra, a non-numeric cell, a verdict other than true or
-false, or two rows with one key) is refused the same way: one line on
-stderr naming the file, and exit 2.
+false, two rows with one key, or a JSON object with a repeated key, which
+json.load would read as its last value) is refused the same way: one line
+on stderr naming the file, and exit 2.
 """
 
 import argparse
@@ -68,6 +69,16 @@ def _record(row) -> dict:
     return row
 
 
+def _unique(pairs: list) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"the key {key!r} is repeated in one object")
+        data[key] = value
+    return data
+
+
 def _load(path: str) -> tuple[dict, dict]:
     """The report's metadata ({} for a CSV report) and its checked rows by key."""
     is_csv = path.endswith(".csv")
@@ -78,7 +89,7 @@ def _load(path: str) -> tuple[dict, dict]:
                 raise ValueError(f"the header is not {','.join(COLUMNS)}")
             metadata, numbered = {}, [(f"line {reader.line_num}", cells) for cells in reader]
         else:
-            report = json.load(fh)
+            report = json.load(fh, object_pairs_hook=_unique)
             if not (isinstance(report, dict) and isinstance(report.get("metadata"), dict)
                     and isinstance(report.get("rows"), list)):
                 raise ValueError("the report needs a metadata object and a rows list")

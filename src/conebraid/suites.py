@@ -41,6 +41,7 @@ BRAIDING_THRESHOLD = 1e-3
 HOMOTOPY_THRESHOLD = 1e-3
 DECAY_THRESHOLD = 1e-2
 EXTENSION_THRESHOLD = 1e-2
+SEPARATION_THRESHOLD = 0.5  # the seqalg verdict rows read 0.0 when the sequences separate as claimed, else 1.0
 LAW_SAMPLES = 100  # random object triples; each law row is the worst over them
 HOMOTOPY_STEPS = 6  # cones rotated from the configured one, in a fixed plane
 HOMOTOPY_STEP_DEG = 30.0
@@ -107,8 +108,9 @@ class RunContext:
         self.vectors = {c.name: vector_from_charge_cfg(c) for c in config.charges}
 
     def charge_pairs(self):
-        names = list(self.vectors)
-        return [(names[i], names[j]) for i in range(len(names)) for j in range(i + 1, len(names))]
+        """(report key "a:b", a's vector, b's vector) for each charge pair, in config order."""
+        items = list(self.vectors.items())
+        return [(f"{na}:{nb}", a, b) for i, (na, a) in enumerate(items) for nb, b in items[i + 1 :]]
 
     def homotopy_chain(self):
         """The configured cone, then cones rotated from it in a fixed plane through its axis."""
@@ -291,9 +293,7 @@ def _antipodal(cone, radius):
 def run_braiding(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     transports = [(radius, *_antipodal(ctx.config.cone, radius)) for radius in ctx.config.radii]
     rows = []
-    for name_a, name_b in ctx.charge_pairs():
-        pair = f"{name_a}:{name_b}"
-        a, b = ctx.vectors[name_a], ctx.vectors[name_b]
+    for pair, a, b in ctx.charge_pairs():
         exact = cat.braiding_exact(a, b).coeff
         for radius, ta, tb in transports:
             phase, closed, phase_r = cat.braiding_asymptotic(a, b, ta, tb, rng=rng)
@@ -330,9 +330,7 @@ def run_homotopy(ctx: RunContext) -> list[CheckRow]:
     radius = ctx.config.radii[-1]
     transports = [_antipodal(cone, radius) for cone in ctx.homotopy_chain()]
     rows = []
-    for name_a, name_b in ctx.charge_pairs():
-        pair = f"{name_a}:{name_b}"
-        a, b = ctx.vectors[name_a], ctx.vectors[name_b]
+    for pair, a, b in ctx.charge_pairs():
         exact = cat.braiding_exact(a, b).coeff
         limits = [cat.braiding_asymptotic(a, b, ta, tb)[0] for ta, tb in transports]
         for k, limit in enumerate(limits):
@@ -361,9 +359,7 @@ def run_decay(ctx: RunContext) -> list[CheckRow]:
     shift_v = tuple(-c for c in shift_u)
     transports = [(radius, *_antipodal(cone, radius)) for radius in ctx.config.radii]
     rows = []
-    for name_a, name_b in ctx.charge_pairs():
-        pair = f"{name_a}:{name_b}"
-        a, b = ctx.vectors[name_a], ctx.vectors[name_b]
+    for pair, a, b in ctx.charge_pairs():
         r = cat.hom_basis(a, fld.translate(a, shift_u))
         s = cat.hom_basis(b, fld.translate(b, shift_v))
         s_plus = cat.hom_basis(b, fld.translate(b, shift_u))
@@ -440,17 +436,14 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     adj_alt = sa.adjoint_morphism(u_alt, w_delta)
     adj = sa.adjoint_morphism(unit, w_delta)
     ok = sa.stability_probe(adj, limit, rng) and not sa.stability_probe(adj_alt, limit, rng)
-    rows.append(
-        _row("seqalg/subsequence_stability", "", "", None, complex(sa.PROBE_MAPS), 0.0 if ok else 1.0, 0.5)
-    )
+    stab_res = 0.0 if ok else 1.0
+    rows.append(_row("seqalg/subsequence_stability", "", "", None, sa.PROBE_MAPS, stab_res, SEPARATION_THRESHOLD))
 
     even = sa.subsequence(adj_alt, {n: 2 * n for n in sa.SAMPLES})
     odd = sa.subsequence(adj_alt, {n: 2 * n + 1 for n in sa.SAMPLES})
     gap = sa.limsup_norm(adj_alt, limit)
-    converse = sa.equivalent(even, limit) and not sa.equivalent(adj_alt, limit)
-    rows.append(
-        _row("seqalg/subsequence_converse", "", "", None, gap, 0.0 if converse else 1.0, 0.5)
-    )
+    conv_res = 0.0 if sa.equivalent(even, limit) and not sa.equivalent(adj_alt, limit) else 1.0
+    rows.append(_row("seqalg/subsequence_converse", "", "", None, gap, conv_res, SEPARATION_THRESHOLD))
 
     # (eps_{R_n} - eps_exact) W(delta) is null, and so are its products with the transporters
     exact = cat.braiding_exact(rho, delta).coeff
@@ -469,10 +462,8 @@ def run_seqalg(ctx: RunContext, rng: random.Random) -> list[CheckRow]:
     rows.append(_row("seqalg/adjoint_center", "", "", None, cen_res, cen_res, LAWS_THRESHOLD))
 
     adj_gap = sa.limsup_norm(even, odd)
-    unstable = not sa.equivalent(even, odd)
-    rows.append(
-        _row("seqalg/adjoint_alternating", "", "", None, adj_gap, 0.0 if unstable else 1.0, 0.5)
-    )
+    alt_res = 1.0 if sa.equivalent(even, odd) else 0.0
+    rows.append(_row("seqalg/adjoint_alternating", "", "", None, adj_gap, alt_res, SEPARATION_THRESHOLD))
     return rows
 
 

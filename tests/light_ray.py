@@ -15,6 +15,10 @@ composition and star form.  These are the charged sectors of the chiral
 U(1) current (Buchholz, Mack & Todorov, Nucl. Phys. B Proc. Suppl. 5B,
 1988; Fredenhagen, Rehren & Schroer, CMP 125, 1989).  The model has no
 vacuum functional, so weyl.gram_matrix does not run on it.
+
+LongRange adds lambda (q_f m_g - m_f q_g), with m_f = sum_i k_i c_i the
+first moment.  The term is antisymmetric and translation invariant, but it
+does not decay with distance: the model has no asymptotic Abelianness.
 """
 
 import math
@@ -32,10 +36,10 @@ class LightRay:
         self.is_zero = not self.terms
 
     def __add__(self, other):
-        return LightRay(self.terms + other.terms)
+        return type(self)(self.terms + other.terms)
 
     def __neg__(self):
-        return LightRay((key, -k) for key, k in self.terms)
+        return type(self)((key, -k) for key, k in self.terms)
 
     def __sub__(self, other):
         return self + -other
@@ -48,10 +52,23 @@ class LightRay:
         )
 
     def translate(self, t):
-        return LightRay(((c + t, w), k) for (c, w), k in self.terms)
+        return type(self)(((c + t, w), k) for (c, w), k in self.terms)
 
     def zero(self):
-        return LightRay()
+        return type(self)()
+
+
+class LongRange(LightRay):
+    """The light ray with sigma + LAMBDA (q_f m_g - m_f q_g), m_f = sum_i k_i c_i."""
+
+    LAMBDA = 0.05
+
+    def moment(self):
+        return math.fsum(k * c for (c, _), k in self.terms)
+
+    def symplectic(self, other):
+        drift = self.charge * other.moment() - self.moment() * other.charge
+        return super().symplectic(other) + self.LAMBDA * drift
 
 
 def step(q, centre=0.0, width=1.0):

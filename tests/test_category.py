@@ -366,11 +366,7 @@ def test_run_homotopy_braids_each_chain_cone_once_at_the_largest_radius(monkeypa
     monkeypatch.setattr(C, "braiding_asymptotic", spy)
     rows = run_homotopy(ctx)
     transports = [_antipodal(cone, ctx.config.radii[-1]) for cone in ctx.homotopy_chain()]
-    want = [
-        (ctx.vectors[x], ctx.vectors[y], ta, tb, None)
-        for x, y in ctx.charge_pairs()
-        for ta, tb in transports
-    ]
+    want = [(a, b, ta, tb, None) for _, a, b in ctx.charge_pairs() for ta, tb in transports]
     assert len(transports) == 7 and calls == want
     assert {row.radius for row in rows} == {ctx.config.radii[-1]}
 
@@ -403,8 +399,8 @@ def test_run_braiding_draws_u_then_v_at_each_radius(monkeypatch):
     transports = [_antipodal(ctx.config.cone, radius) for radius in ctx.config.radii]
     assert events == [event for ta, tb in transports for event in (("transport", ta, tb), draw, draw)]
     # the first draw of each radius rephases u (out of the first charge), the second v
-    ((name_a, name_b),) = ctx.charge_pairs()
-    sources = [ctx.vectors[name_a], ctx.vectors[name_b]] * len(ctx.config.radii)
+    ((_, a, b),) = ctx.charge_pairs()
+    sources = [a, b] * len(ctx.config.radii)
     assert len(rephased) == len(sources)
     for k, ((source, z), want) in enumerate(zip(rephased, sources), start=1):
         assert source is want and abs(z - np.exp(0.1j * k)) < 1e-15

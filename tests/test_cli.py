@@ -64,7 +64,7 @@ def test_check_policy_is_fixed_in_suites():
         suites.EXTENSION_THRESHOLD,
     ) == (1e-12, 1e-10, 1e-3, 1e-3, 1e-2, 1e-2)
     assert (suites.LAW_SAMPLES, suites.HOMOTOPY_STEPS, suites.HOMOTOPY_STEP_DEG) == (100, 6, 30.0)
-    assert suites.TRANSPORTER_OFFSET == 2.0
+    assert (suites.TRANSPORTER_OFFSET, suites.SEPARATION_THRESHOLD) == (2.0, 0.5)
     assert (seqalg.TAIL_START, len(seqalg.SAMPLES), seqalg.NULL_TOLERANCE) == (32, 16, 1e-6)
 
 

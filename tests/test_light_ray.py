@@ -11,7 +11,9 @@ inverse braidings.  At R = 10 every erf has saturated to rounding.  The
 seqalg suite's asymptopia reads the same: the exchange sequence at R_n on
 either side is equivalent to that side's limit, and not to the other's.
 Of the decay suite's residuals, only the implementation on the second
-charge stays away from 0 here: it reads the monodromy.
+charge stays away from 0 here: it reads the monodromy.  On LongRange, the
+light ray with a term that does not decay, two more stay away from 0 and
+the exchange has no limit.
 """
 
 import cmath
@@ -25,7 +27,7 @@ from conebraid import category as C
 from conebraid import seqalg as sa
 from conebraid.suites import SEQALG_RADIUS
 from conebraid.weyl import distance, weyl
-from light_ray import step
+from light_ray import LongRange, step
 
 R = 10.0
 A, B, Z = step(1.3, 0.0, 1.0), step(0.7, 0.0, 1.5), step(-0.4, 0.5, 1.2)
@@ -130,6 +132,42 @@ def test_decay_rows_split_into_monodromy_and_hypothesis(radius):
         C.extension_residual(A, s_plus, radius, -radius),
     ]
     assert max(hypothesis) <= (1e-9 if radius < 40.0 else 0.0)
+
+
+@pytest.mark.parametrize("side", SIDES)
+def test_twist_and_balancing(side):
+    # the twist theta_a = eps(a, a) is e^{+-i q_a^2 / 2}, not 1 as in 3+1
+    # dimensions, and it balances the double exchange
+    def theta(x):
+        return _exchange(x, x, side)
+
+    assert abs(theta(A) - cmath.exp(0.5j * SIGN[side] * 1.3**2)) < 1e-12
+    balanced = theta(A) * theta(B) * _exchange(A, B, side) * _exchange(B, A, side)
+    assert abs(theta(A + B) - balanced) < 1e-15
+    assert abs(theta(-A) - theta(A)) < 1e-15
+
+
+def test_long_range_model_breaks_two_decay_forms_and_the_limit():
+    # lambda (q_f m_g - m_f q_g) does not decay with distance.  With the decay
+    # suite's +-2 arrow shifts, the transported implementation and the tensor
+    # ordering stick at 2 sin(lambda q_a q_b) and 2 sin(2 lambda q_a q_b) at
+    # every R, and eps_R turns by e^{-2i lambda q_a q_b R}, so it has no
+    # limit; abelianness and extension, on chargeless labels alone, vanish
+    a, b = LongRange(A.terms), LongRange(B.terms)
+    lam = LongRange.LAMBDA
+    r = C.hom_basis(a, a.translate(2.0))
+    s = C.hom_basis(b, b.translate(-2.0))
+    s_plus = C.hom_basis(b, b.translate(2.0))
+    eps = []
+    for radius in (10.0, 40.0, 160.0, 640.0):
+        r_far, s_far = C.transported_arrow(r, radius), C.transported_arrow(s, -radius)
+        assert C.implementation_residual(a, radius, s.label) == pytest.approx(2.0 * math.sin(lam * QQ), abs=1e-12)
+        assert C.tensor_abelianness_residual(r_far, s_far) == pytest.approx(2.0 * math.sin(2.0 * lam * QQ), abs=1e-12)
+        abelianness = C.abelianness_residual(r_far.label, s_far.label)
+        assert max(abelianness, C.extension_residual(a, s_plus, radius, -radius)) <= (1e-9 if radius < 40.0 else 0.0)
+        eps.append(C.braiding_asymptotic(a, b, radius, -radius)[0])
+        assert abs(eps[-1] - cmath.exp(0.5j * QQ - 2j * lam * QQ * radius)) < 1e-12
+    assert min(abs(p - q) for p, q in zip(eps, eps[1:])) > 0.3
 
 
 def _second_charge_follows(braiding_asymptotic):

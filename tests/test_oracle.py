@@ -126,6 +126,7 @@ def test_the_oracle_restates_the_suites_constants():
         "HOMOTOPY_THRESHOLD",
         "DECAY_THRESHOLD",
         "EXTENSION_THRESHOLD",
+        "SEPARATION_THRESHOLD",
         "SEQALG_RADIUS",
     )
     assert [getattr(oracle_report, n) for n in names] == [getattr(suites, n) for n in names]

@@ -1,6 +1,9 @@
-"""scripts/report_drift.py, run in a fresh interpreter on JSON and CSV reports that differ in one way each."""
+"""The scripts in a fresh interpreter: report_drift.py on reports that differ in one way each, layer_bench.py once."""
 
+import ast
 import json
+import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -135,3 +138,66 @@ def test_report_drift_refuses_a_json_report_it_cannot_read(tmp_path, edit, messa
     report = tmp_path / "decay_report.json"
     bad = _edited(report, "bad.json", edit)
     _refused(_run_drift(str(report), str(bad)), bad, message)
+
+
+def test_report_drift_refuses_a_json_report_with_a_repeated_key(tmp_path):
+    # json.load keeps a repeated key's last value, so a flipped verdict written
+    # before the real one would vanish and the copy compare clean either way round
+    config = str(ROOT / "configs" / "default.json")
+    code = expected_run("default", "decay")[1]
+    assert main(["verify", "--config", config, "--suite", "decay", "--format", "json", "--out", str(tmp_path)]) == code
+    report = tmp_path / "decay_report.json"
+    text = report.read_text()
+    verdict = json.loads(text)["rows"][0]["pass"]
+    real, flipped = (f'"pass": {json.dumps(v)}' for v in (verdict, not verdict))
+    bad = tmp_path / "bad.json"
+    bad.write_text(text.replace(real, f"{flipped}, {real}", 1))
+    for old, new in ((report, bad), (bad, report)):
+        _refused(_run_drift(str(old), str(new)), bad, "the key 'pass' is repeated")
+
+
+# panel nodes of one pair at distance d: 10 per wavelength of sinc(d r) on (0, 10], at least 192, in 64-node panels
+PANEL_NODES = {0.3: 192, 2.0: 192, 20.0: 320, 200.0: 3200, 2000.0: 31872}
+# on the default pair's transport arrows at R = 10; sigma at d = 0 takes one 192-node panel pair
+OPERATION_COUNTS = {
+    "weyl_mul": (4, 3, 192),
+    "compose": (4, 4, 0),
+    "tensor_mor": (6, 3, 192),
+    "braiding_asymptotic": (32, 7, 192),
+    "seqalg_sample": (8, 4, 192),
+}
+
+
+def test_layer_bench_smoke():
+    # one repeat: the schema and the counts, which do not depend on the box, never a time
+    script = ROOT / "scripts" / "layer_bench.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, str(script), "--repeats", "1"], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0 and not proc.stderr, proc.stderr
+    bench = json.loads(proc.stdout)
+    assert set(bench) == {"command", "repeats", "python", "machine", "cases"} and bench["repeats"] == 1
+    counts = {}
+    for case in bench["cases"]:
+        assert set(case) == {"name", "atom_pairs", "pair_integrals", "nodes", "median_s", "iqr_s"}, case
+        assert math.isfinite(case["median_s"]) and case["median_s"] >= 0.0 and case["iqr_s"] == 0.0
+        counts[case["name"]] = (case["atom_pairs"], case["pair_integrals"], case["nodes"])
+    want = {}
+    for kind in ("gauss_sigma", "gauss_re", "bump_sigma"):
+        for d, nodes in PANEL_NODES.items():
+            # only sigma of two Gaussians has the erf form, from d = 0.5 on
+            want[f"pair_integral/{kind}/d={d:g}"] = (1, 1, 0 if kind == "gauss_sigma" and d >= 0.5 else nodes)
+    want["rule_build/64"] = (0, 0, 0)
+    for n in range(1, 17):
+        want[f"symplectic/cold/{n}"] = (n * n, n * n, 0)
+        want[f"symplectic/warm/{n}"] = (n * n, 0, 0)
+    assert counts == {**want, **OPERATION_COUNTS}
+    # the standard library and conebraid only, so it runs where the package alone is installed
+    imported = set()
+    for node in ast.walk(ast.parse(script.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.partition(".")[0])
+    assert imported - set(sys.stdlib_module_names) == {"conebraid"}
